@@ -8,6 +8,10 @@
   reduction (``python -m repro.analysis explore``).
 * :mod:`repro.analysis.lint` — the protocol-discipline AST lint
   (``python -m repro.analysis lint``), rules REPRO001–REPRO006.
+* :mod:`repro.analysis.checked` — ``CheckedRun``, the one instrument
+  battery every verification harness runs under, and ``fail_over``, the
+  one sharing-failover primitive (imported by path, not re-exported:
+  it pulls in ``core`` and ``obs``).
 """
 
 from .memsan import (

@@ -17,6 +17,9 @@ Usage::
 
     python -m repro.analysis docs README.md EXPERIMENTS.md PERFORMANCE.md
 
+The same pass checks the registry sizes the docs quote (the lint rule
+range, the number of named crash points) against the live registries.
+
 Exit 1 lists every unknown module, name, or flag with its file:line.
 Placeholders in angle brackets (``<figure>``, ``<name>...``) and
 ellipses are accepted anywhere a real name would be.
@@ -236,9 +239,31 @@ _VALIDATORS: dict[str, Callable[[list[str]], Optional[str]]] = {
 }
 
 
+def _check_counts(path: str, text: str) -> list[Finding]:
+    """Registry sizes the docs quote, against the live registries."""
+    from ..faults.points import REGISTERED_POINTS
+    from .lint import RULES
+
+    quoted = [
+        (r"REPRO001\s*[–-]\s*REPRO(\d+)", int(RULES[-1][len("REPRO"):]), "lint rules"),
+        (r"(\d+)\s+named\s+crash\s+points", len(REGISTERED_POINTS), "crash points"),
+    ]
+    return [
+        Finding(
+            path,
+            text.count("\n", 0, match.start()) + 1,
+            " ".join(match.group(0).split()),
+            f"stale count: the registry has {live} {what}",
+        )
+        for pattern, live, what in quoted
+        for match in re.finditer(pattern, text)
+        if int(match.group(1)) != live
+    ]
+
+
 def check_text(path: str, text: str) -> list[Finding]:
-    """Validate every invocation in one document's text."""
-    findings: list[Finding] = []
+    """Validate every invocation (and quoted registry size) in one document."""
+    findings = _check_counts(path, text)
     for lineno, command in extract_invocations(text):
         tokens = command.split()
         # "python -m repro.x ..." — tolerate a leading env assignment

@@ -55,7 +55,7 @@ from math import factorial
 from typing import Any, Callable, Generator, Optional
 
 from ..sim.core import Event, Process, SchedulerHook, Simulator
-from .memsan import MemSan
+from .memsan import MemSan, MemSanError
 
 __all__ = [
     "CONFIGS",
@@ -592,27 +592,6 @@ def _apply_mutation(setup: Any, mutation: str) -> None:
         raise ExploreError(f"unknown protocol mutation {mutation!r}")
 
 
-def _failover(setup: Any, dead: Any, ms: MemSan) -> None:
-    """Mirror the crash sweep's sharing failover for one dead node."""
-    from ..hardware.memory import AccessMeter
-
-    index = next(
-        i for i, node in enumerate(setup.nodes) if node is dead
-    )
-    dead.engine.crash()
-    setup.hosts[index].crash()
-    ms.actor_crashed(dead.node_id, inheritor="failover")
-    with ms.actor("failover"):
-        setup.fusion.recover_node_failure(
-            dead.node_id,
-            dead.engine.redo_log,
-            AccessMeter(),
-            lock_service=setup.lock_service,
-            write_locked_pages=sorted(dead.write_locks_held),
-            read_locked_pages=sorted(dead.read_locks_held),
-        )
-
-
 def _run_protocol(config: ProtocolConfig, strategy: ExplorerStrategy) -> list[str]:
     """Build a fresh world, run one schedule under ``strategy``, check.
 
@@ -624,8 +603,10 @@ def _run_protocol(config: ProtocolConfig, strategy: ExplorerStrategy) -> list[st
 
     from ..bench.harness import build_sharing_setup
     from ..faults.injector import FaultInjector
-    from ..obs import InvariantViolationError, Tracer, assert_trace_invariants
+    from ..hardware.memory import AccessMeter
+    from ..obs import InvariantViolationError
     from ..workloads.sysbench import SysbenchWorkload
+    from .checked import CheckedRun, fail_over
 
     workload = SysbenchWorkload(rows=config.rows, n_nodes=config.n_nodes)
     setup = build_sharing_setup(
@@ -643,15 +624,15 @@ def _run_protocol(config: ProtocolConfig, strategy: ExplorerStrategy) -> list[st
         history[key] = [row["k"]]
     oracle = _Oracle(history)
     crashes: list = []
-    ms = RecordingMemSan(strategy)
-    ms.watch_setup(setup)
     injector = (
         FaultInjector().arm(config.crash_point, config.crash_hit)
         if config.crash_point is not None
         else None
     )
     violations: list[str] = []
-    with ms, Tracer() as tracer:
+    ms = RecordingMemSan(strategy)
+    with CheckedRun(trace=True, memsan=ms) as run:
+        run.watch(setup)
         procs = []
         for stream_index, (node_index, ops) in enumerate(config.streams):
             node = setup.nodes[node_index]
@@ -675,7 +656,11 @@ def _run_protocol(config: ProtocolConfig, strategy: ExplorerStrategy) -> list[st
         dead_nodes = []
         for node, _ in crashes:
             dead_nodes.append(node)
-            _failover(setup, node, ms)
+            node.engine.crash()
+            setup.hosts[setup.nodes.index(node)].crash()
+            fail_over(
+                setup, node, AccessMeter(), actor="failover", inherits=node.node_id
+            )
         if dead_nodes:
             # Failover force-released the dead node's locks; let blocked
             # survivor streams drain (deterministic tail, default order).
@@ -706,9 +691,11 @@ def _run_protocol(config: ProtocolConfig, strategy: ExplorerStrategy) -> list[st
         for report in ms.reports:
             violations.append(f"memsan: {report}")
         try:
-            assert_trace_invariants(tracer)
+            run.check()
         except InvariantViolationError as exc:
             violations.append(f"invariant: {exc}")
+        except MemSanError:
+            pass  # every report is already listed above
     # The schedule's observable outcome (committed history, what every
     # node saw, the verdicts) — what trace-equivalent schedules share.
     strategy.outcome = (

@@ -749,17 +749,17 @@ def active() -> Optional[MemSan]:
 def install(ms: MemSan) -> MemSan:
     """Install ``ms`` as the global detector; only one may be active."""
     global _ACTIVE
-    if _ACTIVE is not None:
+    if _ACTIVE is not None and _ACTIVE is not ms:
         raise RuntimeError("another MemSan is already installed")
     _ACTIVE = ms
     return ms
 
 
 def uninstall(ms: Optional[MemSan] = None) -> None:
-    """Remove the installed detector (idempotent)."""
+    """Remove the installed detector (idempotent; never someone else's)."""
     global _ACTIVE
-    if ms is not None and _ACTIVE is not ms:
-        return
+    if ms is not None and _ACTIVE is not None and _ACTIVE is not ms:
+        raise RuntimeError("a different MemSan is installed")
     _ACTIVE = None
 
 

@@ -27,25 +27,15 @@ is sharded ``n_nodes // 4`` ways (:func:`shards_for`) so the metadata
 service scales alongside the fleet.
 
 Every scale point is an independent :class:`~repro.parallel.runner.WorkUnit`
-(``repro.bench.scale:_scale_unit``), so the curve shards across
+(``repro.bench.scale:run_scale_point``), so the curve shards across
 processes under ``python -m repro.bench fig_scale --jobs N``.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import nullcontext
-from typing import Optional
 
-from ..analysis.memsan import MemSan
-from ..analysis.memsan import active as memsan_active
-from ..obs.invariants import assert_span_invariants, assert_trace_invariants
-from ..obs.metrics import MetricsPipeline
-from ..obs.metrics import active as metrics_active
-from ..obs.spans import SpanTracer
-from ..obs.spans import active as spans_active
-from ..obs.trace import Tracer
-from ..obs.trace import active as obs_active
+from ..analysis.checked import CheckedRun
 from ..parallel.runner import WorkUnit, raise_for_failures, run_units
 from ..sim.rng import WorkloadRng
 from ..workloads.base import Op
@@ -165,56 +155,42 @@ def run_scale_point(
     """Run one (system, fleet-size) point under the full monitoring stack.
 
     Returns a flat dict of the point's coordinates, throughput, and the
-    mechanism counters the curve assertions need. Installs whichever of
-    MemSan / Tracer / SpanTracer is not already active and checks all
-    three after the run — a race, a trace violation, or a malformed
-    span tree fails the point, at every scale.
+    mechanism counters the curve assertions need. The point is one
+    :class:`~repro.analysis.checked.CheckedRun`: a race, a trace
+    violation, or a malformed span tree fails it, at every scale.
     """
     n_shards = shards_for(n_nodes) if system == "cxl" else 1
-    tracer = Tracer() if obs_active() is None else None
-    span_tracer = SpanTracer() if spans_active() is None else None
-    ms: Optional[MemSan] = MemSan() if memsan_active() is None else None
     # REPRO_BENCH_METRICS=1 (the `--metrics` flag) samples every point
     # on the sim-time scrape grid; each point owns a fresh pipeline so
     # serial and --jobs runs publish identical per-point timelines.
-    pipeline = (
-        MetricsPipeline()
-        if os.environ.get("REPRO_BENCH_METRICS") and metrics_active() is None
-        else None
-    )
-    with ms or nullcontext():
-        with tracer or nullcontext(), span_tracer or nullcontext():
-            with pipeline or nullcontext():
-                workload = SysbenchWorkload(rows=rows, n_nodes=n_nodes)
-                setup = build_sharing_setup(
-                    system, n_nodes, workload, seed=seed, n_shards=n_shards
-                )
-                if ms is not None:
-                    ms.watch_setup(setup)
-                register_metric_sources(setup)
-                driver = SharingDriver(
-                    setup.sim,
-                    setup.nodes,
-                    setup.hosts,
-                    make_scale_txn_fn(n_nodes, rows),
-                    shared_pct=100.0,
-                    rng=WorkloadRng(seed=seed),
-                    workers_per_node=workers_per_node,
-                    warmup_txns=1,
-                    measure_txns=measure_txns,
-                )
-                result = driver.run()
-                counters = counter_snapshot(setup)
-                if pipeline is not None:
-                    pipeline.flush(setup.sim.now)
-    if tracer is not None:
-        assert_trace_invariants(tracer)
-    if span_tracer is not None:
-        assert_span_invariants(span_tracer)
-    if ms is not None:
-        ms.check()
-    if pipeline is not None:
-        pipeline.check_consistent()
+    with CheckedRun(
+        trace=True,
+        spans=True,
+        metrics=bool(os.environ.get("REPRO_BENCH_METRICS")),
+        memsan=True,
+    ) as run:
+        workload = SysbenchWorkload(rows=rows, n_nodes=n_nodes)
+        setup = build_sharing_setup(
+            system, n_nodes, workload, seed=seed, n_shards=n_shards
+        )
+        run.watch(setup)
+        register_metric_sources(setup)
+        driver = SharingDriver(
+            setup.sim,
+            setup.nodes,
+            setup.hosts,
+            make_scale_txn_fn(n_nodes, rows),
+            shared_pct=100.0,
+            rng=WorkloadRng(seed=seed),
+            workers_per_node=workers_per_node,
+            warmup_txns=1,
+            measure_txns=measure_txns,
+        )
+        result = driver.run()
+        counters = counter_snapshot(setup)
+        run.flush(setup.sim.now)
+    run.check()
+    ms, pipeline = run.memsan, run.metrics
     writes = max(1.0, counters.get("lock.write_acquires", 0.0))
     if system == "cxl":
         invalidations = counters.get("fusion_stats.invalidations_pushed", 0.0)
@@ -248,11 +224,6 @@ def run_scale_point(
     }
 
 
-def _scale_unit(system: str, n_nodes: int, seed: int, rows: int) -> dict:
-    """Spawn-safe work unit: one scale point, resolved by import path."""
-    return run_scale_point(system, n_nodes, seed=seed, rows=rows)
-
-
 def run_scale_curve(
     systems=SCALE_SYSTEMS,
     nodes=SCALE_NODES,
@@ -269,7 +240,7 @@ def run_scale_curve(
     """
     units = [
         WorkUnit(
-            "repro.bench.scale:_scale_unit",
+            "repro.bench.scale:run_scale_point",
             (system, n_nodes, seed, rows),
             label=f"{system}/{n_nodes}",
             repro=(

@@ -47,32 +47,25 @@ from __future__ import annotations
 
 import json
 import random
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from ..bench.harness import SharingSetup
+    from ..core.sharing import MultiPrimaryNode
 
-from ..analysis.memsan import MemSan
-from ..analysis.memsan import active as memsan_active
+from ..analysis.checked import CheckedRun, fail_over
+from ..analysis.memsan import MemSanError
 from ..core.block import pool_bytes_needed
 from ..core.cxl_bufferpool import CxlBufferPool
 from ..core.memmgr import CxlMemoryManager
-from ..core.recovery import PolarRecv, retire_log
+from ..core.recovery import PolarRecv
 from ..db.constants import PAGE_SIZE
 from ..db.engine import Engine
 from ..db.record import Field, RecordCodec
 from ..hardware.cache import LineCacheModel
 from ..hardware.host import Cluster, Host
 from ..hardware.memory import AccessMeter, WindowedMemory
-from ..obs.invariants import assert_span_invariants, assert_trace_invariants
-from ..obs.metrics import MetricsPipeline
-from ..obs.metrics import active as metrics_active
-from ..obs.spans import SpanTracer
-from ..obs.spans import active as spans_active
-from ..obs.trace import Tracer
-from ..obs.trace import active as obs_active
 from ..sim.core import Simulator
 from ..parallel.runner import UnitResult, WorkUnit, run_units
 from ..storage.pagestore import PageStore
@@ -174,32 +167,6 @@ def report_to_json(report: SweepReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_repro_cmd(scenario: str, seed: int, point: str, hit: int) -> str:
-    """The one-line serial command that re-runs exactly one coordinate."""
-    return (
-        "PYTHONPATH=src python -m repro.parallel sweep "
-        f"--scenario {scenario} --seed {seed} --point {point} --hit {hit}"
-    )
-
-
-def _coordinate_units(
-    scenario: str,
-    task: str,
-    seed: int,
-    coordinates: list[tuple[str, int]],
-    extra: tuple = (),
-) -> list[WorkUnit]:
-    return [
-        WorkUnit(
-            task=task,
-            payload=(seed, point, hit) + extra,
-            label=f"{scenario} {point}#{hit} (seed {seed})",
-            repro=_sweep_repro_cmd(scenario, seed, point, hit),
-        )
-        for point, hit in coordinates
-    ]
-
-
 def _merged_outcome(
     result: UnitResult, point: str, hit: int
 ) -> SweepOutcome:
@@ -218,14 +185,39 @@ def _merged_outcome(
     )
 
 
-def _run_coordinates(
-    report: SweepReport,
-    units: list[WorkUnit],
-    coordinates: list[tuple[str, int]],
+def _sweep_coordinates(
+    title: str,
+    scenario: str,
+    unit: str,
+    seed: int,
+    trace: list[tuple[str, int]],
+    extra: tuple,
+    max_hits_per_point: int,
     jobs: int,
+    limit: int | None,
+    only: tuple[str, int] | None,
 ) -> SweepReport:
-    results = run_units(units, jobs=jobs)
-    for result, (point, hit) in zip(results, coordinates):
+    """Sweep the coordinates an enumeration ``trace`` reached: one
+    ``unit(seed, point, hit, *extra)`` work unit each, merged in
+    enumeration order."""
+    coordinates = _select_hits(trace, max_hits_per_point)[:limit]
+    if only is not None:
+        coordinates = [only]
+    units = [
+        WorkUnit(
+            task=f"repro.faults.sweep:{unit}",
+            payload=(seed, point, hit) + extra,
+            label=f"{scenario} {point}#{hit} (seed {seed})",
+            # The one-line serial command that re-runs exactly this unit.
+            repro=(
+                "PYTHONPATH=src python -m repro.parallel sweep "
+                f"--scenario {scenario} --seed {seed} --point {point} --hit {hit}"
+            ),
+        )
+        for point, hit in coordinates
+    ]
+    report = SweepReport(title, distinct_points=sorted({name for name, _ in trace}))
+    for result, (point, hit) in zip(run_units(units, jobs=jobs), coordinates):
         report.outcomes.append(_merged_outcome(result, point, hit))
     return report
 
@@ -405,114 +397,77 @@ def _recover(scenario: _Scenario) -> Engine:
     return engine
 
 
-def _golden_tracer() -> Tracer | None:
-    """A tracer for the golden run, unless one is already installed.
-
-    The golden run of every sweep doubles as a protocol-invariant check:
-    its full trace (WAL LSN order, coherency events when sharing) goes
-    through :func:`assert_trace_invariants`. When the caller already has
-    a tracer installed, their trace covers the run instead.
-    """
-    return Tracer() if obs_active() is None else None
-
-
-def _sweep_spans() -> SpanTracer | None:
-    """A span tracer for one sweep coordinate, unless one is installed.
-
-    Every crash-and-recover run doubles as a span-balance check: the
-    injected crash must leave no span ``open`` (they are abandoned at
-    the catch site), and the recovered run's spans must nest correctly.
-    """
-    return SpanTracer() if spans_active() is None else None
-
-
-def _sweep_metrics() -> MetricsPipeline | None:
-    """A metrics pipeline for one sweep coordinate, unless one is installed.
-
-    Every crash-and-recover run doubles as a crash-safe-scrape check: a
-    scrape forced right after the injected crash must observe only
-    complete published samples (never torn half-published state), and
-    the whole timeline must pass :meth:`MetricsPipeline.check_consistent`.
-    """
-    return MetricsPipeline() if metrics_active() is None else None
-
-
-def _crash_scrape(pipeline: MetricsPipeline | None, now_ns: float) -> None:
-    """Crash semantics for metrics: scrape exactly at the crash point.
-
-    The engine died mid-protocol-step; the pipeline must still hand out
-    a consistent window (publication is a single complete-value
-    assignment, so there is no torn state to observe)."""
-    mp = pipeline if pipeline is not None else metrics_active()
-    if mp is not None:
-        mp.maybe_scrape(now_ns)
-
-
-def _crash_abandon(span_tracer: SpanTracer | None) -> None:
-    """Crash semantics for spans: whatever was open can never end."""
-    tracer = span_tracer if span_tracer is not None else spans_active()
-    if tracer is not None:
-        tracer.abandon_open()
-
-
-def _check_spans(span_tracer: SpanTracer | None, allow_abandoned: bool) -> None:
-    if span_tracer is not None:
-        assert_span_invariants(span_tracer, allow_abandoned=allow_abandoned)
+def _crashes(
+    run: CheckedRun,
+    injector: FaultInjector,
+    sim: Simulator,
+    phase: Callable[[], object],
+) -> bool:
+    """Run one injected ``phase``; True if it died at the armed point
+    (the installed instruments then get their crash semantics)."""
+    try:
+        with injector:
+            phase()
+    except InjectedCrash:
+        run.crashed(sim.now)
+        return True
+    return False
 
 
 def _golden_run(seed: int) -> _GoldenRun:
+    """The enumeration pass doubles as a protocol-invariant check: its
+    full trace (WAL LSN order), span tree and metrics timeline go
+    through the whole :class:`CheckedRun` battery."""
     scenario = _build_scenario(seed)
     model = _setup_baseline(scenario)
     snapshots: dict[int, dict] = {}
     injector = FaultInjector(seed=seed)
-    tracer = _golden_tracer()
-    span_tracer = _sweep_spans()
-    pipeline = _sweep_metrics()
-    with tracer or nullcontext(), span_tracer or nullcontext(), injector:
-        with pipeline or nullcontext():
-            model = _run_workload(scenario, model, snapshots, random.Random(seed))
-            mp = pipeline if pipeline is not None else metrics_active()
-            if mp is not None:
-                mp.flush(scenario.sim.now)
-    if tracer is not None:
-        assert_trace_invariants(tracer)
-    _check_spans(span_tracer, allow_abandoned=False)
-    if pipeline is not None:
-        pipeline.check_consistent()
+    with CheckedRun(trace=True, spans=True, metrics=True) as run, injector:
+        model = _run_workload(scenario, model, snapshots, random.Random(seed))
+        run.flush(scenario.sim.now)
+    run.check()
     if _read_contents(scenario.engine) != model:
         raise CrashSweepError("golden run is internally inconsistent")
     return _GoldenRun(list(injector.trace), snapshots, model)
 
 
-def _crash_and_recover(
-    seed: int, point: str, hit: int, golden: _GoldenRun
-) -> SweepOutcome:
-    scenario = _build_scenario(seed)
-    model = _setup_baseline(scenario)
+def _crash_workload(
+    run: CheckedRun, scenario: _Scenario, model: dict, seed: int, point: str, hit: int
+) -> bool:
+    """Run the canonical workload armed at (point, hit); True if it
+    crashed there (the scenario is then power-cycled)."""
     injector = FaultInjector(seed=seed).arm(point, hit)
-    span_tracer = _sweep_spans()
-    pipeline = _sweep_metrics()
-    crashed = False
-    try:
-        with span_tracer or nullcontext(), pipeline or nullcontext(), injector:
-            _run_workload(scenario, model, {}, random.Random(seed))
-    except InjectedCrash:
-        crashed = True
-        _crash_abandon(span_tracer)
-        _crash_scrape(pipeline, scenario.sim.now)
-    if not crashed:
-        return SweepOutcome(point, hit, False, False, "armed point never fired")
+    if not _crashes(
+        run,
+        injector,
+        scenario.sim,
+        lambda: _run_workload(scenario, model, {}, random.Random(seed)),
+    ):
+        return False
     scenario.engine.crash()
     scenario.host.crash()
     scenario.host.restart()
-    with span_tracer or nullcontext(), pipeline or nullcontext():
+    return True
+
+
+def _crash_and_recover(
+    seed: int, point: str, hit: int, snapshots: dict[int, dict]
+) -> SweepOutcome:
+    """One spawn-safe unit: crash at (point, hit), recover, check oracle.
+
+    Every coordinate doubles as a span-balance and crash-safe-scrape
+    check: the crash must leave no span ``open``, the recovered run's
+    spans must nest, and the timeline scraped across the crash must
+    hold only complete samples."""
+    scenario = _build_scenario(seed)
+    model = _setup_baseline(scenario)
+    with CheckedRun(spans=True, metrics=True) as run:
+        if not _crash_workload(run, scenario, model, seed, point, hit):
+            return SweepOutcome(point, hit, False, False, "armed point never fired")
         engine = _recover(scenario)
-        if pipeline is not None:
-            pipeline.flush(scenario.sim.now)
-    _check_spans(span_tracer, allow_abandoned=True)
-    if pipeline is not None:
-        pipeline.check_consistent()
-    expected = _expected_at(golden.snapshots, scenario.redo.durable_max_lsn)
+        run.flush(scenario.sim.now)
+    run.check(allow_abandoned=True)
+    expected = _expected_at(snapshots, scenario.redo.durable_max_lsn)
     actual = _read_contents(engine)
     if actual == expected:
         return SweepOutcome(point, hit, True, True)
@@ -524,13 +479,6 @@ def _crash_and_recover(
         f"recovered {len(actual)} rows != committed {len(expected)} "
         f"(durable LSN {scenario.redo.durable_max_lsn})",
     )
-
-
-def _workload_unit(
-    seed: int, point: str, hit: int, snapshots: dict[int, dict]
-) -> SweepOutcome:
-    """One spawn-safe unit: crash at (point, hit), recover, check oracle."""
-    return _crash_and_recover(seed, point, hit, _GoldenRun([], snapshots, {}))
 
 
 def sweep_workload_points(
@@ -548,20 +496,10 @@ def sweep_workload_points(
     prefix of the full enumeration); ``only=(point, hit)`` replays one
     coordinate — the CLI's serial-repro mode."""
     golden = _golden_run(seed)
-    report = SweepReport(
-        "single-node", distinct_points=sorted({name for name, _ in golden.trace})
+    return _sweep_coordinates(
+        "single-node", "workload", "_crash_and_recover", seed, golden.trace,
+        (golden.snapshots,), max_hits_per_point, jobs, limit, only,
     )
-    coordinates = _select_hits(golden.trace, max_hits_per_point)[:limit]
-    if only is not None:
-        coordinates = [only]
-    units = _coordinate_units(
-        "workload",
-        "repro.faults.sweep:_workload_unit",
-        seed,
-        coordinates,
-        extra=(golden.snapshots,),
-    )
-    return _run_coordinates(report, units, coordinates, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -578,20 +516,12 @@ def _crashed_scenario(seed: int, first_hit: int) -> _Scenario:
     crash coordinate; returns the powered-cycled scenario."""
     scenario = _build_scenario(seed)
     model = _setup_baseline(scenario)
-    injector = FaultInjector(seed=seed).arm(_REENTRY_FIRST_POINT, first_hit)
-    span_tracer = _sweep_spans()
-    crashed = False
-    try:
-        with span_tracer or nullcontext(), injector:
-            _run_workload(scenario, model, {}, random.Random(seed))
-    except InjectedCrash:
-        crashed = True
-        _crash_abandon(span_tracer)
-    if not crashed:
-        raise CrashSweepError("re-entrancy sweep: first crash never fired")
-    scenario.engine.crash()
-    scenario.host.crash()
-    scenario.host.restart()
+    with CheckedRun(spans=True) as run:
+        if not _crash_workload(
+            run, scenario, model, seed, _REENTRY_FIRST_POINT, first_hit
+        ):
+            raise CrashSweepError("re-entrancy sweep: first crash never fired")
+    run.check(allow_abandoned=True)
     return scenario
 
 
@@ -601,22 +531,14 @@ def _recovery_unit(
     """One re-entrancy unit: crash recovery at (point, hit), recover again."""
     scenario = _crashed_scenario(seed, first_hit)
     injector = FaultInjector(seed=seed).arm(point, hit)
-    span_tracer = _sweep_spans()
-    crashed = False
-    try:
-        with span_tracer or nullcontext(), injector:
-            _recover(scenario)
-    except InjectedCrash:
-        crashed = True
-        _crash_abandon(span_tracer)
-    if not crashed:
-        return SweepOutcome(point, hit, False, False, "armed point never fired")
-    # Recovery itself died: power-cycle again, recover from scratch.
-    scenario.host.crash()
-    scenario.host.restart()
-    with span_tracer or nullcontext():
+    with CheckedRun(spans=True) as run:
+        if not _crashes(run, injector, scenario.sim, lambda: _recover(scenario)):
+            return SweepOutcome(point, hit, False, False, "armed point never fired")
+        # Recovery itself died: power-cycle again, recover from scratch.
+        scenario.host.crash()
+        scenario.host.restart()
         engine = _recover(scenario)
-    _check_spans(span_tracer, allow_abandoned=True)
+    run.check(allow_abandoned=True)
     ok = _read_contents(engine) == expected
     return SweepOutcome(
         point, hit, True, ok, "" if ok else "second recovery diverged"
@@ -652,21 +574,10 @@ def sweep_recovery_points(
         raise CrashSweepError("re-entrancy sweep: golden recovery inconsistent")
     recovery_trace = list(recovery_injector.trace)
 
-    report = SweepReport(
-        "recovery-reentrancy",
-        distinct_points=sorted({name for name, _ in recovery_trace}),
+    return _sweep_coordinates(
+        "recovery-reentrancy", "recovery", "_recovery_unit", seed, recovery_trace,
+        (first_hit, expected), max_hits_per_point, jobs, limit, only,
     )
-    coordinates = _select_hits(recovery_trace, max_hits_per_point)[:limit]
-    if only is not None:
-        coordinates = [only]
-    units = _coordinate_units(
-        "recovery",
-        "repro.faults.sweep:_recovery_unit",
-        seed,
-        coordinates,
-        extra=(first_hit, expected),
-    )
-    return _run_coordinates(report, units, coordinates, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -738,146 +649,109 @@ def _run_sharing_ops(
             setup.sim.run_process(node.point_select(_SHARED_TABLE, op[2]))
 
 
-def _sweep_memsan(setup: SharingSetup) -> MemSan | None:
-    """A race detector over the shared CXL region for one sweep run,
-    unless the caller already installed one (then their instance covers
-    the run). Single-node sweeps are not worth watching: with one actor
-    there are no cross-node edges for a happens-before checker to miss.
-    """
-    if memsan_active() is not None:
-        return None
-    ms = MemSan()
-    ms.watch_setup(setup)
-    return ms
-
-
 def _sharing_golden(seed: int) -> _GoldenRun:
     setup = _build_sharing(seed)
     model = _sharing_prephase(setup)
     snapshots: dict[int, dict] = {}
     injector = FaultInjector(seed=seed)
-    tracer = _golden_tracer()
-    span_tracer = _sweep_spans()
-    ms = _sweep_memsan(setup)
-    with ms or nullcontext():
-        with tracer or nullcontext(), span_tracer or nullcontext(), injector:
+    with CheckedRun(trace=True, spans=True, memsan=True) as run:
+        run.watch(setup)
+        with injector:
             _run_sharing_ops(setup, _sharing_ops(), model, snapshots, [0])
-        if tracer is not None:
-            assert_trace_invariants(tracer)
-        _check_spans(span_tracer, allow_abandoned=False)
-        reader = setup.nodes[1]
-        for key in _SHARED_KEYS:
-            row = setup.sim.run_process(reader.point_select(_SHARED_TABLE, key))
-            if row is None or row["k"] != model[key]:
-                raise CrashSweepError("sharing golden run inconsistent")
-    if ms is not None:
-        ms.check()
+        if detail := _survivor_mismatch(setup, setup.nodes[1], snapshots):
+            raise CrashSweepError(f"sharing golden run inconsistent: {detail}")
+    run.check()
     return _GoldenRun(list(injector.trace), snapshots, model)
 
 
-def _sharing_crash_and_failover(
-    seed: int, point: str, hit: int, golden: _GoldenRun
-) -> SweepOutcome:
-    setup = _build_sharing(seed)
-    model = _sharing_prephase(setup)
-    injector = FaultInjector(seed=seed).arm(point, hit)
-    span_tracer = _sweep_spans()
-    ms = _sweep_memsan(setup)
-    with ms or nullcontext():
-        outcome = _sharing_crash_inner(
-            setup, point, hit, golden, model, injector, span_tracer, ms
-        )
-    if ms is not None and ms.reports and outcome.ok:
-        return SweepOutcome(
-            point, hit, outcome.crashed, False, f"memsan: {ms.reports[0]}"
-        )
-    return outcome
-
-
-def _sharing_crash_inner(
-    setup: SharingSetup,
-    point: str,
-    hit: int,
-    golden: _GoldenRun,
-    model: dict,
-    injector: FaultInjector,
-    span_tracer: SpanTracer | None,
-    ms: MemSan | None,
-) -> SweepOutcome:
-    executing = [0]
-    crashed = False
-    try:
-        with span_tracer or nullcontext(), injector:
-            _run_sharing_ops(setup, _sharing_ops(), model, {}, executing)
-    except InjectedCrash:
-        crashed = True
-        _crash_abandon(span_tracer)
-    if not crashed:
-        return SweepOutcome(point, hit, False, False, "armed point never fired")
-    _check_spans(span_tracer, allow_abandoned=True)
-
-    dead = setup.nodes[executing[0]]
-    survivor = setup.nodes[1 - executing[0]]
-    # The dead node's host loses power: its CPU cache (with any dirty,
-    # never-flushed lines) dies with it; its volatile log buffer is gone.
-    dead.engine.crash()
-    setup.hosts[executing[0]].crash()
-    assert setup.fusion is not None
-    if ms is not None:
-        # Failover is ordered after everything the dead node did (its
-        # durable redo supersedes the lost writes), so the failover
-        # actor inherits the dead node's clock before the rebuild.
-        ms.actor_crashed(dead.node_id, inheritor="failover")
-    with ms.actor("failover") if ms is not None else nullcontext():
-        setup.fusion.recover_node_failure(
-            dead.node_id,
-            dead.engine.redo_log,
-            AccessMeter(),
-            lock_service=setup.lock_service,
-            write_locked_pages=sorted(dead.write_locks_held),
-            read_locked_pages=sorted(dead.read_locks_held),
-        )
-
-    # Committed state: whatever the *writer's* durable log contains. The
-    # oracle only knows keys it observed or wrote, so verify exactly those.
+def _survivor_mismatch(
+    setup: SharingSetup, survivor: MultiPrimaryNode, snapshots: dict[int, dict]
+) -> str:
+    """Empty if ``survivor`` reads exactly the committed state: whatever
+    the *writer's* durable log contains. The oracle only knows keys it
+    observed or wrote, so exactly those are verified."""
     durable = setup.nodes[0].engine.redo_log.durable_max_lsn
-    expected = _expected_at(golden.snapshots, durable)
+    expected = _expected_at(snapshots, durable)
     for key in sorted(expected):
         row = setup.sim.run_process(survivor.point_select(_SHARED_TABLE, key))
         got = None if row is None else row["k"]
         if got != expected[key]:
-            return SweepOutcome(
-                point,
-                hit,
-                True,
-                False,
-                f"survivor read key {key}: {got} != committed {expected[key]}",
-            )
-    if survivor is setup.nodes[0]:
-        # The writer survived a reader crash: prove its write path still
-        # works (if failover leaked the dead reader's lock, lock_write
-        # would never be granted and the simulator reports a deadlock).
-        probe_key = _SHARED_KEYS[0]
-        setup.sim.run_process(
-            survivor.point_update(_SHARED_TABLE, probe_key, "k", 7777)
-        )
-        row = setup.sim.run_process(
-            survivor.point_select(_SHARED_TABLE, probe_key)
-        )
-        if row is None or row["k"] != 7777:
-            return SweepOutcome(
-                point, hit, True, False, "post-failover write not visible"
-            )
-    return SweepOutcome(point, hit, True, True)
+            return f"survivor read key {key}: {got} != committed {expected[key]}"
+    return ""
 
 
-def _sharing_unit(
+def _write_probe_lost(
+    setup: SharingSetup, survivor: MultiPrimaryNode, value: int
+) -> bool:
+    """Prove the survivor's write path still works: the dead node held
+    the first leaf's lock at crash time, and if failover leaked it
+    ``lock_write`` would never be granted (the simulator reports a
+    deadlock)."""
+    probe_key = _SHARED_KEYS[0]
+    setup.sim.run_process(
+        survivor.point_update(_SHARED_TABLE, probe_key, "k", value)
+    )
+    row = setup.sim.run_process(survivor.point_select(_SHARED_TABLE, probe_key))
+    return row is None or row["k"] != value
+
+
+def _failover_outcome(
+    run: CheckedRun, point: str, hit: int, detail: str
+) -> SweepOutcome:
+    """The verdict of a crashed-and-failed-over coordinate: span
+    violations raise; a MemSan report on an otherwise green coordinate
+    becomes its failure."""
+    try:
+        run.check(allow_abandoned=True)
+    except MemSanError:
+        assert run.memsan is not None
+        detail = detail or f"memsan: {run.memsan.reports[0]}"
+    return SweepOutcome(point, hit, True, not detail, detail)
+
+
+def _crash_sharing_node(
+    run: CheckedRun, setup: SharingSetup, model: dict, seed: int, point: str, hit: int
+) -> int | None:
+    """Run the canonical ops armed at (point, hit); returns the index of
+    the node that died there, or None if the point never fired. The dead
+    node's host loses power: its CPU cache (with any dirty, never-flushed
+    lines) dies with it; its volatile log buffer is gone."""
+    executing = [0]
+    injector = FaultInjector(seed=seed).arm(point, hit)
+    if not _crashes(
+        run,
+        injector,
+        setup.sim,
+        lambda: _run_sharing_ops(setup, _sharing_ops(), model, {}, executing),
+    ):
+        return None
+    setup.nodes[executing[0]].engine.crash()
+    setup.hosts[executing[0]].crash()
+    return executing[0]
+
+
+def _sharing_crash_and_failover(
     seed: int, point: str, hit: int, snapshots: dict[int, dict]
 ) -> SweepOutcome:
     """One sharing-failover unit: crash a node, fail over, check survivor."""
-    return _sharing_crash_and_failover(
-        seed, point, hit, _GoldenRun([], snapshots, {})
-    )
+    setup = _build_sharing(seed)
+    model = _sharing_prephase(setup)
+    with CheckedRun(spans=True, memsan=True) as run:
+        run.watch(setup)
+        dead_index = _crash_sharing_node(run, setup, model, seed, point, hit)
+        if dead_index is None:
+            return SweepOutcome(point, hit, False, False, "armed point never fired")
+        dead = setup.nodes[dead_index]
+        survivor = setup.nodes[1 - dead_index]
+        fail_over(
+            setup, dead, AccessMeter(), actor="failover", inherits=dead.node_id
+        )
+        detail = _survivor_mismatch(setup, survivor, snapshots)
+        # The writer survived a reader crash: its write path must still work.
+        if not detail and survivor is setup.nodes[0]:
+            if _write_probe_lost(setup, survivor, 7777):
+                detail = "post-failover write not visible"
+    return _failover_outcome(run, point, hit, detail)
 
 
 def sweep_sharing_points(
@@ -891,21 +765,10 @@ def sweep_sharing_points(
     failover must leave the survivor seeing exactly the committed state
     and the distributed locks serviceable."""
     golden = _sharing_golden(seed)
-    report = SweepReport(
-        "sharing-failover",
-        distinct_points=sorted({name for name, _ in golden.trace}),
+    return _sweep_coordinates(
+        "sharing-failover", "sharing", "_sharing_crash_and_failover", seed,
+        golden.trace, (golden.snapshots,), max_hits_per_point, jobs, limit, only,
     )
-    coordinates = _select_hits(golden.trace, max_hits_per_point)[:limit]
-    if only is not None:
-        coordinates = [only]
-    units = _coordinate_units(
-        "sharing",
-        "repro.faults.sweep:_sharing_unit",
-        seed,
-        coordinates,
-        extra=(golden.snapshots,),
-    )
-    return _run_coordinates(report, units, coordinates, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -916,163 +779,57 @@ def sweep_sharing_points(
 # page write lock is held, the release RPC was never sent — so failover
 # has real work (rebuild + hardening + lock breaking + log retirement)
 # at every one of its crash points.
-_STORM_CRASH_POINT = "sharing.flush.lines"
-_STORM_CRASH_HIT = 5
-
-
-def _storm_failover(setup: SharingSetup, actor: str = "failover") -> None:
-    """One failover attempt, fleet-style: fusion page rebuild + lock
-    breaking, then retirement of the dead node's whole durable log into
-    storage (see :func:`repro.core.recovery.retire_log` — what
-    :mod:`repro.ha.scenarios` runs at every failover)."""
-    dead = setup.nodes[0]
-    assert setup.fusion is not None
-    ms = memsan_active()
-    with ms.actor(actor) if ms is not None else nullcontext():
-        setup.fusion.recover_node_failure(
-            dead.node_id,
-            dead.engine.redo_log,
-            AccessMeter(),
-            lock_service=setup.lock_service,
-            write_locked_pages=sorted(dead.write_locks_held),
-            read_locked_pages=sorted(dead.read_locks_held),
-        )
-        shards = getattr(setup.fusion, "shards", None)
-        if shards is None:
-            retire_log(
-                setup.page_store, dead.engine.redo_log, AccessMeter(), setup.config
-            )
-        else:
-            # Sharded tier: each shard retires only the pages it owns —
-            # same per-shard slicing as the HA engine's failover.
-            for index in range(len(shards)):
-                retire_log(
-                    setup.page_store,
-                    dead.engine.redo_log,
-                    AccessMeter(),
-                    setup.config,
-                    page_filter=lambda p, i=index: setup.fusion.owner_index(p) == i,
-                )
-
-
-def _storm_crash_writer(
-    setup: SharingSetup, model: dict, seed: int,
-    span_tracer: SpanTracer | None,
-) -> bool:
-    """Run the canonical ops with the writer crash armed; True if it
-    fired (the setup is then left with node0 dead, lock held)."""
-    injector = FaultInjector(seed=seed).arm(_STORM_CRASH_POINT, _STORM_CRASH_HIT)
-    try:
-        with span_tracer or nullcontext(), injector:
-            _run_sharing_ops(setup, _sharing_ops(), model, {}, [0])
-    except InjectedCrash:
-        _crash_abandon(span_tracer)
-        setup.nodes[0].engine.crash()
-        setup.hosts[0].crash()
-        return True
-    return False
+_STORM_CRASH = ("sharing.flush.lines", 5)
 
 
 def _storm_crash_and_refailover(
-    seed: int, point: str, hit: int, golden: _GoldenRun, n_shards: int = 1
-) -> SweepOutcome:
-    setup = _build_sharing(seed, n_shards=n_shards)
-    model = _sharing_prephase(setup)
-    ms = _sweep_memsan(setup)
-    span_tracer = _sweep_spans()
-    with ms or nullcontext():
-        outcome = _storm_inner(setup, point, hit, golden, model, seed, span_tracer)
-    if ms is not None and ms.reports and outcome.ok:
-        return SweepOutcome(
-            point, hit, outcome.crashed, False, f"memsan: {ms.reports[0]}"
-        )
-    return outcome
-
-
-def _storm_inner(
-    setup: SharingSetup,
-    point: str,
-    hit: int,
-    golden: _GoldenRun,
-    model: dict,
-    seed: int,
-    span_tracer: SpanTracer | None,
-) -> SweepOutcome:
-    if not _storm_crash_writer(setup, model, seed, span_tracer):
-        return SweepOutcome(point, hit, False, False, "writer crash never fired")
-    _check_spans(span_tracer, allow_abandoned=True)
-    ms = memsan_active()
-    if ms is not None:
-        ms.actor_crashed(setup.nodes[0].node_id, inheritor="failover1")
-
-    # Attempt 1: armed at the storm coordinate — failover itself dies.
-    storm_injector = FaultInjector(seed=seed).arm(point, hit)
-    try:
-        with storm_injector:
-            _storm_failover(setup, actor="failover1")
-    except InjectedCrash:
-        pass
-    else:
-        return SweepOutcome(
-            point, hit, False, False, "storm point never fired during failover"
-        )
-    if getattr(setup.fusion, "shards", None) is not None:
-        # Sharded coordinate: one shard's failover just died half-done
-        # (the dead writer's locked page is the fresh key's leaf). The
-        # shared keys' leaves belong to a *different* shard, whose
-        # metadata, directory, and locks are untouched by the wedged
-        # recovery — it must keep serving reads right now.
-        survivor = setup.nodes[1]
-        row = setup.sim.run_process(
-            survivor.point_select(_SHARED_TABLE, _SHARED_KEYS[0])
-        )
-        if row is None:
-            return SweepOutcome(
-                point, hit, True, False,
-                "healthy shard failed to serve mid-storm read",
-            )
-    # Attempt 2: the half-done failover crashed; a clean re-run must
-    # converge — force-apply rebuilds and idempotent retirement make
-    # every coordinate (including torn hardening writes) retryable.
-    if ms is not None:
-        ms.actor_crashed("failover1", inheritor="failover2")
-    _storm_failover(setup, actor="failover2")
-
-    survivor = setup.nodes[1]
-    durable = setup.nodes[0].engine.redo_log.durable_max_lsn
-    expected = _expected_at(golden.snapshots, durable)
-    for key in sorted(expected):
-        row = setup.sim.run_process(survivor.point_select(_SHARED_TABLE, key))
-        got = None if row is None else row["k"]
-        if got != expected[key]:
-            return SweepOutcome(
-                point,
-                hit,
-                True,
-                False,
-                f"survivor read key {key}: {got} != committed {expected[key]}",
-            )
-    # The dead writer held the first leaf's write lock at crash time; a
-    # leaked lock would deadlock this probe.
-    probe_key = _SHARED_KEYS[0]
-    setup.sim.run_process(
-        survivor.point_update(_SHARED_TABLE, probe_key, "k", 8888)
-    )
-    row = setup.sim.run_process(survivor.point_select(_SHARED_TABLE, probe_key))
-    if row is None or row["k"] != 8888:
-        return SweepOutcome(
-            point, hit, True, False, "post-storm write not visible"
-        )
-    return SweepOutcome(point, hit, True, True)
-
-
-def _storm_unit(
-    seed: int, point: str, hit: int, snapshots: dict[int, dict], n_shards: int = 1
+    seed: int, point: str, hit: int, snapshots: dict[int, dict], n_shards: int
 ) -> SweepOutcome:
     """One storm unit: crash failover itself at (point, hit), retry it."""
-    return _storm_crash_and_refailover(
-        seed, point, hit, _GoldenRun([], snapshots, {}), n_shards=n_shards
-    )
+    setup = _build_sharing(seed, n_shards=n_shards)
+    model = _sharing_prephase(setup)
+    dead, survivor = setup.nodes
+    with CheckedRun(spans=True, memsan=True) as run:
+        run.watch(setup)
+        if _crash_sharing_node(run, setup, model, seed, *_STORM_CRASH) is None:
+            return SweepOutcome(point, hit, False, False, "writer crash never fired")
+        # Attempt 1: armed at the storm coordinate — failover itself dies.
+        storm_injector = FaultInjector(seed=seed).arm(point, hit)
+        if not _crashes(
+            run,
+            storm_injector,
+            setup.sim,
+            lambda: fail_over(
+                setup, dead, AccessMeter(), actor="failover1", inherits=dead.node_id
+            ),
+        ):
+            return SweepOutcome(
+                point, hit, False, False, "storm point never fired during failover"
+            )
+        if n_shards > 1:
+            # Sharded coordinate: one shard's failover just died half-done
+            # (the dead writer's locked page is the fresh key's leaf). The
+            # shared keys' leaves belong to a *different* shard, whose
+            # metadata, directory, and locks are untouched by the wedged
+            # recovery — it must keep serving reads right now.
+            row = setup.sim.run_process(
+                survivor.point_select(_SHARED_TABLE, _SHARED_KEYS[0])
+            )
+            if row is None:
+                return SweepOutcome(
+                    point, hit, True, False,
+                    "healthy shard failed to serve mid-storm read",
+                )
+        # Attempt 2: the half-done failover crashed; a clean re-run must
+        # converge — force-apply rebuilds and idempotent retirement make
+        # every coordinate (including torn hardening writes) retryable.
+        fail_over(
+            setup, dead, AccessMeter(), actor="failover2", inherits="failover1"
+        )
+        detail = _survivor_mismatch(setup, survivor, snapshots)
+        if not detail and _write_probe_lost(setup, survivor, 8888):
+            detail = "post-storm write not visible"
+    return _failover_outcome(run, point, hit, detail)
 
 
 def sweep_failover_storm_points(
@@ -1099,26 +856,21 @@ def sweep_failover_storm_points(
     golden = _sharing_golden(seed)
     probe_setup = _build_sharing(seed, n_shards=n_shards)
     probe_model = _sharing_prephase(probe_setup)
-    if not _storm_crash_writer(probe_setup, probe_model, seed, None):
-        raise CrashSweepError("storm sweep: the writer crash never fired")
+    dead = probe_setup.nodes[0]
     failover_injector = FaultInjector(seed=seed)
-    with failover_injector:
-        _storm_failover(probe_setup)
+    with CheckedRun(spans=True, memsan=True) as run:
+        run.watch(probe_setup)
+        if _crash_sharing_node(run, probe_setup, probe_model, seed, *_STORM_CRASH) is None:
+            raise CrashSweepError("storm sweep: the writer crash never fired")
+        with failover_injector:
+            fail_over(
+                probe_setup, dead, AccessMeter(), actor="failover", inherits=dead.node_id
+            )
+    run.check(allow_abandoned=True)
     trace = list(failover_injector.trace)
     if not trace:
         raise CrashSweepError("storm sweep enumerated no failover points")
-    report = SweepReport(
-        "failover-storm",
-        distinct_points=sorted({name for name, _ in trace}),
+    return _sweep_coordinates(
+        "failover-storm", "storm", "_storm_crash_and_refailover", seed, trace,
+        (golden.snapshots, n_shards), max_hits_per_point, jobs, limit, only,
     )
-    coordinates = _select_hits(trace, max_hits_per_point)[:limit]
-    if only is not None:
-        coordinates = [only]
-    units = _coordinate_units(
-        "storm",
-        "repro.faults.sweep:_storm_unit",
-        seed,
-        coordinates,
-        extra=(golden.snapshots, n_shards),
-    )
-    return _run_coordinates(report, units, coordinates, jobs)

@@ -33,12 +33,11 @@ owners.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..analysis.memsan import MemSan, scoped_actor
-from ..analysis.memsan import active as memsan_active
+from ..analysis.checked import CheckedRun, fail_over
+from ..analysis.memsan import scoped_actor
 from ..bench.harness import (
     SharingSetup,
     add_sharing_node,
@@ -47,18 +46,12 @@ from ..bench.harness import (
 )
 from ..bench.recovery_exp import run_recovery_experiment
 from ..core.fusion import RpcExhaustedError
-from ..core.recovery import retire_log
 from ..faults.injector import FaultInjector, InjectedCrash
 from ..faults.schedule import FaultEvent, FaultSchedule
 from ..hardware.memory import AccessMeter
-from ..obs.invariants import assert_span_invariants, assert_trace_invariants
-from ..obs.metrics import MetricsPipeline
 from ..obs.metrics import active as metrics_active
 from ..obs.slo import HealthTimeline, SLOMonitor, check_alignment
-from ..obs.spans import SpanTracer
 from ..obs.spans import active as spans_active
-from ..obs.trace import Tracer
-from ..obs.trace import active as obs_active
 from ..workloads.driver import FleetLoadDriver, FleetOp
 from ..workloads.sysbench import SysbenchWorkload
 from .policy import CircuitBreaker
@@ -151,11 +144,13 @@ class _Fleet:
         rows: int,
         seed: int,
         injector: FaultInjector,
+        run: CheckedRun,
         n_shards: int = 1,
     ) -> None:
         self.scenario = scenario
         self.seed = seed
         self.rows = rows
+        self.run = run
         self.workload = SysbenchWorkload(rows=rows, n_nodes=n_nodes)
         self.setup: SharingSetup = build_sharing_setup(
             "cxl", n_nodes, self.workload, seed=seed, n_shards=n_shards
@@ -359,9 +354,7 @@ class _Fleet:
                 f"armed crash at {point!r} did not kill node{victim} "
                 f"(op finished {status} on node{target})"
             )
-        spans = spans_active()
-        if spans is not None:
-            spans.abandon_open()
+        self.run.crashed(self.sim.now)
         committed = node.engine.redo_log.durable_max_lsn > pre_durable
         if committed:
             self.model[key] = value
@@ -399,7 +392,6 @@ class _Fleet:
         node.engine.crash()
         self.setup.hosts[victim].crash()
         self.driver.mark_dead(victim)
-        ms = memsan_active()
         spans = spans_active()
         dead_actor = node.node_id
         self.timeline.begin_phase(
@@ -409,9 +401,6 @@ class _Fleet:
         while True:
             attempt += 1
             actor = f"failover-{node.node_id}-a{attempt}"
-            if ms is not None:
-                ms.actor_crashed(dead_actor, inheritor=actor)
-            dead_actor = actor
             if attempt <= len(arm_points):
                 point = arm_points[attempt - 1]
                 self.injector.arm(point, self.injector.hits.get(point, 0) + 1)
@@ -423,20 +412,13 @@ class _Fleet:
                 else None
             )
             try:
-                with ms.actor(actor) if ms is not None else nullcontext():
-                    rebuilt = self.setup.fusion.recover_node_failure(
-                        node.node_id,
-                        node.engine.redo_log,
-                        meter,
-                        lock_service=self.setup.lock_service,
-                        write_locked_pages=sorted(node.write_locks_held),
-                        read_locked_pages=sorted(node.read_locks_held),
-                    )
-                    retired = self._retire_dead_log(node, meter)
+                rebuilt, retired = fail_over(
+                    self.setup, node, meter, actor=actor, inherits=dead_actor
+                )
             except InjectedCrash:
                 self.injector.disarm()
-                if spans is not None:
-                    spans.abandon_open()
+                self.run.crashed(self.sim.now)
+                dead_actor = actor
                 self.timeline.event(
                     "failover_crashed", self.sim.now,
                     node=node.node_id, attempt=attempt,
@@ -472,31 +454,6 @@ class _Fleet:
         self.timeline.event(
             "failover_done", self.sim.now, node=node.node_id, attempts=attempt
         )
-
-    def _retire_dead_log(self, node: Any, meter: AccessMeter) -> int:
-        """Retire the dead node's log — shard by shard when the fusion
-        tier is sharded, so each shard's failover hardens only the pages
-        it owns (a crash mid-retirement reruns one shard's slice; the
-        union over shards equals a full unsharded retirement)."""
-        fusion = self.setup.fusion
-        shards = getattr(fusion, "shards", None)
-        if shards is None:
-            return retire_log(
-                self.setup.page_store,
-                node.engine.redo_log,
-                meter,
-                self.setup.config,
-            )
-        retired = 0
-        for index in range(len(shards)):
-            retired += retire_log(
-                self.setup.page_store,
-                node.engine.redo_log,
-                meter,
-                self.setup.config,
-                page_filter=lambda p, i=index: fusion.owner_index(p) == i,
-            )
-        return retired
 
     def probe_write(self, victim: int) -> None:
         """The ring successor updates the dead node's in-flight key —
@@ -542,9 +499,8 @@ class _Fleet:
         try:
             status, _, row = self.driver.run_op(op)
         except RpcExhaustedError as exc:
-            spans = spans_active()
-            if spans is not None:
-                spans.abandon_open()
+            # An exhausted op unwinds like a crash: its spans never end.
+            self.run.crashed(self.sim.now)
             # The op raised before settling; elapse its timeout+backoff
             # budget so breaker cooldown runs on honest simulated time.
             self._advance_ns(exc.spent_ns)
@@ -605,48 +561,35 @@ class _Fleet:
 def _run_scenario(
     name: str, seed: int, n_nodes: int, rows: int, body, n_shards: int = 1
 ) -> FleetResult:
-    """Install the full monitoring stack, run ``body``, check everything.
-
-    Installs whichever of MemSan / Tracer / SpanTracer / MetricsPipeline
-    is not already active (so scenarios compose under an outer harness),
-    plus a fresh injector. After the body: trace invariants, span
-    invariants with crash-abandons allowed, and a MemSan sweep must all
-    be clean — and the SLO monitor's fired alerts must align with the
-    availability timeline (alerts during injected degradation, silence
-    in steady state, everything cleared by the end).
+    """Run ``body`` on a fresh fleet as one fully instrumented
+    :class:`CheckedRun` (so scenarios compose under an outer harness)
+    plus a fresh injector. After the body the whole battery must be
+    clean, crash-abandoned spans allowed — and the SLO monitor's fired
+    alerts must align with the availability timeline (alerts during
+    injected degradation, silence in steady state, everything cleared
+    by the end).
     """
     injector = FaultInjector(seed=seed)
-    tracer = Tracer() if obs_active() is None else None
-    span_tracer = SpanTracer() if spans_active() is None else None
-    ms = MemSan() if memsan_active() is None else None
-    own_pipeline = MetricsPipeline() if metrics_active() is None else None
-    with ms or nullcontext():
-        with tracer or nullcontext(), span_tracer or nullcontext(), injector:
-            with own_pipeline or nullcontext():
-                pipeline = metrics_active()
-                assert pipeline is not None
-                monitor = SLOMonitor()
-                monitor.attach(pipeline)
-                try:
-                    fleet = _Fleet(
-                        name, n_nodes, rows, seed, injector, n_shards=n_shards
-                    )
-                    if ms is not None:
-                        ms.watch_setup(fleet.setup)
-                    detail = body(fleet) or {}
-                    fleet.timeline.end(fleet.sim.now)
-                    pipeline.flush(fleet.sim.now)
-                finally:
-                    # A shared outer pipeline outlives this scenario;
-                    # never leave a stale monitor listening on it.
-                    pipeline.remove_listener(monitor.record_window)
-    if tracer is not None:
-        stats = assert_trace_invariants(tracer)
-        detail.setdefault("trace_events", stats.events)
-    if span_tracer is not None:
-        assert_span_invariants(span_tracer, allow_abandoned=True)
-    if ms is not None:
-        ms.check()
+    with CheckedRun(trace=True, spans=True, metrics=True, memsan=True) as run, injector:
+        pipeline = metrics_active()
+        assert pipeline is not None
+        monitor = SLOMonitor()
+        monitor.attach(pipeline)
+        try:
+            fleet = _Fleet(
+                name, n_nodes, rows, seed, injector, run, n_shards=n_shards
+            )
+            run.watch(fleet.setup)
+            detail = body(fleet) or {}
+            fleet.timeline.end(fleet.sim.now)
+            run.flush(fleet.sim.now)
+        finally:
+            # A shared outer pipeline outlives this scenario;
+            # never leave a stale monitor listening on it.
+            pipeline.remove_listener(monitor.record_window)
+    run.check(allow_abandoned=True)
+    if run.trace_stats is not None:
+        detail.setdefault("trace_events", run.trace_stats.events)
     problems = check_alignment(
         monitor, fleet.timeline.phases, pipeline.scrape_interval_ns
     )
@@ -655,18 +598,17 @@ def _run_scenario(
             f"{name}: alert/timeline misalignment: " + "; ".join(problems)
         )
     health: dict[str, Any] = {}
-    if own_pipeline is not None:
+    if run.metrics is not None:
         # Only a pipeline this run owns end-to-end has single-scenario
         # series (a shared one mixes stamps from earlier runs).
-        own_pipeline.check_consistent()
-        health = HealthTimeline.derive(own_pipeline).to_dict()
+        health = HealthTimeline.derive(run.metrics).to_dict()
     return FleetResult(
         scenario=name,
         seed=seed,
         timeline=fleet.timeline,
         oracle_checks=fleet.oracle_checks,
         failovers=fleet.failovers,
-        memsan_reports=len(ms.reports) if ms is not None else 0,
+        memsan_reports=len(run.memsan.reports) if run.memsan is not None else 0,
         detail=detail,
         alerts=[alert.to_dict() for alert in monitor.alerts],
         slo=monitor.to_dict(),

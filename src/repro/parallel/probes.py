@@ -46,13 +46,14 @@ def probe_hooks(install_own: bool = True) -> dict:
     """
     from ..analysis import memsan
     from ..faults import injector
-    from ..obs import spans, trace
+    from ..obs import metrics, spans, trace
 
     report: dict[str, Any] = {
         "pid": os.getpid(),
         "injector_preinstalled": injector.active() is not None,
         "tracer_preinstalled": trace.active() is not None,
         "spans_preinstalled": spans.active() is not None,
+        "metrics_preinstalled": metrics.active() is not None,
         "memsan_preinstalled": memsan.active() is not None,
     }
     if install_own:

@@ -207,16 +207,10 @@ def _stress_shard(
     forced-failure path the differential suite uses to prove a red
     shard surfaces its exact seed and serial repro.
     """
-    from ..analysis.memsan import MemSan
+    from ..analysis.checked import CheckedRun
+    from ..analysis.memsan import MemSanError
     from ..bench.harness import build_sharing_setup
-    from ..obs import (
-        MetricsError,
-        MetricsPipeline,
-        SpanTracer,
-        Tracer,
-        assert_span_invariants,
-        assert_trace_invariants,
-    )
+    from ..obs import MetricsError
     from ..workloads.sysbench import SysbenchWorkload
 
     keys = range(1, rows + 1)
@@ -230,44 +224,43 @@ def _stress_shard(
     accesses = releases = spans_checked = ms_accesses = 0
     metrics_scrapes = metrics_samples = 0
     for seed in range(seed_start, seed_start + n_seeds):
-        # A fresh per-schedule MemSan also exercises its mid-run install
-        # (pre-existing cache copies are adopted, not reported).
-        ms = MemSan()
-        ms.watch_setup(setup)
-        # Likewise a fresh per-seed metrics pipeline: crash-safe scrapes
-        # and deterministic scrape/sample totals are part of the merged
-        # serial-vs-jobs byte-identity contract.
-        pipeline = MetricsPipeline()
+        # Fresh instruments per schedule: a fresh MemSan also exercises
+        # its mid-run install (pre-existing cache copies are adopted,
+        # not reported), and a fresh pipeline's deterministic scrape and
+        # sample totals are part of the merged serial-vs-jobs
+        # byte-identity contract.
+        run = CheckedRun(trace=True, spans=True, metrics=True, memsan=True)
         try:
             if fail_seed == seed:
                 raise StressCheckError("forced failure (fail_seed)")
-            with ms, Tracer() as tracer, SpanTracer() as span_tracer:
-                with pipeline:
-                    _run_schedule(
-                        setup, random.Random(seed), oracle, keys, ops_per_seed
-                    )
-                    pipeline.flush(setup.sim.now)
+            with run:
+                run.watch(setup)
+                _run_schedule(
+                    setup, random.Random(seed), oracle, keys, ops_per_seed
+                )
+                run.flush(setup.sim.now)
         except StressCheckError as exc:
             result.failures.append(f"seed {seed}: {exc} [repro: {repro}]")
             continue
-        if ms.reports:
+        ms, pipeline = run.memsan, run.metrics
+        assert ms is not None and pipeline is not None
+        ms_accesses += ms.accesses_checked
+        try:
+            run.check()
+        except MemSanError:
             detail = "; ".join(map(str, ms.reports))
             result.failures.append(
                 f"seed {seed}: memsan: {detail} [repro: {repro}]"
             )
-        ms_accesses += ms.accesses_checked
-        try:
-            stats = assert_trace_invariants(tracer)
-            span_stats = assert_span_invariants(span_tracer)
-            pipeline.check_consistent()
         except (AssertionError, MetricsError) as exc:
             result.failures.append(
                 f"seed {seed}: invariant: {exc} [repro: {repro}]"
             )
             continue
-        accesses += stats.accesses_checked
-        releases += stats.releases_checked
-        spans_checked += span_stats.spans
+        assert run.trace_stats is not None and run.span_stats is not None
+        accesses += run.trace_stats.accesses_checked
+        releases += run.trace_stats.releases_checked
+        spans_checked += run.span_stats.spans
         metrics_scrapes += pipeline.scrapes
         metrics_samples += pipeline.samples_published
     result.counters = {

@@ -140,8 +140,89 @@ def _bandwidths(pipes_by_key: dict[str, list[Pipe]]) -> dict[str, float]:
     }
 
 
-class PoolingDriver:
+class _ClosedLoopDriver:
+    """The closed loop both drivers run: staggered workers execute their
+    warm-up transactions, meet at a barrier that resets every pipe's
+    measurement window, then execute the measured transactions.
+
+    Subclasses own their constructor, the ``driver`` metrics label,
+    ``_one_txn(*args)`` — a generator that runs one transaction and
+    returns its query count — and their worker list: per worker, in
+    spawn order, its process name, worker id, extra labels of its
+    latency metric, and ``_one_txn`` arguments.
+    """
+
+    _driver: str
+    timeline: Optional[TimeSeries] = None
+
+    def _run(
+        self,
+        hosts: Sequence[Host],
+        meters: Sequence[AccessMeter],
+        workers: Sequence[tuple[str, int, dict[str, str], tuple]],
+    ) -> RunResult:
+        spans = spans_active()
+        if spans is not None:
+            # Rebind unconditionally: one session-wide tracer may span
+            # several simulators, and a stale clock from a previous sim
+            # would stamp nonsense wall times on this run's spans.
+            spans.attach_clock(lambda: self.sim.now)
+        mp = metrics_active()
+        if mp is not None:
+            # Same reasoning as the span clock: a pipeline shared across
+            # simulators must re-align its scrape grid to this run.
+            mp.anchor(self.sim.now)
+        pipes_by_key = _collect_pipes(hosts)
+        all_pipes = [pipe for pipes in pipes_by_key.values() for pipe in pipes]
+        barrier = _Barrier(self.sim, len(workers), all_pipes)
+        for name, worker_id, labels, args in workers:
+            self.sim.process(
+                self._worker(barrier, worker_id, labels, args), name=name
+            )
+        self.sim.run()
+        elapsed = max(1, self._end_ns - (barrier.start_ns or 0))
+        return RunResult(
+            txns=self._txns,
+            queries=self._queries,
+            elapsed_ns=elapsed,
+            avg_latency_ns=self.latency.mean_ns,
+            p95_latency_ns=self.latency.p95_ns if self.latency.count else 0.0,
+            pipe_bandwidth=_bandwidths(pipes_by_key),
+            counters=_merge_counters(meters),
+        )
+
+    def _worker(
+        self, barrier: _Barrier, worker_id: int, labels: dict[str, str], args: tuple
+    ):
+        # Stagger worker starts so identical service times don't
+        # phase-lock completions into bursty buckets.
+        if worker_id:
+            yield self.sim.timeout(worker_id * 9_700)
+        for _ in range(self.warmup_txns):
+            yield from self._one_txn(*args)
+        yield barrier.arrive()
+        for _ in range(self.measure_txns):
+            start = self.sim.now
+            queries = yield from self._one_txn(*args)
+            self.latency.add(self.sim.now - start)
+            self._txns += 1
+            self._queries += queries
+            if self.timeline is not None:
+                self.timeline.record(self.sim.now, queries)
+            mp = metrics_active()
+            if mp is not None:
+                mp.observe(
+                    "txn.latency_ns", self.sim.now - start,
+                    driver=self._driver, **labels,
+                )
+                mp.count("txn.completions", 1.0, driver=self._driver)
+            self._end_ns = max(self._end_ns, self.sim.now)
+
+
+class PoolingDriver(_ClosedLoopDriver):
     """Single-primary instances under a functional-transaction workload."""
+
+    _driver = "pooling"
 
     def __init__(
         self,
@@ -166,74 +247,24 @@ class PoolingDriver:
         self._end_ns = 0
 
     def run(self) -> RunResult:
-        spans = spans_active()
-        if spans is not None:
-            # Rebind unconditionally: one session-wide tracer may span
-            # several simulators, and a stale clock from a previous sim
-            # would stamp nonsense wall times on this run's spans.
-            spans.attach_clock(lambda: self.sim.now)
-        mp = metrics_active()
-        if mp is not None:
-            # Same reasoning as the span clock: a pipeline shared across
-            # simulators must re-align its scrape grid to this run.
-            mp.anchor(self.sim.now)
-        pipes_by_key = _collect_pipes([ictx.host for ictx in self.instances])
-        all_pipes = [pipe for pipes in pipes_by_key.values() for pipe in pipes]
-        barrier = _Barrier(
-            self.sim,
-            len(self.instances) * self.workers_per_instance,
-            all_pipes,
+        workers = [
+            (f"inst{index}.w{worker_id}", worker_id, {},
+             (ictx, ictx.rng.fork(worker_id + 1)))
+            for index, ictx in enumerate(self.instances)
+            for worker_id in range(self.workers_per_instance)
+        ]
+        return self._run(
+            [ictx.host for ictx in self.instances],
+            [ictx.engine.meter for ictx in self.instances],
+            workers,
         )
-        for index, ictx in enumerate(self.instances):
-            for worker_id in range(self.workers_per_instance):
-                rng = ictx.rng.fork(worker_id + 1)
-                self.sim.process(
-                    self._worker(ictx, rng, barrier, worker_id),
-                    name=f"inst{index}.w{worker_id}",
-                )
-        self.sim.run()
-        elapsed = max(1, self._end_ns - (barrier.start_ns or 0))
-        meters = [ictx.engine.meter for ictx in self.instances]
-        return RunResult(
-            txns=self._txns,
-            queries=self._queries,
-            elapsed_ns=elapsed,
-            avg_latency_ns=self.latency.mean_ns,
-            p95_latency_ns=self.latency.p95_ns if self.latency.count else 0.0,
-            pipe_bandwidth=_bandwidths(pipes_by_key),
-            counters=_merge_counters(meters),
-        )
-
-    def _worker(
-        self, ictx: InstanceCtx, rng: WorkloadRng, barrier: _Barrier, worker_id: int
-    ):
-        # Stagger worker starts so identical service times don't
-        # phase-lock completions into bursty buckets.
-        if worker_id:
-            yield self.sim.timeout(worker_id * 9_700)
-        for _ in range(self.warmup_txns):
-            yield from self._one_txn(ictx, rng)
-        yield barrier.arrive()
-        for _ in range(self.measure_txns):
-            start = self.sim.now
-            stats = yield from self._one_txn(ictx, rng)
-            self.latency.add(self.sim.now - start)
-            self._txns += 1
-            self._queries += stats.queries
-            if self.timeline is not None:
-                self.timeline.record(self.sim.now, stats.queries)
-            mp = metrics_active()
-            if mp is not None:
-                mp.observe("txn.latency_ns", self.sim.now - start, driver="pooling")
-                mp.count("txn.completions", 1.0, driver="pooling")
-            self._end_ns = max(self._end_ns, self.sim.now)
 
     def _one_txn(self, ictx: InstanceCtx, rng: WorkloadRng):
         spans = spans_active()
         if spans is None:
             stats = self.txn_fn(ictx.engine, rng)
             yield from ictx.settler.settle()
-            return stats
+            return stats.queries
         root = spans.begin(
             "txn", "pooling_txn", meter=ictx.engine.meter, push=False
         )
@@ -241,11 +272,13 @@ class PoolingDriver:
             stats = self.txn_fn(ictx.engine, rng)
         yield from ictx.settler.settle(span=root)
         spans.end(root)
-        return stats
+        return stats.queries
 
 
-class SharingDriver:
+class SharingDriver(_ClosedLoopDriver):
     """Multi-primary nodes under an Op-list workload."""
+
+    _driver = "sharing"
 
     def __init__(
         self,
@@ -276,71 +309,16 @@ class SharingDriver:
         self._end_ns = 0
 
     def run(self) -> RunResult:
-        spans = spans_active()
-        if spans is not None:
-            # Rebind unconditionally: one session-wide tracer may span
-            # several simulators, and a stale clock from a previous sim
-            # would stamp nonsense wall times on this run's spans.
-            spans.attach_clock(lambda: self.sim.now)
-        mp = metrics_active()
-        if mp is not None:
-            mp.anchor(self.sim.now)
-        pipes_by_key = _collect_pipes(self.hosts)
-        all_pipes = [pipe for pipes in pipes_by_key.values() for pipe in pipes]
-        barrier = _Barrier(
-            self.sim, len(self.nodes) * self.workers_per_node, all_pipes
-        )
-        for node_index, node in enumerate(self.nodes):
-            for worker_id in range(self.workers_per_node):
-                rng = self.rng.fork(node_index * 1000 + worker_id + 1)
-                self.sim.process(
-                    self._worker(node, node_index, rng, barrier, worker_id),
-                    name=f"{node.node_id}.w{worker_id}",
-                )
-        self.sim.run()
-        elapsed = max(1, self._end_ns - (barrier.start_ns or 0))
+        workers = [
+            (f"{node.node_id}.w{worker_id}", worker_id, {"node": node.node_id},
+             (node, node_index, self.rng.fork(node_index * 1000 + worker_id + 1)))
+            for node_index, node in enumerate(self.nodes)
+            for worker_id in range(self.workers_per_node)
+        ]
         meters = [node.engine.meter for node in self.nodes]
-        lock_waits = self.nodes[0].lock_service.contended_acquires
-        return RunResult(
-            txns=self._txns,
-            queries=self._queries,
-            elapsed_ns=elapsed,
-            avg_latency_ns=self.latency.mean_ns,
-            p95_latency_ns=self.latency.p95_ns if self.latency.count else 0.0,
-            pipe_bandwidth=_bandwidths(pipes_by_key),
-            counters=_merge_counters(meters),
-            lock_waits=lock_waits,
-        )
-
-    def _worker(
-        self,
-        node: MultiPrimaryNode,
-        node_index: int,
-        rng: WorkloadRng,
-        barrier: _Barrier,
-        worker_id: int,
-    ):
-        if worker_id:
-            yield self.sim.timeout(worker_id * 9_700)
-        for _ in range(self.warmup_txns):
-            yield from self._one_txn(node, node_index, rng)
-        yield barrier.arrive()
-        for _ in range(self.measure_txns):
-            start = self.sim.now
-            queries = yield from self._one_txn(node, node_index, rng)
-            self.latency.add(self.sim.now - start)
-            self._txns += 1
-            self._queries += queries
-            mp = metrics_active()
-            if mp is not None:
-                mp.observe(
-                    "txn.latency_ns",
-                    self.sim.now - start,
-                    driver="sharing",
-                    node=node.node_id,
-                )
-                mp.count("txn.completions", 1.0, driver="sharing")
-            self._end_ns = max(self._end_ns, self.sim.now)
+        result = self._run(self.hosts, meters, workers)
+        result.lock_waits = self.nodes[0].lock_service.contended_acquires
+        return result
 
     def _one_txn(self, node: MultiPrimaryNode, node_index: int, rng: WorkloadRng):
         ops = self.txn_ops_fn(rng, node_index, self.shared_pct)

@@ -70,6 +70,27 @@ class TestValidation:
         assert fragment in findings[0].problem
 
 
+class TestQuotedCounts:
+    def test_live_registry_sizes_pass(self):
+        from repro.analysis.lint import RULES
+        from repro.faults.points import REGISTERED_POINTS
+
+        text = (
+            f"rules REPRO001–{RULES[-1]} and an injector with\n"
+            f"{len(REGISTERED_POINTS)} named crash points"
+        )
+        assert check_text("doc.md", text) == []
+
+    def test_stale_registry_sizes_are_caught_with_their_line(self):
+        text = "lint (rules REPRO001-REPRO002)\n\nan injector with\n3 named crash points\n"
+        findings = check_text("doc.md", text)
+        assert [(f.line, f.invocation) for f in findings] == [
+            (1, "REPRO001-REPRO002"),
+            (4, "3 named crash points"),
+        ]
+        assert all(f.problem.startswith("stale count") for f in findings)
+
+
 class TestRealDocs:
     def test_runbook_documents_are_consistent(self):
         paths = [

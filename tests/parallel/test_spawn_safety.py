@@ -9,6 +9,7 @@ the parent's hooks deliberately installed while the pool runs.
 
 from repro.analysis.memsan import MemSan
 from repro.faults.injector import FaultInjector
+from repro.obs.metrics import MetricsPipeline
 from repro.obs.spans import SpanTracer
 from repro.obs.trace import Tracer
 from repro.parallel import WorkUnit, run_units
@@ -21,7 +22,8 @@ def test_workers_start_with_clean_hooks_despite_parent_installs():
         WorkUnit("repro.parallel.probes:probe_hooks", (True,)) for _ in range(2)
     ]
     # Install every global hook in the parent, then observe the workers.
-    with FaultInjector(seed=3).arm("parent.point", 1), Tracer(), SpanTracer(), MemSan():
+    injector = FaultInjector(seed=3).arm("parent.point", 1)
+    with injector, Tracer(), SpanTracer(), MetricsPipeline(), MemSan():
         results = run_units(units, jobs=2)
     for result in results:
         assert result.ok, result.describe_failure()
@@ -29,6 +31,7 @@ def test_workers_start_with_clean_hooks_despite_parent_installs():
         assert report["injector_preinstalled"] is False
         assert report["tracer_preinstalled"] is False
         assert report["spans_preinstalled"] is False
+        assert report["metrics_preinstalled"] is False
         assert report["memsan_preinstalled"] is False
         # The worker could install, use, and cleanly remove its own.
         assert report["own_injector_armed"] is True

@@ -10,6 +10,7 @@ import doctest
 
 import pytest
 
+import repro.analysis.checked
 import repro.bench.scale
 import repro.core.block
 import repro.core.directory
@@ -36,6 +37,7 @@ DOCUMENTED_MODULES = [
     repro.core.directory,
     repro.core.shard_router,
     repro.bench.scale,
+    repro.analysis.checked,
     repro.obs.trace,
     repro.obs.counters,
     repro.obs.metrics,
