@@ -36,9 +36,9 @@ exactly why the three seeded protocol mutations are detectable:
 * skipped invalid-flag store                 -> ``stale-cached-read``
 * flag-clear reordered before invalidation   -> ``cleared-flag-before-invalidate``
 
-The detector follows the repo's global-hook pattern (``obs/trace.py``):
-uninstalled cost is one module-global load plus a ``None`` check at
-every hook site.
+The detector follows the repo's global-hook pattern (``obs/trace.py``)
+and shares its probe slot (``obs/probes.py``): uninstalled cost is one
+slot load plus a ``None`` check at every hook site.
 
 >>> ms = MemSan()
 >>> ms.watch_region("cxl.shared")
@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
-from ..obs.spans import active as spans_active
+from ..obs.probes import PROBES
 from ..sim.latency import CACHE_LINE
 
 __all__ = [
@@ -320,7 +320,7 @@ class MemSan:
             self.reports_dropped += 1
             return
         stack: tuple[str, ...] = ()
-        spans = spans_active()
+        spans = PROBES.spans
         if spans is not None:
             stack = tuple(f"{s.kind}:{s.name}" for s in spans._stack)
         self.reports.append(
@@ -738,36 +738,26 @@ class MemSan:
         uninstall(self)
 
 
-_ACTIVE: Optional[MemSan] = None
-
-
 def active() -> Optional[MemSan]:
-    """The installed detector, or None (one global load at hook sites)."""
-    return _ACTIVE
+    """The installed detector, or None (one attribute load at hook sites)."""
+    return PROBES.memsan
 
 
 def install(ms: MemSan) -> MemSan:
     """Install ``ms`` as the global detector; only one may be active."""
-    global _ACTIVE
-    if _ACTIVE is not None and _ACTIVE is not ms:
-        raise RuntimeError("another MemSan is already installed")
-    _ACTIVE = ms
-    return ms
+    return PROBES.install("memsan", ms)
 
 
 def uninstall(ms: Optional[MemSan] = None) -> None:
     """Remove the installed detector (idempotent; never someone else's)."""
-    global _ACTIVE
-    if ms is not None and _ACTIVE is not None and _ACTIVE is not ms:
-        raise RuntimeError("a different MemSan is installed")
-    _ACTIVE = None
+    PROBES.uninstall("memsan", ms)
 
 
 def scoped_actor(name: str) -> object:
     """Ambient-actor scope against the installed detector, or a no-op.
 
     The per-segment hook used by ``MultiPrimaryNode``: cheap enough to
-    sit inside generators (one global load when disabled).
+    sit inside generators (one attribute load when disabled).
     """
-    ms = _ACTIVE
+    ms = PROBES.memsan
     return _NULL_SCOPE if ms is None else _ActorScope(ms, name)

@@ -16,8 +16,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-from ..hardware.memory import AccessMeter, MappedMemory, MemoryRegion
-from ..db.bufferpool import BufferPool, BufferPoolFullError, OffsetAccessor
+from ..hardware.memory import AccessMeter, MappedMemory, MemoryRegion, WindowedMemory
+from ..db.bufferpool import BufferPool, BufferPoolFullError
 from ..db.constants import PAGE_SIZE
 from ..db.page import PageView, format_empty_page
 from ..obs.spans import active as spans_active
@@ -216,15 +216,6 @@ class TieredRdmaBufferPool(BufferPool):
             self._dirty.add(page_id)
         self._touch(page_id)
 
-    def unpin(self, page_id: int) -> None:
-        count = self._pins.get(page_id, 0)
-        if count <= 0:
-            raise RuntimeError(f"unpin of unpinned page {page_id}")
-        if count == 1:
-            del self._pins[page_id]
-        else:
-            self._pins[page_id] = count - 1
-
     def contains(self, page_id: int) -> bool:
         return page_id in self._frame_of
 
@@ -252,10 +243,10 @@ class TieredRdmaBufferPool(BufferPool):
 
     # -- internals ----------------------------------------------------------------------
 
-    def _view(self, page_id: int, frame: Optional[int] = None) -> PageView:
-        if frame is None:
-            frame = self._frame_of[page_id]
-        return PageView(page_id, OffsetAccessor(self.mapped, frame * PAGE_SIZE), self)
+    def _view(self, page_id: int, frame: int) -> PageView:
+        return PageView(
+            page_id, WindowedMemory(self.mapped, frame * PAGE_SIZE, PAGE_SIZE), self
+        )
 
     def _touch(self, page_id: int) -> None:
         self._lru[page_id] = None

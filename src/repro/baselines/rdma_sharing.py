@@ -22,10 +22,10 @@ from collections import OrderedDict
 from typing import Optional
 
 from ..analysis.memsan import active as memsan_active
-from ..db.bufferpool import BufferPool, BufferPoolFullError, OffsetAccessor
+from ..db.bufferpool import BufferPool, BufferPoolFullError
 from ..db.constants import PAGE_SIZE
 from ..db.page import PageView
-from ..hardware.memory import AccessMeter, MappedMemory, MemoryRegion
+from ..hardware.memory import AccessMeter, MappedMemory, MemoryRegion, WindowedMemory
 from ..obs.spans import active as spans_active
 from ..obs.trace import active as obs_active
 from ..sim.latency import LatencyConfig
@@ -255,22 +255,13 @@ class RdmaSharedBufferPool(BufferPool):
         self._touch(page_id)
         self._pins[page_id] = self._pins.get(page_id, 0) + 1
         return PageView(
-            page_id, OffsetAccessor(self.mapped, frame * PAGE_SIZE), self
+            page_id, WindowedMemory(self.mapped, frame * PAGE_SIZE, PAGE_SIZE), self
         )
 
     def new_page(self, page_id: int, page_type: int, level: int = 0) -> PageView:
         raise NotImplementedError(
             "multi-primary nodes operate on preloaded data (see DESIGN.md §6)"
         )
-
-    def unpin(self, page_id: int) -> None:
-        count = self._pins.get(page_id, 0)
-        if count <= 0:
-            raise RuntimeError(f"unpin of unpinned page {page_id}")
-        if count == 1:
-            del self._pins[page_id]
-        else:
-            self._pins[page_id] = count - 1
 
     def contains(self, page_id: int) -> bool:
         return page_id in self._frame_of

@@ -30,9 +30,10 @@ from __future__ import annotations
 import heapq
 import json
 import pathlib
+import struct
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..hardware.cache import LineCacheModel
 from ..hardware.memory import (
@@ -40,13 +41,21 @@ from ..hardware.memory import (
     MappedMemory,
     MemoryRegion,
     MemoryTiming,
+    WindowedMemory,
 )
 from ..obs.spans import SpanTracer
 from ..obs.trace import Tracer
 from ..sim.core import SchedulerHook, Simulator
 from ..sim.latency import CACHE_LINE, LatencyConfig
 
-__all__ = ["run_perf", "main"]
+__all__ = [
+    "run_perf",
+    "main",
+    "check_equivalence",
+    "replay_accesses",
+    "metering_state",
+    "EQUIVALENCE_SPAN",
+]
 
 PAGE = 16384
 
@@ -220,6 +229,10 @@ class _RefMappedMemory:
         self._charge(offset, nbytes, write=False)
         return self.region.read(offset, nbytes)
 
+    def write(self, offset, data):
+        self._charge(offset, len(data), write=True)
+        self.region.write(offset, data)
+
     def _charge(self, offset, nbytes, write):
         timing = self.timing
         meter = self.meter
@@ -267,15 +280,17 @@ def _cxl_timing(config: LatencyConfig) -> MemoryTiming:
     )
 
 
-def _build_mapped(optimized: bool, region_bytes: int):
+def _build_mapped(
+    optimized: bool, region_bytes: int, cache_bytes: int = 1 << 20, hit_ns: float = 18.0
+):
     region = MemoryRegion("perf", region_bytes, volatile=False)
-    timing = _cxl_timing(LatencyConfig())
+    timing = replace(_cxl_timing(LatencyConfig()), hit_ns=hit_ns)
     if optimized:
         meter = AccessMeter()
-        mapped = MappedMemory(region, timing, meter, LineCacheModel(1 << 20), "cxl")
+        mapped = MappedMemory(region, timing, meter, LineCacheModel(cache_bytes), "cxl")
     else:
         meter = _RefMeter()
-        mapped = _RefMappedMemory(region, timing, meter, _RefLineCache(1 << 20), "cxl")
+        mapped = _RefMappedMemory(region, timing, meter, _RefLineCache(cache_bytes), "cxl")
     return mapped, meter
 
 
@@ -624,33 +639,132 @@ def bench_explore() -> dict:
     }
 
 
-def check_equivalence(n_accesses: int = 20_000) -> None:
-    """Assert optimized and reference metering charge identical state."""
-    region_bytes = 1 << 20
-    opt, opt_meter = _build_mapped(True, region_bytes)
-    ref, ref_meter = _build_mapped(False, region_bytes)
-    # A mix of line-cached small reads (several sizes/alignments, some
-    # straddling lines) and burst reads, identical on both sides.
-    for i in range(n_accesses):
-        offset = (i * 4093) % (region_bytes - PAGE)
-        if not i % 97:
-            nbytes = PAGE
-        elif not i % 13:
-            nbytes = 200
+def replay_accesses(target, ops, typed: bool, base: int = 0) -> list:
+    """Apply an access list to ``target``; returns everything it read.
+
+    An op is ``("read", offset, nbytes)``, ``("write", offset, data)``,
+    ``("unpack", fmt, offset)`` or ``("run", fmt, offset, stride, count)``.
+    ``typed`` sends the last two through ``unpack`` / ``read_run``;
+    otherwise they are spelled out as the per-field sequence of ``read``
+    calls they stand for — the reference every differential compares
+    against. ``base`` shifts every offset (a window's absolute base,
+    when ``target`` is the mapping underneath it).
+    """
+    out: list = []
+    for kind, *args in ops:
+        if kind == "write":
+            target.write(base + args[0], args[1])
+        elif kind == "read":
+            out.append(target.read(base + args[0], args[1]))
+        elif kind == "unpack":
+            fmt, offset = args
+            if typed:
+                out.append(target.unpack(fmt, base + offset))
+            else:
+                out.append(fmt.unpack(target.read(base + offset, fmt.size)))
         else:
-            nbytes = 8 + (i % 3) * 61  # 8 / 69 / 130 B, may straddle lines
-        opt.read(offset, nbytes)
-        ref.read(offset, nbytes)
-    if opt_meter.ns != ref_meter.ns:
-        raise AssertionError(
-            f"optimized metering diverged: ns {opt_meter.ns} != {ref_meter.ns}"
-        )
-    if opt_meter.counters != ref_meter.counters:
-        raise AssertionError("optimized metering diverged: counters differ")
-    opt_t = [(c.pipe_key, c.nbytes, c.base_ns) for c in opt_meter.transfers]
-    ref_t = [(c.pipe_key, c.nbytes, c.base_ns) for c in ref_meter.transfers]
-    if opt_t != ref_t:
-        raise AssertionError("optimized metering diverged: transfers differ")
+            fmt, offset, stride, count = args
+            if typed:
+                out.append(target.read_run(fmt, base + offset, stride, count))
+            else:
+                out.append(
+                    [
+                        fmt.unpack(target.read(base + offset + i * stride, fmt.size))
+                        for i in range(count)
+                    ]
+                )
+    return out
+
+
+def metering_state(mapped) -> dict:
+    """Everything a metered access may change, in comparable form:
+    ``meter.ns`` bit for bit, counters and transfers in order, and the
+    line cache's LRU order and hit/miss counts."""
+    meter, cache = mapped.meter, mapped.line_cache
+    lines = cache._lines if isinstance(cache, _RefLineCache) else cache.lines
+    return {
+        "ns": float(meter.ns).hex(),
+        "counters": list(meter.counters.items()),
+        "transfers": [(c.pipe_key, c.nbytes, c.base_ns) for c in meter.transfers],
+        "lru": list(lines),
+        "hits_misses": (cache.hits, cache.misses),
+    }
+
+
+EQUIVALENCE_SPAN = (1 << 20) - 8192  # bytes the differential's window covers
+_EQ_FORMATS = tuple(struct.Struct(f) for f in ("<H", "<Q", "<QQ", "<B"))
+_EQ_CACHE_BYTES = 1 << 13  # 128 lines: evicts in the middle of runs
+# Not a dyadic rational, unlike the model's 18 ns: k hits summed as
+# k * hit_ns would differ from k separate additions in the last bits.
+_EQ_HIT_NS = 18.3
+
+
+def _equivalence_ops(n_accesses: int):
+    """A fixed mix of every access shape: line-cached reads and writes
+    (several sizes and alignments, some straddling lines), bursts, typed
+    fields, and runs with both stride signs that cross lines, aligned
+    (the batched path) and not (the per-element path)."""
+    lcg = 2463534242
+    for i in range(n_accesses):
+        lcg = (lcg * 1103515245 + 12345) & 0x7FFFFFFF
+        # Half the accesses land in a hot 4 KB (half the line cache), so
+        # hits, LRU moves and evictions all happen, interleaved.
+        offset = (lcg >> 8) % ((EQUIVALENCE_SPAN - 2 * PAGE) if lcg & 64 else 4096) + PAGE
+        shape = i % 12
+        if not i % 97:
+            yield ("read", offset, PAGE)
+        elif not i % 101:
+            yield ("write", offset, bytes([i & 0xFF]) * PAGE)
+        elif shape < 3:
+            yield ("read", offset, (8, 69, 130, 200, 0, 1)[i % 6])
+        elif shape < 5:
+            yield ("write", offset, bytes([i & 0xFF]) * (1, 2, 8, 61, 130)[i % 5])
+        elif shape < 8:
+            fmt = _EQ_FORMATS[i % 4]
+            yield ("unpack", fmt, offset if i % 5 else offset - offset % fmt.size)
+        else:
+            fmt = _EQ_FORMATS[i % 4]
+            if i % 7:  # naturally aligned (window base 24 keeps 8, breaks 16)
+                offset -= offset % fmt.size
+            stride = fmt.size * (1, -1, 3, -2)[(i // 4) % 4]
+            yield ("run", fmt, offset, stride, (1, 7, 40, 90)[(i // 16) % 4])
+
+
+def check_equivalence(
+    n_accesses: int = 20_000, *, ops=None, cache_bytes: int = _EQ_CACHE_BYTES
+) -> None:
+    """Assert the fused access frames charge what the frozen reference does.
+
+    The same access list (``ops``, or the built-in mix) goes through the
+    optimized memory — typed primitives, behind a window nested in a
+    window — and through the frozen per-access reference as the plain
+    ``read`` / ``write`` sequence it stands for. Everything read, and
+    after every drain the whole metering state (``meter.ns`` bit for
+    bit, counters, transfer list, line-cache LRU order, hits and
+    misses), must be equal. Offsets in ``ops`` are relative to the
+    window, whose size is ``EQUIVALENCE_SPAN``.
+    """
+    region_bytes = EQUIVALENCE_SPAN + 8192
+    opt, opt_meter = _build_mapped(True, region_bytes, cache_bytes, _EQ_HIT_NS)
+    ref, ref_meter = _build_mapped(False, region_bytes, cache_bytes, _EQ_HIT_NS)
+    window = WindowedMemory(WindowedMemory(opt, 4096, region_bytes - 4096), 24, EQUIVALENCE_SPAN)
+    if ops is None:
+        ops = list(_equivalence_ops(n_accesses))
+    for start in range(0, len(ops), 512):
+        chunk = ops[start : start + 512]
+        if replay_accesses(window, chunk, typed=True) != replay_accesses(
+            ref, chunk, typed=False, base=window.base
+        ):
+            raise AssertionError(f"optimized reads diverged in ops {start}..{start + 512}")
+        opt_state, ref_state = metering_state(opt), metering_state(ref)
+        for key in opt_state:
+            if opt_state[key] != ref_state[key]:
+                raise AssertionError(
+                    f"optimized metering diverged in ops {start}..{start + 512}: "
+                    f"{key} {opt_state[key]!r:.200} != {ref_state[key]!r:.200}"
+                )
+        opt_meter.take()
+        ref_meter.take()
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +784,14 @@ def run_perf(quick: bool = False, jobs: int = 0) -> dict:
 
     ev_ref = bench_event_loop(n_events, optimized=False)
     ev_opt = bench_event_loop(n_events, optimized=True)
-    eb_ref = bench_event_burst(n_events, optimized=False)
-    eb_opt = bench_event_burst(n_events, optimized=True)
+    # The one fixed gate with a thin margin (2.0x against a typical 2.4x)
+    # on a 0.1 s bench: best of three alternating runs a side, so a single
+    # stall on a shared box does not fail tier-1.
+    bursts = [
+        (bench_event_burst(n_events, optimized=False), bench_event_burst(n_events))
+        for _ in range(3)
+    ]
+    eb_ref, eb_opt = max(ref for ref, _ in bursts), max(opt for _, opt in bursts)
     ma_ref = bench_metered_access(n_accesses, optimized=False)
     ma_opt = bench_metered_access(n_accesses, optimized=True)
     pb_ref = bench_page_burst(n_pages, optimized=False)

@@ -41,6 +41,7 @@ from __future__ import annotations
 import struct
 
 from ..db.constants import OFF_LSN, PAGE_SIZE
+from ..hardware.memory import WindowedMemory
 
 __all__ = [
     "BLOCK_META_SIZE",
@@ -65,6 +66,7 @@ POOL_HEADER_SIZE = 64
 POOL_MAGIC = 0x504C43584C4D454D  # "PLCXLMEM"
 
 _U64 = struct.Struct("<Q")
+_U8 = struct.Struct("<B")
 
 _OFF_PAGE_ID = 0
 _OFF_LOCK_STATE = 8
@@ -110,128 +112,55 @@ def block_data_offset(index: int) -> int:
     return block_offset(index) + BLOCK_META_SIZE
 
 
-class _Fields:
-    """Shared u64/u8 accessors over a mapped window at a base offset."""
-
-    __slots__ = ("mapped", "base")
-
-    def __init__(self, mapped, base: int) -> None:
-        self.mapped = mapped
-        self.base = base
-
-    def _read_u64(self, off: int) -> int:
-        return _U64.unpack(self.mapped.read(self.base + off, 8))[0]
-
-    def _write_u64(self, off: int, value: int) -> None:
-        self.mapped.write(self.base + off, _U64.pack(value))
-
-    def _read_u8(self, off: int) -> int:
-        return self.mapped.read(self.base + off, 1)[0]
-
-    def _write_u8(self, off: int, value: int) -> None:
-        self.mapped.write(self.base + off, bytes([value]))
+def _int_field(fmt: struct.Struct, offset: int):
+    """``(name, set_name)`` of one little-endian integer field of a window."""
+    return (
+        property(lambda self: self.unpack(fmt, offset)[0]),
+        lambda self, value: self.write(offset, fmt.pack(value)),
+    )
 
 
-class BlockMeta(_Fields):
-    """Typed view of one block's metadata line in CXL memory."""
+def _flag_field(offset: int):
+    """``(name, set_name)`` of one byte read and written as a bool."""
+    return (
+        property(lambda self: self.unpack(_U8, offset)[0] != 0),
+        lambda self, value: self.write(offset, _U8.pack(bool(value))),
+    )
 
-    def __init__(self, mapped, index: int) -> None:
-        super().__init__(mapped, block_offset(index))
+
+class BlockMeta(WindowedMemory):
+    """Typed view of one block in CXL memory: a window over the block
+    whose first line is the metadata."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, mem, index: int) -> None:
+        super().__init__(mem, block_offset(index), BLOCK_SIZE)
         self.index = index
 
-    @property
-    def page_id(self) -> int:
-        return self._read_u64(_OFF_PAGE_ID)
-
-    def set_page_id(self, value: int) -> None:
-        self._write_u64(_OFF_PAGE_ID, value)
-
-    @property
-    def lock_state(self) -> int:
-        return self._read_u8(_OFF_LOCK_STATE)
-
-    def set_lock_state(self, value: int) -> None:
-        self._write_u8(_OFF_LOCK_STATE, value)
-
-    @property
-    def in_use(self) -> bool:
-        return self._read_u8(_OFF_IN_USE) != 0
-
-    def set_in_use(self, value: bool) -> None:
-        self._write_u8(_OFF_IN_USE, 1 if value else 0)
-
-    @property
-    def dirty_hint(self) -> bool:
-        return self._read_u8(_OFF_DIRTY_HINT) != 0
-
-    def set_dirty_hint(self, value: bool) -> None:
-        self._write_u8(_OFF_DIRTY_HINT, 1 if value else 0)
-
-    @property
-    def prev(self) -> int:
-        return self._read_u64(_OFF_PREV)
-
-    def set_prev(self, value: int) -> None:
-        self._write_u64(_OFF_PREV, value)
-
-    @property
-    def next(self) -> int:
-        return self._read_u64(_OFF_NEXT)
-
-    def set_next(self, value: int) -> None:
-        self._write_u64(_OFF_NEXT, value)
+    page_id, set_page_id = _int_field(_U64, _OFF_PAGE_ID)
+    lock_state, set_lock_state = _int_field(_U8, _OFF_LOCK_STATE)
+    in_use, set_in_use = _flag_field(_OFF_IN_USE)
+    dirty_hint, set_dirty_hint = _flag_field(_OFF_DIRTY_HINT)
+    prev, set_prev = _int_field(_U64, _OFF_PREV)
+    next, set_next = _int_field(_U64, _OFF_NEXT)
 
     def page_lsn(self) -> int:
         """The page's LSN, read from the page header inside the block."""
-        return _U64.unpack(
-            self.mapped.read(block_data_offset(self.index) + OFF_LSN, 8)
-        )[0]
+        return self.unpack(_U64, BLOCK_META_SIZE + OFF_LSN)[0]
 
 
-class PoolHeader(_Fields):
+class PoolHeader(WindowedMemory):
     """Typed view of the pool header in CXL memory."""
 
-    def __init__(self, mapped) -> None:
-        super().__init__(mapped, 0)
+    __slots__ = ()
 
-    @property
-    def magic(self) -> int:
-        return self._read_u64(_HDR_MAGIC)
+    def __init__(self, mem) -> None:
+        super().__init__(mem, 0, POOL_HEADER_SIZE)
 
-    def set_magic(self, value: int) -> None:
-        self._write_u64(_HDR_MAGIC, value)
-
-    @property
-    def n_blocks(self) -> int:
-        return self._read_u64(_HDR_N_BLOCKS)
-
-    def set_n_blocks(self, value: int) -> None:
-        self._write_u64(_HDR_N_BLOCKS, value)
-
-    @property
-    def free_head(self) -> int:
-        return self._read_u64(_HDR_FREE_HEAD)
-
-    def set_free_head(self, value: int) -> None:
-        self._write_u64(_HDR_FREE_HEAD, value)
-
-    @property
-    def lru_head(self) -> int:
-        return self._read_u64(_HDR_LRU_HEAD)
-
-    def set_lru_head(self, value: int) -> None:
-        self._write_u64(_HDR_LRU_HEAD, value)
-
-    @property
-    def lru_tail(self) -> int:
-        return self._read_u64(_HDR_LRU_TAIL)
-
-    def set_lru_tail(self, value: int) -> None:
-        self._write_u64(_HDR_LRU_TAIL, value)
-
-    @property
-    def lru_mutation_flag(self) -> bool:
-        return self._read_u8(_HDR_LRU_FLAG) != 0
-
-    def set_lru_mutation_flag(self, value: bool) -> None:
-        self._write_u8(_HDR_LRU_FLAG, 1 if value else 0)
+    magic, set_magic = _int_field(_U64, _HDR_MAGIC)
+    n_blocks, set_n_blocks = _int_field(_U64, _HDR_N_BLOCKS)
+    free_head, set_free_head = _int_field(_U64, _HDR_FREE_HEAD)
+    lru_head, set_lru_head = _int_field(_U64, _HDR_LRU_HEAD)
+    lru_tail, set_lru_tail = _int_field(_U64, _HDR_LRU_TAIL)
+    lru_mutation_flag, set_lru_mutation_flag = _flag_field(_HDR_LRU_FLAG)

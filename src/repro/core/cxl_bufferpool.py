@@ -19,10 +19,11 @@ from __future__ import annotations
 import struct
 from typing import Callable, Iterator, Optional
 
-from ..db.bufferpool import BufferPool, BufferPoolFullError, OffsetAccessor
+from ..db.bufferpool import BufferPool, BufferPoolFullError
 from ..db.constants import OFF_LSN, PAGE_SIZE
 from ..db.page import PageView, format_empty_page
 from ..faults.injector import crash_point
+from ..hardware.memory import WindowedMemory
 from ..obs.trace import active as obs_active
 from ..storage.pagestore import PageStore
 from .block import (
@@ -70,12 +71,10 @@ class CxlBufferPool(BufferPool):
         self._pins: dict[int, int] = {}
         self._dirty: set[int] = set()
         self._touch_clock = 0
-        # BlockMeta/OffsetAccessor are stateless views over (mem, index);
-        # memoize them instead of allocating one per metadata access —
-        # meta() is on every pool hot path (get/evict/LRU rewire).
+        # A BlockMeta is a stateless window over (mem, index); memoize them
+        # instead of building one per metadata access — meta() is on every
+        # pool hot path (get/evict/LRU rewire).
         self._meta_cache: list[Optional[BlockMeta]] = [None] * n_blocks
-        self._accessor_cache: list[Optional[OffsetAccessor]] = [None] * n_blocks
-        self._data_offsets = [block_data_offset(i) for i in range(n_blocks)]
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -126,12 +125,9 @@ class CxlBufferPool(BufferPool):
         return self._block_of.get(page_id)
 
     def _view(self, page_id: int, index: int) -> PageView:
-        accessor = self._accessor_cache[index]
-        if accessor is None:
-            accessor = self._accessor_cache[index] = OffsetAccessor(
-                self.mem, self._data_offsets[index]
-            )
-        return PageView(page_id, accessor, self)
+        return PageView(
+            page_id, WindowedMemory(self.mem, block_data_offset(index), PAGE_SIZE), self
+        )
 
     # -- BufferPool interface ------------------------------------------------------------
 
@@ -185,15 +181,6 @@ class CxlBufferPool(BufferPool):
         self._dirty.add(page_id)
         self._pins[page_id] = self._pins.get(page_id, 0) + 1
         return self._view(page_id, index)
-
-    def unpin(self, page_id: int) -> None:
-        count = self._pins.get(page_id, 0)
-        if count <= 0:
-            raise RuntimeError(f"unpin of unpinned page {page_id}")
-        if count == 1:
-            del self._pins[page_id]
-        else:
-            self._pins[page_id] = count - 1
 
     def contains(self, page_id: int) -> bool:
         return page_id in self._block_of

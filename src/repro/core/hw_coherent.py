@@ -60,6 +60,12 @@ class _CoherentAccessor:
         self.pool._charge(self.base + offset, len(data), write=True)
         self.pool.region.write(self.base + offset, data)
 
+    def unpack(self, fmt, offset: int) -> tuple:
+        return fmt.unpack(self.read(offset, fmt.size))
+
+    def read_run(self, fmt, offset: int, stride: int, count: int) -> list:
+        return [self.unpack(fmt, offset + i * stride) for i in range(count)]
+
 
 class HwCoherentSharedPool(BufferPool):
     """A multi-primary shared pool under modeled CXL 3.0 coherency."""
@@ -99,15 +105,6 @@ class HwCoherentSharedPool(BufferPool):
         raise NotImplementedError(
             "multi-primary nodes operate on preloaded data (see DESIGN.md §6)"
         )
-
-    def unpin(self, page_id: int) -> None:
-        count = self._pins.get(page_id, 0)
-        if count <= 0:
-            raise RuntimeError(f"unpin of unpinned page {page_id}")
-        if count == 1:
-            del self._pins[page_id]
-        else:
-            self._pins[page_id] = count - 1
 
     def contains(self, page_id: int) -> bool:
         return page_id in self._data_offset

@@ -74,6 +74,15 @@ class CachedPageAccessor:
     def write(self, offset: int, data: bytes) -> None:
         self.cache.write(self.region, self.base + offset, data)
 
+    # The typed reads are the plain per-field loop over CpuCache.read:
+    # sharing traffic stays byte for byte what separate reads produce.
+
+    def unpack(self, fmt, offset: int) -> tuple:
+        return fmt.unpack(self.cache.read(self.region, self.base + offset, fmt.size))
+
+    def read_run(self, fmt, offset: int, stride: int, count: int) -> list:
+        return [self.unpack(fmt, offset + i * stride) for i in range(count)]
+
 
 class _NodePageMeta:
     """One entry of the node's page metadata buffer.
@@ -214,15 +223,6 @@ class SharedCxlBufferPool(BufferPool):
             "multi-primary nodes operate on preloaded data; page allocation "
             "is a single-primary operation (see DESIGN.md §6)"
         )
-
-    def unpin(self, page_id: int) -> None:
-        count = self._pins.get(page_id, 0)
-        if count <= 0:
-            raise RuntimeError(f"unpin of unpinned page {page_id}")
-        if count == 1:
-            del self._pins[page_id]
-        else:
-            self._pins[page_id] = count - 1
 
     def contains(self, page_id: int) -> bool:
         return page_id in self._meta

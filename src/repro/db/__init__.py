@@ -5,7 +5,6 @@ from .bufferpool import (
     BufferPool,
     BufferPoolFullError,
     LocalBufferPool,
-    OffsetAccessor,
 )
 from .constants import (
     INTERNAL_FANOUT,
@@ -33,7 +32,6 @@ __all__ = [
     "BufferPool",
     "BufferPoolFullError",
     "LocalBufferPool",
-    "OffsetAccessor",
     "INTERNAL_FANOUT",
     "META_PAGE_ID",
     "PAGE_HEADER_SIZE",

@@ -177,22 +177,20 @@ class BTree:
         probes pay random-access costs.
         """
         out: list[tuple[int, bytes]] = []
+        record_size = self.record_size
         leaf = self._descend_to_leaf(mtr, start_key)
         idx, _ = self._leaf_search(leaf, start_key)
         while len(out) < count:
             nrecs = leaf.nrecs
             heap_count = leaf.heap_count
             if idx < nrecs and heap_count:
-                heap = leaf.read(
-                    PAGE_HEADER_SIZE, heap_count * self.record_size
-                )
-                while idx < nrecs and len(out) < count:
-                    slot = self._dir_slot(leaf, idx)
-                    record = heap[
-                        slot * self.record_size : (slot + 1) * self.record_size
-                    ]
-                    out.append((_U64.unpack_from(record)[0], record[KEY_BYTES:]))
-                    idx += 1
+                heap = leaf.read(PAGE_HEADER_SIZE, heap_count * record_size)
+                for (slot,) in self._dir_slots(
+                    leaf, idx, min(nrecs - idx, count - len(out))
+                ):
+                    at = slot * record_size
+                    payload = heap[at + KEY_BYTES : at + record_size]
+                    out.append((_U64.unpack_from(heap, at)[0], payload))
             if len(out) >= count:
                 break
             next_leaf = leaf.next_leaf
@@ -224,8 +222,7 @@ class BTree:
                 if heap_count
                 else b""
             )
-            for idx in range(leaf.nrecs):
-                slot = self._dir_slot(leaf, idx)
+            for (slot,) in self._dir_slots(leaf, 0, leaf.nrecs):
                 record = heap[
                     slot * self.record_size : (slot + 1) * self.record_size
                 ]
@@ -269,6 +266,11 @@ class BTree:
     def _dir_slot(self, leaf: PageView, rank: int) -> int:
         return leaf.read_u16(self._dir_offset(rank))
 
+    def _dir_slots(self, leaf: PageView, rank: int, count: int) -> list[tuple[int]]:
+        """Heap slots of ``count`` consecutive ranks: the directory grows
+        down, so one run of u16 reads with a negative stride."""
+        return leaf.accessor.read_run(_U16, self._dir_offset(rank), -SLOT_BYTES, count)
+
     def _leaf_key_at_rank(self, leaf: PageView, rank: int) -> int:
         slot = self._dir_slot(leaf, rank)
         return leaf.read_u64(self._heap_offset(slot))
@@ -276,12 +278,17 @@ class BTree:
     def _leaf_search(self, leaf: PageView, key: int) -> tuple[int, bool]:
         """Binary search the directory: (rank, exact-match?).
 
-        On a miss the rank is where the key would be inserted.
+        On a miss the rank is where the key would be inserted. Each
+        probe is two metered reads (directory slot, then the key), made
+        straight on the accessor: this loop is most of a point query.
         """
-        lo, hi = 0, leaf.nrecs
+        unpack = leaf.accessor.unpack
+        record_size = self.record_size
+        lo, hi = 0, unpack(_U16, OFF_NRECS)[0]
         while lo < hi:
             mid = (lo + hi) // 2
-            mid_key = self._leaf_key_at_rank(leaf, mid)
+            slot = unpack(_U16, PAGE_SIZE - SLOT_BYTES * (mid + 1))[0]
+            mid_key = unpack(_U64, PAGE_HEADER_SIZE + slot * record_size)[0]
             if mid_key < key:
                 lo = mid + 1
             elif mid_key > key:
@@ -364,7 +371,7 @@ class BTree:
         return PAGE_HEADER_SIZE + index * INTERNAL_ENTRY_BYTES
 
     def _internal_entry(self, node: PageView, index: int) -> tuple[int, int]:
-        return _ENTRY.unpack(node.read(self._entry_offset(index), INTERNAL_ENTRY_BYTES))
+        return node.accessor.unpack(_ENTRY, self._entry_offset(index))
 
     def _internal_key(self, node: PageView, index: int) -> int:
         return node.read_u64(self._entry_offset(index))
@@ -374,10 +381,11 @@ class BTree:
 
     def _internal_child_index(self, node: PageView, key: int) -> int:
         """Rightmost entry with separator <= key (entry 0 is -inf)."""
-        lo, hi = 1, node.nrecs
+        unpack = node.accessor.unpack
+        lo, hi = 1, unpack(_U16, OFF_NRECS)[0]
         while lo < hi:
             mid = (lo + hi) // 2
-            if self._internal_key(node, mid) <= key:
+            if unpack(_U64, PAGE_HEADER_SIZE + mid * INTERNAL_ENTRY_BYTES)[0] <= key:
                 lo = mid + 1
             else:
                 hi = mid

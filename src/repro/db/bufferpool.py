@@ -20,36 +20,19 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Optional
 
-from ..hardware.memory import MappedMemory
+from ..hardware.memory import MappedMemory, WindowedMemory
 from ..obs.spans import active as spans_active
 from ..obs.trace import active as obs_active
 from ..storage.pagestore import PageStore
 from .constants import OFF_LSN, PAGE_SIZE
 from .page import PageView, format_empty_page
 
-__all__ = ["BufferPool", "LocalBufferPool", "OffsetAccessor", "BufferPoolFullError"]
+__all__ = ["BufferPool", "LocalBufferPool", "BufferPoolFullError"]
 
 
 class BufferPoolFullError(RuntimeError):
     """All frames are pinned; nothing can be evicted."""
-
-
-class OffsetAccessor:
-    """A page accessor over a metered memory window at a fixed base."""
-
-    __slots__ = ("mapped", "base")
-
-    def __init__(self, mapped: MappedMemory, base: int) -> None:
-        self.mapped = mapped
-        self.base = base
-
-    def read(self, offset: int, nbytes: int) -> bytes:
-        return self.mapped.read(self.base + offset, nbytes)
-
-    def write(self, offset: int, data: bytes) -> None:
-        self.mapped.write(self.base + offset, data)
 
 
 class BufferPool(ABC):
@@ -80,9 +63,18 @@ class BufferPool(ABC):
     def new_page(self, page_id: int, page_type: int, level: int = 0) -> PageView:
         """Pin and return a freshly formatted page (no storage read)."""
 
-    @abstractmethod
     def unpin(self, page_id: int) -> None:
-        """Release one pin; unpinned pages become eviction candidates."""
+        """Release one pin; unpinned pages become eviction candidates.
+
+        Every pool counts pins the same way, in ``self._pins``.
+        """
+        count = self._pins.get(page_id, 0)
+        if count <= 0:
+            raise RuntimeError(f"unpin of unpinned page {page_id}")
+        if count == 1:
+            del self._pins[page_id]
+        else:
+            self._pins[page_id] = count - 1
 
     @abstractmethod
     def contains(self, page_id: int) -> bool:
@@ -133,9 +125,6 @@ class LocalBufferPool(BufferPool):
         self.capacity_pages = capacity_pages
         self._frame_of: dict[int, int] = {}
         self._free_frames = list(range(capacity_pages - 1, -1, -1))
-        # Accessors are stateless (mapped, base) views; one per frame for
-        # the pool's lifetime instead of one per get_page.
-        self._accessors: list[Optional[OffsetAccessor]] = [None] * capacity_pages
         self._lru: OrderedDict[int, None] = OrderedDict()
         self._dirty: set[int] = set()
         self._pins: dict[int, int] = {}
@@ -196,15 +185,6 @@ class LocalBufferPool(BufferPool):
             self._dirty.add(page_id)
         self._touch(page_id)
 
-    def unpin(self, page_id: int) -> None:
-        count = self._pins.get(page_id, 0)
-        if count <= 0:
-            raise RuntimeError(f"unpin of unpinned page {page_id}")
-        if count == 1:
-            del self._pins[page_id]
-        else:
-            self._pins[page_id] = count - 1
-
     def contains(self, page_id: int) -> bool:
         return page_id in self._frame_of
 
@@ -231,15 +211,10 @@ class LocalBufferPool(BufferPool):
 
     # -- internals --------------------------------------------------------------------
 
-    def _view(self, page_id: int, frame: Optional[int] = None) -> PageView:
-        if frame is None:
-            frame = self._frame_of[page_id]
-        accessor = self._accessors[frame]
-        if accessor is None:
-            accessor = self._accessors[frame] = OffsetAccessor(
-                self.mapped, frame * PAGE_SIZE
-            )
-        return PageView(page_id, accessor, self)
+    def _view(self, page_id: int, frame: int) -> PageView:
+        return PageView(
+            page_id, WindowedMemory(self.mapped, frame * PAGE_SIZE, PAGE_SIZE), self
+        )
 
     def _touch(self, page_id: int) -> None:
         self._lru[page_id] = None

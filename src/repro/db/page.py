@@ -38,11 +38,20 @@ _U8 = struct.Struct("<B")
 
 
 class PageAccessor(Protocol):
-    """Moves bytes for one page; implementations meter the movement."""
+    """Moves bytes for one page; implementations meter the movement.
+    ``unpack`` (one field) and ``read_run`` (``count`` fields ``stride``
+    bytes apart) are charged exactly like the ``read`` calls they stand for.
+    """
 
     def read(self, offset: int, nbytes: int) -> bytes: ...
 
     def write(self, offset: int, data: bytes) -> None: ...
+
+    def unpack(self, fmt: struct.Struct, offset: int) -> tuple: ...
+
+    def read_run(
+        self, fmt: struct.Struct, offset: int, stride: int, count: int
+    ) -> list[tuple]: ...
 
 
 class PageView:
@@ -72,19 +81,19 @@ class PageView:
     # -- typed helpers ---------------------------------------------------------------
 
     def read_u64(self, offset: int) -> int:
-        return _U64.unpack(self.accessor.read(offset, 8))[0]
+        return self.accessor.unpack(_U64, offset)[0]
 
     def write_u64(self, offset: int, value: int) -> None:
         self.accessor.write(offset, _U64.pack(value))
 
     def read_u16(self, offset: int) -> int:
-        return _U16.unpack(self.accessor.read(offset, 2))[0]
+        return self.accessor.unpack(_U16, offset)[0]
 
     def write_u16(self, offset: int, value: int) -> None:
         self.accessor.write(offset, _U16.pack(value))
 
     def read_u8(self, offset: int) -> int:
-        return self.accessor.read(offset, 1)[0]
+        return self.accessor.unpack(_U8, offset)[0]
 
     def write_u8(self, offset: int, value: int) -> None:
         self.accessor.write(offset, _U8.pack(value))

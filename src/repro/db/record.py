@@ -52,19 +52,26 @@ class RecordCodec:
             self._offsets[field.name] = (offset, field)
             offset += field.size
         self.record_size = offset
+        # The whole row as one precompiled little-endian struct: ints by
+        # width, byte strings as ``<n>s`` (pads short values with NULs,
+        # truncates long ones, and unpacks with the padding kept).
+        self._struct = struct.Struct(
+            "<"
+            + "".join(
+                _INT_FORMATS[field.size][1] if field.kind == "int" else f"{field.size}s"
+                for field in fields
+            )
+        )
+        self._names = tuple(names)
 
     def encode(self, row: Mapping[str, Any]) -> bytes:
         """Pack a row dict into its fixed-width payload."""
-        out = bytearray(self.record_size)
-        for field in self.fields:
-            offset, _ = self._offsets[field.name]
-            value = row[field.name]
-            if field.kind == "int":
-                struct.pack_into(_INT_FORMATS[field.size], out, offset, value)
-            else:
-                data = bytes(value)[: field.size]
-                out[offset : offset + len(data)] = data
-        return bytes(out)
+        return self._struct.pack(
+            *[
+                row[field.name] if field.kind == "int" else bytes(row[field.name])
+                for field in self.fields
+            ]
+        )
 
     def decode(self, payload: bytes) -> dict[str, Any]:
         """Unpack a payload into a row dict (byte fields keep padding)."""
@@ -72,16 +79,7 @@ class RecordCodec:
             raise ValueError(
                 f"payload is {len(payload)} bytes, schema needs {self.record_size}"
             )
-        row: dict[str, Any] = {}
-        for field in self.fields:
-            offset, _ = self._offsets[field.name]
-            if field.kind == "int":
-                row[field.name] = struct.unpack_from(
-                    _INT_FORMATS[field.size], payload, offset
-                )[0]
-            else:
-                row[field.name] = payload[offset : offset + field.size]
-        return row
+        return dict(zip(self._names, self._struct.unpack(payload)))
 
     def field_offset(self, name: str) -> int:
         """Byte offset of a field within the payload (partial updates)."""

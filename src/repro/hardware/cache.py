@@ -30,13 +30,19 @@ from ..faults.injector import crash_point
 from ..obs.spans import active as spans_active
 from ..obs.trace import active as obs_active
 from ..sim.latency import CACHE_LINE
-from .memory import AccessMeter, LineCacheProtocol, MemoryRegion
+from .memory import AccessMeter, MemoryRegion
 
 __all__ = ["LineCacheModel", "CpuCache"]
 
 
-class LineCacheModel(LineCacheProtocol):
+class LineCacheModel:
     """Timing-only LRU cache over (region, line) keys.
+
+    ``lines`` is the LRU itself, oldest first. It is public because
+    :class:`~repro.hardware.memory.MappedMemory` probes it inline for
+    single-line accesses (the simulator's hottest operation); such a
+    probe must do exactly what :meth:`touch` does, and nothing ever
+    rebinds the dict.
 
     >>> cache = LineCacheModel(capacity_bytes=1024)
     >>> cache.touch("dram", 0)        # cold: miss, line inserted
@@ -51,14 +57,14 @@ class LineCacheModel(LineCacheProtocol):
         if capacity_bytes < CACHE_LINE:
             raise ValueError("cache smaller than one line")
         self.capacity_lines = capacity_bytes // CACHE_LINE
-        self._lines: OrderedDict[tuple[str, int], None] = OrderedDict()
+        self.lines: OrderedDict[tuple[str, int], None] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def touch(self, region_name: str, line: int) -> bool:
         """Access a line; returns True on hit. Inserts on miss."""
         key = (region_name, line)
-        lines = self._lines
+        lines = self.lines
         if key in lines:
             lines.move_to_end(key)
             self.hits += 1
@@ -76,10 +82,10 @@ class LineCacheModel(LineCacheProtocol):
 
         Exactly equivalent to calling :meth:`touch` per line (same LRU
         moves, same insertion and eviction order), but with the dict,
-        bound methods and capacity hoisted out of the loop — the single
-        hottest call in every metered small access.
+        bound methods and capacity hoisted out of the loop — the hottest
+        call of every metered small access made under an instrument.
         """
-        lines = self._lines
+        lines = self.lines
         if first_line == last_line:  # the common single-line access
             key = (region_name, first_line)
             if key in lines:
@@ -111,16 +117,15 @@ class LineCacheModel(LineCacheProtocol):
         return hits, misses
 
     def drop_region(self, region_name: str) -> None:
-        self._lines = OrderedDict(
-            (key, None) for key in self._lines if key[0] != region_name
-        )
+        for key in [key for key in self.lines if key[0] == region_name]:
+            del self.lines[key]
 
     def drop_lines(self, region_name: str, first_line: int, last_line: int) -> None:
         for line in range(first_line, last_line + 1):
-            self._lines.pop((region_name, line), None)
+            self.lines.pop((region_name, line), None)
 
     def clear(self) -> None:
-        self._lines.clear()
+        self.lines.clear()
 
     @property
     def hit_ratio(self) -> float:

@@ -11,29 +11,40 @@ particular interconnect. Every read/write is metered: latency is charged
 to an :class:`AccessMeter` (using a per-line timing cache to model the
 CPU cache absorbing repeat accesses) and bytes are recorded as pending
 transfers against named bandwidth pipes, which the workload driver
-settles inside the discrete-event simulation.
+settles inside the discrete-event simulation. A :class:`WindowedMemory`
+is a sub-range of one, addressed from zero: a CXL extent, one block's
+metadata, one page frame.
+
+A metered access is **one frame**: ``read`` / ``write`` / ``unpack`` /
+``read_run`` validate, probe the line cache, charge and touch the region
+buffer themselves. Bursts, accesses that straddle lines and every access
+made while an instrument is installed (:data:`repro.obs.probes.PROBES`)
+take the general :meth:`MappedMemory._charge`; the fused frames must
+leave the meter, the line cache and the transfer list exactly as it
+would (``bench.perf.check_equivalence``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from struct import Struct
+from typing import TYPE_CHECKING, Optional
 
-from ..analysis.memsan import active as memsan_active
-from ..obs.spans import active as spans_active
-from ..obs.trace import active as obs_active
+from ..obs.probes import PROBES as _PROBES
 from ..sim.latency import CACHE_LINE, LatencyTable
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .cache import LineCacheModel
 
 __all__ = [
     "MemoryRegion",
     "AccessMeter",
     "TransferCharge",
+    "MemoryTiming",
     "MappedMemory",
+    "WindowedMemory",
     "PoisonedMemoryError",
 ]
-
-_POISON = 0xDE
-
 
 class PoisonedMemoryError(RuntimeError):
     """Raised when reading a volatile region after a power failure."""
@@ -52,28 +63,18 @@ class MemoryRegion:
         self._poisoned = False
 
     def read(self, offset: int, nbytes: int) -> bytes:
-        if self._poisoned:
-            raise PoisonedMemoryError(
-                f"region {self.name!r} lost its contents in a power failure; "
-                "call power_restore() before reuse"
-            )
-        if offset < 0 or nbytes < 0 or offset + nbytes > self.size:
-            self._check(offset, nbytes)
-        ms = memsan_active()
+        if self._poisoned or offset < 0 or nbytes < 0 or offset + nbytes > self.size:
+            self._refuse(offset, nbytes)
+        ms = _PROBES.memsan
         if ms is not None:
             ms.raw_load(self.name, offset, nbytes)
         return bytes(self._data[offset : offset + nbytes])
 
     def write(self, offset: int, data: bytes) -> None:
-        if self._poisoned:
-            raise PoisonedMemoryError(
-                f"region {self.name!r} lost its contents in a power failure; "
-                "call power_restore() before reuse"
-            )
         nbytes = len(data)
-        if offset < 0 or offset + nbytes > self.size:
-            self._check(offset, nbytes)
-        ms = memsan_active()
+        if self._poisoned or offset < 0 or offset + nbytes > self.size:
+            self._refuse(offset, nbytes)
+        ms = _PROBES.memsan
         if ms is not None:
             ms.raw_store(self.name, offset, nbytes)
         self._data[offset : offset + nbytes] = data
@@ -103,12 +104,17 @@ class MemoryRegion:
     def poisoned(self) -> bool:
         return self._poisoned
 
-    def _check(self, offset: int, nbytes: int) -> None:
+    def _refuse(self, offset: int, nbytes: int) -> None:
+        """Raise for an access that is out of range or hits lost contents."""
         if offset < 0 or nbytes < 0 or offset + nbytes > self.size:
             raise IndexError(
                 f"access [{offset}, {offset + nbytes}) outside region "
                 f"{self.name!r} of size {self.size}"
             )
+        raise PoisonedMemoryError(
+            f"region {self.name!r} lost its contents in a power failure; "
+            "call power_restore() before reuse"
+        )
 
 
 class TransferCharge:
@@ -240,6 +246,12 @@ class MappedMemory:
     the per-access cost is dict probes, not arithmetic and string
     building.
 
+    ``unpack(fmt, offset)`` and ``read_run(fmt, offset, stride, count)``
+    decode one field, or ``count`` fields ``stride`` bytes apart, straight
+    from the region buffer, charged exactly as the ``read`` calls they
+    stand for, in order. A rejected access (out of range, negative
+    length, poisoned region) raises before anything is charged.
+
     >>> from repro.hardware.cache import LineCacheModel
     >>> region = MemoryRegion("demo", 4096, volatile=False)
     >>> meter = AccessMeter()
@@ -256,6 +268,11 @@ class MappedMemory:
     101.0
     >>> (meter.counters["cxl_bytes"], meter.counters["cxl_ops"])
     (64.0, 1.0)
+    >>> import struct
+    >>> mem.read_run(struct.Struct("<H"), 0, 2, 3)   # three more hits
+    [(25960,), (27756,), (111,)]
+    >>> meter.ns
+    104.0
     """
 
     def __init__(
@@ -263,7 +280,7 @@ class MappedMemory:
         region: MemoryRegion,
         timing: MemoryTiming,
         meter: AccessMeter,
-        line_cache: "LineCacheProtocol",
+        line_cache: "LineCacheModel",
         counter_key: str,
     ) -> None:
         self.region = region
@@ -271,10 +288,15 @@ class MappedMemory:
         self.meter = meter
         self.line_cache = line_cache
         self.counter_key = counter_key
-        # Hot-path constants (MemoryTiming is frozen; region names and
-        # counter keys never change after construction).
+        # Hot-path constants (MemoryTiming is frozen; region names, sizes
+        # and counter keys never change after construction).
+        self.size = region.size
         self._region_name = region.name
         self._burst_threshold = timing.burst_threshold
+        # An access is fused when ``offset % CACHE_LINE + nbytes`` (> 0 for
+        # any length, zero included) fits in this: one line-cached line.
+        # A burst threshold within a line leaves nothing to fuse.
+        self._line_room = CACHE_LINE if timing.burst_threshold > CACHE_LINE else -1
         self._miss_ns = timing.miss_ns
         self._hit_ns = timing.hit_ns
         self._pipe_key = timing.pipe_key
@@ -305,27 +327,138 @@ class MappedMemory:
             self._line_charge = None
 
     # -- metered access --------------------------------------------------------
+    #
+    # Every frame validates first. ``read`` is the general path: bytes are
+    # read in bursts and multi-line spans (typed fields go through
+    # ``unpack``). ``write`` / ``unpack`` / ``read_run`` are fused: with no
+    # instrument installed, one line-cached line is counted, probed in the
+    # line cache and touched in the buffer right here; anything else
+    # defers to _charge and the region's own (sanitized) accessors.
 
     def read(self, offset: int, nbytes: int) -> bytes:
+        region = self.region
+        if offset < 0 or nbytes < 0 or offset + nbytes > self.size or region._poisoned:
+            region._refuse(offset, nbytes)
         self._charge(offset, nbytes, write=False)
-        return self.region.read(offset, nbytes)
+        return region.read(offset, nbytes)
 
     def write(self, offset: int, data: bytes) -> None:
-        self._charge(offset, len(data), write=True)
-        self.region.write(offset, data)
+        region = self.region
+        nbytes = len(data)
+        if offset < 0 or offset + nbytes > self.size or region._poisoned:
+            region._refuse(offset, nbytes)
+        if _PROBES.any or offset % CACHE_LINE + nbytes > self._line_room:
+            self._charge(offset, nbytes, write=True)
+            region.write(offset, data)
+            return
+        meter, cache = self.meter, self.line_cache
+        counters, lines = meter.counters, cache.lines
+        key = self._touched_key
+        counters[key] = counters.get(key, 0.0) + nbytes
+        key = (self._region_name, offset // CACHE_LINE)
+        if key in lines:
+            lines.move_to_end(key)
+            cache.hits += 1
+            meter.ns += self._hit_ns
+        else:
+            self._line_miss(key)
+        region._data[offset : offset + nbytes] = data
 
-    def read_unmetered(self, offset: int, nbytes: int) -> bytes:
-        """Functional read with no timing charge (recovery bookkeeping)."""
-        return self.region.read(offset, nbytes)
+    def unpack(self, fmt: Struct, offset: int) -> tuple:
+        """``fmt.unpack(self.read(offset, fmt.size))`` without the copy."""
+        region = self.region
+        nbytes = fmt.size
+        if offset < 0 or offset + nbytes > self.size or region._poisoned:
+            region._refuse(offset, nbytes)
+        if _PROBES.any or offset % CACHE_LINE + nbytes > self._line_room:
+            return fmt.unpack(self.read(offset, nbytes))
+        meter, cache = self.meter, self.line_cache
+        counters, lines = meter.counters, cache.lines
+        key = self._touched_key
+        counters[key] = counters.get(key, 0.0) + nbytes
+        key = (self._region_name, offset // CACHE_LINE)
+        if key in lines:
+            lines.move_to_end(key)
+            cache.hits += 1
+            meter.ns += self._hit_ns
+        else:
+            self._line_miss(key)
+        return fmt.unpack_from(region._data, offset)
 
-    def write_unmetered(self, offset: int, data: bytes) -> None:
-        self.region.write(offset, data)
+    def read_run(self, fmt: Struct, offset: int, stride: int, count: int) -> list:
+        """``[self.unpack(fmt, offset + i * stride) for i in range(count)]``,
+        validated as a whole before any of it is charged.
+
+        Charged as exactly that sequence: per line the first touch probes
+        the line cache, the rest are hits, and each is its own addition
+        into ``meter.ns`` (latencies need not be dyadic, so ``k * hit_ns``
+        would differ from k additions in the last bits).
+        """
+        offsets = range(offset, offset + count * stride, stride)  # stride 0 raises
+        if not offsets:
+            return []
+        region = self.region
+        nbytes = fmt.size
+        low, end = min(offset, offsets[-1]), max(offset, offsets[-1]) + nbytes
+        if low < 0 or end > self.size or region._poisoned:
+            region._refuse(low, end - low)
+        # Naturally aligned elements never straddle a line; others, and
+        # everything under an instrument, go one by one.
+        aligned = 0 < nbytes <= self._line_room and not CACHE_LINE % nbytes
+        if _PROBES.any or not aligned or offset % nbytes or stride % nbytes:
+            unpack = self.unpack
+            return [unpack(fmt, at) for at in offsets]
+        meter, cache = self.meter, self.line_cache
+        counters, lines = meter.counters, cache.lines
+        key = self._touched_key
+        counters[key] = counters.get(key, 0.0) + nbytes * count
+        name, hit_ns = self._region_name, self._hit_ns
+        ns = meter.ns
+        hits = 0
+        line = -1
+        for at in offsets:
+            if at // CACHE_LINE != line:
+                line = at // CACHE_LINE
+                key = (name, line)
+                if key not in lines:
+                    meter.ns = ns
+                    self._line_miss(key)
+                    ns = meter.ns
+                    continue
+                lines.move_to_end(key)
+            hits += 1
+            ns += hit_ns
+        meter.ns = ns
+        cache.hits += hits
+        unpack_from, data = fmt.unpack_from, region._data
+        return [unpack_from(data, at) for at in offsets]
 
     # -- cost model -------------------------------------------------------------
 
-    def _charge(self, offset: int, nbytes: int, write: bool) -> None:
+    def _line_miss(self, key: tuple[str, int]) -> None:
+        """A single-line access missed: insert, evict, fetch one line."""
+        cache = self.line_cache
+        lines = cache.lines
+        lines[key] = None
+        if len(lines) > cache.capacity_lines:
+            lines.popitem(last=False)
+        cache.misses += 1
         meter = self.meter
-        tracer = obs_active()
+        meter.ns += self._miss_ns
+        charge = self._line_charge
+        if charge is not None:
+            meter.transfers.append(charge)
+            counters = meter.counters
+            key = self._pipe_bytes_key
+            counters[key] = counters.get(key, 0.0) + CACHE_LINE
+            key = self._pipe_ops_key
+            counters[key] = counters.get(key, 0.0) + 1
+
+    def _charge(self, offset: int, nbytes: int, write: bool) -> None:
+        """The general cost model: bursts, multi-line accesses, and every
+        access made while an instrument is installed."""
+        meter = self.meter
+        tracer = _PROBES.tracer
         if nbytes >= self._burst_threshold:
             table = self._write_table if write else self._read_table
             cache = table._cache
@@ -352,7 +485,7 @@ class MappedMemory:
                     tracer.count(self._trace_hits_key, hits)
                 if misses:
                     tracer.count(self._trace_misses_key, misses)
-        spans = spans_active()
+        spans = _PROBES.spans
         if spans is not None:
             spans.add_ns(self._span_kind, ns)
         counters = meter.counters
@@ -380,71 +513,53 @@ class MappedMemory:
 class WindowedMemory:
     """A sub-range of a mapped memory, addressed from zero.
 
-    Used for CXL extents: the memory manager hands a tenant an offset
-    into the shared pool, and the tenant addresses its extent relative
-    to that offset (what ``mmap`` of the dax device at an offset gives).
+    The one way to say "this mapping, from this base": a CXL extent the
+    memory manager handed a tenant (what ``mmap`` of the dax device at an
+    offset gives), one block inside it (:class:`repro.core.block.BlockMeta`
+    is a window with named fields), and the page accessor every DRAM /
+    CXL / RDMA pool hands the engine. Base and limit are resolved at
+    construction — a window of a window points straight at the
+    :class:`MappedMemory` — so an access is one bounds check and one call
+    into the fused frame.
     """
 
     __slots__ = ("mapped", "base", "size")
 
-    def __init__(self, mapped: MappedMemory, base: int, size: int) -> None:
-        if base < 0 or base + size > mapped.region.size:
+    def __init__(self, mapped: "MappedMemory | WindowedMemory", base: int, size: int) -> None:
+        if base < 0 or size < 0 or base + size > mapped.size:
             raise IndexError("window outside the mapped region")
+        if isinstance(mapped, WindowedMemory):
+            base += mapped.base
+            mapped = mapped.mapped
         self.mapped = mapped
         self.base = base
         self.size = size
 
-    def _check(self, offset: int, nbytes: int) -> None:
-        if offset < 0 or offset + nbytes > self.size:
-            raise IndexError(
-                f"access [{offset}, {offset + nbytes}) outside window of "
-                f"size {self.size}"
-            )
+    def _reject(self, offset: int, nbytes: int) -> None:
+        raise IndexError(
+            f"access [{offset}, {offset + nbytes}) outside window of "
+            f"size {self.size}"
+        )
 
     def read(self, offset: int, nbytes: int) -> bytes:
-        self._check(offset, nbytes)
+        if offset < 0 or nbytes < 0 or offset + nbytes > self.size:
+            self._reject(offset, nbytes)
         return self.mapped.read(self.base + offset, nbytes)
 
     def write(self, offset: int, data: bytes) -> None:
-        self._check(offset, len(data))
+        if offset < 0 or offset + len(data) > self.size:
+            self._reject(offset, len(data))
         self.mapped.write(self.base + offset, data)
 
-    def read_unmetered(self, offset: int, nbytes: int) -> bytes:
-        self._check(offset, nbytes)
-        return self.mapped.read_unmetered(self.base + offset, nbytes)
+    def unpack(self, fmt: Struct, offset: int) -> tuple:
+        if offset < 0 or offset + fmt.size > self.size:
+            self._reject(offset, fmt.size)
+        return self.mapped.unpack(fmt, self.base + offset)
 
-    def write_unmetered(self, offset: int, data: bytes) -> None:
-        self._check(offset, len(data))
-        self.mapped.write_unmetered(self.base + offset, data)
-
-
-class LineCacheProtocol:
-    """Interface for the timing-only CPU cache model."""
-
-    def touch(self, region_name: str, line: int) -> bool:  # pragma: no cover
-        raise NotImplementedError
-
-    def touch_range(
-        self, region_name: str, first_line: int, last_line: int
-    ) -> tuple[int, int]:
-        """Touch ``first_line..last_line`` inclusive; return (hits, misses).
-
-        Default implementation probes line by line via :meth:`touch`, so
-        custom timing caches only need to override ``touch``; the
-        concrete :class:`~repro.hardware.cache.LineCacheModel` overrides
-        this with a coalesced probe.
-        """
-        hits = 0
-        touch = self.touch
-        for line in range(first_line, last_line + 1):
-            if touch(region_name, line):
-                hits += 1
-        return hits, (last_line - first_line + 1) - hits
-
-    def drop_region(self, region_name: str) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def drop_lines(
-        self, region_name: str, first_line: int, last_line: int
-    ) -> None:  # pragma: no cover
-        raise NotImplementedError
+    def read_run(self, fmt: Struct, offset: int, stride: int, count: int) -> list:
+        offsets = range(offset, offset + count * stride, stride)
+        if offsets:
+            low, end = min(offset, offsets[-1]), max(offset, offsets[-1]) + fmt.size
+            if low < 0 or end > self.size:
+                self._reject(low, end - low)
+        return self.mapped.read_run(fmt, self.base + offset, stride, count)

@@ -8,9 +8,9 @@ taxonomy, and a duration in simulated nanoseconds, so
 latency into per-mechanism buckets and
 :mod:`repro.obs.export` can render the tree in Perfetto.
 
-Installation mirrors :mod:`repro.obs.trace` exactly: one module global,
-and every instrumented call site pays one global load plus a ``None``
-check when tracing is disabled:
+Installation mirrors :mod:`repro.obs.trace` exactly: the same probe
+slot, and every instrumented call site pays one slot load plus a
+``None`` check when tracing is disabled:
 
 .. code-block:: python
 
@@ -66,6 +66,8 @@ segment: spans that survive a ``yield`` must be created with
 from __future__ import annotations
 
 from typing import Any, Callable, Optional, Union
+
+from .probes import PROBES
 
 __all__ = [
     "MECHANISM_KINDS",
@@ -431,21 +433,14 @@ class SpanTracer:
         uninstall(self)
 
 
-_ACTIVE: Optional[SpanTracer] = None
-
-
 def active() -> Optional[SpanTracer]:
     """The installed span tracer, or None (the common, fast case)."""
-    return _ACTIVE
+    return PROBES.spans
 
 
 def install(tracer: SpanTracer) -> SpanTracer:
     """Install the span tracer; instrumented call sites start recording."""
-    global _ACTIVE
-    if _ACTIVE is not None and _ACTIVE is not tracer:
-        raise RuntimeError("another SpanTracer is already installed")
-    _ACTIVE = tracer
-    return tracer
+    return PROBES.install("spans", tracer)
 
 
 def uninstall(tracer: Optional[SpanTracer] = None) -> None:
@@ -453,7 +448,4 @@ def uninstall(tracer: Optional[SpanTracer] = None) -> None:
 
     Passing the tracer asserts you are removing the one you installed.
     """
-    global _ACTIVE
-    if tracer is not None and _ACTIVE is not None and _ACTIVE is not tracer:
-        raise RuntimeError("a different SpanTracer is installed")
-    _ACTIVE = None
+    PROBES.uninstall("spans", tracer)

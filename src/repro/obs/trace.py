@@ -1,7 +1,8 @@
 """The tracer: structured events in bounded per-subsystem ring buffers.
 
-Installation mirrors :mod:`repro.faults.injector`: a single module
-global holds the active tracer, and every instrumented call site does
+Installation mirrors :mod:`repro.faults.injector`: one process-wide
+slot (:data:`repro.obs.probes.PROBES`) holds the active tracer, and every
+instrumented call site does
 
 .. code-block:: python
 
@@ -9,7 +10,7 @@ global holds the active tracer, and every instrumented call site does
     if tracer is not None:
         tracer.emit("sharing", "flush", node=..., page=..., lines=...)
 
-so the *disabled* cost is one global load plus a ``None`` check — no
+so the *disabled* cost is one slot load plus a ``None`` check — no
 kwargs dict is ever built, no string is formatted. Hot paths that only
 count (no event payload) use ``tracer.count(...)`` the same way.
 
@@ -28,6 +29,7 @@ from collections import deque
 from typing import Callable, Iterable, Optional
 
 from .counters import CounterRegistry
+from .probes import PROBES
 
 __all__ = ["TraceEvent", "Tracer", "active", "install", "uninstall"]
 
@@ -150,21 +152,14 @@ class Tracer:
         uninstall(self)
 
 
-_ACTIVE: Optional[Tracer] = None
-
-
 def active() -> Optional[Tracer]:
     """The installed tracer, or None (the common, fast case)."""
-    return _ACTIVE
+    return PROBES.tracer
 
 
 def install(tracer: Tracer) -> Tracer:
     """Install the tracer; instrumented call sites start emitting."""
-    global _ACTIVE
-    if _ACTIVE is not None and _ACTIVE is not tracer:
-        raise RuntimeError("another Tracer is already installed")
-    _ACTIVE = tracer
-    return tracer
+    return PROBES.install("tracer", tracer)
 
 
 def uninstall(tracer: Optional[Tracer] = None) -> None:
@@ -172,7 +167,4 @@ def uninstall(tracer: Optional[Tracer] = None) -> None:
 
     Passing the tracer asserts you are removing the one you installed.
     """
-    global _ACTIVE
-    if tracer is not None and _ACTIVE is not None and _ACTIVE is not tracer:
-        raise RuntimeError("a different Tracer is installed")
-    _ACTIVE = None
+    PROBES.uninstall("tracer", tracer)

@@ -19,7 +19,10 @@ from repro.core.memmgr import (
     TenancyViolation,
 )
 from repro.db.constants import PAGE_SIZE
-from repro.hardware.memory import AccessMeter
+from repro.hardware.cache import LineCacheModel
+from repro.hardware.host import cxl_timing
+from repro.hardware.memory import AccessMeter, MappedMemory, MemoryRegion
+from repro.sim.latency import LatencyConfig
 
 
 @pytest.fixture
@@ -74,18 +77,15 @@ class TestCxlMemoryManager:
         assert manager.owner_of(63 << 20) is None
 
 
-class _Mem:
-    """Raw in-memory window standing in for a mapped extent."""
-
-    def __init__(self, size):
-        self.size = size
-        self.buf = bytearray(size)
-
-    def read(self, offset, nbytes):
-        return bytes(self.buf[offset : offset + nbytes])
-
-    def write(self, offset, data):
-        self.buf[offset : offset + len(data)] = data
+def _Mem(size):
+    """A mapped extent of its own: block views are windows onto one."""
+    return MappedMemory(
+        MemoryRegion("extent", size, volatile=False),
+        cxl_timing(LatencyConfig()),
+        AccessMeter(),
+        LineCacheModel(),
+        "cxl",
+    )
 
 
 class TestBlockLayout:

@@ -29,6 +29,9 @@ class _BytesAccessor:
     def write(self, offset, data):
         self.buf[offset : offset + len(data)] = data
 
+    def unpack(self, fmt, offset):
+        return fmt.unpack_from(self.buf, offset)
+
 
 class TestPageLayout:
     def test_format_empty_page_header(self):

@@ -1,0 +1,127 @@
+"""The typed access primitives charge exactly what the reads they stand
+for would — bare and with every instrument installed.
+
+``MappedMemory.unpack`` / ``read_run`` and ``WindowedMemory`` are
+host-side speed-ups only: for any access list, going through them must
+leave ``meter.ns`` (bit for bit), the counters, the transfer list and
+the line cache's LRU order exactly as the per-field sequence of
+``read`` / ``write`` calls does. Bare, the reference is the frozen
+pre-optimization ``_RefMappedMemory`` (``bench.perf.check_equivalence``);
+under ``Tracer`` / ``SpanTracer`` / ``MemSan`` it is the per-field
+sequence on a twin memory under a twin instrument, and what the
+instrument saw must be equal too. The line cache holds a handful of
+lines, so runs evict in the middle.
+"""
+
+import struct
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.memsan import MemSan
+from repro.bench.perf import (
+    EQUIVALENCE_SPAN,
+    check_equivalence,
+    metering_state,
+    replay_accesses,
+)
+from repro.hardware.cache import LineCacheModel
+from repro.hardware.host import cxl_timing
+from repro.hardware.memory import AccessMeter, MappedMemory, MemoryRegion, WindowedMemory
+from repro.obs import SpanTracer, Tracer
+from repro.sim.latency import CACHE_LINE, LatencyConfig
+
+FORMATS = [struct.Struct(f) for f in ("<B", "<H", "<Q", "<QQ")]
+HOT = 1024  # offsets fall in 16 lines; the caches below hold 2..12
+MAX_RUN = 48
+MARGIN = MAX_RUN * 3 * 16  # the longest run, either way, stays in the window
+
+offsets = st.integers(MARGIN, MARGIN + HOT - 1)
+reads = st.tuples(
+    st.just("read"), offsets, st.sampled_from([0, 1, 2, 8, 63, 64, 65, 130, 255, 256, 700])
+)
+writes = st.builds(
+    lambda offset, nbytes, fill: ("write", offset, bytes([fill]) * nbytes),
+    offsets,
+    st.sampled_from([1, 2, 8, 61, 64, 130, 300]),
+    st.integers(0, 255),
+)
+unpacks = st.tuples(st.just("unpack"), st.sampled_from(FORMATS), offsets)
+
+
+@st.composite
+def runs(draw):
+    fmt = draw(st.sampled_from(FORMATS))
+    step = draw(st.sampled_from([1, 2, 3, -1, -2])) * draw(st.sampled_from([fmt.size, 1, 3]))
+    count = draw(st.integers(0, MAX_RUN))
+    offset = draw(offsets)
+    if draw(st.booleans()):
+        offset -= offset % fmt.size
+    return ("run", fmt, offset, step, count)
+
+
+op_lists = st.lists(st.one_of(reads, writes, unpacks, runs()), max_size=40)
+cache_lines = st.integers(2, 12)
+
+
+def _memory(lines: int) -> MappedMemory:
+    return MappedMemory(
+        MemoryRegion("eq", 1 << 16, volatile=False),
+        cxl_timing(LatencyConfig()),
+        AccessMeter(),
+        LineCacheModel(lines * CACHE_LINE),
+        "cxl",
+    )
+
+
+def _typed(ops, lines):
+    """Through the primitives, behind a window nested in a window."""
+    mapped = _memory(lines)
+    window = WindowedMemory(WindowedMemory(mapped, 4096, 1 << 15), 24, 1 << 14)
+    return replay_accesses(window, ops, typed=True), metering_state(mapped)
+
+
+def _per_field(ops, lines):
+    mapped = _memory(lines)
+    return replay_accesses(mapped, ops, typed=False, base=4096 + 24), metering_state(mapped)
+
+
+@settings(max_examples=60, deadline=None)
+@given(op_lists, cache_lines)
+def test_bare_equals_the_frozen_reference(ops, lines):
+    assert EQUIVALENCE_SPAN > HOT + 2 * MARGIN
+    check_equivalence(ops=ops, cache_bytes=lines * CACHE_LINE)
+
+
+@settings(max_examples=40, deadline=None)
+@given(op_lists, cache_lines)
+def test_equal_under_every_instrument(ops, lines):
+    bare = _typed(ops, lines)
+    assert bare == _per_field(ops, lines)
+
+    seen = []
+    for replay in (_typed, _per_field):
+        with Tracer() as tracer:
+            assert replay(ops, lines) == bare  # instruments do not perturb the model
+        seen.append(tracer.counters.snapshot())
+    assert seen[0] == seen[1]
+
+    seen = []
+    for replay in (_typed, _per_field):
+        with SpanTracer() as spans:
+            root = spans.begin("txn", "eq")
+            assert replay(ops, lines) == bare
+            spans.end(root)
+            replay(ops, lines)  # nothing attached: every charge is dropped, and counted
+        seen.append((root.costs, spans.dropped_costs))
+    assert seen[0] == seen[1]
+
+    seen = []
+    for replay in (_typed, _per_field):
+        with MemSan() as memsan:
+            memsan.watch_region("eq")
+            with memsan.actor("node0"):
+                assert replay(ops, lines) == bare
+        seen.append((memsan.accesses_checked, memsan.reports))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == sum(1 if op[0] != "run" else op[4] for op in ops)

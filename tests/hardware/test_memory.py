@@ -1,5 +1,7 @@
 """Memory regions, volatility, metering, mapped/windowed access."""
 
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -149,13 +151,6 @@ class TestMappedMemory:
         mapped.read(0, 8)
         assert meter.transfers == []
 
-    def test_unmetered_access_free(self):
-        meter = AccessMeter()
-        mapped = _mapped("cxl", meter, LineCacheModel())
-        mapped.write_unmetered(0, b"x")
-        assert mapped.read_unmetered(0, 1) == b"x"
-        assert meter.ns == 0
-
     def test_straddling_read_touches_two_lines(self):
         meter = AccessMeter()
         mapped = _mapped("dram", meter, LineCacheModel())
@@ -169,7 +164,7 @@ class TestWindowedMemory:
         mapped = _mapped("cxl", meter, LineCacheModel())
         window = WindowedMemory(mapped, base=4096, size=8192)
         window.write(0, b"abc")
-        assert mapped.read_unmetered(4096, 3) == b"abc"
+        assert mapped.region.read(4096, 3) == b"abc"
         assert window.read(0, 3) == b"abc"
 
     def test_bounds(self):
@@ -181,10 +176,92 @@ class TestWindowedMemory:
         with pytest.raises(IndexError):
             WindowedMemory(mapped, base=(1 << 20) - 64, size=128)
 
-    def test_unmetered_passthrough(self):
+    def test_nested_windows_flatten(self):
         meter = AccessMeter()
         mapped = _mapped("cxl", meter, LineCacheModel())
-        window = WindowedMemory(mapped, base=64, size=512)
-        window.write_unmetered(0, b"zz")
-        assert window.read_unmetered(0, 2) == b"zz"
-        assert meter.ns == 0
+        outer = WindowedMemory(mapped, base=4096, size=8192)
+        inner = WindowedMemory(outer, base=128, size=256)
+        assert inner.mapped is mapped
+        assert (inner.base, inner.size) == (4096 + 128, 256)
+        inner.write(8, b"xy")
+        assert mapped.region.read(4096 + 128 + 8, 2) == b"xy"
+        with pytest.raises(IndexError):
+            WindowedMemory(outer, base=8000, size=256)  # inside mapped, outside outer
+
+    def test_typed_reads_match_read(self):
+        meter = AccessMeter()
+        mapped = _mapped("cxl", meter, LineCacheModel())
+        window = WindowedMemory(mapped, base=4096, size=8192)
+        window.write(0, struct.pack("<4H", 1, 2, 3, 4))
+        u16 = struct.Struct("<H")
+        assert window.unpack(u16, 2) == (2,)
+        assert window.read_run(u16, 6, -2, 4) == [(4,), (3,), (2,), (1,)]
+        assert window.read_run(u16, 0, 2, 0) == []
+        with pytest.raises(IndexError):
+            window.read_run(u16, 2, -2, 3)  # third element is below the window
+        with pytest.raises(IndexError):
+            window.unpack(u16, 8191)
+
+
+def _poisoned_dram(kind: str, meter: AccessMeter, cache: LineCacheModel) -> MappedMemory:
+    region = MemoryRegion("lost", 4096, volatile=True)
+    region.power_fail()
+    return MappedMemory(region, dram_timing(LatencyConfig()), meter, cache, "dram")
+
+
+_U64 = struct.Struct("<Q")
+
+
+def _window(mapped: MappedMemory) -> WindowedMemory:
+    return WindowedMemory(mapped, 64, 128)
+
+
+REJECTED = {
+    # The three cases of the issue: each charged (and cached a phantom
+    # line, or booked negative bytes) before raising at the parent commit.
+    "read past the region": (_mapped, lambda m: m.read(1 << 20, 8), IndexError),
+    "negative length through a window": (
+        _mapped, lambda m: _window(m).read(10, -20), IndexError),
+    "read of a power-failed region": (
+        _poisoned_dram, lambda m: m.read(0, 8), PoisonedMemoryError),
+    # Every other way in.
+    "negative offset": (_mapped, lambda m: m.read(-8, 8), IndexError),
+    "negative length": (_mapped, lambda m: m.read(64, -20), IndexError),
+    "write across the end": (
+        _mapped, lambda m: m.write((1 << 20) - 4, b"12345678"), IndexError),
+    "unpack across the end": (
+        _mapped, lambda m: m.unpack(_U64, (1 << 20) - 4), IndexError),
+    "run past the end": (
+        _mapped, lambda m: m.read_run(_U64, 0, 8, (1 << 17) + 1), IndexError),
+    "descending run below zero": (
+        _mapped, lambda m: m.read_run(_U64, 16, -8, 4), IndexError),
+    "run with stride zero": (_mapped, lambda m: m.read_run(_U64, 0, 0, 4), ValueError),
+    "window: read across its end": (
+        _mapped, lambda m: _window(m).read(120, 16), IndexError),
+    "window: write across its end": (
+        _mapped, lambda m: _window(m).write(126, b"abc"), IndexError),
+    "window: unpack below its base": (
+        _mapped, lambda m: _window(m).unpack(_U64, -8), IndexError),
+    "window: run across its end": (
+        _mapped, lambda m: _window(m).read_run(_U64, 0, 8, 17), IndexError),
+    "poisoned: write": (_poisoned_dram, lambda m: m.write(0, b"x"), PoisonedMemoryError),
+    "poisoned: unpack": (_poisoned_dram, lambda m: m.unpack(_U64, 0), PoisonedMemoryError),
+    "poisoned: run": (
+        _poisoned_dram, lambda m: m.read_run(_U64, 0, 8, 2), PoisonedMemoryError),
+    "poisoned: burst read": (
+        _poisoned_dram, lambda m: m.read(0, 1024), PoisonedMemoryError),
+}
+
+
+@pytest.mark.parametrize("build, access, error", REJECTED.values(), ids=REJECTED.keys())
+def test_rejected_access_charges_nothing(build, access, error):
+    """Validate first: a refused access leaves the meter, the line cache
+    and every counter exactly as they were."""
+    meter = AccessMeter()
+    cache = LineCacheModel()
+    mapped = build("cxl", meter, cache)
+    with pytest.raises(error):
+        access(mapped)
+    assert meter.ns == 0.0
+    assert meter.transfers == [] and meter.counters == {}
+    assert list(cache.lines) == [] and (cache.hits, cache.misses) == (0, 0)

@@ -20,6 +20,7 @@ import repro.hardware.cache
 import repro.hardware.memory
 import repro.obs.counters
 import repro.obs.metrics
+import repro.obs.probes
 import repro.obs.slo
 import repro.obs.spans
 import repro.obs.trace
@@ -41,6 +42,7 @@ DOCUMENTED_MODULES = [
     repro.obs.trace,
     repro.obs.counters,
     repro.obs.metrics,
+    repro.obs.probes,
     repro.obs.slo,
     repro.obs.spans,
     repro.faults.injector,
