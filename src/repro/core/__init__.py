@@ -23,7 +23,7 @@ from .memmgr import (
     TenancyViolation,
 )
 from .recovery import PolarRecv, RecoveryStats, apply_redo_to_image
-from .sharing import CachedPageAccessor, MultiPrimaryNode, SharedCxlBufferPool
+from .sharing import MultiPrimaryNode, SharedCxlBufferPool
 
 __all__ = [
     "BLOCK_META_SIZE",
@@ -50,7 +50,6 @@ __all__ = [
     "PolarRecv",
     "RecoveryStats",
     "apply_redo_to_image",
-    "CachedPageAccessor",
     "MultiPrimaryNode",
     "SharedCxlBufferPool",
 ]

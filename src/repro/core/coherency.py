@@ -22,10 +22,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..analysis.memsan import active as memsan_active
 from ..hardware.memory import AccessMeter, MemoryRegion
-from ..obs.spans import active as spans_active
-from ..obs.trace import active as obs_active
+from ..obs.probes import PROBES as _PROBES
 from ..sim.latency import LatencyConfig
 
 __all__ = ["FlagSlab", "FLAG_BYTES_PER_ENTRY", "set_remote_flag"]
@@ -43,7 +41,7 @@ def set_remote_flag(
     value: bool = True,
 ) -> None:
     """One CXL store to a flag byte, charged to the acting meter."""
-    ms = memsan_active()
+    ms = _PROBES.memsan
     if ms is None:
         region.write(addr, b"\x01" if value else b"\x00")
     else:
@@ -53,7 +51,7 @@ def set_remote_flag(
     if meter is not None:
         meter.charge_ns(config.cxl_flag_store_ns)
         meter.count("flag_stores")
-    tracer = obs_active()
+    tracer = _PROBES.tracer
     if tracer is not None:
         tracer.count("coh.flag_stores")
 
@@ -106,10 +104,10 @@ class FlagSlab:
     # -- node-side reads (uncached CXL loads) ------------------------------------------
 
     def read_invalid(self, entry: int) -> bool:
-        return self._read_flag(self.invalid_addr(entry))
+        return self._read_flag(self._invalid_addrs, entry)
 
     def read_removal(self, entry: int) -> bool:
-        return self._read_flag(self.removal_addr(entry))
+        return self._read_flag(self._removal_addrs, entry)
 
     def clear_invalid(self, entry: int) -> None:
         set_remote_flag(
@@ -140,27 +138,36 @@ class FlagSlab:
             )
         return self.n_entries
 
-    def _read_flag(self, addr: int) -> bool:
+    def _read_flag(self, addrs: list[int], entry: int) -> bool:
+        """One uncached CXL load of a flag byte — the protocol's check on
+        every page access, so with no instrument installed it is this
+        frame alone: charge, count, poison check, byte test."""
+        if not 0 <= entry < self.n_entries:
+            raise IndexError(f"flag entry {entry} out of range")
+        addr = addrs[entry]
         meter = self.meter
         meter.ns += self._flag_read_ns
         counters = meter.counters
         counters["flag_reads"] = counters.get("flag_reads", 0.0) + 1.0
-        tracer = obs_active()
+        region = self.region
+        if not _PROBES.any:
+            # The slab lies inside the region (checked at construction),
+            # which leaves lost contents as the one thing to refuse.
+            if region._poisoned:
+                region.read(addr, 1)  # raises PoisonedMemoryError
+            return region._data[addr] != 0
+        tracer = _PROBES.tracer
         if tracer is not None:
             tracer.count("coh.flag_reads")
-        spans = spans_active()
+        spans = _PROBES.spans
         if spans is not None:
             # An uncached CXL load — attributed to the cxl_access bucket
             # of whichever span (page_fix, usually) is doing the read.
             spans.add_ns("cxl_access", self._flag_read_ns)
-        ms = memsan_active()
+        ms = _PROBES.memsan
         if ms is None:
-            return self.region.read(addr, 1) != b"\x00"
+            return region.read(addr, 1) != b"\x00"
         with ms.internal():
-            value = self.region.read(addr, 1) != b"\x00"
-        ms.flag_read(self.region.name, addr, value)
+            value = region.read(addr, 1) != b"\x00"
+        ms.flag_read(region.name, addr, value)
         return value
-
-    def _check(self, entry: int) -> None:
-        if not 0 <= entry < self.n_entries:
-            raise IndexError(f"flag entry {entry} out of range")

@@ -37,7 +37,7 @@ from ..db.constants import PAGE_SIZE
 from ..db.engine import Engine
 from ..db.page import PageView
 from ..faults.injector import InjectedCrash, crash_point
-from ..hardware.cache import CpuCache
+from ..hardware.cache import CacheWindow, CpuCache
 from ..hardware.memory import AccessMeter, MemoryRegion
 from ..obs.spans import active as spans_active
 from ..obs.spans import attached as span_attached
@@ -53,51 +53,19 @@ from .fusion import (
     RpcExhaustedError,
 )
 
-__all__ = ["CachedPageAccessor", "SharedCxlBufferPool", "MultiPrimaryNode"]
+__all__ = ["SharedCxlBufferPool", "MultiPrimaryNode"]
 
 _INVALIDATE_LINE_NS = 40.0  # clflush of a clean cached line
 
 
-class CachedPageAccessor:
-    """Page accessor routed through a node's CPU cache onto CXL memory."""
-
-    __slots__ = ("cache", "region", "base")
-
-    def __init__(self, cache: CpuCache, region: MemoryRegion, base: int) -> None:
-        self.cache = cache
-        self.region = region
-        self.base = base
-
-    def read(self, offset: int, nbytes: int) -> bytes:
-        return self.cache.read(self.region, self.base + offset, nbytes)
-
-    def write(self, offset: int, data: bytes) -> None:
-        self.cache.write(self.region, self.base + offset, data)
-
-    # The typed reads are the plain per-field loop over CpuCache.read:
-    # sharing traffic stays byte for byte what separate reads produce.
-
-    def unpack(self, fmt, offset: int) -> tuple:
-        return fmt.unpack(self.cache.read(self.region, self.base + offset, fmt.size))
-
-    def read_run(self, fmt, offset: int, stride: int, count: int) -> list:
-        return [self.unpack(fmt, offset + i * stride) for i in range(count)]
-
-
 class _NodePageMeta:
-    """One entry of the node's page metadata buffer.
+    """One entry of the node's page metadata buffer."""
 
-    Caches the page's :class:`CachedPageAccessor`: the accessor is a
-    pure (cache, region, data_offset) view, so it stays valid until the
-    fusion server recycles the slot and ``data_offset`` changes.
-    """
-
-    __slots__ = ("entry", "data_offset", "accessor")
+    __slots__ = ("entry", "data_offset")
 
     def __init__(self, entry: int, data_offset: int) -> None:
         self.entry = entry
         self.data_offset = data_offset
-        self.accessor: Optional[CachedPageAccessor] = None
 
 
 class SharedCxlBufferPool(BufferPool):
@@ -164,7 +132,6 @@ class SharedCxlBufferPool(BufferPool):
                 self.flag_slab.clear_removal(meta.entry)
                 self.cpu_cache.invalidate(self.region, meta.data_offset, PAGE_SIZE)
                 meta.data_offset = self._request_page_rpc(page_id, meta.entry)
-                meta.accessor = None  # the cached view points at the old slot
                 if tracer is not None:
                     tracer.count("sharing.removals_observed")
             saw_invalid = self.flag_slab.read_invalid(meta.entry)
@@ -209,14 +176,11 @@ class SharedCxlBufferPool(BufferPool):
                 )
         self.fusion.note_touch(page_id)
         self._pins[page_id] = self._pins.get(page_id, 0) + 1
-        accessor = meta.accessor
-        if accessor is None:
-            accessor = meta.accessor = CachedPageAccessor(
-                self.cpu_cache, self.region, meta.data_offset
-            )
         if span is not None:
             spans.end(span)
-        return PageView(page_id, accessor, self)
+        return PageView(
+            page_id, CacheWindow(self.cpu_cache, self.region, meta.data_offset), self
+        )
 
     def new_page(self, page_id: int, page_type: int, level: int = 0) -> PageView:
         raise NotImplementedError(

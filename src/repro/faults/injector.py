@@ -222,8 +222,26 @@ def uninstall(injector: Optional[FaultInjector] = None) -> None:
     _ACTIVE = None
 
 
-def crash_point(name: str) -> None:
-    """Hot-path hook: one global load + None check when inactive."""
+def crash_point(name: str, hits: int = 1) -> None:
+    """Hot-path hook: one global load + None check when inactive.
+
+    ``hits`` consecutive hits of ``name`` are recorded one by one, for a
+    loop whose iterations between two state changes collapse into one
+    call (``clflush`` over the absent lines of a range): hit counts, the
+    trace and the ``(point, hit)`` an armed crash fires at are exactly
+    what ``hits`` separate calls produce.
+
+    >>> with FaultInjector().arm("demo.line", hit=3) as injector:
+    ...     crash_point("demo.line", hits=5)
+    Traceback (most recent call last):
+        ...
+    repro.faults.injector.InjectedCrash: injected crash at 'demo.line' (hit 3)
+    >>> injector.trace
+    [('demo.line', 1), ('demo.line', 2), ('demo.line', 3)]
+    """
     injector = _ACTIVE
     if injector is not None:
-        injector.point(name)
+        if hits < 0:
+            raise ValueError("hit count must be non-negative")
+        for _ in range(hits):
+            injector.point(name)

@@ -1,6 +1,6 @@
 """Simulated hardware: memory, CPU caches, CXL fabric, RDMA NICs, hosts."""
 
-from .cache import CpuCache, LineCacheModel
+from .cache import CacheWindow, CpuCache, LineCacheModel
 from .cxl import CxlFabric, CxlMemoryDevice, CxlSwitch
 from .host import Cluster, Host, cxl_timing, dram_timing
 from .memory import (
@@ -15,6 +15,7 @@ from .memory import (
 from .rdma import RdmaNic
 
 __all__ = [
+    "CacheWindow",
     "CpuCache",
     "LineCacheModel",
     "CxlFabric",

@@ -18,21 +18,22 @@ Two distinct models, for two distinct jobs:
   ``clflush``, and stale clean lines really do serve old data until
   invalidated. The coherency protocol in :mod:`repro.core.coherency` is
   correct iff the tests built on this model observe no stale reads.
+  A :class:`CacheWindow` is one page's view of it — the page accessor
+  of the sharing pools.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from struct import Struct
 from typing import Optional
 
-from ..analysis.memsan import active as memsan_active
 from ..faults.injector import crash_point
-from ..obs.spans import active as spans_active
-from ..obs.trace import active as obs_active
+from ..obs.probes import PROBES as _PROBES
 from ..sim.latency import CACHE_LINE
-from .memory import AccessMeter, MemoryRegion
+from .memory import AccessMeter, MemoryRegion, TransferCharge
 
-__all__ = ["LineCacheModel", "CpuCache"]
+__all__ = ["LineCacheModel", "CpuCache", "CacheWindow"]
 
 
 class LineCacheModel:
@@ -40,7 +41,7 @@ class LineCacheModel:
 
     ``lines`` is the LRU itself, oldest first. It is public because
     :class:`~repro.hardware.memory.MappedMemory` probes it inline for
-    single-line accesses (the simulator's hottest operation); such a
+    single-line accesses (the pooled workloads' hottest operation); such a
     probe must do exactly what :meth:`touch` does, and nothing ever
     rebinds the dict.
 
@@ -133,6 +134,10 @@ class LineCacheModel:
         return self.hits / total if total else 0.0
 
 
+# Lines per group of the resident-line index: a 16 KB page, when aligned.
+_GROUP_SHIFT = 8
+
+
 class CpuCache:
     """Functional write-back line cache over shared memory regions.
 
@@ -145,6 +150,12 @@ class CpuCache:
     Latency accounting (into ``meter``, when provided): line fills and
     write-backs charge ``miss_ns`` per line; cached accesses charge
     ``hit_ns``. Bytes written back are charged to ``pipe_key``.
+
+    Beside the global per-line LRU the cache keeps which lines of each
+    aligned group of 256 are resident, so a range operation (``clflush``
+    / ``invalidate`` / ``dirty_lines`` of a page) visits the handful of
+    lines that are cached, in ascending order, instead of probing every
+    line of the range.
     """
 
     def __init__(
@@ -162,9 +173,18 @@ class CpuCache:
         self.miss_ns = miss_ns
         self.hit_ns = hit_ns
         self.pipe_key = pipe_key
-        # (region, line) -> [bytes, dirty]
+        # (region, line) -> [bytes, dirty, MemoryRegion], least recent first.
         self._lines: OrderedDict[tuple[str, int], list] = OrderedDict()
-        self._regions: dict[str, MemoryRegion] = {}
+        # (region, line >> _GROUP_SHIFT) -> the group's resident lines;
+        # kept in step with _lines by _fill, _drop and drop_all only.
+        self._resident: dict[tuple[str, int], set[int]] = {}
+        # Every fill moves the same (pipe, 64 B): one shared immutable
+        # charge and two interned counter names instead of one per miss.
+        self._line_charge = (
+            TransferCharge(pipe_key, CACHE_LINE) if pipe_key is not None else None
+        )
+        self._pipe_bytes_key = f"{pipe_key}_bytes"
+        self._pipe_ops_key = f"{pipe_key}_ops"
         self.fills = 0
         self.write_backs = 0
         self.stale_serves = 0  # diagnostic: cached reads (may be stale)
@@ -173,7 +193,6 @@ class CpuCache:
 
     def read(self, region: MemoryRegion, offset: int, nbytes: int) -> bytes:
         """Read through the cache; cached lines win over backing memory."""
-        self._regions[region.name] = region
         if nbytes <= 0:
             return b""
         line = offset // CACHE_LINE
@@ -184,31 +203,22 @@ class CpuCache:
             return self._load_entry(region, line)[0][line_off : line_off + nbytes]
         out = bytearray()
         for line, line_off, span in _line_spans(offset, nbytes):
-            data = self._load_line(region, line)
-            out += data[line_off : line_off + span]
+            out += self._load_entry(region, line)[0][line_off : line_off + span]
         return bytes(out)
 
     def write(self, region: MemoryRegion, offset: int, data: bytes) -> None:
         """Write into the cache only; backing memory unchanged until flush."""
-        self._regions[region.name] = region
         nbytes = len(data)
         if nbytes <= 0:
             return
+        ms = _PROBES.memsan
         line = offset // CACHE_LINE
         if offset + nbytes <= (line + 1) * CACHE_LINE:
-            entry = self._load_entry(region, line)
-            line_off = offset - line * CACHE_LINE
-            buf = bytearray(entry[0])
-            buf[line_off : line_off + nbytes] = data
-            entry[0] = bytes(buf)
-            entry[1] = True
-            ms = memsan_active()
-            if ms is not None:
-                ms.cache_store(self.name, region.name, line)
-            return
+            spans = ((line, offset - line * CACHE_LINE, nbytes),)
+        else:
+            spans = _line_spans(offset, nbytes)
         pos = 0
-        ms = memsan_active()
-        for line, line_off, span in _line_spans(offset, nbytes):
+        for line, line_off, span in spans:
             entry = self._load_entry(region, line)
             buf = bytearray(entry[0])
             buf[line_off : line_off + span] = data[pos : pos + span]
@@ -226,30 +236,35 @@ class CpuCache:
         number of dirty lines written back.
         """
         written = 0
-        ms = memsan_active()
-        for line in _line_range(offset, nbytes):
+        ms = _PROBES.memsan
+        name = region.name
+        first, last = _line_bounds(offset, nbytes)
+        hit = first - 1  # the last line whose crash-point hit is recorded
+        for line in self._resident_lines(name, first, last):
             # Crash between line flushes: lines already flushed are in
             # the backing region, the rest die dirty in this cache — a
             # torn line-set flush, the hazard the per-line write-release
-            # protocol (§3.3) must tolerate.
-            crash_point("cache.clflush.line")
-            entry = self._lines.pop((region.name, line), None)
-            if entry is None:
-                continue
+            # protocol (§3.3) must tolerate. One hit per line of the
+            # range, resident or not: the absent lines below this one
+            # change no state, so their hits are recorded with it.
+            crash_point("cache.clflush.line", hits=line - hit)
+            hit = line
+            entry = self._drop(name, line)
             if entry[1]:
                 if ms is None:
                     region.write(line * CACHE_LINE, entry[0])
                 else:
                     with ms.internal():
                         region.write(line * CACHE_LINE, entry[0])
-                    ms.cache_flush_line(self.name, region.name, line, dirty=True)
+                    ms.cache_flush_line(self.name, name, line, dirty=True)
                 written += 1
             elif ms is not None:
-                ms.cache_flush_line(self.name, region.name, line, dirty=False)
+                ms.cache_flush_line(self.name, name, line, dirty=False)
+        crash_point("cache.clflush.line", hits=last - hit)
         self.write_backs += written
         if self.meter is not None and written:
             self._charge_writeback(written)
-        tracer = obs_active()
+        tracer = _PROBES.tracer
         if tracer is not None and written:
             tracer.count("cache.lines_flushed", written)
             tracer.count("cache.flush_bytes", written * CACHE_LINE)
@@ -261,106 +276,150 @@ class CpuCache:
         Returns the number of lines dropped so callers can charge the
         per-line invalidation cost.
         """
-        dropped = 0
-        ms = memsan_active()
-        for line in _line_range(offset, nbytes):
-            if self._lines.pop((region.name, line), None) is not None:
-                dropped += 1
-                if ms is not None:
-                    ms.cache_invalidate_line(self.name, region.name, line)
-        tracer = obs_active()
-        if tracer is not None and dropped:
-            tracer.count("cache.lines_invalidated", dropped)
-        return dropped
+        ms = _PROBES.memsan
+        name = region.name
+        resident = self._resident_lines(name, *_line_bounds(offset, nbytes))
+        for line in resident:
+            self._drop(name, line)
+            if ms is not None:
+                ms.cache_invalidate_line(self.name, name, line)
+        tracer = _PROBES.tracer
+        if tracer is not None and resident:
+            tracer.count("cache.lines_invalidated", len(resident))
+        return len(resident)
 
     def drop_all(self) -> None:
         """Crash semantics: every cached line, dirty or not, is gone."""
         self._lines.clear()
-        ms = memsan_active()
+        self._resident.clear()
+        ms = _PROBES.memsan
         if ms is not None:
             ms.cache_dropped(self.name)
 
     def dirty_lines(self, region: MemoryRegion, offset: int, nbytes: int) -> int:
         """How many lines in the range are dirty (diagnostics/tests)."""
-        count = 0
-        for line in _line_range(offset, nbytes):
-            entry = self._lines.get((region.name, line))
-            if entry is not None and entry[1]:
-                count += 1
-        return count
+        name = region.name
+        return sum(
+            self._lines[name, line][1]
+            for line in self._resident_lines(name, *_line_bounds(offset, nbytes))
+        )
 
     # -- internals ---------------------------------------------------------------
 
     def _load_entry(self, region: MemoryRegion, line: int) -> list:
+        """One line through the cache: the general, instrumented access
+        (:meth:`CacheWindow.unpack` is its bare single-field form)."""
         key = (region.name, line)
         entry = self._lines.get(key)
-        ms = memsan_active()
         if entry is None:
-            if ms is None:
-                data = region.read(line * CACHE_LINE, CACHE_LINE)
-            else:
-                with ms.internal():
-                    data = region.read(line * CACHE_LINE, CACHE_LINE)
-                ms.cache_load(self.name, region.name, line, fetched=True)
-            entry = [data, False]
-            self._lines[key] = entry
-            self.fills += 1
-            tracer = obs_active()
-            if tracer is not None:
-                tracer.count("cache.lines_filled")
-            if self.meter is not None:
-                self.meter.charge_ns(self.miss_ns)
-                if self.pipe_key is not None:
-                    self.meter.charge_transfer(self.pipe_key, CACHE_LINE)
-                spans = spans_active()
-                if spans is not None:
-                    spans.add_ns("cxl_access", self.miss_ns)
-            self._evict_if_needed()
-        else:
-            self._lines.move_to_end(key)
-            self.stale_serves += 1
-            if ms is not None:
-                ms.cache_load(self.name, region.name, line, fetched=False)
-            if self.meter is not None:
-                self.meter.charge_ns(self.hit_ns)
-                spans = spans_active()
-                if spans is not None:
-                    spans.add_ns("cxl_access", self.hit_ns)
+            return self._fill(region, key)
+        self._lines.move_to_end(key)
+        self.stale_serves += 1
+        ms = _PROBES.memsan
+        if ms is not None:
+            ms.cache_load(self.name, key[0], line, fetched=False)
+        meter = self.meter
+        if meter is not None:
+            meter.ns += self.hit_ns
+            spans = _PROBES.spans
+            if spans is not None:
+                spans.add_ns("cxl_access", self.hit_ns)
         return entry
 
-    def _load_line(self, region: MemoryRegion, line: int) -> bytes:
-        return self._load_entry(region, line)[0]
+    def _fill(self, region: MemoryRegion, key: tuple[str, int]) -> list:
+        """A miss: fetch the line from the region (bounds and poison are
+        its checks), make it resident, charge it, evict over capacity."""
+        name, line = key
+        ms = _PROBES.memsan
+        if ms is None:
+            data = region.read(line * CACHE_LINE, CACHE_LINE)
+        else:
+            with ms.internal():
+                data = region.read(line * CACHE_LINE, CACHE_LINE)
+            ms.cache_load(self.name, name, line, fetched=True)
+        entry = [data, False, region]
+        self._lines[key] = entry
+        group = self._resident.get((name, line >> _GROUP_SHIFT))
+        if group is None:
+            self._resident[name, line >> _GROUP_SHIFT] = {line}
+        else:
+            group.add(line)
+        self.fills += 1
+        tracer = _PROBES.tracer
+        if tracer is not None:
+            tracer.count("cache.lines_filled")
+        meter = self.meter
+        if meter is not None:
+            meter.ns += self.miss_ns
+            charge = self._line_charge
+            if charge is not None:
+                # AccessMeter.charge_transfer, minus the allocation.
+                meter.transfers.append(charge)
+                counters = meter.counters
+                counter = self._pipe_bytes_key
+                counters[counter] = counters.get(counter, 0.0) + CACHE_LINE
+                counter = self._pipe_ops_key
+                counters[counter] = counters.get(counter, 0.0) + 1
+            spans = _PROBES.spans
+            if spans is not None:
+                spans.add_ns("cxl_access", self.miss_ns)
+        if len(self._lines) > self.capacity_lines:
+            self._evict()
+        return entry
 
-    def _evict_if_needed(self) -> None:
-        while len(self._lines) > self.capacity_lines:
-            (region_name, line), entry = self._lines.popitem(last=False)
-            ms = memsan_active()
+    def _resident_lines(self, name: str, first: int, last: int) -> list[int]:
+        """The resident lines of ``first..last`` inclusive, ascending."""
+        found: list[int] = []
+        resident = self._resident
+        for group in range(first >> _GROUP_SHIFT, (last >> _GROUP_SHIFT) + 1):
+            lines = resident.get((name, group))
+            if lines is not None:
+                lines = sorted(lines)
+                if lines[0] < first or lines[-1] > last:  # the range clips this group
+                    lines = [line for line in lines if first <= line <= last]
+                found += lines
+        return found
+
+    def _drop(self, name: str, line: int) -> list:
+        """Take one resident line out of the LRU and the index."""
+        group_key = (name, line >> _GROUP_SHIFT)
+        group = self._resident[group_key]
+        group.remove(line)
+        if not group:
+            del self._resident[group_key]
+        return self._lines.pop((name, line))
+
+    def _evict(self) -> None:
+        lines = self._lines
+        while len(lines) > self.capacity_lines:
+            name, line = next(iter(lines))  # the least recently used
+            entry = self._drop(name, line)
+            ms = _PROBES.memsan
             if entry[1]:
                 # Background write-back of a dirty line on capacity eviction
                 # — this is the "flushed to CXL memory in the background"
                 # hazard from §3.3.
-                region = self._regions[region_name]
                 if ms is None:
-                    region.write(line * CACHE_LINE, entry[0])
+                    entry[2].write(line * CACHE_LINE, entry[0])
                 else:
                     with ms.internal():
-                        region.write(line * CACHE_LINE, entry[0])
-                    ms.cache_flush_line(self.name, region_name, line, dirty=True)
+                        entry[2].write(line * CACHE_LINE, entry[0])
+                    ms.cache_flush_line(self.name, name, line, dirty=True)
                 self.write_backs += 1
                 if self.meter is not None:
                     self._charge_writeback(1)
-                tracer = obs_active()
+                tracer = _PROBES.tracer
                 if tracer is not None:
                     tracer.count("cache.evict_writebacks")
                     tracer.emit(
                         "cache",
                         "evict_writeback",
                         cache=self.name,
-                        region=region_name,
+                        region=name,
                         line=line,
                     )
             elif ms is not None:
-                ms.cache_invalidate_line(self.name, region_name, line)
+                ms.cache_invalidate_line(self.name, name, line)
 
     def _charge_writeback(self, lines: int) -> None:
         assert self.meter is not None
@@ -369,11 +428,81 @@ class CpuCache:
             self.meter.charge_transfer(self.pipe_key, lines * CACHE_LINE)
 
 
-def _line_range(offset: int, nbytes: int) -> range:
-    """Line indices covering [offset, offset+nbytes); empty when nbytes<=0."""
+class CacheWindow:
+    """A span of a region seen through a :class:`CpuCache`, addressed from
+    zero: the page accessor every sharing pool hands the engine.
+
+    ``unpack`` is **the** frame of a cached typed read. With no
+    instrument installed (:data:`repro.obs.probes.PROBES`) a field that
+    lies inside one line is looked up, charged and decoded right here; a
+    miss adds :meth:`CpuCache._fill`. A field that straddles lines and
+    every access made under an instrument go through
+    :meth:`CpuCache.read`; the fused frame must leave the cache, the
+    meter and the transfer list exactly as that would
+    (``bench.perf.check_equivalence``).
+
+    >>> from struct import Struct
+    >>> region = MemoryRegion("shared", 4096, volatile=False)
+    >>> region.write(1024 + 6, b"ab")
+    >>> cache = CpuCache("node0.cache")
+    >>> page = CacheWindow(cache, region, 1024)
+    >>> page.unpack(Struct("2s"), 6)      # cold: fills line 16
+    (b'ab',)
+    >>> page.write(6, b"AB")              # dirty in the cache only
+    >>> page.unpack(Struct("2s"), 6), region.read(1024 + 6, 2)
+    ((b'AB',), b'ab')
+    >>> (cache.fills, cache.stale_serves, cache.dirty_lines(region, 1024, 64))
+    (1, 2, 1)
+    """
+
+    __slots__ = ("cache", "region", "base")
+
+    def __init__(self, cache: CpuCache, region: MemoryRegion, base: int) -> None:
+        self.cache = cache
+        self.region = region
+        self.base = base
+
+    def read(self, offset: int, nbytes: int) -> bytes:
+        return self.cache.read(self.region, self.base + offset, nbytes)
+
+    def write(self, offset: int, data: bytes) -> None:
+        self.cache.write(self.region, self.base + offset, data)
+
+    def unpack(self, fmt: Struct, offset: int) -> tuple:
+        """``fmt.unpack(self.read(offset, fmt.size))`` without the copy."""
+        cache = self.cache
+        at = self.base + offset
+        line_off = at % CACHE_LINE
+        if _PROBES.any or not 0 < fmt.size <= CACHE_LINE - line_off:
+            return fmt.unpack(cache.read(self.region, at, fmt.size))
+        region = self.region
+        lines = cache._lines
+        key = (region.name, at // CACHE_LINE)
+        entry = lines.get(key)
+        if entry is None:
+            entry = cache._fill(region, key)
+        else:
+            lines.move_to_end(key)
+            cache.stale_serves += 1
+            meter = cache.meter
+            if meter is not None:
+                meter.ns += cache.hit_ns
+        return fmt.unpack_from(entry[0], line_off)
+
+    def read_run(self, fmt: Struct, offset: int, stride: int, count: int) -> list:
+        """In order, field by field: sharing traffic stays byte for byte
+        what separate reads produce (no line touch is reordered)."""
+        unpack = self.unpack
+        return [unpack(fmt, offset + i * stride) for i in range(count)]
+
+
+def _line_bounds(offset: int, nbytes: int) -> tuple[int, int]:
+    """First and last line covering [offset, offset+nbytes); when the
+    range is empty, ``last == first - 1``."""
+    first = offset // CACHE_LINE
     if nbytes <= 0:
-        return range(0)
-    return range(offset // CACHE_LINE, (offset + nbytes - 1) // CACHE_LINE + 1)
+        return first, first - 1
+    return first, (offset + nbytes - 1) // CACHE_LINE
 
 
 def _line_spans(offset: int, nbytes: int):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..obs.trace import active as obs_active
+from ..obs.probes import PROBES as _PROBES
 from ..sim.core import Simulator
 from ..sim.latency import LatencyConfig
 from ..sim.resources import Pipe
@@ -160,7 +160,7 @@ class CxlFabric:
                 name=f"{self.name}.link.{host_name}",
             )
             self._host_links[host_name] = pipe
-            tracer = obs_active()
+            tracer = _PROBES.tracer
             if tracer is not None:
                 tracer.count("cxl.host_links")
                 tracer.emit(
@@ -180,6 +180,6 @@ class CxlFabric:
             self._region.power_fail()
             self._region.power_restore()
             self._region.volatile = False
-            tracer = obs_active()
+            tracer = _PROBES.tracer
             if tracer is not None:
                 tracer.emit("cxl", "pool_power_fail", fabric=self.name)

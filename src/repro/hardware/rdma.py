@@ -16,7 +16,7 @@ Both ceilings are FIFO pipes, so exceeding either builds queueing delay
 
 from __future__ import annotations
 
-from ..obs.spans import active as spans_active
+from ..obs.probes import PROBES as _PROBES
 from ..sim.core import Event, Simulator
 from ..sim.latency import LatencyConfig
 from ..sim.resources import Pipe
@@ -78,7 +78,7 @@ class RdmaNic:
         on the pipes shows up separately (``pipe_wait``) when the caller
         settles with a span.
         """
-        spans = spans_active()
+        spans = _PROBES.spans
         if spans is not None:
             spans.record("rpc", f"rdma_{op}", ns=base_ns, nic=self.name, nbytes=nbytes)
 

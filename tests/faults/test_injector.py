@@ -76,6 +76,46 @@ class TestInjectorSemantics:
             inj.point("a", torn=lambda rng: calls.append("yes"))
         assert calls == ["yes"]
 
+    def test_bulk_hits_fire_at_the_armed_hit_with_the_trace_cut_there(self):
+        with FaultInjector().arm("a", 7) as inj:
+            crash_point("a", hits=4)  # hits 1..4 survive
+            with pytest.raises(InjectedCrash) as exc:
+                crash_point("a", hits=10)  # hit 7 is the third of these
+        assert (exc.value.point, exc.value.hit) == ("a", 7)
+        assert inj.fired == ("a", 7)
+        assert inj.hits == {"a": 7}
+        assert inj.trace == [("a", hit) for hit in range(1, 8)]
+
+    def test_arm_after_total_fires_inside_a_bulk_advance(self):
+        with FaultInjector().arm_after_total(5) as inj:
+            crash_point("a", hits=2)
+            crash_point("b")
+            with pytest.raises(InjectedCrash):
+                crash_point("a", hits=6)  # totals 4, 5: fires at a's 4th hit
+        assert inj.fired == ("a", 4)
+        assert inj.trace == [("a", 1), ("a", 2), ("b", 1), ("a", 3), ("a", 4)]
+
+    def test_zero_hits_record_nothing_and_negative_hits_are_refused(self):
+        crash_point("a", hits=0)  # nothing installed: still a no-op
+        with FaultInjector().arm("a", 1) as inj:
+            crash_point("a", hits=0)
+            with pytest.raises(ValueError):
+                crash_point("a", hits=-1)
+        assert inj.trace == [] and inj.hits == {} and inj.fired is None
+
+    def test_bulk_advances_sum_to_the_per_call_loop(self):
+        with FaultInjector() as bulk:
+            crash_point("a", hits=3)
+            crash_point("b", hits=2)
+            crash_point("a", hits=253)
+        with FaultInjector() as loop:
+            for name, hits in (("a", 3), ("b", 2), ("a", 253)):
+                for _ in range(hits):
+                    crash_point(name)
+        assert bulk.trace == loop.trace
+        assert bulk.hits == loop.hits == {"a": 256, "b": 2}
+        assert bulk._total_hits == loop._total_hits == 258
+
     def test_rpc_failures_are_consumed(self):
         inj = FaultInjector().fail_rpcs("rpc", 2)
         assert inj.take_rpc_failure("rpc")

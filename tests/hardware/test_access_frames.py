@@ -1,4 +1,4 @@
-"""The collapsed access path stays collapsed.
+"""The collapsed access paths stay collapsed.
 
 A typed page read used to cross eleven Python frames and three probe
 calls before it reached the region buffer. It is now the page view, the
@@ -7,6 +7,13 @@ instrument installed it consults the probe slot by attribute and calls
 no ``active()``. Counted with ``sys.setprofile`` on a DRAM, a CXL and an
 RDMA pool page, so a wrapper or a probe call that creeps back in fails
 here, deterministically, instead of as a few percent on a noisy box.
+
+The sharing path likewise: a warm typed read on a sharing node's page is
+the page view and ``CacheWindow.unpack`` in ``hardware/cache.py`` (seven
+frames and two ``active()`` calls before), a coherency-flag read is at
+most two frames, and a write-lock release's ``clflush`` enters the crash
+point once per resident line and once for the rest of the page while
+still recording one hit per line.
 """
 
 import sys
@@ -14,8 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import build_pooling_setup
-from repro.db.constants import OFF_NRECS
+from repro.bench.harness import build_pooling_setup, build_sharing_setup
+from repro.db.constants import OFF_NRECS, PAGE_SIZE
+from repro.faults.injector import FaultInjector
 from repro.workloads.sysbench import SysbenchWorkload
 
 
@@ -50,3 +58,49 @@ def test_typed_page_read_is_three_frames_and_no_probe_call(system):
         ("memory.py", "unpack"),  # WindowedMemory: the pool's page accessor
         ("memory.py", "unpack"),  # MappedMemory: the fused frame
     ]
+
+
+@pytest.fixture(scope="module")
+def sharing_node():
+    workload = SysbenchWorkload(rows=100, n_nodes=2)
+    setup = build_sharing_setup("cxl", 2, workload, seed=7, loader_pool_pages=256)
+    return setup.nodes[0]
+
+
+def test_typed_read_on_a_sharing_page_is_two_frames_and_no_probe_call(sharing_node):
+    engine = sharing_node.engine
+    mtr = engine.mtr()
+    view = mtr.get_page(engine.tables["sbtest_shared"].btree.root_page_id)
+    view.read_u16(OFF_NRECS)  # warm the line: the steady-state access is a hit
+    frames = _python_frames(lambda: view.read_u16(OFF_NRECS))
+    mtr.commit()
+    assert frames == [
+        ("page.py", "read_u16"),  # PageView
+        ("cache.py", "unpack"),  # CacheWindow: the fused frame
+    ]
+
+
+def test_flag_read_is_at_most_two_frames_and_no_probe_call(sharing_node):
+    slab = sharing_node.engine.buffer_pool.flag_slab
+    for read_flag in (slab.read_invalid, slab.read_removal):
+        frames = _python_frames(lambda: read_flag(0))
+        assert len(frames) <= 2
+        assert not [frame for frame in frames if frame[1] == "active"]
+
+
+def test_page_flush_records_a_hit_per_line_in_a_call_per_resident_line(sharing_node):
+    pool = sharing_node.engine.buffer_pool
+    cache, region = pool.cpu_cache, pool.region
+    table = sharing_node.engine.tables["sbtest_shared"]
+    base = pool._meta[table.btree.root_page_id].data_offset
+    cache.clflush(region, base, PAGE_SIZE)
+    for line in (3, 90, 200):  # three resident lines, one of them dirty
+        cache.read(region, base + line * 64, 8)
+    cache.write(region, base + 90 * 64, cache.read(region, base + 90 * 64, 8))
+    written = cache.write_backs
+    with FaultInjector() as injector:
+        frames = _python_frames(lambda: cache.clflush(region, base, PAGE_SIZE))
+    assert injector.hits == {"cache.clflush.line": PAGE_SIZE // 64}
+    assert len([frame for frame in frames if frame[1] == "crash_point"]) <= 4
+    assert cache.write_backs == written + 1
+    assert cache.invalidate(region, base, PAGE_SIZE) == 0  # all three lines left the cache
