@@ -38,26 +38,22 @@ def _bench_span_tracer():
     if os.environ.get("REPRO_BENCH_SPANS") != "1":
         yield None
         return
-    from repro.obs import spans as sp
+    from repro.obs.probes import PROBES
+    from repro.obs.spans import SpanTracer
 
-    tracer = sp.active()
-    if tracer is not None:  # the caller already installed one
-        yield tracer
+    if PROBES.spans is not None:  # the caller already installed one
+        yield PROBES.spans
         return
-    tracer = sp.SpanTracer()
-    sp.install(tracer)
-    try:
+    with SpanTracer() as tracer:
         yield tracer
-    finally:
-        sp.uninstall(tracer)
 
 
 @pytest.fixture
 def span_tracer():
-    """The active SpanTracer, or None when spans were not requested."""
-    from repro.obs import spans as sp
+    """The installed SpanTracer, or None when spans were not requested."""
+    from repro.obs.probes import PROBES
 
-    return sp.active()
+    return PROBES.spans
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -69,20 +65,18 @@ def _bench_metrics():
     pipeline can follow many back-to-back simulations. Per-point
     harnesses that want a single-simulation timeline (``fig_scale``,
     the HA scenarios) install their own fresh pipeline instead when
-    none is active.
+    none is installed.
     """
     if os.environ.get("REPRO_BENCH_METRICS") != "1":
         yield None
         return
-    from repro.obs import metrics
+    from repro.obs.metrics import MetricsPipeline
+    from repro.obs.probes import PROBES
 
-    pipeline = metrics.active()
-    if pipeline is not None:  # the caller already installed one
-        yield pipeline
+    if PROBES.metrics is not None:  # the caller already installed one
+        yield PROBES.metrics
         return
-    pipeline = metrics.MetricsPipeline()
-    metrics.install(pipeline)
-    try:
+    with MetricsPipeline() as pipeline:
         yield pipeline
         print(
             f"[metrics] {pipeline.scrapes} scrape(s), "
@@ -90,8 +84,6 @@ def _bench_metrics():
             f"{len(pipeline.all_series())} series, "
             f"{pipeline.total_dropped} dropped"
         )
-    finally:
-        metrics.uninstall(pipeline)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -105,16 +97,12 @@ def _bench_memsan():
     if os.environ.get("REPRO_BENCH_MEMSAN") != "1":
         yield None
         return
-    from repro.analysis import memsan
+    from repro.analysis.memsan import MemSan
+    from repro.obs.probes import PROBES
 
-    ms = memsan.active()
-    if ms is not None:  # the caller already installed one
-        yield ms
+    if PROBES.memsan is not None:  # the caller already installed one
+        yield PROBES.memsan
         return
-    ms = memsan.MemSan()
-    memsan.install(ms)
-    try:
+    with MemSan() as ms:
         yield ms
         ms.check()
-    finally:
-        memsan.uninstall(ms)

@@ -10,8 +10,8 @@ converge below PolarCXLMem, which wins even against LBP-100%.
 
 from repro.bench.harness import build_sharing_setup
 from repro.bench.report import banner, format_table
-from repro.obs import spans as sp
 from repro.obs.critical_path import summarize
+from repro.obs.probes import PROBES
 from repro.workloads.driver import SharingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 
@@ -27,7 +27,7 @@ FLUSH_SHARE = {}  # (config, pct) -> span-derived cache_flush % of latency
 def _run(setup, workload, pct, config=None):
     for node in setup.nodes:
         node.engine.meter.reset()
-    tracer = sp.active()
+    tracer = PROBES.spans
     if tracer is not None:
         tracer.clear()
     driver = SharingDriver(

@@ -14,9 +14,12 @@ list) runs this file; the conftest fixture installs a session-wide
 detector so the other figures can run under it too.
 """
 
-from repro.analysis.memsan import RDMA_PAGES, MemSan, active
+from contextlib import ExitStack
+
+from repro.analysis.memsan import RDMA_PAGES, MemSan
 from repro.bench.harness import build_sharing_setup
 from repro.bench.report import banner
+from repro.obs.probes import PROBES
 from repro.workloads.driver import SharingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 
@@ -55,15 +58,11 @@ def _sweep() -> dict[str, dict]:
     """
     verdicts: dict[str, dict] = {}
     for label, system, kwargs in SYSTEMS:
-        ms = active()
-        installed_here = ms is None
-        if installed_here:
-            ms = MemSan()
-            ms.__enter__()
-        accesses0 = ms.accesses_checked
-        reports0 = len(ms.reports) + ms.reports_dropped
-        lines0 = set(ms._lines)
-        try:
+        with ExitStack() as stack:
+            ms = PROBES.memsan or stack.enter_context(MemSan())
+            accesses0 = ms.accesses_checked
+            reports0 = len(ms.reports) + ms.reports_dropped
+            lines0 = set(ms._lines)
             workload = SysbenchWorkload(
                 rows=ROWS, n_nodes=NODES, key_dist="zipf", zipf_theta=0.9
             )
@@ -72,9 +71,6 @@ def _sweep() -> dict[str, dict]:
             setup = build_sharing_setup(system, NODES, workload, **kwargs)
             for pct in SHARE:
                 _run_one(setup, workload, pct)
-        finally:
-            if installed_here:
-                ms.__exit__(None, None, None)
         verdicts[label] = {
             "accesses": ms.accesses_checked - accesses0,
             "new_reports": ms.reports[reports0 - ms.reports_dropped :],

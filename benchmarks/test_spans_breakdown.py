@@ -11,10 +11,13 @@ of per-transaction commit latency for BOTH systems; the remainder is
 reported explicitly as ``unattributed``.
 """
 
+from contextlib import ExitStack
+
 from repro.bench.harness import build_sharing_setup
 from repro.bench.report import banner, format_span_breakdown
-from repro.obs import spans as sp
 from repro.obs.critical_path import MechanismBreakdown, summarize
+from repro.obs.probes import PROBES
+from repro.obs.spans import SpanTracer
 from repro.workloads.driver import SharingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 
@@ -50,11 +53,9 @@ def _run_one(tracer, setup, workload, pct) -> MechanismBreakdown:
 
 
 def _sweep():
-    tracer = sp.active()
-    installed_here = tracer is None
-    if installed_here:
-        tracer = sp.install(sp.SpanTracer())
-    try:
+    with ExitStack() as stack:
+        # Under ``--spans`` the session-wide tracer is already installed.
+        tracer = PROBES.spans or stack.enter_context(SpanTracer())
         breakdowns = {}
         for label, system, kwargs in SYSTEMS:
             workload = SysbenchWorkload(
@@ -67,9 +68,6 @@ def _sweep():
                 merged.merge(_run_one(tracer, setup, workload, pct))
             breakdowns[label] = merged
         return breakdowns
-    finally:
-        if installed_here:
-            sp.uninstall(tracer)
 
 
 def test_spans_breakdown(benchmark, report):

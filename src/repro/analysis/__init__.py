@@ -14,26 +14,6 @@
   it pulls in ``core`` and ``obs``).
 """
 
-from .memsan import (
-    MemSan,
-    MemSanError,
-    RaceReport,
-    active,
-    install,
-    scoped_actor,
-    uninstall,
-    vc_join,
-    vc_leq,
-)
+from .memsan import MemSan, MemSanError, RaceReport, vc_join, vc_leq
 
-__all__ = [
-    "MemSan",
-    "MemSanError",
-    "RaceReport",
-    "active",
-    "install",
-    "scoped_actor",
-    "uninstall",
-    "vc_join",
-    "vc_leq",
-]
+__all__ = ["MemSan", "MemSanError", "RaceReport", "vc_join", "vc_leq"]

@@ -17,7 +17,7 @@ the failover phase (instruments span the run, the injector a phase).
 
 from __future__ import annotations
 
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from ..core.recovery import retire_log
@@ -29,13 +29,10 @@ from ..obs.invariants import (
     assert_trace_invariants,
 )
 from ..obs.metrics import MetricsPipeline
-from ..obs.metrics import active as metrics_active
+from ..obs.probes import PROBES
 from ..obs.spans import SpanTracer
-from ..obs.spans import active as spans_active
 from ..obs.trace import Tracer
-from ..obs.trace import active as trace_active
 from .memsan import MemSan
-from .memsan import active as memsan_active
 
 if TYPE_CHECKING:
     from ..bench.harness import SharingSetup
@@ -57,10 +54,10 @@ class CheckedRun:
     place is then an error, not a silent skip.
 
     >>> with CheckedRun(trace=True, spans=True) as run:
-    ...     trace_active() is run.tracer, spans_active() is run.spans
+    ...     PROBES.tracer is run.tracer, PROBES.spans is run.spans
     (True, True)
     >>> run.check()
-    >>> run.trace_stats.events, run.span_stats.spans, trace_active()
+    >>> run.trace_stats.events, run.span_stats.spans, PROBES.tracer
     (0, 0, None)
     """
 
@@ -86,13 +83,13 @@ class CheckedRun:
         with ExitStack() as stack:
             if isinstance(memsan, MemSan):
                 self.memsan = stack.enter_context(memsan)
-            elif memsan and memsan_active() is None:
+            elif memsan and PROBES.memsan is None:
                 self.memsan = stack.enter_context(MemSan())
-            if trace and trace_active() is None:
+            if trace and PROBES.tracer is None:
                 self.tracer = stack.enter_context(Tracer())
-            if spans and spans_active() is None:
+            if spans and PROBES.spans is None:
                 self.spans = stack.enter_context(SpanTracer())
-            if metrics and metrics_active() is None:
+            if metrics and PROBES.metrics is None:
                 self.metrics = stack.enter_context(MetricsPipeline())
             self._installed = stack.pop_all()
         return self
@@ -112,16 +109,16 @@ class CheckedRun:
         mis-parent the next incarnation's spans; and a scrape forced at
         the crash instant must see only complete published samples.
         """
-        spans = spans_active()
+        spans = PROBES.spans
         if spans is not None:
             spans.abandon_open()
-        pipeline = metrics_active()
+        pipeline = PROBES.metrics
         if pipeline is not None:
             pipeline.maybe_scrape(now_ns)
 
     def flush(self, now_ns: float) -> None:
         """End of run: drain the installed pipeline's open window."""
-        pipeline = metrics_active()
+        pipeline = PROBES.metrics
         if pipeline is not None:
             pipeline.flush(now_ns)
 
@@ -165,14 +162,14 @@ def fail_over(
     """
     fusion = setup.fusion
     assert fusion is not None
-    ms = memsan_active()
+    ms = PROBES.memsan
     if ms is not None:
         ms.actor_crashed(inherits, inheritor=actor)
     filters: list[Optional[Callable[[int], bool]]] = [None]
     if isinstance(fusion, FusionShardRouter):
         owner = fusion.owner_index
         filters = [lambda p, i=i: owner(p) == i for i in range(len(fusion.shards))]
-    with ms.actor(actor) if ms is not None else nullcontext():
+    with PROBES.scoped_actor(actor):
         rebuilt = fusion.recover_node_failure(
             dead.node_id,
             dead.engine.redo_log,

@@ -2,7 +2,7 @@
 
 Every ``python -m repro.*`` command the docs show must still exist:
 the module, its subcommand / experiment / scenario names, and its
-flags. README/EXPERIMENTS/PERFORMANCE drift silently otherwise — a
+flags. README/EXPERIMENTS/PERFORMANCE/DESIGN drift silently otherwise — a
 renamed experiment or a new required flag leaves the runbooks pointing
 at commands that exit 2.
 
@@ -15,7 +15,7 @@ mention.
 
 Usage::
 
-    python -m repro.analysis docs README.md EXPERIMENTS.md PERFORMANCE.md
+    python -m repro.analysis docs README.md EXPERIMENTS.md PERFORMANCE.md DESIGN.md
 
 The same pass checks the registry sizes the docs quote (the lint rule
 range, the number of named crash points) against the live registries.

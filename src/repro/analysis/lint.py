@@ -20,7 +20,7 @@ where a violation is intentional:
 * ``REPRO004`` — no ``spans.begin(...)`` with the default ``push=True``
   inside a generator frame: the attach stack is per-tracer, so a span
   pushed before a ``yield`` leaks onto unrelated processes.  Generators
-  must pass ``push=False`` and use ``attached(...)``.
+  must pass ``push=False`` and use ``PROBES.attached(...)``.
 * ``REPRO005`` — no bare ``except:``, and ``except BaseException:``
   inside a generator must re-raise: swallowing ``GeneratorExit`` or an
   ``InjectedCrash`` inside sim-yielding code corrupts the sweep's
@@ -376,7 +376,7 @@ class _Checker(ast.NodeVisitor):
             node,
             "REPRO004",
             "span begin() inside a generator must pass push=False and "
-            "use attached(...): a pushed span leaks across yields",
+            "use PROBES.attached(...): a pushed span leaks across yields",
         )
 
     # -- iteration order (REPRO006) --------------------------------------

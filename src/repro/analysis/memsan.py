@@ -36,9 +36,9 @@ exactly why the three seeded protocol mutations are detectable:
 * skipped invalid-flag store                 -> ``stale-cached-read``
 * flag-clear reordered before invalidation   -> ``cleared-flag-before-invalidate``
 
-The detector follows the repo's global-hook pattern (``obs/trace.py``)
-and shares its probe slot (``obs/probes.py``): uninstalled cost is one
-slot load plus a ``None`` check at every hook site.
+The detector installs into the probe slot (``obs/probes.py``) like the
+other four instruments: uninstalled cost is one slot load plus a
+``None`` check at every hook site.
 
 >>> ms = MemSan()
 >>> ms.watch_region("cxl.shared")
@@ -61,10 +61,6 @@ __all__ = [
     "MemSan",
     "MemSanError",
     "RaceReport",
-    "active",
-    "install",
-    "uninstall",
-    "scoped_actor",
     "vc_join",
     "vc_leq",
 ]
@@ -197,19 +193,6 @@ class _InternalScope:
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         self._ms._internal -= 1
-
-
-class _NullScope:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullScope":
-        return self
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        return None
-
-
-_NULL_SCOPE = _NullScope()
 
 
 class MemSan:
@@ -731,33 +714,7 @@ class MemSan:
     # -- install protocol ------------------------------------------------
 
     def __enter__(self) -> "MemSan":
-        install(self)
-        return self
+        return PROBES.install("memsan", self)
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        uninstall(self)
-
-
-def active() -> Optional[MemSan]:
-    """The installed detector, or None (one attribute load at hook sites)."""
-    return PROBES.memsan
-
-
-def install(ms: MemSan) -> MemSan:
-    """Install ``ms`` as the global detector; only one may be active."""
-    return PROBES.install("memsan", ms)
-
-
-def uninstall(ms: Optional[MemSan] = None) -> None:
-    """Remove the installed detector (idempotent; never someone else's)."""
-    PROBES.uninstall("memsan", ms)
-
-
-def scoped_actor(name: str) -> object:
-    """Ambient-actor scope against the installed detector, or a no-op.
-
-    The per-segment hook used by ``MultiPrimaryNode``: cheap enough to
-    sit inside generators (one attribute load when disabled).
-    """
-    ms = PROBES.memsan
-    return _NULL_SCOPE if ms is None else _ActorScope(ms, name)
+        PROBES.uninstall("memsan", self)

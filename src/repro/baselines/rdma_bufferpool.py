@@ -16,12 +16,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-from ..hardware.memory import AccessMeter, MappedMemory, MemoryRegion, WindowedMemory
-from ..db.bufferpool import BufferPool, BufferPoolFullError
+from ..db.bufferpool import BufferPoolFullError, LocalBufferPool
 from ..db.constants import PAGE_SIZE
-from ..db.page import PageView, format_empty_page
-from ..obs.spans import active as spans_active
-from ..obs.trace import active as obs_active
+from ..hardware.memory import AccessMeter, MappedMemory, MemoryRegion
+from ..obs.probes import PROBES
 from ..sim.latency import LatencyConfig
 from ..storage.pagestore import PageStore
 
@@ -66,7 +64,7 @@ class RemoteMemoryNode:
             "rdma", PAGE_SIZE, base_ns=self.config.rdma_read_ns(PAGE_SIZE)
         )
         meter.charge_transfer("rdma_ops", 1)
-        tracer = obs_active()
+        tracer = PROBES.tracer
         if tracer is not None:
             tracer.count("rdma.page_reads")
             tracer.count("rdma.read_bytes", PAGE_SIZE)
@@ -91,7 +89,7 @@ class RemoteMemoryNode:
             "rdma", PAGE_SIZE, base_ns=self.config.rdma_write_ns(PAGE_SIZE)
         )
         meter.charge_transfer("rdma_ops", 1)
-        tracer = obs_active()
+        tracer = PROBES.tracer
         if tracer is not None:
             tracer.count("rdma.page_writes")
             tracer.count("rdma.write_bytes", PAGE_SIZE)
@@ -123,8 +121,17 @@ class RemoteMemoryNode:
         return len(self._slot_of)
 
 
-class TieredRdmaBufferPool(BufferPool):
-    """LBP in host DRAM + remote memory over RDMA, page-granular."""
+class TieredRdmaBufferPool(LocalBufferPool):
+    """LBP in host DRAM + remote memory over RDMA, page-granular.
+
+    The LBP is :class:`~repro.db.bufferpool.LocalBufferPool`'s frame
+    table; what differs is the tier behind it: a miss is served from
+    remote memory when the page is there, and an evicted page goes to
+    remote memory, never straight to storage.
+    """
+
+    _counters = "pool.rdma"
+    _miss_span = "lbp_miss"
 
     def __init__(
         self,
@@ -134,158 +141,42 @@ class TieredRdmaBufferPool(BufferPool):
         local_capacity_pages: int,
         meter: AccessMeter,
     ) -> None:
-        if local_capacity_pages <= 0:
-            raise ValueError("LBP needs at least one frame")
-        if mapped.region.size < local_capacity_pages * PAGE_SIZE:
-            raise ValueError("backing region smaller than the LBP")
-        self.mapped = mapped
+        super().__init__(mapped, page_store, local_capacity_pages)
         self.remote = remote
-        self.page_store = page_store
+        # What this pool adds to a set-up's memory footprint.
         self.local_capacity_pages = local_capacity_pages
         self.meter = meter
-        self._frame_of: dict[int, int] = {}
-        self._free_frames = list(range(local_capacity_pages - 1, -1, -1))
-        self._lru: OrderedDict[int, None] = OrderedDict()
-        self._dirty: set[int] = set()
-        self._pins: dict[int, int] = {}
-        self.hits = 0
-        self.misses = 0
         self.remote_fetches = 0
         self.storage_fetches = 0
-        self.evictions = 0
-
-    # -- BufferPool interface -----------------------------------------------------------
-
-    def get_page(self, page_id: int) -> PageView:
-        tracer = obs_active()
-        frame = self._frame_of.get(page_id)
-        if frame is None:
-            self.misses += 1
-            if tracer is not None:
-                tracer.count("pool.rdma.misses")
-            spans = spans_active()
-            span = (
-                spans.begin("page_fix", "lbp_miss", meter=self.meter, page=page_id)
-                if spans is not None
-                else None
-            )
-            frame = self._claim_frame()
-            if self.remote.has(page_id):
-                image = self.remote.read_page(page_id, self.meter)
-                self.remote_fetches += 1
-                if tracer is not None:
-                    tracer.count("pool.rdma.remote_fetches")
-            else:
-                image = self.page_store.read_page(page_id)
-                self.storage_fetches += 1
-                if tracer is not None:
-                    tracer.count("pool.rdma.storage_fetches")
-            self.mapped.write(frame * PAGE_SIZE, image)
-            self._frame_of[page_id] = frame
-            if span is not None:
-                spans.end(span)
-        else:
-            self.hits += 1
-            if tracer is not None:
-                tracer.count("pool.rdma.hits")
-        self._touch(page_id)
-        self._pins[page_id] = self._pins.get(page_id, 0) + 1
-        return self._view(page_id, frame)
-
-    def new_page(self, page_id: int, page_type: int, level: int = 0) -> PageView:
-        if page_id in self._frame_of:
-            raise ValueError(f"page {page_id} already resident")
-        frame = self._claim_frame()
-        self.mapped.write(
-            frame * PAGE_SIZE, format_empty_page(page_id, page_type, level)
-        )
-        self._frame_of[page_id] = frame
-        self._dirty.add(page_id)
-        self._touch(page_id)
-        self._pins[page_id] = self._pins.get(page_id, 0) + 1
-        return self._view(page_id, frame)
-
-    def install_page(self, page_id: int, image: bytes, dirty: bool = True) -> None:
-        """Recovery: place a rebuilt image into the LBP (no transfer)."""
-        frame = self._frame_of.get(page_id)
-        if frame is None:
-            frame = self._claim_frame()
-            self._frame_of[page_id] = frame
-        self.mapped.write(frame * PAGE_SIZE, image)
-        if dirty:
-            self._dirty.add(page_id)
-        self._touch(page_id)
-
-    def contains(self, page_id: int) -> bool:
-        return page_id in self._frame_of
-
-    def mark_dirty(self, page_id: int) -> None:
-        if page_id not in self._frame_of:
-            raise KeyError(f"page {page_id} not resident")
-        self._dirty.add(page_id)
-
-    def flush_page(self, page_id: int) -> None:
-        frame = self._frame_of[page_id]
-        image = self.mapped.read(frame * PAGE_SIZE, PAGE_SIZE)
-        self.page_store.write_page(page_id, image)
-        self._dirty.discard(page_id)
 
     def flush_dirty_pages(self) -> int:
         """Checkpoint path: local dirty → storage, then the remote tier's."""
-        dirty = sorted(self._dirty)
-        for page_id in dirty:
-            self.flush_page(page_id)
-        remote_flushed = self.remote.flush_to_storage(self.page_store)
-        return len(dirty) + remote_flushed
-
-    def resident_page_ids(self) -> list[int]:
-        return list(self._frame_of)
-
-    # -- internals ----------------------------------------------------------------------
-
-    def _view(self, page_id: int, frame: int) -> PageView:
-        return PageView(
-            page_id, WindowedMemory(self.mapped, frame * PAGE_SIZE, PAGE_SIZE), self
+        return super().flush_dirty_pages() + self.remote.flush_to_storage(
+            self.page_store
         )
 
-    def _touch(self, page_id: int) -> None:
-        self._lru[page_id] = None
-        self._lru.move_to_end(page_id)
-
-    def _claim_frame(self) -> int:
-        if self._free_frames:
-            return self._free_frames.pop()
-        return self._evict_one()
-
-    def _evict_one(self) -> int:
-        for victim in self._lru:
-            if self._pins.get(victim, 0) == 0:
-                break
+    def _read_missing(self, page_id: int) -> bytes:
+        tracer = PROBES.tracer
+        if self.remote.has(page_id):
+            image = self.remote.read_page(page_id, self.meter)
+            self.remote_fetches += 1
+            if tracer is not None:
+                tracer.count("pool.rdma.remote_fetches")
         else:
-            raise BufferPoolFullError("every LBP page is pinned")
-        frame = self._frame_of[victim]
+            image = self.page_store.read_page(page_id)
+            self.storage_fetches += 1
+            if tracer is not None:
+                tracer.count("pool.rdma.storage_fetches")
+        return image
+
+    def _write_back(self, victim: int) -> None:
         dirty = victim in self._dirty
         if dirty or not self.remote.has(victim):
             # Push the page to remote memory — a full 16 KB RDMA WRITE
             # even when one field changed (write amplification).
-            image = self.mapped.read(frame * PAGE_SIZE, PAGE_SIZE)
+            image = self.mapped.read(self._frame_of[victim] * PAGE_SIZE, PAGE_SIZE)
             self.remote.write_page(victim, image, self.meter, dirty=dirty)
         self._dirty.discard(victim)
-        del self._frame_of[victim]
-        del self._lru[victim]
-        self.evictions += 1
-        tracer = obs_active()
-        if tracer is not None:
-            tracer.count("pool.rdma.evictions")
-        return frame
-
-    @property
-    def dirty_count(self) -> int:
-        return len(self._dirty)
-
-    @property
-    def resident_count(self) -> int:
-        return len(self._frame_of)
 
     @property
     def hit_ratio(self) -> float:

@@ -21,13 +21,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-from ..analysis.memsan import active as memsan_active
-from ..db.bufferpool import BufferPool, BufferPoolFullError
+from ..db.bufferpool import BufferPoolFullError, FramePool
 from ..db.constants import PAGE_SIZE
 from ..db.page import PageView
-from ..hardware.memory import AccessMeter, MappedMemory, MemoryRegion, WindowedMemory
-from ..obs.spans import active as spans_active
-from ..obs.trace import active as obs_active
+from ..hardware.memory import AccessMeter, MappedMemory, MemoryRegion
+from ..obs.probes import PROBES
 from ..sim.latency import LatencyConfig
 from ..storage.pagestore import PageStore
 
@@ -89,7 +87,7 @@ class RdmaDbpServer:
             "rdma", PAGE_SIZE, base_ns=self.config.rdma_read_ns(PAGE_SIZE)
         )
         meter.charge_transfer("rdma_ops", 1)
-        tracer = obs_active()
+        tracer = PROBES.tracer
         if tracer is not None:
             tracer.count("rdma.page_reads")
             tracer.count("rdma.read_bytes", PAGE_SIZE)
@@ -110,7 +108,7 @@ class RdmaDbpServer:
         )
         meter.charge_transfer("rdma_ops", 1)
         sent = 0
-        tracer = obs_active()
+        tracer = PROBES.tracer
         if tracer is not None:
             tracer.count("rdma.page_writes")
             tracer.count("rdma.write_bytes", PAGE_SIZE)
@@ -177,7 +175,7 @@ class RdmaDbpServer:
         return self._free.pop()
 
 
-class RdmaSharedBufferPool(BufferPool):
+class RdmaSharedBufferPool(FramePool):
     """A node's LBP over the RDMA-shared DBP."""
 
     def __init__(
@@ -188,34 +186,26 @@ class RdmaSharedBufferPool(BufferPool):
         local_capacity_pages: int,
         meter: AccessMeter,
     ) -> None:
-        if mapped.region.size < local_capacity_pages * PAGE_SIZE:
-            raise ValueError("backing region smaller than the LBP")
+        super().__init__(mapped, local_capacity_pages)
         self.node_id = node_id
         self.server = server
-        self.mapped = mapped
         self.local_capacity_pages = local_capacity_pages
         self.meter = meter
-        self._frame_of: dict[int, int] = {}
-        self._free_frames = list(range(local_capacity_pages - 1, -1, -1))
-        self._lru: OrderedDict[int, None] = OrderedDict()
         self._invalid: set[int] = set()
         self._registered: set[int] = set()
-        self._pins: dict[int, int] = {}
-        self.hits = 0
-        self.misses = 0
         self.refetches = 0
 
     # -- BufferPool interface ----------------------------------------------------------------
 
     def get_page(self, page_id: int) -> PageView:
-        tracer = obs_active()
-        spans = spans_active()
+        tracer = PROBES.tracer
+        spans = PROBES.spans
         frame = self._frame_of.get(page_id)
         if frame is not None and page_id not in self._invalid:
             self.hits += 1
             if tracer is not None:
                 tracer.count("rdma.lbp_hits")
-            ms = memsan_active()
+            ms = PROBES.memsan
             if ms is not None:
                 ms.page_cached_read(self.node_id, page_id)
         else:
@@ -247,24 +237,17 @@ class RdmaSharedBufferPool(BufferPool):
                     tracer.count("rdma.lbp_refetches")
             self.mapped.write(frame * PAGE_SIZE, image)
             self._invalid.discard(page_id)
-            ms = memsan_active()
+            ms = PROBES.memsan
             if ms is not None:
                 ms.page_fetch(self.node_id, page_id)
             if fix is not None:
                 spans.end(fix)
-        self._touch(page_id)
-        self._pins[page_id] = self._pins.get(page_id, 0) + 1
-        return PageView(
-            page_id, WindowedMemory(self.mapped, frame * PAGE_SIZE, PAGE_SIZE), self
-        )
+        return self._pinned_view(page_id, frame)
 
     def new_page(self, page_id: int, page_type: int, level: int = 0) -> PageView:
         raise NotImplementedError(
             "multi-primary nodes operate on preloaded data (see DESIGN.md §6)"
         )
-
-    def contains(self, page_id: int) -> bool:
-        return page_id in self._frame_of
 
     def mark_dirty(self, page_id: int) -> None:
         # Durability is handled by the whole-page flush at lock release.
@@ -276,9 +259,6 @@ class RdmaSharedBufferPool(BufferPool):
     def flush_dirty_pages(self) -> int:
         return 0
 
-    def resident_page_ids(self) -> list[int]:
-        return list(self._frame_of)
-
     # -- sharing protocol hooks -----------------------------------------------------------------
 
     def flush_page_writes(self, page_id: int) -> int:
@@ -288,10 +268,10 @@ class RdmaSharedBufferPool(BufferPool):
         """
         frame = self._frame_of[page_id]
         image = self.mapped.read(frame * PAGE_SIZE, PAGE_SIZE)
-        ms = memsan_active()
+        ms = PROBES.memsan
         if ms is not None:
             ms.page_publish(self.node_id, page_id)
-        spans = spans_active()
+        spans = PROBES.spans
         if spans is None:
             return self.server.write_page_on_release(
                 page_id, image, self.node_id, self.meter
@@ -333,29 +313,19 @@ class RdmaSharedBufferPool(BufferPool):
             self._free_frames.append(frame)
         self._invalid.discard(page_id)
         self._registered.discard(page_id)
-        ms = memsan_active()
+        ms = PROBES.memsan
         if ms is not None:
             ms.page_dropped(self.node_id, page_id)
 
     # -- internals ----------------------------------------------------------------------------------
 
-    def _touch(self, page_id: int) -> None:
-        self._lru[page_id] = None
-        self._lru.move_to_end(page_id)
-
-    def _claim_frame(self) -> int:
-        if self._free_frames:
-            return self._free_frames.pop()
-        for victim in self._lru:
-            if self._pins.get(victim, 0) == 0:
-                break
-        else:
-            raise BufferPoolFullError("every LBP page is pinned")
+    def _evict_one(self) -> int:
+        victim = self._lru_victim()
         # Copies are clean at eviction (writes flush at lock release).
         frame = self._frame_of.pop(victim)
         del self._lru[victim]
         self._invalid.discard(victim)
-        ms = memsan_active()
+        ms = PROBES.memsan
         if ms is not None:
             ms.page_dropped(self.node_id, victim)
         return frame

@@ -15,10 +15,10 @@ measure steady state only.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..analysis.memsan import active as memsan_active
 from ..baselines.rdma_bufferpool import RemoteMemoryNode, TieredRdmaBufferPool
 from ..baselines.rdma_sharing import RdmaDbpServer, RdmaSharedBufferPool
 from ..core.coherency import FLAG_BYTES_PER_ENTRY, FlagSlab
@@ -36,6 +36,7 @@ from ..faults.injector import crash_point
 from ..hardware.cache import CpuCache, LineCacheModel
 from ..hardware.host import Cluster, Host
 from ..hardware.memory import AccessMeter, WindowedMemory
+from ..obs.probes import PROBES
 from ..sim.core import Simulator
 from ..sim.latency import CostModel, LatencyConfig
 from ..sim.rng import WorkloadRng
@@ -437,70 +438,81 @@ def build_sharing_setup(
         dbp_host = cluster.add_host("dbp-server")
         setup.dbp_host = dbp_host
 
+    def cxl3_pool(node_id: str, host: Host, meter: AccessMeter):
+        hw_line_cache = LineCacheModel(
+            capacity_bytes=max(1 << 16, n_pages * PAGE_SIZE // 10)
+        )
+        host.register_cache(hw_line_cache)
+        return HwCoherentSharedPool(
+            node_id,
+            setup.fusion,
+            setup.manager.region,
+            meter,
+            config=config,
+            line_cache=hw_line_cache,
+        )
+
+    def rdma_pool(node_id: str, host: Host, meter: AccessMeter):
+        # Paper §4.4: the LBP is sized as a fraction of each node's
+        # *accessed* dataset — the workload knows how much of the
+        # database one node touches.
+        accessed_pages = max(1, int(n_pages * workload.accessed_fraction(n_nodes)))
+        lbp_pages = max(lbp_min_pages, int(accessed_pages * lbp_fraction))
+        region = host.alloc_dram(f"{node_id}.lbp", lbp_pages * PAGE_SIZE)
+        # RDMA to the DBP traverses the node NIC *and* the memory
+        # node's NIC; the latter is shared by every node.
+        dbp_nic = setup.dbp_host.nic
+        assert dbp_nic is not None and host.nic is not None
+        host.pipes["rdma"] = [host.nic.data_pipe, dbp_nic.data_pipe]
+        host.pipes["rdma_ops"] = [host.nic.ops_pipe, dbp_nic.ops_pipe]
+        return RdmaSharedBufferPool(
+            node_id,
+            setup.dbp_server,
+            host.map_dram(region, meter, LineCacheModel()),
+            lbp_pages,
+            meter,
+        )
+
     for i in range(n_nodes):
         if system == "cxl":
             add_sharing_node(setup, f"node{i}")
-            continue
-        host = cluster.add_host(f"node{i}")
-        meter = AccessMeter()
-        redo = RedoLog(meter, config=config)
-        # Page LSNs in the loaded dataset come from the loader's log;
-        # node LSNs must sort after them or LSN-guarded redo (failover
-        # page rebuild) would skip the node's own durable records.
-        redo.align_lsn(loader_log.next_lsn)
-        node_store = PageStore(PAGE_SIZE, meter, config=config)
-        node_store._pages = store._pages  # shared durable storage
-        if system == "cxl3":
-            assert setup.manager is not None and setup.fusion is not None
-            hw_line_cache = LineCacheModel(
-                capacity_bytes=max(1 << 16, n_pages * PAGE_SIZE // 10)
-            )
-            host.register_cache(hw_line_cache)
-            pool = HwCoherentSharedPool(
-                f"node{i}",
-                setup.fusion,
-                setup.manager.region,
-                meter,
-                config=config,
-                line_cache=hw_line_cache,
-            )
         else:
-            assert setup.dbp_server is not None
-            # Paper §4.4: the LBP is sized as a fraction of each node's
-            # *accessed* dataset — the workload knows how much of the
-            # database one node touches.
-            accessed_pages = max(
-                1, int(n_pages * workload.accessed_fraction(n_nodes))
+            _attach_node(
+                setup, f"node{i}", cxl3_pool if system == "cxl3" else rdma_pool
             )
-            lbp_pages = max(lbp_min_pages, int(accessed_pages * lbp_fraction))
-            region = host.alloc_dram(f"node{i}.lbp", lbp_pages * PAGE_SIZE)
-            pool = RdmaSharedBufferPool(
-                f"node{i}",
-                setup.dbp_server,
-                host.map_dram(region, meter, LineCacheModel()),
-                lbp_pages,
-                meter,
-            )
-        if system == "rdma" and setup.dbp_host is not None:
-            # RDMA to the DBP traverses the node NIC *and* the memory
-            # node's NIC; the latter is shared by every node.
-            assert setup.dbp_host.nic is not None and host.nic is not None
-            host.pipes["rdma"] = [host.nic.data_pipe, setup.dbp_host.nic.data_pipe]
-            host.pipes["rdma_ops"] = [host.nic.ops_pipe, setup.dbp_host.nic.ops_pipe]
-        engine = Engine(f"node{i}", pool, node_store, redo, meter, cost=cost)
-        engine.adopt_schema(schema)
-        settler = ChargeSettler(sim, meter, host.pipes)
-        setup.nodes.append(
-            MultiPrimaryNode(f"node{i}", engine, lock_service, settler)
-        )
-        setup.hosts.append(host)
-    ms = memsan_active()
+    ms = PROBES.memsan
     if ms is not None:
         # A race detector installed before the build (``python -m
         # repro.bench --memsan``, or a test's MemSan) watches the shared
         # CXL region automatically; rdma/cxl3 need no region watch.
         ms.watch_setup(setup)
     return setup
+
+
+def _attach_node(setup: SharingSetup, node_id: str, make_pool) -> MultiPrimaryNode:
+    """Wire one primary into ``setup``, whatever the sharing system.
+
+    Host, meter, redo log, a page store over the shared durable pages,
+    engine and settler are the same for every system; only the buffer
+    pool differs, so ``make_pool(node_id, host, meter)`` builds it.
+    """
+    host = setup.cluster.add_host(node_id)
+    meter = AccessMeter()
+    redo = RedoLog(meter, config=setup.config)
+    # Page LSNs in the loaded dataset come from the loader's log;
+    # node LSNs must sort after them or LSN-guarded redo (failover
+    # page rebuild) would skip the node's own durable records.
+    redo.align_lsn(setup.base_lsn)
+    node_store = PageStore(PAGE_SIZE, meter, config=setup.config)
+    node_store._pages = setup.page_store._pages  # shared durable storage
+    pool = make_pool(node_id, host, meter)
+    engine = Engine(node_id, pool, node_store, redo, meter, cost=setup.cost)
+    engine.adopt_schema(setup.schema)
+    settler = ChargeSettler(setup.sim, meter, host.pipes)
+    node = MultiPrimaryNode(node_id, engine, setup.lock_service, settler)
+    setup.nodes.append(node)
+    setup.hosts.append(host)
+    return node
 
 
 def add_sharing_node(
@@ -531,33 +543,23 @@ def add_sharing_node(
         raise ValueError("add_sharing_node requires a 'cxl' sharing setup")
     assert setup.manager is not None and setup.fusion is not None
     config = setup.config
-    if node_id is None:
-        node_id = f"node{len(setup.nodes)}"
-    host = setup.cluster.add_host(node_id)
-    meter = AccessMeter()
-    redo = RedoLog(meter, config=config)
-    # Page LSNs in the loaded dataset come from the loader's log;
-    # node LSNs must sort after them or LSN-guarded redo (failover
-    # page rebuild) would skip the node's own durable records.
-    redo.align_lsn(setup.base_lsn)
-    node_store = PageStore(PAGE_SIZE, meter, config=config)
-    node_store._pages = setup.page_store._pages  # shared durable storage
-    ms = memsan_active()
-    if reuse_slab is not None:
-        slab = reuse_slab
-        slab.meter = meter
-        slab.clear_all()
-    else:
-        slab_extent = setup.manager.allocate(
-            f"{node_id}.flags",
-            setup.n_flag_entries * FLAG_BYTES_PER_ENTRY,
-            meter,
-        )
-        if ms is not None:
+
+    def cxl_pool(node_id: str, host: Host, meter: AccessMeter):
+        if reuse_slab is not None:
+            slab = reuse_slab
+            slab.meter = meter
+            slab.clear_all()
+        else:
+            slab_extent = setup.manager.allocate(
+                f"{node_id}.flags",
+                setup.n_flag_entries * FLAG_BYTES_PER_ENTRY,
+                meter,
+            )
             # The constructor zeroes the slab with one bulk region
-            # write; under an active MemSan that bookkeeping store must
-            # not register as an actor's data write.
-            with ms.internal():
+            # write; under an installed MemSan that bookkeeping store
+            # must not register as an actor's data write.
+            ms = PROBES.memsan
+            with ms.internal() if ms is not None else nullcontext():
                 slab = FlagSlab(
                     setup.manager.region,
                     slab_extent.offset,
@@ -565,40 +567,30 @@ def add_sharing_node(
                     meter,
                     config=config,
                 )
-        else:
-            slab = FlagSlab(
-                setup.manager.region,
-                slab_extent.offset,
-                setup.n_flag_entries,
-                meter,
-                config=config,
-            )
-    cpu_cache = CpuCache(
-        f"{node_id}.cache",
-        capacity_lines=max(1 << 10, setup.n_pages * PAGE_SIZE // 10 // 64),
-        meter=meter,
-        miss_ns=config.cxl_switch_local_ns,
-        hit_ns=18.0,
-        pipe_key="cxl",
-    )
-    # The functional cache is host SRAM: a node crash must drop
-    # its dirty lines, never write them back.
-    host.register_cache(cpu_cache)
-    pool = SharedCxlBufferPool(
-        node_id,
-        setup.fusion,
-        setup.manager.region,
-        cpu_cache,
-        slab,
-        meter,
-        config=config,
-    )
-    engine = Engine(node_id, pool, node_store, redo, meter, cost=setup.cost)
-    engine.adopt_schema(setup.schema)
-    settler = ChargeSettler(setup.sim, meter, host.pipes)
-    node = MultiPrimaryNode(node_id, engine, lock_service=setup.lock_service, settler=settler)
-    setup.nodes.append(node)
-    setup.hosts.append(host)
+        cpu_cache = CpuCache(
+            f"{node_id}.cache",
+            capacity_lines=max(1 << 10, setup.n_pages * PAGE_SIZE // 10 // 64),
+            meter=meter,
+            miss_ns=config.cxl_switch_local_ns,
+            hit_ns=18.0,
+            pipe_key="cxl",
+        )
+        # The functional cache is host SRAM: a node crash must drop
+        # its dirty lines, never write them back.
+        host.register_cache(cpu_cache)
+        return SharedCxlBufferPool(
+            node_id,
+            setup.fusion,
+            setup.manager.region,
+            cpu_cache,
+            slab,
+            meter,
+            config=config,
+        )
+
+    if node_id is None:
+        node_id = f"node{len(setup.nodes)}"
+    node = _attach_node(setup, node_id, cxl_pool)
     if warm_join:
         # Crash (of the joiner) here: it is registered with nothing yet
         # and holds no locks — the fleet just carries on without it.
@@ -641,9 +633,7 @@ def counter_snapshot(setup, tracer=None) -> dict[str, float]:
       (names used verbatim) when a tracer is passed or installed.
     """
     if tracer is None:
-        from ..obs.trace import active as _obs_active
-
-        tracer = _obs_active()
+        tracer = PROBES.tracer
     snap: dict[str, float] = {}
 
     def add(key: str, amount: float) -> None:
@@ -701,9 +691,7 @@ def register_metric_sources(setup, pipeline=None) -> int:
     installed; returns the number of sources registered otherwise.
     """
     if pipeline is None:
-        from ..obs.metrics import active as _metrics_active
-
-        pipeline = _metrics_active()
+        pipeline = PROBES.metrics
     if pipeline is None:
         return 0
     registered = 0

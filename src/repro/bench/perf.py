@@ -37,7 +37,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..analysis.memsan import active as memsan_active
 from ..faults.injector import crash_point
 from ..hardware.cache import CacheWindow, CpuCache, LineCacheModel
 from ..hardware.memory import (
@@ -47,10 +46,9 @@ from ..hardware.memory import (
     MemoryTiming,
     WindowedMemory,
 )
+from ..obs.probes import PROBES
 from ..obs.spans import SpanTracer
-from ..obs.spans import active as spans_active
 from ..obs.trace import Tracer
-from ..obs.trace import active as obs_active
 from ..sim.core import SchedulerHook, Simulator
 from ..sim.latency import CACHE_LINE, LatencyConfig
 
@@ -277,8 +275,8 @@ class _RefMappedMemory:
 
 # The functional cache as it was before the resident-line index, the
 # bulk crash-point hits and the fused CacheWindow frame: every range
-# operation probes every line of the range, every access asks each
-# instrument's active().
+# operation probes every line of the range, every access reads each
+# instrument's probe slot.
 class _RefCpuCache:
     """Functional write-back line cache over shared memory regions.
 
@@ -348,12 +346,12 @@ class _RefCpuCache:
             buf[line_off : line_off + nbytes] = data
             entry[0] = bytes(buf)
             entry[1] = True
-            ms = memsan_active()
+            ms = PROBES.memsan
             if ms is not None:
                 ms.cache_store(self.name, region.name, line)
             return
         pos = 0
-        ms = memsan_active()
+        ms = PROBES.memsan
         for line, line_off, span in _ref_line_spans(offset, nbytes):
             entry = self._load_entry(region, line)
             buf = bytearray(entry[0])
@@ -372,7 +370,7 @@ class _RefCpuCache:
         number of dirty lines written back.
         """
         written = 0
-        ms = memsan_active()
+        ms = PROBES.memsan
         for line in _ref_line_range(offset, nbytes):
             # Crash between line flushes: lines already flushed are in
             # the backing region, the rest die dirty in this cache — a
@@ -395,7 +393,7 @@ class _RefCpuCache:
         self.write_backs += written
         if self.meter is not None and written:
             self._charge_writeback(written)
-        tracer = obs_active()
+        tracer = PROBES.tracer
         if tracer is not None and written:
             tracer.count("cache.lines_flushed", written)
             tracer.count("cache.flush_bytes", written * CACHE_LINE)
@@ -408,13 +406,13 @@ class _RefCpuCache:
         per-line invalidation cost.
         """
         dropped = 0
-        ms = memsan_active()
+        ms = PROBES.memsan
         for line in _ref_line_range(offset, nbytes):
             if self._lines.pop((region.name, line), None) is not None:
                 dropped += 1
                 if ms is not None:
                     ms.cache_invalidate_line(self.name, region.name, line)
-        tracer = obs_active()
+        tracer = PROBES.tracer
         if tracer is not None and dropped:
             tracer.count("cache.lines_invalidated", dropped)
         return dropped
@@ -422,7 +420,7 @@ class _RefCpuCache:
     def drop_all(self) -> None:
         """Crash semantics: every cached line, dirty or not, is gone."""
         self._lines.clear()
-        ms = memsan_active()
+        ms = PROBES.memsan
         if ms is not None:
             ms.cache_dropped(self.name)
 
@@ -440,7 +438,7 @@ class _RefCpuCache:
     def _load_entry(self, region: MemoryRegion, line: int) -> list:
         key = (region.name, line)
         entry = self._lines.get(key)
-        ms = memsan_active()
+        ms = PROBES.memsan
         if entry is None:
             if ms is None:
                 data = region.read(line * CACHE_LINE, CACHE_LINE)
@@ -451,14 +449,14 @@ class _RefCpuCache:
             entry = [data, False]
             self._lines[key] = entry
             self.fills += 1
-            tracer = obs_active()
+            tracer = PROBES.tracer
             if tracer is not None:
                 tracer.count("cache.lines_filled")
             if self.meter is not None:
                 self.meter.charge_ns(self.miss_ns)
                 if self.pipe_key is not None:
                     self.meter.charge_transfer(self.pipe_key, CACHE_LINE)
-                spans = spans_active()
+                spans = PROBES.spans
                 if spans is not None:
                     spans.add_ns("cxl_access", self.miss_ns)
             self._evict_if_needed()
@@ -469,7 +467,7 @@ class _RefCpuCache:
                 ms.cache_load(self.name, region.name, line, fetched=False)
             if self.meter is not None:
                 self.meter.charge_ns(self.hit_ns)
-                spans = spans_active()
+                spans = PROBES.spans
                 if spans is not None:
                     spans.add_ns("cxl_access", self.hit_ns)
         return entry
@@ -480,7 +478,7 @@ class _RefCpuCache:
     def _evict_if_needed(self) -> None:
         while len(self._lines) > self.capacity_lines:
             (region_name, line), entry = self._lines.popitem(last=False)
-            ms = memsan_active()
+            ms = PROBES.memsan
             if entry[1]:
                 # Background write-back of a dirty line on capacity eviction
                 # — this is the "flushed to CXL memory in the background"
@@ -495,7 +493,7 @@ class _RefCpuCache:
                 self.write_backs += 1
                 if self.meter is not None:
                     self._charge_writeback(1)
-                tracer = obs_active()
+                tracer = PROBES.tracer
                 if tracer is not None:
                     tracer.count("cache.evict_writebacks")
                     tracer.emit(
@@ -704,7 +702,7 @@ def bench_spans_overhead(n_accesses: int) -> tuple[float, float]:
     """(spans-off, spans-on) metered reads/second on the optimized path.
 
     The "off" side is the instrumented code with no SpanTracer installed
-    — one global load plus a None check per access — and is what the
+    — one slot load plus a None check per access — and is what the
     ``disabled_speedup`` gate holds against the pre-PR reference. The
     "on" side attaches a span so every access also lands a ``costs``
     charge, the worst case for the hot path.
@@ -730,7 +728,7 @@ def bench_memsan_overhead(n_accesses: int) -> tuple[float, float]:
     """(memsan-off, memsan-on) metered reads/second on the optimized path.
 
     The "off" side is the instrumented code with no MemSan installed —
-    one global load plus a None check per region access — and is what
+    one slot load plus a None check per region access — and is what
     the ``disabled_speedup`` gate under ``memsan_overhead`` holds
     against the pre-PR reference. The "on" side watches the region and
     runs inside an actor scope, so every access walks the per-line
@@ -760,7 +758,7 @@ def bench_metrics_overhead(n_ops: int) -> tuple[float, float]:
     """(metrics-off, metrics-on) instrumented ops/second.
 
     The "off" side is the hot-path discipline every instrumented module
-    uses when no pipeline is installed — one global load plus a None
+    uses when no pipeline is installed — one slot load plus a None
     check per op, nothing else. The "on" side installs a pipeline and
     pays the full live-telemetry price per op: a labeled counter add, a
     latency observation, and a ``maybe_scrape`` against an advancing
@@ -769,11 +767,10 @@ def bench_metrics_overhead(n_ops: int) -> tuple[float, float]:
     uninstalled pipeline costs (nearly) nothing relative to scraping.
     """
     from ..obs.metrics import MetricsPipeline
-    from ..obs.metrics import active as metrics_active
 
     start = time.perf_counter()
     for _ in range(n_ops):
-        mp = metrics_active()
+        mp = PROBES.metrics
         if mp is not None:  # pragma: no cover - nothing installed here
             mp.count("perf.ops", 1.0)
     off = n_ops / (time.perf_counter() - start)
@@ -783,7 +780,7 @@ def bench_metrics_overhead(n_ops: int) -> tuple[float, float]:
         step = pipeline.scrape_interval_ns / 16.0
         start = time.perf_counter()
         for i in range(n_ops):
-            mp = metrics_active()
+            mp = PROBES.metrics
             if mp is not None:
                 now += step
                 mp.count("perf.ops", 1.0, worker="w0")
@@ -1336,7 +1333,7 @@ BURST_MIN_SPEEDUP = 2.0
 # machines with enough cores to physically show it.
 PARALLEL_MIN_SPEEDUP = 2.0
 PARALLEL_GATE_MIN_CORES = 4
-# An uninstalled metrics pipeline (global load + None check per op)
+# An uninstalled metrics pipeline (slot load + None check per op)
 # must be at least this much faster than installed-and-scraping —
 # i.e. disabled telemetry stays (nearly) free.
 METRICS_DISABLED_MIN_SPEEDUP = 1.5

@@ -20,7 +20,7 @@ from ..db.constants import PAGE_SIZE
 from ..db.engine import Engine
 from ..hardware.cache import LineCacheModel
 from ..hardware.memory import WindowedMemory
-from ..obs.metrics import suspended as metrics_suspended
+from ..obs.probes import PROBES
 from ..sim.settle import ChargeSettler
 from ..sim.stats import TimeSeries
 from ..workloads.driver import InstanceCtx, PoolingDriver
@@ -71,7 +71,7 @@ def run_recovery_experiment(
     anchored to a caller's simulation (the join-leave scenario's
     baselines) would interleave two timelines in one series.
     """
-    with metrics_suspended():
+    with PROBES.suspended("metrics"):
         return _run_recovery_experiment(
             scheme, mix, rows, workers, phase1_txns, phase2_txns, bucket_ms, seed
         )

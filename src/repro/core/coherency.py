@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..hardware.memory import AccessMeter, MemoryRegion
-from ..obs.probes import PROBES as _PROBES
+from ..obs.probes import PROBES
 from ..sim.latency import LatencyConfig
 
 __all__ = ["FlagSlab", "FLAG_BYTES_PER_ENTRY", "set_remote_flag"]
@@ -41,7 +41,7 @@ def set_remote_flag(
     value: bool = True,
 ) -> None:
     """One CXL store to a flag byte, charged to the acting meter."""
-    ms = _PROBES.memsan
+    ms = PROBES.memsan
     if ms is None:
         region.write(addr, b"\x01" if value else b"\x00")
     else:
@@ -51,7 +51,7 @@ def set_remote_flag(
     if meter is not None:
         meter.charge_ns(config.cxl_flag_store_ns)
         meter.count("flag_stores")
-    tracer = _PROBES.tracer
+    tracer = PROBES.tracer
     if tracer is not None:
         tracer.count("coh.flag_stores")
 
@@ -150,21 +150,21 @@ class FlagSlab:
         counters = meter.counters
         counters["flag_reads"] = counters.get("flag_reads", 0.0) + 1.0
         region = self.region
-        if not _PROBES.any:
+        if not PROBES.any:
             # The slab lies inside the region (checked at construction),
             # which leaves lost contents as the one thing to refuse.
             if region._poisoned:
                 region.read(addr, 1)  # raises PoisonedMemoryError
             return region._data[addr] != 0
-        tracer = _PROBES.tracer
+        tracer = PROBES.tracer
         if tracer is not None:
             tracer.count("coh.flag_reads")
-        spans = _PROBES.spans
+        spans = PROBES.spans
         if spans is not None:
             # An uncached CXL load — attributed to the cxl_access bucket
             # of whichever span (page_fix, usually) is doing the read.
             spans.add_ns("cxl_access", self._flag_read_ns)
-        ms = _PROBES.memsan
+        ms = PROBES.memsan
         if ms is None:
             return region.read(addr, 1) != b"\x00"
         with ms.internal():

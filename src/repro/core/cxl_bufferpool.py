@@ -24,7 +24,7 @@ from ..db.constants import OFF_LSN, PAGE_SIZE
 from ..db.page import PageView, format_empty_page
 from ..faults.injector import crash_point
 from ..hardware.memory import WindowedMemory
-from ..obs.trace import active as obs_active
+from ..obs.probes import PROBES
 from ..storage.pagestore import PageStore
 from .block import (
     BLOCK_NIL,
@@ -132,7 +132,7 @@ class CxlBufferPool(BufferPool):
     # -- BufferPool interface ------------------------------------------------------------
 
     def get_page(self, page_id: int) -> PageView:
-        tracer = obs_active()
+        tracer = PROBES.tracer
         index = self._block_of.get(page_id)
         if index is None:
             self.misses += 1
@@ -277,7 +277,7 @@ class CxlBufferPool(BufferPool):
         meta.set_lock_state(0)
         del self._block_of[page_id]
         self.evictions += 1
-        tracer = obs_active()
+        tracer = PROBES.tracer
         if tracer is not None:
             tracer.count("pool.cxl.evictions")
         return index

@@ -107,10 +107,6 @@ class SharerDirectory:
         members = self._sharers.get(page_id)
         return tuple(sorted(members)) if members else ()
 
-    def is_sharer(self, page_id: int, node_id: str) -> bool:
-        members = self._sharers.get(page_id)
-        return bool(members) and node_id in members
-
     def page_count(self) -> int:
         return len(self._sharers)
 

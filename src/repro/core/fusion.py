@@ -19,13 +19,10 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Generator, Iterable, Optional
 
-from ..analysis.memsan import active as memsan_active
 from ..db.constants import PAGE_SIZE
-from ..faults.injector import active as fault_injector
 from ..faults.injector import crash_point
 from ..hardware.memory import AccessMeter, MemoryRegion
-from ..obs.metrics import active as metrics_active
-from ..obs.trace import active as obs_active
+from ..obs.probes import PROBES
 from ..sim.core import Simulator
 from ..sim.resources import RWLock
 from ..sim.latency import LatencyConfig
@@ -37,6 +34,7 @@ from .recovery import apply_redo_to_image
 
 __all__ = [
     "PageLockService",
+    "BackoffPolicy",
     "BufferFusionServer",
     "FusionEntry",
     "FusionUnavailableError",
@@ -51,11 +49,11 @@ class FusionUnavailableError(RuntimeError):
 class RpcExhaustedError(FusionUnavailableError):
     """A fusion RPC stayed lost through the whole retry budget.
 
-    Raised by the node-side retry layer (``repro.ha.policy``) once the
-    capped-exponential-backoff policy runs out of attempts or time: the
-    caller sees one typed error carrying the totals instead of the last
-    transient :class:`FusionUnavailableError`. Subclasses it so existing
-    handlers of the transient error still catch the exhausted form.
+    Raised by the node-side retry layer once its :class:`BackoffPolicy`
+    runs out of attempts or time: the caller sees one typed error
+    carrying the totals instead of the last transient
+    :class:`FusionUnavailableError`. Subclasses it so existing handlers
+    of the transient error still catch the exhausted form.
     """
 
     def __init__(self, op: str, page_id: int, attempts: int, spent_ns: float) -> None:
@@ -67,6 +65,54 @@ class RpcExhaustedError(FusionUnavailableError):
         self.page_id = page_id
         self.attempts = attempts
         self.spent_ns = spent_ns
+
+
+@dataclass(frozen=True)
+class BackoffPolicy:
+    """Capped exponential backoff with attempt and total-time budgets.
+
+    ``max_attempts`` counts *calls*, not retries: the default derived
+    from :class:`~repro.sim.latency.LatencyConfig` (``rpc_max_retries``
+    retries) allows ``rpc_max_retries + 1`` calls in total, matching the
+    retry arithmetic the sharing path always had.
+    """
+
+    timeout_ns: float = 1_000_000.0
+    base_backoff_ns: float = 500_000.0
+    max_attempts: int = 4
+    cap_backoff_ns: float = 8_000_000.0
+    total_budget_ns: float = 64_000_000.0
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be at least 1")
+
+    @classmethod
+    def from_latency(cls, config: LatencyConfig) -> "BackoffPolicy":
+        """The policy the stock RPC constants imply (default node policy)."""
+        return cls(
+            timeout_ns=config.rpc_timeout_ns,
+            base_backoff_ns=config.rpc_retry_backoff_ns,
+            max_attempts=config.rpc_max_retries + 1,
+        )
+
+    def backoff_ns(self, retry_index: int) -> float:
+        """Backoff before the ``retry_index``-th retry (1-based), capped."""
+        return min(self.cap_backoff_ns, self.base_backoff_ns * (2 ** (retry_index - 1)))
+
+    def next_wait_ns(self, attempts_done: int, spent_ns: float) -> float | None:
+        """Wait (timeout burned + backoff) before the next attempt.
+
+        Returns ``None`` when the policy is exhausted — either
+        ``attempts_done`` used up the attempt budget, or charging the
+        next wait would blow the per-op total time budget.
+        """
+        if attempts_done >= self.max_attempts:
+            return None
+        wait = self.timeout_ns + self.backoff_ns(attempts_done)
+        if spent_ns + wait > self.total_budget_ns:
+            return None
+        return wait
 
 
 class PageLockService:
@@ -91,7 +137,7 @@ class PageLockService:
         yield self.sim.timeout(int(self.config.lock_rpc_ns))
         lock = self._lock(page_id)
         blocked = lock.read_would_block()
-        ms = memsan_active()
+        ms = PROBES.memsan
         if ms is not None:
             ms.lock_requested(page_id)
         yield lock.acquire_read()
@@ -108,7 +154,7 @@ class PageLockService:
         yield self.sim.timeout(int(self.config.lock_rpc_ns))
         lock = self._lock(page_id)
         blocked = lock.write_would_block()
-        ms = memsan_active()
+        ms = PROBES.memsan
         if ms is not None:
             ms.lock_requested(page_id)
         yield lock.acquire_write()
@@ -121,11 +167,6 @@ class PageLockService:
     def is_write_locked(self, page_id: int) -> bool:
         lock = self._locks.get(page_id)
         return lock is not None and lock.held
-
-    def is_write_held(self, page_id: int) -> bool:
-        """Strictly write-held (readers don't count) — failover checks."""
-        lock = self._locks.get(page_id)
-        return lock is not None and lock.write_held
 
     def force_release_write(self, page_id: int) -> None:
         """Failover: break the write lock of a node that died holding it."""
@@ -216,7 +257,7 @@ class BufferFusionServer:
         armed RPC failure for this call — the server never saw the
         request; the node times out and retries with backoff.
         """
-        injector = fault_injector()
+        injector = PROBES.injector
         if injector is not None and injector.take_rpc_failure("fusion.request_page"):
             raise FusionUnavailableError(
                 f"request_page({page_id}) from {node_id!r}: fusion server "
@@ -225,10 +266,10 @@ class BufferFusionServer:
         self.rpcs += 1
         meter.charge_ns(self.config.rpc_base_ns)
         meter.count("fusion_rpcs")
-        tracer = obs_active()
+        tracer = PROBES.tracer
         if tracer is not None:
             tracer.count("fusion.rpcs")
-        ms = memsan_active()
+        ms = PROBES.memsan
         if ms is not None:
             ms.rpc_acquire(self.service)
         try:
@@ -257,7 +298,7 @@ class BufferFusionServer:
                 # coherent mode) have no flag to target, so they are never
                 # directory members.
                 self.directory.add(page_id, node_id)
-            mp = metrics_active()
+            mp = PROBES.metrics
             if mp is not None:
                 mp.gauge(
                     "fusion.resident_pages",
@@ -304,7 +345,7 @@ class BufferFusionServer:
         state changes, exactly as for :meth:`request_page`: the server
         never saw the release and the node retries it.
         """
-        injector = fault_injector()
+        injector = PROBES.injector
         if injector is not None and injector.take_rpc_failure("fusion.on_write_release"):
             raise FusionUnavailableError(
                 f"on_write_release({page_id}) from {writer_node!r}: fusion "
@@ -317,12 +358,12 @@ class BufferFusionServer:
         # Crash (of the writer node) here: its lines are flushed to CXL
         # but no other node was told — failover pushes the flags.
         crash_point("fusion.release.dirty")
-        ms = memsan_active()
+        ms = PROBES.memsan
         if ms is not None:
             ms.rpc_acquire(self.service)
         try:
             pushed = 0
-            tracer = obs_active()
+            tracer = PROBES.tracer
             # The writer flushed fresh lines; make sure it is recorded as
             # a sharer regardless of how it entered the critical section.
             self.directory.add(page_id, writer_node)
@@ -376,7 +417,7 @@ class BufferFusionServer:
         Raises :class:`FusionUnavailableError` on an armed RPC failure,
         exactly as :meth:`request_page`.
         """
-        injector = fault_injector()
+        injector = PROBES.injector
         if injector is not None and injector.take_rpc_failure("fusion.reshare"):
             raise FusionUnavailableError(
                 f"reshare({page_id}) from {node_id!r}: fusion server "
@@ -386,11 +427,11 @@ class BufferFusionServer:
         self.reshares += 1
         meter.charge_ns(self.config.rpc_base_ns)
         meter.count("fusion_rpcs")
-        tracer = obs_active()
+        tracer = PROBES.tracer
         if tracer is not None:
             tracer.count("fusion.rpcs")
             tracer.count("fusion.reshares")
-        ms = memsan_active()
+        ms = PROBES.memsan
         if ms is not None:
             ms.rpc_acquire(self.service)
         try:
@@ -475,7 +516,7 @@ class BufferFusionServer:
         # the rebuilt bytes — the server's reply orders after its own
         # rebuild writes. Acquire at entry, release only on completion:
         # a coordinator that crashes mid-failover publishes nothing.
-        ms_rpc = memsan_active()
+        ms_rpc = PROBES.memsan
         if ms_rpc is not None:
             ms_rpc.rpc_acquire(self.service)
         records_by_page: dict[int, list] = {}
@@ -517,7 +558,7 @@ class BufferFusionServer:
                         base_ns=self.config.storage_write_base_ns,
                     )
                     entry.dirty = False
-                    tracer = obs_active()
+                    tracer = PROBES.tracer
                     if tracer is not None:
                         tracer.count("fusion.pages_rebuilt")
                         tracer.emit(
@@ -556,7 +597,7 @@ class BufferFusionServer:
                     crash_point("fusion.failover.rebuilt")
             if lock_service is not None:
                 lock_service.force_release_write(page_id)
-                ms = memsan_active()
+                ms = PROBES.memsan
                 if ms is not None:
                     ms.lock_force_released(page_id)
                 # Crash here: this lock broken, later pages still locked.
@@ -592,7 +633,7 @@ class BufferFusionServer:
         Sets the ``removal`` flag for every node that had the page
         active. Returns the recycled page ids.
         """
-        ms = memsan_active()
+        ms = PROBES.memsan
         if ms is not None:
             ms.rpc_acquire(self.service)
         try:
@@ -612,7 +653,7 @@ class BufferFusionServer:
                     # pushed — nodes keep a valid (if recycled-from-under-
                     # them-later) address until the next recycle pass.
                     crash_point("fusion.recycle.written")
-                tracer = obs_active()
+                tracer = PROBES.tracer
                 for node_id, (_, removal_addr) in entry.active.items():
                     if removal_addr:
                         set_remote_flag(self.region, removal_addr, meter, self.config)

@@ -114,7 +114,3 @@ class CxlMemoryManager:
             f"{client_id!r} accessed [{offset}, {offset + nbytes}) "
             "outside its extents"
         )
-
-    @property
-    def bytes_allocated(self) -> int:
-        return self._cursor

@@ -34,11 +34,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..db.constants import OFF_LSN, PAGE_SIZE
-from ..faults.injector import active as fault_injector
 from ..faults.injector import crash_point
 from ..hardware.memory import AccessMeter
-from ..obs.spans import active as spans_active
-from ..obs.trace import active as obs_active
+from ..obs.probes import PROBES
 from ..sim.latency import LatencyConfig
 from ..storage.pagestore import PageStore
 from ..storage.wal import RedoLog, RedoRecord
@@ -156,7 +154,7 @@ def retire_log(
             )
         retired += 1
         crash_point("recovery.retire.page")
-    tracer = obs_active()
+    tracer = PROBES.tracer
     if tracer is not None and retired:
         tracer.count("recv.pages_retired", retired)
     return retired
@@ -179,8 +177,8 @@ class PolarRecv:
 
     def recover(self) -> tuple[CxlBufferPool, RecoveryStats]:
         stats = RecoveryStats()
-        tracer = obs_active()
-        spans = spans_active()
+        tracer = PROBES.tracer
+        spans = PROBES.spans
         meter = getattr(self.mem, "meter", None)
         scan_span = (
             spans.begin("recovery_phase", "scan", meter=meter)
@@ -235,7 +233,7 @@ class PolarRecv:
             # pass would keep the torn bytes as a "clean" page.
             if not locked:
                 meta.set_lock_state(1)
-            injector = fault_injector()
+            injector = PROBES.injector
             if injector is not None:
                 # Torn variant: only a prefix of the rebuilt image made
                 # it to CXL — the lock_state is still set, so the next

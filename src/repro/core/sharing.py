@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from ..analysis.memsan import active as memsan_active
-from ..analysis.memsan import scoped_actor
 from ..db.bufferpool import BufferPool
 from ..db.constants import PAGE_SIZE
 from ..db.engine import Engine
@@ -39,14 +37,12 @@ from ..db.page import PageView
 from ..faults.injector import InjectedCrash, crash_point
 from ..hardware.cache import CacheWindow, CpuCache
 from ..hardware.memory import AccessMeter, MemoryRegion
-from ..obs.spans import active as spans_active
-from ..obs.spans import attached as span_attached
-from ..obs.trace import active as obs_active
-from ..ha.policy import BackoffPolicy
+from ..obs.probes import PROBES
 from ..sim.latency import CACHE_LINE, LatencyConfig
 from ..sim.settle import ChargeSettler
 from .coherency import FlagSlab
 from .fusion import (
+    BackoffPolicy,
     BufferFusionServer,
     FusionUnavailableError,
     PageLockService,
@@ -104,8 +100,8 @@ class SharedCxlBufferPool(BufferPool):
     # -- BufferPool interface --------------------------------------------------------------
 
     def get_page(self, page_id: int) -> PageView:
-        tracer = obs_active()
-        spans = spans_active()
+        tracer = PROBES.tracer
+        spans = PROBES.spans
         span = (
             spans.begin("page_fix", "get", meter=self.meter, page=page_id)
             if spans is not None
@@ -161,7 +157,12 @@ class SharedCxlBufferPool(BufferPool):
                 # at us, and this RPC's sync with the owning shard is the
                 # happens-before edge that publishes their flushed lines
                 # to our upcoming reads.
-                self._reshare_rpc(page_id)
+                self._rpc(
+                    "reshare",
+                    page_id,
+                    lambda: self.fusion.reshare(page_id, self.node_id, self.meter),
+                    span_name="reshare",
+                )
                 if tracer is not None:
                     tracer.count("sharing.invalidations_observed")
             if tracer is not None:
@@ -214,8 +215,8 @@ class SharedCxlBufferPool(BufferPool):
         synchronization. Returns the number of lines flushed.
         """
         meta = self._meta[page_id]
-        tracer = obs_active()
-        spans = spans_active()
+        tracer = PROBES.tracer
+        spans = PROBES.spans
         span = (
             spans.begin(
                 "cache_flush", "clflush", meter=self.meter,
@@ -237,7 +238,7 @@ class SharedCxlBufferPool(BufferPool):
             written = self.cpu_cache.clflush(
                 self.region, meta.data_offset, PAGE_SIZE
             )
-        ms = memsan_active()
+        ms = PROBES.memsan
         if ms is not None:
             ms.assert_flushed(
                 self.cpu_cache.name, self.region.name, meta.data_offset, PAGE_SIZE
@@ -261,7 +262,11 @@ class SharedCxlBufferPool(BufferPool):
         # server was never told — no invalid flags pushed, DBP copy not
         # marked dirty. Failover must treat the page as suspect.
         crash_point("sharing.flush.lines")
-        self._release_rpc(page_id)
+        self._rpc(
+            "on_write_release",
+            page_id,
+            lambda: self.fusion.on_write_release(page_id, self.node_id, self.meter),
+        )
         if span is not None:
             spans.end(span, lines=written, nbytes=written * CACHE_LINE)
         return written
@@ -294,18 +299,36 @@ class SharedCxlBufferPool(BufferPool):
         return meta
 
     def _request_page_rpc(self, page_id: int, entry: int) -> int:
-        """RPC to the fusion server with timeout + capped backoff.
+        return self._rpc(
+            "request_page",
+            page_id,
+            lambda: self.fusion.request_page(
+                page_id,
+                self.node_id,
+                self.flag_slab.invalid_addr(entry),
+                self.flag_slab.removal_addr(entry),
+                self.meter,
+            ),
+            span_name="request_page",
+        )
+
+    def _rpc(self, op: str, page_id: int, call, span_name: Optional[str] = None):
+        """One fusion RPC with timeout + capped backoff.
 
         The fusion server can be briefly unreachable (restart, network
-        partition); the node burns the RPC timeout, backs off per
-        :attr:`retry_policy` (capped exponential), and retries. Once the
-        policy's attempt or total-time budget is spent, a typed
-        :class:`RpcExhaustedError` surfaces to the caller.
+        partition) and any of the three RPCs can be lost: the node burns
+        the RPC timeout, backs off per :attr:`retry_policy` (capped
+        exponential), and retries. Once the policy's attempt or
+        total-time budget is spent, a typed :class:`RpcExhaustedError`
+        surfaces to the caller. A lost ``on_write_release`` would leave
+        every other node's cache stale, and a lost ``reshare`` would
+        leave the shard treating us as dropped, so neither is ever
+        skipped silently.
         """
-        spans = spans_active()
+        spans = PROBES.spans
         span = (
-            spans.begin("rpc", "request_page", meter=self.meter, page=page_id)
-            if spans is not None
+            spans.begin("rpc", span_name, meter=self.meter, page=page_id)
+            if spans is not None and span_name is not None
             else None
         )
         attempts = 0
@@ -313,67 +336,13 @@ class SharedCxlBufferPool(BufferPool):
         try:
             while True:
                 try:
-                    return self.fusion.request_page(
-                        page_id,
-                        self.node_id,
-                        self.flag_slab.invalid_addr(entry),
-                        self.flag_slab.removal_addr(entry),
-                        self.meter,
-                    )
+                    return call()
                 except RpcExhaustedError:
                     raise
                 except FusionUnavailableError as exc:
                     attempts += 1
                     spent_ns = self._charge_retry_or_raise(
-                        "request_page", page_id, attempts, spent_ns, exc
-                    )
-        finally:
-            if span is not None:
-                spans.end(span, retries=attempts)
-
-    def _release_rpc(self, page_id: int) -> int:
-        """``on_write_release`` to the fusion server, under the same
-        retry/backoff policy as the request path — the release RPC can
-        be lost too, and losing it silently would leave every other
-        node's cache stale."""
-        attempts = 0
-        spent_ns = 0.0
-        while True:
-            try:
-                return self.fusion.on_write_release(
-                    page_id, self.node_id, self.meter
-                )
-            except RpcExhaustedError:
-                raise
-            except FusionUnavailableError as exc:
-                attempts += 1
-                spent_ns = self._charge_retry_or_raise(
-                    "on_write_release", page_id, attempts, spent_ns, exc
-                )
-
-    def _reshare_rpc(self, page_id: int) -> bool:
-        """``reshare`` to the owning fusion shard after clearing our
-        invalid flag, under the same retry/backoff policy — without it
-        the shard would keep treating us as dropped and later releases
-        would never flag us again."""
-        spans = spans_active()
-        span = (
-            spans.begin("rpc", "reshare", meter=self.meter, page=page_id)
-            if spans is not None
-            else None
-        )
-        attempts = 0
-        spent_ns = 0.0
-        try:
-            while True:
-                try:
-                    return self.fusion.reshare(page_id, self.node_id, self.meter)
-                except RpcExhaustedError:
-                    raise
-                except FusionUnavailableError as exc:
-                    attempts += 1
-                    spent_ns = self._charge_retry_or_raise(
-                        "reshare", page_id, attempts, spent_ns, exc
+                        op, page_id, attempts, spent_ns, exc
                     )
         finally:
             if span is not None:
@@ -410,7 +379,7 @@ class SharedCxlBufferPool(BufferPool):
     def _clear_invalid_checked(self, meta: _NodePageMeta) -> None:
         """Clear the invalid flag; memsan verifies no stale cached line
         survives the clear (the mutation-3 ordering check)."""
-        ms = memsan_active()
+        ms = PROBES.memsan
         if ms is not None:
             ms.invalid_cleared(
                 self.cpu_cache.name, self.region.name, meta.data_offset, PAGE_SIZE
@@ -420,7 +389,7 @@ class SharedCxlBufferPool(BufferPool):
     def _drop_entry(self, page_id: int, meta: _NodePageMeta) -> None:
         del self._meta[page_id]
         self._free_entries.append(meta.entry)
-        tracer = obs_active()
+        tracer = PROBES.tracer
         if tracer is not None:
             tracer.count("sharing.entries_dropped")
             tracer.emit("sharing", "drop", node=self.node_id, page=page_id)
@@ -469,18 +438,18 @@ class MultiPrimaryNode:
         self, table_name: str, key: int, span_parent=None
     ) -> Generator:
         """Read one row under a distributed read lock."""
-        spans = spans_active()
+        spans = PROBES.spans
         op = (
             spans.begin("txn", "point_select", parent=span_parent, push=False)
             if spans is not None
             else None
         )
-        with span_attached(spans, op), scoped_actor(self.node_id):
+        with PROBES.attached(op), PROBES.scoped_actor(self.node_id):
             leaf_id = self._leaf_of(table_name, key)
         yield from self.settler.settle(span=op)
         t_lock = self.settler.sim.now
         yield from self.lock_service.lock_read(leaf_id)
-        ms = memsan_active()
+        ms = PROBES.memsan
         if ms is not None:
             ms.lock_acquired(self.node_id, leaf_id)
         if op is not None:
@@ -492,11 +461,11 @@ class MultiPrimaryNode:
                 page=leaf_id,
             )
         self.read_locks_held.add(leaf_id)
-        tracer = obs_active()
+        tracer = PROBES.tracer
         if tracer is not None:
             tracer.count("lock.read_acquires")
         try:
-            with span_attached(spans, op), scoped_actor(self.node_id):
+            with PROBES.attached(op), PROBES.scoped_actor(self.node_id):
                 mtr = self.engine.mtr()
                 row = self.engine.tables[table_name].get(mtr, key)
                 mtr.commit()
@@ -522,18 +491,18 @@ class MultiPrimaryNode:
         flush) happens before the lock releases — the paper's
         lock-hold-time effect.
         """
-        spans = spans_active()
+        spans = PROBES.spans
         op = (
             spans.begin("txn", "point_update", parent=span_parent, push=False)
             if spans is not None
             else None
         )
-        with span_attached(spans, op), scoped_actor(self.node_id):
+        with PROBES.attached(op), PROBES.scoped_actor(self.node_id):
             leaf_id = self._leaf_of(table_name, key)
         yield from self.settler.settle(span=op)
         t_lock = self.settler.sim.now
         yield from self.lock_service.lock_write(leaf_id)
-        ms = memsan_active()
+        ms = PROBES.memsan
         if ms is not None:
             ms.lock_acquired(self.node_id, leaf_id)
         if op is not None:
@@ -545,12 +514,12 @@ class MultiPrimaryNode:
                 page=leaf_id,
             )
         self.write_locks_held.add(leaf_id)
-        tracer = obs_active()
+        tracer = PROBES.tracer
         if tracer is not None:
             tracer.count("lock.write_acquires")
             tracer.emit("lock", "write_acquire", node=self.node_id, page=leaf_id)
         try:
-            with span_attached(spans, op), scoped_actor(self.node_id):
+            with PROBES.attached(op), PROBES.scoped_actor(self.node_id):
                 txn = self.engine.begin()
                 mtr = txn.mtr()
                 found = self.engine.tables[table_name].update_field(
@@ -597,18 +566,18 @@ class MultiPrimaryNode:
         self, table_name: str, start_key: int, count: int, span_parent=None
     ) -> Generator:
         """Range scan; the entry leaf is read-locked (see DESIGN.md §6)."""
-        spans = spans_active()
+        spans = PROBES.spans
         op = (
             spans.begin("txn", "range_select", parent=span_parent, push=False)
             if spans is not None
             else None
         )
-        with span_attached(spans, op), scoped_actor(self.node_id):
+        with PROBES.attached(op), PROBES.scoped_actor(self.node_id):
             leaf_id = self._leaf_of(table_name, start_key)
         yield from self.settler.settle(span=op)
         t_lock = self.settler.sim.now
         yield from self.lock_service.lock_read(leaf_id)
-        ms = memsan_active()
+        ms = PROBES.memsan
         if ms is not None:
             ms.lock_acquired(self.node_id, leaf_id)
         if op is not None:
@@ -620,11 +589,11 @@ class MultiPrimaryNode:
                 page=leaf_id,
             )
         self.read_locks_held.add(leaf_id)
-        tracer = obs_active()
+        tracer = PROBES.tracer
         if tracer is not None:
             tracer.count("lock.read_acquires")
         try:
-            with span_attached(spans, op), scoped_actor(self.node_id):
+            with PROBES.attached(op), PROBES.scoped_actor(self.node_id):
                 mtr = self.engine.mtr()
                 rows = self.engine.tables[table_name].range(mtr, start_key, count)
                 mtr.commit()
@@ -640,14 +609,14 @@ class MultiPrimaryNode:
         return rows
 
     def _unlock_read(self, leaf_id: int) -> None:
-        ms = memsan_active()
+        ms = PROBES.memsan
         if ms is not None:
             ms.lock_released(self.node_id, leaf_id)
         self.lock_service.unlock_read(leaf_id)
         self.read_locks_held.discard(leaf_id)
 
     def _unlock_write(self, leaf_id: int) -> None:
-        ms = memsan_active()
+        ms = PROBES.memsan
         if ms is not None:
             ms.lock_released(self.node_id, leaf_id)
         self.lock_service.unlock_write(leaf_id)

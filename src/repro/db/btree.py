@@ -89,10 +89,6 @@ class BTree:
             self._root_page_id = self.engine.get_tree_root(self.tree_slot)
         return self._root_page_id
 
-    def invalidate_cached_root(self) -> None:
-        """Drop the cached root id (after recovery reloads the meta page)."""
-        self._root_page_id = None
-
     # -- public operations ---------------------------------------------------------------
 
     def lookup(self, mtr: MiniTransaction, key: int) -> Optional[bytes]:

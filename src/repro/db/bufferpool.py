@@ -6,7 +6,8 @@ Three buffer pools implement this interface across the repository:
   DRAM-BP baseline of Figure 3 and the substrate of the vanilla engine.
 * :class:`repro.baselines.rdma_bufferpool.TieredRdmaBufferPool` — a
   DRAM local buffer pool backed by remote memory over RDMA (the paper's
-  main baseline).
+  main baseline): a :class:`LocalBufferPool` with a remote tier behind
+  it, on the same :class:`FramePool` frame table.
 * :class:`repro.core.cxl_bufferpool.CxlBufferPool` — PolarCXLMem: every
   frame and its metadata live directly in switch-attached CXL memory.
 
@@ -22,13 +23,12 @@ from abc import ABC, abstractmethod
 from collections import OrderedDict
 
 from ..hardware.memory import MappedMemory, WindowedMemory
-from ..obs.spans import active as spans_active
-from ..obs.trace import active as obs_active
+from ..obs.probes import PROBES
 from ..storage.pagestore import PageStore
 from .constants import OFF_LSN, PAGE_SIZE
 from .page import PageView, format_empty_page
 
-__all__ = ["BufferPool", "LocalBufferPool", "BufferPoolFullError"]
+__all__ = ["BufferPool", "FramePool", "LocalBufferPool", "BufferPoolFullError"]
 
 
 class BufferPoolFullError(RuntimeError):
@@ -107,8 +107,74 @@ class BufferPool(ABC):
         """Hook: the page was used (LRU maintenance). Default: no-op."""
 
 
-class LocalBufferPool(BufferPool):
+class FramePool(BufferPool):
+    """The frame table every page-granular pool keeps.
+
+    Page-sized frames of one mapped DRAM region, a free list, LRU order
+    and pins. :class:`LocalBufferPool`, the RDMA tier's LBP and the
+    RDMA-sharing node's LBP differ only in where a missing page comes
+    from and where an evicted one goes (``_evict_one``).
+    """
+
+    def __init__(self, mapped: MappedMemory, capacity_pages: int) -> None:
+        if capacity_pages <= 0:
+            raise ValueError("capacity must be positive")
+        if mapped.region.size < capacity_pages * PAGE_SIZE:
+            raise ValueError("backing region smaller than the frame array")
+        self.mapped = mapped
+        self.capacity_pages = capacity_pages
+        self._frame_of: dict[int, int] = {}
+        self._free_frames = list(range(capacity_pages - 1, -1, -1))
+        self._lru: OrderedDict[int, None] = OrderedDict()
+        self._pins: dict[int, int] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def contains(self, page_id: int) -> bool:
+        return page_id in self._frame_of
+
+    def resident_page_ids(self) -> list[int]:
+        return list(self._frame_of)
+
+    @property
+    def resident_count(self) -> int:
+        return len(self._frame_of)
+
+    def _pinned_view(self, page_id: int, frame: int) -> PageView:
+        """Touch, pin and wrap a resident page: how every fix ends."""
+        self._touch(page_id)
+        self._pins[page_id] = self._pins.get(page_id, 0) + 1
+        return PageView(
+            page_id, WindowedMemory(self.mapped, frame * PAGE_SIZE, PAGE_SIZE), self
+        )
+
+    def _touch(self, page_id: int) -> None:
+        self._lru[page_id] = None
+        self._lru.move_to_end(page_id)
+
+    def _claim_frame(self) -> int:
+        if self._free_frames:
+            return self._free_frames.pop()
+        return self._evict_one()
+
+    def _lru_victim(self) -> int:
+        """The least recently used unpinned page."""
+        for victim in self._lru:
+            if self._pins.get(victim, 0) == 0:
+                return victim
+        raise BufferPoolFullError("every resident page is pinned")
+
+    @abstractmethod
+    def _evict_one(self) -> int:
+        """Evict :meth:`_lru_victim` and return its frame."""
+
+
+class LocalBufferPool(FramePool):
     """All frames in a volatile DRAM region; evicts dirty pages to storage."""
+
+    #: Tracer-counter prefix and miss-span name (the RDMA tier's differ).
+    _counters = "pool.dram"
+    _miss_span = "dram_miss"
 
     def __init__(
         self,
@@ -116,52 +182,39 @@ class LocalBufferPool(BufferPool):
         page_store: PageStore,
         capacity_pages: int,
     ) -> None:
-        if capacity_pages <= 0:
-            raise ValueError("capacity must be positive")
-        if mapped.region.size < capacity_pages * PAGE_SIZE:
-            raise ValueError("backing region smaller than the frame array")
-        self.mapped = mapped
+        super().__init__(mapped, capacity_pages)
+        self.meter = mapped.meter
         self.page_store = page_store
-        self.capacity_pages = capacity_pages
-        self._frame_of: dict[int, int] = {}
-        self._free_frames = list(range(capacity_pages - 1, -1, -1))
-        self._lru: OrderedDict[int, None] = OrderedDict()
         self._dirty: set[int] = set()
-        self._pins: dict[int, int] = {}
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
 
     # -- interface ------------------------------------------------------------------
 
     def get_page(self, page_id: int) -> PageView:
-        tracer = obs_active()
+        tracer = PROBES.tracer
         frame = self._frame_of.get(page_id)
         if frame is None:
             self.misses += 1
             if tracer is not None:
-                tracer.count("pool.dram.misses")
-            spans = spans_active()
+                tracer.count(self._counters + ".misses")
+            spans = PROBES.spans
             span = (
                 spans.begin(
-                    "page_fix", "dram_miss", meter=self.mapped.meter, page=page_id
+                    "page_fix", self._miss_span, meter=self.meter, page=page_id
                 )
                 if spans is not None
                 else None
             )
             frame = self._claim_frame()
-            image = self.page_store.read_page(page_id)
-            self.mapped.write(frame * PAGE_SIZE, image)
+            self.mapped.write(frame * PAGE_SIZE, self._read_missing(page_id))
             self._frame_of[page_id] = frame
             if span is not None:
                 spans.end(span)
         else:
             self.hits += 1
             if tracer is not None:
-                tracer.count("pool.dram.hits")
-        self._touch(page_id)
-        self._pins[page_id] = self._pins.get(page_id, 0) + 1
-        return self._view(page_id, frame)
+                tracer.count(self._counters + ".hits")
+        return self._pinned_view(page_id, frame)
 
     def new_page(self, page_id: int, page_type: int, level: int = 0) -> PageView:
         if page_id in self._frame_of:
@@ -170,9 +223,7 @@ class LocalBufferPool(BufferPool):
         self.mapped.write(frame * PAGE_SIZE, format_empty_page(page_id, page_type, level))
         self._frame_of[page_id] = frame
         self._dirty.add(page_id)
-        self._touch(page_id)
-        self._pins[page_id] = self._pins.get(page_id, 0) + 1
-        return self._view(page_id, frame)
+        return self._pinned_view(page_id, frame)
 
     def install_page(self, page_id: int, image: bytes, dirty: bool = True) -> None:
         """Recovery: place a rebuilt page image directly into a frame."""
@@ -184,9 +235,6 @@ class LocalBufferPool(BufferPool):
         if dirty:
             self._dirty.add(page_id)
         self._touch(page_id)
-
-    def contains(self, page_id: int) -> bool:
-        return page_id in self._frame_of
 
     def mark_dirty(self, page_id: int) -> None:
         if page_id not in self._frame_of:
@@ -206,45 +254,28 @@ class LocalBufferPool(BufferPool):
             self.flush_page(page_id)
         return len(dirty)
 
-    def resident_page_ids(self) -> list[int]:
-        return list(self._frame_of)
-
     # -- internals --------------------------------------------------------------------
 
-    def _view(self, page_id: int, frame: int) -> PageView:
-        return PageView(
-            page_id, WindowedMemory(self.mapped, frame * PAGE_SIZE, PAGE_SIZE), self
-        )
+    def _read_missing(self, page_id: int) -> bytes:
+        """Where a miss is read from: storage."""
+        return self.page_store.read_page(page_id)
 
-    def _touch(self, page_id: int) -> None:
-        self._lru[page_id] = None
-        self._lru.move_to_end(page_id)
-
-    def _claim_frame(self) -> int:
-        if self._free_frames:
-            return self._free_frames.pop()
-        return self._evict_one()
-
-    def _evict_one(self) -> int:
-        for victim in self._lru:
-            if self._pins.get(victim, 0) == 0:
-                break
-        else:
-            raise BufferPoolFullError("every resident page is pinned")
+    def _write_back(self, victim: int) -> None:
+        """Where an evicted page goes: storage, if it is dirty."""
         if victim in self._dirty:
             self.flush_page(victim)
+
+    def _evict_one(self) -> int:
+        victim = self._lru_victim()
+        self._write_back(victim)
         frame = self._frame_of.pop(victim)
         del self._lru[victim]
         self.evictions += 1
-        tracer = obs_active()
+        tracer = PROBES.tracer
         if tracer is not None:
-            tracer.count("pool.dram.evictions")
+            tracer.count(self._counters + ".evictions")
         return frame
 
     @property
     def dirty_count(self) -> int:
         return len(self._dirty)
-
-    @property
-    def resident_count(self) -> int:
-        return len(self._frame_of)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..hardware.memory import AccessMeter, MemoryRegion
-from ..obs.spans import active as spans_active
+from ..obs.probes import PROBES
 from ..sim.latency import CostModel
 from ..storage.checkpoint import Checkpointer
 from ..storage.pagestore import PageStore
@@ -191,7 +191,7 @@ class Engine:
     def checkpoint(self) -> int:
         """Flush dirty pages and advance the checkpoint LSN."""
         self._check_alive()
-        spans = spans_active()
+        spans = PROBES.spans
         if spans is None:
             return self.checkpointer.checkpoint()
         span = spans.begin("pagestore_io", "checkpoint", meter=self.meter)

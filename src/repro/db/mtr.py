@@ -23,8 +23,7 @@ import struct
 from typing import TYPE_CHECKING
 
 from ..faults.injector import crash_point
-from ..obs.spans import active as spans_active
-from ..obs.trace import active as obs_active
+from ..obs.probes import PROBES
 from .bufferpool import BufferPool
 from .constants import PAGE_HEADER_SIZE
 from .page import format_empty_page
@@ -52,7 +51,7 @@ class MiniTransaction:
         self._undo: list[tuple[int, int, bytes]] = []  # before-images
         self._touched_views: list[PageView] = []
         self._committed = False
-        spans = spans_active()
+        spans = PROBES.spans
         if spans is not None:
             self._span = spans.begin("mtr", "mtr", meter=engine.meter)
             self._span_tracer = spans
@@ -163,7 +162,7 @@ class MiniTransaction:
             pin_pool.unpin(page_id)
         if self.txn is not None and self._undo:
             self.txn._absorb_undo(self._undo)
-        tracer = obs_active()
+        tracer = PROBES.tracer
         if tracer is not None:
             tracer.count("mtr.commits")
             if self._staged:
@@ -179,10 +178,6 @@ class MiniTransaction:
     @property
     def committed(self) -> bool:
         return self._committed
-
-    @property
-    def staged_record_count(self) -> int:
-        return len(self._staged)
 
     # -- internals ------------------------------------------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..obs.spans import active as spans_active
+from ..obs.probes import PROBES
 from .mtr import MiniTransaction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -39,7 +39,7 @@ class Transaction:
         self._committed = False
         self._rolled_back = False
         self._undo: list[tuple[int, int, bytes]] = []
-        spans = spans_active()
+        spans = PROBES.spans
         if spans is not None:
             self._span = spans.begin(
                 "txn", "transaction", meter=engine.meter, txn_id=self.txn_id

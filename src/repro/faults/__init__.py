@@ -18,20 +18,6 @@ The subsystem has two halves:
   dragging the whole stack in).
 """
 
-from .injector import (
-    FaultInjector,
-    InjectedCrash,
-    active,
-    crash_point,
-    install,
-    uninstall,
-)
+from .injector import FaultInjector, InjectedCrash, crash_point
 
-__all__ = [
-    "FaultInjector",
-    "InjectedCrash",
-    "active",
-    "crash_point",
-    "install",
-    "uninstall",
-]
+__all__ = ["FaultInjector", "InjectedCrash", "crash_point"]

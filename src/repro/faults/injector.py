@@ -2,8 +2,10 @@
 
 Every crash-vulnerable instant in the engine is marked by a **named
 crash point**: a call to :func:`crash_point` (or, on paths that also
-need torn-write behaviour, ``active().point(name, torn=...)``). With no
-injector installed the hook is a no-op; with one installed it counts the
+need torn-write behaviour, ``PROBES.injector.point(name, torn=...)``).
+With no injector installed the hook is a no-op — the injector lives in
+the same probe slot (:data:`repro.obs.probes.PROBES`) as the other four
+instruments; with one installed it counts the
 hit, records it in the trace, and — if the injector is armed at exactly
 this (point, hit) — simulates the power failing *right there* by raising
 :class:`InjectedCrash` out of the engine code.
@@ -26,14 +28,9 @@ import random
 from types import TracebackType
 from typing import Callable, Optional
 
-__all__ = [
-    "FaultInjector",
-    "InjectedCrash",
-    "active",
-    "crash_point",
-    "install",
-    "uninstall",
-]
+from ..obs.probes import PROBES
+
+__all__ = ["FaultInjector", "InjectedCrash", "crash_point"]
 
 # Sentinel count for an RPC outage: fails every call until restored.
 # Negative so it can never collide with a valid fail_rpcs() count.
@@ -66,7 +63,7 @@ class FaultInjector:
     repro.faults.injector.InjectedCrash: injected crash at 'demo.point' (hit 2)
     >>> injector.trace
     [('demo.point', 1), ('demo.point', 2)]
-    >>> active() is None                # the context manager uninstalled
+    >>> PROBES.injector is None         # the context manager uninstalled
     True
 
     Modes, freely combined:
@@ -182,8 +179,7 @@ class FaultInjector:
     # -- installation ----------------------------------------------------------------
 
     def __enter__(self) -> "FaultInjector":
-        install(self)
-        return self
+        return PROBES.install("injector", self)
 
     def __exit__(
         self,
@@ -191,39 +187,11 @@ class FaultInjector:
         exc: BaseException | None,
         tb: TracebackType | None,
     ) -> None:
-        uninstall(self)
-
-
-_ACTIVE: Optional[FaultInjector] = None
-
-
-def active() -> Optional[FaultInjector]:
-    """The installed injector, or None (the common, fast case)."""
-    return _ACTIVE
-
-
-def install(injector: FaultInjector) -> FaultInjector:
-    """Install the injector; crash points start firing into it."""
-    global _ACTIVE
-    if _ACTIVE is not None and _ACTIVE is not injector:
-        raise RuntimeError("another FaultInjector is already installed")
-    _ACTIVE = injector
-    return injector
-
-
-def uninstall(injector: Optional[FaultInjector] = None) -> None:
-    """Remove the installed injector (idempotent).
-
-    Passing the injector asserts you are removing the one you installed.
-    """
-    global _ACTIVE
-    if injector is not None and _ACTIVE is not None and _ACTIVE is not injector:
-        raise RuntimeError("a different FaultInjector is installed")
-    _ACTIVE = None
+        PROBES.uninstall("injector", self)
 
 
 def crash_point(name: str, hits: int = 1) -> None:
-    """Hot-path hook: one global load + None check when inactive.
+    """Hot-path hook: one slot load + None check when inactive.
 
     ``hits`` consecutive hits of ``name`` are recorded one by one, for a
     loop whose iterations between two state changes collapse into one
@@ -239,7 +207,7 @@ def crash_point(name: str, hits: int = 1) -> None:
     >>> injector.trace
     [('demo.line', 1), ('demo.line', 2), ('demo.line', 3)]
     """
-    injector = _ACTIVE
+    injector = PROBES.injector
     if injector is not None:
         if hits < 0:
             raise ValueError("hit count must be non-negative")

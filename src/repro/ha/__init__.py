@@ -5,11 +5,11 @@ crashes under live load, node join/leave with warm PolarRecv attach,
 fusion-failover storms, and graceful degradation through a
 deterministic retry/timeout/backoff policy with a circuit breaker.
 
-Import note: :mod:`repro.core.sharing` imports the policy layer from
-here, so this package root stays light — it re-exports only the leaf
+Import note: the package root stays light — it re-exports only the leaf
 ``policy`` and ``timeline`` modules eagerly and resolves the scenario
 engine (which imports the bench harness, and through it the core)
-lazily on first attribute access.
+lazily on first attribute access. Nothing in ``core`` imports from here:
+the node's :class:`BackoffPolicy` lives in :mod:`repro.core.fusion`.
 """
 
 from __future__ import annotations

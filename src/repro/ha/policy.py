@@ -9,7 +9,9 @@ death). This module packages the degradation behaviour as data:
   that doubles up to a cap; once the attempt or time budget is spent
   the caller surfaces a typed
   :class:`~repro.core.fusion.RpcExhaustedError` instead of retrying
-  forever.
+  forever. It is defined beside that error in :mod:`repro.core.fusion`
+  (the sharing node is its user; ``core`` imports nothing from ``ha``)
+  and re-exported here.
 * :class:`CircuitBreaker` — the fleet-level graceful-degradation gate.
   After ``failure_threshold`` consecutive exhausted RPCs the breaker
   opens: writes are shed to a drainable backlog (degraded read-only
@@ -28,64 +30,14 @@ a deterministic function of its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..obs.metrics import active as metrics_active
-from ..sim.latency import LatencyConfig
+from ..core.fusion import BackoffPolicy
+from ..obs.probes import PROBES
 
 __all__ = ["BackoffPolicy", "CircuitBreaker"]
 
 # Breaker state as a gauge level: half-open publishes between the two
 # extremes so a dashboard shows the probe phase distinctly.
 _STATE_LEVELS = {"closed": 0.0, "half_open": 0.5, "open": 1.0}
-
-
-@dataclass(frozen=True)
-class BackoffPolicy:
-    """Capped exponential backoff with attempt and total-time budgets.
-
-    ``max_attempts`` counts *calls*, not retries: the default derived
-    from :class:`~repro.sim.latency.LatencyConfig` (``rpc_max_retries``
-    retries) allows ``rpc_max_retries + 1`` calls in total, matching the
-    retry arithmetic the sharing path always had.
-    """
-
-    timeout_ns: float = 1_000_000.0
-    base_backoff_ns: float = 500_000.0
-    max_attempts: int = 4
-    cap_backoff_ns: float = 8_000_000.0
-    total_budget_ns: float = 64_000_000.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-
-    @classmethod
-    def from_latency(cls, config: LatencyConfig) -> "BackoffPolicy":
-        """The policy the stock RPC constants imply (default node policy)."""
-        return cls(
-            timeout_ns=config.rpc_timeout_ns,
-            base_backoff_ns=config.rpc_retry_backoff_ns,
-            max_attempts=config.rpc_max_retries + 1,
-        )
-
-    def backoff_ns(self, retry_index: int) -> float:
-        """Backoff before the ``retry_index``-th retry (1-based), capped."""
-        return min(self.cap_backoff_ns, self.base_backoff_ns * (2 ** (retry_index - 1)))
-
-    def next_wait_ns(self, attempts_done: int, spent_ns: float) -> float | None:
-        """Wait (timeout burned + backoff) before the next attempt.
-
-        Returns ``None`` when the policy is exhausted — either
-        ``attempts_done`` used up the attempt budget, or charging the
-        next wait would blow the per-op total time budget.
-        """
-        if attempts_done >= self.max_attempts:
-            return None
-        wait = self.timeout_ns + self.backoff_ns(attempts_done)
-        if spent_ns + wait > self.total_budget_ns:
-            return None
-        return wait
 
 
 class CircuitBreaker:
@@ -128,7 +80,7 @@ class CircuitBreaker:
 
     def _set_state(self, state: str) -> None:
         self.state = state
-        mp = metrics_active()
+        mp = PROBES.metrics
         if mp is not None:
             mp.gauge("ha.breaker_open", _STATE_LEVELS[state], breaker=self.name)
 

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..analysis.checked import CheckedRun, fail_over
-from ..analysis.memsan import scoped_actor
 from ..bench.harness import (
     SharingSetup,
     add_sharing_node,
@@ -49,9 +48,8 @@ from ..core.fusion import RpcExhaustedError
 from ..faults.injector import FaultInjector, InjectedCrash
 from ..faults.schedule import FaultEvent, FaultSchedule
 from ..hardware.memory import AccessMeter
-from ..obs.metrics import active as metrics_active
+from ..obs.probes import PROBES
 from ..obs.slo import HealthTimeline, SLOMonitor, check_alignment
-from ..obs.spans import active as spans_active
 from ..workloads.driver import FleetLoadDriver, FleetOp
 from ..workloads.sysbench import SysbenchWorkload
 from .policy import CircuitBreaker
@@ -192,7 +190,7 @@ class _Fleet:
         node0 = self.setup.nodes[0]
         by_leaf: dict[int, list[int]] = {}
         leaf_order: list[int] = []
-        with scoped_actor(node0.node_id):
+        with PROBES.scoped_actor(node0.node_id):
             for key in range(1, self.rows + 1, probe_step):
                 leaf = node0._leaf_of(_TABLE, key)
                 self.key_leaf[key] = leaf
@@ -261,7 +259,7 @@ class _Fleet:
         that keeps the SLO monitor's burn-rate input 1:1 with the
         timeline counters the scenarios already assert on."""
         self.timeline.count(result, n)
-        mp = metrics_active()
+        mp = PROBES.metrics
         if mp is not None:
             mp.count("fleet.ops", float(n), result=result)
 
@@ -340,7 +338,7 @@ class _Fleet:
             f"crash {node.node_id}", "down", self.sim.now,
             node=node.node_id, point=point,
         )
-        mp = metrics_active()
+        mp = PROBES.metrics
         if mp is not None:
             # Wedged from the moment the crash is armed until failover
             # converges; the health timeline derives per-node state from
@@ -392,7 +390,7 @@ class _Fleet:
         node.engine.crash()
         self.setup.hosts[victim].crash()
         self.driver.mark_dead(victim)
-        spans = spans_active()
+        spans = PROBES.spans
         dead_actor = node.node_id
         self.timeline.begin_phase(
             f"failover {node.node_id}", "failover", self.sim.now, node=node.node_id
@@ -553,7 +551,7 @@ class _Fleet:
         sim.run_process(waiter())
         # Cooldowns and failover meters elapse time without settling, so
         # pull scrapes here or alert clearing would stall mid-cooldown.
-        mp = metrics_active()
+        mp = PROBES.metrics
         if mp is not None:
             mp.maybe_scrape(sim.now)
 
@@ -571,7 +569,7 @@ def _run_scenario(
     """
     injector = FaultInjector(seed=seed)
     with CheckedRun(trace=True, spans=True, metrics=True, memsan=True) as run, injector:
-        pipeline = metrics_active()
+        pipeline = PROBES.metrics
         assert pipeline is not None
         monitor = SLOMonitor()
         monitor.attach(pipeline)
@@ -706,7 +704,7 @@ def run_join_leave(
         tl.begin_phase("join node2 (warm attach)", "join", sim.now)
         join_start = sim.now
         loaded_before = setup.fusion.pages_loaded
-        with scoped_actor(f"node{len(setup.nodes)}"):
+        with PROBES.scoped_actor(f"node{len(setup.nodes)}"):
             joiner = add_sharing_node(
                 setup,
                 reuse_slab=leaver.engine.buffer_pool.flag_slab,
@@ -756,7 +754,7 @@ def run_join_leave(
                 baseline_ms[scheme] = timeline.recovery_seconds * 1e3
                 if scheme == "polarrecv" and timeline.detail is not None:
                     warm_fraction = timeline.detail.warm_fraction
-            spans = spans_active()
+            spans = PROBES.spans
             if spans is not None:
                 spans.attach_clock(lambda: fleet.sim.now)
             if baseline_ms["polarrecv"] >= min(
@@ -982,7 +980,7 @@ def run_sharded_failover(
                     fleet.note("ok")
                     served["mid_failover_reads"] += 1
 
-        mp = metrics_active()
+        mp = PROBES.metrics
         if mp is not None:
             # Per-shard health: the victim page's owning shard is wedged
             # for the whole crash -> stormed-failover -> retry arc.

@@ -29,7 +29,7 @@ from struct import Struct
 from typing import Optional
 
 from ..faults.injector import crash_point
-from ..obs.probes import PROBES as _PROBES
+from ..obs.probes import PROBES
 from ..sim.latency import CACHE_LINE
 from .memory import AccessMeter, MemoryRegion, TransferCharge
 
@@ -211,7 +211,7 @@ class CpuCache:
         nbytes = len(data)
         if nbytes <= 0:
             return
-        ms = _PROBES.memsan
+        ms = PROBES.memsan
         line = offset // CACHE_LINE
         if offset + nbytes <= (line + 1) * CACHE_LINE:
             spans = ((line, offset - line * CACHE_LINE, nbytes),)
@@ -236,7 +236,7 @@ class CpuCache:
         number of dirty lines written back.
         """
         written = 0
-        ms = _PROBES.memsan
+        ms = PROBES.memsan
         name = region.name
         first, last = _line_bounds(offset, nbytes)
         hit = first - 1  # the last line whose crash-point hit is recorded
@@ -264,7 +264,7 @@ class CpuCache:
         self.write_backs += written
         if self.meter is not None and written:
             self._charge_writeback(written)
-        tracer = _PROBES.tracer
+        tracer = PROBES.tracer
         if tracer is not None and written:
             tracer.count("cache.lines_flushed", written)
             tracer.count("cache.flush_bytes", written * CACHE_LINE)
@@ -276,14 +276,14 @@ class CpuCache:
         Returns the number of lines dropped so callers can charge the
         per-line invalidation cost.
         """
-        ms = _PROBES.memsan
+        ms = PROBES.memsan
         name = region.name
         resident = self._resident_lines(name, *_line_bounds(offset, nbytes))
         for line in resident:
             self._drop(name, line)
             if ms is not None:
                 ms.cache_invalidate_line(self.name, name, line)
-        tracer = _PROBES.tracer
+        tracer = PROBES.tracer
         if tracer is not None and resident:
             tracer.count("cache.lines_invalidated", len(resident))
         return len(resident)
@@ -292,7 +292,7 @@ class CpuCache:
         """Crash semantics: every cached line, dirty or not, is gone."""
         self._lines.clear()
         self._resident.clear()
-        ms = _PROBES.memsan
+        ms = PROBES.memsan
         if ms is not None:
             ms.cache_dropped(self.name)
 
@@ -315,13 +315,13 @@ class CpuCache:
             return self._fill(region, key)
         self._lines.move_to_end(key)
         self.stale_serves += 1
-        ms = _PROBES.memsan
+        ms = PROBES.memsan
         if ms is not None:
             ms.cache_load(self.name, key[0], line, fetched=False)
         meter = self.meter
         if meter is not None:
             meter.ns += self.hit_ns
-            spans = _PROBES.spans
+            spans = PROBES.spans
             if spans is not None:
                 spans.add_ns("cxl_access", self.hit_ns)
         return entry
@@ -330,7 +330,7 @@ class CpuCache:
         """A miss: fetch the line from the region (bounds and poison are
         its checks), make it resident, charge it, evict over capacity."""
         name, line = key
-        ms = _PROBES.memsan
+        ms = PROBES.memsan
         if ms is None:
             data = region.read(line * CACHE_LINE, CACHE_LINE)
         else:
@@ -345,7 +345,7 @@ class CpuCache:
         else:
             group.add(line)
         self.fills += 1
-        tracer = _PROBES.tracer
+        tracer = PROBES.tracer
         if tracer is not None:
             tracer.count("cache.lines_filled")
         meter = self.meter
@@ -360,7 +360,7 @@ class CpuCache:
                 counters[counter] = counters.get(counter, 0.0) + CACHE_LINE
                 counter = self._pipe_ops_key
                 counters[counter] = counters.get(counter, 0.0) + 1
-            spans = _PROBES.spans
+            spans = PROBES.spans
             if spans is not None:
                 spans.add_ns("cxl_access", self.miss_ns)
         if len(self._lines) > self.capacity_lines:
@@ -394,7 +394,7 @@ class CpuCache:
         while len(lines) > self.capacity_lines:
             name, line = next(iter(lines))  # the least recently used
             entry = self._drop(name, line)
-            ms = _PROBES.memsan
+            ms = PROBES.memsan
             if entry[1]:
                 # Background write-back of a dirty line on capacity eviction
                 # — this is the "flushed to CXL memory in the background"
@@ -408,7 +408,7 @@ class CpuCache:
                 self.write_backs += 1
                 if self.meter is not None:
                     self._charge_writeback(1)
-                tracer = _PROBES.tracer
+                tracer = PROBES.tracer
                 if tracer is not None:
                     tracer.count("cache.evict_writebacks")
                     tracer.emit(
@@ -473,7 +473,7 @@ class CacheWindow:
         cache = self.cache
         at = self.base + offset
         line_off = at % CACHE_LINE
-        if _PROBES.any or not 0 < fmt.size <= CACHE_LINE - line_off:
+        if PROBES.any or not 0 < fmt.size <= CACHE_LINE - line_off:
             return fmt.unpack(cache.read(self.region, at, fmt.size))
         region = self.region
         lines = cache._lines

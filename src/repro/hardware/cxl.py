@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..obs.probes import PROBES as _PROBES
+from ..obs.probes import PROBES
 from ..sim.core import Simulator
 from ..sim.latency import LatencyConfig
 from ..sim.resources import Pipe
@@ -62,10 +62,6 @@ class CxlSwitch:
                 f"switch {self.name!r} out of ports connecting {what!r}"
             )
         self._ports_used += 1
-
-    @property
-    def ports_used(self) -> int:
-        return self._ports_used
 
 
 class CxlFabric:
@@ -160,7 +156,7 @@ class CxlFabric:
                 name=f"{self.name}.link.{host_name}",
             )
             self._host_links[host_name] = pipe
-            tracer = _PROBES.tracer
+            tracer = PROBES.tracer
             if tracer is not None:
                 tracer.count("cxl.host_links")
                 tracer.emit(
@@ -180,6 +176,6 @@ class CxlFabric:
             self._region.power_fail()
             self._region.power_restore()
             self._region.volatile = False
-            tracer = _PROBES.tracer
+            tracer = PROBES.tracer
             if tracer is not None:
                 tracer.emit("cxl", "pool_power_fail", fabric=self.name)

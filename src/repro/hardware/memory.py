@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from struct import Struct
 from typing import TYPE_CHECKING, Optional
 
-from ..obs.probes import PROBES as _PROBES
+from ..obs.probes import PROBES
 from ..sim.latency import CACHE_LINE, LatencyTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -65,7 +65,7 @@ class MemoryRegion:
     def read(self, offset: int, nbytes: int) -> bytes:
         if self._poisoned or offset < 0 or nbytes < 0 or offset + nbytes > self.size:
             self._refuse(offset, nbytes)
-        ms = _PROBES.memsan
+        ms = PROBES.memsan
         if ms is not None:
             ms.raw_load(self.name, offset, nbytes)
         return bytes(self._data[offset : offset + nbytes])
@@ -74,7 +74,7 @@ class MemoryRegion:
         nbytes = len(data)
         if self._poisoned or offset < 0 or offset + nbytes > self.size:
             self._refuse(offset, nbytes)
-        ms = _PROBES.memsan
+        ms = PROBES.memsan
         if ms is not None:
             ms.raw_store(self.name, offset, nbytes)
         self._data[offset : offset + nbytes] = data
@@ -347,7 +347,7 @@ class MappedMemory:
         nbytes = len(data)
         if offset < 0 or offset + nbytes > self.size or region._poisoned:
             region._refuse(offset, nbytes)
-        if _PROBES.any or offset % CACHE_LINE + nbytes > self._line_room:
+        if PROBES.any or offset % CACHE_LINE + nbytes > self._line_room:
             self._charge(offset, nbytes, write=True)
             region.write(offset, data)
             return
@@ -370,7 +370,7 @@ class MappedMemory:
         nbytes = fmt.size
         if offset < 0 or offset + nbytes > self.size or region._poisoned:
             region._refuse(offset, nbytes)
-        if _PROBES.any or offset % CACHE_LINE + nbytes > self._line_room:
+        if PROBES.any or offset % CACHE_LINE + nbytes > self._line_room:
             return fmt.unpack(self.read(offset, nbytes))
         meter, cache = self.meter, self.line_cache
         counters, lines = meter.counters, cache.lines
@@ -405,7 +405,7 @@ class MappedMemory:
         # Naturally aligned elements never straddle a line; others, and
         # everything under an instrument, go one by one.
         aligned = 0 < nbytes <= self._line_room and not CACHE_LINE % nbytes
-        if _PROBES.any or not aligned or offset % nbytes or stride % nbytes:
+        if PROBES.any or not aligned or offset % nbytes or stride % nbytes:
             unpack = self.unpack
             return [unpack(fmt, at) for at in offsets]
         meter, cache = self.meter, self.line_cache
@@ -458,7 +458,7 @@ class MappedMemory:
         """The general cost model: bursts, multi-line accesses, and every
         access made while an instrument is installed."""
         meter = self.meter
-        tracer = _PROBES.tracer
+        tracer = PROBES.tracer
         if nbytes >= self._burst_threshold:
             table = self._write_table if write else self._read_table
             cache = table._cache
@@ -485,7 +485,7 @@ class MappedMemory:
                     tracer.count(self._trace_hits_key, hits)
                 if misses:
                     tracer.count(self._trace_misses_key, misses)
-        spans = _PROBES.spans
+        spans = PROBES.spans
         if spans is not None:
             spans.add_ns(self._span_kind, ns)
         counters = meter.counters

@@ -16,7 +16,7 @@ Both ceilings are FIFO pipes, so exceeding either builds queueing delay
 
 from __future__ import annotations
 
-from ..obs.probes import PROBES as _PROBES
+from ..obs.probes import PROBES
 from ..sim.core import Event, Simulator
 from ..sim.latency import LatencyConfig
 from ..sim.resources import Pipe
@@ -78,11 +78,6 @@ class RdmaNic:
         on the pipes shows up separately (``pipe_wait``) when the caller
         settles with a span.
         """
-        spans = _PROBES.spans
+        spans = PROBES.spans
         if spans is not None:
             spans.record("rpc", f"rdma_{op}", ns=base_ns, nic=self.name, nbytes=nbytes)
-
-    @property
-    def bandwidth_used(self) -> float:
-        """Observed bytes/second over the current measurement window."""
-        return self.data_pipe.window_bandwidth()

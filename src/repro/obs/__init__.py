@@ -5,14 +5,15 @@ lines flushed instead of pages, redo records skipped instead of
 replayed, and which mechanism each nanosecond of commit latency went
 to. This package makes both first-class:
 
+* :mod:`repro.obs.probes` — the one slot all five instruments (the
+  three below, memsan and the fault injector) install into; hook sites read
+  ``PROBES.<name>`` (one attribute load + ``None`` check when disabled).
 * :mod:`repro.obs.trace` — a :class:`Tracer` of structured events in
-  bounded per-subsystem ring buffers, installed globally exactly like
-  the fault injector (one global load + ``None`` check when disabled).
+  bounded per-subsystem ring buffers.
 * :mod:`repro.obs.counters` — a :class:`CounterRegistry` of named
   counters and histograms, owned by the tracer.
 * :mod:`repro.obs.spans` — a :class:`SpanTracer` of begin/end spans in
-  simulated time with parent→child causality and mechanism kinds,
-  installed through the same global-hook pattern.
+  simulated time with parent→child causality and mechanism kinds.
 * :mod:`repro.obs.critical_path` — per-transaction self-time vs
   child-time decomposition of span trees into mechanism buckets.
 * :mod:`repro.obs.export` — Chrome-trace JSON (Perfetto) and CSV
@@ -21,7 +22,7 @@ to. This package makes both first-class:
   safety) or a span list (balance/nesting, crash abandonment).
 * :mod:`repro.obs.metrics` — a :class:`MetricsPipeline` of labeled
   live time series (windowed rates, window-exact percentiles, sampled
-  gauges) scraped on a sim-time interval, same global-hook pattern.
+  gauges) scraped on a sim-time interval.
 * :mod:`repro.obs.slo` — :class:`SLOMonitor` multi-window burn-rate
   alerting and per-entity :class:`HealthTimeline` derivation over the
   scraped series.
@@ -47,9 +48,6 @@ from .metrics import (
     Series,
     series_id,
 )
-from .metrics import active as metrics_active
-from .metrics import install as install_metrics
-from .metrics import uninstall as uninstall_metrics
 from .slo import (
     Alert,
     HealthInterval,
@@ -58,16 +56,8 @@ from .slo import (
     SLOMonitor,
     check_alignment,
 )
-from .spans import (
-    MECHANISM_KINDS,
-    Span,
-    SpanTracer,
-    attached as span_attached,
-)
-from .spans import active as spans_active
-from .spans import install as install_spans
-from .spans import uninstall as uninstall_spans
-from .trace import TraceEvent, Tracer, active, install, uninstall
+from .spans import MECHANISM_KINDS, Span, SpanTracer
+from .trace import TraceEvent, Tracer
 
 __all__ = [
     "Alert",
@@ -92,24 +82,14 @@ __all__ = [
     "Tracer",
     "UNATTRIBUTED",
     "Violation",
-    "active",
     "assert_span_invariants",
     "assert_trace_invariants",
     "check_alignment",
     "check_events",
     "check_span_invariants",
-    "install",
-    "install_metrics",
-    "install_spans",
-    "metrics_active",
     "series_id",
-    "span_attached",
-    "spans_active",
     "summarize",
     "to_chrome_trace",
-    "uninstall",
-    "uninstall_metrics",
-    "uninstall_spans",
     "write_chrome_trace",
     "write_csv_summary",
 ]

@@ -6,16 +6,16 @@ pipeline answers *what did the fleet look like over time* — windowed
 rates, window-exact percentiles, and sampled gauges, all stamped at
 exact multiples of a **simulated-time** scrape interval.
 
-Installation mirrors :mod:`repro.obs.trace`: one module global holds
-the active pipeline and every instrumented site does
+Installation mirrors :mod:`repro.obs.trace`: the same probe slot holds
+the installed pipeline and every instrumented site does
 
 .. code-block:: python
 
-    mp = metrics_active()
+    mp = PROBES.metrics
     if mp is not None:
         mp.gauge("pipe.backlog_ns", pipe.backlog_ns, pipe=pipe.name)
 
-so a disabled pipeline costs one global load plus a ``None`` check.
+so a disabled pipeline costs one slot load plus a ``None`` check.
 Scrapes are *pulled* by whoever advances simulated time (the charge
 settler, the fleet drivers) via :meth:`MetricsPipeline.maybe_scrape`;
 the pipeline never advances the clock and never emits trace events, so
@@ -51,13 +51,11 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from ..sim.stats import percentile
-from . import spans as _spans_mod
-from . import trace as _trace_mod
+from .probes import PROBES
 
 __all__ = [
     "LabelItems",
@@ -67,11 +65,7 @@ __all__ = [
     "ScrapeWindow",
     "Series",
     "SeriesKey",
-    "active",
-    "install",
     "series_id",
-    "suspended",
-    "uninstall",
 ]
 
 #: Sorted ``(key, value)`` pairs — the canonical form of a label set.
@@ -187,14 +181,14 @@ class MetricsPipeline:
     tracer's:
 
     >>> with MetricsPipeline(scrape_interval_ns=100.0) as mp:
-    ...     active() is mp
+    ...     PROBES.metrics is mp
     ...     mp.count("ops", 3.0, node="n0")
     ...     mp.maybe_scrape(50.0)    # first call only aligns the clock
     ...     mp.maybe_scrape(250.0)   # catches up: scrapes at 100 and 200
     True
     0
     2
-    >>> active() is None
+    >>> PROBES.metrics is None
     True
     >>> [(s.id, list(s.samples)) for s in mp.all_series()]
     [('ops{node=n0}', [(100.0, 30000000.0), (200.0, 0.0)])]
@@ -393,10 +387,10 @@ class MetricsPipeline:
         no series, but once nonzero it is tracked (including back to
         zero after a ring clear) like any other gauge.
         """
-        tracer = _trace_mod.active()
+        tracer = PROBES.tracer
         if tracer is not None:
             self._gauge_nonzero("obs.trace_dropped", float(tracer.total_dropped))
-        spans = _spans_mod.active()
+        spans = PROBES.spans
         if spans is not None:
             self._gauge_nonzero("obs.spans_abandoned", float(spans.abandoned_total))
             self._gauge_nonzero("obs.span_costs_dropped", float(spans.dropped_costs))
@@ -466,56 +460,7 @@ class MetricsPipeline:
     # -- installation ------------------------------------------------------------
 
     def __enter__(self) -> "MetricsPipeline":
-        install(self)
-        return self
+        return PROBES.install("metrics", self)
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        uninstall(self)
-
-
-_ACTIVE: Optional[MetricsPipeline] = None
-
-
-def active() -> Optional[MetricsPipeline]:
-    """The installed pipeline, or None (the common, fast case)."""
-    return _ACTIVE
-
-
-def install(pipeline: MetricsPipeline) -> MetricsPipeline:
-    """Install the pipeline; instrumented call sites start feeding it."""
-    global _ACTIVE
-    if _ACTIVE is not None and _ACTIVE is not pipeline:
-        raise RuntimeError("another MetricsPipeline is already installed")
-    _ACTIVE = pipeline
-    return pipeline
-
-
-def uninstall(pipeline: Optional[MetricsPipeline] = None) -> None:
-    """Remove the installed pipeline (idempotent).
-
-    Passing the pipeline asserts you are removing the one you installed.
-    """
-    global _ACTIVE
-    if pipeline is not None and _ACTIVE is not None and _ACTIVE is not pipeline:
-        raise RuntimeError("a different MetricsPipeline is installed")
-    _ACTIVE = None
-
-
-@contextmanager
-def suspended() -> Iterator[Optional[MetricsPipeline]]:
-    """Deactivate the installed pipeline for the duration of the block.
-
-    Sub-experiments that spin up their *own* simulator (the join-leave
-    recovery baselines, for instance) must not publish into a pipeline
-    anchored to the caller's clock — their stamps would interleave two
-    timelines and break the strictly-monotonic-per-series invariant.
-    The pipeline's scrape grid is untouched, so the caller's sampling
-    resumes exactly where it left off.
-    """
-    global _ACTIVE
-    pipeline = _ACTIVE
-    _ACTIVE = None
-    try:
-        yield pipeline
-    finally:
-        _ACTIVE = pipeline
+        PROBES.uninstall("metrics", self)

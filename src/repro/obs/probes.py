@@ -1,20 +1,31 @@
-"""The probe slot: the instruments a metered memory access consults.
+"""The probe slot: which of the five instruments are installed.
 
-:mod:`repro.obs.trace`, :mod:`repro.obs.spans` and
-:mod:`repro.analysis.memsan` each install at most one object, and the
-metered access path (:mod:`repro.hardware.memory`) has to ask all three
-on every load and store. They share this one slot object instead of a
-module global apiece: the hooks' ``install`` / ``uninstall`` write it
-and their ``active()`` return from it, so every existing call site keeps
-its ``tracer = obs_active()`` idiom, while the hot path reads the single
-``PROBES.any`` attribute and only looks at the individual instruments
-when something is installed.
+:class:`~repro.obs.trace.Tracer`, :class:`~repro.obs.spans.SpanTracer`,
+:class:`~repro.analysis.memsan.MemSan`,
+:class:`~repro.obs.metrics.MetricsPipeline` and
+:class:`~repro.faults.injector.FaultInjector` each install at most one
+object, and they all install it here. A tool's ``__enter__`` /
+``__exit__`` call :meth:`ProbeSlot.install` / :meth:`ProbeSlot.uninstall`
+— the only copy of the install contract — and every hook site in the
+model reads the attribute:
 
-This module imports nothing from the package — it sits below the
-hardware layer and below the three tools it points at — so
-``hardware/memory.py`` no longer imports upward from ``analysis`` or
-from the tracers. The fault injector and the metrics pipeline are never
-consulted per access and keep their own globals.
+.. code-block:: python
+
+    tracer = PROBES.tracer
+    if tracer is not None:
+        tracer.emit("sharing", "flush", node=..., page=..., lines=...)
+
+so a disabled instrument costs one attribute load and a ``None`` check:
+no call, no kwargs dict, no formatted string. The metered access path
+(:mod:`repro.hardware.memory`, :mod:`repro.hardware.cache`) reads the
+single ``PROBES.any`` flag first and only looks at the individual
+instruments when one *it* consults — tracer, spans or memsan — is
+installed; the injector and the pipeline are never asked per access, so
+they do not set it.
+
+This module imports nothing from the package at run time: it sits below
+the hardware layer and below the five tools it points at, which is what
+lets every model layer reach its instruments without importing upward.
 
 >>> from repro.obs.trace import Tracer
 >>> PROBES.any
@@ -28,29 +39,59 @@ False
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, TypeVar
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, ContextManager, Iterator, Optional, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only, no import at run time
     from ..analysis.memsan import MemSan
-    from .spans import SpanTracer
+    from ..faults.injector import FaultInjector
+    from .metrics import MetricsPipeline
+    from .spans import Span, SpanTracer
     from .trace import Tracer
 
-__all__ = ["PROBES", "ProbeSlot"]
+__all__ = ["PROBES", "PROBE_NAMES", "ProbeSlot"]
 
 _P = TypeVar("_P")
 
+#: The slot's five attribute names, one per instrument.
+PROBE_NAMES = ("tracer", "spans", "memsan", "metrics", "injector")
+
+
+class _NullScope:
+    """The shared do-nothing context a disabled scope helper returns."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
+        return None
+
+
+_NULL_SCOPE = _NullScope()
+
 
 class ProbeSlot:
-    """Which tracer, span tracer and race detector are installed."""
+    """The installed instruments, one attribute each (``None`` = off)."""
 
-    __slots__ = ("tracer", "spans", "memsan", "any")
+    __slots__ = PROBE_NAMES + ("any",)
 
     def __init__(self) -> None:
         self.tracer: Optional[Tracer] = None
         self.spans: Optional[SpanTracer] = None
         self.memsan: Optional[MemSan] = None
-        #: True while at least one of the three is installed.
+        self.metrics: Optional[MetricsPipeline] = None
+        self.injector: Optional[FaultInjector] = None
+        #: True while the tracer, the span tracer or memsan is installed
+        #: — the three the metered access path consults.
         self.any = False
+
+    def _set(self, name: str, probe: Optional[object]) -> None:
+        setattr(self, name, probe)
+        self.any = not (
+            self.tracer is None and self.spans is None and self.memsan is None
+        )
 
     def install(self, name: str, probe: _P) -> _P:
         """Install ``probe`` under ``name``; a second object is refused."""
@@ -59,8 +100,7 @@ class ProbeSlot:
             raise RuntimeError(
                 f"another {type(probe).__name__} is already installed"
             )
-        setattr(self, name, probe)
-        self.any = True
+        self._set(name, probe)
         return probe
 
     def uninstall(self, name: str, probe: Optional[object] = None) -> None:
@@ -73,10 +113,45 @@ class ProbeSlot:
             raise RuntimeError(
                 f"a different {type(probe).__name__} is installed"
             )
-        setattr(self, name, None)
-        self.any = not (
-            self.tracer is None and self.spans is None and self.memsan is None
-        )
+        self._set(name, None)
+
+    @contextmanager
+    def suspended(self, name: str) -> Iterator[Optional[object]]:
+        """Empty ``name`` for the duration of the block, then restore it.
+
+        Sub-experiments that spin up their *own* simulator (the
+        join-leave recovery baselines, for instance) must not publish
+        into a pipeline anchored to the caller's clock — their stamps
+        would interleave two timelines and break the
+        strictly-monotonic-per-series invariant. The suspended object is
+        untouched, so the caller's sampling resumes where it left off.
+        """
+        probe = getattr(self, name)
+        self._set(name, None)
+        try:
+            yield probe
+        finally:
+            self._set(name, probe)
+
+    def attached(self, span: Optional[Span]) -> ContextManager[object]:
+        """Attach a cross-yield span around a synchronous segment.
+
+        A shared no-op when span tracing is off or ``span`` is ``None``,
+        so disabled call sites allocate nothing.
+        """
+        spans = self.spans
+        if spans is None or span is None:
+            return _NULL_SCOPE
+        return spans.attached(span)
+
+    def scoped_actor(self, name: str) -> ContextManager[object]:
+        """Ambient-actor scope against the installed memsan, or a no-op.
+
+        The per-segment hook used by ``MultiPrimaryNode``: cheap enough
+        to sit inside generators.
+        """
+        memsan = self.memsan
+        return _NULL_SCOPE if memsan is None else memsan.actor(name)
 
 
 #: The process-wide slot; there is exactly one.

@@ -14,7 +14,7 @@ slot, and every instrumented call site pays one slot load plus a
 
 .. code-block:: python
 
-    spans = spans_active()
+    spans = PROBES.spans
     if spans is not None:
         span = spans.begin("mtr", "mtr", meter=engine.meter)
 
@@ -51,7 +51,8 @@ without allocating a span per access. Because workers interleave at
 ``yield`` boundaries, the stack is only valid *within* a synchronous
 segment: spans that survive a ``yield`` must be created with
 ``push=False`` and re-attached around each synchronous segment with
-:func:`attached`.
+:meth:`SpanTracer.attached` (``PROBES.attached(span)`` where tracing
+may be off).
 
 >>> tracer = SpanTracer()
 >>> with tracer:
@@ -65,19 +66,11 @@ segment: spans that survive a ``yield`` must be created with
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from .probes import PROBES
 
-__all__ = [
-    "MECHANISM_KINDS",
-    "Span",
-    "SpanTracer",
-    "active",
-    "attached",
-    "install",
-    "uninstall",
-]
+__all__ = ["MECHANISM_KINDS", "Span", "SpanTracer"]
 
 #: The mechanism taxonomy (DESIGN.md §9). ``pipe_wait`` and
 #: ``dram_access`` are derived kinds produced by the attribution layer.
@@ -168,32 +161,6 @@ class _Attached:
         self._tracer.pop(self._span)
 
 
-class _NullCtx:
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        return None
-
-
-_NULL_CTX = _NullCtx()
-
-
-def attached(
-    tracer: Optional["SpanTracer"], span: Optional[Span]
-) -> Union["_Attached", "_NullCtx"]:
-    """Context manager attaching ``span`` to the stack, or a no-op.
-
-    The no-op path (tracer or span is ``None``) returns a shared null
-    context so disabled call sites allocate nothing.
-    """
-    if tracer is None or span is None:
-        return _NULL_CTX
-    return _Attached(tracer, span)
-
-
 class SpanTracer:
     """Begin/end spans with causal parents, installable globally.
 
@@ -203,7 +170,7 @@ class SpanTracer:
     ...     span = tracer.end(span)
     >>> span.costs
     {'cxl_access': 250.0}
-    >>> active() is None
+    >>> PROBES.spans is None
     True
     """
 
@@ -369,6 +336,10 @@ class SpanTracer:
                 return
             self._abandon(top)
 
+    def attached(self, span: Span) -> _Attached:
+        """Context manager attaching ``span`` for a synchronous segment."""
+        return _Attached(self, span)
+
     def current(self) -> Optional[Span]:
         """Top of the attach stack (parent for the next pushed span)."""
         return self._stack[-1] if self._stack else None
@@ -426,26 +397,7 @@ class SpanTracer:
     # -- installation -------------------------------------------------------------
 
     def __enter__(self) -> "SpanTracer":
-        install(self)
-        return self
+        return PROBES.install("spans", self)
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        uninstall(self)
-
-
-def active() -> Optional[SpanTracer]:
-    """The installed span tracer, or None (the common, fast case)."""
-    return PROBES.spans
-
-
-def install(tracer: SpanTracer) -> SpanTracer:
-    """Install the span tracer; instrumented call sites start recording."""
-    return PROBES.install("spans", tracer)
-
-
-def uninstall(tracer: Optional[SpanTracer] = None) -> None:
-    """Remove the installed span tracer (idempotent).
-
-    Passing the tracer asserts you are removing the one you installed.
-    """
-    PROBES.uninstall("spans", tracer)
+        PROBES.uninstall("spans", self)

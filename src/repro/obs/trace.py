@@ -1,12 +1,12 @@
 """The tracer: structured events in bounded per-subsystem ring buffers.
 
-Installation mirrors :mod:`repro.faults.injector`: one process-wide
-slot (:data:`repro.obs.probes.PROBES`) holds the active tracer, and every
-instrumented call site does
+One process-wide slot (:data:`repro.obs.probes.PROBES`) holds the
+installed tracer — ``with Tracer() as tracer:`` puts it there — and
+every instrumented call site does
 
 .. code-block:: python
 
-    tracer = obs_active()
+    tracer = PROBES.tracer
     if tracer is not None:
         tracer.emit("sharing", "flush", node=..., page=..., lines=...)
 
@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Optional
 from .counters import CounterRegistry
 from .probes import PROBES
 
-__all__ = ["TraceEvent", "Tracer", "active", "install", "uninstall"]
+__all__ = ["TraceEvent", "Tracer"]
 
 
 class TraceEvent:
@@ -67,11 +67,11 @@ class Tracer:
     instrumented call sites see the tracer only inside the ``with``:
 
     >>> with Tracer() as tracer:
-    ...     active() is tracer
+    ...     PROBES.tracer is tracer
     ...     tracer.emit("pool", "evict", page=7)
     ...     tracer.count("pool.evictions")
     True
-    >>> active() is None
+    >>> PROBES.tracer is None
     True
     >>> [event.key for event in tracer.events()]
     ['pool.evict']
@@ -145,26 +145,7 @@ class Tracer:
     # -- installation -----------------------------------------------------------------
 
     def __enter__(self) -> "Tracer":
-        install(self)
-        return self
+        return PROBES.install("tracer", self)
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        uninstall(self)
-
-
-def active() -> Optional[Tracer]:
-    """The installed tracer, or None (the common, fast case)."""
-    return PROBES.tracer
-
-
-def install(tracer: Tracer) -> Tracer:
-    """Install the tracer; instrumented call sites start emitting."""
-    return PROBES.install("tracer", tracer)
-
-
-def uninstall(tracer: Optional[Tracer] = None) -> None:
-    """Remove the installed tracer (idempotent).
-
-    Passing the tracer asserts you are removing the one you installed.
-    """
-    PROBES.uninstall("tracer", tracer)
+        PROBES.uninstall("tracer", self)

@@ -44,31 +44,26 @@ def probe_hooks(install_own: bool = True) -> dict:
     cleanly remove) its own. Returns the observed states so the parent
     can assert there was no cross-process bleed.
     """
-    from ..analysis import memsan
-    from ..faults import injector
-    from ..obs import metrics, spans, trace
+    from ..faults.injector import FaultInjector
+    from ..obs.probes import PROBE_NAMES, PROBES
+    from ..obs.trace import Tracer
 
-    report: dict[str, Any] = {
-        "pid": os.getpid(),
-        "injector_preinstalled": injector.active() is not None,
-        "tracer_preinstalled": trace.active() is not None,
-        "spans_preinstalled": spans.active() is not None,
-        "metrics_preinstalled": metrics.active() is not None,
-        "memsan_preinstalled": memsan.active() is not None,
-    }
+    report: dict[str, Any] = {"pid": os.getpid()}
+    for name in PROBE_NAMES:
+        report[f"{name}_preinstalled"] = getattr(PROBES, name) is not None
     if install_own:
         # Not a real crash site — a synthetic point name, armed only to
         # observe this process's injector slot from the parent.
-        with injector.FaultInjector(seed=1).arm(_PROBE_POINT, 1) as own:
+        with FaultInjector(seed=1).arm(_PROBE_POINT, 1) as own:
             report["own_injector_armed"] = own._armed == (_PROBE_POINT, 1)
-            report["own_injector_active"] = injector.active() is own
-        with trace.Tracer() as tracer:
+            report["own_injector_active"] = PROBES.injector is own
+        with Tracer() as tracer:
             tracer.counters.add("probe.counter", 3)
             report["own_counter"] = tracer.counters.snapshot().get(
                 "probe.counter"
             )
-        report["hooks_clear_after"] = (
-            injector.active() is None and trace.active() is None
+        report["hooks_clear_after"] = all(
+            getattr(PROBES, name) is None for name in PROBE_NAMES
         )
     return report
 

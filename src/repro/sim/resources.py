@@ -177,10 +177,6 @@ class RWLock:
     def held(self) -> bool:
         return self._writer or self._readers > 0
 
-    @property
-    def write_held(self) -> bool:
-        return self._writer
-
     def read_would_block(self) -> bool:
         return self._writer or bool(self._waiters)
 

@@ -101,16 +101,6 @@ class WorkloadRng:
     def bytes(self, n: int) -> bytes:
         return self._rng.randbytes(n)
 
-    def pareto_int(self, low: int, high: int, alpha: float = 1.16) -> int:
-        """Pareto-distributed integer clamped to [low, high]."""
-        span = high - low
-        value = int((self._rng.paretovariate(alpha) - 1.0) * span / 10.0)
-        return low + min(span, max(0, value))
-
-    def gaussian_int(self, mean: float, stdev: float, low: int, high: int) -> int:
-        value = int(self._rng.gauss(mean, stdev))
-        return max(low, min(high, value))
-
     def exponential_ns(self, mean_ns: float) -> int:
         """Exponential inter-arrival time, at least 1 ns."""
         return max(1, int(-mean_ns * math.log(1.0 - self._rng.random())))

@@ -13,12 +13,14 @@ under the lock; the multi-primary protocol relies on this.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from ..obs.metrics import active as metrics_active
-from ..obs.spans import Span, active as spans_active
+from ..obs.probes import PROBES
 from .core import Simulator
 from .resources import Pipe
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from ..obs.spans import Span
 
 __all__ = ["ChargeSettler"]
 
@@ -96,7 +98,7 @@ class ChargeSettler:
         elif total_ns > 0:
             yield self.sim.timeout(int(total_ns))
         if span is not None:
-            spans = spans_active()
+            spans = PROBES.spans
             if spans is not None:
                 excess = (self.sim.now - t0) - int(total_ns)
                 if excess > 0:
@@ -104,7 +106,7 @@ class ChargeSettler:
         # Settling is where simulated time advances for every workload,
         # scenario and sweep alike — the natural pull point for the
         # live metrics scrape clock (which never advances time itself).
-        mp = metrics_active()
+        mp = PROBES.metrics
         if mp is not None:
             if transfers:
                 for pipe, _, _, _ in batches.values():
@@ -130,6 +132,6 @@ class ChargeSettler:
                 pipe.transfer(charge.nbytes, int(charge.base_ns)) for pipe in routed
             ]
             yield self.sim.all_of(events)
-        mp = metrics_active()
+        mp = PROBES.metrics
         if mp is not None:
             mp.maybe_scrape(self.sim.now)

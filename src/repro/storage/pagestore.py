@@ -20,10 +20,8 @@ from __future__ import annotations
 import random
 from typing import Iterator, Optional
 
-from ..faults.injector import active as fault_injector
 from ..hardware.memory import AccessMeter
-from ..obs.spans import active as spans_active
-from ..obs.trace import active as obs_active
+from ..obs.probes import PROBES
 from ..sim.latency import LatencyConfig
 
 __all__ = ["PageStore", "SECTOR_SIZE"]
@@ -66,11 +64,11 @@ class PageStore:
             self.meter.charge_transfer(
                 "storage", self.page_size, base_ns=self.config.storage_read_base_ns
             )
-        tracer = obs_active()
+        tracer = PROBES.tracer
         if tracer is not None:
             tracer.count("store.page_reads")
             tracer.count("store.read_bytes", self.page_size)
-        spans = spans_active()
+        spans = PROBES.spans
         if spans is not None:
             spans.record(
                 "pagestore_io",
@@ -86,7 +84,7 @@ class PageStore:
             raise ValueError(
                 f"page image is {len(image)} bytes, expected {self.page_size}"
             )
-        injector = fault_injector()
+        injector = PROBES.injector
         if injector is not None:
             injector.point(
                 "pagestore.write_page",
@@ -98,11 +96,11 @@ class PageStore:
             self.meter.charge_transfer(
                 "storage", self.page_size, base_ns=self.config.storage_write_base_ns
             )
-        tracer = obs_active()
+        tracer = PROBES.tracer
         if tracer is not None:
             tracer.count("store.page_writes")
             tracer.count("store.write_bytes", self.page_size)
-        spans = spans_active()
+        spans = PROBES.spans
         if spans is not None:
             spans.record(
                 "pagestore_io",

@@ -24,8 +24,7 @@ from typing import Optional
 
 from ..faults.injector import crash_point
 from ..hardware.memory import AccessMeter
-from ..obs.spans import active as spans_active
-from ..obs.trace import active as obs_active
+from ..obs.probes import PROBES
 from ..sim.latency import LatencyConfig
 
 __all__ = ["RedoRecord", "RedoLog"]
@@ -74,7 +73,7 @@ class RedoLog:
         lsn = self._next_lsn
         self._next_lsn += 1
         self._buffer.append(RedoRecord(lsn, page_id, offset, bytes(data)))
-        tracer = obs_active()
+        tracer = PROBES.tracer
         if tracer is not None:
             tracer.count("wal.records_appended")
             tracer.emit("wal", "append", log=id(self), page=page_id, lsn=lsn)
@@ -86,7 +85,7 @@ class RedoLog:
     def flush(self) -> int:
         """Force the buffer to the durable log; returns durable max LSN."""
         if self._buffer:
-            spans = spans_active()
+            spans = PROBES.spans
             span = (
                 spans.begin("wal_append", "flush", meter=self.meter)
                 if spans is not None
@@ -95,7 +94,7 @@ class RedoLog:
             # A crash here loses the whole buffer (it is host DRAM).
             crash_point("wal.flush.begin")
             nbytes = sum(record.size_bytes for record in self._buffer)
-            tracer = obs_active()
+            tracer = PROBES.tracer
             if tracer is not None:
                 tracer.count("wal.records_flushed", len(self._buffer))
                 tracer.count("wal.bytes_flushed", nbytes)

@@ -25,9 +25,7 @@ from ..db.engine import Engine
 from ..faults.injector import InjectedCrash
 from ..hardware.host import Host
 from ..hardware.memory import AccessMeter
-from ..obs.metrics import active as metrics_active
-from ..obs.spans import active as spans_active
-from ..obs.spans import attached as span_attached
+from ..obs.probes import PROBES
 from ..sim.core import Event, Simulator
 from ..sim.latency import CostModel
 from ..sim.resources import Pipe
@@ -161,13 +159,13 @@ class _ClosedLoopDriver:
         meters: Sequence[AccessMeter],
         workers: Sequence[tuple[str, int, dict[str, str], tuple]],
     ) -> RunResult:
-        spans = spans_active()
+        spans = PROBES.spans
         if spans is not None:
             # Rebind unconditionally: one session-wide tracer may span
             # several simulators, and a stale clock from a previous sim
             # would stamp nonsense wall times on this run's spans.
             spans.attach_clock(lambda: self.sim.now)
-        mp = metrics_active()
+        mp = PROBES.metrics
         if mp is not None:
             # Same reasoning as the span clock: a pipeline shared across
             # simulators must re-align its scrape grid to this run.
@@ -209,7 +207,7 @@ class _ClosedLoopDriver:
             self._queries += queries
             if self.timeline is not None:
                 self.timeline.record(self.sim.now, queries)
-            mp = metrics_active()
+            mp = PROBES.metrics
             if mp is not None:
                 mp.observe(
                     "txn.latency_ns", self.sim.now - start,
@@ -260,7 +258,7 @@ class PoolingDriver(_ClosedLoopDriver):
         )
 
     def _one_txn(self, ictx: InstanceCtx, rng: WorkloadRng):
-        spans = spans_active()
+        spans = PROBES.spans
         if spans is None:
             stats = self.txn_fn(ictx.engine, rng)
             yield from ictx.settler.settle()
@@ -268,7 +266,7 @@ class PoolingDriver(_ClosedLoopDriver):
         root = spans.begin(
             "txn", "pooling_txn", meter=ictx.engine.meter, push=False
         )
-        with span_attached(spans, root):
+        with spans.attached(root):
             stats = self.txn_fn(ictx.engine, rng)
         yield from ictx.settler.settle(span=root)
         spans.end(root)
@@ -322,7 +320,7 @@ class SharingDriver(_ClosedLoopDriver):
 
     def _one_txn(self, node: MultiPrimaryNode, node_index: int, rng: WorkloadRng):
         ops = self.txn_ops_fn(rng, node_index, self.shared_pct)
-        spans = spans_active()
+        spans = PROBES.spans
         root = (
             spans.begin("txn", "sharing_txn", meter=node.engine.meter, push=False)
             if spans is not None
@@ -389,10 +387,10 @@ class FleetLoadDriver:
         self.live: set[int] = set(range(len(setup.nodes)))
         self.ops_run = 0
         self.crashes_seen = 0
-        spans = spans_active()
+        spans = PROBES.spans
         if spans is not None:
             spans.attach_clock(lambda: self.sim.now)
-        mp = metrics_active()
+        mp = PROBES.metrics
         if mp is not None:
             mp.anchor(self.sim.now)
             mp.gauge("fleet.live_nodes", float(len(self.live)))
@@ -400,18 +398,12 @@ class FleetLoadDriver:
     # -- membership ------------------------------------------------------------
 
     def _gauge_live(self) -> None:
-        mp = metrics_active()
+        mp = PROBES.metrics
         if mp is not None:
             mp.gauge("fleet.live_nodes", float(len(self.live)))
 
     def mark_dead(self, index: int) -> None:
         self.live.discard(index)
-        self._gauge_live()
-
-    def mark_live(self, index: int) -> None:
-        if not 0 <= index < len(self.setup.nodes):
-            raise IndexError(f"node index {index} out of range")
-        self.live.add(index)
         self._gauge_live()
 
     def add_node(self, node: MultiPrimaryNode) -> int:
@@ -452,7 +444,7 @@ class FleetLoadDriver:
         except InjectedCrash:
             self.crashes_seen += 1
             outcome = ("crashed", target, None)
-        mp = metrics_active()
+        mp = PROBES.metrics
         if mp is not None:
             mp.count(
                 "fleet.client_ops", 1.0, kind=op.kind, status=outcome[0]

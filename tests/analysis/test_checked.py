@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import memsan
 from repro.analysis.checked import CheckedRun, fail_over
 from repro.analysis.memsan import MemSan, MemSanError
 from repro.faults.sweep import (
@@ -21,12 +20,18 @@ from repro.faults.sweep import (
     _sharing_prephase,
 )
 from repro.hardware.memory import AccessMeter
-from repro.obs import InvariantViolationError, metrics, spans, trace
+from repro.obs import InvariantViolationError
 from repro.obs.metrics import MetricsError, MetricsPipeline
+from repro.obs.probes import PROBES
+from repro.obs.spans import SpanTracer
 from repro.obs.trace import Tracer
 
 SRC = Path(__file__).parent.parent.parent / "src" / "repro"
-HOOKS = (trace, spans, metrics, memsan)
+HOOKS = ("tracer", "spans", "metrics", "memsan")
+
+
+def _nothing_installed():
+    return all(getattr(PROBES, hook) is None for hook in HOOKS)
 
 
 def _all():
@@ -36,17 +41,17 @@ def _all():
 def test_installs_and_owns_all_four_then_uninstalls():
     with _all() as run:
         owned = (run.tracer, run.spans, run.metrics, run.memsan)
-        assert all(hook.active() is own for hook, own in zip(HOOKS, owned))
-    assert all(hook.active() is None for hook in HOOKS)
+        assert all(getattr(PROBES, hook) is own for hook, own in zip(HOOKS, owned))
+    assert _nothing_installed()
     run.check()
     assert run.trace_stats is not None and run.span_stats is not None
 
 
 def test_unrequested_instruments_stay_uninstalled():
     with CheckedRun(spans=True) as run:
-        assert spans.active() is run.spans
-        assert trace.active() is None and metrics.active() is None
-        assert memsan.active() is None
+        assert PROBES.spans is run.spans
+        assert PROBES.tracer is None and PROBES.metrics is None
+        assert PROBES.memsan is None
     assert (run.tracer, run.metrics, run.memsan) == (None, None, None)
 
 
@@ -57,9 +62,9 @@ def test_outer_instrument_is_left_installed_and_unchecked():
         outer.emit("sharing", "page_access", node="n0", page=5,
                    saw_invalid=False, registered=False)
         with _all() as run:
-            assert run.tracer is None and trace.active() is outer
+            assert run.tracer is None and PROBES.tracer is outer
             assert run.spans is not None
-        assert trace.active() is outer
+        assert PROBES.tracer is outer
         run.check()
         assert run.trace_stats is None
 
@@ -68,13 +73,13 @@ def test_everything_is_uninstalled_when_the_body_raises():
     with pytest.raises(ZeroDivisionError):
         with _all():
             1 / 0
-    assert all(hook.active() is None for hook in HOOKS)
+    assert _nothing_installed()
 
 
 def test_caller_supplied_detector_is_installed_and_owned():
     detector = MemSan()
     with CheckedRun(memsan=detector) as run:
-        assert memsan.active() is detector and run.memsan is detector
+        assert PROBES.memsan is detector and run.memsan is detector
     with MemSan():
         with pytest.raises(RuntimeError, match="already installed"):
             CheckedRun(memsan=detector).__enter__()
@@ -96,7 +101,7 @@ def test_crashed_abandons_open_spans_and_scrapes_at_the_crash_instant():
 
 
 def test_crashed_reaches_outer_instruments_too():
-    with spans.SpanTracer() as outer_spans, MetricsPipeline() as outer_metrics:
+    with SpanTracer() as outer_spans, MetricsPipeline() as outer_metrics:
         outer_metrics.maybe_scrape(0.0)
         outer_spans.begin("txn", "t")
         with CheckedRun(spans=True, metrics=True) as run:

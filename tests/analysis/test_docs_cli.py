@@ -95,7 +95,7 @@ class TestRealDocs:
     def test_runbook_documents_are_consistent(self):
         paths = [
             str(REPO / name)
-            for name in ("README.md", "EXPERIMENTS.md", "PERFORMANCE.md")
+            for name in ("README.md", "EXPERIMENTS.md", "PERFORMANCE.md", "DESIGN.md")
         ]
         findings = check_files(paths)
         assert findings == [], "\n".join(f.render() for f in findings)

@@ -13,13 +13,10 @@ from repro.analysis.memsan import (
     RDMA_PAGES,
     MemSan,
     MemSanError,
-    active,
-    install,
-    scoped_actor,
-    uninstall,
     vc_join,
     vc_leq,
 )
+from repro.obs.probes import PROBES
 
 REGION = "cxl.test"
 
@@ -346,22 +343,22 @@ def test_report_str_mentions_rule_and_missing_edge():
 
 
 def test_install_protocol_is_exclusive_and_scoped():
-    assert active() is None
+    assert PROBES.memsan is None
     ms = MemSan()
     with ms:
-        assert active() is ms
+        assert PROBES.memsan is ms
         with pytest.raises(RuntimeError):
-            install(MemSan())
+            MemSan().__enter__()
         # scoped_actor targets the installed instance.
-        with scoped_actor("n0"):
+        with PROBES.scoped_actor("n0"):
             assert ms._ambient() == "n0"
         assert ms._ambient() is None
-    assert active() is None
-    uninstall()  # idempotent
+    assert PROBES.memsan is None
+    PROBES.uninstall("memsan")  # idempotent
 
 
 def test_scoped_actor_is_null_when_uninstalled():
-    scope = scoped_actor("n0")
+    scope = PROBES.scoped_actor("n0")
     with scope:
         pass  # must be a no-op, not an error
 

@@ -9,23 +9,17 @@ host crash, RPC loss with retry/backoff) the sweeps build on.
 
 import pytest
 
-from repro.faults.injector import (
-    FaultInjector,
-    InjectedCrash,
-    active,
-    crash_point,
-    install,
-    uninstall,
-)
+from repro.faults.injector import FaultInjector, InjectedCrash, crash_point
 from repro.hardware.cache import CpuCache, LineCacheModel
 from repro.hardware.memory import MemoryRegion, PoisonedMemoryError
+from repro.obs.probes import PROBES
 from repro.storage.pagestore import SECTOR_SIZE, PageStore
 from repro.storage.wal import RedoLog
 
 
 class TestInjectorSemantics:
     def test_crash_point_is_noop_when_uninstalled(self):
-        assert active() is None
+        assert PROBES.injector is None
         crash_point("anything")  # must not raise
 
     def test_hits_are_counted_and_traced(self):
@@ -130,24 +124,24 @@ class TestInjectorSemantics:
 class TestInstallation:
     def test_context_manager_installs_and_uninstalls(self):
         with FaultInjector() as inj:
-            assert active() is inj
-        assert active() is None
+            assert PROBES.injector is inj
+        assert PROBES.injector is None
 
     def test_double_install_of_a_different_injector_fails(self):
         with FaultInjector():
             with pytest.raises(RuntimeError):
-                install(FaultInjector())
-        assert active() is None
+                FaultInjector().__enter__()
+        assert PROBES.injector is None
 
     def test_uninstalling_someone_elses_injector_fails(self):
         with FaultInjector():
             with pytest.raises(RuntimeError):
-                uninstall(FaultInjector())
-        assert active() is None
+                PROBES.uninstall("injector", FaultInjector())
+        assert PROBES.injector is None
 
     def test_uninstall_is_idempotent(self):
-        uninstall()
-        uninstall(FaultInjector())  # nothing installed: fine
+        PROBES.uninstall("injector")
+        PROBES.uninstall("injector", FaultInjector())  # nothing installed: fine
 
 
 class TestMemoryRegionPower:

@@ -1,27 +1,54 @@
-"""The hardware layer imports nothing from the tools that observe it.
+"""The model layers import nothing from the tools that observe them.
 
-``repro.hardware`` sits below the tracers, the race detector and the
-sweep harnesses. Its modules consult the import-free probe slot
-(:mod:`repro.obs.probes`) and mark crash points; they never import
-``repro.analysis`` or the instruments under ``repro.obs`` themselves,
-which would make the bottom layer depend on everything built on it.
+``sim``, ``hardware``, ``storage``, ``db``, ``core``, ``baselines`` and
+``workloads`` are the model; the tracers, the metrics pipeline, the race
+detector, the fault injector and every harness are built *on* it. Model
+modules consult the import-free probe slot (:mod:`repro.obs.probes`) and
+mark crash points; they never import an instrument, ``repro.analysis``
+or a harness package, which would make the bottom of the stack depend on
+everything above it. ``repro.hardware`` is held to the stricter rule it
+has had since the access path was collapsed: only ``hardware``, ``sim``,
+the slot and ``crash_point``.
 """
 
 import ast
 from pathlib import Path
 
-import repro.hardware
+import repro
+import repro.obs.probes
 
-PACKAGE = Path(repro.hardware.__file__).parent
-# The one upward name: marking a crash point is a hardware event.
-ALLOWED = {("repro.faults.injector", "crash_point")}
+SRC = Path(repro.__file__).parent
+MODEL_LAYERS = ("sim", "hardware", "storage", "db", "core", "baselines", "workloads")
+#: Packages a model layer may never import from.
+ABOVE_THE_MODEL = ("analysis", "bench", "parallel", "ha")
+#: The only names the model takes from the fault injector: marking a
+#: crash point, and letting the simulated power loss propagate.
+FROM_FAULTS = {
+    ("repro.faults.injector", "crash_point"),
+    ("repro.faults.injector", "InjectedCrash"),
+}
 
 
-def _imports(path: Path):
+def _type_checking_lines(tree: ast.Module) -> set[int]:
+    """Line numbers inside ``if TYPE_CHECKING:`` blocks (annotations only)."""
+    lines: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+            for child in node.body:
+                lines.update(range(child.lineno, child.end_lineno + 1))
+    return lines
+
+
+def _imports(path: Path, runtime_only: bool = False):
     """(absolute module, imported name) for every import in the file,
-    ``TYPE_CHECKING`` blocks and function bodies included."""
-    package = ["repro", "hardware"]
-    for node in ast.walk(ast.parse(path.read_text())):
+    function bodies included; ``TYPE_CHECKING`` blocks too unless
+    ``runtime_only``."""
+    package = ["repro", *path.relative_to(SRC).parts[:-1]]
+    tree = ast.parse(path.read_text())
+    skipped = _type_checking_lines(tree) if runtime_only else set()
+    for node in ast.walk(tree):
+        if getattr(node, "lineno", None) in skipped:
+            continue
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name, None
@@ -32,14 +59,49 @@ def _imports(path: Path):
                 yield module, alias.name
 
 
+def _upward_imports(layer: str, runtime_only: bool):
+    for path in sorted((SRC / layer).glob("*.py")):
+        for module, name in _imports(path, runtime_only):
+            if module.startswith("repro.") and module != "repro.obs.probes":
+                yield path.name, module, name
+
+
 def test_hardware_imports_no_instrument_and_no_analysis():
-    upward = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for module, name in _imports(path):
-            if not module.startswith("repro.") or (module, name) in ALLOWED:
-                continue
-            layer = module.split(".")[1]
-            if layer in ("hardware", "sim") or module == "repro.obs.probes":
-                continue
-            upward.append(f"{path.name}: from {module} import {name}")
+    upward = [
+        f"{file}: from {module} import {name}"
+        for file, module, name in _upward_imports("hardware", runtime_only=False)
+        if module.split(".")[1] not in ("hardware", "sim")
+        and (module, name) != ("repro.faults.injector", "crash_point")
+    ]
     assert not upward, "hardware/ imports upward:\n" + "\n".join(upward)
+
+
+def test_model_layers_take_only_the_slot_and_crash_points_from_the_instruments():
+    upward = []
+    for layer in MODEL_LAYERS:
+        for file, module, name in _upward_imports(layer, runtime_only=True):
+            package = module.split(".")[1]
+            if (
+                package in ABOVE_THE_MODEL
+                or package == "obs"
+                or (package == "faults" and (module, name) not in FROM_FAULTS)
+            ):
+                upward.append(f"{layer}/{file}: from {module} import {name}")
+    assert not upward, "model layers import upward:\n" + "\n".join(upward)
+
+
+def test_the_probe_slot_imports_nothing_from_the_package_at_run_time():
+    path = Path(repro.obs.probes.__file__)
+    assert [m for m, _ in _imports(path, runtime_only=True) if m.startswith("repro")] == []
+
+
+def test_no_private_hook_global_and_no_active_alias_is_left():
+    """One mechanism: the slot. No module keeps its own ``_ACTIVE`` and
+    none imports an ``active`` / ``install`` / ``uninstall`` function."""
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if "_ACTIVE" in path.read_text()
+        or any(name in ("active", "install", "uninstall") for _, name in _imports(path))
+    ]
+    assert offenders == []

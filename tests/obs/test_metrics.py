@@ -6,28 +6,27 @@ fire one scrape per missed grid point, and window-boundary samples must
 land in exactly one window. These tests pin that math plus the
 install/uninstall discipline, counter-source deltas, zero-edge rate
 compaction, gauge change-detection, ring drop accounting, and the
-``suspended()`` escape hatch sub-experiments rely on.
+``PROBES.suspended("metrics")`` escape hatch sub-experiments rely on.
 """
 
 import math
 
 import pytest
 
-from repro.obs import metrics
 from repro.obs.metrics import (
     MetricsError,
     MetricsPipeline,
     ScrapeWindow,
     series_id,
-    suspended,
 )
+from repro.obs.probes import PROBES
 
 
 @pytest.fixture(autouse=True)
 def _no_active_pipeline():
-    assert metrics.active() is None
+    assert PROBES.metrics is None
     yield
-    assert metrics.active() is None
+    assert PROBES.metrics is None
 
 
 # -- install discipline --------------------------------------------------------
@@ -37,41 +36,41 @@ class TestInstall:
     def test_context_manager_scopes_installation(self):
         mp = MetricsPipeline()
         with mp:
-            assert metrics.active() is mp
-        assert metrics.active() is None
+            assert PROBES.metrics is mp
+        assert PROBES.metrics is None
 
     def test_double_install_rejected(self):
         with MetricsPipeline():
             with pytest.raises(RuntimeError, match="already installed"):
-                metrics.install(MetricsPipeline())
+                MetricsPipeline().__enter__()
 
     def test_uninstall_wrong_pipeline_rejected(self):
         with MetricsPipeline():
             with pytest.raises(RuntimeError, match="different"):
-                metrics.uninstall(MetricsPipeline())
+                PROBES.uninstall("metrics", MetricsPipeline())
 
     def test_uninstall_idempotent(self):
-        metrics.uninstall()
-        metrics.uninstall()
+        PROBES.uninstall("metrics")
+        PROBES.uninstall("metrics")
 
     def test_suspended_deactivates_and_restores(self):
         mp = MetricsPipeline()
         with mp:
-            with suspended() as seen:
+            with PROBES.suspended("metrics") as seen:
                 assert seen is mp
-                assert metrics.active() is None
-            assert metrics.active() is mp
+                assert PROBES.metrics is None
+            assert PROBES.metrics is mp
 
     def test_suspended_restores_on_exception(self):
         mp = MetricsPipeline()
         with mp:
             with pytest.raises(ValueError):
-                with suspended():
+                with PROBES.suspended("metrics"):
                     raise ValueError("boom")
-            assert metrics.active() is mp
+            assert PROBES.metrics is mp
 
     def test_suspended_with_nothing_installed(self):
-        with suspended() as seen:
+        with PROBES.suspended("metrics") as seen:
             assert seen is None
 
 

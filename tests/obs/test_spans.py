@@ -3,13 +3,13 @@
 import pytest
 
 from repro.hardware.memory import AccessMeter
-from repro.obs import spans as sp
 from repro.obs.invariants import (
     InvariantViolationError,
     assert_span_invariants,
     check_span_invariants,
 )
-from repro.obs.spans import Span, SpanTracer, attached
+from repro.obs.probes import PROBES
+from repro.obs.spans import Span, SpanTracer
 
 
 class FakeClock:
@@ -128,7 +128,7 @@ def test_push_false_with_attached_segments():
     tracer = SpanTracer()
     op = tracer.begin("txn", "op", push=False)
     assert tracer.current() is None  # not on the stack
-    with attached(tracer, op):
+    with tracer.attached(op):
         inner = tracer.begin("mtr", "m")
         tracer.end(inner)
     assert inner.parent_id == op.span_id
@@ -138,9 +138,16 @@ def test_push_false_with_attached_segments():
 
 
 def test_attached_none_is_shared_null_context():
-    assert attached(None, None) is attached(SpanTracer(), None)
-    with attached(None, None):
+    null = PROBES.attached(None)
+    with null:
         pass
+    with SpanTracer() as tracer:
+        assert PROBES.attached(None) is null  # no span to attach
+        op = tracer.begin("txn", "op", push=False)
+        with PROBES.attached(op):
+            assert tracer.current() is op
+        assert tracer.current() is None
+    assert PROBES.attached(op) is null  # tracing is off again
 
 
 # -- crash handling ----------------------------------------------------------------
@@ -173,14 +180,14 @@ def test_clear_refuses_with_spans_attached():
 def test_install_conflict_and_idempotent_uninstall():
     first = SpanTracer()
     with first:
-        assert sp.active() is first
-        assert sp.install(first) is first  # re-installing self is fine
+        assert PROBES.spans is first
+        assert first.__enter__() is first  # re-installing self is fine
         with pytest.raises(RuntimeError, match="already installed"):
-            sp.install(SpanTracer())
+            SpanTracer().__enter__()
         with pytest.raises(RuntimeError, match="different SpanTracer"):
-            sp.uninstall(SpanTracer())
-    assert sp.active() is None
-    sp.uninstall()  # idempotent
+            PROBES.uninstall("spans", SpanTracer())
+    assert PROBES.spans is None
+    PROBES.uninstall("spans")  # idempotent
 
 
 # -- invariant checker -------------------------------------------------------------

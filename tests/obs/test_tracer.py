@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.obs import Tracer, active, install, uninstall
+from repro.obs import Tracer
 from repro.obs.counters import CounterRegistry, Histogram
+from repro.obs.probes import PROBES
 
 
 class TestTracerEvents:
@@ -73,46 +74,46 @@ class TestTracerEvents:
 
 class TestInstallation:
     def test_disabled_by_default(self):
-        assert active() is None
+        assert PROBES.tracer is None
 
     def test_install_uninstall(self):
         tracer = Tracer()
-        install(tracer)
+        PROBES.install("tracer", tracer)
         try:
-            assert active() is tracer
+            assert PROBES.tracer is tracer
         finally:
-            uninstall(tracer)
-        assert active() is None
+            PROBES.uninstall("tracer", tracer)
+        assert PROBES.tracer is None
 
     def test_context_manager(self):
         with Tracer() as tracer:
-            assert active() is tracer
-        assert active() is None
+            assert PROBES.tracer is tracer
+        assert PROBES.tracer is None
 
     def test_double_install_rejected(self):
         with Tracer():
             with pytest.raises(RuntimeError):
-                install(Tracer())
-        assert active() is None
+                Tracer().__enter__()
+        assert PROBES.tracer is None
 
     def test_reinstalling_same_tracer_is_fine(self):
         with Tracer() as tracer:
-            assert install(tracer) is tracer
-        assert active() is None
+            assert tracer.__enter__() is tracer
+        assert PROBES.tracer is None
 
     def test_uninstall_wrong_tracer_rejected(self):
         with Tracer():
             with pytest.raises(RuntimeError):
-                uninstall(Tracer())
-        assert active() is None
+                PROBES.uninstall("tracer", Tracer())
+        assert PROBES.tracer is None
 
     def test_uninstall_idempotent(self):
-        uninstall()
-        uninstall(Tracer())  # nothing installed: no-op
+        PROBES.uninstall("tracer")
+        PROBES.uninstall("tracer", Tracer())  # nothing installed: no-op
 
     def test_installed_tracer_collects_counts(self):
         with Tracer() as tracer:
-            current = active()
+            current = PROBES.tracer
             assert current is not None
             current.count("x.y", 2)
             current.emit("s", "e", a=1)

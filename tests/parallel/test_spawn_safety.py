@@ -10,6 +10,7 @@ the parent's hooks deliberately installed while the pool runs.
 from repro.analysis.memsan import MemSan
 from repro.faults.injector import FaultInjector
 from repro.obs.metrics import MetricsPipeline
+from repro.obs.probes import PROBE_NAMES
 from repro.obs.spans import SpanTracer
 from repro.obs.trace import Tracer
 from repro.parallel import WorkUnit, run_units
@@ -28,11 +29,8 @@ def test_workers_start_with_clean_hooks_despite_parent_installs():
     for result in results:
         assert result.ok, result.describe_failure()
         report = result.value
-        assert report["injector_preinstalled"] is False
-        assert report["tracer_preinstalled"] is False
-        assert report["spans_preinstalled"] is False
-        assert report["metrics_preinstalled"] is False
-        assert report["memsan_preinstalled"] is False
+        for name in PROBE_NAMES:
+            assert report[f"{name}_preinstalled"] is False
         # The worker could install, use, and cleanly remove its own.
         assert report["own_injector_armed"] is True
         assert report["own_injector_active"] is True
