@@ -609,9 +609,7 @@ def _run_protocol(config: ProtocolConfig, strategy: ExplorerStrategy) -> list[st
     from .checked import CheckedRun, fail_over
 
     workload = SysbenchWorkload(rows=config.rows, n_nodes=config.n_nodes)
-    setup = build_sharing_setup(
-        config.system, config.n_nodes, workload, loader_pool_pages=96
-    )
+    setup = build_sharing_setup(config.system, config.n_nodes, workload)
     if config.mutation is not None:
         _apply_mutation(setup, config.mutation)
     keys = _config_keys(config)

@@ -11,6 +11,11 @@ three system kinds:
 and for the two multi-primary sharing systems (``cxl`` / ``rdma``).
 Setup costs (loading, pool formatting) are wiped from the meters so runs
 measure steady state only.
+
+The dataset is loaded once per process and distinct ``(workload,
+latency, cost)``: :func:`_load_dataset` keeps the loaded store, log and
+meter as a world image (:mod:`repro.obs.image`) and every later build
+starts from a clone of it.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from ..faults.injector import crash_point
 from ..hardware.cache import CpuCache, LineCacheModel
 from ..hardware.host import Cluster, Host
 from ..hardware.memory import AccessMeter, WindowedMemory
+from ..obs.image import materialize
 from ..obs.probes import PROBES
 from ..sim.core import Simulator
 from ..sim.latency import CostModel, LatencyConfig
@@ -62,6 +68,60 @@ SYSTEMS = ("dram", "cxl", "rdma")
 
 _POOL_SLACK_PAGES = 48
 _LBP_MIN_PAGES = 8
+# Frames of the throw-away load-time pool: room for every dataset the
+# experiments load, and free until touched (regions are zero on demand).
+_POOLING_LOADER_PAGES = 4096
+_SHARING_LOADER_PAGES = 16384
+
+
+def _load_dataset(
+    host: Host,
+    region_name: str,
+    pool_pages: int,
+    workload: Workload,
+    config: LatencyConfig,
+    cost: CostModel,
+) -> tuple[AccessMeter, PageStore, RedoLog]:
+    """A fresh meter, page store and redo log holding ``workload``'s
+    loaded, checkpointed dataset, as a scratch engine with a roomy
+    ``pool_pages``-frame local pool in a DRAM region of ``host`` leaves
+    them.
+
+    The load reads nothing but the workload's parameters, the latency
+    configuration and the cost model (no seed: every ``load`` is
+    deterministic), so those are the image key; the first build per key
+    runs the load, later ones restore its image. The key takes every
+    workload attribute, run-only ones (key distribution, range size)
+    included: two workloads differing only there each pay one load, but
+    no attribute a ``load`` starts reading can ever serve a stale
+    dataset. Either way the host allocates, maps and drops the loader
+    region, so its region naming and cache registry do not depend on
+    which happened.
+    """
+    meter = AccessMeter()
+    store = PageStore(PAGE_SIZE, meter, config=config)
+    redo = RedoLog(meter, config=config)
+    region = host.alloc_dram(region_name, pool_pages * PAGE_SIZE)
+    mapped = host.map_dram(region, meter, LineCacheModel())
+
+    def load() -> None:
+        loader = Engine(
+            "loader", LocalBufferPool(mapped, store, pool_pages), store, redo, meter, cost=cost
+        )
+        loader.initialize()
+        workload.load(loader)
+
+    key = (
+        "dataset",
+        pool_pages,
+        type(workload),
+        tuple(sorted(vars(workload).items())),
+        config,
+        cost,
+    )
+    materialize(key, {"meter": meter, "store": store, "redo": redo}, load)
+    host.dram_regions.remove(region)
+    return meter, store, redo
 
 
 def _preload_remote(remote: RemoteMemoryNode, store: PageStore) -> None:
@@ -119,9 +179,11 @@ def build_pooling_setup(
 
     # Size the CXL pool for every instance up front (one mapped region).
     if system == "cxl":
-        # Rough page count per instance: rows / min-leaf-fill plus slack.
-        probe = _load_one(system="probe", host=host, workload=workload, seed=seed)
-        pages_per_instance = probe + _POOL_SLACK_PAGES
+        # Page count per instance: what one load produces, plus slack.
+        _, probe_store, _ = _load_dataset(
+            host, "probe", _POOLING_LOADER_PAGES, workload, config, cost
+        )
+        pages_per_instance = len(probe_store) + _POOL_SLACK_PAGES
         extent_bytes = pool_bytes_needed(pages_per_instance)
         setup.manager = CxlMemoryManager(
             cluster.fabric,
@@ -146,22 +208,6 @@ def build_pooling_setup(
     return setup
 
 
-def _load_one(system: str, host: Host, workload: Workload, seed: int) -> int:
-    """Load the dataset once on a scratch engine; returns the page count."""
-    meter = AccessMeter()
-    store = PageStore(PAGE_SIZE, meter)
-    redo = RedoLog(meter)
-    region = host.alloc_dram("probe", 4096 * PAGE_SIZE)
-    pool = LocalBufferPool(
-        host.map_dram(region, meter, LineCacheModel()), store, 4096
-    )
-    engine = Engine("probe", pool, store, redo, meter)
-    engine.initialize()
-    workload.load(engine, WorkloadRng(seed))
-    host.dram_regions.remove(region)
-    return len(store)
-
-
 def _build_instance(
     setup: PoolingSetup,
     index: int,
@@ -173,21 +219,13 @@ def _build_instance(
     sim, host, workload = setup.sim, setup.host, setup.workload
     config, cost = setup.config, setup.cost
     name = f"{setup.system}{index}"
-    meter = AccessMeter()
-    store = PageStore(PAGE_SIZE, meter, config=config)
-    redo = RedoLog(meter, config=config)
     rng = WorkloadRng(seed + index * 7919)
 
     # Load via a roomy local pool, checkpoint, then attach the real pool.
-    load_region = host.alloc_dram(f"{name}.load", 4096 * PAGE_SIZE)
-    load_pool = LocalBufferPool(
-        host.map_dram(load_region, meter, LineCacheModel()), store, 4096
+    meter, store, redo = _load_dataset(
+        host, f"{name}.load", _POOLING_LOADER_PAGES, workload, config, cost
     )
-    loader = Engine(name, load_pool, store, redo, meter, cost=cost)
-    loader.initialize()
-    workload.load(loader, rng.fork(0))
     n_pages = len(store)
-    host.dram_regions.remove(load_region)
 
     # The instance's LLC share is small relative to any real working set
     # (a 16 MB slice against hundreds of GB); scale the timing cache so
@@ -315,7 +353,6 @@ def build_sharing_setup(
     cost: Optional[CostModel] = None,
     lbp_min_pages: int = _LBP_MIN_PAGES,
     n_shards: int = 1,
-    loader_pool_pages: int = 16384,
 ) -> SharingSetup:
     """Build a multi-primary cluster over one shared dataset.
 
@@ -329,11 +366,10 @@ def build_sharing_setup(
     :class:`~repro.core.shard_router.FusionShardRouter` as
     ``setup.fusion`` — the node stack is identical either way.
 
-    ``loader_pool_pages`` sizes the throwaway load-time buffer pool.
-    The default comfortably holds every benchmark dataset; callers that
-    rebuild many tiny clusters (the schedule explorer re-runs one build
-    per explored interleaving) shrink it so construction is not
-    dominated by zeroing an oversized loader region.
+    ``seed`` is kept for call compatibility with
+    :func:`build_pooling_setup`; nothing in a sharing build is seeded
+    (the dataset load is deterministic and the drivers bring their own
+    generators).
     """
     if system not in ("cxl", "rdma", "cxl3"):
         raise ValueError(f"unknown sharing system {system!r}")
@@ -356,20 +392,10 @@ def build_sharing_setup(
 
     # Load the dataset once; durable storage is the common substrate.
     loader_host = cluster.add_host("loader", with_rdma=False)
-    loader_meter = AccessMeter()
-    store = PageStore(PAGE_SIZE, loader_meter, config=config)
-    loader_log = RedoLog(loader_meter, config=config)
-    load_region = loader_host.alloc_dram("load", loader_pool_pages * PAGE_SIZE)
-    load_pool = LocalBufferPool(
-        loader_host.map_dram(load_region, loader_meter, LineCacheModel()),
-        store,
-        loader_pool_pages,
+    _, store, loader_log = _load_dataset(
+        loader_host, "load", _SHARING_LOADER_PAGES, workload, config, cost
     )
-    loader = Engine("loader", load_pool, store, loader_log, loader_meter, cost=cost)
-    loader.initialize()
-    workload.load(loader, WorkloadRng(seed))
     n_pages = len(store)
-    loader_host.dram_regions.remove(load_region)
 
     lock_service = PageLockService(sim, config=config)
     schema = workload.schema()

@@ -378,6 +378,33 @@ class CxlBufferPool(BufferPool):
         header.set_lru_tail(previous)
         header.set_lru_mutation_flag(False)
 
+    def snapshot(self) -> tuple:
+        """The host-side (volatile) runtime state; frames, block metadata
+        and the LRU list live in the extent and travel with its region."""
+        return (
+            dict(self._block_of),
+            dict(self._pins),
+            frozenset(self._dirty),
+            self._touch_clock,
+            self.hits,
+            self.misses,
+            self.evictions,
+        )
+
+    def restore(self, state: tuple) -> None:
+        (
+            block_of,
+            pins,
+            dirty,
+            self._touch_clock,
+            self.hits,
+            self.misses,
+            self.evictions,
+        ) = state
+        self._block_of = dict(block_of)
+        self._pins = dict(pins)
+        self._dirty = set(dirty)
+
     @property
     def dirty_count(self) -> int:
         return len(self._dirty)

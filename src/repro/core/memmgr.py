@@ -95,6 +95,19 @@ class CxlMemoryManager:
         extents = self._extents.pop(client_id, [])
         return sum(extent.size for extent in extents)
 
+    def snapshot(self) -> tuple:
+        """The allocator's books and the pool region's contents."""
+        return (
+            self._cursor,
+            {client: tuple(extents) for client, extents in self._extents.items()},
+            self.region.snapshot(),
+        )
+
+    def restore(self, state: tuple) -> None:
+        self._cursor, extents, region = state
+        self._extents = {client: list(owned) for client, owned in extents.items()}
+        self.region.restore(region)
+
     def extents_of(self, client_id: str) -> list[CxlExtent]:
         return list(self._extents.get(client_id, []))
 

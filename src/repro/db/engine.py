@@ -136,6 +136,36 @@ class Engine:
         self.tables[name] = table
         return table
 
+    def snapshot(self) -> tuple:
+        """The catalogue (tables in creation order, each tree's cached
+        root) and the engine's own flags; pages, log and pool state
+        belong to the store, the log and the pool."""
+        tables = tuple(
+            (
+                name,
+                table.codec,
+                tuple(table.indexes),
+                tuple(tree._root_page_id for tree in table.trees()),
+            )
+            for name, table in self.tables.items()
+        )
+        return (
+            tables,
+            frozenset(self.latched_pages),
+            self.checkpointer.checkpoints_taken,
+            self._crashed,
+        )
+
+    def restore(self, state: tuple) -> None:
+        tables, latched, self.checkpointer.checkpoints_taken, self._crashed = state
+        self.tables.clear()
+        self._next_tree_slot = 0
+        for name, codec, index_fields, roots in tables:
+            table = self._declare_table(name, codec, index_fields)
+            for tree, root in zip(table.trees(), roots):
+                tree._root_page_id = root
+        self.latched_pages = set(latched)
+
     # -- meta-page services used by the B-tree ------------------------------------------
 
     def allocate_page_id(self, mtr: MiniTransaction) -> int:

@@ -101,10 +101,13 @@ class Table:
         for field, slot in zip(index_fields, index_slots):
             self.indexes[field] = SecondaryIndex(self, field, slot)
 
+    def trees(self) -> list[BTree]:
+        """The primary tree, then each index's, in tree-slot order."""
+        return [self.btree, *(index.btree for index in self.indexes.values())]
+
     def create(self, mtr: MiniTransaction) -> None:
-        self.btree.create(mtr)
-        for index in self.indexes.values():
-            index.btree.create(mtr)
+        for tree in self.trees():
+            tree.create(mtr)
 
     # -- row operations ------------------------------------------------------------
 

@@ -66,6 +66,7 @@ from ..db.record import Field, RecordCodec
 from ..hardware.cache import LineCacheModel
 from ..hardware.host import Cluster, Host
 from ..hardware.memory import AccessMeter, WindowedMemory
+from ..obs.image import materialize
 from ..sim.core import Simulator
 from ..parallel.runner import UnitResult, WorkUnit, run_units
 from ..storage.pagestore import PageStore
@@ -270,6 +271,9 @@ class _Scenario:
     manager: CxlMemoryManager
     extent: object
     n_blocks: int
+    # The stateful components as built, by name: what a world image of
+    # the scenario snapshots and restores.
+    parts: dict[str, object]
 
 
 @dataclass
@@ -295,13 +299,25 @@ def _build_scenario(seed: int, n_blocks: int = _N_BLOCKS) -> _Scenario:
         cluster.fabric, pool_bytes_needed(n_blocks) + (4 << 21)
     )
     extent = manager.allocate(f"sweep{seed}", pool_bytes_needed(n_blocks), meter)
-    mapped = host.map_cxl(manager.region, meter, LineCacheModel())
+    line_cache = LineCacheModel()
+    mapped = host.map_cxl(manager.region, meter, line_cache)
     mem = WindowedMemory(mapped, extent.offset, extent.size)
     pool = CxlBufferPool(mem, store, n_blocks, lru_move_period=1)
     engine = Engine("sweep", pool, store, redo, meter)
     engine.initialize()
+    parts = {
+        "sim": sim,
+        "host": host,
+        "manager": manager,  # with the pool region's contents
+        "meter": meter,
+        "line_cache": line_cache,
+        "store": store,
+        "redo": redo,
+        "pool": pool,
+        "engine": engine,
+    }
     return _Scenario(
-        sim, cluster, host, engine, store, redo, manager, extent, n_blocks
+        sim, cluster, host, engine, store, redo, manager, extent, n_blocks, parts
     )
 
 
@@ -414,12 +430,29 @@ def _crashes(
     return False
 
 
+def _baseline_scenario(seed: int) -> tuple[_Scenario, dict]:
+    """A scenario at the end of :func:`_setup_baseline`, and its model.
+
+    Every coordinate, golden run and re-entrancy prefix of one seed
+    starts here: the first builds the baseline and keeps its image, the
+    rest restore it into a freshly wired scenario."""
+    scenario = _build_scenario(seed)
+    model = materialize(
+        ("sweep.baseline", seed), scenario.parts, lambda: _setup_baseline(scenario)
+    )
+    return scenario, dict(model)
+
+
 def _golden_run(seed: int) -> _GoldenRun:
     """The enumeration pass doubles as a protocol-invariant check: its
     full trace (WAL LSN order), span tree and metrics timeline go
-    through the whole :class:`CheckedRun` battery."""
-    scenario = _build_scenario(seed)
-    model = _setup_baseline(scenario)
+    through the whole :class:`CheckedRun` battery. One per seed and
+    process: both single-node sweeps read the same (read-only) run."""
+    return materialize(("sweep.golden", seed), {}, lambda: _enumerate(seed))
+
+
+def _enumerate(seed: int) -> _GoldenRun:
+    scenario, model = _baseline_scenario(seed)
     snapshots: dict[int, dict] = {}
     injector = FaultInjector(seed=seed)
     with CheckedRun(trace=True, spans=True, metrics=True) as run, injector:
@@ -459,8 +492,7 @@ def _crash_and_recover(
     check: the crash must leave no span ``open``, the recovered run's
     spans must nest, and the timeline scraped across the crash must
     hold only complete samples."""
-    scenario = _build_scenario(seed)
-    model = _setup_baseline(scenario)
+    scenario, model = _baseline_scenario(seed)
     with CheckedRun(spans=True, metrics=True) as run:
         if not _crash_workload(run, scenario, model, seed, point, hit):
             return SweepOutcome(point, hit, False, False, "armed point never fired")
@@ -514,8 +546,7 @@ _REENTRY_FIRST_POINT = "mtr.write.applied"
 def _crashed_scenario(seed: int, first_hit: int) -> _Scenario:
     """Build, run, and crash the canonical workload at the fixed first-
     crash coordinate; returns the powered-cycled scenario."""
-    scenario = _build_scenario(seed)
-    model = _setup_baseline(scenario)
+    scenario, model = _baseline_scenario(seed)
     with CheckedRun(spans=True) as run:
         if not _crash_workload(
             run, scenario, model, seed, _REENTRY_FIRST_POINT, first_hit
@@ -650,6 +681,13 @@ def _run_sharing_ops(
 
 
 def _sharing_golden(seed: int) -> _GoldenRun:
+    """One per seed and process: the sharing and storm sweeps share it."""
+    return materialize(
+        ("sweep.sharing_golden", seed), {}, lambda: _enumerate_sharing(seed)
+    )
+
+
+def _enumerate_sharing(seed: int) -> _GoldenRun:
     setup = _build_sharing(seed)
     model = _sharing_prephase(setup)
     snapshots: dict[int, dict] = {}

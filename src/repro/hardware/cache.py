@@ -128,6 +128,14 @@ class LineCacheModel:
     def clear(self) -> None:
         self.lines.clear()
 
+    def snapshot(self) -> tuple:
+        return tuple(self.lines), self.hits, self.misses
+
+    def restore(self, state: tuple) -> None:
+        lines, self.hits, self.misses = state
+        self.lines.clear()  # in place: the fused frames hold this dict
+        self.lines.update(dict.fromkeys(lines))
+
     @property
     def hit_ratio(self) -> float:
         total = self.hits + self.misses

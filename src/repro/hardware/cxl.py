@@ -89,7 +89,7 @@ class CxlFabric:
         if devices is None:
             # Paper testbed: 8 DDR5 modules totalling 2 TB. The functional
             # region below is sized by what experiments actually map, so
-            # the nominal capacity is bookkeeping, not a bytearray.
+            # the nominal capacity is bookkeeping, not a buffer.
             devices = [
                 CxlMemoryDevice(f"{name}.mem{i}", 256 << 30) for i in range(8)
             ]
@@ -119,9 +119,8 @@ class CxlFabric:
     def map_pool(self, nbytes: int) -> MemoryRegion:
         """Materialize the first ``nbytes`` of the pool as a region.
 
-        Experiments only back the bytes they will actually touch (a full
-        2 TB bytearray would be absurd on the simulation host). The
-        region is created once; later calls must fit inside it.
+        Experiments map only the span they may touch, not the nominal
+        2 TB. The region is created once; later calls must fit inside it.
         """
         if nbytes <= 0 or nbytes > self.capacity:
             raise ValueError(

@@ -163,6 +163,24 @@ class Host:
         if all(cache is not existing for existing in self.caches):
             self.caches.append(cache)
 
+    # -- snapshot / restore ----------------------------------------------------------
+
+    def snapshot(self) -> tuple:
+        """Every pipe this host charges (its own, and the fabric link and
+        switch it reaches) plus the DRAM naming counter. Regions and
+        caches belong to whoever allocated them."""
+        pipes = {
+            key: tuple(pipe.snapshot() for pipe in pipes)
+            for key, pipes in self.pipes.items()
+        }
+        return pipes, self._dram_counter
+
+    def restore(self, state: tuple) -> None:
+        pipes, self._dram_counter = state
+        for key, states in pipes.items():
+            for pipe, pipe_state in zip(self.pipes[key], states):
+                pipe.restore(pipe_state)
+
     # -- fault injection -----------------------------------------------------------
 
     def crash(self) -> None:

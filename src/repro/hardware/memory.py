@@ -1,10 +1,11 @@
 """Byte-addressable memory regions and access metering.
 
 A :class:`MemoryRegion` is the *functional* substance of the simulation:
-a bytearray with explicit volatility semantics. Host DRAM regions lose
+a byte buffer with explicit volatility semantics. Host DRAM regions lose
 their contents on a crash (``power_fail`` poisons them); CXL-box regions
 survive, because the switch and memory devices have independent power
-supply units (paper §3.2).
+supply units (paper §3.2). The buffer is an anonymous mapping, zero on
+demand: a region costs what it has been written, not what it could hold.
 
 A :class:`MappedMemory` is a host's window onto a region through a
 particular interconnect. Every read/write is metered: latency is charged
@@ -26,6 +27,7 @@ would (``bench.perf.check_equivalence``).
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from struct import Struct
 from typing import TYPE_CHECKING, Optional
@@ -50,8 +52,38 @@ class PoisonedMemoryError(RuntimeError):
     """Raised when reading a volatile region after a power failure."""
 
 
+# Granule of a region snapshot: an all-zero extent is not stored.
+_EXTENT = 1 << 16
+_ZERO_EXTENT = bytes(_EXTENT)
+
+
+def _zero_pages(size: int) -> mmap.mmap:
+    """A fresh all-zero backing. Private, not the shared mapping
+    ``mmap(-1, size)`` defaults to: like the ``bytearray`` it replaced,
+    a forked child's writes must never reach the parent's regions."""
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+
+
 class MemoryRegion:
-    """A contiguous span of simulated physical memory."""
+    """A contiguous span of simulated physical memory.
+
+    ``_data`` is an anonymous ``mmap``: the OS hands out zero pages on
+    first touch, so an oversized region (a loader pool, a CXL extent
+    sized for growth) costs nothing until it is written, and
+    ``power_restore`` is a fresh mapping rather than a refill. The fused
+    frames index ``_data`` directly; it supports exactly the buffer
+    operations they use (``unpack_from``, slice read, same-length slice
+    assignment, byte index).
+
+    >>> region = MemoryRegion("demo", 1 << 20, volatile=False)
+    >>> region.write(70_000, b"hello")
+    >>> [(at, len(chunk)) for at, chunk in region.snapshot()[1]]
+    [(65536, 65536)]
+    >>> clone = MemoryRegion("demo", 1 << 20, volatile=False)
+    >>> clone.restore(region.snapshot())
+    >>> clone.read(70_000, 5), clone.read(0, 4) == bytes(4)
+    (b'hello', True)
+    """
 
     def __init__(self, name: str, size: int, volatile: bool) -> None:
         if size <= 0:
@@ -59,7 +91,7 @@ class MemoryRegion:
         self.name = name
         self.size = size
         self.volatile = volatile
-        self._data = bytearray(size)
+        self._data = _zero_pages(size)
         self._poisoned = False
 
     def read(self, offset: int, nbytes: int) -> bytes:
@@ -68,7 +100,7 @@ class MemoryRegion:
         ms = PROBES.memsan
         if ms is not None:
             ms.raw_load(self.name, offset, nbytes)
-        return bytes(self._data[offset : offset + nbytes])
+        return self._data[offset : offset + nbytes]
 
     def write(self, offset: int, data: bytes) -> None:
         nbytes = len(data)
@@ -97,8 +129,30 @@ class MemoryRegion:
         only a poisoned region is re-zeroed.
         """
         if self._poisoned:
-            self._data = bytearray(self.size)
+            self._data.close()
+            self._data = _zero_pages(self.size)
             self._poisoned = False
+
+    def snapshot(self) -> tuple:
+        """``(poisoned, extents)``: the non-zero 64 KB extents as
+        ``(offset, bytes)`` — what a clone needs and nothing it does not."""
+        data = self._data
+        extents = []
+        for at in range(0, self.size, _EXTENT):
+            chunk = data[at : at + _EXTENT]
+            if chunk != _ZERO_EXTENT[: len(chunk)]:
+                extents.append((at, chunk))
+        return self._poisoned, tuple(extents)
+
+    def restore(self, state: tuple) -> None:
+        """Become the region ``state`` was taken from (same size): a
+        fresh mapping plus the stored extents, copied — the image and
+        its other clones share nothing with this region afterwards."""
+        self._poisoned, extents = state
+        self._data.close()
+        data = self._data = _zero_pages(self.size)
+        for at, chunk in extents:
+            data[at : at + len(chunk)] = chunk
 
     @property
     def poisoned(self) -> bool:
@@ -214,6 +268,15 @@ class AccessMeter:
         self.transfers = []
         self.counters = {}
         self.taken_ns = 0.0
+
+    def snapshot(self) -> tuple:
+        # Charges are immutable records: the tuple shares them.
+        return self.ns, tuple(self.transfers), dict(self.counters), self.taken_ns
+
+    def restore(self, state: tuple) -> None:
+        self.ns, transfers, counters, self.taken_ns = state
+        self.transfers = list(transfers)
+        self.counters = dict(counters)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,9 @@ to. This package makes both first-class:
 * :mod:`repro.obs.probes` — the one slot all five instruments (the
   three below, memsan and the fault injector) install into; hook sites read
   ``PROBES.<name>`` (one attribute load + ``None`` check when disabled).
+* :mod:`repro.obs.image` — the world-image cache, here because the
+  slot decides whether a build may use it (any instrument installed:
+  no).
 * :mod:`repro.obs.trace` — a :class:`Tracer` of structured events in
   bounded per-subsystem ring buffers.
 * :mod:`repro.obs.counters` — a :class:`CounterRegistry` of named

@@ -320,6 +320,21 @@ class Simulator:
         # path below byte-identical to the pre-hook kernel.
         self.scheduler: Optional[SchedulerHook] = None
 
+    # -- snapshot / restore ---------------------------------------------------
+
+    def snapshot(self) -> tuple[int, int, int]:
+        """Clock, sequence and process count of a *quiescent* simulator:
+        pending events hold generators and callbacks, which no snapshot
+        can own."""
+        if self._times:
+            raise SimError("cannot snapshot a simulator with pending events")
+        return self.now, self._seq, self._processes
+
+    def restore(self, state: tuple[int, int, int]) -> None:
+        if self._times:
+            raise SimError("cannot restore into a simulator with pending events")
+        self.now, self._seq, self._processes = state
+
     # -- construction helpers -------------------------------------------------
 
     def event(self) -> Event:

@@ -119,6 +119,24 @@ class Pipe:
             return 0.0
         return self._window_bytes * 1e9 / elapsed
 
+    def snapshot(self) -> tuple:
+        return (
+            self._tail,
+            self.total_bytes,
+            self.total_transfers,
+            self._window_start,
+            self._window_bytes,
+        )
+
+    def restore(self, state: tuple) -> None:
+        (
+            self._tail,
+            self.total_bytes,
+            self.total_transfers,
+            self._window_start,
+            self._window_bytes,
+        ) = state
+
 
 class Mutex:
     """A FIFO mutual-exclusion lock usable from simulation processes."""

@@ -129,5 +129,14 @@ class PageStore:
     def page_ids(self) -> Iterator[int]:
         return iter(self._pages)
 
+    def snapshot(self) -> tuple:
+        # Page images are immutable ``bytes``: image and clones share them.
+        return dict(self._pages), self.reads, self.writes, self.torn_writes
+
+    def restore(self, state: tuple) -> None:
+        pages, self.reads, self.writes, self.torn_writes = state
+        self._pages.clear()  # in place: sharing nodes alias this dict
+        self._pages.update(pages)
+
     def __len__(self) -> int:
         return len(self._pages)

@@ -174,6 +174,29 @@ class RedoLog:
         self._checkpoint_lsn = lsn
         self._durable = [rec for rec in self._durable if rec.lsn > lsn]
 
+    def snapshot(self) -> tuple:
+        # Records are frozen: the tuples share them.
+        return (
+            self._next_lsn,
+            tuple(self._buffer),
+            tuple(self._durable),
+            self._checkpoint_lsn,
+            self.flushes,
+            self.bytes_flushed,
+        )
+
+    def restore(self, state: tuple) -> None:
+        (
+            self._next_lsn,
+            buffer,
+            durable,
+            self._checkpoint_lsn,
+            self.flushes,
+            self.bytes_flushed,
+        ) = state
+        self._buffer = list(buffer)
+        self._durable = list(durable)
+
     def verify_ordered(self) -> bool:
         """Invariant check: durable log is strictly LSN-increasing."""
         return all(

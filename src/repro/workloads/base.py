@@ -17,7 +17,6 @@ from typing import Any, Optional, Sequence
 
 from ..db.engine import Engine
 from ..db.record import RecordCodec
-from ..sim.rng import WorkloadRng
 
 __all__ = ["Op", "TxnStats", "Workload", "load_tables"]
 
@@ -50,7 +49,7 @@ class Workload:
     def schema(self) -> list[tuple[str, RecordCodec]]:
         raise NotImplementedError
 
-    def load(self, engine: Engine, rng: WorkloadRng) -> None:
+    def load(self, engine: Engine) -> None:
         raise NotImplementedError
 
     def accessed_fraction(self, n_nodes: int) -> float:

@@ -107,10 +107,10 @@ class SysbenchWorkload(Workload):
             return 1.0
         return 2.0 / (self.n_nodes + 1)
 
-    def load(self, engine: Engine, rng: WorkloadRng) -> None:
+    def load(self, engine: Engine) -> None:
         def rows_for(_table: str):
             for key in range(1, self.rows + 1):
-                yield key, self._row(key, rng)
+                yield key, self._row(key)
 
         index_fields = ("k",) if self.with_k_index else ()
         load_tables(
@@ -122,7 +122,7 @@ class SysbenchWorkload(Workload):
         )
 
     @staticmethod
-    def _row(key: int, rng: WorkloadRng) -> dict:
+    def _row(key: int) -> dict:
         return {
             "id": key,
             "k": key % 4096,
@@ -241,7 +241,7 @@ class SysbenchWorkload(Workload):
         self._charge_query(engine, 0)
         mtr = engine.mtr()
         if existed:
-            table.insert(mtr, key, self._row(key, rng))
+            table.insert(mtr, key, self._row(key))
         mtr.commit()
         self._charge_query(engine, 0)
 

@@ -97,7 +97,7 @@ class TatpWorkload(Workload):
         """Perfectly partitioned: one subscriber-range per node."""
         return 1.0 / n_nodes
 
-    def load(self, engine: Engine, rng: WorkloadRng) -> None:
+    def load(self, engine: Engine) -> None:
         def subscribers():
             for s in range(self.population):
                 yield self.sub_key(s), {

@@ -141,7 +141,7 @@ class TpccWorkload(Workload):
         table, and the ~10–15% remote rows of cross-warehouse work."""
         return min(1.0, 1.5 / n_nodes)
 
-    def load(self, engine: Engine, rng: WorkloadRng) -> None:
+    def load(self, engine: Engine) -> None:
         def warehouses():
             for w in range(self.warehouses):
                 yield self.wh_key(w), {"ytd": 0, "pad": b"w" * 80}

@@ -76,7 +76,7 @@ def test_typed_page_read_is_three_frames_and_no_probe_call(system):
 @pytest.fixture(scope="module")
 def sharing_node():
     workload = SysbenchWorkload(rows=100, n_nodes=2)
-    setup = build_sharing_setup("cxl", 2, workload, seed=7, loader_pool_pages=256)
+    setup = build_sharing_setup("cxl", 2, workload, seed=7)
     return setup.nodes[0]
 
 

@@ -105,3 +105,17 @@ def test_no_private_hook_global_and_no_active_alias_is_left():
         or any(name in ("active", "install", "uninstall") for _, name in _imports(path))
     ]
     assert offenders == []
+
+
+def test_no_module_copies_a_world_with_deepcopy():
+    """Clones come from the ``snapshot()`` / ``restore()`` protocol, where
+    each component states what it owns; ``copy.deepcopy`` would copy
+    whatever happens to be reachable."""
+    offenders = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        # an attribute, a bare name, or an imported alias
+        if "deepcopy" in (getattr(node, n, None) for n in ("attr", "id", "name"))
+    ]
+    assert offenders == []

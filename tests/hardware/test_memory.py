@@ -1,5 +1,6 @@
 """Memory regions, volatility, metering, mapped/windowed access."""
 
+import os
 import struct
 
 import pytest
@@ -71,6 +72,93 @@ class TestMemoryRegion:
         else:
             region.write(offset, data)
             assert region.read(offset, len(data)) == data
+
+
+_EXTENT = 1 << 16
+_REGION_BYTES = 5 * _EXTENT + 4096  # a short last extent
+
+
+class TestRegionSnapshot:
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, _REGION_BYTES - 1), st.binary(min_size=1, max_size=200)),
+            max_size=12,
+        )
+    )
+    def test_snapshot_restores_equal_bytes_and_stores_only_nonzero_extents(self, writes):
+        region = MemoryRegion("r", _REGION_BYTES, volatile=False)
+        for offset, data in writes:
+            data = data[: _REGION_BYTES - offset]
+            region.write(offset, data)
+        poisoned, extents = state = region.snapshot()
+        assert not poisoned
+        whole = region.read(0, _REGION_BYTES)
+        assert [at for at, _ in extents] == [
+            at for at in range(0, _REGION_BYTES, _EXTENT) if any(whole[at : at + _EXTENT])
+        ]
+        assert all(chunk == whole[at : at + len(chunk)] for at, chunk in extents)
+
+        clone = MemoryRegion("r", _REGION_BYTES, volatile=False)
+        clone.write(17, b"overwritten by the restore")
+        clone.restore(state)
+        assert clone.read(0, _REGION_BYTES) == whole
+
+        # Writes to the clone reach neither the source nor the snapshot.
+        clone.write(0, b"\xff" * _REGION_BYTES)
+        assert region.read(0, _REGION_BYTES) == whole
+        assert region.snapshot() == state
+
+    def test_fresh_and_power_restored_regions_read_zero_everywhere(self):
+        region = MemoryRegion("r", 3 * _EXTENT + 5, volatile=True)
+        assert region.read(0, region.size) == bytes(region.size)
+        assert region.snapshot() == (False, ())
+        region.write(_EXTENT + 3, b"contents")
+        region.power_fail()
+        region.power_restore()
+        assert region.read(0, region.size) == bytes(region.size)
+        assert region.snapshot() == (False, ())
+
+    def test_backing_is_private_to_the_process_and_replaced_mappings_are_closed(self):
+        region = MemoryRegion("r", 2 * _EXTENT, volatile=True)
+        region.write(0, b"parent")
+        pid = os.fork()
+        if pid == 0:  # a forked child's writes must not reach the parent
+            region.write(0, b"child!")
+            os._exit(0)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert region.read(0, 6) == b"parent"
+
+        state, replaced = region.snapshot(), region._data
+        region.restore(state)
+        assert replaced.closed and region.read(0, 6) == b"parent"
+        replaced = region._data
+        region.power_fail()
+        region.power_restore()
+        assert replaced.closed and region.read(0, 6) == bytes(6)
+
+    def test_poison_travels_with_the_snapshot(self):
+        region = MemoryRegion("r", 4096, volatile=True)
+        region.write(0, b"lost")
+        region.power_fail()
+        clone = MemoryRegion("r", 4096, volatile=True)
+        clone.restore(region.snapshot())
+        with pytest.raises(PoisonedMemoryError):
+            clone.read(0, 4)
+
+    @pytest.mark.parametrize("restored", [False, True])
+    def test_rejected_accesses_raise_the_same_typed_errors(self, restored):
+        region = MemoryRegion("r", 4096, volatile=True)
+        if restored:
+            region.restore(MemoryRegion("r", 4096, volatile=True).snapshot())
+        for bad in (lambda: region.read(4090, 8), lambda: region.read(-1, 1),
+                    lambda: region.read(0, -1), lambda: region.write(4095, b"xy")):
+            with pytest.raises(IndexError, match="outside region 'r' of size 4096"):
+                bad()
+        region.power_fail()
+        with pytest.raises(PoisonedMemoryError, match="lost its contents"):
+            region.read(0, 1)
+        with pytest.raises(IndexError):  # out of range wins over poisoned
+            region.write(4095, b"xy")
 
 
 class TestAccessMeter:

@@ -47,7 +47,7 @@ def _run_stream(system: str) -> tuple[list, list]:
         op = rng.choice(("insert", "insert", "update", "update", "delete", "range"))
         mtr = engine.mtr()
         if op == "insert":
-            table.insert(mtr, next_key, workload._row(next_key, None))
+            table.insert(mtr, next_key, workload._row(next_key))
             live.add(next_key)
             next_key += 1
         elif op == "update":

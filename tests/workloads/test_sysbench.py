@@ -13,7 +13,7 @@ from ..conftest import make_local_engine
 def loaded(host):
     ctx = make_local_engine(host, capacity_pages=1024)
     workload = SysbenchWorkload(rows=500)
-    workload.load(ctx.engine, WorkloadRng(3))
+    workload.load(ctx.engine)
     return ctx, workload
 
 
@@ -34,7 +34,7 @@ class TestLoading:
     def test_sharing_layout_tables(self, host):
         ctx = make_local_engine(host, capacity_pages=2048, name="multi")
         workload = SysbenchWorkload(rows=100, n_nodes=3)
-        workload.load(ctx.engine, WorkloadRng(3))
+        workload.load(ctx.engine)
         names = {name for name, _ in workload.schema()}
         assert names == {
             "sbtest_private_0",
@@ -163,7 +163,7 @@ class TestKIndex:
     def test_index_loaded_and_maintained(self, host):
         ctx = make_local_engine(host, capacity_pages=2048, name="kidx")
         workload = SysbenchWorkload(rows=300, with_k_index=True)
-        workload.load(ctx.engine, WorkloadRng(3))
+        workload.load(ctx.engine)
         table = ctx.engine.tables["sbtest1"]
         assert "k" in table.indexes
         mtr = ctx.engine.mtr()

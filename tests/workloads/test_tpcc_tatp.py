@@ -52,7 +52,7 @@ def tpcc_loaded():
         items=50,
         order_ring=20,
     )
-    workload.load(ctx.engine, WorkloadRng(3))
+    workload.load(ctx.engine)
     return ctx, workload
 
 
@@ -140,7 +140,7 @@ def tatp_loaded():
     host = cluster.add_host("h")
     ctx = make_local_engine(host, capacity_pages=4096, name="tatp")
     workload = TatpWorkload(subscribers_per_node=50, n_nodes=3)
-    workload.load(ctx.engine, WorkloadRng(3))
+    workload.load(ctx.engine)
     return ctx, workload
 
 
