@@ -55,7 +55,7 @@ from math import factorial
 from typing import Any, Callable, Generator, Optional
 
 from ..sim.core import Event, Process, SchedulerHook, Simulator
-from .memsan import MemSan, MemSanError
+from .memsan import MemSan, MemSanError, line_range
 
 __all__ = [
     "CONFIGS",
@@ -304,13 +304,13 @@ class RecordingMemSan(MemSan):
     # raw accesses (loader-side; rare during exploration)
     def raw_load(self, region: str, offset: int, nbytes: int) -> None:
         if region in self._watched:
-            for line in self._lines_in(region, offset, nbytes):
+            for line in line_range(offset, nbytes):
                 self._strategy.note_read(("cxl", region, line))
         super().raw_load(region, offset, nbytes)
 
     def raw_store(self, region: str, offset: int, nbytes: int) -> None:
         if region in self._watched:
-            for line in self._lines_in(region, offset, nbytes):
+            for line in line_range(offset, nbytes):
                 self._strategy.note_write(("cxl", region, line))
         super().raw_store(region, offset, nbytes)
 
@@ -336,7 +336,7 @@ class RecordingMemSan(MemSan):
         super().cache_dropped(cache)
 
     def assert_flushed(self, cache: str, region: str, offset: int, nbytes: int) -> None:
-        for line in self._lines_in(region, offset, nbytes):
+        for line in line_range(offset, nbytes):
             self._strategy.note_read(("cxl", region, line))
         super().assert_flushed(cache, region, offset, nbytes)
 

@@ -52,7 +52,7 @@ other four instruments: uninstalled cost is one slot load plus a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from ..obs.probes import PROBES
 from ..sim.latency import CACHE_LINE
@@ -72,6 +72,20 @@ DIRTY = -1
 
 #: Virtual region name for the RDMA baseline's page-granular tracking.
 RDMA_PAGES = "rdma:pages"
+
+# Lines per group of the held-lines index: a 16 KB page, when aligned
+# (the same grouping as ``CpuCache``'s resident-line index).
+_GROUP_SHIFT = 8
+
+
+def line_range(offset: int, nbytes: int) -> range:
+    """The 64 B lines covering ``[offset, offset + nbytes)``; an empty
+    access still names the line it points into.
+
+    >>> line_range(100, 0), line_range(60, 8)
+    (range(1, 2), range(0, 2))
+    """
+    return range(offset // CACHE_LINE, (offset + max(nbytes, 1) - 1) // CACHE_LINE + 1)
 
 
 def vc_leq(a: VectorClock, b: VectorClock) -> bool:
@@ -214,6 +228,12 @@ class MemSan:
         self.accesses_checked = 0
         self._watched: set[str] = set()
         self._lines: dict[tuple[str, int], _Line] = {}
+        # cache -> (region, line >> _GROUP_SHIFT) -> the group's lines that
+        # cache holds: ``line in _held[cache][region, group]`` exactly when
+        # ``cache in _lines[region, line].cached``. Kept by _hold / _unhold
+        # at the sites that set or pop ``state.cached[cache]``, so the
+        # per-page checks visit what is cached, not every line of the page.
+        self._held: dict[str, dict[tuple[str, int], set[int]]] = {}
         self._clocks: dict[str, VectorClock] = {}
         self._sync: dict[tuple[str, ...], VectorClock] = {}
         self._actors: list[str] = []
@@ -284,10 +304,44 @@ class MemSan:
             self._lines[key] = state
         return state
 
-    def _lines_in(self, region: str, offset: int, nbytes: int) -> Iterator[int]:
-        first = offset // CACHE_LINE
-        last = (offset + max(nbytes, 1) - 1) // CACHE_LINE
-        return iter(range(first, last + 1))
+    def _hold(self, cache: str, region: str, line: int) -> None:
+        """``cache`` now holds a copy of the line (index side of
+        ``state.cached[cache] = ...`` for a cache that was not in it)."""
+        groups = self._held.get(cache)
+        if groups is None:
+            groups = self._held[cache] = {}
+        key = (region, line >> _GROUP_SHIFT)
+        lines = groups.get(key)
+        if lines is None:
+            groups[key] = {line}
+        else:
+            lines.add(line)
+
+    def _unhold(self, cache: str, region: str, line: int) -> None:
+        """Index side of a ``state.cached.pop(cache)`` that found a copy."""
+        groups = self._held[cache]
+        key = (region, line >> _GROUP_SHIFT)
+        lines = groups[key]
+        lines.remove(line)
+        if not lines:
+            del groups[key]
+
+    def _held_lines(self, cache: str, region: str, offset: int, nbytes: int) -> list[int]:
+        """The lines of the byte range that ``cache`` holds, ascending."""
+        groups = self._held.get(cache)
+        if not groups:
+            return []
+        covered = line_range(offset, nbytes)
+        first, last = covered[0], covered[-1]
+        found: list[int] = []
+        for group in range(first >> _GROUP_SHIFT, (last >> _GROUP_SHIFT) + 1):
+            lines = groups.get((region, group))
+            if lines is not None:
+                lines = sorted(lines)
+                if lines[0] < first or lines[-1] > last:  # the range clips this group
+                    lines = [line for line in lines if first <= line <= last]
+                found += lines
+        return found
 
     def _report(
         self,
@@ -340,7 +394,7 @@ class MemSan:
         actor = self._actors[-1]
         self.accesses_checked += 1
         clock = self._clock(actor)
-        for line in self._lines_in(region, offset, nbytes):
+        for line in line_range(offset, nbytes):
             state = self._lines.get((region, line))
             if state is None:
                 continue
@@ -377,7 +431,7 @@ class MemSan:
         actor = self._actors[-1]
         self.accesses_checked += 1
         clock = self._clock(actor)
-        for line in self._lines_in(region, offset, nbytes):
+        for line in line_range(offset, nbytes):
             state = self._line(region, line)
             if state.dirty and state.writer_actor not in (None, actor):
                 self._report(
@@ -418,9 +472,12 @@ class MemSan:
         """A CPU-cache read: ``fetched`` means it filled from memory."""
         if region not in self._watched:
             return
-        actor = self._ambient()
+        # The hottest hook (once per cached access): _ambient and _line inline.
+        actor = self._actors[-1] if self._actors else None
         self.accesses_checked += 1
-        state = self._line(region, line)
+        state = self._lines.get((region, line))
+        if state is None:
+            state = self._lines[region, line] = _Line()
         if fetched:
             if state.dirty and state.writer_cache != cache:
                 self._report(
@@ -448,11 +505,14 @@ class MemSan:
                     "cache fill not ordered after the last publish",
                     "invalid-flag store -> flag read, or fusion RPC reply",
                 )
+            if cache not in state.cached:
+                self._hold(cache, region, line)
             state.cached[cache] = state.version
         else:
             held = state.cached.get(cache)
             if held is None:
                 # Copy predates this MemSan install; adopt it as current.
+                self._hold(cache, region, line)
                 state.cached[cache] = state.version
             elif held != DIRTY and held < state.version:
                 self._report(
@@ -520,6 +580,8 @@ class MemSan:
         state.dirty = True
         state.writer_actor = actor
         state.writer_cache = cache
+        if cache not in state.cached:
+            self._hold(cache, region, line)
         state.cached[cache] = DIRTY
 
     def cache_flush_line(self, cache: str, region: str, line: int, dirty: bool) -> None:
@@ -528,8 +590,8 @@ class MemSan:
             return
         if not dirty:
             state = self._lines.get((region, line))
-            if state is not None:
-                state.cached.pop(cache, None)
+            if state is not None and state.cached.pop(cache, None) is not None:
+                self._unhold(cache, region, line)
             return
         actor = self._ambient()
         state = self._line(region, line)
@@ -545,7 +607,8 @@ class MemSan:
             state.dirty = False
             state.writer_actor = None
             state.writer_cache = None
-        state.cached.pop(cache, None)
+        if state.cached.pop(cache, None) is not None:
+            self._unhold(cache, region, line)
         if state.readers:
             state.readers.clear()
 
@@ -556,7 +619,8 @@ class MemSan:
         state = self._lines.get((region, line))
         if state is None:
             return
-        state.cached.pop(cache, None)
+        if state.cached.pop(cache, None) is not None:
+            self._unhold(cache, region, line)
         if state.writer_cache == cache:
             state.dirty = False
             state.writer_actor = None
@@ -564,12 +628,14 @@ class MemSan:
 
     def cache_dropped(self, cache: str) -> None:
         """The whole cache vanished (host crash / ``drop_all``)."""
-        for state in self._lines.values():
-            state.cached.pop(cache, None)
-            if state.writer_cache == cache:
-                state.dirty = False
-                state.writer_actor = None
-                state.writer_cache = None
+        for (region, _), lines in self._held.pop(cache, {}).items():
+            for line in lines:
+                state = self._lines[region, line]
+                del state.cached[cache]
+                if state.writer_cache == cache:
+                    state.dirty = False
+                    state.writer_actor = None
+                    state.writer_cache = None
 
     def assert_flushed(self, cache: str, region: str, offset: int, nbytes: int) -> None:
         """Write-lock release discipline: no dirty line may survive the
@@ -577,9 +643,9 @@ class MemSan:
         if region not in self._watched:
             return
         actor = self._ambient()
-        for line in self._lines_in(region, offset, nbytes):
-            state = self._lines.get((region, line))
-            if state is not None and state.dirty and state.writer_cache == cache:
+        for line in self._held_lines(cache, region, offset, nbytes):
+            state = self._lines[region, line]
+            if state.dirty and state.writer_cache == cache:
                 self._report(
                     "unflushed-write-at-release",
                     region,
@@ -609,12 +675,10 @@ class MemSan:
         if region not in self._watched:
             return
         actor = self._ambient()
-        for line in self._lines_in(region, offset, nbytes):
-            state = self._lines.get((region, line))
-            if state is None:
-                continue
-            held = state.cached.get(cache)
-            if held is not None and held != DIRTY and held < state.version:
+        for line in self._held_lines(cache, region, offset, nbytes):
+            state = self._lines[region, line]
+            held = state.cached[cache]
+            if held != DIRTY and held < state.version:
                 self._report(
                     "cleared-flag-before-invalidate",
                     region,
@@ -679,6 +743,8 @@ class MemSan:
     def page_fetch(self, node: str, page_id: int) -> None:
         self.accesses_checked += 1
         state = self._line(RDMA_PAGES, page_id)
+        if node not in state.cached:
+            self._hold(node, RDMA_PAGES, page_id)
         state.cached[node] = state.version
 
     def page_cached_read(self, node: str, page_id: int) -> None:
@@ -686,6 +752,7 @@ class MemSan:
         state = self._line(RDMA_PAGES, page_id)
         held = state.cached.get(node)
         if held is None:
+            self._hold(node, RDMA_PAGES, page_id)
             state.cached[node] = state.version
         elif held < state.version:
             self._report(
@@ -704,12 +771,14 @@ class MemSan:
         state = self._line(RDMA_PAGES, page_id)
         state.version += 1
         state.publisher = node
+        if node not in state.cached:
+            self._hold(node, RDMA_PAGES, page_id)
         state.cached[node] = state.version
 
     def page_dropped(self, node: str, page_id: int) -> None:
         state = self._lines.get((RDMA_PAGES, page_id))
-        if state is not None:
-            state.cached.pop(node, None)
+        if state is not None and state.cached.pop(node, None) is not None:
+            self._unhold(node, RDMA_PAGES, page_id)
 
     # -- install protocol ------------------------------------------------
 

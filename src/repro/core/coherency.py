@@ -40,13 +40,15 @@ def set_remote_flag(
     config: LatencyConfig,
     value: bool = True,
 ) -> None:
-    """One CXL store to a flag byte, charged to the acting meter."""
+    """One CXL store to a flag byte, charged to the acting meter.
+
+    MemSan sees a flag store, not a raw store: the byte goes into the
+    region's buffer after the region's own refusals."""
+    if region._poisoned or not 0 <= addr < region.size:
+        region._refuse(addr, 1)
+    region._data[addr] = 1 if value else 0
     ms = PROBES.memsan
-    if ms is None:
-        region.write(addr, b"\x01" if value else b"\x00")
-    else:
-        with ms.internal():
-            region.write(addr, b"\x01" if value else b"\x00")
+    if ms is not None:
         ms.flag_store(region.name, addr, value)
     if meter is not None:
         meter.charge_ns(config.cxl_flag_store_ns)
@@ -140,34 +142,29 @@ class FlagSlab:
 
     def _read_flag(self, addrs: list[int], entry: int) -> bool:
         """One uncached CXL load of a flag byte — the protocol's check on
-        every page access, so with no instrument installed it is this
-        frame alone: charge, count, poison check, byte test."""
+        every page access, so it is this frame alone, instrumented or
+        not: refuse, charge, count, byte test, then tell what is installed."""
         if not 0 <= entry < self.n_entries:
             raise IndexError(f"flag entry {entry} out of range")
         addr = addrs[entry]
+        region = self.region
+        # The slab lies inside the region (checked at construction),
+        # which leaves lost contents as the one thing to refuse.
+        if region._poisoned:
+            region._refuse(addr, 1)  # raises PoisonedMemoryError
         meter = self.meter
         meter.ns += self._flag_read_ns
         counters = meter.counters
         counters["flag_reads"] = counters.get("flag_reads", 0.0) + 1.0
-        region = self.region
-        if not PROBES.any:
-            # The slab lies inside the region (checked at construction),
-            # which leaves lost contents as the one thing to refuse.
-            if region._poisoned:
-                region.read(addr, 1)  # raises PoisonedMemoryError
-            return region._data[addr] != 0
-        tracer = PROBES.tracer
-        if tracer is not None:
-            tracer.count("coh.flag_reads")
-        spans = PROBES.spans
-        if spans is not None:
-            # An uncached CXL load — attributed to the cxl_access bucket
-            # of whichever span (page_fix, usually) is doing the read.
-            spans.add_ns("cxl_access", self._flag_read_ns)
-        ms = PROBES.memsan
-        if ms is None:
-            return region.read(addr, 1) != b"\x00"
-        with ms.internal():
-            value = region.read(addr, 1) != b"\x00"
-        ms.flag_read(region.name, addr, value)
+        value = region._data[addr] != 0
+        if PROBES.any:
+            tracer, spans, ms = PROBES.tracer, PROBES.spans, PROBES.memsan
+            if tracer is not None:
+                tracer.count("coh.flag_reads")
+            if spans is not None:
+                # An uncached CXL load — attributed to the cxl_access bucket
+                # of whichever span (page_fix, usually) is doing the read.
+                spans.add_ns("cxl_access", self._flag_read_ns)
+            if ms is not None:
+                ms.flag_read(region.name, addr, value)
         return value

@@ -470,9 +470,12 @@ class MultiPrimaryNode:
                 row = self.engine.tables[table_name].get(mtr, key)
                 mtr.commit()
             yield from self.settler.settle(span=op)
-        except InjectedCrash:
+        except (InjectedCrash, GeneratorExit):
             # The node just died: it cannot run its unlock path. The
-            # lock stays held until failover force-releases it.
+            # lock stays held until failover force-releases it. Nor can
+            # an abandoned process (its world was dropped mid-operation;
+            # the collector closes the generator whenever it likes): an
+            # unlock then would report into whatever is installed *then*.
             raise
         except BaseException:
             self._unlock_read(leaf_id)
@@ -534,10 +537,11 @@ class MultiPrimaryNode:
                 crash_point("node.update.logged")
                 self.engine.buffer_pool.flush_page_writes(leaf_id)
             yield from self.settler.settle(span=op)
-        except InjectedCrash:
-            # Dead node: the write lock stays held (protecting readers
-            # from the possibly-torn page) until failover rebuilds the
-            # page and force-releases it.
+        except (InjectedCrash, GeneratorExit):
+            # Dead node (or abandoned process, see point_select): the
+            # write lock stays held (protecting readers from the
+            # possibly-torn page) until failover rebuilds the page and
+            # force-releases it.
             raise
         except FusionUnavailableError:
             # The fusion server stayed unreachable through the whole
@@ -598,7 +602,7 @@ class MultiPrimaryNode:
                 rows = self.engine.tables[table_name].range(mtr, start_key, count)
                 mtr.commit()
             yield from self.settler.settle(span=op)
-        except InjectedCrash:
+        except (InjectedCrash, GeneratorExit):
             raise
         except BaseException:
             self._unlock_read(leaf_id)

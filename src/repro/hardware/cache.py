@@ -64,17 +64,7 @@ class LineCacheModel:
 
     def touch(self, region_name: str, line: int) -> bool:
         """Access a line; returns True on hit. Inserts on miss."""
-        key = (region_name, line)
-        lines = self.lines
-        if key in lines:
-            lines.move_to_end(key)
-            self.hits += 1
-            return True
-        self.misses += 1
-        lines[key] = None
-        if len(lines) > self.capacity_lines:
-            lines.popitem(last=False)
-        return False
+        return self.touch_range(region_name, line, line) == (1, 0)
 
     def touch_range(
         self, region_name: str, first_line: int, last_line: int
@@ -83,21 +73,11 @@ class LineCacheModel:
 
         Exactly equivalent to calling :meth:`touch` per line (same LRU
         moves, same insertion and eviction order), but with the dict,
-        bound methods and capacity hoisted out of the loop — the hottest
-        call of every metered small access made under an instrument.
+        bound methods and capacity hoisted out of the loop. Single-line
+        accesses are probed inline by the fused frames, instrumented or
+        not; what arrives here spans lines.
         """
         lines = self.lines
-        if first_line == last_line:  # the common single-line access
-            key = (region_name, first_line)
-            if key in lines:
-                lines.move_to_end(key)
-                self.hits += 1
-                return 1, 0
-            lines[key] = None
-            if len(lines) > self.capacity_lines:
-                lines.popitem(last=False)
-            self.misses += 1
-            return 0, 1
         move_to_end = lines.move_to_end
         popitem = lines.popitem
         capacity = self.capacity_lines
@@ -259,15 +239,10 @@ class CpuCache:
             hit = line
             entry = self._drop(name, line)
             if entry[1]:
-                if ms is None:
-                    region.write(line * CACHE_LINE, entry[0])
-                else:
-                    with ms.internal():
-                        region.write(line * CACHE_LINE, entry[0])
-                    ms.cache_flush_line(self.name, name, line, dirty=True)
+                _write_back(region, line, entry[0])
                 written += 1
-            elif ms is not None:
-                ms.cache_flush_line(self.name, name, line, dirty=False)
+            if ms is not None:
+                ms.cache_flush_line(self.name, name, line, dirty=entry[1])
         crash_point("cache.clflush.line", hits=last - hit)
         self.write_backs += written
         if self.meter is not None and written:
@@ -315,8 +290,8 @@ class CpuCache:
     # -- internals ---------------------------------------------------------------
 
     def _load_entry(self, region: MemoryRegion, line: int) -> list:
-        """One line through the cache: the general, instrumented access
-        (:meth:`CacheWindow.unpack` is its bare single-field form)."""
+        """One line through the cache: the general access
+        (:meth:`CacheWindow.unpack` is its single-field form)."""
         key = (region.name, line)
         entry = self._lines.get(key)
         if entry is None:
@@ -338,14 +313,15 @@ class CpuCache:
         """A miss: fetch the line from the region (bounds and poison are
         its checks), make it resident, charge it, evict over capacity."""
         name, line = key
+        at = line * CACHE_LINE
+        if region._poisoned or at < 0 or at + CACHE_LINE > region.size:
+            region._refuse(at, CACHE_LINE)
+        # The model's own traffic, not an actor's raw load: MemSan hears
+        # of the fill, and the bytes come straight from the buffer.
         ms = PROBES.memsan
-        if ms is None:
-            data = region.read(line * CACHE_LINE, CACHE_LINE)
-        else:
-            with ms.internal():
-                data = region.read(line * CACHE_LINE, CACHE_LINE)
+        if ms is not None:
             ms.cache_load(self.name, name, line, fetched=True)
-        entry = [data, False, region]
+        entry = [region._data[at : at + CACHE_LINE], False, region]
         self._lines[key] = entry
         group = self._resident.get((name, line >> _GROUP_SHIFT))
         if group is None:
@@ -407,11 +383,8 @@ class CpuCache:
                 # Background write-back of a dirty line on capacity eviction
                 # — this is the "flushed to CXL memory in the background"
                 # hazard from §3.3.
-                if ms is None:
-                    entry[2].write(line * CACHE_LINE, entry[0])
-                else:
-                    with ms.internal():
-                        entry[2].write(line * CACHE_LINE, entry[0])
+                _write_back(entry[2], line, entry[0])
+                if ms is not None:
                     ms.cache_flush_line(self.name, name, line, dirty=True)
                 self.write_backs += 1
                 if self.meter is not None:
@@ -440,13 +413,13 @@ class CacheWindow:
     """A span of a region seen through a :class:`CpuCache`, addressed from
     zero: the page accessor every sharing pool hands the engine.
 
-    ``unpack`` is **the** frame of a cached typed read. With no
-    instrument installed (:data:`repro.obs.probes.PROBES`) a field that
-    lies inside one line is looked up, charged and decoded right here; a
-    miss adds :meth:`CpuCache._fill`. A field that straddles lines and
-    every access made under an instrument go through
+    ``unpack`` is **the** frame of a cached typed read. A field that
+    lies inside one line is looked up, charged and decoded right here,
+    and a hit then tells the installed instruments
+    (:data:`repro.obs.probes.PROBES`) itself; a miss adds
+    :meth:`CpuCache._fill`. A field that straddles lines goes through
     :meth:`CpuCache.read`; the fused frame must leave the cache, the
-    meter and the transfer list exactly as that would
+    meter, the transfer list and every instrument exactly as that would
     (``bench.perf.check_equivalence``).
 
     >>> from struct import Struct
@@ -481,20 +454,26 @@ class CacheWindow:
         cache = self.cache
         at = self.base + offset
         line_off = at % CACHE_LINE
-        if PROBES.any or not 0 < fmt.size <= CACHE_LINE - line_off:
+        if not 0 < fmt.size <= CACHE_LINE - line_off:
             return fmt.unpack(cache.read(self.region, at, fmt.size))
         region = self.region
         lines = cache._lines
         key = (region.name, at // CACHE_LINE)
         entry = lines.get(key)
         if entry is None:
-            entry = cache._fill(region, key)
+            entry = cache._fill(region, key)  # reports itself
         else:
             lines.move_to_end(key)
             cache.stale_serves += 1
             meter = cache.meter
             if meter is not None:
                 meter.ns += cache.hit_ns
+            if PROBES.any:
+                ms, spans = PROBES.memsan, PROBES.spans
+                if ms is not None:
+                    ms.cache_load(cache.name, key[0], key[1], fetched=False)
+                if spans is not None and meter is not None:
+                    spans.add_ns("cxl_access", cache.hit_ns)
         return fmt.unpack_from(entry[0], line_off)
 
     def read_run(self, fmt: Struct, offset: int, stride: int, count: int) -> list:
@@ -502,6 +481,15 @@ class CacheWindow:
         what separate reads produce (no line touch is reordered)."""
         unpack = self.unpack
         return [unpack(fmt, offset + i * stride) for i in range(count)]
+
+
+def _write_back(region: MemoryRegion, line: int, data: bytes) -> None:
+    """Store one line in its region — the model's own traffic, so the
+    region's refusals and then its buffer, not the sanitized ``write``."""
+    at = line * CACHE_LINE
+    if region._poisoned or at + CACHE_LINE > region.size:
+        region._refuse(at, CACHE_LINE)
+    region._data[at : at + CACHE_LINE] = data
 
 
 def _line_bounds(offset: int, nbytes: int) -> tuple[int, int]:

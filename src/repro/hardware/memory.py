@@ -16,13 +16,14 @@ settles inside the discrete-event simulation. A :class:`WindowedMemory`
 is a sub-range of one, addressed from zero: a CXL extent, one block's
 metadata, one page frame.
 
-A metered access is **one frame**: ``read`` / ``write`` / ``unpack`` /
-``read_run`` validate, probe the line cache, charge and touch the region
-buffer themselves. Bursts, accesses that straddle lines and every access
-made while an instrument is installed (:data:`repro.obs.probes.PROBES`)
-take the general :meth:`MappedMemory._charge`; the fused frames must
-leave the meter, the line cache and the transfer list exactly as it
-would (``bench.perf.check_equivalence``).
+A metered access is **one frame**: ``write`` / ``unpack`` / ``read_run``
+validate, probe the line cache, charge and touch the region buffer
+themselves, and ``write`` / ``unpack`` then tell the instruments that
+are installed (:data:`repro.obs.probes.PROBES`) what the frame already
+knows: hit or miss, the latency just added. Bursts and accesses that
+straddle lines take the general :meth:`MappedMemory._charge`; the fused
+frames must leave the meter, the line cache, the transfer list and every
+instrument exactly as it would (``bench.perf.check_equivalence``).
 """
 
 from __future__ import annotations
@@ -393,10 +394,11 @@ class MappedMemory:
     #
     # Every frame validates first. ``read`` is the general path: bytes are
     # read in bursts and multi-line spans (typed fields go through
-    # ``unpack``). ``write`` / ``unpack`` / ``read_run`` are fused: with no
-    # instrument installed, one line-cached line is counted, probed in the
-    # line cache and touched in the buffer right here; anything else
-    # defers to _charge and the region's own (sanitized) accessors.
+    # ``unpack``). ``write`` / ``unpack`` / ``read_run`` are fused: one
+    # line-cached line is counted, probed in the line cache and touched in
+    # the buffer right here; one ``PROBES.any`` load stands between that and
+    # the per-instrument reports, and only an installed MemSan sends the
+    # data touch through the region's own (sanitized) accessors.
 
     def read(self, offset: int, nbytes: int) -> bytes:
         region = self.region
@@ -410,7 +412,7 @@ class MappedMemory:
         nbytes = len(data)
         if offset < 0 or offset + nbytes > self.size or region._poisoned:
             region._refuse(offset, nbytes)
-        if PROBES.any or offset % CACHE_LINE + nbytes > self._line_room:
+        if offset % CACHE_LINE + nbytes > self._line_room:
             self._charge(offset, nbytes, write=True)
             region.write(offset, data)
             return
@@ -419,12 +421,25 @@ class MappedMemory:
         key = self._touched_key
         counters[key] = counters.get(key, 0.0) + nbytes
         key = (self._region_name, offset // CACHE_LINE)
-        if key in lines:
+        hit = key in lines
+        if hit:
             lines.move_to_end(key)
             cache.hits += 1
             meter.ns += self._hit_ns
         else:
             self._line_miss(key)
+        if PROBES.any:
+            tracer, spans = PROBES.tracer, PROBES.spans
+            if tracer is not None:
+                if hit:
+                    tracer.count(self._trace_hits_key, 1)
+                else:
+                    tracer.count(self._trace_misses_key, 1)
+                    tracer.count(self._trace_device_key, CACHE_LINE)
+            if spans is not None:
+                spans.add_ns(self._span_kind, self._hit_ns if hit else self._miss_ns)
+            if PROBES.memsan is not None:
+                return region.write(offset, data)  # the sanitized store
         region._data[offset : offset + nbytes] = data
 
     def unpack(self, fmt: Struct, offset: int) -> tuple:
@@ -433,19 +448,32 @@ class MappedMemory:
         nbytes = fmt.size
         if offset < 0 or offset + nbytes > self.size or region._poisoned:
             region._refuse(offset, nbytes)
-        if PROBES.any or offset % CACHE_LINE + nbytes > self._line_room:
+        if offset % CACHE_LINE + nbytes > self._line_room:
             return fmt.unpack(self.read(offset, nbytes))
         meter, cache = self.meter, self.line_cache
         counters, lines = meter.counters, cache.lines
         key = self._touched_key
         counters[key] = counters.get(key, 0.0) + nbytes
         key = (self._region_name, offset // CACHE_LINE)
-        if key in lines:
+        hit = key in lines
+        if hit:
             lines.move_to_end(key)
             cache.hits += 1
             meter.ns += self._hit_ns
         else:
             self._line_miss(key)
+        if PROBES.any:
+            tracer, spans = PROBES.tracer, PROBES.spans
+            if tracer is not None:
+                if hit:
+                    tracer.count(self._trace_hits_key, 1)
+                else:
+                    tracer.count(self._trace_misses_key, 1)
+                    tracer.count(self._trace_device_key, CACHE_LINE)
+            if spans is not None:
+                spans.add_ns(self._span_kind, self._hit_ns if hit else self._miss_ns)
+            if PROBES.memsan is not None:
+                return fmt.unpack(region.read(offset, nbytes))  # the sanitized load
         return fmt.unpack_from(region._data, offset)
 
     def read_run(self, fmt: Struct, offset: int, stride: int, count: int) -> list:
@@ -465,8 +493,8 @@ class MappedMemory:
         low, end = min(offset, offsets[-1]), max(offset, offsets[-1]) + nbytes
         if low < 0 or end > self.size or region._poisoned:
             region._refuse(low, end - low)
-        # Naturally aligned elements never straddle a line; others, and
-        # everything under an instrument, go one by one.
+        # Naturally aligned elements never straddle a line; others, and (so
+        # that each reports itself) all under an instrument, go one by one.
         aligned = 0 < nbytes <= self._line_room and not CACHE_LINE % nbytes
         if PROBES.any or not aligned or offset % nbytes or stride % nbytes:
             unpack = self.unpack
@@ -518,16 +546,12 @@ class MappedMemory:
             counters[key] = counters.get(key, 0.0) + 1
 
     def _charge(self, offset: int, nbytes: int, write: bool) -> None:
-        """The general cost model: bursts, multi-line accesses, and every
-        access made while an instrument is installed."""
+        """The general cost model: bursts, accesses that straddle lines,
+        and byte reads of any length."""
         meter = self.meter
         tracer = PROBES.tracer
         if nbytes >= self._burst_threshold:
-            table = self._write_table if write else self._read_table
-            cache = table._cache
-            ns = cache.get(nbytes)
-            if ns is None:
-                ns = cache[nbytes] = table.base_ns + nbytes * table.ns_per_byte
+            ns = (self._write_table if write else self._read_table).ns(nbytes)
             meter.ns += ns
             device_bytes = nbytes  # streamed: every byte crosses the link
             if tracer is not None:
@@ -557,20 +581,8 @@ class MappedMemory:
         if device_bytes:
             if tracer is not None:
                 tracer.count(self._trace_device_key, device_bytes)
-            pipe_key = self._pipe_key
-            if pipe_key is not None:
-                # Inlined AccessMeter.charge_transfer with precomputed
-                # counter keys — this runs once per device transfer.
-                if device_bytes == CACHE_LINE:
-                    meter.transfers.append(self._line_charge)
-                else:
-                    meter.transfers.append(
-                        TransferCharge(pipe_key, device_bytes, self._pipe_base_ns)
-                    )
-                key = self._pipe_bytes_key
-                counters[key] = counters.get(key, 0.0) + device_bytes
-                key = self._pipe_ops_key
-                counters[key] = counters.get(key, 0.0) + 1
+            if self._pipe_key is not None:
+                meter.charge_transfer(self._pipe_key, device_bytes, self._pipe_base_ns)
 
 
 class WindowedMemory:

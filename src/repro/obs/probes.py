@@ -18,8 +18,9 @@ model reads the attribute:
 so a disabled instrument costs one attribute load and a ``None`` check:
 no call, no kwargs dict, no formatted string. The metered access path
 (:mod:`repro.hardware.memory`, :mod:`repro.hardware.cache`) reads the
-single ``PROBES.any`` flag first and only looks at the individual
-instruments when one *it* consults — tracer, spans or memsan — is
+single ``PROBES.any`` flag — once per access, after it has probed and
+charged — and only looks at the individual instruments, to tell them
+the outcome, when one *it* consults — tracer, spans or memsan — is
 installed; the injector and the pipeline are never asked per access, so
 they do not set it.
 

@@ -7,6 +7,8 @@ in isolation. Protocol-level detection (the seeded mutations) lives in
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.memsan import (
     DIRTY,
@@ -403,3 +405,166 @@ def test_watch_setup_watches_only_software_coherent_cxl():
     ms = MemSan()
     ms.watch_setup(Setup("rdma"))
     assert ms._watched == set()
+
+
+# -- the held-lines index ---------------------------------------------------
+#
+# assert_flushed / invalid_cleared / cache_dropped visit the lines a cache
+# holds (MemSan._held) instead of every line of the range or every tracked
+# line. The specification below is those three checks as the full scans
+# they replace; any stream a CpuCache can produce must leave both with the
+# same reports, in order, and the same accesses_checked.
+
+
+class ScanningMemSan(MemSan):
+    """The per-page checks as scans of all 256 lines of a page."""
+
+    def _scan(self, offset, nbytes):
+        return range(offset // 64, (offset + max(nbytes, 1) - 1) // 64 + 1)
+
+    def assert_flushed(self, cache, region, offset, nbytes):
+        for line in self._scan(offset, nbytes):
+            state = self._lines.get((region, line))
+            if state is not None and state.dirty and state.writer_cache == cache:
+                self._report(
+                    "unflushed-write-at-release", region, line, self._ambient(),
+                    state.writer_actor,
+                    "write lock released while the page still holds an unflushed dirty line",
+                    "clflush of dirty lines before on_write_release",
+                )
+
+    def invalid_cleared(self, cache, region, offset, nbytes):
+        for line in self._scan(offset, nbytes):
+            state = self._lines.get((region, line))
+            held = None if state is None else state.cached.get(cache)
+            if held is not None and held != DIRTY and held < state.version:
+                self._report(
+                    "cleared-flag-before-invalidate", region, line, self._ambient(),
+                    state.publisher,
+                    f"invalid flag cleared while the cache still holds version {held} "
+                    f"(memory is at {state.version})",
+                    "CPU-cache invalidation before clearing the invalid flag",
+                )
+
+    def cache_dropped(self, cache):
+        self._held.pop(cache, None)  # the inherited hooks keep the index; drop it with the cache
+        for state in self._lines.values():
+            state.cached.pop(cache, None)
+            if state.writer_cache == cache:
+                state.dirty, state.writer_actor, state.writer_cache = False, None, None
+
+
+PAGE_LINES = 256
+CACHES = ("n0$", "n1$", "n2$")
+cache_ids = st.integers(0, 2)
+# A few hot lines on two pages (so the caches collide), at both ends of a group.
+lines = st.builds(
+    lambda page, slot: page * PAGE_LINES + slot, st.integers(0, 1), st.sampled_from([3, 255])
+)
+page_ranges = st.one_of(
+    st.builds(lambda page: (page * PAGE_LINES * 64, PAGE_LINES * 64), st.integers(0, 1)),  # a page
+    st.builds(lambda page: (page * PAGE_LINES * 64, PAGE_LINES * 64), st.integers(0, 1)),
+    st.builds(lambda line, n: (line * 64 + 5, n), lines, st.sampled_from([0, 1, 59, 60, 200])),
+    st.builds(  # starts mid-page and runs into the next: clips two groups
+        lambda start, n: (start * 64, n * 64), st.integers(1, 255), st.integers(1, 400)
+    ),
+)
+index_ops = st.one_of(
+    st.tuples(st.just("load"), cache_ids, lines, st.booleans()),
+    st.tuples(st.just("load"), cache_ids, lines, st.booleans()),
+    st.tuples(st.just("store"), cache_ids, lines),
+    st.tuples(st.just("store"), cache_ids, lines),
+    st.tuples(st.just("flush"), cache_ids, lines, st.booleans()),
+    st.tuples(st.just("invalidate"), cache_ids, lines),
+    st.tuples(st.just("dropped"), cache_ids),
+    st.tuples(st.just("raw_store"), cache_ids, lines),
+    st.tuples(st.just("handover"), cache_ids, cache_ids),
+    st.tuples(st.just("assert_flushed"), cache_ids, page_ranges),
+    st.tuples(st.just("assert_flushed"), cache_ids, page_ranges),
+    st.tuples(st.just("invalid_cleared"), cache_ids, page_ranges),
+    st.tuples(st.just("invalid_cleared"), cache_ids, page_ranges),
+)
+
+
+def _apply(ms: MemSan, op: tuple) -> None:
+    kind, who, *args = op
+    cache = CACHES[who]
+    with ms.actor(f"n{who}"):
+        if kind == "load":
+            ms.cache_load(cache, REGION, args[0], fetched=args[1])
+        elif kind == "store":
+            ms.cache_store(cache, REGION, args[0])
+        elif kind == "flush":
+            # A CpuCache passes its entry's dirty bit: it never flushes as
+            # clean a line whose last store was its own.
+            state = ms._lines.get((REGION, args[0]))
+            own = state is not None and state.dirty and state.writer_cache == cache
+            ms.cache_flush_line(cache, REGION, args[0], dirty=args[1] or own)
+        elif kind == "invalidate":
+            ms.cache_invalidate_line(cache, REGION, args[0])
+        elif kind == "dropped":
+            ms.cache_dropped(cache)
+        elif kind == "raw_store":
+            ms.raw_store(REGION, args[0] * 64 + 8, 70)
+        elif kind == "handover":
+            ms.lock_released(f"n{who}", "L")
+            ms.lock_acquired(f"n{args[0]}", "L")
+        else:
+            getattr(ms, kind)(cache, REGION, *args[0])
+
+
+def _held_equals_cached(ms: MemSan) -> bool:
+    """The index invariant: ``line in _held[cache][region, line >> 8]``
+    exactly when ``cache in _lines[region, line].cached``; no empty group."""
+    indexed = set()
+    for cache, groups in ms._held.items():
+        for (region, group), held in groups.items():
+            if not held or any(line >> 8 != group for line in held):
+                return False
+            indexed |= {(cache, region, line) for line in held}
+    return indexed == {
+        (cache, region, line)
+        for (region, line), state in ms._lines.items()
+        for cache in state.cached
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(index_ops, min_size=25, max_size=80))
+def test_indexed_checks_equal_the_full_scans(ops):
+    indexed, scanning = MemSan(max_reports=1000), ScanningMemSan(max_reports=1000)
+    for ms in (indexed, scanning):
+        ms.watch_region(REGION)
+        for op in ops:
+            _apply(ms, op)
+    assert indexed.reports == scanning.reports
+    assert indexed.accesses_checked == scanning.accesses_checked
+    assert _held_equals_cached(indexed)
+
+
+class _CountingLines(dict):
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("check", ["assert_flushed", "invalid_cleared"])
+@pytest.mark.parametrize("held", [0, 1, 5, 40])
+def test_page_checks_look_up_only_the_held_lines(check, held):
+    """The scan cannot silently return: a page check costs its held lines."""
+    ms = make()
+    with ms.actor("n0"):
+        for line in range(0, 3 * PAGE_LINES, 3):  # another cache holds a third of everything
+            ms.cache_load("n1$", REGION, line, fetched=True)
+        for line in range(PAGE_LINES + 7, PAGE_LINES + 7 + 5 * held, 5):
+            ms.cache_load("n0$", REGION, line, fetched=True)
+        ms._lines = counting = _CountingLines(ms._lines)
+        getattr(ms, check)("n0$", REGION, PAGE_LINES * 64, PAGE_LINES * 64)
+    assert counting.lookups <= held + 2
+    assert ms.reports == []

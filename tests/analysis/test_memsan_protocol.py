@@ -99,6 +99,37 @@ def test_mutation_clear_flag_before_invalidate_is_detected(setup):
     assert row["k"] == 4242
 
 
+# What each seeded mutation reports — (rule, line, actor, other), in order —
+# recorded before the per-page checks went from scanning all 256 lines to
+# visiting the held-lines index; the index must find the same lines, ascending.
+MUTATION_REPORTS = {
+    "skip_flush": [
+        ("unflushed-write-at-release", 512, "node0", "node0"),
+        ("unflushed-write-at-release", 525, "node0", "node0"),
+        ("read-write-race", 512, "node1", "node0"),
+        ("read-write-race", 525, "node1", "node0"),
+    ],
+    "skip_invalidate": [("stale-cached-read", 512, "node1", "node0")] * 3
+    + [("stale-cached-read", 525, "node1", "node0")] * 2,
+    "clear_before_invalidate": [
+        ("cleared-flag-before-invalidate", 512, "node1", "node0"),
+        ("cleared-flag-before-invalidate", 525, "node1", "node0"),
+    ],
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATION_REPORTS)
+def test_mutation_reports_are_pinned(setup, mutation):
+    if mutation == "skip_invalidate":
+        setup.fusion._mutate_skip_invalidate = True
+    else:
+        node = setup.nodes[0 if mutation == "skip_flush" else 1]
+        setattr(node.engine.buffer_pool, f"_mutate_{mutation}", True)
+    ms = run_interleaving(setup)
+    assert [(r.rule, r.line, r.actor, r.other) for r in ms.reports] == MUTATION_REPORTS[mutation]
+    assert ms.accesses_checked == 85 and ms.reports_dropped == 0
+
+
 def test_mutations_are_off_by_default(setup):
     for node in setup.nodes:
         pool = node.engine.buffer_pool

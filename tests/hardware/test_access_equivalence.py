@@ -9,16 +9,21 @@ the line cache's LRU order exactly as the per-field sequence of
 pre-optimization ``_RefMappedMemory`` (``bench.perf.check_equivalence``);
 under ``Tracer`` / ``SpanTracer`` / ``MemSan`` it is the per-field
 sequence on a twin memory under a twin instrument, and what the
-instrument saw must be equal too. The line cache holds a handful of
-lines, so runs evict in the middle.
+instrument saw must be equal too — also inside an armed
+``FaultInjector``: the pooled access path has no crash point, so the
+injector must neither fire nor record a hit, and (it does not set
+``PROBES.any``) nothing an instrument saw may change. The line cache
+holds a handful of lines, so runs evict in the middle.
 """
 
+import contextlib
 import struct
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.memsan import MemSan
+from repro.faults.injector import FaultInjector
 from repro.bench.perf import (
     EQUIVALENCE_SPAN,
     check_equivalence,
@@ -99,29 +104,36 @@ def test_equal_under_every_instrument(ops, lines):
     bare = _typed(ops, lines)
     assert bare == _per_field(ops, lines)
 
-    seen = []
-    for replay in (_typed, _per_field):
-        with Tracer() as tracer:
-            assert replay(ops, lines) == bare  # instruments do not perturb the model
-        seen.append(tracer.counters.snapshot())
-    assert seen[0] == seen[1]
+    # (typed, bare) (per field, bare) (typed, armed injector) (per field, armed injector)
+    runs = [(replay, armed) for armed in (False, True) for replay in (_typed, _per_field)]
+
+    def injector(armed):
+        return FaultInjector().arm_after_total(1) if armed else contextlib.nullcontext()
 
     seen = []
-    for replay in (_typed, _per_field):
-        with SpanTracer() as spans:
+    for replay, armed in runs:
+        with Tracer() as tracer, injector(armed):
+            assert replay(ops, lines) == bare  # instruments do not perturb the model
+        seen.append(tracer.counters.snapshot())
+    assert seen.count(seen[0]) == 4
+
+    seen = []
+    for replay, armed in runs:
+        with SpanTracer() as spans, injector(armed):
             root = spans.begin("txn", "eq")
             assert replay(ops, lines) == bare
             spans.end(root)
             replay(ops, lines)  # nothing attached: every charge is dropped, and counted
         seen.append((root.costs, spans.dropped_costs))
-    assert seen[0] == seen[1]
+    assert seen.count(seen[0]) == 4
 
     seen = []
-    for replay in (_typed, _per_field):
-        with MemSan() as memsan:
+    for replay, armed in runs:
+        with MemSan() as memsan, injector(armed) as installed:
             memsan.watch_region("eq")
             with memsan.actor("node0"):
                 assert replay(ops, lines) == bare
         seen.append((memsan.accesses_checked, memsan.reports))
-    assert seen[0] == seen[1]
+        assert not armed or (installed.fired is None and installed.hits == {})
+    assert seen.count(seen[0]) == 4
     assert seen[0][0] == sum(1 if op[0] != "run" else op[4] for op in ops)

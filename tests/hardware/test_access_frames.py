@@ -19,6 +19,13 @@ still recording one hit per line. A whole sharing transaction with
 nothing installed enters no instrument module at all — every hook site
 is an attribute load on the slot — apart from the slot's two null-scope
 helpers (310 ``active()`` frames per transaction before).
+
+Installed instruments no longer change the shape of an access either.
+The same frames run under a ``Tracer``, a ``SpanTracer`` or a ``MemSan``
+— no ``MappedMemory.read`` / ``_charge`` / ``touch_range``, no
+``CpuCache.read`` / ``_load_entry`` — followed by one call per installed
+instrument, and the model's own line fills, write-backs and flag bytes
+reach the region buffer without entering MemSan's ``internal()`` scope.
 """
 
 import contextlib
@@ -27,9 +34,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.memsan import MemSan, _InternalScope
 from repro.bench.harness import build_pooling_setup, build_sharing_setup
 from repro.db.constants import OFF_NRECS, PAGE_SIZE
 from repro.faults.injector import FaultInjector
+from repro.obs import SpanTracer, Tracer
 from repro.obs.metrics import MetricsPipeline
 from repro.workloads.sysbench import SysbenchWorkload
 
@@ -73,6 +82,42 @@ def test_typed_page_read_is_three_frames_and_no_probe_call(system):
     mtr.commit()
 
 
+#: The frames of the access itself, whatever is installed.
+POOL_READ = [("page.py", "read_u16"), ("memory.py", "unpack"), ("memory.py", "unpack")]
+SHARING_READ = [("page.py", "read_u16"), ("cache.py", "unpack")]
+
+
+@pytest.mark.parametrize("system", ["dram", "cxl", "rdma"])
+def test_instrumented_typed_page_read_is_the_same_frames_plus_one_call_each(system):
+    setup = build_pooling_setup(system, 1, SysbenchWorkload(rows=100), seed=7)
+    engine = setup.instances[0].engine
+    mtr = engine.mtr()
+    view = mtr.get_page(engine.tables["sbtest1"].btree.root_page_id)
+    view.read_u16(OFF_NRECS)
+    mapped = view.accessor.mapped
+    with SpanTracer() as spans:
+        root = spans.begin("txn", "pin")
+        frames = _python_frames(lambda: view.read_u16(OFF_NRECS))
+        spans.end(root)
+    assert frames == POOL_READ + [("spans.py", "add_ns")]
+    assert list(root.costs.values()) == [mapped.timing.hit_ns]
+    with Tracer() as tracer:
+        frames = _python_frames(lambda: view.read_u16(OFF_NRECS))
+    # Tracer.count is one forwarding frame onto its registry: a hit is one
+    # count, a miss would be two (misses + device bytes) — never _charge.
+    assert frames == POOL_READ + [("trace.py", "count"), ("counters.py", "add")]
+    assert tracer.counters.snapshot() == {f"mem.{mapped.counter_key}.line_hits": 1.0}
+    with MemSan() as memsan:
+        memsan.watch_region(mapped.region.name)
+        with memsan.actor("node0"):
+            frames = _python_frames(lambda: view.read_u16(OFF_NRECS))
+    # Only MemSan sends the data touch through the sanitized accessor.
+    assert frames[:5] == POOL_READ + [("memory.py", "read"), ("memsan.py", "raw_load")]
+    assert {frame[0] for frame in frames[5:]} <= {"memsan.py"}  # raw_load's own helpers
+    assert memsan.accesses_checked == 1
+    mtr.commit()
+
+
 @pytest.fixture(scope="module")
 def sharing_node():
     workload = SysbenchWorkload(rows=100, n_nodes=2)
@@ -93,6 +138,47 @@ def test_typed_read_on_a_sharing_page_is_two_frames_and_no_probe_call(sharing_no
             ("cache.py", "unpack"),  # CacheWindow: the fused frame
         ], installed
     mtr.commit()
+
+
+def test_instrumented_typed_read_on_a_sharing_page_is_two_frames_plus_one_call_each(
+    sharing_node,
+):
+    engine = sharing_node.engine
+    pool = engine.buffer_pool
+    mtr = engine.mtr()
+    view = mtr.get_page(engine.tables["sbtest_shared"].btree.root_page_id)
+    view.read_u16(OFF_NRECS)
+    with MemSan() as memsan:
+        memsan.watch_region(pool.region.name)
+        with memsan.actor(sharing_node.node_id):
+            frames = _python_frames(lambda: view.read_u16(OFF_NRECS))
+    assert frames[:3] == SHARING_READ + [("memsan.py", "cache_load")]
+    assert {frame[0] for frame in frames[3:]} <= {"memsan.py"}  # cache_load's own helpers
+    assert memsan.accesses_checked == 1
+    with SpanTracer() as spans:
+        root = spans.begin("txn", "pin")
+        frames = _python_frames(lambda: view.read_u16(OFF_NRECS))
+        spans.end(root)
+    assert frames == SHARING_READ + [("spans.py", "add_ns")]
+    assert root.costs == {"cxl_access": pool.cpu_cache.hit_ns}
+    with Tracer() as tracer:
+        frames = _python_frames(lambda: view.read_u16(OFF_NRECS))
+    assert frames == SHARING_READ and tracer.counters.snapshot() == {}  # a hit counts nothing
+    mtr.commit()
+
+
+def test_instrumented_flag_read_is_the_same_frames_plus_one_call_each(sharing_node):
+    slab = sharing_node.engine.buffer_pool.flag_slab
+    with MemSan(), Tracer(), SpanTracer():
+        frames = _python_frames(lambda: slab.read_invalid(0))
+    assert frames == [
+        ("coherency.py", "read_invalid"),
+        ("coherency.py", "_read_flag"),
+        ("trace.py", "count"),
+        ("counters.py", "add"),
+        ("spans.py", "add_ns"),
+        ("memsan.py", "flag_read"),  # a clear flag is no acquire edge: nothing below it
+    ]
 
 
 def test_flag_read_is_at_most_two_frames_and_no_probe_call(sharing_node):
@@ -139,3 +225,22 @@ def test_sharing_transaction_with_nothing_installed_enters_no_instrument(sharing
     assert {frame for frame in frames if frame[0] == "injector.py"} == {
         ("injector.py", "crash_point")
     }
+
+
+def test_sharing_transaction_under_memsan_never_enters_the_internal_scope(
+    sharing_node, monkeypatch
+):
+    """Fills, write-backs, flag stores and flag reads are the model's own
+    traffic: they touch the region buffer directly, so nothing needs the
+    raw-access hooks silenced around it."""
+    entries = []
+    monkeypatch.setattr(_InternalScope, "__enter__", lambda scope: entries.append(scope))
+    update = sharing_node.point_update("sbtest_shared", 43, "k", 9)
+    with MemSan() as memsan:
+        memsan.watch_region(sharing_node.engine.buffer_pool.region.name)
+        frames = _python_frames(lambda: sharing_node.settler.sim.run_process(update))
+    memsan.check()
+    entered = set(frames)
+    assert {("cache.py", "_fill"), ("cache.py", "clflush"), ("memsan.py", "cache_load")} <= entered
+    assert entries == [] and ("memsan.py", "internal") not in entered
+    assert not entered & {("memsan.py", "raw_load"), ("memsan.py", "raw_store")}

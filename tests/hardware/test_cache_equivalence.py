@@ -9,10 +9,14 @@ line bytes and dirty bits, fills / write-backs / stale serves,
 bytes — bare, under ``Tracer`` / ``SpanTracer`` / ``MemSan`` (which must
 have seen the same things), and with a ``FaultInjector`` armed at every
 hit of ``cache.clflush.line`` in turn: same trace, same coordinate fired,
-same bytes on the device and same lines surviving in the cache. The
-caches hold a handful of lines, so eviction happens mid-cycle.
+same bytes on the device and same lines surviving in the cache — bare
+and with all three instruments installed around the armed injector (the
+shape of every checked sweep coordinate), where what each instrument saw
+up to the crash must be equal too. The caches hold a handful of lines,
+so eviction happens mid-cycle.
 """
 
+import contextlib
 import struct
 
 import pytest
@@ -161,17 +165,35 @@ def test_equal_under_every_instrument(ops, lines):
     assert seen[0] == seen[1]
 
 
-def _crash_at(optimized, ops, lines, arm):
+def _crash_at(optimized, ops, lines, arm, actor=contextlib.nullcontext):
     """Replay under an injector; returns what a crash sweep can observe."""
     cache, cache_regions = build_cache_world(optimized, lines)
     injector = arm(FaultInjector())
     returned = None
-    with injector:
+    with injector, actor():
         try:
             returned = replay_cache_ops(cache, cache_regions, ops, typed=optimized)
         except InjectedCrash as crash:
             returned = ("crashed", crash.point, crash.hit)
     return returned, injector.trace, injector.fired, injector.hits, cache_state(cache, cache_regions)
+
+
+def _checked_crash_at(optimized, ops, lines, arm):
+    """:func:`_crash_at` inside every instrument, plus what each one saw."""
+    with MemSan() as memsan, Tracer() as tracer, SpanTracer() as spans:
+        memsan.watch_region("eq0")
+        memsan.watch_region("eq1")
+        root = spans.begin("txn", "eq")
+        # The actor scopes the replay only: filling the regions is not a node's store.
+        observed = _crash_at(optimized, ops, lines, arm, lambda: memsan.actor("node0"))
+        spans.end(root)
+    return (
+        observed,
+        tracer.counters.snapshot(),
+        [event.fields for event in tracer.events()],
+        (root.costs, spans.dropped_costs),
+        (memsan.accesses_checked, memsan.reports),
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -193,6 +215,21 @@ def test_a_crash_at_every_clflush_hit_leaves_the_same_world(ops, lines):
         )
         by_total = _crash_at(True, ops, lines, lambda inj: inj.arm_after_total(hit))
         assert by_total == crashed
+
+
+@settings(max_examples=25, deadline=None)
+@given(flushed_op_lists, st.integers(2, 24))
+def test_a_crash_at_every_clflush_hit_under_every_instrument(ops, lines):
+    passive = _checked_crash_at(True, ops, lines, lambda injector: injector)
+    assert passive == _checked_crash_at(False, ops, lines, lambda injector: injector)
+    assert passive[0] == _crash_at(True, ops, lines, lambda injector: injector)  # not perturbed
+    for hit in range(1, passive[0][3].get("cache.clflush.line", 0) + 1):
+        def arm(injector, hit=hit):
+            return injector.arm("cache.clflush.line", hit)
+
+        crashed = _checked_crash_at(True, ops, lines, arm)
+        assert crashed[0][2] == ("cache.clflush.line", hit)
+        assert crashed == _checked_crash_at(False, ops, lines, arm)
 
 
 def test_lock_cycle_stream_under_a_passive_and_an_armed_injector():

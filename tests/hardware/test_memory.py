@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.coherency import FlagSlab
 from repro.hardware.cache import LineCacheModel
 from repro.hardware.host import cxl_timing, dram_timing
 from repro.hardware.memory import (
@@ -297,6 +298,13 @@ def _poisoned_dram(kind: str, meter: AccessMeter, cache: LineCacheModel) -> Mapp
     return MappedMemory(region, dram_timing(LatencyConfig()), meter, cache, "dram")
 
 
+def _poisoned_slab(kind: str, meter: AccessMeter, cache: LineCacheModel) -> FlagSlab:
+    region = MemoryRegion("lost.flags", 4096, volatile=True)
+    slab = FlagSlab(region, 0, 8, meter)
+    region.power_fail()
+    return slab
+
+
 _U64 = struct.Struct("<Q")
 
 
@@ -338,6 +346,12 @@ REJECTED = {
         _poisoned_dram, lambda m: m.read_run(_U64, 0, 8, 2), PoisonedMemoryError),
     "poisoned: burst read": (
         _poisoned_dram, lambda m: m.read(0, 1024), PoisonedMemoryError),
+    # The coherency-flag read is a metered frame of its own; it charged
+    # flag_read_ns and counted a flag read before it looked at the region.
+    "poisoned: flag read": (
+        _poisoned_slab, lambda slab: slab.read_invalid(3), PoisonedMemoryError),
+    "flag entry out of range": (
+        _poisoned_slab, lambda slab: slab.read_removal(8), IndexError),
 }
 
 

@@ -1,20 +1,24 @@
-"""Cross-backend differential (ROADMAP 4d, pooling half).
+"""Cross-backend differential (ROADMAP 3d).
 
 The buffer pool is a host-cost and latency choice, never a semantic one:
 the same seeded stream of inserts, updates, deletes and range reads must
-leave the same table whichever pool the engine runs on. And the paper's
-pooling result itself is pinned: the first ``pool_cxl_read`` rep of the
-end-to-end benchmark (seed 7) must report, digit for digit, what the
-commit before the access path was collapsed reported — the cheapest
-guard that a host-side speed-up moved no simulated number.
-
-Sharing backends (shared-cxl / shared-rdma / hw-coherent) join when the
-sharing half of ROADMAP item 1 lands.
+leave the same table whichever pool the engine runs on — the three
+pooling backends (dram / cxl / rdma) and the three sharing backends
+(shared-cxl behind a ``CpuCache``, shared-rdma, and the hw-coherent
+``cxl3``), bare and, for the software-coherent pool, under an installed
+``MemSan``. And the paper's pooling result itself is pinned: the first
+``pool_cxl_read`` rep of the end-to-end benchmark (seed 7) must report,
+digit for digit, what the commit before the access path was collapsed
+reported — the cheapest guard that a host-side speed-up moved no
+simulated number.
 """
 
 import random
 
-from repro.bench.harness import build_pooling_setup, reset_meters
+import pytest
+
+from repro.analysis.memsan import MemSan
+from repro.bench.harness import build_pooling_setup, build_sharing_setup, reset_meters
 from repro.workloads.driver import PoolingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 
@@ -34,22 +38,40 @@ def _full_scan(engine, table) -> list:
         rows.extend(chunk)
 
 
-def _run_stream(system: str) -> tuple[list, list]:
+def _pooled(system: str):
     workload = SysbenchWorkload(rows=ROWS)
     setup = build_pooling_setup(system, 1, workload, lbp_fraction=0.3, seed=7)
     engine = setup.instances[0].engine
-    table = engine.tables["sbtest1"]
+    return workload, engine, engine.tables["sbtest1"]
+
+
+def _shared(system: str):
+    """One primary of a sharing cluster, driving its shared table."""
+    workload = SysbenchWorkload(rows=ROWS, n_nodes=1)
+    setup = build_sharing_setup(system, 1, workload, seed=7)
+    engine = setup.nodes[0].engine
+    return workload, engine, engine.tables["sbtest_shared"]
+
+
+def _run_stream(workload, engine, table, grow: bool) -> tuple[list, list]:
+    """``grow`` inserts fresh keys past the loaded ones, so leaves split;
+    without it an insert puts back a key an earlier delete took out (a
+    multi-primary node works on preloaded pages and cannot allocate)."""
     rng = random.Random(7)
     live = set(range(1, ROWS + 1))
+    deleted: list = []
     next_key = ROWS + 1
     observed = []  # what the reads returned along the way
     for _ in range(OPS):
         op = rng.choice(("insert", "insert", "update", "update", "delete", "range"))
+        if op == "insert" and not grow and not deleted:
+            op = "delete"
         mtr = engine.mtr()
         if op == "insert":
-            table.insert(mtr, next_key, workload._row(next_key))
-            live.add(next_key)
-            next_key += 1
+            key = next_key if grow else deleted.pop(rng.randrange(len(deleted)))
+            table.insert(mtr, key, workload._row(key))
+            live.add(key)
+            next_key += grow
         elif op == "update":
             key = rng.choice(sorted(live))
             field, value = rng.choice((("k", rng.randrange(4096)), ("c", rng.randbytes(120))))
@@ -58,6 +80,7 @@ def _run_stream(system: str) -> tuple[list, list]:
             key = rng.choice(sorted(live))
             assert table.delete(mtr, key)
             live.discard(key)
+            deleted.append(key)
         else:
             observed.append(table.range(mtr, rng.randrange(1, next_key), 20))
         mtr.commit()
@@ -67,10 +90,43 @@ def _run_stream(system: str) -> tuple[list, list]:
 
 
 def test_same_op_stream_same_table_on_every_pool():
-    dram, cxl, rdma = (_run_stream(system) for system in ("dram", "cxl", "rdma"))
+    dram, cxl, rdma = (
+        _run_stream(*_pooled(system), grow=True) for system in ("dram", "cxl", "rdma")
+    )
     assert len(dram[0]) > ROWS  # more inserts than deletes: leaves split along the way
     assert cxl == dram
     assert rdma == dram
+
+
+@pytest.fixture(scope="module")
+def dram_stream():
+    rows, observed = stream = _run_stream(*_pooled("dram"), grow=False)
+    assert len(rows) < ROWS and len(observed) > OPS // 10  # keys went out and came back
+    return stream
+
+
+BACKENDS = {
+    "pool-cxl": (_pooled, "cxl"),
+    "pool-rdma": (_pooled, "rdma"),
+    "shared-cxl": (_shared, "cxl"),
+    "shared-rdma": (_shared, "rdma"),
+    "cxl3": (_shared, "cxl3"),
+}
+
+
+@pytest.mark.parametrize("build, system", BACKENDS.values(), ids=BACKENDS.keys())
+def test_same_in_place_op_stream_same_table_on_every_backend(build, system, dram_stream):
+    assert _run_stream(*build(system), grow=False) == dram_stream
+
+
+def test_same_in_place_op_stream_same_table_under_memsan(dram_stream):
+    """The instrumented frames return the bytes the bare ones do."""
+    with MemSan() as memsan:
+        workload, engine, table = _shared("cxl")
+        memsan.watch_region(engine.buffer_pool.region.name)
+        with memsan.actor("node0"):
+            assert _run_stream(workload, engine, table, grow=False) == dram_stream
+    memsan.check()
 
 
 # RunResult.to_dict() of the first rep on a fresh pool_cxl_read world
