@@ -105,6 +105,20 @@ class FaultInjector:
         self._armed_total = total_hits
         return self
 
+    def resume_after(self, hits: dict[str, int]) -> "FaultInjector":
+        """Count on from ``hits`` (point name -> hits so far): the workload
+        already ran, unobserved, up to a boundary where a passive
+        injector had counted exactly these.
+
+        (point, hit) coordinates and :meth:`arm_after_total` keep their
+        meaning from then on; :attr:`trace` starts at the boundary, and
+        :attr:`rng` — drawn from only when a torn crash fires — is
+        untouched.
+        """
+        self.hits = dict(hits)
+        self._total_hits = sum(hits.values())
+        return self
+
     def disarm(self) -> None:
         self._armed = None
         self._armed_total = None

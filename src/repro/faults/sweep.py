@@ -4,10 +4,12 @@ The FoundationDB-style argument for trusting recovery is exhaustive,
 deterministic crash coverage: enumerate every crash point a canonical
 workload actually reaches (one golden run with the injector installed
 but nothing armed), then for each ``(point, hit)`` coordinate re-run the
-identical workload, kill the process there, run recovery, and check that
-the recovered database contains **exactly the committed state** — the
-state as of the largest durable LSN at crash time, nothing more, nothing
-less. Fixed seeds make every coordinate reproducible in isolation.
+identical workload (armed from the last transaction boundary before the
+coordinate; the prefix is the golden run's), kill the process there, run
+recovery, and check that the recovered database contains **exactly the
+committed state** — the state as of the largest durable LSN at crash
+time, nothing more, nothing less. Fixed seeds make every coordinate
+reproducible in isolation.
 
 Three sweeps live here:
 
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -66,7 +69,7 @@ from ..db.record import Field, RecordCodec
 from ..hardware.cache import LineCacheModel
 from ..hardware.host import Cluster, Host
 from ..hardware.memory import AccessMeter, WindowedMemory
-from ..obs.image import materialize
+from ..obs.image import IMAGES, materialize
 from ..sim.core import Simulator
 from ..parallel.runner import UnitResult, WorkUnit, run_units
 from ..storage.pagestore import PageStore
@@ -199,11 +202,14 @@ def _sweep_coordinates(
     only: tuple[str, int] | None,
 ) -> SweepReport:
     """Sweep the coordinates an enumeration ``trace`` reached: one
-    ``unit(seed, point, hit, *extra)`` work unit each, merged in
-    enumeration order."""
+    ``unit(seed, point, hit, *extra)`` work unit each, run in the order
+    the trace reached them (so a sweep that resumes from prefix images
+    never rolls backwards), merged in enumeration order."""
     coordinates = _select_hits(trace, max_hits_per_point)[:limit]
     if only is not None:
         coordinates = [only]
+    reached = {coordinate: index for index, coordinate in enumerate(trace)}
+    visit = sorted(coordinates, key=lambda coordinate: reached.get(coordinate, 0))
     units = [
         WorkUnit(
             task=f"repro.faults.sweep:{unit}",
@@ -215,11 +221,12 @@ def _sweep_coordinates(
                 f"--scenario {scenario} --seed {seed} --point {point} --hit {hit}"
             ),
         )
-        for point, hit in coordinates
+        for point, hit in visit
     ]
     report = SweepReport(title, distinct_points=sorted({name for name, _ in trace}))
-    for result, (point, hit) in zip(run_units(units, jobs=jobs), coordinates):
-        report.outcomes.append(_merged_outcome(result, point, hit))
+    results = dict(zip(visit, run_units(units, jobs=jobs)))
+    for point, hit in coordinates:
+        report.outcomes.append(_merged_outcome(results[point, hit], point, hit))
     return report
 
 
@@ -281,13 +288,27 @@ class _GoldenRun:
     trace: list[tuple[str, int]]
     snapshots: dict[int, dict]
     model: dict
+    # Index into ``trace`` where each workload transaction starts: the
+    # hits of every point before a boundary are that prefix, counted.
+    starts: list[int] = field(default_factory=list)
+
+
+@dataclass
+class _Workload:
+    """The canonical workload between two transactions: what it carries
+    from one to the next besides the scenario."""
+
+    txn: int
+    model: dict
+    rng: random.Random
+    next_key: int
 
 
 def _row(key: int) -> dict:
     return {"id": key, "k": key % 97, "payload": bytes([key % 251]) * 1500}
 
 
-def _build_scenario(seed: int, n_blocks: int = _N_BLOCKS) -> _Scenario:
+def _build_scenario(n_blocks: int = _N_BLOCKS) -> _Scenario:
     sim = Simulator()
     cluster = Cluster(sim)
     host = cluster.add_host("h0")
@@ -298,7 +319,7 @@ def _build_scenario(seed: int, n_blocks: int = _N_BLOCKS) -> _Scenario:
     manager = CxlMemoryManager(
         cluster.fabric, pool_bytes_needed(n_blocks) + (4 << 21)
     )
-    extent = manager.allocate(f"sweep{seed}", pool_bytes_needed(n_blocks), meter)
+    extent = manager.allocate("sweep", pool_bytes_needed(n_blocks), meter)
     line_cache = LineCacheModel()
     mapped = host.map_cxl(manager.region, meter, line_cache)
     mem = WindowedMemory(mapped, extent.offset, extent.size)
@@ -341,29 +362,29 @@ def _setup_baseline(scenario: _Scenario) -> dict:
 
 def _run_workload(
     scenario: _Scenario,
-    model: dict,
-    snapshots: dict[int, dict],
-    rng: random.Random,
-) -> dict:
-    """The canonical seeded workload: single-mtr insert/update/delete
-    transactions with periodic checkpoints, snapshotting committed state
+    work: _Workload,
+    until: int = _WORKLOAD_TXNS,
+    snapshots: dict[int, dict] | None = None,
+) -> None:
+    """The canonical seeded workload, transactions ``work.txn`` up to
+    ``until``: single-mtr insert/update/delete transactions with
+    periodic checkpoints; the golden run snapshots committed state
     after every commit."""
     engine = scenario.engine
     table = engine.tables["t"]
-    snapshots[scenario.redo.durable_max_lsn] = dict(model)
-    next_key = _BASE_ROWS + 1
-    for i in range(_WORKLOAD_TXNS):
+    rng, model = work.rng, work.model
+    while work.txn < until:
         txn = engine.begin()
         mtr = txn.mtr()
         op = rng.choice(("insert", "insert", "update", "update", "delete"))
         if op == "insert":
-            key = next_key
-            next_key += 1
+            key = work.next_key
+            work.next_key += 1
             table.insert(mtr, key, _row(key))
             model[key] = key % 97
         elif op == "update":
             key = rng.choice(sorted(model))
-            value = (key + i) % 97
+            value = (key + work.txn) % 97
             if table.update_field(mtr, key, "k", value):
                 model[key] = value
         else:
@@ -372,10 +393,61 @@ def _run_workload(
                 model.pop(key)
         mtr.commit()
         txn.commit()
-        snapshots[scenario.redo.durable_max_lsn] = dict(model)
-        if (i + 1) % _CHECKPOINT_EVERY == 0:
+        if snapshots is not None:
+            snapshots[scenario.redo.durable_max_lsn] = dict(model)
+        work.txn += 1
+        if work.txn % _CHECKPOINT_EVERY == 0:
             engine.checkpoint()
-    return model
+
+
+def _retire(*kinds: str) -> None:
+    """Drop the world images of these kinds: they die with their sweep."""
+    for key in [key for key in IMAGES if key[0] in kinds]:
+        del IMAGES[key]
+
+
+def _roll_to(scenario: _Scenario, seed: int, txn: int) -> _Workload:
+    """Bring the fresh ``scenario`` to the start of workload transaction
+    ``txn``; returns the workload's own state there.
+
+    Boundary 0 is the baseline image every seed shares. A later one
+    restores the live boundary image if that is at or before ``txn``
+    (else the baseline), rolls forward *uninstrumented* — the golden run
+    put this very prefix through the whole :class:`CheckedRun` battery —
+    and becomes the live image: at most one is alive."""
+    if txn == 0:
+        model = materialize(
+            ("sweep.baseline",), scenario.parts, lambda: _setup_baseline(scenario)
+        )
+        return _Workload(0, dict(model), random.Random(seed), _BASE_ROWS + 1)
+    key = ("sweep.boundary", seed, txn)
+
+    def roll_forward() -> tuple:
+        live = [k[2] for k in IMAGES if k[:2] == key[:2] and k[2] < txn]
+        work = _roll_to(scenario, seed, max(live, default=0))
+        _retire("sweep.boundary")
+        _run_workload(scenario, work, txn)
+        return work.model, work.rng.getstate(), work.next_key
+
+    model, rng_state, next_key = materialize(key, scenario.parts, roll_forward)
+    rng = random.Random()
+    rng.setstate(rng_state)
+    return _Workload(txn, dict(model), rng, next_key)
+
+
+def _roll_before(
+    scenario: _Scenario, seed: int, golden: _GoldenRun, point: str, hit: int
+) -> tuple[_Workload, FaultInjector]:
+    """Bring the fresh ``scenario`` to the last transaction boundary
+    before (point, hit) — boundary 0 for a coordinate the golden run
+    never reached — and arm an injector that counts on from the hits
+    the golden run had seen there."""
+    coordinate = (point, hit)
+    index = golden.trace.index(coordinate) if coordinate in golden.trace else 0
+    txn = bisect_right(golden.starts, index) - 1
+    hits = dict(golden.trace[: golden.starts[txn]])  # a point's last hit is its count
+    injector = FaultInjector(seed=seed).resume_after(hits).arm(point, hit)
+    return _roll_to(scenario, seed, txn), injector
 
 
 def _read_contents(engine: Engine) -> dict:
@@ -413,6 +485,18 @@ def _recover(scenario: _Scenario) -> Engine:
     return engine
 
 
+def _verdict(
+    point: str, hit: int, redo: RedoLog, exact: bool, diverged: str
+) -> SweepOutcome:
+    """A crashed-and-recovered coordinate is green when the rows read
+    back are exactly the committed ones and the durable log that
+    survived is strictly LSN-increasing."""
+    detail = "" if exact else diverged
+    if not redo.verify_ordered():
+        detail = "durable log is not strictly LSN-increasing after recovery"
+    return SweepOutcome(point, hit, True, not detail, detail)
+
+
 def _crashes(
     run: CheckedRun,
     injector: FaultInjector,
@@ -430,19 +514,6 @@ def _crashes(
     return False
 
 
-def _baseline_scenario(seed: int) -> tuple[_Scenario, dict]:
-    """A scenario at the end of :func:`_setup_baseline`, and its model.
-
-    Every coordinate, golden run and re-entrancy prefix of one seed
-    starts here: the first builds the baseline and keeps its image, the
-    rest restore it into a freshly wired scenario."""
-    scenario = _build_scenario(seed)
-    model = materialize(
-        ("sweep.baseline", seed), scenario.parts, lambda: _setup_baseline(scenario)
-    )
-    return scenario, dict(model)
-
-
 def _golden_run(seed: int) -> _GoldenRun:
     """The enumeration pass doubles as a protocol-invariant check: its
     full trace (WAL LSN order), span tree and metrics timeline go
@@ -452,39 +523,43 @@ def _golden_run(seed: int) -> _GoldenRun:
 
 
 def _enumerate(seed: int) -> _GoldenRun:
-    scenario, model = _baseline_scenario(seed)
-    snapshots: dict[int, dict] = {}
+    scenario = _build_scenario()
+    work = _roll_to(scenario, seed, 0)
+    snapshots = {scenario.redo.durable_max_lsn: dict(work.model)}
+    starts: list[int] = []
     injector = FaultInjector(seed=seed)
     with CheckedRun(trace=True, spans=True, metrics=True) as run, injector:
-        model = _run_workload(scenario, model, snapshots, random.Random(seed))
+        while work.txn < _WORKLOAD_TXNS:
+            starts.append(len(injector.trace))
+            _run_workload(scenario, work, work.txn + 1, snapshots)
         run.flush(scenario.sim.now)
     run.check()
-    if _read_contents(scenario.engine) != model:
+    if _read_contents(scenario.engine) != work.model:
         raise CrashSweepError("golden run is internally inconsistent")
-    return _GoldenRun(list(injector.trace), snapshots, model)
+    return _GoldenRun(list(injector.trace), snapshots, work.model, starts)
 
 
 def _crash_workload(
-    run: CheckedRun, scenario: _Scenario, model: dict, seed: int, point: str, hit: int
+    run: CheckedRun, scenario: _Scenario, work: _Workload, injector: FaultInjector
 ) -> bool:
-    """Run the canonical workload armed at (point, hit); True if it
-    crashed there (the scenario is then power-cycled)."""
-    injector = FaultInjector(seed=seed).arm(point, hit)
+    """Run the rest of the canonical workload under the armed injector;
+    True if it crashed (the scenario is then power-cycled)."""
     if not _crashes(
-        run,
-        injector,
-        scenario.sim,
-        lambda: _run_workload(scenario, model, {}, random.Random(seed)),
+        run, injector, scenario.sim, lambda: _run_workload(scenario, work)
     ):
         return False
-    scenario.engine.crash()
-    scenario.host.crash()
-    scenario.host.restart()
+    _power_cycle(scenario)
     return True
 
 
+def _power_cycle(scenario: _Scenario) -> None:
+    scenario.engine.crash()
+    scenario.host.crash()
+    scenario.host.restart()
+
+
 def _crash_and_recover(
-    seed: int, point: str, hit: int, snapshots: dict[int, dict]
+    seed: int, point: str, hit: int, golden: _GoldenRun
 ) -> SweepOutcome:
     """One spawn-safe unit: crash at (point, hit), recover, check oracle.
 
@@ -492,22 +567,18 @@ def _crash_and_recover(
     check: the crash must leave no span ``open``, the recovered run's
     spans must nest, and the timeline scraped across the crash must
     hold only complete samples."""
-    scenario, model = _baseline_scenario(seed)
+    scenario = _build_scenario()
+    work, injector = _roll_before(scenario, seed, golden, point, hit)
     with CheckedRun(spans=True, metrics=True) as run:
-        if not _crash_workload(run, scenario, model, seed, point, hit):
+        if not _crash_workload(run, scenario, work, injector):
             return SweepOutcome(point, hit, False, False, "armed point never fired")
         engine = _recover(scenario)
         run.flush(scenario.sim.now)
     run.check(allow_abandoned=True)
-    expected = _expected_at(snapshots, scenario.redo.durable_max_lsn)
+    expected = _expected_at(golden.snapshots, scenario.redo.durable_max_lsn)
     actual = _read_contents(engine)
-    if actual == expected:
-        return SweepOutcome(point, hit, True, True)
-    return SweepOutcome(
-        point,
-        hit,
-        True,
-        False,
+    return _verdict(
+        point, hit, scenario.redo, actual == expected,
         f"recovered {len(actual)} rows != committed {len(expected)} "
         f"(durable LSN {scenario.redo.durable_max_lsn})",
     )
@@ -528,10 +599,13 @@ def sweep_workload_points(
     prefix of the full enumeration); ``only=(point, hit)`` replays one
     coordinate — the CLI's serial-repro mode."""
     golden = _golden_run(seed)
-    return _sweep_coordinates(
-        "single-node", "workload", "_crash_and_recover", seed, golden.trace,
-        (golden.snapshots,), max_hits_per_point, jobs, limit, only,
-    )
+    try:
+        return _sweep_coordinates(
+            "single-node", "workload", "_crash_and_recover", seed, golden.trace,
+            (golden,), max_hits_per_point, jobs, limit, only,
+        )
+    finally:
+        _retire("sweep.boundary")
 
 
 # ---------------------------------------------------------------------------
@@ -541,26 +615,45 @@ def sweep_workload_points(
 # Crashing at the last applied-but-unlogged page write guarantees blocks
 # with persisted lock state, so recovery exercises its rebuild path.
 _REENTRY_FIRST_POINT = "mtr.write.applied"
+# What of a scenario survives a power cycle (recovery reads nothing else).
+_SURVIVORS = ("sim", "host", "manager", "store", "redo")
 
 
-def _crashed_scenario(seed: int, first_hit: int) -> _Scenario:
-    """Build, run, and crash the canonical workload at the fixed first-
-    crash coordinate; returns the powered-cycled scenario."""
-    scenario, model = _baseline_scenario(seed)
-    with CheckedRun(spans=True) as run:
-        if not _crash_workload(
-            run, scenario, model, seed, _REENTRY_FIRST_POINT, first_hit
-        ):
-            raise CrashSweepError("re-entrancy sweep: first crash never fired")
-    run.check(allow_abandoned=True)
+def _crashed_scenario(seed: int, golden: _GoldenRun) -> _Scenario:
+    """A power-cycled scenario whose workload died at the last hit of
+    the first-crash point.
+
+    The first call of a sweep runs that crash, checked, and keeps the
+    image of what survived — taken with every instrument uninstalled
+    and the host restarted: the half-done state *is* the subject. Later
+    calls restore it into a freshly wired, power-cycled scenario."""
+    first_hit = max(  # never reached: hit 1 never fires, and first_crash says so
+        (h for name, h in golden.trace if name == _REENTRY_FIRST_POINT), default=1
+    )
+    scenario = _build_scenario()
+
+    def first_crash() -> None:
+        work, injector = _roll_before(
+            scenario, seed, golden, _REENTRY_FIRST_POINT, first_hit
+        )
+        with CheckedRun(spans=True) as run:
+            if not _crash_workload(run, scenario, work, injector):
+                raise CrashSweepError(
+                    f"re-entrancy sweep: {_REENTRY_FIRST_POINT!r} never fired"
+                )
+        run.check(allow_abandoned=True)
+
+    survivors = {name: scenario.parts[name] for name in _SURVIVORS}
+    materialize(("sweep.crashed", seed), survivors, first_crash)
+    _power_cycle(scenario)  # idempotent: what a restore was wired with is dead too
     return scenario
 
 
 def _recovery_unit(
-    seed: int, point: str, hit: int, first_hit: int, expected: dict
+    seed: int, point: str, hit: int, golden: _GoldenRun, expected: dict
 ) -> SweepOutcome:
     """One re-entrancy unit: crash recovery at (point, hit), recover again."""
-    scenario = _crashed_scenario(seed, first_hit)
+    scenario = _crashed_scenario(seed, golden)
     injector = FaultInjector(seed=seed).arm(point, hit)
     with CheckedRun(spans=True) as run:
         if not _crashes(run, injector, scenario.sim, lambda: _recover(scenario)):
@@ -570,9 +663,9 @@ def _recovery_unit(
         scenario.host.restart()
         engine = _recover(scenario)
     run.check(allow_abandoned=True)
-    ok = _read_contents(engine) == expected
-    return SweepOutcome(
-        point, hit, True, ok, "" if ok else "second recovery diverged"
+    return _verdict(
+        point, hit, scenario.redo, _read_contents(engine) == expected,
+        "second recovery diverged",
     )
 
 
@@ -586,29 +679,23 @@ def sweep_recovery_points(
     """Crash PolarRecv at each of its own points, power-cycle, recover
     again — a half-finished recovery must itself be recoverable."""
     golden = _golden_run(seed)
-    first_hit = max(
-        (h for name, h in golden.trace if name == _REENTRY_FIRST_POINT), default=0
-    )
-    if first_hit == 0:
-        raise CrashSweepError(
-            f"canonical workload never reached {_REENTRY_FIRST_POINT!r}"
+    try:
+        # Golden recovery: enumerate recovery's own crash points and pin
+        # the expected state down once.
+        scenario = _crashed_scenario(seed, golden)
+        recovery_injector = FaultInjector(seed=seed)
+        with recovery_injector:
+            engine = _recover(scenario)
+        expected = _expected_at(golden.snapshots, scenario.redo.durable_max_lsn)
+        if _read_contents(engine) != expected:
+            raise CrashSweepError("re-entrancy sweep: golden recovery inconsistent")
+        return _sweep_coordinates(
+            "recovery-reentrancy", "recovery", "_recovery_unit", seed,
+            list(recovery_injector.trace), (golden, expected),
+            max_hits_per_point, jobs, limit, only,
         )
-
-    # Golden recovery: enumerate recovery's own crash points and pin the
-    # expected state down once.
-    scenario = _crashed_scenario(seed, first_hit)
-    recovery_injector = FaultInjector(seed=seed)
-    with recovery_injector:
-        engine = _recover(scenario)
-    expected = _expected_at(golden.snapshots, scenario.redo.durable_max_lsn)
-    if _read_contents(engine) != expected:
-        raise CrashSweepError("re-entrancy sweep: golden recovery inconsistent")
-    recovery_trace = list(recovery_injector.trace)
-
-    return _sweep_coordinates(
-        "recovery-reentrancy", "recovery", "_recovery_unit", seed, recovery_trace,
-        (first_hit, expected), max_hits_per_point, jobs, limit, only,
-    )
+    finally:
+        _retire("sweep.boundary", "sweep.crashed")
 
 
 # ---------------------------------------------------------------------------

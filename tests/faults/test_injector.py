@@ -50,6 +50,29 @@ class TestInjectorSemantics:
             inj.point("c")
         assert inj.fired == ("c", 1)
 
+    def test_resume_after_counts_on_from_the_given_hits(self):
+        inj = FaultInjector(seed=3).resume_after({"a": 2, "b": 1}).arm_after_total(5)
+        untouched = FaultInjector(seed=3).rng.getstate()
+        assert inj.rng.getstate() == untouched and inj.trace == []
+        inj.point("a")  # total 4
+        with pytest.raises(InjectedCrash):
+            inj.point("b", torn=lambda rng: rng.random())  # total 5: fires, torn
+        assert inj.trace == [("a", 3), ("b", 2)]  # starts at the boundary
+        assert inj.hits == {"a": 3, "b": 2} and inj.fired == ("b", 2)
+        assert inj.rng.getstate() != untouched  # only the torn callback drew
+
+    def test_resumed_arm_fires_at_the_same_coordinate_as_a_full_count(self):
+        full = FaultInjector().arm("a", 3)
+        full.point("a")
+        full.point("b")
+        full.point("a")
+        resumed = FaultInjector().resume_after(full.hits).arm("a", 3)
+        for inj in (full, resumed):
+            with pytest.raises(InjectedCrash) as exc:
+                inj.point("a")
+            assert (exc.value.point, exc.value.hit) == ("a", 3)
+        assert resumed.hits == full.hits and resumed.trace == full.trace[-1:]
+
     def test_arming_is_one_based(self):
         with pytest.raises(ValueError):
             FaultInjector().arm("a", 0)

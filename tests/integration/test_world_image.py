@@ -10,21 +10,27 @@ restored one. The only attributes skipped are the pure memos in
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import mmap
+import os
 import random
 import struct
+import subprocess
+import sys
 import types
 
 import pytest
 
+from repro.analysis.checked import CheckedRun
 from repro.analysis.memsan import MemSan
 from repro.bench.harness import build_pooling_setup, build_sharing_setup
 from repro.obs.image import IMAGE_BOUND, IMAGES
 from repro.faults import sweep
 from repro.faults.injector import FaultInjector
 from repro.obs import Tracer
+from repro.parallel.__main__ import main as parallel_main
 from repro.parallel.stress import run_sharing_stress
 from repro.workloads.sysbench import SysbenchWorkload
 
@@ -121,14 +127,22 @@ def assert_same_world(a, b) -> None:
     assert not out, "\n".join(out[:20])
 
 
-def _pristine(seed: int = SEED):
+def _pristine():
     """A baseline scenario that never touched the image cache."""
-    scenario = sweep._build_scenario(seed)
+    scenario = sweep._build_scenario()
     return scenario, sweep._setup_baseline(scenario)
 
 
-def _uninjected_workload(scenario, model) -> dict:
-    return sweep._run_workload(scenario, model, {}, random.Random(SEED))
+def _baseline(seed: int = SEED):
+    """A baseline scenario through the image cache, and its model."""
+    scenario = sweep._build_scenario()
+    return scenario, sweep._roll_to(scenario, seed, 0).model
+
+
+def _uninjected_workload(scenario, model, seed: int = SEED) -> dict:
+    work = sweep._Workload(0, model, random.Random(seed), sweep._BASE_ROWS + 1)
+    sweep._run_workload(scenario, work)
+    return work.model
 
 
 def _sha(text: str) -> str:
@@ -151,8 +165,8 @@ def test_walker_sees_a_one_byte_and_a_one_counter_difference():
 
 def test_restored_scenario_equals_a_fresh_one_before_and_after_the_workload():
     fresh, fresh_model = _pristine()
-    built, built_model = sweep._baseline_scenario(SEED)  # builds and keeps the image
-    restored, restored_model = sweep._baseline_scenario(SEED)  # restores it
+    built, built_model = _baseline()  # builds and keeps the image
+    restored, restored_model = _baseline()  # restores it
     assert len(IMAGES) == 1
     assert fresh_model == built_model == restored_model
     assert_same_world(fresh, built)
@@ -172,12 +186,12 @@ def test_restored_scenario_equals_a_fresh_one_before_and_after_the_workload():
 
 def test_a_crashed_clone_leaves_the_image_and_its_siblings_pristine():
     golden = sweep._golden_run(SEED)
-    first, first_model = sweep._baseline_scenario(SEED)
+    first, first_model = _baseline()
     _uninjected_workload(first, first_model)  # the world the image was taken from
     point, hit = golden.trace[len(golden.trace) // 2]
-    outcome = sweep._crash_and_recover(SEED, point, hit, golden.snapshots)  # a clone
+    outcome = sweep._crash_and_recover(SEED, point, hit, golden)  # a clone
     assert outcome.ok, outcome.detail
-    sibling, sibling_model = sweep._baseline_scenario(SEED)
+    sibling, sibling_model = _baseline()
     fresh, fresh_model = _pristine()
     assert sibling_model == fresh_model
     assert_same_world(fresh, sibling)
@@ -191,6 +205,209 @@ def test_dataset_clones_do_not_share_pages_with_each_other():
     second = build_sharing_setup("cxl", 2, workload)
     assert second.page_store._pages == pages
     assert second.page_store._pages is not first.page_store._pages
+
+
+# -- (b2) sweeps resume from prefix images: same world as replaying the prefix --
+
+#: Seed 7 plus two seeds no other test or benchmark uses.
+_DIFFERENTIAL_SEEDS = (SEED, 9101, 9102)
+
+
+def _crash_at(seed, golden, point, hit):
+    """A scenario crashed at (point, hit) the way a coordinate does it,
+    power-cycled; and the injector that crashed it."""
+    scenario = sweep._build_scenario()
+    work, injector = sweep._roll_before(scenario, seed, golden, point, hit)
+    with CheckedRun(spans=True, metrics=True) as run:
+        assert sweep._crash_workload(run, scenario, work, injector)
+    run.check(allow_abandoned=True)
+    return scenario, injector
+
+
+@pytest.mark.parametrize("seed", _DIFFERENTIAL_SEEDS)
+def test_every_coordinate_from_its_boundary_equals_the_whole_prefix_replayed(seed):
+    golden = sweep._golden_run(seed)
+    assert len(golden.starts) == sweep._WORKLOAD_TXNS and golden.starts[0] == 0
+    # With one boundary, at 0, the same code replays the whole prefix
+    # from the baseline under the armed injector: the parent's path.
+    whole = dataclasses.replace(golden, starts=[0])
+    boundaries = set()
+    for point, hit in sweep._select_hits(golden.trace, 2):
+        resumed, injector = _crash_at(seed, golden, point, hit)
+        replayed, reference = _crash_at(seed, whole, point, hit)
+        assert_same_world(resumed, replayed)
+        assert injector.fired == reference.fired == (point, hit)
+        assert injector.hits == reference.hits
+        assert injector._total_hits == reference._total_hits == len(reference.trace)
+        assert injector.trace == reference.trace[-len(injector.trace) :]
+        boundaries.add(len(reference.trace) - len(injector.trace))
+        assert_same_world(sweep._recover(resumed), sweep._recover(replayed))
+        assert sweep._crash_and_recover(seed, point, hit, golden) == (
+            sweep._crash_and_recover(seed, point, hit, whole)
+        )
+    # The coordinates really did start at different boundaries, all of
+    # them places where the golden run began a transaction.
+    assert len(boundaries) > 2 and boundaries <= set(golden.starts)
+    # Nothing a sweep compares or reports reads the process-global
+    # transaction counter, which no image holds: it ran on regardless.
+    assert "txn_id" not in sweep.report_to_json(sweep.sweep_workload_points(seed=seed, limit=2))
+
+
+@pytest.mark.parametrize("seed", _DIFFERENTIAL_SEEDS)
+def test_restored_crashed_prefix_equals_the_fresh_one_before_and_after_recovery(seed):
+    golden = sweep._golden_run(seed)
+    fresh = sweep._crashed_scenario(seed, golden)  # runs the first crash, keeps the image
+    assert [key for key in IMAGES if key[0] == "sweep.crashed"] == [("sweep.crashed", seed)]
+    restored = sweep._crashed_scenario(seed, golden)
+    assert restored.engine.crashed and fresh.engine.crashed
+
+    def surviving(scenario):
+        return {name: scenario.parts[name].snapshot() for name in sweep._SURVIVORS}
+
+    assert_same_world(surviving(fresh), surviving(restored))
+    engines = [sweep._recover(scenario) for scenario in (fresh, restored)]
+    assert_same_world(*engines)  # region bytes, store, redo, meter, pool
+    assert_same_world(surviving(fresh), surviving(restored))
+    assert sweep._read_contents(engines[0]) == sweep._read_contents(engines[1])
+    # A sibling sees the image, not what recovery did to the last clone.
+    sibling = sweep._crashed_scenario(seed, golden)
+    pristine_image = IMAGES[("sweep.crashed", seed)][0]
+    assert_same_world(surviving(sibling), dict(pristine_image))
+
+
+def test_a_sibling_coordinate_restores_a_pristine_boundary_image():
+    golden = sweep._golden_run(SEED)
+    point, hit = golden.trace[-1]
+    txn = sweep._WORKLOAD_TXNS - 1
+
+    def at_boundary():
+        scenario = sweep._build_scenario()
+        return scenario, sweep._roll_to(scenario, SEED, txn)
+
+    built, built_work = at_boundary()  # rolls forward from the baseline, keeps the image
+    first, first_work = at_boundary()  # restores it
+    assert_same_world((built, built_work.model), (first, first_work.model))
+    assert sweep._crash_and_recover(SEED, point, hit, golden).ok  # crashes a clone of it
+    again, again_work = at_boundary()
+    assert_same_world((first, first_work.model), (again, again_work.model))
+    assert first_work.rng.getstate() == again_work.rng.getstate() == built_work.rng.getstate()
+    assert (first_work.txn, first_work.next_key) == (again_work.txn, again_work.next_key)
+    assert first_work.model is not again_work.model  # private copies
+
+
+@pytest.mark.parametrize("run", [sweep.sweep_workload_points, sweep.sweep_recovery_points])
+def test_one_late_coordinate_alone_equals_its_entry_in_the_full_report(run):
+    full = run(seed=9101)
+    full.raise_for_failures()
+    # The workload sweep's latest coordinate in trace order sits in the
+    # last transaction; any recovery coordinate needs the whole first crash.
+    reached = sweep._golden_run(9101).trace
+    entry = max(full.outcomes, key=lambda o: reached.index((o.point, o.hit)) if (o.point, o.hit) in reached else 0)
+    IMAGES.clear()  # no baseline, no golden, no boundary: the lone unit rolls from nothing
+    (alone,) = run(seed=9101, only=(entry.point, entry.hit)).outcomes
+    assert alone == entry and alone.ok
+
+
+# -- (b3) image lifetime: one live image per sweep, none after it ------------------
+
+
+def _live(kind):
+    return [key for key in IMAGES if key[0] == kind]
+
+
+def test_at_most_one_boundary_and_one_crashed_image_live_and_none_outlives_its_sweep(
+    monkeypatch,
+):
+    recover = sweep._recover
+    seen = {"sweep.boundary": [], "sweep.crashed": []}
+
+    def counting_recover(scenario):
+        for kind, counts in seen.items():
+            counts.append(len(_live(kind)))
+        return recover(scenario)
+
+    monkeypatch.setattr(sweep, "_recover", counting_recover)
+    for seed in range(200, 220):
+        sweep.sweep_workload_points(seed=seed, limit=6).raise_for_failures()
+        assert _live("sweep.boundary") == []
+        sweep.sweep_recovery_points(seed=seed, limit=3).raise_for_failures()
+        assert _live("sweep.boundary") == _live("sweep.crashed") == []
+        assert len(IMAGES) <= IMAGE_BOUND
+    # Coordinates inside transaction 0 start from the baseline, the rest
+    # from the one boundary image; every recovery of a re-entrancy sweep
+    # (the golden one and two per unit) runs beside the one crashed image.
+    assert set(seen["sweep.boundary"]) == {0, 1}
+    assert set(seen["sweep.crashed"]) == {0, 1}
+    assert seen["sweep.crashed"].count(1) == 20 * (1 + 2 * 3)
+
+
+@pytest.mark.parametrize("run", [sweep.sweep_workload_points, sweep.sweep_recovery_points])
+def test_a_sweep_that_dies_in_a_unit_leaves_no_live_image(monkeypatch, run):
+    class Interrupt(BaseException):
+        """Not an ``Exception``: the unit runner lets it through."""
+
+    recover, calls = sweep._recover, []
+
+    def dying_recover(scenario):
+        calls.append(1)
+        if len(calls) > 3 and (_live("sweep.boundary") or _live("sweep.crashed")):
+            raise Interrupt
+        return recover(scenario)
+
+    monkeypatch.setattr(sweep, "_recover", dying_recover)
+    with pytest.raises(Interrupt):
+        run(seed=SEED)
+    assert _live("sweep.boundary") == _live("sweep.crashed") == []
+
+
+def test_forty_seeds_of_both_sweeps_stay_within_the_parents_memory():
+    """``ru_maxrss`` growth over a fresh interpreter's import baseline,
+    after forty seeds of both single-node sweeps. At the parent commit
+    (eight per-seed baseline images, no live image) it read 24.0 MB on
+    the reference box; one shared baseline plus one live image reads
+    18.0 MB."""
+    script = (
+        "import resource\n"
+        "from repro.faults.sweep import sweep_recovery_points, sweep_workload_points\n"
+        "rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+        "base = rss()\n"
+        "for seed in range(300, 340):\n"
+        "    sweep_workload_points(seed=seed).raise_for_failures()\n"
+        "    sweep_recovery_points(seed=seed).raise_for_failures()\n"
+        "print(rss() - base)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= 24.0 + 2.0
+
+
+def test_a_disordered_durable_log_turns_the_coordinate_red_with_its_repro(monkeypatch, capsys):
+    recover = sweep._recover
+
+    def disordering_recover(scenario):
+        engine = recover(scenario)
+        durable = scenario.redo._durable
+        durable[0], durable[1] = durable[1], durable[0]
+        return engine
+
+    golden = sweep._golden_run(SEED)
+    point, hit = golden.trace[golden.starts[20]]  # mid-workload: the log holds many records
+    assert sweep.sweep_workload_points(seed=SEED, only=(point, hit)).failures() == []
+    monkeypatch.setattr(sweep, "_recover", disordering_recover)
+    for report in (
+        sweep.sweep_workload_points(seed=SEED, only=(point, hit)),
+        sweep.sweep_recovery_points(seed=SEED, limit=1),
+    ):
+        (outcome,) = report.outcomes
+        assert outcome.crashed and not outcome.ok
+        assert outcome.detail == "durable log is not strictly LSN-increasing after recovery"
+    # The one-line serial repro of a red coordinate goes red the same way.
+    argv = ["sweep", "--scenario", "workload", "--seed", str(SEED), "--point", point]
+    assert parallel_main(argv + ["--hit", str(hit), "--json", os.devnull]) == 1
+    assert f"FAIL {point}#{hit}: durable log is not strictly LSN-increasing" in capsys.readouterr().err
 
 
 # -- (c) the pinned digests, cold and warm, serial and parallel ----------------
@@ -295,11 +512,14 @@ def test_pooling_build_loads_the_dataset_once(monkeypatch):
 
 
 def test_cache_stays_within_its_bound_across_twenty_seeds():
+    # The golden run is the client whose key still varies by seed (the
+    # baseline image is one for all of them).
     for seed in range(100, 120):
-        sweep._baseline_scenario(seed)
+        sweep._golden_run(seed)
         assert len(IMAGES) <= IMAGE_BOUND
     assert len(IMAGES) == IMAGE_BOUND
+    assert ("sweep.baseline",) in IMAGES  # every seed touched it: never the oldest
     # Least recently used goes first: the last seeds are still warm.
-    before = len(IMAGES)
-    sweep._baseline_scenario(119)
-    assert len(IMAGES) == before
+    before = list(IMAGES)
+    assert sweep._golden_run(119) is IMAGES[("sweep.golden", 119)][1]
+    assert sorted(IMAGES) == sorted(before)
