@@ -39,7 +39,11 @@ if TYPE_CHECKING:
     from ..core.sharing import MultiPrimaryNode
     from ..hardware.memory import AccessMeter
 
-__all__ = ["CheckedRun", "fail_over"]
+__all__ = ["CheckedRun", "LogOrderError", "fail_over"]
+
+
+class LogOrderError(AssertionError):
+    """A watched node's durable redo log is not strictly LSN-increasing."""
 
 
 class CheckedRun:
@@ -76,6 +80,7 @@ class CheckedRun:
         self.memsan: Optional[MemSan] = None
         self.trace_stats: Optional[CheckStats] = None
         self.span_stats: Optional[SpanCheckStats] = None
+        self._watched: list["SharingSetup"] = []
         self._installed = ExitStack()
 
     def __enter__(self) -> "CheckedRun":
@@ -98,7 +103,10 @@ class CheckedRun:
         self._installed.close()
 
     def watch(self, setup: "SharingSetup") -> None:
-        """Point the owned race detector at ``setup``'s shared region."""
+        """Check ``setup`` with this run: :meth:`check` verifies every
+        node's durable log, and the owned race detector watches the
+        shared region."""
+        self._watched.append(setup)
         if self.memsan is not None:
             self.memsan.watch_setup(setup)
 
@@ -123,7 +131,8 @@ class CheckedRun:
             pipeline.flush(now_ns)
 
     def check(self, allow_abandoned: bool = False) -> None:
-        """Run every invariant of every owned instrument; raise on the first.
+        """Run every invariant of every owned instrument and the log
+        order of every watched node; raise on the first.
 
         MemSan goes last, so a harness that reports races itself can
         catch :class:`~.memsan.MemSanError` knowing the rest passed.
@@ -136,6 +145,13 @@ class CheckedRun:
             )
         if self.metrics is not None:
             self.metrics.check_consistent()
+        for setup in self._watched:
+            for node in setup.nodes:
+                if not node.engine.redo_log.verify_ordered():
+                    raise LogOrderError(
+                        f"node {node.node_id}: durable redo log is not "
+                        f"strictly LSN-increasing"
+                    )
         if self.memsan is not None:
             self.memsan.check()
 

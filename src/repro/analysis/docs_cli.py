@@ -131,7 +131,7 @@ def _scan(
 def _check_bench(tokens: list[str]) -> Optional[str]:
     from ..bench.__main__ import EXPERIMENTS
 
-    names = set(EXPERIMENTS) | {"perf", "list", "all"}
+    names = set(EXPERIMENTS) | {"list", "all"}
     flags = {
         "-h": False,
         "--help": False,
@@ -140,9 +140,6 @@ def _check_bench(tokens: list[str]) -> Optional[str]:
         "--memsan": False,
         "--ha": False,
         "--jobs": True,
-        "--quick": False,
-        "--min-speedup": True,
-        "--out": True,
         "--metrics": False,
     }
     return _scan(tokens, names, flags, "bench experiment")

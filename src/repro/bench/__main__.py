@@ -59,12 +59,6 @@ def _benchmarks_dir() -> pathlib.Path:
 
 
 def main(argv: list[str]) -> int:
-    # "perf" is not a pytest-benchmark experiment but the wall-clock
-    # perf-regression harness; it takes its own options (see bench/perf.py).
-    if argv and argv[0] == "perf":
-        from .perf import main as perf_main
-
-        return perf_main(argv[1:])
     # --counters: also run the mechanism-counter export (trace-verified
     # bytes-moved amplification) alongside whatever was selected.
     with_counters = "--counters" in argv
@@ -112,9 +106,7 @@ def main(argv: list[str]) -> int:
         print("experiments:")
         for name, filename in EXPERIMENTS.items():
             print(f"  {name:10s} benchmarks/{filename}")
-        print(f"  {'perf':10s} wall-clock perf harness -> BENCH_perf.json")
         print("\nusage: python -m repro.bench [--counters] [--spans] [--memsan] [--ha] [--metrics] [--jobs N] <experiment>... | all")
-        print("       python -m repro.bench perf [--quick] [--min-speedup X] [--jobs N] [--out PATH]")
         return 0
     names = list(EXPERIMENTS) if argv == ["all"] else argv
     if with_counters and "counters" not in names:

@@ -121,9 +121,6 @@ class CxlBufferPool(BufferPool):
         for index in range(self.n_blocks):
             yield self.meta(index)
 
-    def block_index_of(self, page_id: int) -> Optional[int]:
-        return self._block_of.get(page_id)
-
     def _view(self, page_id: int, index: int) -> PageView:
         return PageView(
             page_id, WindowedMemory(self.mem, block_data_offset(index), PAGE_SIZE), self

@@ -95,9 +95,6 @@ class PageView:
     def read_u8(self, offset: int) -> int:
         return self.accessor.unpack(_U8, offset)[0]
 
-    def write_u8(self, offset: int, value: int) -> None:
-        self.accessor.write(offset, _U8.pack(value))
-
     # -- header fields ----------------------------------------------------------------
 
     @property

@@ -116,21 +116,11 @@ class Table:
         for index in self.indexes.values():
             index.on_insert(mtr, key, row)
 
-    def insert_payload(self, mtr: MiniTransaction, key: int, payload: bytes) -> None:
-        self.btree.insert(mtr, key, payload)
-        if self.indexes:
-            row = self.codec.decode(payload)
-            for index in self.indexes.values():
-                index.on_insert(mtr, key, row)
-
     def get(self, mtr: MiniTransaction, key: int) -> Optional[dict[str, Any]]:
         payload = self.btree.lookup(mtr, key)
         if payload is None:
             return None
         return self.codec.decode(payload)
-
-    def get_payload(self, mtr: MiniTransaction, key: int) -> Optional[bytes]:
-        return self.btree.lookup(mtr, key)
 
     def update_field(
         self, mtr: MiniTransaction, key: int, field: str, value: Any
@@ -156,17 +146,6 @@ class Table:
         return self.btree.update(
             mtr, key, data, field_offset=self.codec.field_offset(field)
         )
-
-    def update_row(
-        self, mtr: MiniTransaction, key: int, row: Mapping[str, Any]
-    ) -> bool:
-        old = self.get(mtr, key) if self.indexes else None
-        if not self.btree.update(mtr, key, self.codec.encode(row)):
-            return False
-        if old is not None:
-            for field, index in self.indexes.items():
-                index.on_update(mtr, key, old[field], int(row[field]))
-        return True
 
     def delete(self, mtr: MiniTransaction, key: int) -> bool:
         old = self.get(mtr, key) if self.indexes else None
@@ -198,11 +177,6 @@ class Table:
             self.codec.decode(payload)
             for _, payload in self.btree.range_scan(mtr, start_key, count)
         ]
-
-    def range_payloads(
-        self, mtr: MiniTransaction, start_key: int, count: int
-    ) -> list[tuple[int, bytes]]:
-        return self.btree.range_scan(mtr, start_key, count)
 
     @property
     def record_size(self) -> int:

@@ -180,16 +180,6 @@ class FaultInjector:
         self.rpc_failures_injected += 1
         return True
 
-    # -- trace inspection -----------------------------------------------------------
-
-    def points_reached(self) -> list[str]:
-        """Distinct point names in first-hit order."""
-        seen: list[str] = []
-        for name, hit in self.trace:
-            if hit == 1:
-                seen.append(name)
-        return seen
-
     # -- installation ----------------------------------------------------------------
 
     def __enter__(self) -> "FaultInjector":

@@ -91,8 +91,3 @@ class FaultSchedule:
             due.append(self.events[self._cursor])
             self._cursor += 1
         return due
-
-    def max_op(self) -> int:
-        """Largest scheduled op index (0 when empty) — engines size
-        their op streams to at least this."""
-        return self.events[-1].at_op if self.events else 0

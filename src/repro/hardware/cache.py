@@ -97,14 +97,6 @@ class LineCacheModel:
         self.misses += misses
         return hits, misses
 
-    def drop_region(self, region_name: str) -> None:
-        for key in [key for key in self.lines if key[0] == region_name]:
-            del self.lines[key]
-
-    def drop_lines(self, region_name: str, first_line: int, last_line: int) -> None:
-        for line in range(first_line, last_line + 1):
-            self.lines.pop((region_name, line), None)
-
     def clear(self) -> None:
         self.lines.clear()
 
@@ -420,7 +412,7 @@ class CacheWindow:
     :meth:`CpuCache._fill`. A field that straddles lines goes through
     :meth:`CpuCache.read`; the fused frame must leave the cache, the
     meter, the transfer list and every instrument exactly as that would
-    (``bench.perf.check_equivalence``).
+    (``tests/hardware/reference_models.py``).
 
     >>> from struct import Struct
     >>> region = MemoryRegion("shared", 4096, volatile=False)

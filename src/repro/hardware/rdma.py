@@ -63,14 +63,6 @@ class RdmaNic:
         self.ops_pipe.transfer(1)
         return self.data_pipe.transfer(nbytes, base_ns=int(self.write_ns(nbytes)))
 
-    def send_message(self) -> Event:
-        """A small two-sided message (e.g. an invalidation or RPC)."""
-        self._record_op("message", 256, self.config.rdma_message_ns)
-        self.ops_pipe.transfer(1)
-        return self.data_pipe.transfer(
-            256, base_ns=int(self.config.rdma_message_ns)
-        )
-
     def _record_op(self, op: str, nbytes: int, base_ns: float) -> None:
         """Span hook: one closed ``rpc`` span per NIC operation.
 

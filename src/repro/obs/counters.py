@@ -105,12 +105,6 @@ class CounterRegistry:
         """All counters, sorted by name (histograms excluded)."""
         return dict(sorted(self._counters.items()))
 
-    def histogram_snapshot(self) -> dict[str, dict[str, float]]:
-        return {
-            name: hist.summary()
-            for name, hist in sorted(self._histograms.items())
-        }
-
     def reset(self) -> None:
         self._counters = {}
         self._histograms = {}

@@ -299,20 +299,6 @@ class MetricsPipeline:
         for source in self._sources:
             source.previous = dict(source.snapshot())
 
-    def set_scrape_interval(self, interval_ns: float, now_ns: float) -> None:
-        """Change the interval mid-run.
-
-        Catches up at the old width first, then re-anchors the grid
-        (and the open windows) at ``now_ns`` — no window ever mixes two
-        widths, so every published rate divides by the interval that
-        actually covered it.
-        """
-        if interval_ns <= 0:
-            raise ValueError("scrape interval must be positive")
-        self.maybe_scrape(now_ns)
-        self.scrape_interval_ns = float(interval_ns)
-        self.anchor(now_ns)
-
     def flush(self, now_ns: float) -> None:
         """Final catch-up plus one closing scrape on the next grid point.
 

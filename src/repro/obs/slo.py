@@ -300,10 +300,6 @@ class HealthInterval:
     start_ns: float
     end_ns: float
 
-    @property
-    def duration_ns(self) -> float:
-        return self.end_ns - self.start_ns
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "entity": self.entity,
@@ -420,13 +416,6 @@ class HealthTimeline:
 
     def states(self, entity: str) -> list[HealthInterval]:
         return [i for i in self.intervals if i.entity == entity]
-
-    def time_in(self, entity: str, state: str) -> float:
-        return sum(
-            i.duration_ns
-            for i in self.intervals
-            if i.entity == entity and i.state == state
-        )
 
     def worst(self, entity: str) -> str:
         rank = 0

@@ -132,11 +132,6 @@ class Span:
         self._c0 = 0.0
         self._c_idx = 0
 
-    @property
-    def wall_ns(self) -> float:
-        """Simulated wall-clock width (0 for charged-only spans)."""
-        return self.t1 - self.t0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Span(#{self.span_id} {self.kind}:{self.name} parent="
@@ -383,10 +378,6 @@ class SpanTracer:
     def spans(self) -> list[Span]:
         """All recorded spans in begin order."""
         return list(self._spans)
-
-    @property
-    def open_count(self) -> int:
-        return sum(1 for span in self._spans if span.status == _OPEN)
 
     def clear(self) -> None:
         """Drop recorded spans (the attach stack must be empty)."""

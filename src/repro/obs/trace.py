@@ -137,11 +137,6 @@ class Tracer:
     def total_dropped(self) -> int:
         return sum(self.dropped.values())
 
-    def clear_events(self) -> None:
-        """Drop buffered events (counters persist)."""
-        self._rings = {}
-        self.dropped = {}
-
     # -- installation -----------------------------------------------------------------
 
     def __enter__(self) -> "Tracer":

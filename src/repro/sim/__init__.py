@@ -15,7 +15,6 @@ from .rng import WorkloadRng, ZipfGenerator
 from .stats import (
     LatencyRecorder,
     RunningStats,
-    ThroughputMeter,
     TimeSeries,
     percentile,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "ZipfGenerator",
     "LatencyRecorder",
     "RunningStats",
-    "ThroughputMeter",
     "TimeSeries",
     "percentile",
 ]

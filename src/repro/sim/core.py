@@ -20,8 +20,8 @@ bootstraps — so one heap operation typically retires a whole batch, and
 batch members cost one list append instead of a tuple push. Within a
 tick events fire in scheduling order, which is exactly the ``(time,
 seq)`` order of a plain heap: the firing order is bit-identical to the
-heap reference kernel (asserted by ``tests/sim/test_queue_equivalence``
-and the perf harness's kernel-equivalence check). On top of that,
+heap reference kernel (asserted by
+``tests/sim/test_queue_equivalence``). On top of that,
 :class:`Timeout` construction writes the event slots directly instead of
 chaining through ``Event.__init__`` + :meth:`Event.succeed`, the
 :meth:`Simulator.run` loop fires events inline without a per-event
@@ -81,7 +81,7 @@ class SchedulerHook:
     The base class is the default strategy: always pick the head of the
     ready list, which reproduces the uninstrumented kernel's scheduling
     order bit-for-bit (pinned by ``tests/sim/test_scheduler_hook`` and
-    the perf harness's kernel-order differential). Subclasses override
+    ``tests/sim/test_queue_equivalence``). Subclasses override
     :meth:`choose` to explore alternative interleavings and
     :meth:`admit`/:meth:`step` to observe arrivals and firings —
     ``repro.analysis.explore`` builds its DFS model checker on exactly

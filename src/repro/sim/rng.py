@@ -8,7 +8,6 @@ seeded so every experiment run is reproducible bit-for-bit.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Sequence, TypeVar
 
@@ -89,18 +88,9 @@ class WorkloadRng:
             raise ValueError("items/weights length mismatch")
         return self._rng.choices(items, weights=weights, k=1)[0]
 
-    def shuffled(self, items: Sequence[T]) -> list[T]:
-        out = list(items)
-        self._rng.shuffle(out)
-        return out
-
     def fork(self, salt: int) -> "WorkloadRng":
         """Derive an independent stream (per worker / per instance)."""
         return WorkloadRng(seed=(self.seed * 1_000_003 + salt) & 0x7FFFFFFF)
 
     def bytes(self, n: int) -> bytes:
         return self._rng.randbytes(n)
-
-    def exponential_ns(self, mean_ns: float) -> int:
-        """Exponential inter-arrival time, at least 1 ns."""
-        return max(1, int(-mean_ns * math.log(1.0 - self._rng.random())))

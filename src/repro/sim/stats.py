@@ -10,7 +10,6 @@ __all__ = [
     "RunningStats",
     "LatencyRecorder",
     "TimeSeries",
-    "ThroughputMeter",
     "percentile",
 ]
 
@@ -66,10 +65,6 @@ class RunningStats:
     @property
     def variance(self) -> float:
         return self._m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
 
 
 class LatencyRecorder:
@@ -152,27 +147,3 @@ class TimeSeries:
             (i * bucket_s, self._buckets.get(i, 0) / bucket_s)
             for i in range(last + 1)
         ]
-
-
-class ThroughputMeter:
-    """Counts completions within an explicit measurement window."""
-
-    def __init__(self) -> None:
-        self.completed = 0
-        self._window_start_ns = 0
-        self._window_completed = 0
-
-    def record(self, count: int = 1) -> None:
-        self.completed += count
-        self._window_completed += count
-
-    def reset_window(self, now_ns: int) -> None:
-        self._window_start_ns = now_ns
-        self._window_completed = 0
-
-    def window_rate(self, now_ns: int) -> float:
-        """Completions per second since the window started."""
-        elapsed = now_ns - self._window_start_ns
-        if elapsed <= 0:
-            return 0.0
-        return self._window_completed * 1e9 / elapsed

@@ -366,7 +366,3 @@ class TpccWorkload(Workload):
                 Op("select", "stock", self.stock_key(w, rng.uniform_int(0, self.items - 1)))
             )
         return ops
-
-    def is_new_order(self, ops: list[Op]) -> bool:
-        """Crude classifier used to report TpmC (NewOrder throughput)."""
-        return any(op.table == "order_line" and op.kind == "update" for op in ops)

@@ -2,7 +2,8 @@
 
 The harness clients (sweeps, stress, scale, HA, explore) are covered by
 their own suites; these tests pin the contract they all rely on —
-ownership, crash semantics, one seeded violation per instrument — plus
+ownership, crash semantics, one seeded violation per instrument and one
+of a watched node's log order — plus
 the structural guard that no harness grows a private copy again.
 """
 
@@ -11,12 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.checked import CheckedRun, fail_over
+from repro.analysis.checked import CheckedRun, LogOrderError, fail_over
 from repro.analysis.memsan import MemSan, MemSanError
 from repro.faults.sweep import (
     _STORM_CRASH,
     _build_sharing,
     _crash_sharing_node,
+    _run_sharing_ops,
+    _sharing_ops,
     _sharing_prephase,
 )
 from repro.hardware.memory import AccessMeter
@@ -91,7 +94,7 @@ def test_crashed_abandons_open_spans_and_scrapes_at_the_crash_instant():
         run.spans.begin("txn", "dies-mid-flight")
         run.metrics.count("ops", 2.0)
         run.crashed(250_000.0)
-        assert run.spans.open_count == 0
+        assert [span.status for span in run.spans.spans()] == ["abandoned"]
         series = run.metrics.get("ops")
         assert [t for t, _ in series.samples] == [100_000.0, 200_000.0]
     with pytest.raises(InvariantViolationError):
@@ -106,7 +109,8 @@ def test_crashed_reaches_outer_instruments_too():
         outer_spans.begin("txn", "t")
         with CheckedRun(spans=True, metrics=True) as run:
             run.crashed(100_000.0)
-        assert outer_spans.open_count == 0 and outer_metrics.scrapes == 1
+        assert [span.status for span in outer_spans.spans()] == ["abandoned"]
+        assert outer_metrics.scrapes == 1
 
 
 def _seed_trace(run):
@@ -144,6 +148,21 @@ def test_check_raises_for_a_seeded_violation_of_each_instrument(seed, error):
     with _all() as run:
         seed(run)
     with pytest.raises(error):
+        run.check()
+
+
+def test_check_raises_for_a_watched_node_whose_durable_log_is_out_of_order():
+    setup = _build_sharing(7)
+    model = _sharing_prephase(setup)
+    with _all() as run:
+        run.watch(setup)
+        _run_sharing_ops(setup, _sharing_ops(), model, {}, [0])
+    run.check()
+    writer = setup.nodes[0]
+    durable = writer.engine.redo_log._durable
+    durable[3], durable[4] = durable[4], durable[3]
+    _seed_memsan(run)  # the log check comes before MemSan's, which stays last
+    with pytest.raises(LogOrderError, match=f"node {writer.node_id}: durable redo log"):
         run.check()
 
 

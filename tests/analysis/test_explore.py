@@ -80,7 +80,7 @@ def test_toy_visits_exactly_the_trace_minimal_count(name):
 
 
 def test_property_config_prunes_below_quarter_of_naive():
-    # The bench_explore gate, asserted at the source: ≤ 25% of naive.
+    # Happens-before pruning must keep its edge over naive enumeration: ≤ 25%.
     report = explore_config("toy-mixed")
     assert report.pruning_ratio <= 0.25
     assert report.schedules == 4  # (2! * 1!) ** 2

@@ -7,7 +7,9 @@ entry points, and the registry inverse check: every name in
 itself).
 """
 
+import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -385,6 +387,23 @@ def test_src_tree_is_clean_and_registry_has_no_dead_entries():
     # Inverse registry check: a registered point nobody uses is stale.
     assert used == REGISTERED_POINTS
     assert len(used) == 36
+
+
+def test_src_has_no_wall_clock_exemption_and_no_frozen_reference():
+    """Speed is judged by ``benchmarks/e2e`` and reference models live
+    beside the tests that compare against them
+    (``tests/hardware/reference_models.py``): neither a file-wide
+    REPRO001 exemption nor a ``_Ref*`` class may return to ``src/``."""
+    src = Path(__file__).parents[2] / "src" / "repro"
+    banned = re.compile(r"allow-file\(REPRO001\)|\b_Ref[A-Z]")
+    offenders = [
+        f"{path.relative_to(src)}:{number}"
+        for path in sorted(src.rglob("*.py"))
+        if path != src / "analysis" / "lint.py"  # the rule's own text
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert offenders == []
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -53,15 +53,20 @@ class TestFormatAndAttach:
             CxlBufferPool(ctx.mem, ctx.store, 10_000)
 
 
+def _meta_of(pool, page_id):
+    """The in-use block whose persisted metadata names ``page_id``."""
+    (meta,) = [m for m in pool.iter_metas() if m.in_use and m.page_id == page_id]
+    return meta
+
+
 class TestMetadataPersistence:
     def test_page_id_recorded_in_block(self, ctx):
         fill_table(ctx, rows=40)
         pool = ctx.pool
-        for page_id in pool.resident_page_ids():
-            index = pool.block_index_of(page_id)
-            meta = pool.meta(index)
-            assert meta.in_use
-            assert meta.page_id == page_id
+        resident = pool.resident_page_ids()
+        assert len(resident) > 1
+        for page_id in resident:
+            assert _meta_of(pool, page_id).page_id == page_id
 
     def test_write_latch_persisted(self, ctx):
         table = fill_table(ctx, rows=10)
@@ -69,12 +74,12 @@ class TestMetadataPersistence:
         mtr = ctx.engine.mtr()
         leaf_id = table.btree.leaf_page_id_for(mtr, 5)
         mtr.commit()
-        index = pool.block_index_of(leaf_id)
+        meta = _meta_of(pool, leaf_id)
         mtr = ctx.engine.mtr()
         mtr.get_page(leaf_id, for_write=True)
-        assert pool.meta(index).lock_state == 1
+        assert meta.lock_state == 1
         mtr.commit()
-        assert pool.meta(index).lock_state == 0
+        assert meta.lock_state == 0
 
     def test_dirty_hint_persisted(self, ctx):
         table = fill_table(ctx, rows=10)
@@ -83,14 +88,14 @@ class TestMetadataPersistence:
         mtr = ctx.engine.mtr()
         leaf_id = table.btree.leaf_page_id_for(mtr, 5)
         mtr.commit()
-        index = pool.block_index_of(leaf_id)
-        assert not pool.meta(index).dirty_hint
+        meta = _meta_of(pool, leaf_id)
+        assert not meta.dirty_hint
         mtr = ctx.engine.mtr()
         table.update_field(mtr, 5, "k", 42)
         mtr.commit()
-        assert pool.meta(index).dirty_hint
+        assert meta.dirty_hint
         pool.flush_page(leaf_id)
-        assert not pool.meta(index).dirty_hint
+        assert not meta.dirty_hint
 
 
 class TestCxlLru:

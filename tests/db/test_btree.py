@@ -105,7 +105,7 @@ class TestUpdate:
     def test_full_row_update(self, ctx, table):
         mtr = ctx.engine.mtr()
         new_row = {"id": 10, "k": 5, "payload": b"Z" * 52}
-        assert table.update_row(mtr, 10, new_row)
+        assert table.btree.update(mtr, 10, table.codec.encode(new_row))
         mtr.commit()
         mtr = ctx.engine.mtr()
         assert table.get(mtr, 10)["payload"] == b"Z" * 52

@@ -1,11 +1,11 @@
-"""Odds and ends: table payload APIs, schema limits, latch helper."""
+"""Odds and ends: table record size, schema limits, latch helper."""
 
 import pytest
 
 from repro.db.constants import META_MAX_TREES
 from repro.db.record import Field, RecordCodec
 
-from ..conftest import SMALL_CODEC, fill_table, make_local_engine, row_for
+from ..conftest import SMALL_CODEC, fill_table, make_local_engine
 
 
 @pytest.fixture
@@ -14,31 +14,6 @@ def ctx(host):
 
 
 class TestTablePayloadApis:
-    def test_get_payload_raw_bytes(self, ctx):
-        table = fill_table(ctx, rows=20)
-        mtr = ctx.engine.mtr()
-        payload = table.get_payload(mtr, 5)
-        mtr.commit()
-        assert payload == SMALL_CODEC.encode(row_for(5))
-
-    def test_insert_payload(self, ctx):
-        table = ctx.engine.create_table("t", SMALL_CODEC)
-        raw = SMALL_CODEC.encode(row_for(9))
-        mtr = ctx.engine.mtr()
-        table.insert_payload(mtr, 9, raw)
-        mtr.commit()
-        mtr = ctx.engine.mtr()
-        assert table.get(mtr, 9)["id"] == 9
-        mtr.commit()
-
-    def test_range_payloads(self, ctx):
-        table = fill_table(ctx, rows=30)
-        mtr = ctx.engine.mtr()
-        pairs = table.range_payloads(mtr, 10, 5)
-        mtr.commit()
-        assert [key for key, _ in pairs] == [10, 11, 12, 13, 14]
-        assert pairs[0][1] == SMALL_CODEC.encode(row_for(10))
-
     def test_record_size_property(self, ctx):
         table = ctx.engine.create_table("t", SMALL_CODEC)
         assert table.record_size == SMALL_CODEC.record_size

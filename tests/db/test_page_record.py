@@ -58,7 +58,7 @@ class TestPageLayout:
         assert view.read_u64(100) == 0xDEADBEEF12345678
         view.write_u16(200, 0xABCD)
         assert view.read_u16(200) == 0xABCD
-        view.write_u8(300, 0x7F)
+        view.accessor.write(300, b"\x7f")
         assert view.read_u8(300) == 0x7F
 
     def test_set_lsn(self):

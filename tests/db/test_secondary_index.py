@@ -91,14 +91,6 @@ class TestIndexMaintenance:
         assert 13 not in {r["id"] for r in table.find_by(mtr, "k", 3)}
         mtr.commit()
 
-    def test_update_row_syncs_index(self, ctx, table):
-        mtr = ctx.engine.mtr()
-        assert table.update_row(mtr, 13, row(13, k=77))
-        mtr.commit()
-        mtr = ctx.engine.mtr()
-        assert 13 in {r["id"] for r in table.find_by(mtr, "k", 77)}
-        mtr.commit()
-
     def test_unindexed_update_cheaper_than_indexed(self, ctx, table):
         ctx.meter.reset()
         mtr = ctx.engine.mtr()

@@ -29,7 +29,6 @@ class TestInjectorSemantics:
         inj.point("a")
         assert inj.hits == {"a": 2, "b": 1}
         assert inj.trace == [("a", 1), ("b", 1), ("a", 2)]
-        assert inj.points_reached() == ["a", "b"]
         assert inj.fired is None
 
     def test_arm_fires_at_exactly_the_armed_hit(self):

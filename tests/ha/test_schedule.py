@@ -56,12 +56,3 @@ class TestFaultSchedule:
         assert sched.pending == 0
         assert sched.pop_due(100) == []
 
-    def test_max_op(self):
-        assert FaultSchedule([]).max_op() == 0
-        sched = FaultSchedule(
-            [
-                FaultEvent(at_op=9, action="join"),
-                FaultEvent(at_op=3, action="join"),
-            ]
-        )
-        assert sched.max_op() == 9

@@ -6,7 +6,7 @@ host-side speed-ups only: for any access list, going through them must
 leave ``meter.ns`` (bit for bit), the counters, the transfer list and
 the line cache's LRU order exactly as the per-field sequence of
 ``read`` / ``write`` calls does. Bare, the reference is the frozen
-pre-optimization ``_RefMappedMemory`` (``bench.perf.check_equivalence``);
+pre-optimization ``_RefMappedMemory`` (``reference_models.check_equivalence``);
 under ``Tracer`` / ``SpanTracer`` / ``MemSan`` it is the per-field
 sequence on a twin memory under a twin instrument, and what the
 instrument saw must be equal too — also inside an armed
@@ -17,6 +17,7 @@ holds a handful of lines, so runs evict in the middle.
 """
 
 import contextlib
+import hashlib
 import struct
 
 from hypothesis import given, settings
@@ -24,17 +25,22 @@ from hypothesis import strategies as st
 
 from repro.analysis.memsan import MemSan
 from repro.faults.injector import FaultInjector
-from repro.bench.perf import (
-    EQUIVALENCE_SPAN,
-    check_equivalence,
-    metering_state,
-    replay_accesses,
-)
 from repro.hardware.cache import LineCacheModel
 from repro.hardware.host import cxl_timing
 from repro.hardware.memory import AccessMeter, MappedMemory, MemoryRegion, WindowedMemory
 from repro.obs import SpanTracer, Tracer
 from repro.sim.latency import CACHE_LINE, LatencyConfig
+
+from .reference_models import (
+    _EQ_CACHE_BYTES,
+    _EQ_HIT_NS,
+    EQUIVALENCE_SPAN,
+    _build_mapped,
+    _equivalence_ops,
+    check_equivalence,
+    metering_state,
+    replay_accesses,
+)
 
 FORMATS = [struct.Struct(f) for f in ("<B", "<H", "<Q", "<QQ")]
 HOT = 1024  # offsets fall in 16 lines; the caches below hold 2..12
@@ -137,3 +143,26 @@ def test_equal_under_every_instrument(ops, lines):
         assert not armed or (installed.fired is None and installed.hits == {})
     assert seen.count(seen[0]) == 4
     assert seen[0][0] == sum(1 if op[0] != "run" else op[4] for op in ops)
+
+
+def test_check_equivalence_passes():
+    # The built-in mix, at a quarter of its length, then the sharing
+    # path's lock cycles (``check_cache_equivalence``).
+    check_equivalence(n_accesses=5_000)
+
+
+def test_the_reference_cannot_drift_with_the_model():
+    """The built-in 20,000-access mix through the frozen reference alone:
+    the sha256 over its ``metering_state`` at every drain is a literal,
+    so an edit to the reference fails here even when the model was
+    edited to match and the differential still passes."""
+    ref, meter = _build_mapped(False, EQUIVALENCE_SPAN + 8192, _EQ_CACHE_BYTES, _EQ_HIT_NS)
+    ops = list(_equivalence_ops(20_000))
+    digest = hashlib.sha256()
+    for start in range(0, len(ops), 512):
+        replay_accesses(ref, ops[start : start + 512], typed=False, base=4096 + 24)
+        digest.update(repr(metering_state(ref)).encode())
+        meter.take()
+    assert digest.hexdigest() == (
+        "32a4d51d4a5ccbebe68d7220c96ca33b5d92f26034e71b545761f206eaca3645"
+    )

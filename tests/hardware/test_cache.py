@@ -38,23 +38,6 @@ class TestLineCacheModel:
         cache.touch("a", 0)
         assert cache.touch("b", 0) is False
 
-    def test_drop_region(self):
-        cache = LineCacheModel(capacity_bytes=1024)
-        cache.touch("a", 0)
-        cache.touch("b", 0)
-        cache.drop_region("a")
-        assert cache.touch("a", 0) is False
-        assert cache.touch("b", 0) is True
-
-    def test_drop_lines(self):
-        cache = LineCacheModel(capacity_bytes=1024)
-        for line in range(4):
-            cache.touch("r", line)
-        cache.drop_lines("r", 1, 2)
-        assert cache.touch("r", 0) is True
-        assert cache.touch("r", 1) is False
-        assert cache.touch("r", 3) is True
-
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             LineCacheModel(capacity_bytes=32)

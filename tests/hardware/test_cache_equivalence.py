@@ -3,7 +3,7 @@
 ``CpuCache``'s resident-line index, the bulk crash-point hits of
 ``clflush`` and the fused ``CacheWindow.unpack`` frame are host-side
 speed-ups only. For any lock-cycle op list they must return what the
-frozen ``bench.perf._RefCpuCache`` returns and leave the same LRU order,
+frozen ``reference_models._RefCpuCache`` returns and leave the same LRU order,
 line bytes and dirty bits, fills / write-backs / stale serves,
 ``meter.ns`` (bit for bit), counters, transfer list and backing-region
 bytes — bare, under ``Tracer`` / ``SpanTracer`` / ``MemSan`` (which must
@@ -17,6 +17,7 @@ so eviction happens mid-cycle.
 """
 
 import contextlib
+import hashlib
 import struct
 
 import pytest
@@ -24,18 +25,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.memsan import MemSan
-from repro.bench.perf import (
+from repro.faults.injector import FaultInjector, InjectedCrash
+from repro.obs import SpanTracer, Tracer
+from repro.sim.latency import CACHE_LINE
+
+from .reference_models import (
     CACHE_EQ_BASES,
     CACHE_EQ_REGION,
+    _lock_cycle_ops,
     build_cache_world,
     cache_state,
     check_cache_equivalence,
     replay_cache_ops,
 )
-from repro.bench.perf import _lock_cycle_ops
-from repro.faults.injector import FaultInjector, InjectedCrash
-from repro.obs import SpanTracer, Tracer
-from repro.sim.latency import CACHE_LINE
 
 FORMATS = [struct.Struct(f) for f in ("<B", "<H", "<Q", "<QQ")]
 HOT = 40 * CACHE_LINE  # window offsets fall in 40 lines; the caches hold 2..12
@@ -252,3 +254,20 @@ def test_lock_cycle_stream_under_a_passive_and_an_armed_injector():
 @pytest.mark.parametrize("capacity", [1, 7, 96])
 def test_builtin_lock_cycles_match_at_other_capacities(capacity):
     check_cache_equivalence(300, capacity_lines=capacity)
+
+
+def test_the_reference_cannot_drift_with_the_model():
+    """The built-in 1,500 lock cycles through the frozen reference alone:
+    the sha256 over its ``cache_state`` at every drain is a literal, so
+    an edit to the reference fails here even when the model was edited
+    to match and the differential still passes."""
+    cache, cache_regions = build_cache_world(False, 96)
+    ops = list(_lock_cycle_ops(1_500))
+    digest = hashlib.sha256()
+    for start in range(0, len(ops), 256):
+        replay_cache_ops(cache, cache_regions, ops[start : start + 256], typed=False)
+        digest.update(repr(cache_state(cache, cache_regions)).encode())
+        cache.meter.take()
+    assert digest.hexdigest() == (
+        "38b3e5aa6e725b53caed3c0dfbe715289fb49ce115ddf099f03d3b2e9e1bdebc"
+    )

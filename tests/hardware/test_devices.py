@@ -106,15 +106,6 @@ class TestRdmaNic:
             nic.read(64)
         assert nic.ops_pipe.total_transfers == 5
 
-    def test_message_send(self, sim):
-        nic = RdmaNic(sim, "nic")
-
-        def proc():
-            yield nic.send_message()
-            return sim.now
-
-        assert sim.run_process(proc()) >= LatencyConfig().rdma_message_ns
-
 
 class TestHostAndCluster:
     def test_host_pipes_registered(self, cluster):

@@ -250,7 +250,11 @@ class TestHealthTimeline:
         timeline = HealthTimeline.derive(_scraped_pipeline())
         assert timeline.worst("fleet") == "wedged"
         assert timeline.worst("breaker=fusion") == "degraded"
-        assert timeline.time_in("fleet", "wedged") == 100.0
+        assert [(i.state, i.start_ns, i.end_ns) for i in timeline.states("fleet")] == [
+            ("healthy", 0.0, 200.0),
+            ("wedged", 200.0, 300.0),
+            ("degraded", 300.0, 400.0),
+        ]
 
     def test_bad_op_rate_degrades_fleet_only(self):
         mp = MetricsPipeline(scrape_interval_ns=100.0)

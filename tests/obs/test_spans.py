@@ -31,7 +31,7 @@ def test_wall_duration_from_attached_clock():
     tracer.end(span)
     assert span.status == "closed"
     assert span.ns == 1500.0
-    assert span.wall_ns == 1500.0
+    assert span.t1 - span.t0 == 1500.0
 
 
 def test_charged_duration_from_meter_when_no_time_passes():
@@ -41,7 +41,7 @@ def test_charged_duration_from_meter_when_no_time_passes():
     meter.ns += 700.0
     tracer.end(span)
     assert span.ns == 700.0
-    assert span.wall_ns == 0.0
+    assert span.t1 == span.t0
 
 
 def test_wall_duration_wins_over_charged():
@@ -163,8 +163,7 @@ def test_abandon_open_marks_all_open_spans():
     assert (root.status, child.status) == ("abandoned", "abandoned")
     assert done.status == "closed"
     assert tracer.current() is None
-    assert tracer.open_count == 0
-    assert tracer.abandon_open() == 0  # idempotent
+    assert tracer.abandon_open() == 0  # idempotent: nothing is open any more
 
 
 def test_clear_refuses_with_spans_attached():

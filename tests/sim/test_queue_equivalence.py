@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.core import Event, SimError, Simulator
+from repro.sim.core import Event, SchedulerHook, SimError, Simulator
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +138,40 @@ def test_random_streams_fire_identically(ops, until):
     ref_log, ref_now = _drive(_HeapSim(), ops, until)
     assert opt_log == ref_log
     assert opt_now == ref_now
+
+
+def test_long_lcg_stream_fires_identically_hooked_or_not():
+    """One long deterministic stream: 5,000 events at LCG-spread delays
+    ``% 37`` (ticks collide heavily), every 7th value scheduling a
+    follow-up from inside its callback, zero-delay or 5 ticks out —
+    through the plain kernel, the kernel behind a default
+    :class:`SchedulerHook` (the hooked path) and the heap reference."""
+
+    def drive(sim):
+        log = []
+
+        def cascade(event):
+            log.append(("fire", sim.now, event.value))
+            if event.value % 7 == 0:
+                follow = sim.event()
+                follow.callbacks.append(lambda e: log.append(("follow", sim.now, e.value)))
+                follow.succeed(event.value + 1_000_000, delay=0 if event.value % 14 else 5)
+
+        lcg = 99991
+        for i in range(5_000):
+            lcg = (lcg * 1103515245 + 12345) & 0x7FFFFFFF
+            event = sim.event()
+            event.callbacks.append(cascade)
+            event.succeed(i, delay=lcg % 37)
+        sim.run()
+        return log, sim.now
+
+    hooked = Simulator()
+    hooked.scheduler = SchedulerHook()
+    reference = drive(_HeapSim())
+    assert len(reference[0]) == 5_000 + 715  # every 7th value cascaded
+    assert drive(Simulator()) == reference
+    assert drive(hooked) == reference
 
 
 # ---------------------------------------------------------------------------

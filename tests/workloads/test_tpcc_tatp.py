@@ -76,7 +76,7 @@ class TestTpccTxns:
             ops = workload.txn_ops(rng, 0, 0.0)
             assert ops
             sizes.append(len(ops))
-            if workload.is_new_order(ops):
+            if any(op.table == "order_line" and op.kind == "update" for op in ops):
                 new_orders += 1
         # NewOrder is ~45% of the mix.
         assert 90 <= new_orders <= 180
