@@ -25,7 +25,7 @@ allocations.
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from .constants import (
     INTERNAL_ENTRY_BYTES,
@@ -174,31 +174,60 @@ class BTree:
         """
         out: list[tuple[int, bytes]] = []
         record_size = self.record_size
+        for heap, slots in self._leaf_runs(mtr, start_key, count):
+            for (slot,) in slots:
+                at = slot * record_size
+                payload = heap[at + KEY_BYTES : at + record_size]
+                out.append((_U64.unpack_from(heap, at)[0], payload))
+        self._charge_record_copies(len(out))
+        return out
+
+    def range_count(self, mtr: MiniTransaction, start_key: int, count: int) -> int:
+        """``len(self.range_scan(mtr, start_key, count))`` without building
+        a record.
+
+        Charged exactly as that scan: the same page fixes, reads and
+        meter additions, in the same order, down to the final record
+        copy of every row counted (``meter.ns`` is a float sum, so the
+        order is part of the result)."""
+        counted = 0
+        for _heap, slots in self._leaf_runs(mtr, start_key, count):
+            counted += len(slots)
+        self._charge_record_copies(counted)
+        return counted
+
+    def _leaf_runs(
+        self, mtr: MiniTransaction, start_key: int, count: int
+    ) -> Iterator[tuple[bytes, list[tuple[int]]]]:
+        """The leaf walk under both range consumers: per visited leaf, its
+        heap burst and the directory run of the ranks taken from it, up to
+        ``count`` ranks from ``start_key`` on. The consumers charge
+        nothing between yields, so every charge lands here in walk order."""
+        record_size = self.record_size
         leaf = self._descend_to_leaf(mtr, start_key)
         idx, _ = self._leaf_search(leaf, start_key)
-        while len(out) < count:
+        left = count
+        while left > 0:
             nrecs = leaf.nrecs
             heap_count = leaf.heap_count
             if idx < nrecs and heap_count:
                 heap = leaf.read(PAGE_HEADER_SIZE, heap_count * record_size)
-                for (slot,) in self._dir_slots(
-                    leaf, idx, min(nrecs - idx, count - len(out))
-                ):
-                    at = slot * record_size
-                    payload = heap[at + KEY_BYTES : at + record_size]
-                    out.append((_U64.unpack_from(heap, at)[0], payload))
-            if len(out) >= count:
-                break
+                slots = self._dir_slots(leaf, idx, min(nrecs - idx, left))
+                left -= len(slots)
+                yield heap, slots
+                if not left:
+                    return
             next_leaf = leaf.next_leaf
             if next_leaf == 0:
-                break
+                return
             leaf = mtr.get_page(next_leaf)
             self.engine.meter.charge_ns(self.engine.cost.btree_level_ns)
             idx = 0
+
+    def _charge_record_copies(self, records: int) -> None:
         self.engine.meter.charge_ns(
-            self.engine.cost.record_copy_ns_per_byte * self.payload_size * len(out)
+            self.engine.cost.record_copy_ns_per_byte * self.payload_size * records
         )
-        return out
 
     def leaf_page_id_for(self, mtr: MiniTransaction, key: int) -> int:
         """The page id of the leaf that does/would hold ``key``.
@@ -212,21 +241,90 @@ class BTree:
         """Iterate every record in key order (tests/verification)."""
         leaf = self._descend_to_leaf(mtr, 0)
         while True:
-            heap_count = leaf.heap_count
-            heap = (
-                leaf.read(PAGE_HEADER_SIZE, heap_count * self.record_size)
-                if heap_count
-                else b""
-            )
-            for (slot,) in self._dir_slots(leaf, 0, leaf.nrecs):
-                record = heap[
-                    slot * self.record_size : (slot + 1) * self.record_size
-                ]
-                yield _U64.unpack_from(record)[0], record[KEY_BYTES:]
+            yield from self._leaf_records(leaf)
             next_leaf = leaf.next_leaf
             if next_leaf == 0:
                 return
             leaf = mtr.get_page(next_leaf)
+
+    def checked_scan(
+        self, begin: Callable[[], MiniTransaction]
+    ) -> list[tuple[int, bytes]]:
+        """Every record in key order, fixing each page of the tree exactly
+        once, each in its own mini-transaction from ``begin``: one pin at a
+        time, so the walk fits any pool.
+
+        On the way it checks the order :meth:`verify` checks: separators
+        and leaf keys strictly ascending and inside their parent's
+        separator bounds, and each leaf's ``next_leaf`` naming the next
+        leaf in key order (the last one naming none). A violation, a page
+        reached twice, or a page that is neither leaf nor internal raises
+        :class:`BTreeCorruptionError`.
+        """
+        records: list[tuple[int, bytes]] = []
+        chain: list[tuple[int, int]] = []  # (leaf, the next_leaf it names)
+        seen: set[int] = set()
+        stack = [(self.root_page_id, 0, 2**64)]  # (page, low, high), DFS
+        while stack:
+            page_id, low, high = stack.pop()
+            if page_id in seen:
+                raise BTreeCorruptionError(f"page {page_id} reached twice")
+            seen.add(page_id)
+            mtr = begin()
+            try:
+                view = mtr.get_page(page_id)
+                page_type = view.page_type
+                if page_type == PT_LEAF:
+                    leaf = self._leaf_records(view)
+                    chain.append((page_id, view.next_leaf))
+                elif page_type == PT_INTERNAL:
+                    nrecs = view.nrecs
+                    if not 1 <= nrecs <= INTERNAL_FANOUT:
+                        raise BTreeCorruptionError(
+                            f"internal {page_id}: {nrecs} entries"
+                        )
+                    entries = view.accessor.read_run(
+                        _ENTRY, self._entry_offset(0), INTERNAL_ENTRY_BYTES, nrecs
+                    )
+                else:
+                    raise BTreeCorruptionError(f"page {page_id}: unexpected type")
+            finally:
+                mtr.commit()
+            if page_type == PT_LEAF:
+                previous = -1
+                for key, _ in leaf:
+                    if key <= previous:
+                        raise BTreeCorruptionError(
+                            f"leaf {page_id}: key {key} after {previous}"
+                        )
+                    if not low <= key < high:
+                        raise BTreeCorruptionError(
+                            f"leaf {page_id}: key {key} outside [{low}, {high})"
+                        )
+                    previous = key
+                records += leaf
+                continue
+            # Entry 0's key is minus infinity: the child bounds are the
+            # parent's, split at every later separator.
+            separators = [key for key, _ in entries[1:]]
+            bounds = [low, *separators, high]
+            if separators and not (
+                low <= separators[0]
+                and all(a < b for a, b in zip(bounds[1:], bounds[2:]))
+            ):
+                raise BTreeCorruptionError(
+                    f"internal {page_id}: separators {separators} not "
+                    f"ascending inside [{low}, {high})"
+                )
+            for index in range(nrecs - 1, -1, -1):
+                stack.append((entries[index][1], bounds[index], bounds[index + 1]))
+        successors = [leaf_id for leaf_id, _ in chain[1:]] + [0]
+        for (leaf_id, named), successor in zip(chain, successors):
+            if named != successor:
+                raise BTreeCorruptionError(
+                    f"leaf {leaf_id} names next leaf {named}, not {successor}"
+                )
+        return records
 
     # -- descent ------------------------------------------------------------------------
 
@@ -338,6 +436,32 @@ class BTree:
         # Chain the freed heap slot.
         mtr.write_u16(leaf, self._heap_offset(slot), leaf.first_free)
         mtr.write_u16(leaf, OFF_FIRST_FREE, slot)
+
+    def _leaf_records(self, leaf: PageView) -> list[tuple[int, bytes]]:
+        """One leaf's (key, payload) pairs in key order: the heap as one
+        burst, then the whole directory as one run."""
+        record_size = self.record_size
+        heap_count = leaf.heap_count
+        if heap_count > self.capacity:
+            raise BTreeCorruptionError(f"leaf {leaf.page_id}: heap overflow")
+        heap = (
+            leaf.read(PAGE_HEADER_SIZE, heap_count * record_size) if heap_count else b""
+        )
+        nrecs = leaf.nrecs
+        if nrecs > heap_count:
+            raise BTreeCorruptionError(
+                f"leaf {leaf.page_id}: {nrecs} records in a heap of {heap_count}"
+            )
+        out = []
+        for (slot,) in self._dir_slots(leaf, 0, nrecs):
+            if slot >= heap_count:
+                raise BTreeCorruptionError(
+                    f"leaf {leaf.page_id}: slot {slot} past the heap"
+                )
+            at = slot * record_size
+            payload = heap[at + KEY_BYTES : at + record_size]
+            out.append((_U64.unpack_from(heap, at)[0], payload))
+        return out
 
     def _read_leaf_records(self, leaf: PageView, ranks: range) -> list[bytes]:
         return [

@@ -63,6 +63,7 @@ from ..core.block import pool_bytes_needed
 from ..core.cxl_bufferpool import CxlBufferPool
 from ..core.memmgr import CxlMemoryManager
 from ..core.recovery import PolarRecv
+from ..db.btree import BTreeCorruptionError
 from ..db.constants import PAGE_SIZE
 from ..db.engine import Engine
 from ..db.record import Field, RecordCodec
@@ -95,7 +96,6 @@ _BASE_ROWS = 100  # ~10 rows per leaf: tail inserts split leaves quickly
 _WORKLOAD_TXNS = 36
 _CHECKPOINT_EVERY = 9
 _N_BLOCKS = 22  # one free block at workload start, then eviction pressure
-_SCAN_CHUNK = 20  # chunked range scans keep pins below the block count
 
 
 class CrashSweepError(AssertionError):
@@ -451,20 +451,16 @@ def _roll_before(
 
 
 def _read_contents(engine: Engine) -> dict:
-    """``{key: k}`` for every row, via chunked range scans (each chunk is
-    its own mtr, so pins never exceed the small pool)."""
+    """``{key: k}`` for every row. The tree walk fixes each page once, in
+    its own mtr (so pins never exceed the small pool), and raises
+    :class:`BTreeCorruptionError` for a tree out of key order."""
     table = engine.tables["t"]
+    decode = table.codec.decode
     contents: dict[int, int] = {}
-    start = 0
-    while True:
-        mtr = engine.mtr()
-        rows = table.range(mtr, start, _SCAN_CHUNK)
-        mtr.commit()
-        if not rows:
-            return contents
-        for row in rows:
-            contents[row["id"]] = row["k"]
-        start = rows[-1]["id"] + 1
+    for _, payload in table.btree.checked_scan(engine.mtr):
+        row = decode(payload)
+        contents[row["id"]] = row["k"]
+    return contents
 
 
 def _recover(scenario: _Scenario) -> Engine:
@@ -486,12 +482,20 @@ def _recover(scenario: _Scenario) -> Engine:
 
 
 def _verdict(
-    point: str, hit: int, redo: RedoLog, exact: bool, diverged: str
+    point: str, hit: int, engine: Engine, redo: RedoLog, expected: dict
 ) -> SweepOutcome:
     """A crashed-and-recovered coordinate is green when the rows read
-    back are exactly the committed ones and the durable log that
-    survived is strictly LSN-increasing."""
-    detail = "" if exact else diverged
+    back are exactly the committed ones, from a tree in key order, and
+    the durable log that survived is strictly LSN-increasing."""
+    try:
+        actual = _read_contents(engine)
+    except BTreeCorruptionError as exc:
+        detail = f"recovered tree is corrupt: {exc}"
+    else:
+        detail = "" if actual == expected else (
+            f"recovered {len(actual)} rows != committed {len(expected)} "
+            f"(durable LSN {redo.durable_max_lsn})"
+        )
     if not redo.verify_ordered():
         detail = "durable log is not strictly LSN-increasing after recovery"
     return SweepOutcome(point, hit, True, not detail, detail)
@@ -576,12 +580,7 @@ def _crash_and_recover(
         run.flush(scenario.sim.now)
     run.check(allow_abandoned=True)
     expected = _expected_at(golden.snapshots, scenario.redo.durable_max_lsn)
-    actual = _read_contents(engine)
-    return _verdict(
-        point, hit, scenario.redo, actual == expected,
-        f"recovered {len(actual)} rows != committed {len(expected)} "
-        f"(durable LSN {scenario.redo.durable_max_lsn})",
-    )
+    return _verdict(point, hit, engine, scenario.redo, expected)
 
 
 def sweep_workload_points(
@@ -663,10 +662,7 @@ def _recovery_unit(
         scenario.host.restart()
         engine = _recover(scenario)
     run.check(allow_abandoned=True)
-    return _verdict(
-        point, hit, scenario.redo, _read_contents(engine) == expected,
-        "second recovery diverged",
-    )
+    return _verdict(point, hit, engine, scenario.redo, expected)
 
 
 def sweep_recovery_points(

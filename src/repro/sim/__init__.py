@@ -14,7 +14,6 @@ from .resources import Mutex, Pipe, RWLock
 from .rng import WorkloadRng, ZipfGenerator
 from .stats import (
     LatencyRecorder,
-    RunningStats,
     TimeSeries,
     percentile,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "WorkloadRng",
     "ZipfGenerator",
     "LatencyRecorder",
-    "RunningStats",
     "TimeSeries",
     "percentile",
 ]

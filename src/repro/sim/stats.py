@@ -1,4 +1,4 @@
-"""Measurement utilities: running statistics, percentiles, time series."""
+"""Measurement utilities: latency samples, percentiles, time series."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 __all__ = [
-    "RunningStats",
     "LatencyRecorder",
     "TimeSeries",
     "percentile",
@@ -36,35 +35,6 @@ def percentile(sorted_values: list[float], q: float) -> float:
     value = sorted_values[low] * (1 - frac) + sorted_values[high] * frac
     # Interpolation can drift past the endpoints by a ULP; clamp.
     return min(max(value, sorted_values[0]), sorted_values[-1])
-
-
-class RunningStats:
-    """Welford-style running mean/variance with min/max tracking."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
 
 
 class LatencyRecorder:

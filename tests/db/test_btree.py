@@ -1,13 +1,24 @@
 """B+tree: CRUD, splits, scans, invariants — including model-based tests."""
 
+import struct
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.db.btree import DuplicateKeyError
+from repro.db.btree import BTreeCorruptionError, DuplicateKeyError
+from repro.db.constants import (
+    INTERNAL_ENTRY_BYTES,
+    KEY_BYTES,
+    OFF_NEXT_LEAF,
+    PAGE_HEADER_SIZE,
+    PAGE_SIZE,
+)
 from repro.db.record import Field, RecordCodec
 
 from ..conftest import SMALL_CODEC, fill_table, make_local_engine, row_for
+
+_U64 = struct.Struct("<Q")
 
 
 @pytest.fixture
@@ -213,6 +224,65 @@ class TestMultiLevel:
         row = table.get(mtr, 599)
         assert row["id"] == 599
         mtr.commit()
+
+
+def _poke(ctx, page_id, offset, data):
+    """Overwrite page bytes behind the tree's back (no redo, no checks)."""
+    mtr = ctx.engine.mtr()
+    mtr.get_page(page_id).write(offset, data)
+    mtr.commit()
+
+
+def _root_entries(ctx, table):
+    mtr = ctx.engine.mtr()
+    root = mtr.get_page(table.btree.root_page_id)
+    entries = [table.btree._internal_entry(root, i) for i in range(root.nrecs)]
+    mtr.commit()
+    return entries
+
+
+class TestCheckedScan:
+    def test_reads_every_record_fixing_each_page_once(self, ctx, table):
+        stats = _verify(ctx, table)
+        pool = ctx.engine.buffer_pool
+        fixes = pool.hits + pool.misses
+        records = table.btree.checked_scan(ctx.engine.mtr)
+        assert pool.hits + pool.misses - fixes == stats["leaves"] + stats["internals"]
+        mtr = ctx.engine.mtr()
+        assert records == list(table.btree.iter_all(mtr))
+        mtr.commit()
+
+    def test_a_cut_leaf_chain_is_corruption(self, ctx, table):
+        first_leaf = _root_entries(ctx, table)[0][1]
+        _poke(ctx, first_leaf, OFF_NEXT_LEAF, _U64.pack(0))
+        message = f"leaf {first_leaf} names next leaf 0"
+        with pytest.raises(BTreeCorruptionError, match=message):
+            table.btree.checked_scan(ctx.engine.mtr)
+
+    def test_swapped_directory_ranks_are_corruption(self, ctx, table):
+        first_leaf = _root_entries(ctx, table)[0][1]
+        mtr = ctx.engine.mtr()
+        directory = mtr.get_page(first_leaf).read(PAGE_SIZE - 4, 4)
+        mtr.commit()
+        _poke(ctx, first_leaf, PAGE_SIZE - 4, directory[2:] + directory[:2])
+        message = f"leaf {first_leaf}: key 1 after 2"
+        with pytest.raises(BTreeCorruptionError, match=message):
+            table.btree.checked_scan(ctx.engine.mtr)
+
+    def test_a_key_outside_its_separators_is_corruption(self, ctx, table):
+        separator = _root_entries(ctx, table)[1][0]
+        key_of_entry_1 = PAGE_HEADER_SIZE + INTERNAL_ENTRY_BYTES
+        _poke(ctx, table.btree.root_page_id, key_of_entry_1, _U64.pack(separator + 5))
+        with pytest.raises(BTreeCorruptionError, match=f"key {separator} outside"):
+            table.btree.checked_scan(ctx.engine.mtr)
+
+    def test_a_page_reached_twice_is_corruption(self, ctx, table):
+        first_leaf = _root_entries(ctx, table)[0][1]
+        child_of_entry_1 = PAGE_HEADER_SIZE + INTERNAL_ENTRY_BYTES + KEY_BYTES
+        _poke(ctx, table.btree.root_page_id, child_of_entry_1, _U64.pack(first_leaf))
+        message = f"page {first_leaf} reached twice"
+        with pytest.raises(BTreeCorruptionError, match=message):
+            table.btree.checked_scan(ctx.engine.mtr)
 
 
 @st.composite

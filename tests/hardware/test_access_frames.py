@@ -118,6 +118,19 @@ def test_instrumented_typed_page_read_is_the_same_frames_plus_one_call_each(syst
     mtr.commit()
 
 
+def test_pooled_read_only_transaction_builds_no_row_in_its_range_selects():
+    """A sysbench range select only takes the row count: its leaf walk
+    goes through ``range_count`` and decodes nothing, so the only
+    ``RecordCodec.decode`` frames of a read-only transaction are its ten
+    point selects'."""
+    workload = SysbenchWorkload(rows=400)
+    ictx = build_pooling_setup("cxl", 1, workload, seed=7).instances[0]
+    frames = _python_frames(lambda: workload.txn_read_only(ictx.engine, ictx.rng))
+    assert frames.count(("record.py", "decode")) == 10
+    assert frames.count(("btree.py", "range_count")) == 4
+    assert ("btree.py", "range_scan") not in frames
+
+
 @pytest.fixture(scope="module")
 def sharing_node():
     workload = SysbenchWorkload(rows=100, n_nodes=2)

@@ -11,9 +11,13 @@ exactly, deterministically under a fixed seed.
 import pytest
 
 from repro.core.recovery import PolarRecv
+from repro.db.constants import OFF_NEXT_LEAF
 from repro.db.engine import Engine
 from repro.faults.sweep import (
+    _build_scenario,
     _golden_run,
+    _roll_to,
+    _verdict,
     sweep_failover_storm_points,
     sweep_recovery_points,
     sweep_sharing_points,
@@ -69,6 +73,23 @@ class TestSingleNodeSweep:
             "pool.claim.free",
             "pool.new.formatted",
         } <= points
+
+    def test_a_tree_out_of_order_is_the_coordinate_detail(self):
+        """The oracle read checks key order and the leaf chain on its one
+        walk; a violation fails the coordinate, it does not raise."""
+        scenario = _build_scenario()
+        work = _roll_to(scenario, SEED, 0)
+        engine = scenario.engine
+        assert _verdict("p", 1, engine, scenario.redo, work.model).ok
+        mtr = engine.mtr()
+        first = mtr.get_page(engine.tables["t"].btree.leaf_page_id_for(mtr, 0))
+        first.write_u64(OFF_NEXT_LEAF, 0)  # cut the chain after the first leaf
+        mtr.commit()
+        outcome = _verdict("p", 1, engine, scenario.redo, work.model)
+        assert not outcome.ok
+        assert outcome.detail.startswith(
+            f"recovered tree is corrupt: leaf {first.page_id} names next leaf 0"
+        )
 
 
 class TestRecoveryReentrancySweep:

@@ -10,7 +10,6 @@ from repro.sim.latency import CACHE_LINE, CostModel, LatencyConfig
 from repro.sim.rng import WorkloadRng, ZipfGenerator
 from repro.sim.stats import (
     LatencyRecorder,
-    RunningStats,
     TimeSeries,
     percentile,
 )
@@ -82,22 +81,6 @@ class TestPercentile:
         # Monotone up to float interpolation round-off.
         for lo, hi in zip(ps, ps[1:]):
             assert lo <= hi or math.isclose(lo, hi, rel_tol=1e-9)
-
-
-class TestRunningStats:
-    def test_mean_and_variance(self):
-        stats = RunningStats()
-        for value in (2.0, 4.0, 6.0):
-            stats.add(value)
-        assert stats.mean == pytest.approx(4.0)
-        assert stats.variance == pytest.approx(4.0)
-        assert stats.minimum == 2.0
-        assert stats.maximum == 6.0
-
-    def test_empty_safe(self):
-        stats = RunningStats()
-        assert stats.mean == 0.0
-        assert stats.variance == 0.0
 
 
 class TestLatencyRecorder:
