@@ -8,7 +8,7 @@ at commands that exit 2.
 
 The vocabularies are imported from the CLIs' own registries
 (``repro.bench.__main__.EXPERIMENTS``, ``repro.ha.scenarios.SCENARIOS``,
-``repro.parallel.__main__.SCENARIOS``), so the check tracks the code
+``repro.faults.sweep.SCENARIOS``), so the check tracks the code
 with no allowlist of its own to rot: add an experiment and its docs
 mention is immediately valid; rename one and CI goes red on the stale
 mention.
@@ -146,7 +146,7 @@ def _check_bench(tokens: list[str]) -> Optional[str]:
 
 
 def _check_parallel(tokens: list[str]) -> Optional[str]:
-    from ..parallel.__main__ import SCENARIOS
+    from ..faults.sweep import SCENARIOS
 
     if not tokens or tokens[0] not in ("sweep", "stress"):
         return "repro.parallel needs a 'sweep' or 'stress' subcommand"
@@ -154,7 +154,6 @@ def _check_parallel(tokens: list[str]) -> Optional[str]:
         flags = {
             "--scenario": True,
             "--seed": True,
-            "--jobs": True,
             "--max-hits": True,
             "--limit": True,
             "--point": True,

@@ -74,7 +74,6 @@ __all__ = [
     "encode_token",
     "explore_config",
     "explore_mutations",
-    "explore_sharded",
     "main",
     "replay_token",
     "toy_min_traces",
@@ -903,7 +902,6 @@ def explore_config(
     name: str,
     max_schedules: int = 20_000,
     stop_on_violation: bool = True,
-    root_prefix: Optional[list[int]] = None,
     sleep: bool = True,
     on_schedule: Optional[Callable[[ExplorerStrategy], None]] = None,
 ) -> ExploreReport:
@@ -911,8 +909,6 @@ def explore_config(
 
     ``max_schedules`` bounds completed schedules (the bounded budget of
     the mutation-detection contract); hitting it sets ``exhausted``.
-    ``root_prefix`` locks the first decisions to fixed choices and
-    explores only that subtree — the frontier-sharding unit.
     ``sleep=False`` disables the reduction (full naive enumeration —
     the soundness-differential baseline); ``on_schedule`` observes every
     completed schedule's strategy.
@@ -923,7 +919,6 @@ def explore_config(
     if base in TOYS:
         report.naive_estimate = toy_naive_interleavings(TOYS[base])
         report.min_traces = toy_min_traces(TOYS[base])
-    locked = len(root_prefix) if root_prefix else 0
 
     def run_with(
         prefix: list[int], adds: list[dict[int, Footprint]]
@@ -962,14 +957,7 @@ def explore_config(
             return True
         return False
 
-    initial_prefix = list(root_prefix or [])
-    status, strategy, violations = run_with(
-        initial_prefix, [{} for _ in initial_prefix]
-    )
-    if locked and len(strategy.decisions) < locked:
-        # The subtree prefix points past the run's decisions (fewer
-        # branches than shards): nothing to explore here.
-        return report
+    status, strategy, violations = run_with([], [])
     report.decision_points = len(strategy.decisions)
     if base not in TOYS:
         naive = 1
@@ -1001,13 +989,10 @@ def explore_config(
     absorb(strategy, 0)
 
     while True:
-        # Deepest frame with an untried, non-sleeping alternative; the
-        # first `locked` frames belong to the sharding prefix and are
-        # never branched here.
+        # Deepest frame with an untried, non-sleeping alternative.
         alt = -1
-        while len(frames) > locked:
+        while frames:
             frame = frames[-1]
-            alt = -1
             for index, eid in enumerate(frame.enabled):
                 if eid not in frame.sleep_entry and eid not in frame.done:
                     alt = index
@@ -1015,7 +1000,7 @@ def explore_config(
             if alt >= 0:
                 break
             frames.pop()
-        if len(frames) <= locked or alt < 0:
+        if alt < 0:
             break
         depth = len(frames) - 1
         frame = frames[-1]
@@ -1035,95 +1020,6 @@ def explore_config(
             return report
         absorb(strategy, depth + 1)
     return report
-
-
-# ---------------------------------------------------------------------------
-# Frontier sharding over repro.parallel work units
-# ---------------------------------------------------------------------------
-
-
-def _explore_branch(name: str, branch: int, max_schedules: int) -> dict:
-    """Work-unit task: explore the subtree under first-decision ``branch``.
-
-    Shards share no sleep sets, so a shard may re-visit a trace another
-    shard owns — the merge is deterministic and complete, just not
-    trace-minimal like a serial run (documented in DESIGN.md §14).
-    """
-    report = explore_config(
-        name,
-        max_schedules=max_schedules,
-        stop_on_violation=False,
-        root_prefix=[branch],
-    )
-    return report.to_payload()
-
-
-def branch_repro_cmd(name: str, branch: int) -> str:
-    return (
-        "PYTHONPATH=src python -m repro.analysis explore "
-        f"--config {name} --branch {branch} --jobs 1"
-    )
-
-
-def explore_sharded(
-    name: str, jobs: int = 1, max_schedules: int = 20_000
-) -> ExploreReport:
-    """Shard the DFS frontier (first-decision branches) over work units.
-
-    The merged report lists branch results in branch order whatever the
-    job count — ``jobs=2`` serializes byte-identically to ``jobs=1``.
-    """
-    from ..parallel.runner import WorkUnit, run_units
-
-    probe = ExplorerStrategy()
-    run_one = _runner(name)
-    try:
-        run_one(probe)
-    except _SleepBlocked:  # pragma: no cover - a default run never sleeps
-        pass
-    probe.finalize()
-    if not probe.decisions:
-        return explore_config(name, max_schedules=max_schedules)
-    branches = len(probe.decisions[0].enabled)
-    units = [
-        WorkUnit(
-            task="repro.analysis.explore:_explore_branch",
-            payload=(name, branch, max_schedules),
-            label=f"explore:{name}:branch{branch}",
-            repro=branch_repro_cmd(name, branch),
-        )
-        for branch in range(branches)
-    ]
-    merged = ExploreReport(config=name)
-    naive = 1
-    for decision in probe.decisions:
-        naive *= len(decision.enabled)
-    merged.naive_estimate = naive
-    base, _ = resolve_config(name)
-    if base in TOYS:
-        merged.naive_estimate = toy_naive_interleavings(TOYS[base])
-        merged.min_traces = toy_min_traces(TOYS[base])
-    merged.decision_points = len(probe.decisions)
-    for result in run_units(units, jobs=jobs):
-        if not result.ok:
-            merged.violations.append(
-                {
-                    "token": None,
-                    "messages": [
-                        f"branch error {result.error_type}: {result.error} "
-                        f"[repro: {result.repro}]"
-                    ],
-                }
-            )
-            continue
-        payload = result.value
-        merged.schedules += payload["schedules"]
-        merged.pruned += payload["pruned"]
-        merged.runs += payload["runs"]
-        merged.max_depth = max(merged.max_depth, payload["max_depth"])
-        merged.exhausted = merged.exhausted or payload["exhausted"]
-        merged.violations.extend(payload["violations"])
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -1175,8 +1071,6 @@ EXPLORE_FLAGS: dict[str, bool] = {
     "--help": False,
     "--config": True,
     "--budget": True,
-    "--jobs": True,
-    "--branch": True,
     "--json": True,
     "--replay": True,
     "--mutations": False,
@@ -1186,7 +1080,7 @@ EXPLORE_FLAGS: dict[str, bool] = {
 
 _USAGE = """\
 usage: python -m repro.analysis explore [--config NAME|all] [--budget N]
-           [--jobs N] [--json PATH] [--quick] [--mutations]
+           [--json PATH] [--quick] [--mutations]
        python -m repro.analysis explore --replay TOKEN
        python -m repro.analysis explore --list
 """
@@ -1218,8 +1112,6 @@ def main(argv: list[str]) -> int:
         return 0
     config = "cxl-2p1pg"
     budget = 20_000
-    jobs = 1
-    branch: Optional[int] = None
     json_path: Optional[str] = None
     replay: Optional[str] = None
     quick = False
@@ -1253,10 +1145,6 @@ def main(argv: list[str]) -> int:
             config = value
         elif flag == "--budget":
             budget = int(value)
-        elif flag == "--jobs":
-            jobs = int(value)
-        elif flag == "--branch":
-            branch = int(value)
         elif flag == "--json":
             json_path = value
         elif flag == "--replay":
@@ -1294,17 +1182,7 @@ def main(argv: list[str]) -> int:
     payloads = []
     exit_code = 0
     for name in names:
-        if branch is not None:
-            report = explore_config(
-                name,
-                max_schedules=budget,
-                stop_on_violation=False,
-                root_prefix=[branch],
-            )
-        elif jobs > 1:
-            report = explore_sharded(name, jobs=jobs, max_schedules=budget)
-        else:
-            report = explore_config(name, max_schedules=budget)
+        report = explore_config(name, max_schedules=budget)
         _print_report(report)
         payloads.append(report.to_payload())
         if not report.ok:

@@ -31,7 +31,7 @@ where a violation is intentional:
   set order for str keys depends on the process hash seed and dict
   insertion order on the schedule, so an unsorted walk diverges across
   the explorer's replay processes (``repro.analysis.explore``) and the
-  parallel sweep shards. Membership tests and ``.items()``/
+  parallel stress shards. Membership tests and ``.items()``/
   ``.values()`` aggregation are fine; only the *iteration order*
   hazard is flagged.
 

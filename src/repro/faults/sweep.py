@@ -42,13 +42,14 @@ flushes move the whole buffer).
 
 This module deliberately lives in ``src`` (not ``tests``) so the sweep
 is usable as a library — from pytest, from a REPL while debugging a
-failing coordinate, or from future CI jobs sweeping larger workloads.
+failing coordinate, or from future CI runs sweeping larger workloads.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import traceback
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -72,12 +73,12 @@ from ..hardware.host import Cluster, Host
 from ..hardware.memory import AccessMeter, WindowedMemory
 from ..obs.image import IMAGES, materialize
 from ..sim.core import Simulator
-from ..parallel.runner import UnitResult, WorkUnit, run_units
 from ..storage.pagestore import PageStore
 from ..storage.wal import RedoLog
 from .injector import FaultInjector, InjectedCrash
 
 __all__ = [
+    "SCENARIOS",
     "CrashSweepError",
     "SweepOutcome",
     "SweepReport",
@@ -142,9 +143,9 @@ class SweepReport:
 def report_to_json(report: SweepReport) -> str:
     """Canonical JSON for a sweep report (sorted keys, fixed layout).
 
-    The differential suite compares the serial and ``jobs=N`` bytes of
-    this serialization: a parallel sweep must merge into *exactly* the
-    serial report, not merely an equivalent one.
+    Pinned digests of these bytes (``tests/integration/test_world_image.py``)
+    hold a sweep to *exactly* its earlier report, not merely an
+    equivalent one.
     """
     payload = {
         "scenario": report.scenario,
@@ -163,71 +164,44 @@ def report_to_json(report: SweepReport) -> str:
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# Work-unit plumbing: every (point, hit) coordinate is one spawn-safe
-# unit (fresh scenario stack, fresh injector/tracer/MemSan globals in a
-# fresh process under ``jobs > 1``), merged back in enumeration order so
-# a parallel sweep's report is byte-identical to the serial one.
-# ---------------------------------------------------------------------------
-
-
-def _merged_outcome(
-    result: UnitResult, point: str, hit: int
-) -> SweepOutcome:
-    """A unit's verdict, or a synthetic failure naming its serial repro."""
-    if result.ok:
-        outcome = result.value
-        assert isinstance(outcome, SweepOutcome)
-        return outcome
-    return SweepOutcome(
-        point,
-        hit,
-        False,
-        False,
-        f"unit error {result.error_type}: {result.error}"
-        + (f" [repro: {result.repro}]" if result.repro else ""),
-    )
-
-
 def _sweep_coordinates(
     title: str,
     scenario: str,
-    unit: str,
+    unit: Callable[..., SweepOutcome],
     seed: int,
     trace: list[tuple[str, int]],
     extra: tuple,
     max_hits_per_point: int,
-    jobs: int,
     limit: int | None,
     only: tuple[str, int] | None,
 ) -> SweepReport:
     """Sweep the coordinates an enumeration ``trace`` reached: one
-    ``unit(seed, point, hit, *extra)`` work unit each, run in the order
-    the trace reached them (so a sweep that resumes from prefix images
-    never rolls backwards), merged in enumeration order."""
+    ``unit(seed, point, hit, *extra)`` call each, run in the order the
+    trace reached them (so a sweep that resumes from prefix images never
+    rolls backwards), reported in enumeration order. A unit that raises
+    is a red outcome naming the exception and the one-line serial repro."""
     coordinates = _select_hits(trace, max_hits_per_point)[:limit]
     if only is not None:
         coordinates = [only]
     reached = {coordinate: index for index, coordinate in enumerate(trace)}
-    visit = sorted(coordinates, key=lambda coordinate: reached.get(coordinate, 0))
-    units = [
-        WorkUnit(
-            task=f"repro.faults.sweep:{unit}",
-            payload=(seed, point, hit) + extra,
-            label=f"{scenario} {point}#{hit} (seed {seed})",
-            # The one-line serial command that re-runs exactly this unit.
-            repro=(
+    outcomes: dict[tuple[str, int], SweepOutcome] = {}
+    for point, hit in sorted(coordinates, key=lambda c: reached.get(c, 0)):
+        try:
+            outcomes[point, hit] = unit(seed, point, hit, *extra)
+        except Exception as exc:
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            outcomes[point, hit] = SweepOutcome(
+                point, hit, False, False,
+                f"unit error {type(exc).__name__}: {exc} at {frame.name}:"
+                f"{frame.lineno} [repro: "
                 "PYTHONPATH=src python -m repro.parallel sweep "
-                f"--scenario {scenario} --seed {seed} --point {point} --hit {hit}"
-            ),
-        )
-        for point, hit in visit
-    ]
-    report = SweepReport(title, distinct_points=sorted({name for name, _ in trace}))
-    results = dict(zip(visit, run_units(units, jobs=jobs)))
-    for point, hit in coordinates:
-        report.outcomes.append(_merged_outcome(results[point, hit], point, hit))
-    return report
+                f"--scenario {scenario} --seed {seed} --point {point} --hit {hit}]",
+            )
+    return SweepReport(
+        title,
+        [outcomes[coordinate] for coordinate in coordinates],
+        sorted({name for name, _ in trace}),
+    )
 
 
 def _select_hits(
@@ -565,7 +539,7 @@ def _power_cycle(scenario: _Scenario) -> None:
 def _crash_and_recover(
     seed: int, point: str, hit: int, golden: _GoldenRun
 ) -> SweepOutcome:
-    """One spawn-safe unit: crash at (point, hit), recover, check oracle.
+    """One unit: crash at (point, hit), recover, check oracle.
 
     Every coordinate doubles as a span-balance and crash-safe-scrape
     check: the crash must leave no span ``open``, the recovered run's
@@ -586,22 +560,20 @@ def _crash_and_recover(
 def sweep_workload_points(
     seed: int = 7,
     max_hits_per_point: int = 2,
-    jobs: int = 1,
     limit: int | None = None,
     only: tuple[str, int] | None = None,
 ) -> SweepReport:
     """Crash the single-node engine at every reached point; verify
     PolarRecv restores exactly the committed state each time.
 
-    ``jobs > 1`` runs the coordinates on a spawn pool; ``limit`` caps
-    the coordinate count (differential tests and smoke jobs sweep a
+    ``limit`` caps the coordinate count (tests and smoke runs sweep a
     prefix of the full enumeration); ``only=(point, hit)`` replays one
-    coordinate — the CLI's serial-repro mode."""
+    coordinate — the CLI's repro mode."""
     golden = _golden_run(seed)
     try:
         return _sweep_coordinates(
-            "single-node", "workload", "_crash_and_recover", seed, golden.trace,
-            (golden,), max_hits_per_point, jobs, limit, only,
+            "single-node", "workload", _crash_and_recover, seed, golden.trace,
+            (golden,), max_hits_per_point, limit, only,
         )
     finally:
         _retire("sweep.boundary")
@@ -668,7 +640,6 @@ def _recovery_unit(
 def sweep_recovery_points(
     seed: int = 7,
     max_hits_per_point: int = 2,
-    jobs: int = 1,
     limit: int | None = None,
     only: tuple[str, int] | None = None,
 ) -> SweepReport:
@@ -686,9 +657,9 @@ def sweep_recovery_points(
         if _read_contents(engine) != expected:
             raise CrashSweepError("re-entrancy sweep: golden recovery inconsistent")
         return _sweep_coordinates(
-            "recovery-reentrancy", "recovery", "_recovery_unit", seed,
+            "recovery-reentrancy", "recovery", _recovery_unit, seed,
             list(recovery_injector.trace), (golden, expected),
-            max_hits_per_point, jobs, limit, only,
+            max_hits_per_point, limit, only,
         )
     finally:
         _retire("sweep.boundary", "sweep.crashed")
@@ -878,7 +849,6 @@ def _sharing_crash_and_failover(
 def sweep_sharing_points(
     seed: int = 7,
     max_hits_per_point: int = 2,
-    jobs: int = 1,
     limit: int | None = None,
     only: tuple[str, int] | None = None,
 ) -> SweepReport:
@@ -887,8 +857,8 @@ def sweep_sharing_points(
     and the distributed locks serviceable."""
     golden = _sharing_golden(seed)
     return _sweep_coordinates(
-        "sharing-failover", "sharing", "_sharing_crash_and_failover", seed,
-        golden.trace, (golden.snapshots,), max_hits_per_point, jobs, limit, only,
+        "sharing-failover", "sharing", _sharing_crash_and_failover, seed,
+        golden.trace, (golden.snapshots,), max_hits_per_point, limit, only,
     )
 
 
@@ -956,7 +926,6 @@ def _storm_crash_and_refailover(
 def sweep_failover_storm_points(
     seed: int = 7,
     max_hits_per_point: int = 2,
-    jobs: int = 1,
     limit: int | None = None,
     only: tuple[str, int] | None = None,
     n_shards: int = 1,
@@ -992,6 +961,16 @@ def sweep_failover_storm_points(
     if not trace:
         raise CrashSweepError("storm sweep enumerated no failover points")
     return _sweep_coordinates(
-        "failover-storm", "storm", "_storm_crash_and_refailover", seed, trace,
-        (golden.snapshots, n_shards), max_hits_per_point, jobs, limit, only,
+        "failover-storm", "storm", _storm_crash_and_refailover, seed, trace,
+        (golden.snapshots, n_shards), max_hits_per_point, limit, only,
     )
+
+
+#: The sweeps by scenario name: the ``--scenario`` vocabulary of
+#: ``python -m repro.parallel sweep`` and of the docs check.
+SCENARIOS: dict[str, Callable[..., SweepReport]] = {
+    "workload": sweep_workload_points,
+    "recovery": sweep_recovery_points,
+    "sharing": sweep_sharing_points,
+    "storm": sweep_failover_storm_points,
+}

@@ -1,15 +1,16 @@
-"""CLI for the parallel sweep/stress runners.
+"""CLI for the crash sweeps and the sharded sharing stress.
 
 ::
 
-    python -m repro.parallel sweep  --scenario all --jobs 4
+    python -m repro.parallel sweep  --scenario all
     python -m repro.parallel sweep  --scenario workload --point \\
-        mtr.write.applied --hit 3          # serial repro of one coordinate
+        mtr.write.applied --hit 3          # replay one coordinate
     python -m repro.parallel stress --system cxl --seeds 200 --jobs 4
 
-Canonical JSON goes to stdout (or ``--json PATH``); the human summary
-goes to stderr; the exit code is non-zero iff any coordinate, seed, or
-convergence check failed.
+The sweeps run serially: a whole sweep costs less than one spawn
+worker. Only ``stress`` takes ``--jobs``. Canonical JSON goes to stdout
+(or ``--json PATH``); the human summary goes to stderr; the exit code is
+non-zero iff any coordinate, seed, or convergence check failed.
 """
 
 from __future__ import annotations
@@ -18,22 +19,8 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from ..faults.sweep import (
-    SweepReport,
-    report_to_json,
-    sweep_failover_storm_points,
-    sweep_recovery_points,
-    sweep_sharing_points,
-    sweep_workload_points,
-)
+from ..faults.sweep import SCENARIOS, SweepReport, report_to_json
 from .stress import run_sharing_stress
-
-SCENARIOS = {
-    "workload": sweep_workload_points,
-    "recovery": sweep_recovery_points,
-    "sharing": sweep_sharing_points,
-    "storm": sweep_failover_storm_points,
-}
 
 
 def _emit(blob: str, json_path: Optional[str]) -> None:
@@ -59,7 +46,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         report: SweepReport = SCENARIOS[name](
             seed=args.seed,
             max_hits_per_point=args.max_hits,
-            jobs=args.jobs,
             limit=args.limit,
             only=only,
         )
@@ -115,7 +101,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="which sweep to run (default: all)",
     )
     sweep.add_argument("--seed", type=int, default=7)
-    sweep.add_argument("--jobs", type=int, default=1, help="0 = all cores")
     sweep.add_argument("--max-hits", type=int, default=2, dest="max_hits")
     sweep.add_argument(
         "--limit", type=int, default=None, help="sweep only the first N coordinates"

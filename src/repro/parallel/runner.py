@@ -5,7 +5,9 @@ A :class:`WorkUnit` names a task function by import path
 runner executes units either inline (``jobs <= 1``) or on a
 ``multiprocessing`` *spawn* pool, and always returns results sorted by
 unit index — so the merged output of a parallel run is byte-identical
-to a serial run of the same units.
+to a serial run of the same units. Its callers are the stress shards
+and the ``fig_scale`` points, units that each outweigh the ~0.3 s a
+spawn worker costs to start; smaller work runs serially without it.
 
 Design rules that keep this deterministic and debuggable:
 
@@ -21,8 +23,8 @@ Design rules that keep this deterministic and debuggable:
 * **Failures carry their serial repro.** A unit that raises is captured
   as a failed :class:`UnitResult` holding the exception text and the
   unit's one-line serial repro command; :func:`raise_for_failures`
-  surfaces both, so a red parallel sweep tells you exactly which seed /
-  coordinate to re-run serially.
+  surfaces both, so a red parallel run tells you exactly which seed
+  shard or scale point to re-run serially.
 
 >>> unit = WorkUnit("repro.parallel.probes:echo", (2, 3))
 >>> [r.value for r in run_units([unit, unit], jobs=1)]

@@ -40,7 +40,6 @@ from repro.analysis.explore import (
     encode_token,
     explore_config,
     explore_mutations,
-    explore_sharded,
     main,
     replay_token,
     toy_min_traces,
@@ -173,25 +172,6 @@ def test_all_protocol_mutations_found_within_budget():
 def test_mutation_escape_raises():
     with pytest.raises(ExploreError, match="unknown protocol mutation"):
         explore_config("cxl-2p1pg+bogus")
-
-
-# -- frontier sharding ------------------------------------------------------
-
-
-def test_sharded_merge_is_deterministic_across_job_counts():
-    serial = explore_sharded("cxl-2p1pg", jobs=1)
-    parallel = explore_sharded("cxl-2p1pg", jobs=2)
-    assert serial.to_json() == parallel.to_json()
-    assert serial.ok
-
-
-def test_sharded_covers_at_least_the_serial_schedule_count():
-    # Shards drop cross-branch sleep sets, so they may re-visit traces
-    # — never fewer than serial exploration finds, and all clean.
-    serial = explore_config("cxl-2p1pg")
-    sharded = explore_sharded("cxl-2p1pg", jobs=1)
-    assert sharded.schedules >= serial.schedules
-    assert sharded.ok and not sharded.exhausted
 
 
 # -- CLI --------------------------------------------------------------------

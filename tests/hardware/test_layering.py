@@ -119,3 +119,16 @@ def test_no_module_copies_a_world_with_deepcopy():
         if "deepcopy" in (getattr(node, n, None) for n in ("attr", "id", "name"))
     ]
     assert offenders == []
+
+
+def test_the_sweeps_and_the_analysis_tools_import_no_parallel_runner():
+    """The crash sweeps and CXL-Explore run serially; ``repro.parallel``
+    sits above them (its CLI drives the sweeps), never below."""
+    upward = [
+        f"{layer}/{path.name}: from {module} import {name}"
+        for layer in ("faults", "analysis")
+        for path in sorted((SRC / layer).glob("*.py"))
+        for module, name in _imports(path)
+        if module == "repro.parallel" or module.startswith("repro.parallel.")
+    ]
+    assert not upward, "imports of repro.parallel:\n" + "\n".join(upward)

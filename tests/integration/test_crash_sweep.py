@@ -8,16 +8,20 @@ LRU / clflush / fusion / recovery paths, every coordinate recovering
 exactly, deterministically under a fixed seed.
 """
 
+import json
+
 import pytest
 
 from repro.core.recovery import PolarRecv
 from repro.db.constants import OFF_NEXT_LEAF
 from repro.db.engine import Engine
+from repro.faults import sweep
 from repro.faults.sweep import (
     _build_scenario,
     _golden_run,
     _roll_to,
     _verdict,
+    report_to_json,
     sweep_failover_storm_points,
     sweep_recovery_points,
     sweep_sharing_points,
@@ -90,6 +94,34 @@ class TestSingleNodeSweep:
         assert outcome.detail.startswith(
             f"recovered tree is corrupt: leaf {first.page_id} names next leaf 0"
         )
+
+    def test_a_raising_unit_is_a_red_coordinate_with_its_repro(
+        self, workload_report, monkeypatch
+    ):
+        """A coordinate whose unit raises does not stop the sweep: it is
+        red, names the exception and its serial repro, and the others
+        keep their verdicts."""
+        clean = workload_report.outcomes[:3]
+        point, hit = clean[1].point, clean[1].hit
+        unit = sweep._crash_and_recover
+
+        def raising(seed, at_point, at_hit, golden):
+            if (at_point, at_hit) == (point, hit):
+                raise RuntimeError("unit blew up")
+            return unit(seed, at_point, at_hit, golden)
+
+        monkeypatch.setattr(sweep, "_crash_and_recover", raising)
+        report = sweep_workload_points(seed=SEED, limit=3)
+        assert [(o.point, o.hit) for o in report.outcomes] == [
+            (o.point, o.hit) for o in clean
+        ]
+        assert report.outcomes[0] == clean[0] and report.outcomes[2] == clean[2]
+        red = report.outcomes[1]
+        assert not red.crashed and not red.ok
+        assert red.detail.startswith("unit error RuntimeError: unit blew up")
+        assert f"--point {point} --hit {hit}" in red.detail
+        blob = report_to_json(report)
+        assert json.dumps(json.loads(blob), sort_keys=True, indent=1) + "\n" == blob
 
 
 class TestRecoveryReentrancySweep:

@@ -410,7 +410,7 @@ def test_a_disordered_durable_log_turns_the_coordinate_red_with_its_repro(monkey
     assert f"FAIL {point}#{hit}: durable log is not strictly LSN-increasing" in capsys.readouterr().err
 
 
-# -- (c) the pinned digests, cold and warm, serial and parallel ----------------
+# -- (c) the pinned digests, cold and warm ------------------------------------
 
 _PINNED = {
     "workload": "4580952417302eee",
@@ -421,25 +421,21 @@ _PINNED = {
 }
 
 
-def _sweep_digests(jobs: int) -> dict:
+def _sweep_digests() -> dict:
     reports = {
-        "workload": sweep.sweep_workload_points(seed=SEED, jobs=jobs),
-        "recovery": sweep.sweep_recovery_points(seed=SEED, jobs=jobs),
-        "sharing": sweep.sweep_sharing_points(seed=SEED, jobs=jobs),
-        "storm-1": sweep.sweep_failover_storm_points(seed=SEED, jobs=jobs),
-        "storm-2": sweep.sweep_failover_storm_points(seed=SEED, jobs=jobs, n_shards=2),
+        "workload": sweep.sweep_workload_points(seed=SEED),
+        "recovery": sweep.sweep_recovery_points(seed=SEED),
+        "sharing": sweep.sweep_sharing_points(seed=SEED),
+        "storm-1": sweep.sweep_failover_storm_points(seed=SEED),
+        "storm-2": sweep.sweep_failover_storm_points(seed=SEED, n_shards=2),
     }
     return {name: _sha(sweep.report_to_json(report)) for name, report in reports.items()}
 
 
 def test_seed_7_sweep_reports_hash_to_the_pinned_list_cold_and_warm():
-    assert _sweep_digests(jobs=1) == _PINNED  # cold: every image is built here
+    assert _sweep_digests() == _PINNED  # cold: every image is built here
     assert len(IMAGES) > 0
-    assert _sweep_digests(jobs=1) == _PINNED  # warm: every world is a clone
-
-
-def test_seed_7_sweep_reports_hash_to_the_pinned_list_on_a_spawn_pool():
-    assert _sweep_digests(jobs=2) == _PINNED
+    assert _sweep_digests() == _PINNED  # warm: every world is a clone
 
 
 @pytest.mark.parametrize(
