@@ -431,6 +431,9 @@ class MemSan:
         actor = self._actors[-1]
         self.accesses_checked += 1
         clock = self._clock(actor)
+        # One snapshot for every line the store covers (a page is 256):
+        # ``publish_vc`` is only ever read by ``vc_leq`` or replaced whole.
+        published = dict(clock)
         for line in line_range(offset, nbytes):
             state = self._line(region, line)
             if state.dirty and state.writer_actor not in (None, actor):
@@ -460,7 +463,7 @@ class MemSan:
                 )
             state.version += 1
             state.publisher = actor
-            state.publish_vc = dict(clock)
+            state.publish_vc = published
             state.dirty = False
             state.writer_actor = None
             state.writer_cache = None

@@ -112,19 +112,24 @@ def block_data_offset(index: int) -> int:
     return block_offset(index) + BLOCK_META_SIZE
 
 
+# The accessors go straight to the window's mapping at ``base + offset``:
+# a constant field offset inside the window cannot fail the window's
+# bounds check, and the mapping still checks its own.
+
+
 def _int_field(fmt: struct.Struct, offset: int):
     """``(name, set_name)`` of one little-endian integer field of a window."""
     return (
-        property(lambda self: self.unpack(fmt, offset)[0]),
-        lambda self, value: self.write(offset, fmt.pack(value)),
+        property(lambda self: self.mapped.unpack(fmt, self.base + offset)[0]),
+        lambda self, value: self.mapped.write(self.base + offset, fmt.pack(value)),
     )
 
 
 def _flag_field(offset: int):
     """``(name, set_name)`` of one byte read and written as a bool."""
     return (
-        property(lambda self: self.unpack(_U8, offset)[0] != 0),
-        lambda self, value: self.write(offset, _U8.pack(bool(value))),
+        property(lambda self: self.mapped.unpack(_U8, self.base + offset)[0] != 0),
+        lambda self, value: self.mapped.write(self.base + offset, _U8.pack(bool(value))),
     )
 
 

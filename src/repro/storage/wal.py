@@ -1,15 +1,21 @@
 """ARIES-style physical redo logging.
 
-Every page modification produces a :class:`RedoRecord` (page id, offset,
+Every page modification produces a redo record (page id, offset,
 after-image bytes, LSN). Records accumulate in a **volatile** log buffer
 in host DRAM (§3.2 challenge 4: logs not yet flushed at crash time are
 lost) and move to the durable log on flush. Flushes happen when a
 transaction or mini-transaction commits (group commit collapses
 whatever is buffered), charging the host's WAL device pipe.
 
+Both logs hold the bytes a log device would: each record is a 24-byte
+``<QQII`` header (LSN, page id, offset, length) followed by its
+after-image, so a record's charged size is exactly the bytes it takes.
+A :class:`RedoRecord` is decoded only when recovery reads the log
+(:meth:`RedoLog.records_since`).
+
 Recovery contracts used elsewhere:
 
-* the durable log is a strictly LSN-ordered list,
+* the durable log is strictly LSN-ordered,
 * mini-transactions flush atomically (a commit flushes every record of
   the mini-transaction or none reached the durable log), so redo replay
   never observes half an SMO,
@@ -19,8 +25,8 @@ Recovery contracts used elsewhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import struct
+from typing import Iterator, Optional
 
 from ..faults.injector import crash_point
 from ..hardware.memory import AccessMeter
@@ -29,21 +35,63 @@ from ..sim.latency import LatencyConfig
 
 __all__ = ["RedoRecord", "RedoLog"]
 
-_RECORD_HEADER_BYTES = 24
+_HEADER = struct.Struct("<QQII")  # LSN, page id, offset, after-image length
+_RECORD_HEADER_BYTES = _HEADER.size
 
 
-@dataclass(frozen=True)
 class RedoRecord:
-    """A physical redo record: after-image of a byte range of one page."""
+    """A physical redo record: after-image of a byte range of one page.
 
-    lsn: int
-    page_id: int
-    offset: int
-    data: bytes
+    A plain slotted record rather than a frozen dataclass: recovery
+    decodes one per durable record it reads. Treat instances as
+    immutable all the same.
+
+    >>> RedoRecord(1, 2, 3, b"abcd").size_bytes
+    28
+    """
+
+    __slots__ = ("lsn", "page_id", "offset", "data")
+
+    def __init__(self, lsn: int, page_id: int, offset: int, data: bytes) -> None:
+        self.lsn = lsn
+        self.page_id = page_id
+        self.offset = offset
+        self.data = data
 
     @property
     def size_bytes(self) -> int:
         return _RECORD_HEADER_BYTES + len(self.data)
+
+    def __repr__(self) -> str:
+        return (
+            f"RedoRecord(lsn={self.lsn!r}, page_id={self.page_id!r}, "
+            f"offset={self.offset!r}, data={self.data!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RedoRecord):
+            return NotImplemented
+        return (
+            self.lsn == other.lsn
+            and self.page_id == other.page_id
+            and self.offset == other.offset
+            and self.data == other.data
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.lsn, self.page_id, self.offset, self.data))
+
+
+def _headers(log: bytearray) -> Iterator[tuple[int, int, int, int, int]]:
+    """``(start, lsn, page_id, offset, end)`` of every record in ``log``;
+    the after-image is ``log[start + 24:end]``."""
+    unpack_from = _HEADER.unpack_from
+    pos, size = 0, len(log)
+    while pos < size:
+        lsn, page_id, offset, length = unpack_from(log, pos)
+        end = pos + _RECORD_HEADER_BYTES + length
+        yield pos, lsn, page_id, offset, end
+        pos = end
 
 
 class RedoLog:
@@ -57,8 +105,11 @@ class RedoLog:
         self.meter = meter
         self.config = config or LatencyConfig()
         self._next_lsn = 1
-        self._buffer: list[RedoRecord] = []
-        self._durable: list[RedoRecord] = []
+        self._buffer = bytearray()
+        self._buffered = 0  # records in the buffer
+        self._buffer_max_lsn = 0  # LSN of the last buffered record
+        self._durable = bytearray()
+        self._durable_max_lsn = 0  # LSN of the last durable record
         self._checkpoint_lsn = 0
         self.flushes = 0
         self.bytes_flushed = 0
@@ -72,7 +123,11 @@ class RedoLog:
         """Buffer a redo record; returns its LSN."""
         lsn = self._next_lsn
         self._next_lsn += 1
-        self._buffer.append(RedoRecord(lsn, page_id, offset, bytes(data)))
+        buffer = self._buffer
+        buffer += _HEADER.pack(lsn, page_id, offset, len(data))
+        buffer += data
+        self._buffered += 1
+        self._buffer_max_lsn = lsn
         tracer = PROBES.tracer
         if tracer is not None:
             tracer.count("wal.records_appended")
@@ -93,13 +148,15 @@ class RedoLog:
             )
             # A crash here loses the whole buffer (it is host DRAM).
             crash_point("wal.flush.begin")
-            nbytes = sum(record.size_bytes for record in self._buffer)
+            nbytes = len(self._buffer)
             tracer = PROBES.tracer
             if tracer is not None:
-                tracer.count("wal.records_flushed", len(self._buffer))
+                tracer.count("wal.records_flushed", self._buffered)
                 tracer.count("wal.bytes_flushed", nbytes)
-            self._durable.extend(self._buffer)
-            self._buffer = []
+            self._durable += self._buffer
+            self._durable_max_lsn = self._buffer_max_lsn
+            self._buffer.clear()
+            self._buffered = 0
             self.flushes += 1
             self.bytes_flushed += nbytes
             # A crash here keeps the records: they reached the log device.
@@ -116,11 +173,11 @@ class RedoLog:
 
     @property
     def durable_max_lsn(self) -> int:
-        return self._durable[-1].lsn if self._durable else self._checkpoint_lsn
+        return self._durable_max_lsn if self._durable else self._checkpoint_lsn
 
     @property
     def buffered_records(self) -> int:
-        return len(self._buffer)
+        return self._buffered
 
     @property
     def next_lsn(self) -> int:
@@ -134,8 +191,9 @@ class RedoLog:
 
     def crash(self) -> int:
         """Drop the volatile buffer; returns the number of records lost."""
-        lost = len(self._buffer)
-        self._buffer = []
+        lost = self._buffered
+        self._buffer.clear()
+        self._buffered = 0
         return lost
 
     def recover_lsn_counter(self) -> None:
@@ -159,9 +217,15 @@ class RedoLog:
         Charges a metered scan proportional to the bytes read, matching a
         sequential log scan from storage during recovery.
         """
-        records = [rec for rec in self._durable if rec.lsn > lsn_exclusive]
+        log = self._durable
+        records = []
+        nbytes = 0
+        for start, lsn, page_id, offset, end in _headers(log):
+            if lsn > lsn_exclusive:
+                data = bytes(log[start + _RECORD_HEADER_BYTES : end])
+                records.append(RedoRecord(lsn, page_id, offset, data))
+                nbytes += end - start
         if self.meter is not None and records:
-            nbytes = sum(record.size_bytes for record in records)
             self.meter.charge_transfer(
                 "storage", nbytes, base_ns=self.config.storage_read_base_ns
             )
@@ -172,14 +236,21 @@ class RedoLog:
         if lsn < self._checkpoint_lsn:
             raise ValueError("checkpoint LSN moved backwards")
         self._checkpoint_lsn = lsn
-        self._durable = [rec for rec in self._durable if rec.lsn > lsn]
+        cut = len(self._durable)
+        for start, record_lsn, _, _, _ in _headers(self._durable):
+            if record_lsn > lsn:
+                cut = start
+                break
+        del self._durable[:cut]
 
     def snapshot(self) -> tuple:
-        # Records are frozen: the tuples share them.
         return (
             self._next_lsn,
-            tuple(self._buffer),
-            tuple(self._durable),
+            bytes(self._buffer),
+            self._buffered,
+            self._buffer_max_lsn,
+            bytes(self._durable),
+            self._durable_max_lsn,
             self._checkpoint_lsn,
             self.flushes,
             self.bytes_flushed,
@@ -189,16 +260,22 @@ class RedoLog:
         (
             self._next_lsn,
             buffer,
+            self._buffered,
+            self._buffer_max_lsn,
             durable,
+            self._durable_max_lsn,
             self._checkpoint_lsn,
             self.flushes,
             self.bytes_flushed,
         ) = state
-        self._buffer = list(buffer)
-        self._durable = list(durable)
+        self._buffer = bytearray(buffer)
+        self._durable = bytearray(durable)
 
     def verify_ordered(self) -> bool:
         """Invariant check: durable log is strictly LSN-increasing."""
-        return all(
-            a.lsn < b.lsn for a, b in zip(self._durable, self._durable[1:])
-        )
+        previous = -1
+        for _, lsn, _, _, _ in _headers(self._durable):
+            if lsn <= previous:
+                return False
+            previous = lsn
+        return True

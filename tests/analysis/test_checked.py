@@ -29,6 +29,8 @@ from repro.obs.probes import PROBES
 from repro.obs.spans import SpanTracer
 from repro.obs.trace import Tracer
 
+from ..conftest import swap_durable_records
+
 SRC = Path(__file__).parent.parent.parent / "src" / "repro"
 HOOKS = ("tracer", "spans", "metrics", "memsan")
 
@@ -159,8 +161,7 @@ def test_check_raises_for_a_watched_node_whose_durable_log_is_out_of_order():
         _run_sharing_ops(setup, _sharing_ops(), model, {}, [0])
     run.check()
     writer = setup.nodes[0]
-    durable = writer.engine.redo_log._durable
-    durable[3], durable[4] = durable[4], durable[3]
+    swap_durable_records(writer.engine.redo_log, 3, 4)
     _seed_memsan(run)  # the log check comes before MemSan's, which stays last
     with pytest.raises(LogOrderError, match=f"node {writer.node_id}: durable redo log"):
         run.check()

@@ -148,6 +148,20 @@ def test_raw_store_spanning_lines_checks_each_line():
     assert rules(ms) == ["write-write-race"]
 
 
+def test_a_multi_line_raw_store_publishes_the_pre_tick_clock_on_every_line():
+    ms = make()
+    with ms.actor("n0"):
+        ms.rpc_acquire("fusion")
+        ms.rpc_release("fusion")  # n0's clock has moved past its first tick
+        before = dict(ms._clock("n0"))
+        ms.raw_store(REGION, 0, 4 * 64)
+        ms.raw_store(REGION, 8 * 64, 64)  # ticks n0 again
+    clocks = [ms._lines[REGION, line].publish_vc for line in range(4)]
+    assert clocks == [before] * 4
+    assert all(clock is clocks[0] for clock in clocks)  # one snapshot per store
+    assert ms._lines[REGION, 8].publish_vc != before
+
+
 # -- staleness and the reader-side invalidation rules ----------------------
 
 

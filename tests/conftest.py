@@ -25,7 +25,7 @@ from repro.hardware.memory import AccessMeter, WindowedMemory
 from repro.sim.core import Simulator
 from repro.sim.rng import WorkloadRng
 from repro.storage.pagestore import PageStore
-from repro.storage.wal import RedoLog
+from repro.storage.wal import RedoLog, _headers
 
 SMALL_CODEC = RecordCodec(
     [Field("id", 8), Field("k", 4), Field("payload", 52, "bytes")]
@@ -160,6 +160,18 @@ def fill_table(
 
 def row_for(key: int) -> dict:
     return {"id": key, "k": key % 97, "payload": bytes([key % 251]) * 52}
+
+
+def swap_durable_records(redo: RedoLog, i: int, j: int) -> None:
+    """Disorder ``redo``'s durable log: swap its ``i``-th and ``j``-th
+    (``i < j``) whole records in place, headers and after-images alike."""
+    log = redo._durable
+    headers = list(_headers(log))
+    (a, *_, a_end), (b, *_, b_end) = headers[i], headers[j]
+    log[a:b_end] = log[b:b_end] + log[a_end:b] + log[a:a_end]
+    headers[i], headers[j] = headers[j], headers[i]
+    # Whole records moved: the log still parses, into the swapped LSNs.
+    assert [lsn for _, lsn, *_ in _headers(log)] == [lsn for _, lsn, *_ in headers]
 
 
 @pytest.fixture

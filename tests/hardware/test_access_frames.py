@@ -118,6 +118,18 @@ def test_instrumented_typed_page_read_is_the_same_frames_plus_one_call_each(syst
     mtr.commit()
 
 
+def test_block_metadata_field_is_the_accessor_and_the_fused_frame():
+    """An LRU move reads and rewrites ~17 metadata fields: each is the
+    field's accessor and one ``MappedMemory`` frame, no window frame."""
+    setup = build_pooling_setup("cxl", 1, SysbenchWorkload(rows=100), seed=7)
+    meta = setup.instances[0].engine.buffer_pool.meta(0)
+    prev = meta.prev  # warm the metadata line
+    assert _python_frames(lambda: meta.prev) == [("block.py", "<lambda>"), ("memory.py", "unpack")]
+    frames = _python_frames(lambda: meta.set_prev(prev))
+    assert frames == [("block.py", "<lambda>"), ("memory.py", "write")]
+    assert meta.prev == prev
+
+
 def test_pooled_read_only_transaction_builds_no_row_in_its_range_selects():
     """A sysbench range select only takes the row count: its leaf walk
     goes through ``range_count`` and decodes nothing, so the only

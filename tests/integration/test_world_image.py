@@ -34,6 +34,8 @@ from repro.parallel.__main__ import main as parallel_main
 from repro.parallel.stress import run_sharing_stress
 from repro.workloads.sysbench import SysbenchWorkload
 
+from ..conftest import swap_durable_records
+
 SEED = 7
 
 #: (class name, attribute): lazily filled lookup tables whose contents
@@ -389,8 +391,7 @@ def test_a_disordered_durable_log_turns_the_coordinate_red_with_its_repro(monkey
 
     def disordering_recover(scenario):
         engine = recover(scenario)
-        durable = scenario.redo._durable
-        durable[0], durable[1] = durable[1], durable[0]
+        swap_durable_records(scenario.redo, 0, 1)
         return engine
 
     golden = sweep._golden_run(SEED)

@@ -130,6 +130,14 @@ class TestRedoLog:
         redo.flush()
         assert redo.verify_ordered()
 
+    def test_a_reused_lsn_is_out_of_order(self, redo):
+        redo.append(1, 0, b"a")
+        redo.recover_lsn_counter()  # no crash: buffered LSN 1 is handed out again
+        redo.append(1, 0, b"b")
+        redo.flush()
+        assert [record.lsn for record in redo.records_since(0)] == [1, 1]
+        assert not redo.verify_ordered()
+
     def test_record_size_includes_header(self):
         record = RedoRecord(1, 2, 3, b"abcd")
         assert record.size_bytes == 24 + 4
