@@ -5,10 +5,11 @@ prints it (visible with ``-s``), saves it under ``benchmarks/results/``
 and asserts the paper's qualitative shape. Absolute numbers belong to
 the authors' testbed; shapes are what the reproduction owes.
 
-``python -m repro.bench --spans`` sets ``REPRO_BENCH_SPANS=1`` in this
-process; the autouse fixture below then installs a session-wide
-:class:`~repro.obs.spans.SpanTracer` so every benchmark records causal
-spans and the span-aware ones print their latency breakdowns.
+``python -m repro.bench`` asks this process for instruments through
+the environment (``REPRO_BENCH_SPANS`` / ``REPRO_BENCH_MEMSAN`` when
+``spans`` / ``memsan`` is named, ``REPRO_BENCH_METRICS`` under
+``--metrics``); the autouse fixtures below install each one
+session-wide, so every selected benchmark runs under it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def report():
 
 @pytest.fixture(scope="session", autouse=True)
 def _bench_span_tracer():
-    """Install a SpanTracer for the whole run when --spans asked for one."""
+    """Install a SpanTracer for the whole run when ``spans`` is named."""
     if os.environ.get("REPRO_BENCH_SPANS") != "1":
         yield None
         return
@@ -88,7 +89,7 @@ def _bench_metrics():
 
 @pytest.fixture(scope="session", autouse=True)
 def _bench_memsan():
-    """Install CXL-MemSan for the whole run when --memsan asked for one.
+    """Install CXL-MemSan for the whole run when ``memsan`` is named.
 
     ``build_sharing_setup`` registers every shared CXL region with the
     installed detector, so all selected experiments run under race

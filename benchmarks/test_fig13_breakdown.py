@@ -77,7 +77,7 @@ def test_fig13_breakdown(benchmark, report):
         [config, *[results[(config, pct)] for pct in SHARE]] for config in configs
     ]
     if FLUSH_SHARE:
-        # --spans: add the span-derived flush share of commit latency —
+        # Under the session span tracer: add the flush share of latency —
         # the page- vs line-granularity mechanism behind the QPS gap.
         headers.append(f"flush% of latency @{SHARE[-1]}%")
         for row in rows:

@@ -9,23 +9,19 @@ fusion tier shards ``n_nodes // 4`` ways, so metadata service capacity
 grows with the fleet. Every point runs MemSan + trace + span
 invariants internally (``run_scale_point``) and fails on any report.
 
-``REPRO_BENCH_JOBS`` (set by ``python -m repro.bench fig_scale
---jobs N``) shards the points across a spawn pool.
+A scale point outweighs a process spawn, so the points fan over a spawn
+pool, one worker per core; the merged curve is byte-identical to a
+serial run.
 """
-
-import os
 
 from repro.bench.report import banner, format_table
 from repro.bench.scale import SCALE_NODES, run_scale_curve
 
 
-def _curve():
-    jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1") or "1")
-    return run_scale_curve(jobs=jobs)
-
-
 def test_fig_scale(benchmark, report):
-    results = benchmark.pedantic(_curve, rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        run_scale_curve, kwargs={"jobs": 0}, rounds=1, iterations=1
+    )
     by = {(point["system"], point["n_nodes"]): point for point in results}
     rows = []
     for n in SCALE_NODES:

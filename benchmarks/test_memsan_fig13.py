@@ -9,9 +9,9 @@ detector. Acceptance (ISSUE.md): zero reports, and the detector must
 actually have observed the protocol (accesses checked, for both
 systems).
 
-``python -m repro.bench memsan`` (or ``--memsan`` with any experiment
-list) runs this file; the conftest fixture installs a session-wide
-detector so the other figures can run under it too.
+``python -m repro.bench memsan`` runs this file; the conftest fixture
+installs a session-wide detector so the figures named with it
+(``python -m repro.bench memsan fig11``) run under it too.
 """
 
 from contextlib import ExitStack
@@ -50,7 +50,7 @@ def _run_one(setup, workload, pct) -> None:
 def _sweep() -> dict[str, dict]:
     """Per-system detector verdicts, as deltas.
 
-    Under ``--memsan`` one session-wide detector is already installed
+    Under ``repro.bench memsan`` one session-wide detector is installed
     (benchmarks/conftest.py) and both systems share it, so per-system
     numbers are the *difference* in accesses/reports/lines across each
     system's run; standalone, a fresh detector is installed per system

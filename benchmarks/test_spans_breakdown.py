@@ -54,7 +54,7 @@ def _run_one(tracer, setup, workload, pct) -> MechanismBreakdown:
 
 def _sweep():
     with ExitStack() as stack:
-        # Under ``--spans`` the session-wide tracer is already installed.
+        # Under ``repro.bench spans`` the session-wide tracer is installed.
         tracer = PROBES.spans or stack.enter_context(SpanTracer())
         breakdowns = {}
         for label, system, kwargs in SYSTEMS:

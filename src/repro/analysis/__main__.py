@@ -9,34 +9,47 @@
 
 from __future__ import annotations
 
+import argparse
 import sys
+
+from . import explore
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.analysis",
+        description="Static checks and schedule exploration.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    lint = sub.add_parser("lint", add_help=False, help="protocol lint")
+    lint.add_argument("paths", nargs="*", default=["src"], help="default: src")
+    docs = sub.add_parser("docs", help="documented-CLI consistency")
+    docs.add_argument("files", nargs="+", metavar="FILE.md")
+    sub.add_parser(
+        "explore",
+        parents=[explore.build_parser()],
+        add_help=False,
+        help="exhaustive schedule explorer",
+    )
+    return parser
 
 
 def main(argv: list[str]) -> int:
-    if not argv or argv[0] in ("-h", "--help"):
-        print("usage: python -m repro.analysis lint [paths...]   (default: src)")
-        print("       python -m repro.analysis docs FILE.md [FILE.md...]")
-        print(
-            "       python -m repro.analysis explore [--config NAME] "
-            "[--quick] [--mutations] [--replay TOKEN] [--list]"
-        )
-        return 0 if argv else 2
-    if argv[0] == "docs":
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:
+            raise
+        return 0  # --help
+    if args.command == "docs":
         from .docs_cli import main as docs_main
 
-        return docs_main(argv[1:])
-    if argv[0] == "explore":
-        from .explore import main as explore_main
-
-        return explore_main(argv[1:])
-    if argv[0] != "lint":
-        raise SystemExit(
-            f"unknown analysis command: {argv[0]!r} "
-            "(try 'lint', 'docs', or 'explore')"
-        )
+        return docs_main(args.files)
+    if args.command == "explore":
+        return explore.run(args)
     from .lint import main as lint_main
 
-    return lint_main(argv[1:])
+    return lint_main(args.paths)
 
 
 if __name__ == "__main__":

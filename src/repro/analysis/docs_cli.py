@@ -1,17 +1,16 @@
 """Docs-consistency check for documented CLI invocations.
 
-Every ``python -m repro.*`` command the docs show must still exist:
-the module, its subcommand / experiment / scenario names, and its
-flags. README/EXPERIMENTS/PERFORMANCE/DESIGN drift silently otherwise — a
+Every ``python -m repro.*`` command the docs show must still parse.
+README/EXPERIMENTS/PERFORMANCE/DESIGN drift silently otherwise — a
 renamed experiment or a new required flag leaves the runbooks pointing
 at commands that exit 2.
 
-The vocabularies are imported from the CLIs' own registries
-(``repro.bench.__main__.EXPERIMENTS``, ``repro.ha.scenarios.SCENARIOS``,
-``repro.faults.sweep.SCENARIOS``), so the check tracks the code
-with no allowlist of its own to rot: add an experiment and its docs
-mention is immediately valid; rename one and CI goes red on the stale
-mention.
+Each command goes through the ``build_parser()`` of the module it names
+(``repro.X.__main__``), the same parser that CLI runs, so the check has
+no grammar of its own to rot: add an experiment, scenario or option and
+its docs mention is valid at once; rename one and CI goes red on the
+stale mention. Names and values are checked by the parser's own
+``choices=`` and ``type=``; argparse's error message is the finding.
 
 Usage::
 
@@ -20,17 +19,23 @@ Usage::
 The same pass checks the registry sizes the docs quote (the lint rule
 range, the number of named crash points) against the live registries.
 
-Exit 1 lists every unknown module, name, or flag with its file:line.
-Placeholders in angle brackets (``<figure>``, ``<name>...``) and
-ellipses are accepted anywhere a real name would be.
+Exit 1 lists every stale command with its file:line. A placeholder
+(``<figure>``, ``<name>...``, ``...``) stands for any valid value: the
+argument that consumes it reads it as its first choice, and a free-form
+argument takes it as it is.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import importlib
+import io
 import re
+import shlex
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 __all__ = ["Finding", "extract_invocations", "check_text", "check_files", "main"]
 
@@ -93,146 +98,47 @@ def extract_invocations(text: str) -> list[tuple[int, str]]:
     return sorted(out)
 
 
-# -- per-module validators -------------------------------------------------------------
+# -- validation against each CLI's own parser ----------------------------------------
+
+_CLIS = ("repro.analysis", "repro.bench", "repro.ha", "repro.obs", "repro.parallel")
 
 
-def _is_placeholder(token: str) -> bool:
-    return _PLACEHOLDER.match(token) is not None
+def _placeholder_or(convert: Any, choices: Optional[Iterable[Any]]) -> Callable[[str], Any]:
+    """An argparse ``type`` that converts like ``convert`` (``None``: keep
+    the text), except that a placeholder becomes the first choice, or
+    stays itself when the argument is free-form."""
+
+    def typed(token: str) -> Any:
+        if _PLACEHOLDER.match(token):
+            return next(iter(choices)) if choices else token
+        return token if convert is None else convert(token)
+
+    typed.__name__ = getattr(convert, "__name__", "str")
+    return typed
 
 
-def _scan(
-    tokens: list[str],
-    names: set[str],
-    flags: dict[str, bool],
-    what: str,
-    free_positionals: bool = False,
-) -> Optional[str]:
-    """Generic token walk: flags against ``flags`` (value means the
-    flag consumes the next token), positionals against ``names``."""
-    index = 0
-    while index < len(tokens):
-        token = tokens[index]
-        if _is_placeholder(token):
-            index += 1
-            continue
-        if token.startswith("-"):
-            if token not in flags:
-                return f"unknown {what} flag {token!r}"
-            if flags[token]:
-                index += 1  # the flag's value
-            index += 1
-            continue
-        if not free_positionals and token not in names:
-            return f"unknown {what} {token!r} (known: {', '.join(sorted(names))})"
-        index += 1
+def _accept_placeholders(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                _accept_placeholders(subparser)
+        else:
+            action.type = _placeholder_or(action.type, action.choices)
+    return parser
+
+
+def _parse(module: str, tokens: list[str]) -> Optional[str]:
+    """Run ``tokens`` through ``module``'s own parser; return its error."""
+    cli = importlib.import_module(f"{module}.__main__")
+    parser = _accept_placeholders(cli.build_parser())
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            parser.parse_args(tokens)
+    except SystemExit as exc:
+        if exc.code:
+            return stderr.getvalue().strip().splitlines()[-1].partition(": error: ")[2]
     return None
-
-
-def _check_bench(tokens: list[str]) -> Optional[str]:
-    from ..bench.__main__ import EXPERIMENTS
-
-    names = set(EXPERIMENTS) | {"list", "all"}
-    flags = {
-        "-h": False,
-        "--help": False,
-        "--counters": False,
-        "--spans": False,
-        "--memsan": False,
-        "--ha": False,
-        "--jobs": True,
-        "--metrics": False,
-    }
-    return _scan(tokens, names, flags, "bench experiment")
-
-
-def _check_parallel(tokens: list[str]) -> Optional[str]:
-    from ..faults.sweep import SCENARIOS
-
-    if not tokens or tokens[0] not in ("sweep", "stress"):
-        return "repro.parallel needs a 'sweep' or 'stress' subcommand"
-    if tokens[0] == "sweep":
-        flags = {
-            "--scenario": True,
-            "--seed": True,
-            "--max-hits": True,
-            "--limit": True,
-            "--point": True,
-            "--hit": True,
-            "--json": True,
-        }
-        if "--scenario" in tokens:
-            value = tokens[tokens.index("--scenario") + 1]
-            if value not in SCENARIOS and value != "all" and not _is_placeholder(value):
-                return f"unknown sweep scenario {value!r}"
-    else:
-        flags = {
-            "--system": True,
-            "--seeds": True,
-            "--shard-size": True,
-            "--jobs": True,
-            "--base-seed": True,
-            "--json": True,
-        }
-        if "--system" in tokens:
-            value = tokens[tokens.index("--system") + 1]
-            if value not in ("cxl", "rdma") and not _is_placeholder(value):
-                return f"unknown stress system {value!r}"
-    return _scan(tokens[1:], set(), flags, "parallel", free_positionals=True)
-
-
-def _check_ha(tokens: list[str]) -> Optional[str]:
-    from ..ha.scenarios import SCENARIOS
-
-    names = set(SCENARIOS) | {"all"}
-    flags = {"--seed": True, "--quick": False, "--json": False}
-    return _scan(tokens, names, flags, "ha scenario")
-
-
-def _check_obs(tokens: list[str]) -> Optional[str]:
-    from ..ha.scenarios import SCENARIOS
-
-    names = set(SCENARIOS) | {"all"}
-    flags = {
-        "--seed": True,
-        "--interval-ns": True,
-        "--quick": False,
-        "--json": False,
-    }
-    return _scan(tokens, names, flags, "obs scenario")
-
-
-def _check_analysis(tokens: list[str]) -> Optional[str]:
-    if not tokens or tokens[0] not in ("lint", "docs", "explore"):
-        return "repro.analysis needs a 'lint', 'docs' or 'explore' subcommand"
-    if tokens[0] != "explore":
-        return None  # the rest are free-form paths
-    from .explore import CONFIGS, EXPLORE_FLAGS, MUTATIONS, TOYS
-
-    problem = _scan(tokens[1:], set(), EXPLORE_FLAGS, "explore")
-    if problem is not None:
-        return problem
-    names = set(CONFIGS) | set(TOYS) | {"all"}
-    names |= {f"{c}+{m}" for c in CONFIGS for m in MUTATIONS}
-    if "--config" in tokens:
-        value = tokens[tokens.index("--config") + 1]
-        if value not in names and not _is_placeholder(value):
-            return f"unknown explore config {value!r}"
-    if "--replay" in tokens:
-        # A replay token is "<config[+mutation]>:<choices>", often quoted.
-        value = tokens[tokens.index("--replay") + 1].strip("'\"")
-        base = value.partition(":")[0]
-        if base not in names and not _is_placeholder(value):
-            return f"unknown explore config in replay token {value!r}"
-    return None
-
-
-_VALIDATORS: dict[str, Callable[[list[str]], Optional[str]]] = {
-    "repro.bench": _check_bench,
-    "repro.parallel": _check_parallel,
-    "repro.ha": _check_ha,
-    "repro.obs": _check_obs,
-    "repro.analysis": _check_analysis,
-}
 
 
 def _check_counts(path: str, text: str) -> list[Finding]:
@@ -261,25 +167,18 @@ def check_text(path: str, text: str) -> list[Finding]:
     """Validate every invocation (and quoted registry size) in one document."""
     findings = _check_counts(path, text)
     for lineno, command in extract_invocations(text):
-        tokens = command.split()
-        # "python -m repro.x ..." — tolerate a leading env assignment
-        # having been stripped by extraction starting at "python".
-        if len(tokens) < 3 or tokens[0] != "python" or tokens[1] != "-m":
+        try:
+            tokens = shlex.split(command)
+        except ValueError as exc:  # an unbalanced quote
+            findings.append(Finding(path, lineno, command, str(exc)))
             continue
         module = tokens[2]
-        validator = _VALIDATORS.get(module)
-        if validator is None:
-            findings.append(
-                Finding(
-                    path,
-                    lineno,
-                    command,
-                    f"unknown CLI module {module!r} "
-                    f"(known: {', '.join(sorted(_VALIDATORS))})",
-                )
+        if module not in _CLIS:
+            problem: Optional[str] = (
+                f"unknown CLI module {module!r} (known: {', '.join(_CLIS)})"
             )
-            continue
-        problem = validator(tokens[3:])
+        else:
+            problem = _parse(module, tokens[3:])
         if problem is not None:
             findings.append(Finding(path, lineno, command, problem))
     return findings
@@ -293,13 +192,10 @@ def check_files(paths: list[str]) -> list[Finding]:
     return findings
 
 
-def main(argv: list[str]) -> int:
-    if not argv or argv[0] in ("-h", "--help"):
-        print("usage: python -m repro.analysis docs FILE.md [FILE.md...]")
-        return 0 if argv else 2
+def main(paths: list[str]) -> int:
     findings: list[Finding] = []
     checked = 0
-    for path in argv:
+    for path in paths:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
         checked += len(extract_invocations(text))
@@ -307,7 +203,7 @@ def main(argv: list[str]) -> int:
     for finding in findings:
         print(finding.render(), file=sys.stderr)
     print(
-        f"docs check: {checked} invocation(s) across {len(argv)} file(s), "
+        f"docs check: {checked} invocation(s) across {len(paths)} file(s), "
         f"{len(findings)} stale",
         file=sys.stderr,
     )

@@ -49,6 +49,7 @@ DESIGN.md §14 for the decision-point model and the replay token format.
 
 from __future__ import annotations
 
+import argparse
 import json
 from dataclasses import dataclass, field, replace
 from math import factorial
@@ -60,7 +61,6 @@ from .memsan import MemSan, MemSanError, line_range
 __all__ = [
     "CONFIGS",
     "TOYS",
-    "EXPLORE_FLAGS",
     "MUTATIONS",
     "Decision",
     "ExploreError",
@@ -70,6 +70,7 @@ __all__ = [
     "ProtocolConfig",
     "RecordingMemSan",
     "ToyConfig",
+    "build_parser",
     "decode_token",
     "encode_token",
     "explore_config",
@@ -1064,26 +1065,52 @@ def explore_mutations(
 # CLI
 # ---------------------------------------------------------------------------
 
-# Flag vocabulary, imported by the docs-consistency checker (value =
-# whether the flag consumes the next token).
-EXPLORE_FLAGS: dict[str, bool] = {
-    "-h": False,
-    "--help": False,
-    "--config": True,
-    "--budget": True,
-    "--json": True,
-    "--replay": True,
-    "--mutations": False,
-    "--quick": False,
-    "--list": False,
-}
 
-_USAGE = """\
-usage: python -m repro.analysis explore [--config NAME|all] [--budget N]
-           [--json PATH] [--quick] [--mutations]
-       python -m repro.analysis explore --replay TOKEN
-       python -m repro.analysis explore --list
-"""
+def _checked(check: Callable[[str], object]) -> Callable[[str], str]:
+    """An argparse ``type`` that validates with ``check`` and keeps the text."""
+
+    def parse(text: str) -> str:
+        try:
+            check(text)
+        except ExploreError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+
+    return parse
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.analysis explore",
+        description="Exhaustive schedule exploration of the sharing protocol.",
+    )
+    parser.add_argument(
+        "--config",
+        type=_checked(lambda name: name == "all" or resolve_config(name)),
+        default="cxl-2p1pg",
+        help="config[+mutation], or 'all' (default: cxl-2p1pg)",
+    )
+    parser.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        help="schedules per config (default: 20000, or 400 with --quick)",
+    )
+    parser.add_argument("--json", metavar="PATH", help="write the report here")
+    parser.add_argument(
+        "--replay",
+        type=_checked(decode_token),
+        metavar="TOKEN",
+        help="re-run the one schedule a token names",
+    )
+    parser.add_argument(
+        "--mutations",
+        action="store_true",
+        help="require every protocol mutation to be found",
+    )
+    parser.add_argument("--quick", action="store_true", help="CI-sized budgets")
+    parser.add_argument("--list", action="store_true", help="list the configs")
+    return parser
 
 
 def _print_report(report: ExploreReport) -> None:
@@ -1107,52 +1134,24 @@ def _print_report(report: ExploreReport) -> None:
 
 
 def main(argv: list[str]) -> int:
-    if argv and argv[0] in ("-h", "--help"):
-        print(_USAGE, end="")
-        return 0
-    config = "cxl-2p1pg"
-    budget = 20_000
-    json_path: Optional[str] = None
-    replay: Optional[str] = None
-    quick = False
-    mutations = False
-    index = 0
-    while index < len(argv):
-        flag = argv[index]
-        if flag == "--list":
-            for toy_name in sorted(TOYS):
-                print(f"{toy_name} (toy)")
-            for config_name in sorted(CONFIGS):
-                print(config_name)
-            return 0
-        if flag == "--quick":
-            quick = True
-            index += 1
-            continue
-        if flag == "--mutations":
-            mutations = True
-            index += 1
-            continue
-        if flag not in EXPLORE_FLAGS or not EXPLORE_FLAGS[flag]:
-            print(_USAGE, end="")
-            print(f"unknown explore flag {flag!r}")
-            return 2
-        if index + 1 >= len(argv):
-            print(f"flag {flag} needs a value")
-            return 2
-        value = argv[index + 1]
-        if flag == "--config":
-            config = value
-        elif flag == "--budget":
-            budget = int(value)
-        elif flag == "--json":
-            json_path = value
-        elif flag == "--replay":
-            replay = value
-        index += 2
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code else 0
+    return run(args)
 
-    if replay is not None:
-        verdict = replay_token(replay)
+
+def run(args: argparse.Namespace) -> int:
+    """Carry out a parsed ``explore`` command line; return the exit code."""
+    if args.list:
+        for toy_name in sorted(TOYS):
+            print(f"{toy_name} (toy)")
+        for config_name in sorted(CONFIGS):
+            print(config_name)
+        return 0
+    config, json_path, quick = args.config, args.json, args.quick
+    if args.replay is not None:
+        verdict = replay_token(args.replay)
         print(
             f"replay {verdict['config']}: {verdict['verdict'].upper()} "
             f"({verdict['decisions']} decision points)"
@@ -1165,7 +1164,7 @@ def main(argv: list[str]) -> int:
                 handle.write("\n")
         return 0 if verdict["verdict"] == "clean" else 1
 
-    if mutations:
+    if args.mutations:
         mutation_budget = 60 if quick else 200
         tokens = explore_mutations(config, max_schedules=mutation_budget)
         for mutation, token in tokens.items():
@@ -1176,8 +1175,9 @@ def main(argv: list[str]) -> int:
         )
         return 0
 
-    if quick and budget == 20_000:
-        budget = 400
+    budget = args.budget
+    if budget is None:
+        budget = 400 if quick else 20_000
     names = sorted(CONFIGS) if config == "all" else [config]
     payloads = []
     exit_code = 0

@@ -14,6 +14,7 @@ matching files with output enabled. Reports also land in
 
 from __future__ import annotations
 
+import argparse
 import os
 import pathlib
 import subprocess
@@ -58,81 +59,73 @@ def _benchmarks_dir() -> pathlib.Path:
     )
 
 
+def _experiment(name: str) -> str:
+    # A type, not choices=: argparse checks an empty nargs="*" list
+    # against choices= and rejects it.
+    if name not in EXPERIMENTS and name not in ("all", "list"):
+        raise argparse.ArgumentTypeError(
+            f"unknown experiment {name!r} (known: {', '.join(EXPERIMENTS)})"
+        )
+    return name
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench",
+        description="Regenerate the paper's tables and figures.",
+        epilog="experiments:\n"
+        + "\n".join(
+            f"  {name:10s} benchmarks/{file}" for name, file in EXPERIMENTS.items()
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "experiments",
+        nargs="*",
+        type=_experiment,
+        metavar="experiment",
+        help="experiment names, 'all', or 'list' (the default)",
+    )
+    # --metrics sets REPRO_BENCH_METRICS, and benchmarks/conftest.py
+    # installs one session-wide MetricsPipeline. --jobs shards whole
+    # experiment files, which are self-contained, so every number is the
+    # same at any --jobs.
+    parser.add_argument(
+        "--metrics", action="store_true", help="sample every run's metrics"
+    )
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="pytest processes (0 = one per core)"
+    )
+    return parser
+
+
 def main(argv: list[str]) -> int:
-    # --counters: also run the mechanism-counter export (trace-verified
-    # bytes-moved amplification) alongside whatever was selected.
-    with_counters = "--counters" in argv
-    argv = [arg for arg in argv if arg != "--counters"]
-    # --spans: install a SpanTracer inside the benchmark process (via
-    # REPRO_BENCH_SPANS, consumed by benchmarks/conftest.py) so every
-    # selected experiment also prints its span-derived latency breakdown.
-    with_spans = "--spans" in argv
-    argv = [arg for arg in argv if arg != "--spans"]
-    # --memsan: install the CXL-MemSan race detector inside the
-    # benchmark process (via REPRO_BENCH_MEMSAN, consumed by
-    # benchmarks/conftest.py); any race report fails the run.
-    with_memsan = "--memsan" in argv
-    argv = [arg for arg in argv if arg != "--memsan"]
-    # --ha: also run the fleet HA scenarios (availability timelines and
-    # the warm-attach vs recovery comparison) alongside the selection.
-    with_ha = "--ha" in argv
-    argv = [arg for arg in argv if arg != "--ha"]
-    # --metrics: install a live MetricsPipeline inside the benchmark
-    # process (via REPRO_BENCH_METRICS, consumed by
-    # benchmarks/conftest.py and per-point harnesses); experiments emit
-    # canonical JSON metric timelines plus ASCII sparkline dashboards.
-    with_metrics = "--metrics" in argv
-    argv = [arg for arg in argv if arg != "--metrics"]
-    # --jobs N: shard the selected experiment files across N concurrent
-    # pytest processes (0 = one per core). Each experiment file is
-    # self-contained, so file-level sharding preserves every number;
-    # outputs are buffered and printed per shard to stay readable.
-    jobs = 1
-    if "--jobs" in argv:
-        index = argv.index("--jobs")
-        jobs = int(argv[index + 1])
-        del argv[index : index + 2]
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    if not argv and with_ha:
-        argv = ["ha"]
-    if not argv and with_counters:
-        argv = ["counters"]
-    if not argv and with_spans:
-        argv = ["spans"]
-    if not argv and with_memsan:
-        argv = ["memsan"]
-    if not argv or argv[0] in ("-h", "--help", "list"):
-        print("experiments:")
-        for name, filename in EXPERIMENTS.items():
-            print(f"  {name:10s} benchmarks/{filename}")
-        print("\nusage: python -m repro.bench [--counters] [--spans] [--memsan] [--ha] [--metrics] [--jobs N] <experiment>... | all")
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:
+            raise
+        return 0  # --help
+    names = args.experiments
+    if not names or "list" in names:
+        parser.print_help()
         return 0
-    names = list(EXPERIMENTS) if argv == ["all"] else argv
-    if with_counters and "counters" not in names:
-        names.append("counters")
-    if with_spans and "spans" not in names:
-        names.append("spans")
-    if with_memsan and "memsan" not in names:
-        names.append("memsan")
-    if with_ha and "ha" not in names:
-        names.append("ha")
-    unknown = [name for name in names if name not in EXPERIMENTS]
-    if unknown:
-        raise SystemExit(f"unknown experiment(s): {', '.join(unknown)}")
+    if "all" in names:
+        names = list(EXPERIMENTS)
+    jobs = args.jobs or os.cpu_count() or 1
     bench_dir = _benchmarks_dir()
     files = [str(bench_dir / EXPERIMENTS[name]) for name in names]
+    # Naming spans / memsan installs that instrument for the whole
+    # pytest session (benchmarks/conftest.py), so every experiment
+    # selected with it also runs under it.
     env = dict(os.environ)
-    if with_spans or "spans" in names:
+    if "spans" in names:
         env["REPRO_BENCH_SPANS"] = "1"
-    if with_memsan or "memsan" in names:
+    if "memsan" in names:
         env["REPRO_BENCH_MEMSAN"] = "1"
-    if with_metrics:
+    if args.metrics:
         env["REPRO_BENCH_METRICS"] = "1"
-    # fig_scale parallelizes *within* its file (one work unit per scale
-    # point); hand it the --jobs value since file-level sharding cannot
-    # split a single experiment.
-    env["REPRO_BENCH_JOBS"] = str(jobs)
 
     def pytest_command(selected: list[str]) -> list[str]:
         return [

@@ -509,7 +509,7 @@ def build_sharing_setup(
     ms = PROBES.memsan
     if ms is not None:
         # A race detector installed before the build (``python -m
-        # repro.bench --memsan``, or a test's MemSan) watches the shared
+        # repro.bench memsan``, or a test's MemSan) watches the shared
         # CXL region automatically; rdma/cxl3 need no region watch.
         ms.watch_setup(setup)
     return setup

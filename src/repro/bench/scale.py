@@ -28,12 +28,10 @@ service scales alongside the fleet.
 
 Every scale point is an independent :class:`~repro.parallel.runner.WorkUnit`
 (``repro.bench.scale:run_scale_point``), so the curve shards across
-processes under ``python -m repro.bench fig_scale --jobs N``.
+processes; ``benchmarks/test_fig_scale.py`` runs it one worker per core.
 """
 
 from __future__ import annotations
-
-import os
 
 from ..analysis.checked import CheckedRun
 from ..parallel.runner import WorkUnit, raise_for_failures, run_units
@@ -160,15 +158,7 @@ def run_scale_point(
     violation, or a malformed span tree fails it, at every scale.
     """
     n_shards = shards_for(n_nodes) if system == "cxl" else 1
-    # REPRO_BENCH_METRICS=1 (the `--metrics` flag) samples every point
-    # on the sim-time scrape grid; each point owns a fresh pipeline so
-    # serial and --jobs runs publish identical per-point timelines.
-    with CheckedRun(
-        trace=True,
-        spans=True,
-        metrics=bool(os.environ.get("REPRO_BENCH_METRICS")),
-        memsan=True,
-    ) as run:
+    with CheckedRun(trace=True, spans=True, metrics=True, memsan=True) as run:
         workload = SysbenchWorkload(rows=rows, n_nodes=n_nodes)
         setup = build_sharing_setup(
             system, n_nodes, workload, seed=seed, n_shards=n_shards
@@ -190,7 +180,7 @@ def run_scale_point(
         counters = counter_snapshot(setup)
         run.flush(setup.sim.now)
     run.check()
-    ms, pipeline = run.memsan, run.metrics
+    ms = run.memsan
     writes = max(1.0, counters.get("lock.write_acquires", 0.0))
     if system == "cxl":
         invalidations = counters.get("fusion_stats.invalidations_pushed", 0.0)
@@ -212,15 +202,6 @@ def run_scale_point(
         "lines_flushed": counters.get("sharing.lines_flushed", 0.0),
         "interconnect_bytes": counters.get("bytes_moved.interconnect", 0.0),
         "memsan_reports": len(ms.reports) if ms is not None else 0,
-        **(
-            {
-                "metrics_scrapes": pipeline.scrapes,
-                "metrics_samples": pipeline.samples_published,
-                "metrics_dropped": pipeline.total_dropped,
-            }
-            if pipeline is not None
-            else {}
-        ),
     }
 
 
@@ -233,8 +214,9 @@ def run_scale_curve(
 ) -> list[dict]:
     """Run the whole curve; returns one dict per (system, n_nodes) point.
 
-    ``jobs > 1`` shards the points across a spawn pool — each point is
-    a fresh interpreter with its own MemSan, so the merged result is
+    ``jobs > 1`` (``0`` = one per core, capped at the point count)
+    shards the points across a spawn pool — each point is a fresh
+    interpreter with its own MemSan, so the merged result is
     byte-identical to a serial run (see :mod:`repro.parallel.runner`).
     Results are ordered system-major, fleet-size-minor.
     """

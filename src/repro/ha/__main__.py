@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 from .scenarios import SCENARIOS
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The scenario grammar; ``python -m repro.obs`` extends it."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.ha",
         description="Fleet HA scenarios (rolling crashes, join/leave, "
@@ -42,18 +43,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="skip the ARIES/RDMA recovery baselines in join-leave",
     )
     parser.add_argument(
-        "--json", action="store_true", help="print timelines as canonical JSON"
+        "--json",
+        action="store_true",
+        help="print canonical JSON instead of the summary lines",
     )
-    args = parser.parse_args(argv)
+    return parser
 
+
+def selected(args: argparse.Namespace) -> list[tuple[str, dict]]:
+    """The scenarios ``args`` names, each with its keyword arguments."""
     names = sorted(SCENARIOS) if "all" in args.scenarios else args.scenarios
-    failed = 0
+    runs = []
     for name in names:
         kwargs: dict = {}
         if args.seed is not None:
             kwargs["seed"] = args.seed
         if name == "join-leave" and args.quick:
             kwargs["with_baselines"] = False
+        runs.append((name, kwargs))
+    return runs
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    failed = 0
+    for name, kwargs in selected(args):
         try:
             result = SCENARIOS[name](**kwargs)
         except Exception as exc:  # surfaced per-scenario, keep going

@@ -25,51 +25,34 @@ import sys
 from typing import Optional, Sequence
 
 from ..bench.report import format_metrics_dashboard
+from ..ha.__main__ import build_parser as build_ha_parser, selected
 from ..ha.scenarios import SCENARIOS
 from .metrics import MetricsPipeline
 from .slo import HealthTimeline
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Fleet HA scenarios under live telemetry: sim-time "
         "metric scrapes, SLO burn-rate alerting, and per-shard health "
         "timelines.",
+        parents=[build_ha_parser()],
+        add_help=False,  # the -h comes with the scenario grammar
     )
-    parser.add_argument(
-        "scenarios",
-        nargs="+",
-        choices=sorted(SCENARIOS) + ["all"],
-        help="scenario names, or 'all'",
-    )
-    parser.add_argument("--seed", type=int, default=None, help="override the seed")
     parser.add_argument(
         "--interval-ns",
         type=float,
         default=100_000.0,
         help="sim-time scrape interval in ns (default 100000 = 100 us)",
     )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="skip the ARIES/RDMA recovery baselines in join-leave",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="print metrics + SLO + health as canonical JSON",
-    )
-    args = parser.parse_args(argv)
+    return parser
 
-    names = sorted(SCENARIOS) if "all" in args.scenarios else args.scenarios
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     failed = 0
-    for name in names:
-        kwargs: dict = {}
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        if name == "join-leave" and args.quick:
-            kwargs["with_baselines"] = False
+    for name, kwargs in selected(args):
         pipeline = MetricsPipeline(scrape_interval_ns=args.interval_ns)
         try:
             with pipeline:

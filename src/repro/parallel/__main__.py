@@ -87,7 +87,7 @@ def _cmd_stress(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.parallel", description=__doc__
     )
@@ -118,8 +118,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     stress.add_argument("--base-seed", type=int, default=1000, dest="base_seed")
     stress.add_argument("--json", default=None, help="write JSON report here")
     stress.set_defaults(func=_cmd_stress)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

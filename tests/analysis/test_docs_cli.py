@@ -5,11 +5,13 @@ contain zero stale invocations — the same check CI runs via
 ``python -m repro.analysis docs``.
 """
 
+import argparse
+import importlib
 import pathlib
 
 import pytest
 
-from repro.analysis.docs_cli import check_files, check_text, extract_invocations
+from repro.analysis.docs_cli import _CLIS, check_files, check_text, extract_invocations
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
@@ -56,18 +58,75 @@ class TestValidation:
     @pytest.mark.parametrize(
         "command, fragment",
         [
-            ("python -m repro.bench fig99", "unknown bench experiment"),
-            ("python -m repro.ha not-a-scenario", "unknown ha scenario"),
-            ("python -m repro.ha --jsonx all", "unknown ha scenario flag"),
-            ("python -m repro.parallel sweep --scenario nope", "unknown sweep scenario"),
-            ("python -m repro.parallel lint", "needs a 'sweep' or 'stress'"),
+            ("python -m repro.bench fig99", "unknown experiment 'fig99'"),
+            ("python -m repro.ha not-a-scenario", "invalid choice: 'not-a-scenario'"),
+            ("python -m repro.ha --jsonx all", "unrecognized arguments: --jsonx"),
+            ("python -m repro.parallel sweep --scenario nope", "invalid choice: 'nope'"),
+            ("python -m repro.parallel lint", "invalid choice: 'lint'"),
             ("python -m repro.oops lint", "unknown CLI module"),
+            ("python -m repro.analysis explore --config nope", "config 'nope'"),
+            ("python -m repro.analysis explore --replay 'nope:-'", "config 'nope'"),
+            ("python -m repro.parallel stress --seeds many", "value: 'many'"),
+            ("python -m repro.analysis explore --replay 'x:-", "No closing quotation"),
         ],
     )
     def test_drift_is_caught(self, command, fragment):
         findings = check_text("doc.md", f"```\n{command}\n```\n")
         assert len(findings) == 1
         assert fragment in findings[0].problem
+
+
+def _leaf_parsers(parser, words=()):
+    """Every (subcommand words, parser) that takes no further subcommand."""
+    subcommands = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subcommands:
+        yield words, parser
+    for action in subcommands:
+        for name, subparser in action.choices.items():
+            yield from _leaf_parsers(subparser, (*words, name))
+
+
+def _grammars():
+    """``python -m MODULE [SUBCOMMAND] <name>...`` -> the parser that reads the rest."""
+    grammars = {}
+    for module in _CLIS:
+        cli = importlib.import_module(f"{module}.__main__")
+        for words, parser in _leaf_parsers(cli.build_parser()):
+            positionals = ["<name>" for a in parser._actions if not a.option_strings]
+            grammars[" ".join(["python -m", module, *words, *positionals])] = parser
+    return grammars
+
+
+GRAMMARS = _grammars()
+
+
+class TestTheDocsCheckIsTheParser:
+    """The check holds no grammar of its own, so it cannot drift."""
+
+    @pytest.mark.parametrize("prefix", GRAMMARS)
+    def test_every_option_string_passes(self, prefix):
+        parser = GRAMMARS[prefix]
+        words = [prefix]
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            for option in action.option_strings:
+                words += [option, "<value>"] if action.nargs != 0 else [option]
+        helps = [
+            f"{prefix} {option}"
+            for action in parser._actions
+            if isinstance(action, argparse._HelpAction)
+            for option in action.option_strings
+        ]
+        commands = [" ".join(words), *helps]
+        text = "```\n" + "\n".join(commands) + "\n```\n"
+        assert check_text("doc.md", text) == []
+
+    @pytest.mark.parametrize("prefix", GRAMMARS)
+    def test_an_unknown_flag_is_one_finding_that_names_it(self, prefix):
+        findings = check_text("doc.md", f"`{prefix} --no-such-flag`")
+        assert len(findings) == 1
+        assert "--no-such-flag" in findings[0].problem
 
 
 class TestQuotedCounts:

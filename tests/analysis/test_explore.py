@@ -31,6 +31,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import explore
 from repro.analysis.explore import (
     CONFIGS,
     MUTATIONS,
@@ -204,6 +205,21 @@ def test_cli_mutations_quick(capsys):
 
 def test_cli_rejects_unknown_flag(capsys):
     assert main(["--frobnicate"]) == 2
+    capsys.readouterr()
+
+
+def test_cli_explicit_budget_survives_quick(monkeypatch, capsys):
+    budgets = []
+
+    def spy(name, max_schedules):
+        budgets.append(max_schedules)
+        return explore_config(name, max_schedules=max_schedules)
+
+    monkeypatch.setattr(explore, "explore_config", spy)
+    assert main(["--config", "toy-mixed", "--quick", "--budget", "20000"]) == 0
+    assert main(["--config", "toy-mixed", "--quick"]) == 0
+    assert main(["--config", "toy-mixed"]) == 0
+    assert budgets == [20_000, 400, 20_000]
     capsys.readouterr()
 
 

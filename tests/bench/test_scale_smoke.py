@@ -16,8 +16,10 @@ from repro.bench.scale import (
     make_scale_txn_fn,
     node_keys,
     run_scale_curve,
+    run_scale_point,
     shards_for,
 )
+from repro.obs.metrics import MetricsPipeline
 from repro.sim.rng import WorkloadRng
 
 SEED = 7
@@ -92,3 +94,8 @@ class TestScaleCurveSmoke:
     def test_parallel_run_merges_identically(self, curve):
         again = run_scale_curve(nodes=(2, 4), seed=SEED, jobs=2)
         assert again == curve
+
+    def test_a_point_is_the_same_under_a_callers_pipeline(self, curve):
+        with MetricsPipeline():
+            point = run_scale_point("cxl", 2, seed=SEED)
+        assert point == next(p for p in curve if (p["system"], p["n_nodes"]) == ("cxl", 2))

@@ -132,3 +132,22 @@ def test_the_sweeps_and_the_analysis_tools_import_no_parallel_runner():
         if module == "repro.parallel" or module.startswith("repro.parallel.")
     ]
     assert not upward, "imports of repro.parallel:\n" + "\n".join(upward)
+
+
+def test_no_module_reads_an_environment_variable():
+    """A run depends on its arguments alone. Copying the environment for
+    a child process (``dict(os.environ)``) is allowed; reading a variable
+    (``os.getenv``, ``os.environ.get``, ``os.environ[...]``) is not."""
+    readers = ("os.getenv", "getenv", "os.environ.get", "environ.get")
+    offenders = [
+        f"{path.relative_to(SRC)}:{node.lineno}: {ast.unparse(node)}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Call) and ast.unparse(node.func) in readers)
+        or (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Load)
+            and ast.unparse(node.value) in ("os.environ", "environ")
+        )
+    ]
+    assert offenders == []
