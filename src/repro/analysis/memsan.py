@@ -359,7 +359,7 @@ class MemSan:
         stack: tuple[str, ...] = ()
         spans = PROBES.spans
         if spans is not None:
-            stack = tuple(f"{s.kind}:{s.name}" for s in spans._stack)
+            stack = tuple(f"{s.kind}:{s.name}" for s in spans.attach_stack())
         self.reports.append(
             RaceReport(
                 rule=rule,

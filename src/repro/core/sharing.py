@@ -234,10 +234,13 @@ class SharedCxlBufferPool(BufferPool):
             # Seeded mutation 1: release the write lock without the
             # clflush — CXL memory keeps the old bytes.
             written = 0
+            dirty_after = dirty_before
         else:
             written = self.cpu_cache.clflush(
                 self.region, meta.data_offset, PAGE_SIZE
             )
+            # clflush drops every line of the range: none is left dirty.
+            dirty_after = 0
         ms = PROBES.memsan
         if ms is not None:
             ms.assert_flushed(
@@ -254,9 +257,7 @@ class SharedCxlBufferPool(BufferPool):
                 page=page_id,
                 dirty_before=dirty_before,
                 lines_flushed=written,
-                dirty_after=self.cpu_cache.dirty_lines(
-                    self.region, meta.data_offset, PAGE_SIZE
-                ),
+                dirty_after=dirty_after,
             )
         # Crash here: every modified line reached CXL, but the fusion
         # server was never told — no invalid flags pushed, DBP copy not

@@ -75,16 +75,18 @@ class CounterRegistry:
     """
 
     def __init__(self) -> None:
-        self._counters: dict[str, float] = {}
+        #: Counter values by name. :meth:`repro.obs.trace.Tracer.count`
+        #: adds into it directly, so :meth:`reset` empties it in place.
+        self.counts: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # -- counters ---------------------------------------------------------------
 
     def add(self, name: str, amount: float = 1.0) -> None:
-        self._counters[name] = self._counters.get(name, 0.0) + amount
+        self.counts[name] = self.counts.get(name, 0.0) + amount
 
     def get(self, name: str) -> float:
-        return self._counters.get(name, 0.0)
+        return self.counts.get(name, 0.0)
 
     # -- histograms -------------------------------------------------------------
 
@@ -103,8 +105,8 @@ class CounterRegistry:
 
     def snapshot(self) -> dict[str, float]:
         """All counters, sorted by name (histograms excluded)."""
-        return dict(sorted(self._counters.items()))
+        return dict(sorted(self.counts.items()))
 
     def reset(self) -> None:
-        self._counters = {}
+        self.counts.clear()
         self._histograms = {}

@@ -157,7 +157,7 @@ def summarize(
     subtrees (crashes) are excluded — a transaction that never
     committed has no commit latency to attribute.
     """
-    spans = source.spans() if isinstance(source, SpanTracer) else list(source)
+    spans = list(source.spans() if isinstance(source, SpanTracer) else source)
     children = _children_index(spans)
     breakdown = MechanismBreakdown()
     for span in spans:

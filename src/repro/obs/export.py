@@ -37,7 +37,7 @@ __all__ = [
 
 
 def _spans_of(source: Union[SpanTracer, Iterable[Span]]) -> list[Span]:
-    return source.spans() if isinstance(source, SpanTracer) else list(source)
+    return list(source.spans() if isinstance(source, SpanTracer) else source)
 
 
 def _root_index(spans: list[Span]) -> dict[int, int]:

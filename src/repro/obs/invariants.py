@@ -51,9 +51,9 @@ event key                  fields used
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
-from .spans import Span, SpanTracer
+from .spans import STATUS_ABANDONED, STATUS_CLOSED, Span, SpanLog, SpanTracer
 from .trace import TraceEvent, Tracer
 
 __all__ = [
@@ -314,61 +314,83 @@ def check_span_invariants(
 
     ``allow_abandoned`` is for fault-injected runs, where the spans that
     were open at the crash legitimately never end.
+
+    One pass over the log's columns. A tracer's rows carry consecutive
+    ids, so a parent's row is its id minus the log's base; any other
+    iterable of spans is first loaded into a log with explicit ids,
+    whose rows are indexed as the walk reaches them.
     """
-    spans = source.spans() if isinstance(source, SpanTracer) else list(source)
+    log = source.log if isinstance(source, SpanTracer) else SpanLog.load(source)
     stats = SpanCheckStats()
-    by_id: dict[int, "Span"] = {}
-    for span in spans:
+    violations = stats.violations
+    base, ids = log.base, log.ids
+    index: Optional[dict[int, int]] = None if ids is None else {}
+    parents, statuses = log.parent_id, log.status
+    end_seqs, t1s = log.end_seq, log.t1
+    for row in range(len(log)):
         stats.spans += 1
-        sid = span.span_id
-        by_id[sid] = span
-        if span.status == "closed":
+        if ids is None:
+            sid = base + row
+        else:
+            sid = ids[row]
+            index[sid] = row
+        status = statuses[row]
+        if status == STATUS_CLOSED:
             stats.closed += 1
-        elif span.status == "abandoned":
+        elif status == STATUS_ABANDONED:
             stats.abandoned += 1
             if not allow_abandoned:
-                stats.violations.append(
+                violations.append(
                     Violation(
                         "span_balance",
                         sid,
-                        f"{span.kind}:{span.name} abandoned in a crash-free "
+                        f"{_label(log, row)} abandoned in a crash-free "
                         "run (missing end())",
                     )
                 )
         else:
-            stats.violations.append(
+            violations.append(
                 Violation(
                     "span_balance",
                     sid,
-                    f"{span.kind}:{span.name} still open — a begin() "
+                    f"{_label(log, row)} still open — a begin() "
                     "without a matching end() or abandon_open()",
                 )
             )
-        parent_id = span.parent_id
-        if parent_id is None:
+        parent_id = parents[row]
+        if not parent_id:
             continue
-        parent = by_id.get(parent_id)
-        if parent is None:
-            stats.violations.append(
+        if index is None:
+            prow = parent_id - base
+            if not 0 <= prow <= row:
+                prow = None
+        else:
+            prow = index.get(parent_id)
+        if prow is None:
+            violations.append(
                 Violation(
                     "span_parent",
                     sid,
-                    f"{span.kind}:{span.name} references parent "
+                    f"{_label(log, row)} references parent "
                     f"#{parent_id}, which was never begun (or begun later)",
                 )
             )
             continue
-        if span.status == "closed" and parent.status == "closed":
-            if span.end_seq > parent.end_seq or span.t1 > parent.t1:
-                stats.violations.append(
+        if status == STATUS_CLOSED and statuses[prow] == STATUS_CLOSED:
+            if end_seqs[row] > end_seqs[prow] or t1s[row] > t1s[prow]:
+                violations.append(
                     Violation(
                         "span_nesting",
                         sid,
-                        f"{span.kind}:{span.name} outlives its parent "
-                        f"#{parent_id} ({parent.kind}:{parent.name})",
+                        f"{_label(log, row)} outlives its parent "
+                        f"#{parent_id} ({_label(log, prow)})",
                     )
                 )
     return stats
+
+
+def _label(log: SpanLog, row: int) -> str:
+    return f"{log.kinds[log.kind[row]]}:{log.names[row]}"
 
 
 def assert_span_invariants(

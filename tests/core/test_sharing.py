@@ -3,6 +3,8 @@
 import pytest
 
 from repro.bench.harness import build_sharing_setup
+from repro.db.constants import PAGE_SIZE
+from repro.obs import Tracer
 from repro.workloads.sysbench import SysbenchWorkload
 
 
@@ -137,3 +139,38 @@ class TestSharedPoolLimits:
         s, _ = setup
         with pytest.raises(NotImplementedError):
             s.nodes[0].engine.buffer_pool.flush_page(1)
+
+
+class _FlushScanTracer(Tracer):
+    """Rescans the flushed page's dirty lines when ``sharing.flush`` fires."""
+
+    def __init__(self, pools):
+        super().__init__()
+        self.pools = pools
+        self.scans = []
+
+    def emit(self, subsystem, name, **fields):
+        if (subsystem, name) == ("sharing", "flush"):
+            pool = self.pools[fields["node"]]
+            meta = pool._meta[fields["page"]]
+            fresh = pool.cpu_cache.dirty_lines(pool.region, meta.data_offset, PAGE_SIZE)
+            self.scans.append((fields["dirty_before"], fields["dirty_after"], fresh))
+        super().emit(subsystem, name, **fields)
+
+
+@pytest.mark.parametrize("skip_flush", [False, True])
+def test_flush_event_dirty_after_equals_a_fresh_scan(skip_flush):
+    setup = build_sharing_setup("cxl", 2, SysbenchWorkload(rows=120, n_nodes=2))
+    pools = {node.node_id: node.engine.buffer_pool for node in setup.nodes}
+    writer = setup.nodes[0]
+    writer.engine.buffer_pool._mutate_skip_flush = skip_flush
+    with _FlushScanTracer(pools) as tracer:
+        for key in (5, 6, 90):
+            assert setup.sim.run_process(
+                writer.point_update("sbtest_shared", key, "k", 4242 + key)
+            )
+    assert tracer.scans
+    for dirty_before, dirty_after, fresh in tracer.scans:
+        assert dirty_after == fresh
+        assert dirty_before > 0
+        assert dirty_after == (dirty_before if skip_flush else 0)

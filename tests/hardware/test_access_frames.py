@@ -103,9 +103,9 @@ def test_instrumented_typed_page_read_is_the_same_frames_plus_one_call_each(syst
     assert list(root.costs.values()) == [mapped.timing.hit_ns]
     with Tracer() as tracer:
         frames = _python_frames(lambda: view.read_u16(OFF_NRECS))
-    # Tracer.count is one forwarding frame onto its registry: a hit is one
-    # count, a miss would be two (misses + device bytes) — never _charge.
-    assert frames == POOL_READ + [("trace.py", "count"), ("counters.py", "add")]
+    # Tracer.count adds into its registry in place, one frame: a hit is
+    # one count, a miss would be two (misses + device bytes) — never _charge.
+    assert frames == POOL_READ + [("trace.py", "count")]
     assert tracer.counters.snapshot() == {f"mem.{mapped.counter_key}.line_hits": 1.0}
     with MemSan() as memsan:
         memsan.watch_region(mapped.region.name)
@@ -200,7 +200,6 @@ def test_instrumented_flag_read_is_the_same_frames_plus_one_call_each(sharing_no
         ("coherency.py", "read_invalid"),
         ("coherency.py", "_read_flag"),
         ("trace.py", "count"),
-        ("counters.py", "add"),
         ("spans.py", "add_ns"),
         ("memsan.py", "flag_read"),  # a clear flag is no acquire edge: nothing below it
     ]

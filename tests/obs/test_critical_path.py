@@ -53,12 +53,10 @@ def test_decompose_clamps_negative_self_time():
     clock = FakeClock()
     tracer = SpanTracer(clock=clock)
     root = tracer.begin("txn", "t")
-    child = tracer.begin("mtr", "m")
     clock.now = 100.0
-    tracer.end(child)
     # Child reported *more* than the root's width (integer-truncation
     # analogue): the root's self-time must clamp to 0, not go negative.
-    child.ns = 150.0
+    child = tracer.record("mtr", "m", ns=150.0)
     tracer.end(root)
     children = {root.span_id: [child]}
     buckets = decompose(root, children)

@@ -2,6 +2,7 @@
 
 import json
 
+from repro.hardware.memory import AccessMeter
 from repro.obs.critical_path import summarize
 from repro.obs.export import to_chrome_trace, write_chrome_trace, write_csv_summary
 from repro.obs.spans import SpanTracer
@@ -17,13 +18,16 @@ class FakeClock:
 
 def _tracer():
     clock = FakeClock()
+    meter = AccessMeter()
     tracer = SpanTracer(clock=clock)
     root = tracer.begin("txn", "t", worker=3)
     child = tracer.begin("mtr", "m")
     clock.now = 2000.0
     tracer.end(child)
-    charged = tracer.record("wal_append", "group_commit", ns=0.0)
-    charged.ns = 450.0  # charged-only: no wall width, latency deferred
+    # Charged-only: no wall width, latency deferred to the next settle.
+    charged = tracer.begin("wal_append", "group_commit", meter=meter)
+    meter.charge_ns(450.0)
+    tracer.end(charged)
     clock.now = 3000.0
     tracer.end(root)
     return tracer, root, child, charged

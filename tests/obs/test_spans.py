@@ -9,7 +9,7 @@ from repro.obs.invariants import (
     check_span_invariants,
 )
 from repro.obs.probes import PROBES
-from repro.obs.spans import Span, SpanTracer
+from repro.obs.spans import SpanTracer
 
 
 class FakeClock:
@@ -222,16 +222,21 @@ def test_span_invariants_abandoned_needs_allowance():
 
 
 def test_span_invariants_flag_child_outliving_parent():
-    child = Span(2, 1, "mtr", "m", 0.0)
-    parent = Span(1, None, "txn", "t", 0.0)
-    parent.status = child.status = "closed"
-    parent.end_seq, child.end_seq = 1, 2  # child ended after its parent
+    tracer = SpanTracer()
+    parent = tracer.begin("txn", "t", push=False)
+    child = tracer.begin("mtr", "m", parent=parent, push=False)
+    tracer.end(parent)
+    tracer.end(child)  # child ended after its parent
     stats = check_span_invariants([parent, child])
     assert [v.invariant for v in stats.violations] == ["span_nesting"]
+    assert check_span_invariants(tracer).violations == stats.violations
 
 
 def test_span_invariants_flag_unknown_parent():
-    orphan = Span(7, 99, "mtr", "m", 0.0)
-    orphan.status = "closed"
+    tracer = SpanTracer()
+    ghost = tracer.begin("txn", "t", push=False)
+    tracer.clear()  # the parent's row is dropped
+    orphan = tracer.record("mtr", "m", parent=ghost)
     stats = check_span_invariants([orphan])
     assert [v.invariant for v in stats.violations] == ["span_parent"]
+    assert check_span_invariants(tracer).violations == stats.violations

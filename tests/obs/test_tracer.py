@@ -153,3 +153,14 @@ class TestCounterRegistry:
         reg.reset()
         assert reg.snapshot() == {}
         assert reg.histogram("h").count == 0
+
+    def test_tracer_count_survives_a_registry_reset(self):
+        # Tracer.count adds into the registry's dict directly; a reset
+        # must empty what it adds into, not strand it on an old dict.
+        tracer = Tracer()
+        tracer.count("c", 5)
+        tracer.counters.reset()
+        tracer.count("c")
+        tracer.counters.add("d", 2)
+        assert tracer.counters.snapshot() == {"c": 1.0, "d": 2.0}
+        assert tracer.counters.get("c") == 1.0
