@@ -36,6 +36,18 @@ exactly why the three seeded protocol mutations are detectable:
 * skipped invalid-flag store                 -> ``stale-cached-read``
 * flag-clear reordered before invalidation   -> ``cleared-flag-before-invalidate``
 
+Line state
+----------
+Each watched region has one line table (the RDMA baseline's page space
+one more, keyed by page id): typed columns indexed by line — memory
+version, publisher, the publish-clock snapshot, writer actor and writer
+cache, names interned to small codes — plus sparse maps for the few
+lines that have cached copies or (with ``check_write_after_read``)
+reader clocks.  A line is dirty exactly when its writer cache is set.
+Columns grow one 256-line group at a time on first touch, so they hold
+what was touched, not the region.  :meth:`MemSan.line_state` reads one
+line back as a :class:`LineState`.
+
 The detector installs into the probe slot (``obs/probes.py``) like the
 other four instruments: uninstalled cost is one slot load plus a
 ``None`` check at every hook site.
@@ -47,17 +59,21 @@ other four instruments: uninstalled cost is one slot load plus a
 ...     ms.cache_flush_line("node0.cache", "cxl.shared", 3, dirty=True)
 >>> ms.reports
 []
+>>> ms.line_state("cxl.shared", 3)[:2]
+(1, 'node0')
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from ..obs.probes import PROBES
 from ..sim.latency import CACHE_LINE
 
 __all__ = [
+    "LineState",
     "MemSan",
     "MemSanError",
     "RaceReport",
@@ -73,9 +89,16 @@ DIRTY = -1
 #: Virtual region name for the RDMA baseline's page-granular tracking.
 RDMA_PAGES = "rdma:pages"
 
-# Lines per group of the held-lines index: a 16 KB page, when aligned
-# (the same grouping as ``CpuCache``'s resident-line index).
+# Lines per group of the line tables and the held-lines index: a 16 KB
+# page, when aligned (the same grouping as ``CpuCache``'s resident-line
+# index).
 _GROUP_SHIFT = 8
+_GROUP_MASK = (1 << _GROUP_SHIFT) - 1
+
+# One group's worth of empty column slots, appended on a group's first touch.
+_NO_VERSIONS = array("q", bytes(8 << _GROUP_SHIFT))
+_NO_CODES = array("i", bytes(4 << _GROUP_SHIFT))
+_NO_CLOCKS: list[Optional[VectorClock]] = [None] * (1 << _GROUP_SHIFT)
 
 
 def line_range(offset: int, nbytes: int) -> range:
@@ -148,32 +171,77 @@ class MemSanError(AssertionError):
     """Raised by :meth:`MemSan.check` when races were reported."""
 
 
-class _Line:
-    """Happens-before state of one 64 B line of a watched region."""
+class LineState(NamedTuple):
+    """Happens-before state of one line, as :meth:`MemSan.line_state`
+    reads it back. ``publish_vc`` is the shared publish snapshot (do not
+    mutate it); ``cached`` maps a cache (or RDMA node) to the memory
+    version it holds, ``DIRTY`` for an unpublished local write;
+    ``readers`` maps a reader actor to its clock at the read."""
+
+    version: int
+    publisher: Optional[str]
+    publish_vc: Optional[VectorClock]
+    dirty: bool
+    writer_actor: Optional[str]
+    writer_cache: Optional[str]
+    cached: dict[str, int]
+    readers: dict[str, VectorClock]
+
+
+class _LineTable:
+    """The lines of one region as columns (see the module docstring).
+
+    Line ``l`` lives in slot ``groups[l >> 8] + (l & 255)`` of every
+    column; name columns hold codes into ``MemSan._names`` (0 = none).
+    """
 
     __slots__ = (
+        "groups",
         "version",
         "publisher",
         "publish_vc",
-        "dirty",
         "writer_actor",
         "writer_cache",
-        "cached",
+        "copies",
         "readers",
     )
 
     def __init__(self) -> None:
-        self.version = 0
-        self.publisher: Optional[str] = None
-        self.publish_vc: Optional[VectorClock] = None
-        self.dirty = False
-        self.writer_actor: Optional[str] = None
-        self.writer_cache: Optional[str] = None
-        # cache name (or rdma node id) -> memory version it holds,
-        # DIRTY for an unpublished local write.
-        self.cached: dict[str, int] = {}
-        # reader actor -> clock snapshot (write-after-read checks only).
-        self.readers: Optional[dict[str, VectorClock]] = None
+        # 256-line group -> its first slot in the columns.
+        self.groups: dict[int, int] = {}
+        self.version = array("q")
+        self.publisher = array("i")
+        # One snapshot is shared by every line a raw store covers: it is
+        # only ever read by ``vc_leq`` or replaced whole.
+        self.publish_vc: list[Optional[VectorClock]] = []
+        self.writer_actor = array("i")
+        # Non-zero exactly when the line is dirty: every path sets or
+        # clears the writer actor and cache together.
+        self.writer_cache = array("i")
+        # line -> cache (or rdma node id) -> memory version it holds,
+        # DIRTY for an unpublished local write; no empty entry is kept.
+        self.copies: dict[int, dict[str, int]] = {}
+        # line -> reader actor -> clock snapshot (write-after-read checks only).
+        self.readers: dict[int, dict[str, VectorClock]] = {}
+
+    def grow(self, group: int) -> int:
+        """Give a first-touched group its slots; returns the first."""
+        base = self.groups[group] = len(self.publish_vc)
+        self.version += _NO_VERSIONS
+        self.publisher += _NO_CODES
+        self.publish_vc += _NO_CLOCKS
+        self.writer_actor += _NO_CODES
+        self.writer_cache += _NO_CODES
+        return base
+
+    def slot(self, line: int) -> int:
+        base = self.groups.get(line >> _GROUP_SHIFT)
+        if base is None:
+            base = self.grow(line >> _GROUP_SHIFT)
+        return base + (line & _GROUP_MASK)
+
+    def clean(self, i: int) -> None:
+        self.writer_actor[i] = self.writer_cache[i] = 0
 
 
 class _ActorScope:
@@ -226,13 +294,17 @@ class MemSan:
         self.reports: list[RaceReport] = []
         self.reports_dropped = 0
         self.accesses_checked = 0
-        self._watched: set[str] = set()
-        self._lines: dict[tuple[str, int], _Line] = {}
+        # watched region -> its line table; the RDMA page space has its own.
+        self._watched: dict[str, _LineTable] = {}
+        self._pages = _LineTable()
+        # Actor, cache and node names behind the tables' name codes.
+        self._names: list[Optional[str]] = [None]
+        self._codes: dict[str, int] = {}
         # cache -> (region, line >> _GROUP_SHIFT) -> the group's lines that
         # cache holds: ``line in _held[cache][region, group]`` exactly when
-        # ``cache in _lines[region, line].cached``. Kept by _hold / _unhold
-        # at the sites that set or pop ``state.cached[cache]``, so the
-        # per-page checks visit what is cached, not every line of the page.
+        # ``cache`` is in the line's copies. Kept by _hold / _unhold at the
+        # sites that add or drop a copy, so the per-page checks visit what
+        # is cached, not every line of the page.
         self._held: dict[str, dict[tuple[str, int], set[int]]] = {}
         self._clocks: dict[str, VectorClock] = {}
         self._sync: dict[tuple[str, ...], VectorClock] = {}
@@ -244,7 +316,8 @@ class MemSan:
 
     def watch_region(self, name: str) -> None:
         """Track raw/cached accesses to the named :class:`MemoryRegion`."""
-        self._watched.add(name)
+        if name not in self._watched:
+            self._watched[name] = self._pages if name == RDMA_PAGES else _LineTable()
 
     def watch_setup(self, setup: Any) -> None:
         """Watch the shared CXL region of a bench ``SharingSetup``.
@@ -265,6 +338,76 @@ class MemSan:
     def internal(self) -> _InternalScope:
         """Suppress raw-region hooks for modelled bookkeeping accesses."""
         return self._internal_scope
+
+    # -- line state --------------------------------------------------------
+
+    def line_state(self, region: str, line: int) -> LineState:
+        """Read one line's state back (a page id for ``RDMA_PAGES``); a
+        line nothing has touched reads as a fresh one."""
+        table = self._watched.get(region, self._pages if region == RDMA_PAGES else None)
+        base = None if table is None else table.groups.get(line >> _GROUP_SHIFT)
+        if table is None or base is None:
+            return LineState(0, None, None, False, None, None, {}, {})
+        i = base + (line & _GROUP_MASK)
+        names = self._names
+        return LineState(
+            version=table.version[i],
+            publisher=names[table.publisher[i]],
+            publish_vc=table.publish_vc[i],
+            dirty=table.writer_cache[i] != 0,
+            writer_actor=names[table.writer_actor[i]],
+            writer_cache=names[table.writer_cache[i]],
+            cached=dict(table.copies.get(line, {})),
+            readers=dict(table.readers.get(line, {})),
+        )
+
+    def tracked_lines(self) -> dict[str, int]:
+        """Lines each table has column slots for (whole 256-line groups)."""
+        counts = {RDMA_PAGES: len(self._pages.publish_vc)}
+        counts.update((region, len(table.publish_vc)) for region, table in self._watched.items())
+        return counts
+
+    def _code(self, name: Optional[str]) -> int:
+        if name is None:
+            return 0
+        code = self._codes.get(name)
+        if code is None:
+            code = self._codes[name] = len(self._names)
+            self._names.append(name)
+        return code
+
+    def _unordered_publisher(
+        self, table: _LineTable, i: int, actor: Optional[str]
+    ) -> Optional[str]:
+        """The line's last publisher, when that is another actor and its
+        publish is not ordered before ``actor``'s clock; else None."""
+        publisher = self._names[table.publisher[i]]
+        if publisher is None or publisher == actor or actor is None:
+            return None
+        published = table.publish_vc[i]
+        if published is None or vc_leq(published, self._clock(actor)):
+            return None
+        return publisher
+
+    def _add_copy(
+        self, table: _LineTable, cache: str, region: str, line: int, version: int
+    ) -> None:
+        copies = table.copies.get(line)
+        if copies is None:
+            table.copies[line] = {cache: version}
+            self._hold(cache, region, line)
+            return
+        if cache not in copies:
+            self._hold(cache, region, line)
+        copies[cache] = version
+
+    def _drop_copy(self, table: _LineTable, cache: str, region: str, line: int) -> None:
+        copies = table.copies.get(line)
+        if copies is not None and cache in copies:
+            del copies[cache]
+            if not copies:
+                del table.copies[line]
+            self._unhold(cache, region, line)
 
     # -- vector-clock machinery ------------------------------------------
 
@@ -296,17 +439,9 @@ class MemSan:
             vc_join(sync, clock)
         clock[actor] = clock.get(actor, 0) + 1
 
-    def _line(self, region: str, line: int) -> _Line:
-        key = (region, line)
-        state = self._lines.get(key)
-        if state is None:
-            state = _Line()
-            self._lines[key] = state
-        return state
-
     def _hold(self, cache: str, region: str, line: int) -> None:
-        """``cache`` now holds a copy of the line (index side of
-        ``state.cached[cache] = ...`` for a cache that was not in it)."""
+        """``cache`` now holds a copy of the line (index side of a copy
+        added for a cache that had none)."""
         groups = self._held.get(cache)
         if groups is None:
             groups = self._held[cache] = {}
@@ -318,7 +453,7 @@ class MemSan:
             lines.add(line)
 
     def _unhold(self, cache: str, region: str, line: int) -> None:
-        """Index side of a ``state.cached.pop(cache)`` that found a copy."""
+        """Index side of dropping a copy the cache had."""
         groups = self._held[cache]
         key = (region, line >> _GROUP_SHIFT)
         lines = groups[key]
@@ -389,187 +524,201 @@ class MemSan:
 
     def raw_load(self, region: str, offset: int, nbytes: int) -> None:
         """Uncached load issued directly against a region."""
-        if self._internal or region not in self._watched or not self._actors:
+        table = self._watched.get(region)
+        if self._internal or table is None or not self._actors:
             return
         actor = self._actors[-1]
         self.accesses_checked += 1
-        clock = self._clock(actor)
+        names = self._names
         for line in line_range(offset, nbytes):
-            state = self._lines.get((region, line))
-            if state is None:
+            base = table.groups.get(line >> _GROUP_SHIFT)
+            if base is None:
                 continue
-            if state.dirty and state.writer_actor not in (None, actor):
+            i = base + (line & _GROUP_MASK)
+            writer = names[table.writer_actor[i]] if table.writer_cache[i] else None
+            if writer is not None and writer != actor:
                 self._report(
                     "read-write-race",
                     region,
                     line,
                     actor,
-                    state.writer_actor,
+                    writer,
                     "raw load while another node holds an unflushed store",
                     "clflush (publish) of the writer's dirty line",
                 )
-            elif (
-                state.publisher is not None
-                and state.publisher != actor
-                and state.publish_vc is not None
-                and not vc_leq(state.publish_vc, clock)
-            ):
+                continue
+            publisher = self._unordered_publisher(table, i, actor)
+            if publisher is not None:
                 self._report(
                     "read-write-race",
                     region,
                     line,
                     actor,
-                    state.publisher,
+                    publisher,
                     "raw load not ordered after the last publish",
                     "lock handover, invalid-flag read or fusion RPC",
                 )
 
     def raw_store(self, region: str, offset: int, nbytes: int) -> None:
-        """Uncached store issued directly against a region."""
-        if self._internal or region not in self._watched or not self._actors:
+        """Uncached store issued directly against a region: publishes
+        every line it covers, a group's worth of column writes at a time."""
+        table = self._watched.get(region)
+        if self._internal or table is None or not self._actors:
             return
         actor = self._actors[-1]
         self.accesses_checked += 1
         clock = self._clock(actor)
-        # One snapshot for every line the store covers (a page is 256):
-        # ``publish_vc`` is only ever read by ``vc_leq`` or replaced whole.
+        code = self._code(actor)
+        names = self._names
+        version, publisher, publish_vc = table.version, table.publisher, table.publish_vc
+        writer_actor, writer_cache = table.writer_actor, table.writer_cache
+        # One snapshot for every line the store covers (a page is 256).
         published = dict(clock)
-        for line in line_range(offset, nbytes):
-            state = self._line(region, line)
-            if state.dirty and state.writer_actor not in (None, actor):
-                self._report(
-                    "write-write-race",
-                    region,
-                    line,
-                    actor,
-                    state.writer_actor,
-                    "raw store while another node holds an unflushed store",
-                    "clflush (publish) of the writer's dirty line",
-                )
-            elif (
-                state.publisher is not None
-                and state.publisher != actor
-                and state.publish_vc is not None
-                and not vc_leq(state.publish_vc, clock)
-            ):
-                self._report(
-                    "write-write-race",
-                    region,
-                    line,
-                    actor,
-                    state.publisher,
-                    "raw store not ordered after the last publish",
-                    "lock handover, invalid-flag read or fusion RPC",
-                )
-            state.version += 1
-            state.publisher = actor
-            state.publish_vc = published
-            state.dirty = False
-            state.writer_actor = None
-            state.writer_cache = None
+        covered = line_range(offset, nbytes)
+        first, last = covered[0], covered[-1]
+        for group in range(first >> _GROUP_SHIFT, (last >> _GROUP_SHIFT) + 1):
+            base = table.groups.get(group)
+            if base is None:
+                base = table.grow(group)
+            low = max(first, group << _GROUP_SHIFT)
+            start = base + (low & _GROUP_MASK)
+            stop = base + (min(last, group << _GROUP_SHIFT | _GROUP_MASK) & _GROUP_MASK) + 1
+            # The last publish seen and whether it is ordered before ``clock``.
+            seen: Optional[VectorClock] = None
+            ordered = True
+            for i in range(start, stop):
+                line = low + i - start
+                writer = names[writer_actor[i]] if writer_cache[i] else None
+                if writer is not None and writer != actor:
+                    self._report(
+                        "write-write-race",
+                        region,
+                        line,
+                        actor,
+                        writer,
+                        "raw store while another node holds an unflushed store",
+                        "clflush (publish) of the writer's dirty line",
+                    )
+                elif publisher[i] and publisher[i] != code:
+                    snapshot = publish_vc[i]
+                    if snapshot is not None and snapshot is not seen:
+                        seen, ordered = snapshot, vc_leq(snapshot, clock)
+                    if snapshot is not None and not ordered:
+                        self._report(
+                            "write-write-race",
+                            region,
+                            line,
+                            actor,
+                            names[publisher[i]],
+                            "raw store not ordered after the last publish",
+                            "lock handover, invalid-flag read or fusion RPC",
+                        )
+                if writer_cache[i]:
+                    writer_actor[i] = writer_cache[i] = 0
+                version[i] += 1
+            publisher[start:stop] = array("i", (code,)) * (stop - start)
+            publish_vc[start:stop] = [published] * (stop - start)
         clock[actor] = clock.get(actor, 0) + 1
 
     # -- CPU-cache accesses (hardware/cache.py) --------------------------
 
     def cache_load(self, cache: str, region: str, line: int, fetched: bool) -> None:
         """A CPU-cache read: ``fetched`` means it filled from memory."""
-        if region not in self._watched:
+        table = self._watched.get(region)
+        if table is None:
             return
-        # The hottest hook (once per cached access): _ambient and _line inline.
+        # The hottest hook (once per cached access): a hit is this one
+        # frame — _ambient and the slot lookup inline.
         actor = self._actors[-1] if self._actors else None
         self.accesses_checked += 1
-        state = self._lines.get((region, line))
-        if state is None:
-            state = self._lines[region, line] = _Line()
+        base = table.groups.get(line >> _GROUP_SHIFT)
+        if base is None:
+            base = table.grow(line >> _GROUP_SHIFT)
+        i = base + (line & _GROUP_MASK)
         if fetched:
-            if state.dirty and state.writer_cache != cache:
+            writer_cache = table.writer_cache[i]
+            if writer_cache and self._names[writer_cache] != cache:
                 self._report(
                     "read-write-race",
                     region,
                     line,
                     actor,
-                    state.writer_actor,
+                    self._names[table.writer_actor[i]],
                     "cache fill while another node holds an unflushed store",
                     "clflush (publish) of the writer's dirty line",
                 )
-            elif (
-                state.publisher is not None
-                and state.publisher != actor
-                and state.publish_vc is not None
-                and actor is not None
-                and not vc_leq(state.publish_vc, self._clock(actor))
-            ):
-                self._report(
-                    "read-write-race",
-                    region,
-                    line,
-                    actor,
-                    state.publisher,
-                    "cache fill not ordered after the last publish",
-                    "invalid-flag store -> flag read, or fusion RPC reply",
-                )
-            if cache not in state.cached:
-                self._hold(cache, region, line)
-            state.cached[cache] = state.version
+            else:
+                publisher = self._unordered_publisher(table, i, actor)
+                if publisher is not None:
+                    self._report(
+                        "read-write-race",
+                        region,
+                        line,
+                        actor,
+                        publisher,
+                        "cache fill not ordered after the last publish",
+                        "invalid-flag store -> flag read, or fusion RPC reply",
+                    )
+            self._add_copy(table, cache, region, line, table.version[i])
         else:
-            held = state.cached.get(cache)
+            copies = table.copies.get(line)
+            held = None if copies is None else copies.get(cache)
             if held is None:
                 # Copy predates this MemSan install; adopt it as current.
-                self._hold(cache, region, line)
-                state.cached[cache] = state.version
-            elif held != DIRTY and held < state.version:
+                self._add_copy(table, cache, region, line, table.version[i])
+            elif held != DIRTY and held < table.version[i]:
                 self._report(
                     "stale-cached-read",
                     region,
                     line,
                     actor,
-                    state.publisher,
+                    self._names[table.publisher[i]],
                     f"cached serve of version {held} after publish of "
-                    f"version {state.version}",
+                    f"version {table.version[i]}",
                     "invalid-flag store by the writer, observed before "
                     "this read (reader-side invalidation)",
                 )
         if self.check_write_after_read and actor is not None:
-            if state.readers is None:
-                state.readers = {}
-            state.readers[actor] = dict(self._clock(actor))
+            readers = table.readers.get(line)
+            if readers is None:
+                readers = table.readers[line] = {}
+            readers[actor] = dict(self._clock(actor))
 
     def cache_store(self, cache: str, region: str, line: int) -> None:
         """A CPU-cache write (creates/refreshes a dirty local copy)."""
-        if region not in self._watched:
+        table = self._watched.get(region)
+        if table is None:
             return
         actor = self._ambient()
         self.accesses_checked += 1
-        state = self._line(region, line)
-        if state.dirty and state.writer_cache != cache:
+        i = table.slot(line)
+        writer_cache = table.writer_cache[i]
+        if writer_cache and self._names[writer_cache] != cache:
             self._report(
                 "write-write-race",
                 region,
                 line,
                 actor,
-                state.writer_actor,
+                self._names[table.writer_actor[i]],
                 "store while another node holds an unflushed store",
                 "page write-lock handover (flush before release)",
             )
-        elif (
-            state.publisher is not None
-            and state.publisher != actor
-            and state.publish_vc is not None
-            and actor is not None
-            and not vc_leq(state.publish_vc, self._clock(actor))
-        ):
-            self._report(
-                "write-write-race",
-                region,
-                line,
-                actor,
-                state.publisher,
-                "store not ordered after the last publish",
-                "page write-lock handover or invalid-flag read",
-            )
-        if self.check_write_after_read and actor is not None and state.readers:
+        else:
+            publisher = self._unordered_publisher(table, i, actor)
+            if publisher is not None:
+                self._report(
+                    "write-write-race",
+                    region,
+                    line,
+                    actor,
+                    publisher,
+                    "store not ordered after the last publish",
+                    "page write-lock handover or invalid-flag read",
+                )
+        readers = table.readers.get(line) if self.check_write_after_read else None
+        if actor is not None and readers:
             clock = self._clock(actor)
-            for reader, snapshot in state.readers.items():
+            for reader, snapshot in readers.items():
                 if reader != actor and not vc_leq(snapshot, clock):
                     self._report(
                         "write-after-read-race",
@@ -580,81 +729,80 @@ class MemSan:
                         "store not ordered after a concurrent read",
                         "page lock covering the reader's access",
                     )
-        state.dirty = True
-        state.writer_actor = actor
-        state.writer_cache = cache
-        if cache not in state.cached:
-            self._hold(cache, region, line)
-        state.cached[cache] = DIRTY
+        table.writer_actor[i] = self._code(actor)
+        table.writer_cache[i] = self._code(cache)
+        self._add_copy(table, cache, region, line, DIRTY)
 
     def cache_flush_line(self, cache: str, region: str, line: int, dirty: bool) -> None:
         """``clflush`` / dirty eviction: publish and drop the local copy."""
-        if region not in self._watched:
+        table = self._watched.get(region)
+        if table is None:
             return
         if not dirty:
-            state = self._lines.get((region, line))
-            if state is not None and state.cached.pop(cache, None) is not None:
-                self._unhold(cache, region, line)
+            self._drop_copy(table, cache, region, line)
             return
         actor = self._ambient()
-        state = self._line(region, line)
-        state.version += 1
-        state.publisher = actor
+        i = table.slot(line)
+        table.version[i] += 1
+        table.publisher[i] = self._code(actor)
         if actor is not None:
             clock = self._clock(actor)
-            state.publish_vc = dict(clock)
+            table.publish_vc[i] = dict(clock)
             clock[actor] = clock.get(actor, 0) + 1
         else:
-            state.publish_vc = None
-        if state.writer_cache == cache:
-            state.dirty = False
-            state.writer_actor = None
-            state.writer_cache = None
-        if state.cached.pop(cache, None) is not None:
-            self._unhold(cache, region, line)
-        if state.readers:
-            state.readers.clear()
+            table.publish_vc[i] = None
+        writer_cache = table.writer_cache[i]
+        if writer_cache and self._names[writer_cache] == cache:
+            table.clean(i)
+        self._drop_copy(table, cache, region, line)
+        table.readers.pop(line, None)
 
     def cache_invalidate_line(self, cache: str, region: str, line: int) -> None:
         """Line dropped without writeback (reader-side invalidation)."""
-        if region not in self._watched:
+        table = self._watched.get(region)
+        if table is None:
             return
-        state = self._lines.get((region, line))
-        if state is None:
+        base = table.groups.get(line >> _GROUP_SHIFT)
+        if base is None:
             return
-        if state.cached.pop(cache, None) is not None:
-            self._unhold(cache, region, line)
-        if state.writer_cache == cache:
-            state.dirty = False
-            state.writer_actor = None
-            state.writer_cache = None
+        self._drop_copy(table, cache, region, line)
+        i = base + (line & _GROUP_MASK)
+        writer_cache = table.writer_cache[i]
+        if writer_cache and self._names[writer_cache] == cache:
+            table.clean(i)
 
     def cache_dropped(self, cache: str) -> None:
         """The whole cache vanished (host crash / ``drop_all``)."""
-        for (region, _), lines in self._held.pop(cache, {}).items():
+        code = self._codes.get(cache)
+        for (region, group), lines in self._held.pop(cache, {}).items():
+            table = self._watched.get(region, self._pages)
+            base = table.groups[group]
             for line in lines:
-                state = self._lines[region, line]
-                del state.cached[cache]
-                if state.writer_cache == cache:
-                    state.dirty = False
-                    state.writer_actor = None
-                    state.writer_cache = None
+                copies = table.copies[line]
+                del copies[cache]
+                if not copies:
+                    del table.copies[line]
+                i = base + (line & _GROUP_MASK)
+                if table.writer_cache[i] == code:
+                    table.clean(i)
 
     def assert_flushed(self, cache: str, region: str, offset: int, nbytes: int) -> None:
         """Write-lock release discipline: no dirty line may survive the
         pre-release flush of its page (seeded mutation 1)."""
-        if region not in self._watched:
+        table = self._watched.get(region)
+        if table is None:
             return
         actor = self._ambient()
+        code = self._codes.get(cache)
         for line in self._held_lines(cache, region, offset, nbytes):
-            state = self._lines[region, line]
-            if state.dirty and state.writer_cache == cache:
+            i = table.slot(line)
+            if table.writer_cache[i] == code:
                 self._report(
                     "unflushed-write-at-release",
                     region,
                     line,
                     actor,
-                    state.writer_actor,
+                    self._names[table.writer_actor[i]],
                     "write lock released while the page still holds an "
                     "unflushed dirty line",
                     "clflush of dirty lines before on_write_release",
@@ -675,21 +823,22 @@ class MemSan:
         """Invalid flag cleared for a page; reader-side invalidation must
         already have dropped every stale cached line (seeded mutation 3).
         """
-        if region not in self._watched:
+        table = self._watched.get(region)
+        if table is None:
             return
         actor = self._ambient()
         for line in self._held_lines(cache, region, offset, nbytes):
-            state = self._lines[region, line]
-            held = state.cached[cache]
-            if held != DIRTY and held < state.version:
+            held = table.copies[line][cache]
+            i = table.slot(line)
+            if held != DIRTY and held < table.version[i]:
                 self._report(
                     "cleared-flag-before-invalidate",
                     region,
                     line,
                     actor,
-                    state.publisher,
+                    self._names[table.publisher[i]],
                     f"invalid flag cleared while the cache still holds "
-                    f"version {held} (memory is at {state.version})",
+                    f"version {held} (memory is at {table.version[i]})",
                     "CPU-cache invalidation before clearing the invalid flag",
                 )
 
@@ -726,12 +875,23 @@ class MemSan:
         """Drop the dead node's unpublished stores; the failover actor
         inherits its clock (recovery supersedes lost writes via the redo
         log, so post-rebuild accesses are ordered after everything the
-        dead node did)."""
-        for state in self._lines.values():
-            if state.writer_actor == actor:
-                state.dirty = False
-                state.writer_actor = None
-                state.writer_cache = None
+        dead node did).
+
+        Only the dead actor's dirty lines are visited: each is found by
+        searching its code in the writer column (the RDMA page space has
+        no writers unless it is watched)."""
+        code = self._codes.get(actor)
+        if code is not None:
+            for table in self._watched.values():
+                writers = table.writer_actor
+                i = 0
+                while True:
+                    try:
+                        i = writers.index(code, i)
+                    except ValueError:
+                        break
+                    table.clean(i)
+                    i += 1
         if inheritor is not None:
             vc_join(self._clock(inheritor), self._clock(actor))
 
@@ -745,43 +905,40 @@ class MemSan:
 
     def page_fetch(self, node: str, page_id: int) -> None:
         self.accesses_checked += 1
-        state = self._line(RDMA_PAGES, page_id)
-        if node not in state.cached:
-            self._hold(node, RDMA_PAGES, page_id)
-        state.cached[node] = state.version
+        table = self._pages
+        i = table.slot(page_id)
+        self._add_copy(table, node, RDMA_PAGES, page_id, table.version[i])
 
     def page_cached_read(self, node: str, page_id: int) -> None:
         self.accesses_checked += 1
-        state = self._line(RDMA_PAGES, page_id)
-        held = state.cached.get(node)
+        table = self._pages
+        i = table.slot(page_id)
+        copies = table.copies.get(page_id)
+        held = None if copies is None else copies.get(node)
         if held is None:
-            self._hold(node, RDMA_PAGES, page_id)
-            state.cached[node] = state.version
-        elif held < state.version:
+            self._add_copy(table, node, RDMA_PAGES, page_id, table.version[i])
+        elif held < table.version[i]:
             self._report(
                 "stale-page-read",
                 RDMA_PAGES,
                 page_id,
                 node,
-                state.publisher,
+                self._names[table.publisher[i]],
                 f"local frame serves version {held} after publish of "
-                f"version {state.version}",
+                f"version {table.version[i]}",
                 "invalidation message from the writer's release",
             )
 
     def page_publish(self, node: str, page_id: int) -> None:
         self.accesses_checked += 1
-        state = self._line(RDMA_PAGES, page_id)
-        state.version += 1
-        state.publisher = node
-        if node not in state.cached:
-            self._hold(node, RDMA_PAGES, page_id)
-        state.cached[node] = state.version
+        table = self._pages
+        i = table.slot(page_id)
+        table.version[i] += 1
+        table.publisher[i] = self._code(node)
+        self._add_copy(table, node, RDMA_PAGES, page_id, table.version[i])
 
     def page_dropped(self, node: str, page_id: int) -> None:
-        state = self._lines.get((RDMA_PAGES, page_id))
-        if state is not None and state.cached.pop(node, None) is not None:
-            self._unhold(node, RDMA_PAGES, page_id)
+        self._drop_copy(self._pages, node, RDMA_PAGES, page_id)
 
     # -- install protocol ------------------------------------------------
 

@@ -6,6 +6,8 @@ in isolation. Protocol-level detection (the seeded mutations) lives in
 ``test_memsan_protocol.py``.
 """
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,8 @@ from repro.analysis.memsan import (
     vc_leq,
 )
 from repro.obs.probes import PROBES
+
+from .test_memsan_spec import SpecMemSan
 
 REGION = "cxl.test"
 
@@ -156,10 +160,24 @@ def test_a_multi_line_raw_store_publishes_the_pre_tick_clock_on_every_line():
         before = dict(ms._clock("n0"))
         ms.raw_store(REGION, 0, 4 * 64)
         ms.raw_store(REGION, 8 * 64, 64)  # ticks n0 again
-    clocks = [ms._lines[REGION, line].publish_vc for line in range(4)]
+    clocks = [ms.line_state(REGION, line).publish_vc for line in range(4)]
     assert clocks == [before] * 4
     assert all(clock is clocks[0] for clock in clocks)  # one snapshot per store
-    assert ms._lines[REGION, 8].publish_vc != before
+    assert ms.line_state(REGION, 8).publish_vc != before
+
+
+def test_a_raw_store_checks_each_lines_own_publish():
+    ms = make()
+    with ms.actor("n1"):
+        ms.cache_store("n1$", REGION, 0)
+        ms.cache_flush_line("n1$", REGION, 0, dirty=True)
+        ms.lock_released("n1", 42)
+        ms.cache_store("n1$", REGION, 1)
+        ms.cache_flush_line("n1$", REGION, 1, dirty=True)  # after the release
+    with ms.actor("n0"):
+        ms.lock_acquired("n0", 42)
+        ms.raw_store(REGION, 0, 2 * 64)
+    assert [(report.rule, report.line) for report in ms.reports] == [("write-write-race", 1)]
 
 
 # -- staleness and the reader-side invalidation rules ----------------------
@@ -249,7 +267,7 @@ def test_own_dirty_copy_is_not_stale():
         ms.cache_store("n0$", REGION, 2)
         ms.cache_load("n0$", REGION, 2, fetched=False)  # own DIRTY copy
     assert ms.reports == []
-    state = ms._lines[(REGION, 2)]
+    state = ms.line_state(REGION, 2)
     assert state.cached["n0$"] == DIRTY
 
 
@@ -415,57 +433,20 @@ def test_watch_setup_watches_only_software_coherent_cxl():
     assert "cxl.pool" in ms._watched
     ms = MemSan()
     ms.watch_setup(Setup("cxl3"))
-    assert ms._watched == set()
+    assert not ms._watched
     ms = MemSan()
     ms.watch_setup(Setup("rdma"))
-    assert ms._watched == set()
+    assert not ms._watched
 
 
 # -- the held-lines index ---------------------------------------------------
 #
 # assert_flushed / invalid_cleared / cache_dropped visit the lines a cache
 # holds (MemSan._held) instead of every line of the range or every tracked
-# line. The specification below is those three checks as the full scans
-# they replace; any stream a CpuCache can produce must leave both with the
-# same reports, in order, and the same accesses_checked.
-
-
-class ScanningMemSan(MemSan):
-    """The per-page checks as scans of all 256 lines of a page."""
-
-    def _scan(self, offset, nbytes):
-        return range(offset // 64, (offset + max(nbytes, 1) - 1) // 64 + 1)
-
-    def assert_flushed(self, cache, region, offset, nbytes):
-        for line in self._scan(offset, nbytes):
-            state = self._lines.get((region, line))
-            if state is not None and state.dirty and state.writer_cache == cache:
-                self._report(
-                    "unflushed-write-at-release", region, line, self._ambient(),
-                    state.writer_actor,
-                    "write lock released while the page still holds an unflushed dirty line",
-                    "clflush of dirty lines before on_write_release",
-                )
-
-    def invalid_cleared(self, cache, region, offset, nbytes):
-        for line in self._scan(offset, nbytes):
-            state = self._lines.get((region, line))
-            held = None if state is None else state.cached.get(cache)
-            if held is not None and held != DIRTY and held < state.version:
-                self._report(
-                    "cleared-flag-before-invalidate", region, line, self._ambient(),
-                    state.publisher,
-                    f"invalid flag cleared while the cache still holds version {held} "
-                    f"(memory is at {state.version})",
-                    "CPU-cache invalidation before clearing the invalid flag",
-                )
-
-    def cache_dropped(self, cache):
-        self._held.pop(cache, None)  # the inherited hooks keep the index; drop it with the cache
-        for state in self._lines.values():
-            state.cached.pop(cache, None)
-            if state.writer_cache == cache:
-                state.dirty, state.writer_actor, state.writer_cache = False, None, None
+# line. SpecMemSan (test_memsan_spec.py) is the detector as plain per-line
+# dicts whose per-page checks scan every line of the range; any stream a
+# CpuCache can produce must leave both with the same reports, in order, and
+# the same accesses_checked.
 
 
 PAGE_LINES = 256
@@ -500,7 +481,13 @@ index_ops = st.one_of(
 )
 
 
-def _apply(ms: MemSan, op: tuple) -> None:
+# Every line those ops reach: a hot line, and the next for a raw store.
+REACHED = sorted(
+    {page * PAGE_LINES + slot + d for page in (0, 1) for slot in (3, 255) for d in (0, 1)}
+)
+
+
+def _apply(ms, op: tuple) -> None:
     kind, who, *args = op
     cache = CACHES[who]
     with ms.actor(f"n{who}"):
@@ -509,11 +496,7 @@ def _apply(ms: MemSan, op: tuple) -> None:
         elif kind == "store":
             ms.cache_store(cache, REGION, args[0])
         elif kind == "flush":
-            # A CpuCache passes its entry's dirty bit: it never flushes as
-            # clean a line whose last store was its own.
-            state = ms._lines.get((REGION, args[0]))
-            own = state is not None and state.dirty and state.writer_cache == cache
-            ms.cache_flush_line(cache, REGION, args[0], dirty=args[1] or own)
+            ms.cache_flush_line(cache, REGION, args[0], dirty=args[1])
         elif kind == "invalidate":
             ms.cache_invalidate_line(cache, REGION, args[0])
         elif kind == "dropped":
@@ -529,7 +512,7 @@ def _apply(ms: MemSan, op: tuple) -> None:
 
 def _held_equals_cached(ms: MemSan) -> bool:
     """The index invariant: ``line in _held[cache][region, line >> 8]``
-    exactly when ``cache in _lines[region, line].cached``; no empty group."""
+    exactly when ``cache in line_state(region, line).cached``; no empty group."""
     indexed = set()
     for cache, groups in ms._held.items():
         for (region, group), held in groups.items():
@@ -537,35 +520,56 @@ def _held_equals_cached(ms: MemSan) -> bool:
                 return False
             indexed |= {(cache, region, line) for line in held}
     return indexed == {
-        (cache, region, line)
-        for (region, line), state in ms._lines.items()
-        for cache in state.cached
+        (cache, REGION, line)
+        for line in REACHED
+        for cache in ms.line_state(REGION, line).cached
     }
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(index_ops, min_size=25, max_size=80))
 def test_indexed_checks_equal_the_full_scans(ops):
-    indexed, scanning = MemSan(max_reports=1000), ScanningMemSan(max_reports=1000)
-    for ms in (indexed, scanning):
+    indexed, spec = MemSan(max_reports=1000), SpecMemSan(max_reports=1000)
+    for ms in (indexed, spec):
         ms.watch_region(REGION)
-        for op in ops:
+    for op in ops:
+        if op[0] == "flush":
+            # A CpuCache passes its entry's dirty bit: it never flushes as
+            # clean a line whose last store was its own.
+            state = indexed.line_state(REGION, op[2])
+            own = state.dirty and state.writer_cache == CACHES[op[1]]
+            op = (*op[:3], op[3] or own)
+        for ms in (indexed, spec):
             _apply(ms, op)
-    assert indexed.reports == scanning.reports
-    assert indexed.accesses_checked == scanning.accesses_checked
+    assert indexed.reports == spec.reports
+    assert indexed.accesses_checked == spec.accesses_checked
     assert _held_equals_cached(indexed)
 
 
-class _CountingLines(dict):
-    lookups = 0
+class _CountingColumn(array):
+    """A line-table column that counts the slots read from it."""
 
-    def __getitem__(self, key):
-        self.lookups += 1
-        return super().__getitem__(key)
+    visits = 0
 
-    def get(self, key, default=None):
-        self.lookups += 1
-        return super().get(key, default)
+    def __getitem__(self, i):
+        self.visits += 1
+        return super().__getitem__(i)
+
+    def index(self, *args):
+        self.visits += 1
+        return super().index(*args)
+
+
+def _count_column_visits(ms: MemSan, region: str):
+    """Swap the region's table columns for counting ones; returns a
+    function giving the slots visited since."""
+    table = ms._watched[region]
+    columns = []
+    for name in ("version", "publisher", "writer_actor", "writer_cache"):
+        column = _CountingColumn(getattr(table, name).typecode, getattr(table, name))
+        setattr(table, name, column)
+        columns.append(column)
+    return lambda: sum(column.visits for column in columns)
 
 
 @pytest.mark.parametrize("check", ["assert_flushed", "invalid_cleared"])
@@ -578,7 +582,31 @@ def test_page_checks_look_up_only_the_held_lines(check, held):
             ms.cache_load("n1$", REGION, line, fetched=True)
         for line in range(PAGE_LINES + 7, PAGE_LINES + 7 + 5 * held, 5):
             ms.cache_load("n0$", REGION, line, fetched=True)
-        ms._lines = counting = _CountingLines(ms._lines)
+        lookups = _count_column_visits(ms, REGION)
         getattr(ms, check)("n0$", REGION, PAGE_LINES * 64, PAGE_LINES * 64)
-    assert counting.lookups <= held + 2
+    assert lookups() <= held + 2
     assert ms.reports == []
+
+
+@pytest.mark.parametrize("dirty", [0, 1, 7, 60])
+def test_a_crash_visits_only_the_dead_actors_dirty_lines(dirty):
+    """actor_crashed searches the writer column for the dead actor: its
+    cost is that actor's dirty lines, not every tracked line."""
+    ms = make()
+    others = range(2 * PAGE_LINES, 4 * PAGE_LINES, 7)
+    with ms.actor("n1"):
+        ms.raw_store(REGION, 0, 4 * PAGE_LINES * 64)  # four pages of tracked lines
+        for line in others:  # another actor's dirty lines
+            ms.cache_store("n1$", REGION, line)
+        ms.lock_released("n1", "L")
+    dead = range(0, 3 * dirty, 3)  # from the table's first slot on
+    with ms.actor("n0"):
+        ms.lock_acquired("n0", "L")
+        for line in dead:
+            ms.cache_store("n0$", REGION, line)
+    lookups = _count_column_visits(ms, REGION)
+    ms.actor_crashed("n0", inheritor="failover")
+    assert lookups() <= dirty + 2
+    assert ms.reports == []
+    assert not any(ms.line_state(REGION, line).dirty for line in dead)
+    assert all(ms.line_state(REGION, line).writer_actor == "n1" for line in others)
