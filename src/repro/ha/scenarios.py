@@ -21,10 +21,10 @@ oracle:
   being served (degraded read-only mode); after the outage the breaker
   half-opens, a probe closes it, and the backlog drains.
 
-The load layer is :class:`~repro.workloads.driver.FleetLoadDriver`
-(ring re-routing past dead nodes) fed by
-:class:`~repro.faults.schedule.FaultSchedule` events. Each node writes
-only its own leaf-disjoint key partition — the single-writer-per-page
+The fleet routes each op to its preferred node, or past dead nodes to
+the ring successor, and runs it on that node directly; crashes are
+pinned to op positions in the scenario body. Each node writes only its
+own leaf-disjoint key partition — the single-writer-per-page
 ownership discipline that, combined with log retirement at every
 failover (:func:`~repro.core.recovery.retire_log`), makes the
 storage+log page rebuild sound across arbitrarily many successive
@@ -45,12 +45,11 @@ from ..bench.harness import (
 )
 from ..bench.recovery_exp import run_recovery_experiment
 from ..core.fusion import RpcExhaustedError
+from ..core.sharing import MultiPrimaryNode
 from ..faults.injector import FaultInjector, InjectedCrash
-from ..faults.schedule import FaultEvent, FaultSchedule
 from ..hardware.memory import AccessMeter
 from ..obs.probes import PROBES
 from ..obs.slo import HealthTimeline, SLOMonitor, check_alignment
-from ..workloads.driver import FleetLoadDriver, FleetOp
 from ..workloads.sysbench import SysbenchWorkload
 from .policy import CircuitBreaker
 from .timeline import AvailabilityTimeline
@@ -67,6 +66,12 @@ __all__ = [
 ]
 
 _TABLE = "sbtest_shared"
+
+#: One client op: ``(kind, key, via, value)``. ``kind`` is ``"select"``
+#: or ``"update"``; ``via`` is the preferred node (the partition owner
+#: for updates), re-routed past dead nodes; ``value`` is the new ``"k"``
+#: of an update and ``None`` for a select.
+_ClientOp = tuple[str, int, int, Optional[int]]
 
 
 class FleetOracleError(AssertionError):
@@ -132,8 +137,10 @@ class FleetResult:
 
 
 class _Fleet:
-    """Shared scenario machinery: partitioned load, the committed-state
-    oracle, and the crash → failover → retirement → handover dance."""
+    """Shared scenario machinery: membership and ring routing, one op
+    at a time run on the routed node, partitioned load, the
+    committed-state oracle, and the crash → failover → retirement →
+    handover dance."""
 
     def __init__(
         self,
@@ -155,7 +162,15 @@ class _Fleet:
         )
         self.sim = self.setup.sim
         self.injector = injector
-        self.driver = FleetLoadDriver(self.setup)
+        self.live: set[int] = set(range(n_nodes))
+        self.ops_run = 0
+        spans = PROBES.spans
+        if spans is not None:
+            spans.attach_clock(lambda: self.sim.now)
+        mp = PROBES.metrics
+        if mp is not None:
+            mp.anchor(self.sim.now)
+        self._gauge_live()
         register_metric_sources(self.setup)
         self.timeline = AvailabilityTimeline(scenario, seed, n_nodes)
         # The oracle: key -> last committed "k" value, fleet-wide.
@@ -167,14 +182,71 @@ class _Fleet:
         self.write_keys: dict[int, list[int]] = {}
         self.key_leaf: dict[int, int] = {}
         self.spare_keys: list[int] = []
-        self._op_index = 0
+
+    # -- membership and routing --------------------------------------------------
+
+    def _gauge_live(self) -> None:
+        mp = PROBES.metrics
+        if mp is not None:
+            mp.gauge("fleet.live_nodes", float(len(self.live)))
+
+    def mark_dead(self, index: int) -> None:
+        self.live.discard(index)
+        self._gauge_live()
+
+    def add_node(self, node: MultiPrimaryNode) -> int:
+        """Register a node already appended to ``setup.nodes`` (a fleet
+        join) and return its routing index."""
+        index = self.setup.nodes.index(node)
+        self.live.add(index)
+        self._gauge_live()
+        return index
+
+    def route(self, preferred: int) -> int:
+        """The live node that serves ops preferring ``preferred``: the
+        node itself, else the next live one in ring order — how
+        partition ownership passes to a single successor at failover."""
+        n = len(self.setup.nodes)
+        for step in range(n):
+            candidate = (preferred + step) % n
+            if candidate in self.live:
+                return candidate
+        raise RuntimeError("fleet has no live nodes left to route to")
+
+    def run_op(
+        self, kind: str, key: int, via: int, value: Optional[int] = None
+    ) -> tuple[int, Any]:
+        """Route one op and run it to completion; ``(executor, result)``.
+
+        The result is the row read or the update's found flag. An
+        :class:`InjectedCrash` is counted as ``status=crashed`` and
+        re-raised; an :class:`RpcExhaustedError` propagates uncounted —
+        degradation policy is the scenario's job.
+        """
+        target = self.route(via)
+        node = self.setup.nodes[target]
+        self.ops_run += 1
+        if kind == "select":
+            process = node.point_select(_TABLE, key)
+        elif kind == "update":
+            process = node.point_update(_TABLE, key, "k", value)
+        else:
+            raise ValueError(f"unknown fleet op kind {kind!r}")
+        try:
+            result = self.sim.run_process(process)
+        except InjectedCrash:
+            self._count_op(kind, "crashed")
+            raise
+        self._count_op(kind, "ok")
+        return target, result
+
+    def _count_op(self, kind: str, status: str) -> None:
+        mp = PROBES.metrics
+        if mp is not None:
+            mp.count("fleet.client_ops", 1.0, kind=kind, status=status)
+            mp.maybe_scrape(self.sim.now)
 
     # -- op stream -------------------------------------------------------------
-
-    def _next_index(self) -> int:
-        index = self._op_index
-        self._op_index += 1
-        return index
 
     def partition_writes(self, keys_per_node: int = 3, probe_step: int = 5) -> None:
         """Give each node a leaf-disjoint write partition.
@@ -215,7 +287,7 @@ class _Fleet:
             k for k in sorted(self.key_leaf) if self.key_leaf[k] not in used_leaves
         ]
 
-    def mixed_ops(self, rounds: int) -> list[FleetOp]:
+    def mixed_ops(self, rounds: int) -> list[_ClientOp]:
         """Per round, each partition owner updates one of its keys and
         cross-reads its ring *predecessor*'s key — so every partition is
         continuously read by the node that would inherit it at failover.
@@ -223,34 +295,15 @@ class _Fleet:
         is what routes the failover rebuild's invalid-flag pushes to it
         (and doubles as coherency traffic plus a continuous oracle check
         on every read)."""
-        ops: list[FleetOp] = []
+        ops: list[_ClientOp] = []
         owners = sorted(self.write_keys)
         for r in range(rounds):
             for pos, owner in enumerate(owners):
                 keys = self.write_keys[owner]
                 self.next_value += 1
-                ops.append(
-                    FleetOp(
-                        self._next_index(),
-                        "update",
-                        _TABLE,
-                        keys[r % len(keys)],
-                        owner,
-                        "k",
-                        self.next_value,
-                    )
-                )
-                other = owners[(pos - 1) % len(owners)]
-                okeys = self.write_keys[other]
-                ops.append(
-                    FleetOp(
-                        self._next_index(),
-                        "select",
-                        _TABLE,
-                        okeys[r % len(okeys)],
-                        owner,
-                    )
-                )
+                ops.append(("update", keys[r % len(keys)], owner, self.next_value))
+                okeys = self.write_keys[owners[(pos - 1) % len(owners)]]
+                ops.append(("select", okeys[r % len(okeys)], owner, None))
         return ops
 
     def note(self, result: str, n: int = 1) -> None:
@@ -263,22 +316,15 @@ class _Fleet:
         if mp is not None:
             mp.count("fleet.ops", float(n), result=result)
 
-    def pump(self, ops: list[FleetOp], schedule: Optional[FaultSchedule] = None) -> None:
-        """Apply ops in order, draining due schedule events first."""
-        for op in ops:
-            if schedule is not None:
-                for event in schedule.pop_due(op.index):
-                    self.apply_event(event)
-            status, _, result = self.driver.run_op(op)
-            if status != "ok":
-                raise FleetOracleError(
-                    f"{self.scenario}: unplanned crash during op {op.index}"
-                )
-            if op.kind == "update":
-                assert op.value is not None
-                self.model[op.key] = op.value
+    def pump(self, ops: list[_ClientOp]) -> None:
+        """Apply ops in order; a crash here is unplanned and propagates."""
+        for kind, key, via, value in ops:
+            _, result = self.run_op(kind, key, via, value)
+            if kind == "update":
+                assert value is not None
+                self.model[key] = value
             else:
-                self.note_read(op.key, result)
+                self.note_read(key, result)
             self.note("ok")
 
     def note_read(self, key: int, row: Any) -> None:
@@ -297,21 +343,6 @@ class _Fleet:
 
     # -- fault choreography ------------------------------------------------------
 
-    def apply_event(self, event: FaultEvent) -> None:
-        if event.action == "crash":
-            assert event.node is not None
-            self.crash_node(event.node, event.point)
-        elif event.action == "outage":
-            self.injector.outage_rpcs(event.rpc)
-            self.timeline.event("outage_begin", self.sim.now, rpc=event.rpc)
-        elif event.action == "restore":
-            self.injector.restore_rpcs(event.rpc)
-            self.timeline.event("outage_end", self.sim.now, rpc=event.rpc)
-        else:
-            raise ValueError(
-                f"{event.action!r} events are scenario-scripted, not engine-applied"
-            )
-
     def crash_node(
         self,
         victim: int,
@@ -327,7 +358,7 @@ class _Fleet:
         node's durable LSN advanced past its pre-op value.
         """
         node = self.setup.nodes[victim]
-        if self.driver.route(victim) != victim:
+        if self.route(victim) != victim:
             raise FleetOracleError(f"crash target node{victim} is not live")
         key = self.write_keys[victim][0]
         self.next_value += 1
@@ -344,14 +375,16 @@ class _Fleet:
             # converges; the health timeline derives per-node state from
             # this gauge.
             mp.gauge("ha.failover_inflight", 1.0, node=node.node_id)
-        op = FleetOp(self._next_index(), "update", _TABLE, key, victim, "k", value)
-        status, target, _ = self.driver.run_op(op)
-        self.injector.disarm()
-        if status != "crashed" or target != victim:
+        try:
+            self.run_op("update", key, victim, value)
+        except InjectedCrash:
+            pass
+        else:
             raise FleetOracleError(
-                f"armed crash at {point!r} did not kill node{victim} "
-                f"(op finished {status} on node{target})"
+                f"armed crash at {point!r} did not kill node{victim}"
             )
+        finally:
+            self.injector.disarm()
         self.run.crashed(self.sim.now)
         committed = node.engine.redo_log.durable_max_lsn > pre_durable
         if committed:
@@ -365,8 +398,8 @@ class _Fleet:
         if mp is not None:
             mp.gauge("ha.failover_inflight", 0.0, node=node.node_id)
         self.timeline.begin_phase(
-            f"recovered ({len(self.driver.live)} live)", "up", self.sim.now,
-            live=len(self.driver.live),
+            f"recovered ({len(self.live)} live)", "up", self.sim.now,
+            live=len(self.live),
         )
         self.probe_write(victim)
         self.verify()
@@ -389,7 +422,7 @@ class _Fleet:
         node = self.setup.nodes[victim]
         node.engine.crash()
         self.setup.hosts[victim].crash()
-        self.driver.mark_dead(victim)
+        self.mark_dead(victim)
         spans = PROBES.spans
         dead_actor = node.node_id
         self.timeline.begin_phase(
@@ -439,7 +472,7 @@ class _Fleet:
         # could skip their post-takeover records on the inherited pages.
         dead_next = node.engine.redo_log.next_lsn
         self.setup.base_lsn = max(self.setup.base_lsn, dead_next)
-        for index in sorted(self.driver.live):
+        for index in sorted(self.live):
             self.setup.nodes[index].engine.redo_log.align_lsn(dead_next)
         self.failovers += 1
         self.last_failover = {
@@ -459,11 +492,8 @@ class _Fleet:
         lock would deadlock right here)."""
         key = self.write_keys[victim][0]
         self.next_value += 1
-        op = FleetOp(
-            self._next_index(), "update", _TABLE, key, victim, "k", self.next_value
-        )
-        status, target, found = self.driver.run_op(op)
-        if status != "ok" or not found:
+        target, found = self.run_op("update", key, victim, self.next_value)
+        if not found:
             raise FleetOracleError(
                 f"post-failover write probe on key {key} failed on node{target}"
             )
@@ -472,12 +502,11 @@ class _Fleet:
 
     def verify(self) -> None:
         """Read back every key the oracle knows through a live node."""
-        reader_index = self.driver.route(0)
+        reader_index = self.route(0)
         for key in sorted(self.model):
-            op = FleetOp(self._next_index(), "select", _TABLE, key, reader_index)
-            status, _, row = self.driver.run_op(op)
+            _, row = self.run_op("select", key, reader_index)
             got = None if row is None else row["k"]
-            if status != "ok" or got != self.model[key]:
+            if got != self.model[key]:
                 raise FleetOracleError(
                     f"{self.scenario}: oracle mismatch on key {key}: "
                     f"read {got!r}, committed {self.model[key]!r}"
@@ -493,9 +522,8 @@ class _Fleet:
         always go through; a fresh key forces ``fusion.request_page``
         and, during an outage, burns the whole retry budget before
         surfacing the typed :class:`RpcExhaustedError`."""
-        op = FleetOp(self._next_index(), "select", _TABLE, key, executor)
         try:
-            status, _, row = self.driver.run_op(op)
+            _, row = self.run_op("select", key, executor)
         except RpcExhaustedError as exc:
             # An exhausted op unwinds like a crash: its spans never end.
             self.run.crashed(self.sim.now)
@@ -510,8 +538,6 @@ class _Fleet:
                 op=exc.op, key=key, attempts=exc.attempts,
             )
             return None
-        if status != "ok":
-            raise FleetOracleError("unplanned crash in degraded select")
         if probe:
             breaker.on_success()
         self.note_read(key, row)
@@ -519,7 +545,7 @@ class _Fleet:
         return row
 
     def degraded_update(
-        self, op: FleetOp, breaker: CircuitBreaker, backlog: list[FleetOp]
+        self, op: _ClientOp, breaker: CircuitBreaker, backlog: list[_ClientOp]
     ) -> bool:
         """A write under outage policy: shed to the backlog while the
         breaker is open, applied normally otherwise."""
@@ -527,11 +553,12 @@ class _Fleet:
             backlog.append(op)
             self.note("shed")
             return False
-        status, _, found = self.driver.run_op(op)
-        if status != "ok" or not found:
+        kind, key, via, value = op
+        _, found = self.run_op(kind, key, via, value)
+        if not found:
             raise FleetOracleError("degraded update failed while breaker closed")
-        assert op.value is not None
-        self.model[op.key] = op.value
+        assert value is not None
+        self.model[key] = value
         breaker.on_success()
         self.note("ok")
         return True
@@ -628,7 +655,8 @@ def run_rolling_crash(
     n_shards: int = 1,
 ) -> FleetResult:
     """Crash ``n_nodes - 1`` primaries one after another while the op
-    stream keeps flowing, driven entirely by a :class:`FaultSchedule`."""
+    stream keeps flowing: victim ``v`` dies right after op
+    ``(v + 1) * per_segment`` of the stream."""
     crash_points = ("node.update.logged", "mtr.write.applied", "sharing.flush.lines")
 
     def body(fleet: _Fleet) -> dict[str, Any]:
@@ -637,23 +665,16 @@ def run_rolling_crash(
         fleet.partition_writes(keys_per_node=keys_per_node)
         ops = fleet.mixed_ops(rounds_between * n_nodes)
         per_segment = len(ops) // n_nodes
-        schedule = FaultSchedule(
-            [
-                FaultEvent(
-                    at_op=ops[(victim + 1) * per_segment].index,
-                    action="crash",
-                    node=victim,
-                    point=crash_points[victim % len(crash_points)],
-                )
-                for victim in range(n_nodes - 1)
-            ]
-        )
         tl.begin_phase("healthy", "up", sim.now, live=n_nodes)
-        fleet.pump(ops, schedule=schedule)
-        if schedule.pending:
-            raise FleetOracleError("fault schedule did not drain")
+        done = 0
+        for victim in range(n_nodes - 1):
+            cut = (victim + 1) * per_segment + 1
+            fleet.pump(ops[done:cut])
+            fleet.crash_node(victim, crash_points[victim % len(crash_points)])
+            done = cut
+        fleet.pump(ops[done:])
         fleet.verify()
-        return {"live_nodes": len(fleet.driver.live), "ops_run": fleet.driver.ops_run}
+        return {"live_nodes": len(fleet.live), "ops_run": fleet.ops_run}
 
     result = _run_scenario(
         "rolling-crash", seed, n_nodes, rows, body, n_shards=n_shards
@@ -694,7 +715,7 @@ def run_join_leave(
         leaver = setup.nodes[1]
         tl.begin_phase("leave node1", "up", sim.now, node=leaver.node_id)
         dropped = setup.fusion.deregister_node(leaver.node_id)
-        fleet.driver.mark_dead(1)
+        fleet.mark_dead(1)
         tl.event("leave", sim.now, node=leaver.node_id, entries_dropped=dropped)
         fleet.pump(fleet.mixed_ops(1))
         fleet.verify()
@@ -710,13 +731,12 @@ def run_join_leave(
                 reuse_slab=leaver.engine.buffer_pool.flag_slab,
                 warm_join=True,
             )
-            joiner_index = fleet.driver.add_node(joiner)
+            joiner_index = fleet.add_node(joiner)
             sim.run_process(joiner.settler.settle())
         warm_keys = sorted(k for keys in fleet.write_keys.values() for k in keys)
         for key in warm_keys:
-            op = FleetOp(fleet._next_index(), "select", _TABLE, key, joiner_index)
-            status, target, row = fleet.driver.run_op(op)
-            if status != "ok" or target != joiner_index:
+            target, row = fleet.run_op("select", key, joiner_index)
+            if target != joiner_index:
                 raise FleetOracleError("joiner failed a warm read")
             fleet.note_read(key, row)
             fleet.note("ok")
@@ -847,12 +867,10 @@ def run_degraded_mode(seed: int = 19, rows: int = 260) -> FleetResult:
         if len(fleet.spare_keys) < 3:
             raise FleetOracleError("need 3 spare (never-registered) keys")
 
-        fleet.apply_event(
-            FaultEvent(at_op=0, action="outage", rpc="fusion.request_page")
-        )
-        fleet.apply_event(
-            FaultEvent(at_op=0, action="outage", rpc="fusion.on_write_release")
-        )
+        outage = ("fusion.request_page", "fusion.on_write_release")
+        for rpc in outage:
+            fleet.injector.outage_rpcs(rpc)
+            tl.event("outage_begin", sim.now, rpc=rpc)
         tl.begin_phase("outage: tripping breaker", "degraded", sim.now)
         # Two fresh-key reads burn their full retry budgets and trip the
         # breaker (failure_threshold=2). Exhaustion fires inside the
@@ -864,27 +882,21 @@ def run_degraded_mode(seed: int = 19, rows: int = 260) -> FleetResult:
         tl.event("breaker_open", sim.now, failures=breaker.failure_threshold)
 
         tl.begin_phase("degraded read-only", "degraded", sim.now)
-        backlog: list[FleetOp] = []
+        backlog: list[_ClientOp] = []
         owners = sorted(fleet.write_keys)
         for r in range(2):
             for owner in owners:
                 keys = fleet.write_keys[owner]
                 fleet.next_value += 1
-                op = FleetOp(
-                    fleet._next_index(), "update", _TABLE,
-                    keys[r % len(keys)], owner, "k", fleet.next_value,
-                )
+                op = ("update", keys[r % len(keys)], owner, fleet.next_value)
                 fleet.degraded_update(op, breaker, backlog)
             # Warm reads keep being served without a single fusion RPC.
             fleet.degraded_select(fleet.write_keys[0][0], 1, breaker)
             fleet.degraded_select(fleet.write_keys[1][0], 0, breaker)
 
-        fleet.apply_event(
-            FaultEvent(at_op=0, action="restore", rpc="fusion.request_page")
-        )
-        fleet.apply_event(
-            FaultEvent(at_op=0, action="restore", rpc="fusion.on_write_release")
-        )
+        for rpc in outage:
+            fleet.injector.restore_rpcs(rpc)
+            tl.event("outage_end", sim.now, rpc=rpc)
         tl.begin_phase("cooldown", "degraded", sim.now)
         fleet._advance_ns(breaker.cooldown_ns + 1e6)
 
@@ -897,12 +909,12 @@ def run_degraded_mode(seed: int = 19, rows: int = 260) -> FleetResult:
                 f"probe should close the breaker, state={breaker.state}"
             )
         tl.event("breaker_closed", sim.now, probes=breaker.probes)
-        for op in backlog:
-            status, _, found = fleet.driver.run_op(op)
-            if status != "ok" or not found:
-                raise FleetOracleError(f"backlog drain failed at op {op.index}")
-            assert op.value is not None
-            fleet.model[op.key] = op.value
+        for kind, key, via, value in backlog:
+            _, found = fleet.run_op(kind, key, via, value)
+            if not found:
+                raise FleetOracleError(f"backlog drain failed on key {key}")
+            assert value is not None
+            fleet.model[key] = value
             fleet.note("drained")
         tl.begin_phase("recovered", "up", sim.now, live=2)
         fleet.verify()
@@ -969,13 +981,7 @@ def run_sharded_failover(
                     leaf = fleet.key_leaf.get(key)
                     if leaf is None or setup.fusion.owner_index(leaf) == victim_shard:
                         continue
-                    op = FleetOp(fleet._next_index(), "select", _TABLE, key, owner)
-                    status, _, row = fleet.driver.run_op(op)
-                    if status != "ok":
-                        raise FleetOracleError(
-                            f"healthy shard failed to serve key {key} "
-                            "while another shard's failover was wedged"
-                        )
+                    _, row = fleet.run_op("select", key, owner)
                     fleet.note_read(key, row)
                     fleet.note("ok")
                     served["mid_failover_reads"] += 1

@@ -17,7 +17,7 @@ the installed pipeline and every instrumented site does
 
 so a disabled pipeline costs one slot load plus a ``None`` check.
 Scrapes are *pulled* by whoever advances simulated time (the charge
-settler, the fleet drivers) via :meth:`MetricsPipeline.maybe_scrape`;
+settler, the HA fleet) via :meth:`MetricsPipeline.maybe_scrape`;
 the pipeline never advances the clock and never emits trace events, so
 installing it cannot shift a byte-pinned availability timeline.
 

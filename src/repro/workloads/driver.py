@@ -22,7 +22,6 @@ from typing import Callable, Optional, Sequence
 
 from ..core.sharing import MultiPrimaryNode
 from ..db.engine import Engine
-from ..faults.injector import InjectedCrash
 from ..hardware.host import Host
 from ..hardware.memory import AccessMeter
 from ..obs.probes import PROBES
@@ -39,8 +38,6 @@ __all__ = [
     "RunResult",
     "PoolingDriver",
     "SharingDriver",
-    "FleetOp",
-    "FleetLoadDriver",
 ]
 
 
@@ -345,112 +342,6 @@ class SharingDriver(_ClosedLoopDriver):
         if root is not None:
             spans.end(root)
         return len(ops)
-
-
-@dataclass(frozen=True)
-class FleetOp:
-    """One client operation in a fleet scenario's deterministic stream.
-
-    ``node`` names the *preferred* executor (the partition owner for
-    updates); the driver re-routes to the next live node in ring order
-    when it is dead, which is exactly how partition ownership transfers
-    to a single successor at failover.
-    """
-
-    index: int
-    kind: str  # "select" | "update"
-    table: str
-    key: int
-    node: int
-    field: str = "k"
-    value: Optional[int] = None
-
-
-class FleetLoadDriver:
-    """Keep a deterministic op stream applied to a sharing fleet while
-    nodes crash, fail over, leave and join (:mod:`repro.ha.scenarios`).
-
-    Unlike :class:`SharingDriver` (fixed node set, throughput
-    measurement), this is an op *pump* with a routing table: ops run one
-    at a time through ``sim.run_process``, each addressed to a preferred
-    node and re-routed in ring order past dead ones. An
-    :class:`InjectedCrash` is caught and reported as
-    ``("crashed", node, None)`` so the scenario engine can choreograph
-    failover; RPC exhaustion propagates to the caller — degradation
-    policy (circuit breaker, load shedding) is the scenario's job, not
-    the router's.
-    """
-
-    def __init__(self, setup) -> None:
-        self.setup = setup
-        self.sim: Simulator = setup.sim
-        self.live: set[int] = set(range(len(setup.nodes)))
-        self.ops_run = 0
-        self.crashes_seen = 0
-        spans = PROBES.spans
-        if spans is not None:
-            spans.attach_clock(lambda: self.sim.now)
-        mp = PROBES.metrics
-        if mp is not None:
-            mp.anchor(self.sim.now)
-            mp.gauge("fleet.live_nodes", float(len(self.live)))
-
-    # -- membership ------------------------------------------------------------
-
-    def _gauge_live(self) -> None:
-        mp = PROBES.metrics
-        if mp is not None:
-            mp.gauge("fleet.live_nodes", float(len(self.live)))
-
-    def mark_dead(self, index: int) -> None:
-        self.live.discard(index)
-        self._gauge_live()
-
-    def add_node(self, node: MultiPrimaryNode) -> int:
-        """Register a node already appended to ``setup.nodes`` (a fleet
-        join) and return its routing index."""
-        index = self.setup.nodes.index(node)
-        self.live.add(index)
-        self._gauge_live()
-        return index
-
-    def route(self, preferred: int) -> int:
-        """The live node that serves ops preferring ``preferred``."""
-        n = len(self.setup.nodes)
-        for step in range(n):
-            candidate = (preferred + step) % n
-            if candidate in self.live:
-                return candidate
-        raise RuntimeError("fleet has no live nodes left to route to")
-
-    # -- execution -------------------------------------------------------------
-
-    def run_op(self, op: FleetOp) -> tuple[str, int, object]:
-        """Run one op to completion; ``(status, executor, result)``."""
-        target = self.route(op.node)
-        node = self.setup.nodes[target]
-        self.ops_run += 1
-        try:
-            if op.kind == "select":
-                row = self.sim.run_process(node.point_select(op.table, op.key))
-                outcome: tuple[str, int, object] = ("ok", target, row)
-            elif op.kind == "update":
-                found = self.sim.run_process(
-                    node.point_update(op.table, op.key, op.field, op.value)
-                )
-                outcome = ("ok", target, found)
-            else:
-                raise ValueError(f"unknown fleet op kind {op.kind!r}")
-        except InjectedCrash:
-            self.crashes_seen += 1
-            outcome = ("crashed", target, None)
-        mp = PROBES.metrics
-        if mp is not None:
-            mp.count(
-                "fleet.client_ops", 1.0, kind=op.kind, status=outcome[0]
-            )
-            mp.maybe_scrape(self.sim.now)
-        return outcome
 
 
 def _merge_counters(meters: Sequence[AccessMeter]) -> dict[str, float]:

@@ -52,7 +52,7 @@ def double_failure_result():
             "second_attempts": second["attempts"],
             "first_retired": first["pages_retired"],
             "second_retired": second["pages_retired"],
-            "live_nodes": len(fleet.driver.live),
+            "live_nodes": len(fleet.live),
         }
 
     return _run_scenario("double-failure", SEED, 3, 240, body)
@@ -84,13 +84,7 @@ def sharded_double_failure_result():
                     leaf = fleet.key_leaf.get(key)
                     if leaf is None or setup.fusion.owner_index(leaf) == victim_shard:
                         continue
-                    from repro.workloads.driver import FleetOp
-
-                    op = FleetOp(
-                        fleet._next_index(), "select", "sbtest_shared", key, owner
-                    )
-                    status, _, row = fleet.driver.run_op(op)
-                    assert status == "ok"
+                    _, row = fleet.run_op("select", key, owner)
                     fleet.note_read(key, row)
                     tl.count("ok")
                     served[0] += 1
@@ -115,7 +109,7 @@ def sharded_double_failure_result():
             "second_retired": second["pages_retired"],
             "mid_failover_reads": served[0],
             "victim_shard": victim_shard,
-            "live_nodes": len(fleet.driver.live),
+            "live_nodes": len(fleet.live),
         }
 
     return _run_scenario("sharded-double-failure", SEED, 4, 320, body, n_shards=2)
