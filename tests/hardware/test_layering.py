@@ -90,6 +90,17 @@ def test_model_layers_take_only_the_slot_and_crash_points_from_the_instruments()
     assert not upward, "model layers import upward:\n" + "\n".join(upward)
 
 
+def test_workloads_import_nothing_from_the_fault_injector():
+    """Drivers run ops; only the HA fleet, above the model, catches a
+    simulated crash to fail a node over."""
+    faults = [
+        f"workloads/{file}: from {module} import {name}"
+        for file, module, name in _upward_imports("workloads", runtime_only=False)
+        if module.split(".")[1] == "faults"
+    ]
+    assert not faults, "workloads/ imports repro.faults:\n" + "\n".join(faults)
+
+
 def test_the_probe_slot_imports_nothing_from_the_package_at_run_time():
     path = Path(repro.obs.probes.__file__)
     assert [m for m, _ in _imports(path, runtime_only=True) if m.startswith("repro")] == []
