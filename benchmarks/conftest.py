@@ -8,8 +8,9 @@ the authors' testbed; shapes are what the reproduction owes.
 ``python -m repro.bench`` asks this process for instruments through
 the environment (``REPRO_BENCH_SPANS`` / ``REPRO_BENCH_MEMSAN`` when
 ``spans`` / ``memsan`` is named, ``REPRO_BENCH_METRICS`` under
-``--metrics``); the autouse fixtures below install each one
-session-wide, so every selected benchmark runs under it.
+``--metrics``); the autouse fixture below installs them session-wide
+through one :class:`~repro.analysis.checked.CheckedRun`, so every
+selected benchmark runs under them.
 """
 
 from __future__ import annotations
@@ -34,76 +35,35 @@ def report():
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _bench_span_tracer():
-    """Install a SpanTracer for the whole run when ``spans`` is named."""
-    if os.environ.get("REPRO_BENCH_SPANS") != "1":
-        yield None
-        return
-    from repro.obs.probes import PROBES
-    from repro.obs.spans import SpanTracer
+def _bench_instruments():
+    """Install the requested instruments for the whole run.
 
-    if PROBES.spans is not None:  # the caller already installed one
-        yield PROBES.spans
-        return
-    with SpanTracer() as tracer:
-        yield tracer
-
-
-@pytest.fixture
-def span_tracer():
-    """The installed SpanTracer, or None when spans were not requested."""
-    from repro.obs.probes import PROBES
-
-    return PROBES.spans
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _bench_metrics():
-    """Install a MetricsPipeline when --metrics asked for one.
-
-    Drivers anchor the pipeline to their simulator at every run start
-    (a fresh measurement epoch per experiment), so one session-wide
-    pipeline can follow many back-to-back simulations. Per-point
-    harnesses that want a single-simulation timeline (``fig_scale``,
-    the HA scenarios) install their own fresh pipeline instead when
-    none is installed.
+    Drivers anchor a metrics pipeline to their simulator at every run
+    start (a fresh measurement epoch per experiment), so one
+    session-wide pipeline can follow many back-to-back simulations.
+    Per-point harnesses that want a single-simulation timeline
+    (``fig_scale``, the HA scenarios) install their own fresh pipeline
+    instead when none is installed. ``build_sharing_setup`` registers
+    every shared CXL region with an installed MemSan, so all selected
+    experiments run under race detection; any report fails the session
+    at teardown. An instrument the caller already installed is left to
+    the caller.
     """
-    if os.environ.get("REPRO_BENCH_METRICS") != "1":
-        yield None
-        return
-    from repro.obs.metrics import MetricsPipeline
-    from repro.obs.probes import PROBES
+    from repro.analysis.checked import CheckedRun
 
-    if PROBES.metrics is not None:  # the caller already installed one
-        yield PROBES.metrics
-        return
-    with MetricsPipeline() as pipeline:
-        yield pipeline
-        print(
-            f"[metrics] {pipeline.scrapes} scrape(s), "
-            f"{pipeline.samples_published} sample(s) across "
-            f"{len(pipeline.all_series())} series, "
-            f"{pipeline.total_dropped} dropped"
-        )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _bench_memsan():
-    """Install CXL-MemSan for the whole run when ``memsan`` is named.
-
-    ``build_sharing_setup`` registers every shared CXL region with the
-    installed detector, so all selected experiments run under race
-    detection; any report fails the session at teardown.
-    """
-    if os.environ.get("REPRO_BENCH_MEMSAN") != "1":
-        yield None
-        return
-    from repro.analysis.memsan import MemSan
-    from repro.obs.probes import PROBES
-
-    if PROBES.memsan is not None:  # the caller already installed one
-        yield PROBES.memsan
-        return
-    with MemSan() as ms:
-        yield ms
-        ms.check()
+    with CheckedRun(
+        spans=os.environ.get("REPRO_BENCH_SPANS") == "1",
+        metrics=os.environ.get("REPRO_BENCH_METRICS") == "1",
+        memsan=os.environ.get("REPRO_BENCH_MEMSAN") == "1",
+    ) as run:
+        yield run
+        pipeline = run.metrics
+        if pipeline is not None:
+            print(
+                f"[metrics] {pipeline.scrapes} scrape(s), "
+                f"{pipeline.samples_published} sample(s) across "
+                f"{len(pipeline.all_series())} series, "
+                f"{pipeline.total_dropped} dropped"
+            )
+        if run.memsan is not None:
+            run.memsan.check()

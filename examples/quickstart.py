@@ -11,8 +11,6 @@ from repro import PoolingDriver, SysbenchWorkload, build_pooling_setup
 
 
 def run_system(system: str, workload: SysbenchWorkload) -> None:
-    from repro.db.introspect import engine_report
-
     setup = build_pooling_setup(system, n_instances=1, workload=workload)
     driver = PoolingDriver(
         setup.sim,
@@ -24,14 +22,14 @@ def run_system(system: str, workload: SysbenchWorkload) -> None:
     )
     result = driver.run()
     cxl_gbps = result.pipe_bandwidth.get("cxl", 0.0) / 1e9
-    report = engine_report(setup.instances[0].engine, include_trees=False)
+    pool = setup.instances[0].engine.buffer_pool
     print(
         f"{system:>4s}-BP: {result.qps / 1e3:6.0f} K-QPS  "
         f"avg latency {result.avg_latency_ns / 1e3:5.1f} us  "
         f"CXL traffic {cxl_gbps:.2f} GB/s  "
-        f"({report['buffer_pool']['kind']}, "
-        f"{report['buffer_pool']['resident_count']} pages resident, "
-        f"hit ratio {report['buffer_pool']['hit_ratio']:.3f})"
+        f"({type(pool).__name__}, "
+        f"{pool.resident_count} pages resident, "
+        f"hit ratio {pool.hits / (pool.hits + pool.misses):.3f})"
     )
 
 

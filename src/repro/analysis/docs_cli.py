@@ -37,7 +37,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
-__all__ = ["Finding", "extract_invocations", "check_text", "check_files", "main"]
+__all__ = ["Finding", "extract_invocations", "check_text", "main"]
 
 
 @dataclass(frozen=True)
@@ -181,14 +181,6 @@ def check_text(path: str, text: str) -> list[Finding]:
             problem = _parse(module, tokens[3:])
         if problem is not None:
             findings.append(Finding(path, lineno, command, problem))
-    return findings
-
-
-def check_files(paths: list[str]) -> list[Finding]:
-    findings: list[Finding] = []
-    for path in paths:
-        with open(path, encoding="utf-8") as handle:
-            findings.extend(check_text(path, handle.read()))
     return findings
 
 

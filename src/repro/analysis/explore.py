@@ -140,6 +140,10 @@ class Decision:
     sleep: frozenset  # event ids asleep on entry
 
 
+# Steps one schedule may take before it is reported as a runaway.
+_MAX_STEPS = 500_000
+
+
 class ExplorerStrategy(SchedulerHook):
     """Drives one schedule: prescribed choices, then sleep-guided.
 
@@ -159,7 +163,6 @@ class ExplorerStrategy(SchedulerHook):
         self,
         prefix: Optional[list[int]] = None,
         sleep_adds: Optional[list[dict[int, Footprint]]] = None,
-        max_steps: int = 500_000,
     ) -> None:
         self.prefix: list[int] = list(prefix or [])
         self.sleep_adds: list[dict[int, Footprint]] = [
@@ -167,7 +170,6 @@ class ExplorerStrategy(SchedulerHook):
         ]
         while len(self.sleep_adds) < len(self.prefix):
             self.sleep_adds.append({})
-        self.max_steps = max_steps
         self.decisions: list[Decision] = []
         self.executed: list[tuple[int, Optional[str]]] = []
         self.footprints: dict[int, Footprint] = {}
@@ -230,8 +232,8 @@ class ExplorerStrategy(SchedulerHook):
     def step(self, sim: Simulator, event: Event) -> None:
         self._flush_step()
         self.steps += 1
-        if self.steps > self.max_steps:
-            raise ExploreError(f"run exceeded {self.max_steps} steps")
+        if self.steps > _MAX_STEPS:
+            raise ExploreError(f"run exceeded {_MAX_STEPS} steps")
         eid = self._ids.get(id(event))
         if eid is None:  # pragma: no cover - admit() precedes every step
             self._ids[id(event)] = eid = self._next_id

@@ -143,8 +143,6 @@ class TieredRdmaBufferPool(LocalBufferPool):
     ) -> None:
         super().__init__(mapped, page_store, local_capacity_pages)
         self.remote = remote
-        # What this pool adds to a set-up's memory footprint.
-        self.local_capacity_pages = local_capacity_pages
         self.meter = meter
         self.remote_fetches = 0
         self.storage_fetches = 0

@@ -189,7 +189,6 @@ class RdmaSharedBufferPool(FramePool):
         super().__init__(mapped, local_capacity_pages)
         self.node_id = node_id
         self.server = server
-        self.local_capacity_pages = local_capacity_pages
         self.meter = meter
         self._invalid: set[int] = set()
         self._registered: set[int] = set()

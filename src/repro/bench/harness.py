@@ -34,7 +34,7 @@ from ..core.shard_router import FusionShardRouter
 from ..core.hw_coherent import HwCoherentSharedPool
 from ..core.sharing import MultiPrimaryNode, SharedCxlBufferPool
 from ..core.block import pool_bytes_needed
-from ..db.bufferpool import LocalBufferPool
+from ..db.bufferpool import FramePool, LocalBufferPool
 from ..db.constants import PAGE_SIZE
 from ..db.engine import Engine
 from ..faults.injector import crash_point
@@ -156,7 +156,6 @@ def build_pooling_setup(
     workload: Workload,
     lbp_fraction: float = 0.3,
     seed: int = 7,
-    config: Optional[LatencyConfig] = None,
     cost: Optional[CostModel] = None,
     lru_move_period: int = 8,
 ) -> PoolingSetup:
@@ -168,7 +167,7 @@ def build_pooling_setup(
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
-    config = config or LatencyConfig()
+    config = LatencyConfig()
     cost = cost or CostModel(latency=config)
     sim = Simulator()
     cluster = Cluster(sim, config=config)
@@ -334,12 +333,15 @@ class SharingSetup:
     schema: list = field(default_factory=list)
 
     def total_memory_bytes(self) -> int:
-        """Memory footprint: DBP plus any per-node local buffers."""
+        """Memory footprint: DBP plus any per-node local buffers (the
+        frame pools of the RDMA baseline; the CXL pools keep no local
+        frames)."""
         dbp = len(self.page_store) * PAGE_SIZE
         local = 0
         for node in self.nodes:
             pool = node.engine.buffer_pool
-            local += getattr(pool, "local_capacity_pages", 0) * PAGE_SIZE
+            if isinstance(pool, FramePool):
+                local += pool.capacity_pages * PAGE_SIZE
         return dbp + local
 
 
@@ -349,8 +351,6 @@ def build_sharing_setup(
     workload: Workload,
     lbp_fraction: float = 0.3,
     seed: int = 7,
-    config: Optional[LatencyConfig] = None,
-    cost: Optional[CostModel] = None,
     lbp_min_pages: int = _LBP_MIN_PAGES,
     n_shards: int = 1,
 ) -> SharingSetup:
@@ -381,8 +381,8 @@ def build_sharing_setup(
             f"(got {system!r}: rdma has its own DBP server, cxl3 assumes "
             "one hardware-coherent fusion region)"
         )
-    config = config or LatencyConfig()
-    cost = cost or CostModel(latency=config)
+    config = LatencyConfig()
+    cost = CostModel(latency=config)
     sim = Simulator()
     # Port budget: 8 memory devices + loader (+ dbp-server for rdma) +
     # one link per node, with headroom for HA joins after the build.
@@ -706,7 +706,7 @@ def counter_snapshot(setup, tracer=None) -> dict[str, float]:
     return dict(sorted(snap.items()))
 
 
-def register_metric_sources(setup, pipeline=None) -> int:
+def register_metric_sources(setup) -> int:
     """Wire a setup's cumulative mechanism counters into the metrics
     pipeline as windowed-rate counter sources.
 
@@ -716,8 +716,7 @@ def register_metric_sources(setup, pipeline=None) -> int:
     sharer-directory churn). No-op (returns 0) when no pipeline is
     installed; returns the number of sources registered otherwise.
     """
-    if pipeline is None:
-        pipeline = PROBES.metrics
+    pipeline = PROBES.metrics
     if pipeline is None:
         return 0
     registered = 0

@@ -59,8 +59,10 @@ def _mapped(kind: str, remote: bool, meter: AccessMeter) -> MappedMemory:
     return MappedMemory(region, timing, meter, cache, counter_key=kind)
 
 
-def measure_load_latency(kind: str, remote: bool, accesses: int = 512) -> float:
-    """Average ns per dependent 8-byte load (MLC-style), via the model."""
+def measure_load_latency(kind: str, remote: bool) -> float:
+    """Average ns per dependent 8-byte load (MLC-style), via the model:
+    the mean over 512 loads."""
+    accesses = 512
     meter = AccessMeter()
     mapped = _mapped(kind, remote, meter)
     offset = 64

@@ -35,6 +35,9 @@ RECOVERY_SCHEMES = {
     "vanilla": "dram",
 }
 
+# Width of one timeline bucket: 5 ms of simulated time.
+_BUCKET_NS = 5_000_000
+
 
 @dataclass
 class RecoveryTimeline:
@@ -61,7 +64,6 @@ def run_recovery_experiment(
     workers: int = 8,
     phase1_txns: int = 3,
     phase2_txns: int = 24,
-    bucket_ms: int = 5,
     seed: int = 7,
 ) -> RecoveryTimeline:
     """Run one scheme × workload crash-recovery timeline.
@@ -73,7 +75,7 @@ def run_recovery_experiment(
     """
     with PROBES.suspended("metrics"):
         return _run_recovery_experiment(
-            scheme, mix, rows, workers, phase1_txns, phase2_txns, bucket_ms, seed
+            scheme, mix, rows, workers, phase1_txns, phase2_txns, seed
         )
 
 
@@ -84,7 +86,6 @@ def _run_recovery_experiment(
     workers: int,
     phase1_txns: int,
     phase2_txns: int,
-    bucket_ms: int,
     seed: int,
 ) -> RecoveryTimeline:
     if scheme not in RECOVERY_SCHEMES:
@@ -94,7 +95,7 @@ def _run_recovery_experiment(
     setup = build_pooling_setup(system, 1, workload, seed=seed)
     sim = setup.sim
     ictx = setup.instances[0]
-    timeline = TimeSeries(bucket_ms * 1_000_000)
+    timeline = TimeSeries(_BUCKET_NS)
 
     # Act 1: steady state.
     driver1 = PoolingDriver(
@@ -131,7 +132,7 @@ def _run_recovery_experiment(
         pool, detail = PolarRecv(mem, store, redo, n_blocks).recover()
     elif scheme == "rdma":
         remote = setup.remotes[0]
-        lbp_pages = engine.buffer_pool.local_capacity_pages
+        lbp_pages = engine.buffer_pool.capacity_pages
         region = host.alloc_dram("recovered.lbp", lbp_pages * PAGE_SIZE)
         pool = TieredRdmaBufferPool(
             host.map_dram(region, meter, line_cache),

@@ -17,10 +17,12 @@ __all__ = [
     "format_span_breakdown",
     "format_metrics_dashboard",
     "dump_counters_json",
-    "dump_metrics_json",
     "improvement_pct",
     "banner",
 ]
+
+# Rows of a metrics dashboard; the rest are counted, not drawn.
+_DASHBOARD_SERIES = 40
 
 
 def banner(title: str) -> str:
@@ -46,9 +48,7 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_series(
-    name: str, series: Sequence[tuple[float, float]], y_unit: str = "K-QPS"
-) -> str:
+def format_series(name: str, series: Sequence[tuple[float, float]]) -> str:
     """A compact sparkline-ish rendering of a time series."""
     if not series:
         return f"{name}: (empty)"
@@ -59,7 +59,7 @@ def format_series(
         for _, value in series
     )
     return (
-        f"{name}: [{chars}] peak={peak / 1e3:.0f}{y_unit} "
+        f"{name}: [{chars}] peak={peak / 1e3:.0f}K-QPS "
         f"span={series[0][0]:.2f}s..{series[-1][0]:.2f}s"
     )
 
@@ -121,13 +121,11 @@ def format_span_breakdown(breakdown, title: str = "span latency breakdown") -> s
     return banner(title) + "\n" + table + "\n" + footer
 
 
-def format_metrics_dashboard(
-    pipeline, title: str = "metrics dashboard", max_series: int = 40
-) -> str:
+def format_metrics_dashboard(pipeline, title: str = "metrics dashboard") -> str:
     """Render a scraped :class:`~repro.obs.metrics.MetricsPipeline` as
     per-series ASCII sparklines.
 
-    One row per series (sorted by id, capped at ``max_series``):
+    One row per series (sorted by id, capped at ``_DASHBOARD_SERIES``):
     sparkline over the sampled window, last value, peak, and sample
     count. The header states the scrape interval and totals, so a
     dashboard is self-describing about its own resolution.
@@ -144,8 +142,9 @@ def format_metrics_dashboard(
             f"dropped={pipeline.total_dropped}"
         ),
     ]
-    width = max((len(series.id) for series in all_series[:max_series]), default=0)
-    for series in all_series[:max_series]:
+    shown = all_series[:_DASHBOARD_SERIES]
+    width = max((len(series.id) for series in shown), default=0)
+    for series in shown:
         values = series.values()
         peak = max((abs(v) for v in values), default=0.0)
         chars = "".join(
@@ -157,20 +156,9 @@ def format_metrics_dashboard(
             f"{series.id.ljust(width)} [{chars}] "
             f"last={_count_cell(last)} peak={_count_cell(peak)} n={len(values)}"
         )
-    if len(all_series) > max_series:
-        lines.append(f"... {len(all_series) - max_series} more series elided")
+    if len(all_series) > len(shown):
+        lines.append(f"... {len(all_series) - len(shown)} more series elided")
     return "\n".join(lines)
-
-
-def dump_metrics_json(path, pipeline) -> None:
-    """Write the pipeline's canonical JSON timeline to ``path``.
-
-    Delegates to :meth:`~repro.obs.metrics.MetricsPipeline.to_json`
-    (sorted keys, fixed indent, trailing newline) so serial and
-    ``--jobs`` runs of the same simulation diff byte-identical.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(pipeline.to_json())
 
 
 def _ns_cell(ns: float) -> str:

@@ -101,7 +101,7 @@ def node_keys(node_index: int, n_nodes: int, rows: int) -> range:
     return range(low, high)
 
 
-def make_scale_txn_fn(n_nodes: int, rows: int = _ROWS):
+def make_scale_txn_fn(n_nodes: int):
     """Build the fig_scale transaction function for one cluster.
 
     The first transaction each node runs (its warmup) is the global
@@ -119,10 +119,10 @@ def make_scale_txn_fn(n_nodes: int, rows: int = _ROWS):
             scanned.add(node_index)
             return [
                 Op("select", "sbtest_shared", key)
-                for key in range(1, rows + 1, _SCAN_STRIDE)
+                for key in range(1, _ROWS + 1, _SCAN_STRIDE)
             ]
-        mine = node_keys(node_index, n_nodes, rows)
-        theirs = node_keys(peer_of(node_index, n_nodes), n_nodes, rows)
+        mine = node_keys(node_index, n_nodes, _ROWS)
+        theirs = node_keys(peer_of(node_index, n_nodes), n_nodes, _ROWS)
         ops = [
             Op(
                 "update",
@@ -142,14 +142,7 @@ def make_scale_txn_fn(n_nodes: int, rows: int = _ROWS):
     return txn
 
 
-def run_scale_point(
-    system: str,
-    n_nodes: int,
-    seed: int = 7,
-    rows: int = _ROWS,
-    workers_per_node: int = 2,
-    measure_txns: int = 2,
-) -> dict:
+def run_scale_point(system: str, n_nodes: int, seed: int = 7) -> dict:
     """Run one (system, fleet-size) point under the full monitoring stack.
 
     Returns a flat dict of the point's coordinates, throughput, and the
@@ -159,7 +152,7 @@ def run_scale_point(
     """
     n_shards = shards_for(n_nodes) if system == "cxl" else 1
     with CheckedRun(trace=True, spans=True, metrics=True, memsan=True) as run:
-        workload = SysbenchWorkload(rows=rows, n_nodes=n_nodes)
+        workload = SysbenchWorkload(rows=_ROWS, n_nodes=n_nodes)
         setup = build_sharing_setup(
             system, n_nodes, workload, seed=seed, n_shards=n_shards
         )
@@ -169,12 +162,12 @@ def run_scale_point(
             setup.sim,
             setup.nodes,
             setup.hosts,
-            make_scale_txn_fn(n_nodes, rows),
+            make_scale_txn_fn(n_nodes),
             shared_pct=100.0,
             rng=WorkloadRng(seed=seed),
-            workers_per_node=workers_per_node,
+            workers_per_node=2,
             warmup_txns=1,
-            measure_txns=measure_txns,
+            measure_txns=2,
         )
         result = driver.run()
         counters = counter_snapshot(setup)
@@ -205,13 +198,7 @@ def run_scale_point(
     }
 
 
-def run_scale_curve(
-    systems=SCALE_SYSTEMS,
-    nodes=SCALE_NODES,
-    seed: int = 7,
-    rows: int = _ROWS,
-    jobs: int = 1,
-) -> list[dict]:
+def run_scale_curve(nodes=SCALE_NODES, seed: int = 7, jobs: int = 1) -> list[dict]:
     """Run the whole curve; returns one dict per (system, n_nodes) point.
 
     ``jobs > 1`` (``0`` = one per core, capped at the point count)
@@ -223,15 +210,15 @@ def run_scale_curve(
     units = [
         WorkUnit(
             "repro.bench.scale:run_scale_point",
-            (system, n_nodes, seed, rows),
+            (system, n_nodes, seed),
             label=f"{system}/{n_nodes}",
             repro=(
                 "PYTHONPATH=src python -c \"from repro.bench.scale import "
                 f"run_scale_point; print(run_scale_point('{system}', "
-                f"{n_nodes}, seed={seed}, rows={rows}))\""
+                f"{n_nodes}, seed={seed}))\""
             ),
         )
-        for system in systems
+        for system in SCALE_SYSTEMS
         for n_nodes in nodes
     ]
     results = run_units(units, jobs=jobs)

@@ -18,7 +18,6 @@ from .constants import (
     leaf_capacity,
 )
 from .engine import Engine, EngineCrashedError
-from .introspect import engine_report
 from .mtr import MiniTransaction, MtrStateError
 from .page import PageAccessor, PageView, format_empty_page
 from .record import Field, RecordCodec
@@ -43,7 +42,6 @@ __all__ = [
     "leaf_capacity",
     "Engine",
     "EngineCrashedError",
-    "engine_report",
     "MiniTransaction",
     "MtrStateError",
     "PageAccessor",

@@ -251,7 +251,6 @@ class _Scenario:
     redo: RedoLog
     manager: CxlMemoryManager
     extent: object
-    n_blocks: int
     # The stateful components as built, by name: what a world image of
     # the scenario snapshots and restores.
     parts: dict[str, object]
@@ -282,7 +281,7 @@ def _row(key: int) -> dict:
     return {"id": key, "k": key % 97, "payload": bytes([key % 251]) * 1500}
 
 
-def _build_scenario(n_blocks: int = _N_BLOCKS) -> _Scenario:
+def _build_scenario() -> _Scenario:
     sim = Simulator()
     cluster = Cluster(sim)
     host = cluster.add_host("h0")
@@ -291,13 +290,13 @@ def _build_scenario(n_blocks: int = _N_BLOCKS) -> _Scenario:
     redo = RedoLog(meter)
     assert cluster.fabric is not None
     manager = CxlMemoryManager(
-        cluster.fabric, pool_bytes_needed(n_blocks) + (4 << 21)
+        cluster.fabric, pool_bytes_needed(_N_BLOCKS) + (4 << 21)
     )
-    extent = manager.allocate("sweep", pool_bytes_needed(n_blocks), meter)
+    extent = manager.allocate("sweep", pool_bytes_needed(_N_BLOCKS), meter)
     line_cache = LineCacheModel()
     mapped = host.map_cxl(manager.region, meter, line_cache)
     mem = WindowedMemory(mapped, extent.offset, extent.size)
-    pool = CxlBufferPool(mem, store, n_blocks, lru_move_period=1)
+    pool = CxlBufferPool(mem, store, _N_BLOCKS, lru_move_period=1)
     engine = Engine("sweep", pool, store, redo, meter)
     engine.initialize()
     parts = {
@@ -312,7 +311,7 @@ def _build_scenario(n_blocks: int = _N_BLOCKS) -> _Scenario:
         "engine": engine,
     }
     return _Scenario(
-        sim, cluster, host, engine, store, redo, manager, extent, n_blocks, parts
+        sim, cluster, host, engine, store, redo, manager, extent, parts
     )
 
 
@@ -447,9 +446,7 @@ def _recover(scenario: _Scenario) -> Engine:
         scenario.manager.region, meter, LineCacheModel()
     )
     mem = WindowedMemory(mapped, scenario.extent.offset, scenario.extent.size)
-    pool, _stats = PolarRecv(
-        mem, scenario.store, scenario.redo, scenario.n_blocks
-    ).recover()
+    pool, _stats = PolarRecv(mem, scenario.store, scenario.redo, _N_BLOCKS).recover()
     engine = Engine("recovered", pool, scenario.store, scenario.redo, meter)
     engine.adopt_schema([("t", SWEEP_CODEC)])
     return engine

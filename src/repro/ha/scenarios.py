@@ -248,11 +248,11 @@ class _Fleet:
 
     # -- op stream -------------------------------------------------------------
 
-    def partition_writes(self, keys_per_node: int = 3, probe_step: int = 5) -> None:
+    def partition_writes(self, keys_per_node: int = 3) -> None:
         """Give each node a leaf-disjoint write partition.
 
-        Keys are probed for their leaf through node0's btree and whole
-        leaves are dealt round-robin, so no two nodes ever write the
+        Every fifth key is probed for its leaf through node0's btree and
+        whole leaves are dealt round-robin, so no two nodes ever write the
         same page — the single-writer-per-page ownership the failover
         rebuild (storage + dead node's log) relies on. Keys on leaves
         nobody ended up writing become ``spare_keys``: fresh coordinates
@@ -263,7 +263,7 @@ class _Fleet:
         by_leaf: dict[int, list[int]] = {}
         leaf_order: list[int] = []
         with PROBES.scoped_actor(node0.node_id):
-            for key in range(1, self.rows + 1, probe_step):
+            for key in range(1, self.rows + 1, 5):
                 leaf = node0._leaf_of(_TABLE, key)
                 self.key_leaf[key] = leaf
                 if leaf not in by_leaf:
@@ -646,24 +646,18 @@ def _run_scenario(
 # ---------------------------------------------------------------------------
 
 
-def run_rolling_crash(
-    seed: int = 11,
-    n_nodes: int = 3,
-    rows: int = 240,
-    rounds_between: int = 2,
-    keys_per_node: int = 3,
-    n_shards: int = 1,
-) -> FleetResult:
-    """Crash ``n_nodes - 1`` primaries one after another while the op
+def run_rolling_crash(seed: int = 11) -> FleetResult:
+    """Crash two of three primaries one after another while the op
     stream keeps flowing: victim ``v`` dies right after op
     ``(v + 1) * per_segment`` of the stream."""
+    n_nodes = 3
     crash_points = ("node.update.logged", "mtr.write.applied", "sharing.flush.lines")
 
     def body(fleet: _Fleet) -> dict[str, Any]:
         tl, sim = fleet.timeline, fleet.sim
         tl.begin_phase("warmup", "up", sim.now, live=n_nodes)
-        fleet.partition_writes(keys_per_node=keys_per_node)
-        ops = fleet.mixed_ops(rounds_between * n_nodes)
+        fleet.partition_writes()
+        ops = fleet.mixed_ops(2 * n_nodes)
         per_segment = len(ops) // n_nodes
         tl.begin_phase("healthy", "up", sim.now, live=n_nodes)
         done = 0
@@ -676,9 +670,7 @@ def run_rolling_crash(
         fleet.verify()
         return {"live_nodes": len(fleet.live), "ops_run": fleet.ops_run}
 
-    result = _run_scenario(
-        "rolling-crash", seed, n_nodes, rows, body, n_shards=n_shards
-    )
+    result = _run_scenario("rolling-crash", seed, n_nodes, 240, body)
     if result.failovers != n_nodes - 1:
         raise FleetOracleError(
             f"expected {n_nodes - 1} failovers, saw {result.failovers}"
@@ -691,12 +683,7 @@ def run_rolling_crash(
 # ---------------------------------------------------------------------------
 
 
-def run_join_leave(
-    seed: int = 13,
-    rows: int = 200,
-    with_baselines: bool = True,
-    baseline_rows: int = 2400,
-) -> FleetResult:
+def run_join_leave(seed: int = 13, with_baselines: bool = True) -> FleetResult:
     """A primary leaves gracefully; a fresh primary joins and inherits
     the warm CXL buffer pool (PolarRecv-style warm attach: zero storage
     reads). With ``with_baselines`` the attach time is compared against
@@ -706,7 +693,7 @@ def run_join_leave(
     def body(fleet: _Fleet) -> dict[str, Any]:
         tl, sim, setup = fleet.timeline, fleet.sim, fleet.setup
         tl.begin_phase("warmup", "up", sim.now, live=2)
-        fleet.partition_writes(keys_per_node=3)
+        fleet.partition_writes()
         tl.begin_phase("healthy", "up", sim.now, live=2)
         fleet.pump(fleet.mixed_ops(2))
 
@@ -765,7 +752,7 @@ def run_join_leave(
             for scheme in ("polarrecv", "rdma", "vanilla"):
                 timeline = run_recovery_experiment(
                     scheme,
-                    rows=baseline_rows,
+                    rows=2400,
                     workers=4,
                     phase1_txns=2,
                     phase2_txns=6,
@@ -797,7 +784,7 @@ def run_join_leave(
             )
         return detail
 
-    return _run_scenario("join-leave", seed, 2, rows, body)
+    return _run_scenario("join-leave", seed, 2, 200, body)
 
 
 # ---------------------------------------------------------------------------
@@ -807,14 +794,11 @@ def run_join_leave(
 
 def run_failover_storm(
     seed: int = 17,
-    rows: int = 200,
     storm_points: tuple[str, ...] = (
         "fusion.failover.rebuilt",
         "pagestore.write_page",
         "fusion.failover.released",
     ),
-    n_nodes: int = 2,
-    n_shards: int = 1,
 ) -> FleetResult:
     """Crash-during-failover, repeatedly: the writer dies mid-flush with
     its release RPC unsent, then each failover attempt dies at the next
@@ -825,18 +809,16 @@ def run_failover_storm(
 
     def body(fleet: _Fleet) -> dict[str, Any]:
         tl, sim = fleet.timeline, fleet.sim
-        tl.begin_phase("warmup", "up", sim.now, live=n_nodes)
-        fleet.partition_writes(keys_per_node=3)
-        tl.begin_phase("healthy", "up", sim.now, live=n_nodes)
+        tl.begin_phase("warmup", "up", sim.now, live=2)
+        fleet.partition_writes()
+        tl.begin_phase("healthy", "up", sim.now, live=2)
         fleet.pump(fleet.mixed_ops(2))
         fleet.crash_node(0, "sharing.flush.lines", storm=storm_points)
         fleet.pump(fleet.mixed_ops(1))
         fleet.verify()
         return dict(fleet.last_failover)
 
-    result = _run_scenario(
-        "failover-storm", seed, n_nodes, rows, body, n_shards=n_shards
-    )
+    result = _run_scenario("failover-storm", seed, 2, 200, body)
     expected_attempts = len(storm_points) + 1
     if result.detail.get("attempts") != expected_attempts:
         raise FleetOracleError(
@@ -851,7 +833,7 @@ def run_failover_storm(
 # ---------------------------------------------------------------------------
 
 
-def run_degraded_mode(seed: int = 19, rows: int = 260) -> FleetResult:
+def run_degraded_mode(seed: int = 19) -> FleetResult:
     """A fusion RPC outage trips the circuit breaker after two exhausted
     retry budgets; the fleet degrades to read-only (warm reads served,
     writes shed to a backlog), then recovers: cooldown, half-open probe,
@@ -861,7 +843,7 @@ def run_degraded_mode(seed: int = 19, rows: int = 260) -> FleetResult:
         tl, sim = fleet.timeline, fleet.sim
         breaker = CircuitBreaker(name="fusion")
         tl.begin_phase("warmup", "up", sim.now, live=2)
-        fleet.partition_writes(keys_per_node=3)
+        fleet.partition_writes()
         tl.begin_phase("healthy", "up", sim.now, live=2)
         fleet.pump(fleet.mixed_ops(2))
         if len(fleet.spare_keys) < 3:
@@ -924,7 +906,7 @@ def run_degraded_mode(seed: int = 19, rows: int = 260) -> FleetResult:
             "shed": len(backlog),
         }
 
-    result = _run_scenario("degraded-mode", seed, 2, rows, body)
+    result = _run_scenario("degraded-mode", seed, 2, 260, body)
     if result.timeline.degraded_ns <= 0:
         raise FleetOracleError("degraded phases recorded no time")
     if result.timeline.downtime_ns != 0:
@@ -940,24 +922,21 @@ def run_degraded_mode(seed: int = 19, rows: int = 260) -> FleetResult:
 # ---------------------------------------------------------------------------
 
 
-def run_sharded_failover(
-    seed: int = 23,
-    n_nodes: int = 4,
-    rows: int = 320,
-    n_shards: int = 2,
-) -> FleetResult:
-    """Crash a primary on a sharded fusion tier, then crash the failover
-    coordinator mid-rebuild — inside the victim page's *owning shard* —
-    and prove the fleet keeps serving reads on pages owned by the other
-    shard(s) while that one shard's recovery is wedged. The retry
+def run_sharded_failover(seed: int = 23) -> FleetResult:
+    """Crash one of four primaries on a two-shard fusion tier, then
+    crash the failover coordinator mid-rebuild — inside the victim
+    page's *owning shard* — and prove the fleet keeps serving reads on
+    pages owned by the other shard while that one shard's recovery is
+    wedged. The retry
     converges, and log retirement runs shard by shard (each shard
     hardens only the pages it owns; the union equals a full
     retirement)."""
+    n_nodes, n_shards = 4, 2
 
     def body(fleet: _Fleet) -> dict[str, Any]:
         tl, sim, setup = fleet.timeline, fleet.sim, fleet.setup
         tl.begin_phase("warmup", "up", sim.now, live=n_nodes)
-        fleet.partition_writes(keys_per_node=3)
+        fleet.partition_writes()
         tl.begin_phase("healthy", "up", sim.now, live=n_nodes)
         fleet.pump(fleet.mixed_ops(2))
 
@@ -1011,7 +990,7 @@ def run_sharded_failover(
         return detail
 
     result = _run_scenario(
-        "sharded-failover", seed, n_nodes, rows, body, n_shards=n_shards
+        "sharded-failover", seed, n_nodes, 320, body, n_shards=n_shards
     )
     if result.detail.get("attempts") != 2:
         raise FleetOracleError(

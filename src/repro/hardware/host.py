@@ -75,13 +75,11 @@ class Host:
         config: Optional[LatencyConfig] = None,
         fabric: Optional[CxlFabric] = None,
         with_rdma: bool = True,
-        vcpus: int = 192,
     ) -> None:
         self.sim = sim
         self.name = name
         self.config = config or LatencyConfig()
         self.fabric = fabric
-        self.vcpus = vcpus
         self.nic: Optional[RdmaNic] = (
             RdmaNic(sim, f"{name}.nic", self.config) if with_rdma else None
         )
@@ -124,12 +122,11 @@ class Host:
         region: MemoryRegion,
         meter: AccessMeter,
         line_cache: LineCacheModel,
-        remote_numa: bool = False,
     ) -> MappedMemory:
         self.register_cache(line_cache)
         return MappedMemory(
             region,
-            dram_timing(self.config, remote_numa),
+            dram_timing(self.config),
             meter,
             line_cache,
             counter_key="dram",
@@ -140,13 +137,11 @@ class Host:
         region: MemoryRegion,
         meter: AccessMeter,
         line_cache: LineCacheModel,
-        remote_numa: bool = False,
-        through_switch: bool = True,
     ) -> MappedMemory:
         self.register_cache(line_cache)
         return MappedMemory(
             region,
-            cxl_timing(self.config, remote_numa, through_switch),
+            cxl_timing(self.config),
             meter,
             line_cache,
             counter_key="cxl",
@@ -247,7 +242,6 @@ class Cluster:
         self,
         name: str,
         with_rdma: bool = True,
-        vcpus: int = 192,
         fabric: Optional[CxlFabric] = None,
     ) -> Host:
         """Add a host, attached to ``fabric`` (default: the first pool)."""
@@ -259,7 +253,6 @@ class Cluster:
             config=self.config,
             fabric=fabric or self.fabric,
             with_rdma=with_rdma,
-            vcpus=vcpus,
         )
         self.hosts[name] = host
         return host

@@ -14,13 +14,13 @@ to. This package makes both first-class:
 * :mod:`repro.obs.trace` — a :class:`Tracer` of structured events in
   bounded per-subsystem ring buffers.
 * :mod:`repro.obs.counters` — a :class:`CounterRegistry` of named
-  counters and histograms, owned by the tracer.
+  counters, owned by the tracer.
 * :mod:`repro.obs.spans` — a :class:`SpanTracer` of begin/end spans in
   simulated time with parent→child causality and mechanism kinds.
 * :mod:`repro.obs.critical_path` — per-transaction self-time vs
   child-time decomposition of span trees into mechanism buckets.
-* :mod:`repro.obs.export` — Chrome-trace JSON (Perfetto) and CSV
-  summaries of recorded spans.
+* :mod:`repro.obs.export` — Chrome-trace JSON (Perfetto) of recorded
+  spans.
 * :mod:`repro.obs.invariants` — checkers replaying a trace (protocol
   safety) or a span list (balance/nesting, crash abandonment).
 * :mod:`repro.obs.metrics` — a :class:`MetricsPipeline` of labeled
@@ -31,9 +31,9 @@ to. This package makes both first-class:
   scraped series.
 """
 
-from .counters import CounterRegistry, Histogram
+from .counters import CounterRegistry
 from .critical_path import MechanismBreakdown, UNATTRIBUTED, summarize
-from .export import to_chrome_trace, write_chrome_trace, write_csv_summary
+from .export import to_chrome_trace, write_chrome_trace
 from .invariants import (
     InvariantViolationError,
     SpanCheckStats,
@@ -41,7 +41,6 @@ from .invariants import (
     Violation,
     assert_span_invariants,
     assert_trace_invariants,
-    check_events,
     check_span_invariants,
 )
 from .metrics import (
@@ -67,7 +66,6 @@ __all__ = [
     "CounterRegistry",
     "HealthInterval",
     "HealthTimeline",
-    "Histogram",
     "InvariantViolationError",
     "MECHANISM_KINDS",
     "MechanismBreakdown",
@@ -88,11 +86,9 @@ __all__ = [
     "assert_span_invariants",
     "assert_trace_invariants",
     "check_alignment",
-    "check_events",
     "check_span_invariants",
     "series_id",
     "summarize",
     "to_chrome_trace",
     "write_chrome_trace",
-    "write_csv_summary",
 ]

@@ -148,12 +148,10 @@ def decompose(
     return buckets
 
 
-def summarize(
-    source: Union[SpanTracer, Iterable[Span]], root_kind: str = "txn"
-) -> MechanismBreakdown:
+def summarize(source: Union[SpanTracer, Iterable[Span]]) -> MechanismBreakdown:
     """Decompose every closed root span and aggregate the buckets.
 
-    Roots are parentless closed spans of ``root_kind``. Abandoned
+    Roots are parentless closed ``txn`` spans. Abandoned
     subtrees (crashes) are excluded — a transaction that never
     committed has no commit latency to attribute.
     """
@@ -163,7 +161,7 @@ def summarize(
     for span in spans:
         if (
             span.parent_id is None
-            and span.kind == root_kind
+            and span.kind == "txn"
             and span.status == "closed"
         ):
             breakdown._absorb(span.ns, decompose(span, children))

@@ -1,4 +1,4 @@
-"""Span export: Chrome-trace JSON (loadable in Perfetto) + CSV summary.
+"""Span export: Chrome-trace JSON (loadable in Perfetto).
 
 The Chrome trace event format is the least-common-denominator input
 Perfetto, ``chrome://tracing`` and ``speedscope`` all accept: a JSON
@@ -26,13 +26,11 @@ import json
 import os
 from typing import Iterable, Union
 
-from .critical_path import MechanismBreakdown
 from .spans import Span, SpanTracer
 
 __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
-    "write_csv_summary",
 ]
 
 
@@ -102,23 +100,4 @@ def write_chrome_trace(
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
-        handle.write("\n")
-
-
-def write_csv_summary(
-    path: Union[str, "os.PathLike[str]"], breakdown: MechanismBreakdown
-) -> None:
-    """Per-mechanism bucket totals and per-txn percentiles as CSV."""
-    lines = ["mechanism,total_ns,share,p50_ns,p95_ns,p99_ns"]
-    for kind in breakdown.kinds():
-        recorder = breakdown.per_txn.get(kind)
-        p50 = recorder.percentile_ns(50.0) if recorder is not None else 0.0
-        p95 = recorder.p95_ns if recorder is not None else 0.0
-        p99 = recorder.p99_ns if recorder is not None else 0.0
-        lines.append(
-            f"{kind},{breakdown.buckets[kind]:.1f},"
-            f"{breakdown.fraction(kind):.4f},{p50:.1f},{p95:.1f},{p99:.1f}"
-        )
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines))
         handle.write("\n")

@@ -60,7 +60,6 @@ __all__ = [
     "Violation",
     "InvariantViolationError",
     "TraceInvariantChecker",
-    "check_events",
     "assert_trace_invariants",
     "SpanCheckStats",
     "check_span_invariants",
@@ -236,11 +235,6 @@ _HANDLERS = {
     "lock.write_release": TraceInvariantChecker._on_write_release,
     "wal.append": TraceInvariantChecker._on_wal_append,
 }
-
-
-def check_events(events: Iterable[TraceEvent]) -> list[Violation]:
-    """Replay ``events``; returns the violations found (possibly empty)."""
-    return TraceInvariantChecker().check(events)
 
 
 def assert_trace_invariants(

@@ -346,10 +346,8 @@ class HealthTimeline:
         self.intervals = intervals
 
     @classmethod
-    def derive(
-        cls, pipeline: MetricsPipeline, objective: Optional[SLObjective] = None
-    ) -> "HealthTimeline":
-        obj = objective if objective is not None else SLObjective()
+    def derive(cls, pipeline: MetricsPipeline) -> "HealthTimeline":
+        obj = SLObjective()
         wedge: dict[LabelItems, Series] = {}
         breaker: dict[LabelItems, Series] = {}
         bad_rates: list[Series] = []

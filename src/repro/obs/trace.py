@@ -111,9 +111,6 @@ class Tracer:
         counts = self.counters.counts
         counts[name] = counts.get(name, 0.0) + amount
 
-    def observe(self, name: str, value: float) -> None:
-        self.counters.observe(name, value)
-
     def attach_clock(self, clock: Callable[[], float]) -> None:
         """Stamp future events with this clock (e.g. ``lambda: sim.now``)."""
         self.clock = clock

@@ -134,10 +134,7 @@ def _run_one(item: "tuple[int, WorkUnit]") -> UnitResult:
 
 
 def run_units(
-    units: Iterable[WorkUnit],
-    jobs: Optional[int] = 1,
-    *,
-    chunksize: int = 1,
+    units: Iterable[WorkUnit], jobs: Optional[int] = 1
 ) -> list[UnitResult]:
     """Run every unit; return results sorted by unit index.
 
@@ -154,7 +151,7 @@ def run_units(
         return [_run_one(item) for item in items]
     context = multiprocessing.get_context("spawn")
     with context.Pool(processes=min(jobs, len(items))) as pool:
-        results = list(pool.imap_unordered(_run_one, items, chunksize))
+        results = list(pool.imap_unordered(_run_one, items))
     results.sort(key=lambda result: result.index)
     return results
 

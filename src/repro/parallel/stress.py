@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 TABLE = "sbtest_shared"
+# Every shard's cluster and schedule shape.
+_NODES = 3
+_ROWS = 240
+_OPS_PER_SEED = 14
 
 
 class StressCheckError(AssertionError):
@@ -132,12 +136,11 @@ def _run_schedule(
     rng: random.Random,
     oracle: dict[int, int],
     keys: range,
-    ops: int,
 ) -> None:
     """One randomized schedule; raises StressCheckError on a stale read."""
     sim = setup.sim
     next_value = rng.randrange(1 << 20)
-    for _ in range(ops):
+    for _ in range(_OPS_PER_SEED):
         node = rng.choice(setup.nodes)
         op = rng.random()
         key = rng.choice(list(keys))
@@ -194,9 +197,6 @@ def _run_schedule(
 
 def _stress_shard(
     system: str,
-    n_nodes: int,
-    rows: int,
-    ops_per_seed: int,
     seed_start: int,
     n_seeds: int,
     fail_seed: Optional[int] = None,
@@ -213,9 +213,9 @@ def _stress_shard(
     from ..obs import MetricsError
     from ..workloads.sysbench import SysbenchWorkload
 
-    keys = range(1, rows + 1)
-    workload = SysbenchWorkload(rows=rows, n_nodes=n_nodes)
-    setup = build_sharing_setup(system, n_nodes, workload)
+    keys = range(1, _ROWS + 1)
+    workload = SysbenchWorkload(rows=_ROWS, n_nodes=_NODES)
+    setup = build_sharing_setup(system, _NODES, workload)
     oracle = _oracle_seed(setup, keys)
     result = StressShardResult(
         system=system, seed_start=seed_start, n_seeds=n_seeds
@@ -235,9 +235,7 @@ def _stress_shard(
                 raise StressCheckError("forced failure (fail_seed)")
             with run:
                 run.watch(setup)
-                _run_schedule(
-                    setup, random.Random(seed), oracle, keys, ops_per_seed
-                )
+                _run_schedule(setup, random.Random(seed), oracle, keys)
                 run.flush(setup.sim.now)
         except StressCheckError as exc:
             result.failures.append(f"seed {seed}: {exc} [repro: {repro}]")
@@ -273,7 +271,7 @@ def _stress_shard(
     }
     # Convergence: every node agrees with the oracle at the end.
     sample = sorted(
-        random.Random(seed_start).sample(list(keys), min(40, rows))
+        random.Random(seed_start).sample(list(keys), 40)
     )
     for node in setup.nodes:
         for key in sample:
@@ -293,9 +291,6 @@ def run_sharing_stress(
     shard_size: int = 50,
     jobs: int = 1,
     base_seed: int = 1000,
-    n_nodes: int = 3,
-    rows: int = 240,
-    ops_per_seed: int = 14,
     fail_seed: Optional[int] = None,
 ) -> StressReport:
     """Run seeds ``base_seed .. base_seed + n_seeds - 1`` in shards.
@@ -318,15 +313,7 @@ def run_sharing_stress(
         units.append(
             WorkUnit(
                 task="repro.parallel.stress:_stress_shard",
-                payload=(
-                    system,
-                    n_nodes,
-                    rows,
-                    ops_per_seed,
-                    seed_start,
-                    count,
-                    fail_seed,
-                ),
+                payload=(system, seed_start, count, fail_seed),
                 label=(
                     f"stress:{system}:seeds[{seed_start}.."
                     f"{seed_start + count - 1}]"

@@ -7,10 +7,9 @@ from .core import (
     SimError,
     Simulator,
     Timeout,
-    run_inline,
 )
 from .latency import CACHE_LINE, CostModel, LatencyConfig
-from .resources import Mutex, Pipe, RWLock
+from .resources import Pipe, RWLock
 from .rng import WorkloadRng, ZipfGenerator
 from .stats import (
     LatencyRecorder,
@@ -25,11 +24,9 @@ __all__ = [
     "SimError",
     "Simulator",
     "Timeout",
-    "run_inline",
     "CACHE_LINE",
     "CostModel",
     "LatencyConfig",
-    "Mutex",
     "Pipe",
     "RWLock",
     "WorkloadRng",

@@ -58,7 +58,6 @@ __all__ = [
     "SchedulerHook",
     "Simulator",
     "SimError",
-    "run_inline",
 ]
 
 
@@ -117,7 +116,7 @@ class Event:
     (5, 'payload')
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_triggered", "_fired", "_cancelled")
+    __slots__ = ("sim", "callbacks", "_value", "_triggered", "_fired")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -125,17 +124,11 @@ class Event:
         self._value: Any = None
         self._triggered = False
         self._fired = False
-        self._cancelled = False
 
     @property
     def triggered(self) -> bool:
         """Whether :meth:`succeed` has been called."""
         return self._triggered
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._cancelled
 
     @property
     def value(self) -> Any:
@@ -150,8 +143,6 @@ class Event:
         """
         if self._triggered:
             raise SimError("event already triggered")
-        if self._cancelled:
-            raise SimError("event already cancelled")
         if delay < 0:
             raise SimError(f"negative delay: {delay}")
         self._triggered = True
@@ -168,38 +159,6 @@ class Event:
         else:
             buckets[at] = [existing, self]
         return self
-
-    def cancel(self) -> "Event":
-        """Withdraw this event: it will never fire and never run callbacks.
-
-        A scheduled event stays in its queue slot but is skipped at fire
-        time (the queue cannot cheaply remove an arbitrary entry from a
-        bucket). Cancelling an event that already fired is an error —
-        its callbacks have run and cannot be unrun.
-
-        >>> sim = Simulator()
-        >>> doomed = sim.timeout(10, value="never")
-        >>> _ = doomed.cancel()
-        >>> sim.run()
-        >>> (sim.now, doomed.triggered, doomed.cancelled)
-        (10, True, True)
-        """
-        if self._fired:
-            raise SimError("cannot cancel an event that already fired")
-        self._cancelled = True
-        return self
-
-    def _fire(self) -> None:
-        if self._fired:
-            raise SimError("event fired twice")
-        if self._cancelled:
-            return
-        self._fired = True
-        callbacks = self.callbacks
-        if callbacks:
-            self.callbacks = []
-            for callback in callbacks:
-                callback(self)
 
 
 class Timeout(Event):
@@ -225,7 +184,6 @@ class Timeout(Event):
         self._value = value
         self._triggered = True
         self._fired = False
-        self._cancelled = False
         sim._seq += 1
         at = sim.now + int(delay)
         buckets = sim._buckets
@@ -384,17 +342,6 @@ class Simulator:
 
     # -- scheduling -----------------------------------------------------------
 
-    def _schedule(self, at: int, event: Event) -> None:
-        self._seq += 1
-        buckets = self._buckets
-        existing = buckets.setdefault(at, event)
-        if existing is event:
-            heapq.heappush(self._times, at)
-        elif type(existing) is list:
-            existing.append(event)
-        else:
-            buckets[at] = [existing, event]
-
     def run(self, until: Optional[int] = None) -> None:
         """Run until the queue drains or simulated time reaches ``until``."""
         if self.scheduler is not None:
@@ -403,9 +350,9 @@ class Simulator:
         times = self._times
         buckets = self._buckets
         heappop = heapq.heappop
-        # The event-firing logic is inlined from Event._fire: one Python
-        # call frame per event is the dominant kernel cost at millions of
-        # events per benchmark run. Each heap pop retires a whole tick;
+        # The event-firing logic is inlined: one Python call frame per
+        # event is the dominant kernel cost at millions of events per
+        # benchmark run. Each heap pop retires a whole tick;
         # events scheduled *at* the tick being fired (zero-delay chains)
         # open a fresh bucket for the same time, which re-enters the heap
         # and is drained next — preserving exact scheduling order.
@@ -421,8 +368,6 @@ class Simulator:
                 for event in entry:
                     if event._fired:
                         raise SimError("event fired twice")
-                    if event._cancelled:
-                        continue
                     event._fired = True
                     callbacks = event.callbacks
                     if callbacks:
@@ -433,8 +378,6 @@ class Simulator:
                 event = entry
                 if event._fired:
                     raise SimError("event fired twice")
-                if event._cancelled:
-                    continue
                 event._fired = True
                 callbacks = event.callbacks
                 if callbacks:
@@ -471,19 +414,15 @@ class Simulator:
             ready = entry if type(entry) is list else [entry]
             hook.admit(self, ready)
             while ready:
-                runnable = [e for e in ready if not e._cancelled]
-                if not runnable:
-                    break
-                if len(runnable) == 1:
-                    event = runnable[0]
+                if len(ready) == 1:
+                    event = ready.pop()
                 else:
-                    index = hook.choose(self, runnable)
-                    if not 0 <= index < len(runnable):
+                    index = hook.choose(self, ready)
+                    if not 0 <= index < len(ready):
                         raise SimError(
-                            f"scheduler chose index {index} of {len(runnable)}"
+                            f"scheduler chose index {index} of {len(ready)}"
                         )
-                    event = runnable[index]
-                ready.remove(event)
+                    event = ready.pop(index)
                 hook.step(self, event)
                 if event._fired:
                     raise SimError("event fired twice")
@@ -513,18 +452,3 @@ class Simulator:
         if not proc.triggered:
             raise SimError("process did not complete (deadlock?)")
         return proc.value
-
-
-def run_inline(generator: Generator[Event, Any, Any]) -> Any:
-    """Run a process generator to completion on a throwaway simulator.
-
-    Convenience for unit tests and examples that call generator-based
-    engine entry points outside a larger simulation.
-
-    >>> def compute():
-    ...     yield from ()
-    ...     return 7
-    >>> run_inline(compute())
-    7
-    """
-    return Simulator().run_process(generator)

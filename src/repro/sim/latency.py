@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["LatencyConfig", "CostModel", "LatencyTable", "transfer_tables", "CACHE_LINE"]
+__all__ = ["LatencyConfig", "CostModel", "LatencyTable", "CACHE_LINE"]
 
 CACHE_LINE = 64
 
@@ -73,23 +73,6 @@ class LatencyTable:
         if value is None:
             value = cache[nbytes] = self.base_ns + nbytes * self.ns_per_byte
         return value
-
-
-def transfer_tables(config: "LatencyConfig") -> dict[str, LatencyTable]:
-    """The four Table-2 transfer lines as precomputed latency tables.
-
-    >>> tables = transfer_tables(LatencyConfig())
-    >>> sorted(tables)
-    ['cxl_read', 'cxl_write', 'rdma_read', 'rdma_write']
-    >>> tables["rdma_write"].ns(64) == LatencyConfig().rdma_write_ns(64)
-    True
-    """
-    return {
-        "rdma_read": LatencyTable(config.rdma_read_base_ns, config.rdma_read_ns_per_byte),
-        "rdma_write": LatencyTable(config.rdma_write_base_ns, config.rdma_write_ns_per_byte),
-        "cxl_read": LatencyTable(config.cxl_read_base_ns, config.cxl_read_ns_per_byte),
-        "cxl_write": LatencyTable(config.cxl_write_base_ns, config.cxl_write_ns_per_byte),
-    }
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,12 @@
 """Shared resources for the simulation kernel.
 
-Three primitives cover everything the reproduction needs:
+Two primitives cover everything the reproduction needs:
 
 * :class:`Pipe` — a serial bandwidth resource (an interconnect or NIC).
   Transfers are FIFO-serialized; when offered load exceeds capacity the
   pipe builds a backlog and per-transfer completion times stretch, which
   is exactly the saturation behaviour the paper's pooling experiments
   revolve around.
-* :class:`Mutex` — a FIFO mutual-exclusion lock.
 * :class:`RWLock` — a FIFO readers/writers lock used for distributed page
   locks in the data-sharing experiments.
 """
@@ -19,7 +18,7 @@ from typing import Deque
 
 from .core import Event, SimError, Simulator
 
-__all__ = ["Pipe", "Mutex", "RWLock"]
+__all__ = ["Pipe", "RWLock"]
 
 
 class Pipe:
@@ -136,39 +135,6 @@ class Pipe:
             self._window_start,
             self._window_bytes,
         ) = state
-
-
-class Mutex:
-    """A FIFO mutual-exclusion lock usable from simulation processes."""
-
-    def __init__(self, sim: Simulator, name: str = "mutex") -> None:
-        self.sim = sim
-        self.name = name
-        self._locked = False
-        self._waiters: Deque[Event] = deque()
-        self.contended_acquires = 0
-
-    @property
-    def locked(self) -> bool:
-        return self._locked
-
-    def acquire(self) -> Event:
-        event = Event(self.sim)
-        if not self._locked:
-            self._locked = True
-            event.succeed()
-        else:
-            self.contended_acquires += 1
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        if not self._locked:
-            raise SimError(f"mutex {self.name!r} released while unlocked")
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self._locked = False
 
 
 class RWLock:

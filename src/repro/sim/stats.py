@@ -84,10 +84,6 @@ class LatencyRecorder:
     def p95_ns(self) -> float:
         return self.percentile_ns(95.0)
 
-    @property
-    def p99_ns(self) -> float:
-        return self.percentile_ns(99.0)
-
 
 @dataclass
 class TimeSeries:

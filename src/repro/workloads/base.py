@@ -62,11 +62,7 @@ class Workload:
         return 1.0
 
 
-def load_tables(
-    engine: Engine,
-    rows_by_table: Sequence[tuple],
-    checkpoint: bool = True,
-) -> None:
+def load_tables(engine: Engine, rows_by_table: Sequence[tuple]) -> None:
     """Create tables and bulk-insert rows on a loader engine.
 
     Entries are ``(name, codec, rows)`` with an optional fourth element
@@ -91,5 +87,4 @@ def load_tables(
                 batch = 0
         mtr.commit()
         engine.redo_log.flush()
-    if checkpoint:
-        engine.checkpoint()
+    engine.checkpoint()

@@ -80,25 +80,19 @@ class TpccWorkload(Workload):
         self,
         warehouses: int,
         n_nodes: int,
-        districts_per_warehouse: int = 2,
         customers_per_district: int = 400,
         items: int = 1000,
         order_ring: int = 150,
-        max_order_lines: int = 5,
-        remote_line_pct: float = 10.0,
-        remote_customer_pct: float = 15.0,
     ) -> None:
         if warehouses < n_nodes:
             raise ValueError("need at least one warehouse per node")
         self.warehouses = warehouses
         self.n_nodes = n_nodes
-        self.dpw = districts_per_warehouse
+        self.dpw = 2  # districts per warehouse
         self.cpd = customers_per_district
         self.items = items
         self.ring = order_ring
-        self.max_ol = max_order_lines
-        self.remote_line_pct = remote_line_pct
-        self.remote_customer_pct = remote_customer_pct
+        self.max_ol = 5  # order lines per order, at most
 
     # -- key encodings (composite keys packed into u64) -------------------------------
 
@@ -272,7 +266,7 @@ class TpccWorkload(Workload):
         for line in range(n_lines):
             item = rng.uniform_int(0, self.items - 1)
             supply_w = w
-            if rng.random() * 100.0 < self.remote_line_pct:
+            if rng.random() * 100.0 < 10.0:  # a remote supply warehouse
                 supply_w = self._remote_warehouse(rng, w)
             ops.append(Op("select", "item", self.item_key(item)))
             ops.append(
@@ -299,7 +293,7 @@ class TpccWorkload(Workload):
         w = self.home_warehouse(rng, node_index)
         d = rng.uniform_int(0, self.dpw - 1)
         c_w, c_d = w, d
-        if rng.random() * 100.0 < self.remote_customer_pct:
+        if rng.random() * 100.0 < 15.0:  # a remote customer
             c_w = self._remote_warehouse(rng, w)
             c_d = rng.uniform_int(0, self.dpw - 1)
         c = rng.uniform_int(0, self.cpd - 1)

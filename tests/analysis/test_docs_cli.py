@@ -11,7 +11,7 @@ import pathlib
 
 import pytest
 
-from repro.analysis.docs_cli import _CLIS, check_files, check_text, extract_invocations
+from repro.analysis.docs_cli import _CLIS, check_text, extract_invocations
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
@@ -152,11 +152,11 @@ class TestQuotedCounts:
 
 class TestRealDocs:
     def test_runbook_documents_are_consistent(self):
-        paths = [
-            str(REPO / name)
+        findings = [
+            finding
             for name in ("README.md", "EXPERIMENTS.md", "PERFORMANCE.md", "DESIGN.md")
+            for finding in check_text(name, (REPO / name).read_text(encoding="utf-8"))
         ]
-        findings = check_files(paths)
         assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_docs_actually_document_the_clis(self):

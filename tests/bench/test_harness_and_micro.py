@@ -45,7 +45,7 @@ class TestPoolingBuilder:
         )
         small_pool = small.instances[0].engine.buffer_pool
         large_pool = large.instances[0].engine.buffer_pool
-        assert small_pool.local_capacity_pages < large_pool.local_capacity_pages
+        assert small_pool.capacity_pages < large_pool.capacity_pages
 
 
 class TestSharingBuilder:

@@ -9,9 +9,16 @@ or a harness package, which would make the bottom of the stack depend on
 everything above it. ``repro.hardware`` is held to the stricter rule it
 has had since the access path was collapsed: only ``hardware``, ``sim``,
 the slot and ``crash_point``.
+
+The package also keeps nothing without a caller: every function, class
+and method is named by some other code in ``src/`` or ``benchmarks/``,
+or is allowed by name with the reason it stays.
 """
 
 import ast
+import collections
+import fnmatch
+import re
 from pathlib import Path
 
 import repro
@@ -162,3 +169,133 @@ def test_no_module_reads_an_environment_variable():
         )
     ]
     assert offenders == []
+
+
+# -- every name has a caller ------------------------------------------------------
+
+BENCHMARKS = SRC.parents[1] / "benchmarks"
+#: ``"package.module:function"`` strings name a callee too (work units).
+_TASK_STRING = re.compile(r"^[\w.]+:(\w+)$")
+#: Definitions no ``src/`` or ``benchmarks/`` code names, kept on purpose.
+#: Keys are ``module:Qualname`` patterns (:func:`fnmatch.fnmatchcase`).
+NO_CALLER_ALLOWED = {
+    "repro.workloads.sysbench:SysbenchWorkload.txn_*":
+        "txn_fn dispatches by getattr(self, 'txn_' + mix)",
+    "repro.workloads.*:*._ops_*":
+        "TPC-C and TATP dispatch transactions by getattr(self, '_ops_' + name)",
+    "repro.analysis.lint:_Checker.visit_*":
+        "ast.NodeVisitor dispatches visit_<node type> by name",
+    "repro.parallel.probes:*":
+        "spawn-safety probes, run by the tests as work units in spawned workers",
+    "repro.db.btree:BTree.iter_all": "test-inspection read: every row in key order",
+    "repro.core.cxl_bufferpool:CxlBufferPool.lru_order": "test-inspection read",
+    "repro.db.table:Table.find_by": "test-inspection read: secondary-index lookup",
+    "repro.db.page:PageView.stored_page_id": "test-inspection read of the page header",
+    "repro.analysis.memsan:MemSan.line_state": "test-inspection read of one line",
+    "*:*.hit_ratio": "test-inspection read",
+    "*:*.dirty_count": "test-inspection read",
+    "repro.obs.slo:SLOMonitor.firing": "test-inspection read of the open alerts",
+    "repro.core.shard_router:FusionShardRouter.has_page":
+        "test-inspection read through setup.fusion, which may be a router",
+    "repro.core.shard_router:FusionShardRouter.entry_of":
+        "test-inspection read through setup.fusion, which may be a router",
+    "repro.core.sharing:SharedCxlBufferPool.metadata_entries_used":
+        "test-inspection read",
+    "repro.db.txn:Transaction.rolled_back": "test-inspection read",
+    "repro.hardware.memory:MemoryRegion.poisoned": "test-inspection read",
+    "repro.hardware.cache:LineCacheModel.touch":
+        "the one-line probe touch_range is specified against; tests compare them",
+    "repro.storage.wal:RedoRecord.size_bytes": "test-inspection read",
+    "repro.storage.wal:RedoLog.buffered_records": "test-inspection read",
+    "repro.faults.injector:FaultInjector.fail_rpcs": "fault entry point for tests",
+    "repro.faults.injector:FaultInjector.arm_after_total": "fault entry point for tests",
+    "repro.hardware.cxl:CxlFabric.power_fail_pool":
+        "kept for the memory-device failure item (ROADMAP item 3)",
+    "repro.hardware.host:Cluster.add_fabric":
+        "kept for the memory-device failure item (ROADMAP item 3)",
+    "repro.core.memmgr:CxlMemoryManager.extents_of":
+        "kept for the memory-device failure item (ROADMAP item 3)",
+    "repro.core.memmgr:CxlMemoryManager.check_access":
+        "kept for the memory-device failure item (ROADMAP item 3)",
+    "repro.core.memmgr:CxlMemoryManager.release":
+        "kept for the memory-device failure item (ROADMAP item 3)",
+}
+
+
+def _references(tree: ast.AST) -> collections.Counter:
+    """How often ``tree`` mentions each name: bare names, attributes,
+    imported names and ``"module:function"`` task strings."""
+    found: collections.Counter = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            match = _TASK_STRING.match(node.value)
+            if match:
+                found[match.group(1)] += 1
+    return found
+
+
+def _definitions(tree: ast.Module):
+    """(qualname, name, node) of every top-level function and class and
+    every non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def uncalled(src: Path, benchmarks: Path) -> list[str]:
+    """``module:Qualname`` of every definition under ``src`` that no code
+    names: not another module of ``src``, not its own module outside its
+    own body, not ``benchmarks``. A package ``__init__`` re-export is not
+    a caller. Names match by spelling only, so a method counts as called
+    when any attribute of that name is read."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted(src.rglob("*.py"))}
+    outside: collections.Counter = collections.Counter()
+    for path in sorted(benchmarks.rglob("*.py")):
+        outside.update(_references(ast.parse(path.read_text())).keys())
+    per_module = {}
+    for path, tree in trees.items():
+        if path.name == "__init__.py":
+            body = [n for n in tree.body if not isinstance(n, ast.ImportFrom)]
+            outside.update(_references(ast.Module(body=body, type_ignores=[])).keys())
+        else:
+            per_module[path] = _references(tree)
+            outside.update(per_module[path].keys())
+    missing = []
+    for path, tree in trees.items():
+        module = ".".join(path.relative_to(src.parent).with_suffix("").parts)
+        mine = per_module.get(path, collections.Counter())
+        for qualname, name, node in _definitions(tree):
+            elsewhere = outside[name] - (1 if mine[name] else 0)
+            if elsewhere > 0 or mine[name] > _references(node)[name]:
+                continue
+            missing.append(f"{module}:{qualname}")
+    return missing
+
+
+def test_every_src_name_has_a_caller():
+    """A function, class or method that only its own tests reach is
+    surface no golden, sweep or benchmark covers: delete it, or allow
+    it above with the reason it stays."""
+    missing = uncalled(SRC, BENCHMARKS)
+    unexplained = [
+        name
+        for name in missing
+        if not any(fnmatch.fnmatchcase(name, key) for key in NO_CALLER_ALLOWED)
+    ]
+    assert unexplained == [], "no caller in src/ or benchmarks/:\n" + "\n".join(unexplained)
+    stale = [
+        key for key in NO_CALLER_ALLOWED if not any(fnmatch.fnmatchcase(n, key) for n in missing)
+    ]
+    assert stale == [], f"allowlist entries that now have a caller: {stale}"

@@ -9,9 +9,9 @@ import pytest
 
 from repro.obs import (
     InvariantViolationError,
+    TraceInvariantChecker,
     Tracer,
     assert_trace_invariants,
-    check_events,
 )
 
 
@@ -24,7 +24,7 @@ def _trace(*steps):
 
 
 def _violations(*steps):
-    return check_events(_trace(*steps))
+    return TraceInvariantChecker().check(_trace(*steps))
 
 
 GOOD_FLUSH = {"dirty_before": 3, "lines_flushed": 3, "dirty_after": 0}

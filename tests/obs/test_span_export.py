@@ -3,8 +3,7 @@
 import json
 
 from repro.hardware.memory import AccessMeter
-from repro.obs.critical_path import summarize
-from repro.obs.export import to_chrome_trace, write_chrome_trace, write_csv_summary
+from repro.obs.export import to_chrome_trace, write_chrome_trace
 from repro.obs.spans import SpanTracer
 
 
@@ -84,16 +83,3 @@ def test_write_chrome_trace_is_canonical_json(tmp_path):
     assert payload == to_chrome_trace(tracer)
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     assert text == canonical
-
-
-def test_csv_summary_rows(tmp_path):
-    tracer, *_ = _tracer()
-    path = tmp_path / "summary.csv"
-    write_csv_summary(path, summarize(tracer))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "mechanism,total_ns,share,p50_ns,p95_ns,p99_ns"
-    kinds = [line.split(",")[0] for line in lines[1:]]
-    assert kinds[0] == "mtr"  # largest bucket first
-    assert kinds[-1] == "unattributed"
-    shares = [float(line.split(",")[2]) for line in lines[1:]]
-    assert abs(sum(shares) - 1.0) < 1e-6

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import Tracer
-from repro.obs.counters import CounterRegistry, Histogram
+from repro.obs.counters import CounterRegistry
 from repro.obs.probes import PROBES
 
 
@@ -125,34 +125,11 @@ class TestCounterRegistry:
     def test_get_missing_is_zero(self):
         assert CounterRegistry().get("nope") == 0.0
 
-    def test_observe_builds_histogram(self):
-        reg = CounterRegistry()
-        for value in (1.0, 2.0, 4.0, 4.0):
-            reg.observe("lat", value)
-        hist = reg.histogram("lat")
-        assert isinstance(hist, Histogram)
-        assert hist.count == 4
-        assert hist.min == 1.0
-        assert hist.max == 4.0
-        assert hist.mean == pytest.approx(2.75)
-        summary = hist.summary()
-        assert summary["count"] == 4
-
-    def test_histogram_snapshot_separate_from_counters(self):
-        reg = CounterRegistry()
-        reg.add("c")
-        reg.observe("h", 1.0)
-        assert reg.snapshot() == {"c": 1.0}
-        assert reg.histogram("h").count == 1
-        assert reg.histogram("c").count == 0
-
     def test_reset(self):
         reg = CounterRegistry()
         reg.add("c", 5)
-        reg.observe("h", 1.0)
         reg.reset()
         assert reg.snapshot() == {}
-        assert reg.histogram("h").count == 0
 
     def test_tracer_count_survives_a_registry_reset(self):
         # Tracer.count adds into the registry's dict directly; a reset

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.core import Event, SimError, Timeout, run_inline
+from repro.sim.core import SimError, Timeout
 
 
 class TestEvent:
@@ -148,11 +148,3 @@ class TestAllOf:
             return values
 
         assert sim.run_process(proc()) == []
-
-
-def test_run_inline_helper():
-    def simple():
-        return 7
-        yield  # pragma: no cover - makes this a generator function
-
-    assert run_inline(simple()) == 7

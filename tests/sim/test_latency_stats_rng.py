@@ -90,7 +90,7 @@ class TestLatencyRecorder:
             rec.add(float(value))
         assert rec.mean_ns == pytest.approx(50.5)
         assert rec.p95_ns == pytest.approx(95.05)
-        assert rec.p99_ns == pytest.approx(99.01)
+        assert rec.percentile_ns(99.0) == pytest.approx(99.01)
         assert rec.count == 100
 
 

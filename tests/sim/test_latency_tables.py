@@ -8,7 +8,7 @@ every size class :class:`MappedMemory` can charge.
 
 from repro.hardware.cache import LineCacheModel
 from repro.hardware.memory import AccessMeter, MappedMemory, MemoryRegion, MemoryTiming
-from repro.sim.latency import CACHE_LINE, LatencyConfig, LatencyTable, transfer_tables
+from repro.sim.latency import CACHE_LINE, LatencyConfig, LatencyTable
 
 # Every size MappedMemory can hand to a table: the precomputed power-of-
 # two classes, plus odd sizes, threshold edges and the 16 KB page.
@@ -27,10 +27,10 @@ LINES = {
 
 
 def test_tables_exactly_reproduce_config_formulas():
-    tables = transfer_tables(CONFIG)
-    assert sorted(tables) == sorted(LINES)
     for name, formula in LINES.items():
-        table = tables[name]
+        table = LatencyTable(
+            getattr(CONFIG, f"{name}_base_ns"), getattr(CONFIG, f"{name}_ns_per_byte")
+        )
         for nbytes in SIZES:
             assert table.ns(nbytes) == formula(nbytes), (name, nbytes)
             # Memoized second lookup returns the identical value.

@@ -3,12 +3,12 @@
 The kernel's event queue was rewritten from a ``(time, seq, event)``
 heap to a bucketed calendar (heap of distinct ticks + per-tick FIFO
 batches). These tests drive *identical* random streams of
-schedule/cancel/succeed operations — with heavy same-tick collisions
+schedule/succeed operations — with heavy same-tick collisions
 and cascades scheduled from inside callbacks — through the real
 :class:`repro.sim.core.Simulator` and an in-test plain-heap kernel, and
 require bit-identical firing logs and clocks. Boundary cases
-(same-tick ordering, cancel-at-fire, cancel-after-fire, negative
-delays, ``run(until)`` edges) are pinned explicitly.
+(same-tick ordering, negative delays, ``run(until)`` edges) are pinned
+explicitly.
 """
 
 import heapq
@@ -21,7 +21,7 @@ from repro.sim.core import Event, SchedulerHook, SimError, Simulator
 
 
 # ---------------------------------------------------------------------------
-# The reference: the pre-rewrite one-heap kernel, with cancel support.
+# The reference: the pre-rewrite one-heap kernel.
 # ---------------------------------------------------------------------------
 
 
@@ -32,13 +32,10 @@ class _HeapEvent:
         self.value = None
         self.triggered = False
         self.fired = False
-        self.cancelled = False
 
     def succeed(self, value=None, delay=0):
         if self.triggered:
             raise SimError("event already triggered")
-        if self.cancelled:
-            raise SimError("event already cancelled")
         if delay < 0:
             raise SimError(f"negative delay: {delay}")
         self.triggered = True
@@ -46,12 +43,6 @@ class _HeapEvent:
         sim = self.sim
         sim._seq += 1
         heapq.heappush(sim._queue, (sim.now + delay, sim._seq, self))
-        return self
-
-    def cancel(self):
-        if self.fired:
-            raise SimError("cannot cancel an event that already fired")
-        self.cancelled = True
         return self
 
 
@@ -73,8 +64,6 @@ class _HeapSim:
                 return
             heapq.heappop(queue)
             self.now = at
-            if event.cancelled:
-                continue
             event.fired = True
             callbacks, event.callbacks = event.callbacks, []
             for callback in callbacks:
@@ -87,16 +76,11 @@ class _HeapSim:
 # A common driver both kernels execute verbatim.
 # ---------------------------------------------------------------------------
 
-# An op stream is a list of:
-#   ("s", delay)          schedule a new logging event at now+delay
-#   ("c", target)         cancel the (target % created)-th event
-# Delays are drawn 0..6 so ticks collide constantly — the regime the
-# bucketed queue reorders in if it has a bug.
+# An op stream is a list of ("s", delay): schedule a new logging event
+# at now+delay. Delays are drawn 0..6 so ticks collide constantly — the
+# regime the bucketed queue reorders in if it has a bug.
 _OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("s"), st.integers(min_value=0, max_value=6)),
-        st.tuples(st.just("c"), st.integers(min_value=0, max_value=199)),
-    ),
+    st.tuples(st.just("s"), st.integers(min_value=0, max_value=6)),
     min_size=1,
     max_size=80,
 )
@@ -118,14 +102,11 @@ def _drive(sim, ops, until=None):
             )
             follow.succeed(event.value + 1_000, delay=0 if event.value % 6 else 2)
 
-    for op, arg in ops:
-        if op == "s":
-            event = sim.event()
-            event.callbacks.append(on_fire)
-            event.succeed(len(events), delay=arg)
-            events.append(event)
-        elif events:
-            events[arg % len(events)].cancel()
+    for _, delay in ops:
+        event = sim.event()
+        event.callbacks.append(on_fire)
+        event.succeed(len(events), delay=delay)
+        events.append(event)
     sim.run(until)
     sim.run()
     return log, sim.now
@@ -202,47 +183,6 @@ def test_interleaved_ticks_keep_scheduling_order_within_tick():
     assert log == [1, 3, 0, 2, 4]
 
 
-def test_cancel_at_fire_from_same_tick_callback():
-    # Event A (same tick, scheduled first) cancels event B at fire time;
-    # B is already in the tick's batch and must be skipped, not fired.
-    sim = Simulator()
-    log = []
-    a = sim.event()
-    b = sim.event()
-    b.callbacks.append(lambda e: log.append("b"))
-    a.callbacks.append(lambda e: (log.append("a"), b.cancel()))
-    a.succeed(delay=4)
-    b.succeed(delay=4)
-    sim.run()
-    assert log == ["a"]
-    assert b.cancelled and b.triggered
-
-
-def test_cancel_after_fire_raises():
-    sim = Simulator()
-    event = sim.timeout(1)
-    sim.run()
-    with pytest.raises(SimError, match="already fired"):
-        event.cancel()
-
-
-def test_succeed_after_cancel_raises():
-    sim = Simulator()
-    event = sim.event()
-    event.cancel()
-    with pytest.raises(SimError, match="cancelled"):
-        event.succeed()
-
-
-def test_cancel_is_idempotent_before_fire():
-    sim = Simulator()
-    event = sim.timeout(5)
-    event.cancel()
-    event.cancel()
-    sim.run()
-    assert event.cancelled and not event._fired
-
-
 def test_negative_delay_rejected_everywhere():
     sim = Simulator()
     with pytest.raises(SimError, match="negative"):
@@ -266,16 +206,6 @@ def test_run_until_past_drain_advances_the_clock():
     sim.timeout(3)
     sim.run(until=50)
     assert sim.now == 50
-
-
-def test_cancelled_sole_event_still_advances_clock():
-    # A tick whose only event was cancelled is still a tick: the clock
-    # moves exactly as the heap reference's would.
-    sim = Simulator()
-    sim.timeout(5).cancel()
-    sim.timeout(9)
-    sim.run()
-    assert sim.now == 9
 
 
 def test_event_double_fire_guard_survives():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.core import SimError
-from repro.sim.resources import Mutex, Pipe, RWLock
+from repro.sim.resources import Pipe, RWLock
 
 
 class TestPipe:
@@ -65,60 +65,6 @@ class TestPipe:
         pipe.transfer(200)
         assert pipe.total_bytes == 300
         assert pipe.total_transfers == 2
-
-
-class TestMutex:
-    def test_uncontended_acquire_immediate(self, sim):
-        mutex = Mutex(sim)
-
-        def proc():
-            yield mutex.acquire()
-            return sim.now
-
-        assert sim.run_process(proc()) == 0
-        assert mutex.locked
-
-    def test_contended_acquire_waits_for_release(self, sim):
-        mutex = Mutex(sim)
-        log = []
-
-        def holder():
-            yield mutex.acquire()
-            yield sim.timeout(100)
-            mutex.release()
-
-        def waiter():
-            yield sim.timeout(1)
-            yield mutex.acquire()
-            log.append(sim.now)
-            mutex.release()
-
-        sim.process(holder())
-        sim.process(waiter())
-        sim.run()
-        assert log == [100]
-        assert mutex.contended_acquires == 1
-        assert not mutex.locked
-
-    def test_release_unlocked_raises(self, sim):
-        with pytest.raises(SimError):
-            Mutex(sim).release()
-
-    def test_fifo_handoff(self, sim):
-        mutex = Mutex(sim)
-        order = []
-
-        def proc(tag, start):
-            yield sim.timeout(start)
-            yield mutex.acquire()
-            order.append(tag)
-            yield sim.timeout(10)
-            mutex.release()
-
-        for i, tag in enumerate("abc"):
-            sim.process(proc(tag, i))
-        sim.run()
-        assert order == ["a", "b", "c"]
 
 
 class TestRWLock:

@@ -105,25 +105,6 @@ def test_cascade_joins_open_decision_scope():
     assert sim.now == 3
 
 
-def test_cancelled_events_are_not_offered():
-    offered = []
-
-    class Spy(SchedulerHook):
-        def choose(self, sim, ready):
-            offered.append(len(ready))
-            return 0
-
-    sim = Simulator()
-    sim.scheduler = Spy()
-    keep_a = sim.timeout(5)
-    dead = sim.timeout(5)
-    keep_b = sim.timeout(5)
-    dead.cancel()
-    sim.run()
-    assert offered == [2]
-    assert keep_a._fired and keep_b._fired and not dead._fired
-
-
 def test_out_of_range_choice_raises():
     class Bad(SchedulerHook):
         def choose(self, sim, ready):

@@ -30,7 +30,7 @@ class TestLatencyRecorderEmpty:
         for q in (0.0, 50.0, 95.0, 99.0, 100.0):
             assert recorder.percentile_ns(q) == 0.0
         assert recorder.p95_ns == 0.0
-        assert recorder.p99_ns == 0.0
+        assert recorder.percentile_ns(99.0) == 0.0
         assert recorder.mean_ns == 0.0
         assert recorder.count == 0
 
