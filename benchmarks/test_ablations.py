@@ -9,10 +9,10 @@ Not paper figures — these isolate *why* the design decisions matter:
 """
 
 
-from repro.bench.harness import build_pooling_setup, build_sharing_setup
 from repro.bench.recovery_exp import run_recovery_experiment
 from repro.bench.report import banner
 from repro.db.constants import PAGE_SIZE
+from repro.obs.world import build_pooling_setup, build_sharing_setup
 from repro.sim.latency import LatencyConfig
 from repro.workloads.driver import PoolingDriver, SharingDriver
 from repro.workloads.sysbench import SysbenchWorkload
@@ -36,6 +36,7 @@ def test_ablation_flush_granularity(benchmark, report):
             setup.hosts,
             workload.sharing_txn_fn("point_update"),
             shared_pct=50,
+            cost=setup.cost,
             workers_per_node=8,
             warmup_txns=1,
             measure_txns=4,
@@ -119,6 +120,7 @@ def test_ablation_cxl3_hardware_coherency(benchmark, report):
                 setup.hosts,
                 workload.sharing_txn_fn("point_update"),
                 shared_pct=60,
+                cost=setup.cost,
                 workers_per_node=12,
                 warmup_txns=1,
                 measure_txns=4,

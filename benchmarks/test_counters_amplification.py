@@ -17,14 +17,10 @@ monotone per log.
 
 from pathlib import Path
 
-from repro.bench.harness import (
-    build_pooling_setup,
-    build_sharing_setup,
-    counter_snapshot,
-    reset_meters,
-)
+from repro.bench.harness import counter_snapshot
 from repro.bench.report import dump_counters_json, format_counters
 from repro.obs import Tracer, assert_trace_invariants
+from repro.obs.world import build_pooling_setup, build_sharing_setup, reset_meters
 from repro.workloads.driver import PoolingDriver, SharingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 
@@ -67,6 +63,7 @@ def _sharing_run(system: str) -> tuple[dict[str, float], object]:
             setup.hosts,
             workload.sharing_txn_fn("point_update"),
             shared_pct=SHARED_PCT,
+            cost=setup.cost,
             workers_per_node=8,
             warmup_txns=1,
             measure_txns=4,

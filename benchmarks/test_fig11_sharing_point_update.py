@@ -9,8 +9,8 @@ clearly positive at 100% (paper: 27%). Latency moves inversely.
 """
 
 
-from repro.bench.harness import build_sharing_setup
 from repro.bench.report import banner, format_table, improvement_pct
+from repro.obs.world import build_sharing_setup
 from repro.workloads.driver import SharingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 
@@ -36,6 +36,7 @@ def _sweep():
                 setup.hosts,
                 workload.sharing_txn_fn("point_update"),
                 shared_pct=pct,
+                cost=setup.cost,
                 workers_per_node=16,
                 warmup_txns=1,
                 measure_txns=4,

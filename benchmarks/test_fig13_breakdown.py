@@ -8,10 +8,10 @@ converge below PolarCXLMem, which wins even against LBP-100%.
 """
 
 
-from repro.bench.harness import build_sharing_setup
 from repro.bench.report import banner, format_table
 from repro.obs.critical_path import summarize
 from repro.obs.probes import PROBES
+from repro.obs.world import build_sharing_setup
 from repro.workloads.driver import SharingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 
@@ -36,6 +36,7 @@ def _run(setup, workload, pct, config=None):
         setup.hosts,
         workload.sharing_txn_fn("point_update"),
         shared_pct=pct,
+        cost=setup.cost,
         workers_per_node=12,
         warmup_txns=1,
         measure_txns=3,

@@ -7,8 +7,8 @@ throughput; at 100% the system is all-local and RDMA traffic vanishes.
 """
 
 
-from repro.bench.harness import build_pooling_setup
 from repro.bench.report import banner, format_table
+from repro.obs.world import build_pooling_setup
 from repro.workloads.driver import PoolingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 

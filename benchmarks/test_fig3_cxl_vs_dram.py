@@ -7,8 +7,8 @@ WAL device for read-write) makes the two converge.
 """
 
 
-from repro.bench.harness import build_pooling_setup, reset_meters
 from repro.bench.report import banner, format_table
+from repro.obs.world import build_pooling_setup, reset_meters
 from repro.workloads.driver import PoolingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 

@@ -8,8 +8,8 @@ amplification of §4.2 shows as the single-instance bandwidth ratio).
 """
 
 
-from repro.bench.harness import build_pooling_setup, reset_meters
 from repro.bench.report import banner, format_table
+from repro.obs.world import build_pooling_setup, reset_meters
 from repro.workloads.driver import PoolingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 

@@ -6,8 +6,8 @@ instances; ~40% more interconnect bytes than CXL at 1 instance).
 """
 
 
-from repro.bench.harness import build_pooling_setup, reset_meters
 from repro.bench.report import banner, format_table
+from repro.obs.world import build_pooling_setup, reset_meters
 from repro.workloads.driver import PoolingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 

@@ -17,9 +17,9 @@ installs a session-wide detector so the figures named with it
 from contextlib import ExitStack
 
 from repro.analysis.memsan import RDMA_PAGES, MemSan
-from repro.bench.harness import build_sharing_setup
 from repro.bench.report import banner
 from repro.obs.probes import PROBES
+from repro.obs.world import build_sharing_setup
 from repro.workloads.driver import SharingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 
@@ -40,6 +40,7 @@ def _run_one(setup, workload, pct) -> None:
         setup.hosts,
         workload.sharing_txn_fn("point_update"),
         shared_pct=pct,
+        cost=setup.cost,
         workers_per_node=8,
         warmup_txns=1,
         measure_txns=3,

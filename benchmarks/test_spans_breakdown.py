@@ -13,11 +13,11 @@ reported explicitly as ``unattributed``.
 
 from contextlib import ExitStack
 
-from repro.bench.harness import build_sharing_setup
 from repro.bench.report import banner, format_span_breakdown
 from repro.obs.critical_path import MechanismBreakdown, summarize
 from repro.obs.probes import PROBES
 from repro.obs.spans import SpanTracer
+from repro.obs.world import build_sharing_setup
 from repro.workloads.driver import SharingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 
@@ -42,6 +42,7 @@ def _run_one(tracer, setup, workload, pct) -> MechanismBreakdown:
         setup.hosts,
         workload.sharing_txn_fn("point_update"),
         shared_pct=pct,
+        cost=setup.cost,
         workers_per_node=8,
         warmup_txns=1,
         measure_txns=3,

@@ -9,8 +9,8 @@ TATP +53.6%/+30.3%; memory 1×/1.1×/1.3×).
 """
 
 
-from repro.bench.harness import build_sharing_setup
 from repro.bench.report import banner, format_table, improvement_pct
+from repro.obs.world import build_sharing_setup
 from repro.workloads.driver import SharingDriver
 from repro.workloads.tatp import TatpWorkload
 from repro.workloads.tpcc import TpccWorkload
@@ -30,6 +30,7 @@ def _run(system, workload, lbp_fraction):
         setup.hosts,
         workload.txn_ops,
         shared_pct=0.0,
+        cost=setup.cost,
         workers_per_node=12,
         warmup_txns=1,
         measure_txns=4,

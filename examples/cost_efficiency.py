@@ -38,6 +38,7 @@ def main() -> None:
             setup.hosts,
             workload.sharing_txn_fn("point_update"),
             shared_pct=20,
+            cost=setup.cost,
             workers_per_node=12,
             warmup_txns=1,
             measure_txns=4,

@@ -56,6 +56,7 @@ def throughput_comparison() -> None:
                 setup.hosts,
                 workload.sharing_txn_fn("point_update"),
                 shared_pct=pct,
+                cost=setup.cost,
                 workers_per_node=12,
                 warmup_txns=1,
                 measure_txns=4,

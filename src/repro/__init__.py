@@ -5,12 +5,14 @@ Disaggregated Memory in Cloud-Native Databases" (SIGMOD-Companion 2025):
 a simulated CXL-switch / RDMA hardware substrate, a functional mini
 database engine (B+tree, redo WAL, buffer pools), PolarCXLMem, the
 PolarRecv instant-recovery scheme, the CXL data-sharing coherency
-protocol, the paper's RDMA baselines, and a benchmark harness that
-regenerates every table and figure of the evaluation.
+protocol, the paper's RDMA baselines, the world builders that wire
+them into the paper's systems (:mod:`repro.obs.world`), and a benchmark
+harness that regenerates every table and figure of the evaluation.
 
 Quick start::
 
-    from repro import SysbenchWorkload, build_pooling_setup, PoolingDriver
+    from repro import SysbenchWorkload, PoolingDriver
+    from repro.obs.world import build_pooling_setup
 
     workload = SysbenchWorkload(rows=3000)
     setup = build_pooling_setup("cxl", n_instances=2, workload=workload)
@@ -28,11 +30,7 @@ from .baselines import (
     rdma_assisted_recovery,
     replay_recovery,
 )
-from .bench import (
-    build_pooling_setup,
-    build_sharing_setup,
-    run_recovery_experiment,
-)
+from .bench import run_recovery_experiment
 from .core import (
     BufferFusionServer,
     CxlBufferPool,
@@ -63,6 +61,7 @@ from .hardware import (
     MemoryRegion,
     RdmaNic,
 )
+from .obs.world import build_pooling_setup, build_sharing_setup
 from .sim import CostModel, LatencyConfig, Simulator, WorkloadRng
 from .storage import PageStore, RedoLog
 from .workloads import (

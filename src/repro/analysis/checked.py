@@ -35,9 +35,9 @@ from ..obs.trace import Tracer
 from .memsan import MemSan
 
 if TYPE_CHECKING:
-    from ..bench.harness import SharingSetup
     from ..core.sharing import MultiPrimaryNode
     from ..hardware.memory import AccessMeter
+    from ..obs.world import SharingSetup
 
 __all__ = ["CheckedRun", "LogOrderError", "fail_over"]
 

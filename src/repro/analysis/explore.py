@@ -603,10 +603,10 @@ def _run_protocol(config: ProtocolConfig, strategy: ExplorerStrategy) -> list[st
     """
     from contextlib import nullcontext
 
-    from ..bench.harness import build_sharing_setup
     from ..faults.injector import FaultInjector
     from ..hardware.memory import AccessMeter
     from ..obs import InvariantViolationError
+    from ..obs.world import build_sharing_setup
     from ..workloads.sysbench import SysbenchWorkload
     from .checked import CheckedRun, fail_over
 

@@ -1,13 +1,6 @@
 """Experiment harness and per-figure experiment implementations."""
 
-from .harness import (
-    PoolingSetup,
-    SharingSetup,
-    SYSTEMS,
-    build_pooling_setup,
-    build_sharing_setup,
-    reset_meters,
-)
+from .harness import register_metric_sources
 from .microbench import (
     TABLE1_PAPER,
     TABLE2_PAPER,
@@ -24,12 +17,7 @@ from .recovery_exp import (
 from .report import banner, format_series, format_table, improvement_pct
 
 __all__ = [
-    "PoolingSetup",
-    "SharingSetup",
-    "SYSTEMS",
-    "build_pooling_setup",
-    "build_sharing_setup",
-    "reset_meters",
+    "register_metric_sources",
     "TABLE1_PAPER",
     "TABLE2_PAPER",
     "measure_load_latency",

@@ -21,11 +21,11 @@ from ..db.engine import Engine
 from ..hardware.cache import LineCacheModel
 from ..hardware.memory import WindowedMemory
 from ..obs.probes import PROBES
+from ..obs.world import build_pooling_setup
 from ..sim.settle import ChargeSettler
 from ..sim.stats import TimeSeries
 from ..workloads.driver import InstanceCtx, PoolingDriver
 from ..workloads.sysbench import SysbenchWorkload
-from .harness import build_pooling_setup
 
 __all__ = ["RecoveryTimeline", "run_recovery_experiment", "RECOVERY_SCHEMES"]
 
@@ -126,7 +126,7 @@ def _run_recovery_experiment(
 
     if scheme == "polarrecv":
         assert setup.manager is not None
-        extent = setup.extents[0]
+        (extent,) = setup.manager.extents_of(engine.name)
         mapped = host.map_cxl(setup.manager.region, meter, line_cache)
         mem = WindowedMemory(mapped, extent.offset, extent.size)
         pool, detail = PolarRecv(mem, store, redo, n_blocks).recover()
@@ -158,14 +158,7 @@ def _run_recovery_experiment(
     sim.run_process(settler.settle_serial())
     recovery_seconds = (sim.now - crash_ns) / 1e9
 
-    engine2 = Engine(
-        engine.name,
-        pool,
-        store,
-        redo,
-        meter,
-        cost=engine.cost,
-    )
+    engine2 = Engine(engine.name, pool, store, redo, meter, cost=engine.cost)
     engine2.adopt_schema(workload.schema())
     ictx2 = InstanceCtx(engine=engine2, host=host, rng=ictx.rng.fork(99))
 

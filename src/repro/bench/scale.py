@@ -34,12 +34,13 @@ processes; ``benchmarks/test_fig_scale.py`` runs it one worker per core.
 from __future__ import annotations
 
 from ..analysis.checked import CheckedRun
+from ..obs.world import build_sharing_setup
 from ..parallel.runner import WorkUnit, raise_for_failures, run_units
 from ..sim.rng import WorkloadRng
 from ..workloads.base import Op
 from ..workloads.driver import SharingDriver
 from ..workloads.sysbench import SysbenchWorkload
-from .harness import build_sharing_setup, counter_snapshot, register_metric_sources
+from .harness import counter_snapshot, register_metric_sources
 
 __all__ = [
     "SCALE_NODES",
@@ -153,9 +154,7 @@ def run_scale_point(system: str, n_nodes: int, seed: int = 7) -> dict:
     n_shards = shards_for(n_nodes) if system == "cxl" else 1
     with CheckedRun(trace=True, spans=True, metrics=True, memsan=True) as run:
         workload = SysbenchWorkload(rows=_ROWS, n_nodes=n_nodes)
-        setup = build_sharing_setup(
-            system, n_nodes, workload, seed=seed, n_shards=n_shards
-        )
+        setup = build_sharing_setup(system, n_nodes, workload, n_shards=n_shards)
         run.watch(setup)
         register_metric_sources(setup)
         driver = SharingDriver(
@@ -164,6 +163,7 @@ def run_scale_point(system: str, n_nodes: int, seed: int = 7) -> dict:
             setup.hosts,
             make_scale_txn_fn(n_nodes),
             shared_pct=100.0,
+            cost=setup.cost,
             rng=WorkloadRng(seed=seed),
             workers_per_node=2,
             warmup_txns=1,

@@ -15,7 +15,7 @@ re-declares the tables (schema is code, as in any real deployment).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..hardware.memory import AccessMeter, MemoryRegion
 from ..obs.probes import PROBES
@@ -57,7 +57,7 @@ class Engine:
         page_store: PageStore,
         redo_log: RedoLog,
         meter: AccessMeter,
-        cost: Optional[CostModel] = None,
+        cost: CostModel,
         volatile_regions: Sequence[MemoryRegion] = (),
     ) -> None:
         self.name = name
@@ -65,7 +65,7 @@ class Engine:
         self.page_store = page_store
         self.redo_log = redo_log
         self.meter = meter
-        self.cost = cost or CostModel()
+        self.cost = cost
         self.volatile_regions = list(volatile_regions)
         self.tables: dict[str, Table] = {}
         self._next_tree_slot = 0

@@ -55,13 +55,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
-    from ..bench.harness import SharingSetup
     from ..core.sharing import MultiPrimaryNode
 
 from ..analysis.checked import CheckedRun, fail_over
 from ..analysis.memsan import MemSanError
 from ..core.block import pool_bytes_needed
-from ..core.cxl_bufferpool import CxlBufferPool
 from ..core.memmgr import CxlMemoryManager
 from ..core.recovery import PolarRecv
 from ..db.btree import BTreeCorruptionError
@@ -72,9 +70,12 @@ from ..hardware.cache import LineCacheModel
 from ..hardware.host import Cluster, Host
 from ..hardware.memory import AccessMeter, WindowedMemory
 from ..obs.image import IMAGES, materialize
+from ..obs.world import SharingSetup, build_cxl_engine, build_sharing_setup
 from ..sim.core import Simulator
+from ..sim.latency import CostModel
 from ..storage.pagestore import PageStore
 from ..storage.wal import RedoLog
+from ..workloads.sysbench import SysbenchWorkload
 from .injector import FaultInjector, InjectedCrash
 
 __all__ = [
@@ -292,12 +293,11 @@ def _build_scenario() -> _Scenario:
     manager = CxlMemoryManager(
         cluster.fabric, pool_bytes_needed(_N_BLOCKS) + (4 << 21)
     )
-    extent = manager.allocate("sweep", pool_bytes_needed(_N_BLOCKS), meter)
     line_cache = LineCacheModel()
-    mapped = host.map_cxl(manager.region, meter, line_cache)
-    mem = WindowedMemory(mapped, extent.offset, extent.size)
-    pool = CxlBufferPool(mem, store, _N_BLOCKS, lru_move_period=1)
-    engine = Engine("sweep", pool, store, redo, meter)
+    engine, extent = build_cxl_engine(
+        "sweep", host, manager, _N_BLOCKS, meter, store, redo, line_cache, CostModel(),
+        lru_move_period=1,
+    )
     engine.initialize()
     parts = {
         "sim": sim,
@@ -307,7 +307,7 @@ def _build_scenario() -> _Scenario:
         "line_cache": line_cache,
         "store": store,
         "redo": redo,
-        "pool": pool,
+        "pool": engine.buffer_pool,
         "engine": engine,
     }
     return _Scenario(
@@ -447,7 +447,9 @@ def _recover(scenario: _Scenario) -> Engine:
     )
     mem = WindowedMemory(mapped, scenario.extent.offset, scenario.extent.size)
     pool, _stats = PolarRecv(mem, scenario.store, scenario.redo, _N_BLOCKS).recover()
-    engine = Engine("recovered", pool, scenario.store, scenario.redo, meter)
+    engine = Engine(
+        "recovered", pool, scenario.store, scenario.redo, meter, cost=scenario.engine.cost
+    )
     engine.adopt_schema([("t", SWEEP_CODEC)])
     return engine
 
@@ -692,12 +694,9 @@ def _sharing_ops() -> list[tuple]:
     return ops
 
 
-def _build_sharing(seed: int, n_shards: int = 1) -> SharingSetup:
-    from ..bench.harness import build_sharing_setup
-    from ..workloads.sysbench import SysbenchWorkload
-
+def _build_sharing(n_shards: int = 1) -> SharingSetup:
     workload = SysbenchWorkload(rows=_SHARED_ROWS, n_nodes=2)
-    return build_sharing_setup("cxl", 2, workload, seed=seed, n_shards=n_shards)
+    return build_sharing_setup("cxl", 2, workload, n_shards=n_shards)
 
 
 def _sharing_prephase(setup: SharingSetup) -> dict:
@@ -739,7 +738,7 @@ def _sharing_golden(seed: int) -> _GoldenRun:
 
 
 def _enumerate_sharing(seed: int) -> _GoldenRun:
-    setup = _build_sharing(seed)
+    setup = _build_sharing()
     model = _sharing_prephase(setup)
     snapshots: dict[int, dict] = {}
     injector = FaultInjector(seed=seed)
@@ -823,7 +822,7 @@ def _sharing_crash_and_failover(
     seed: int, point: str, hit: int, snapshots: dict[int, dict]
 ) -> SweepOutcome:
     """One sharing-failover unit: crash a node, fail over, check survivor."""
-    setup = _build_sharing(seed)
+    setup = _build_sharing()
     model = _sharing_prephase(setup)
     with CheckedRun(spans=True, memsan=True) as run:
         run.watch(setup)
@@ -874,7 +873,7 @@ def _storm_crash_and_refailover(
     seed: int, point: str, hit: int, snapshots: dict[int, dict], n_shards: int
 ) -> SweepOutcome:
     """One storm unit: crash failover itself at (point, hit), retry it."""
-    setup = _build_sharing(seed, n_shards=n_shards)
+    setup = _build_sharing(n_shards=n_shards)
     model = _sharing_prephase(setup)
     dead, survivor = setup.nodes
     with CheckedRun(spans=True, memsan=True) as run:
@@ -941,7 +940,7 @@ def sweep_failover_storm_points(
     shard must serve a read mid-storm, and retirement runs shard by
     shard."""
     golden = _sharing_golden(seed)
-    probe_setup = _build_sharing(seed, n_shards=n_shards)
+    probe_setup = _build_sharing(n_shards=n_shards)
     probe_model = _sharing_prephase(probe_setup)
     dead = probe_setup.nodes[0]
     failover_injector = FaultInjector(seed=seed)

@@ -7,8 +7,8 @@ deterministic retry/timeout/backoff policy with a circuit breaker.
 
 Import note: the package root stays light — it re-exports only the leaf
 ``policy`` and ``timeline`` modules. Import the scenario engine (which
-imports the bench harness, and through it the core) as
-``repro.ha.scenarios``. Nothing in ``core`` imports from here: the
+imports the world builders of :mod:`repro.obs.world`, and through them the
+core) as ``repro.ha.scenarios``. Nothing in ``core`` imports from here: the
 node's :class:`BackoffPolicy` lives in :mod:`repro.core.fusion`.
 """
 

@@ -37,19 +37,15 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..analysis.checked import CheckedRun, fail_over
-from ..bench.harness import (
-    SharingSetup,
-    add_sharing_node,
-    build_sharing_setup,
-    register_metric_sources,
-)
+from ..bench import register_metric_sources
 from ..bench.recovery_exp import run_recovery_experiment
 from ..core.fusion import RpcExhaustedError
 from ..core.sharing import MultiPrimaryNode
-from ..faults.injector import FaultInjector, InjectedCrash
+from ..faults.injector import FaultInjector, InjectedCrash, crash_point
 from ..hardware.memory import AccessMeter
 from ..obs.probes import PROBES
 from ..obs.slo import HealthTimeline, SLOMonitor, check_alignment
+from ..obs.world import SharingSetup, add_sharing_node, build_sharing_setup
 from ..workloads.sysbench import SysbenchWorkload
 from .policy import CircuitBreaker
 from .timeline import AvailabilityTimeline
@@ -158,7 +154,7 @@ class _Fleet:
         self.run = run
         self.workload = SysbenchWorkload(rows=rows, n_nodes=n_nodes)
         self.setup: SharingSetup = build_sharing_setup(
-            "cxl", n_nodes, self.workload, seed=seed, n_shards=n_shards
+            "cxl", n_nodes, self.workload, n_shards=n_shards
         )
         self.sim = self.setup.sim
         self.injector = injector
@@ -714,10 +710,11 @@ def run_join_leave(seed: int = 13, with_baselines: bool = True) -> FleetResult:
         loaded_before = setup.fusion.pages_loaded
         with PROBES.scoped_actor(f"node{len(setup.nodes)}"):
             joiner = add_sharing_node(
-                setup,
-                reuse_slab=leaver.engine.buffer_pool.flag_slab,
-                warm_join=True,
+                setup, reuse_slab=leaver.engine.buffer_pool.flag_slab
             )
+            # Crash (of the joiner) here: it is registered with nothing
+            # yet and holds no locks — the fleet just carries on without it.
+            crash_point("sharing.join.warm")
             joiner_index = fleet.add_node(joiner)
             sim.run_process(joiner.settler.settle())
         warm_keys = sorted(k for keys in fleet.write_keys.values() for k in keys)

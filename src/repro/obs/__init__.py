@@ -11,6 +11,10 @@ to. This package makes both first-class:
 * :mod:`repro.obs.image` — the world-image cache, here because the
   slot decides whether a build may use it (any instrument installed:
   no).
+* :mod:`repro.obs.world` — the world builders every experiment, sweep
+  and check runs on, beside the image cache their dataset load uses.
+  Not re-exported here: it imports the model, which imports this
+  package's probe slot.
 * :mod:`repro.obs.trace` — a :class:`Tracer` of structured events in
   bounded per-subsystem ring buffers.
 * :mod:`repro.obs.counters` — a :class:`CounterRegistry` of named

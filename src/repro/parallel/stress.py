@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from .runner import WorkUnit, run_units
 
 if TYPE_CHECKING:
-    from ..bench.harness import SharingSetup
+    from ..obs.world import SharingSetup
 
 __all__ = [
     "StressCheckError",
@@ -209,8 +209,8 @@ def _stress_shard(
     """
     from ..analysis.checked import CheckedRun
     from ..analysis.memsan import MemSanError
-    from ..bench.harness import build_sharing_setup
     from ..obs import MetricsError
+    from ..obs.world import build_sharing_setup
     from ..workloads.sysbench import SysbenchWorkload
 
     keys = range(1, _ROWS + 1)

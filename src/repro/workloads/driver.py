@@ -282,7 +282,7 @@ class SharingDriver(_ClosedLoopDriver):
         hosts: Sequence[Host],
         txn_ops_fn: Callable[[WorkloadRng, int, float], list[Op]],
         shared_pct: float,
-        cost: Optional[CostModel] = None,
+        cost: CostModel,
         rng: Optional[WorkloadRng] = None,
         workers_per_node: int = 16,
         warmup_txns: int = 2,
@@ -293,7 +293,7 @@ class SharingDriver(_ClosedLoopDriver):
         self.hosts = list(hosts)
         self.txn_ops_fn = txn_ops_fn
         self.shared_pct = shared_pct
-        self.cost = cost or CostModel()
+        self.cost = cost
         self.rng = rng or WorkloadRng()
         self.workers_per_node = workers_per_node
         self.warmup_txns = warmup_txns

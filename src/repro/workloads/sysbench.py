@@ -21,11 +21,10 @@ query goes to the shared table with probability ``shared_pct``.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from ..db.engine import Engine
 from ..db.record import Field, RecordCodec
-from ..sim.latency import CostModel
 from ..sim.rng import WorkloadRng
 from .base import Op, TxnStats, Workload, load_tables
 
@@ -63,7 +62,6 @@ class SysbenchWorkload(Workload):
         range_size: int = 100,
         key_dist: str = "uniform",
         zipf_theta: float = 0.8,
-        cost: Optional[CostModel] = None,
         n_nodes: int = 0,
         with_k_index: bool = False,
     ) -> None:
@@ -84,7 +82,6 @@ class SysbenchWorkload(Workload):
         self.range_size = range_size
         self.key_dist = key_dist
         self.zipf_theta = zipf_theta
-        self.cost = cost or CostModel()
         self.n_nodes = n_nodes
         self.with_k_index = with_k_index
 
@@ -197,7 +194,7 @@ class SysbenchWorkload(Workload):
         return engine.tables["sbtest1"]
 
     def _charge_query(self, engine: Engine, result_bytes: int) -> None:
-        engine.meter.charge_ns(self.cost.query_fixed_ns)
+        engine.meter.charge_ns(engine.cost.query_fixed_ns)
         if result_bytes:
             engine.meter.charge_transfer("client", result_bytes)
 
@@ -215,7 +212,7 @@ class SysbenchWorkload(Workload):
             mtr, self._range_start(rng), self.range_size
         )
         mtr.commit()
-        engine.meter.charge_ns(self.cost.range_row_ns * rows)
+        engine.meter.charge_ns(engine.cost.range_row_ns * rows)
         self._charge_query(engine, _ROW_WIRE_BYTES * rows)
 
     def _update_index(self, engine: Engine, rng: WorkloadRng) -> None:

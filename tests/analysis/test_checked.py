@@ -154,7 +154,7 @@ def test_check_raises_for_a_seeded_violation_of_each_instrument(seed, error):
 
 
 def test_check_raises_for_a_watched_node_whose_durable_log_is_out_of_order():
-    setup = _build_sharing(7)
+    setup = _build_sharing()
     model = _sharing_prephase(setup)
     with _all() as run:
         run.watch(setup)
@@ -170,7 +170,7 @@ def test_check_raises_for_a_watched_node_whose_durable_log_is_out_of_order():
 def _storm_failover(n_shards):
     """Crash the sweep's canonical writer, fail it over once; returns the
     primitive's counts and every page the failover wrote to storage."""
-    setup = _build_sharing(7, n_shards=n_shards)
+    setup = _build_sharing(n_shards=n_shards)
     model = _sharing_prephase(setup)
     written = []
     with CheckedRun(memsan=True) as run:

@@ -21,7 +21,7 @@ in ``tests/faults``.
 import pytest
 
 from repro.analysis.memsan import MemSan
-from repro.bench.harness import build_sharing_setup
+from repro.obs.world import build_sharing_setup
 from repro.workloads.sysbench import SysbenchWorkload
 
 TABLE = "sbtest_shared"

@@ -8,6 +8,7 @@ from repro.baselines.vanilla_recovery import replay_recovery
 from repro.db.constants import PAGE_SIZE
 from repro.hardware.cache import LineCacheModel
 from repro.hardware.memory import AccessMeter
+from repro.sim.latency import CostModel
 
 from ..conftest import SMALL_CODEC, fill_table, make_local_engine, row_for
 
@@ -97,7 +98,7 @@ class TestRdmaAssistedReplay:
             16,
             meter,
         )
-        engine = Engine("r", pool, store, redo, meter, volatile_regions=[lbp_region])
+        engine = Engine("r", pool, store, redo, meter, CostModel(), volatile_regions=[lbp_region])
         engine.initialize()
         table = engine.create_table("t", SMALL_CODEC)
         for key in range(1, 201):
@@ -133,7 +134,7 @@ class TestRdmaAssistedReplay:
         stats = rdma_assisted_recovery(pool2, store, redo, remote, meter2)
         assert stats.pages_redone >= 1
         assert stats.pages_from_remote >= 1
-        engine2 = Engine("r2", pool2, store, redo, meter2)
+        engine2 = Engine("r2", pool2, store, redo, meter2, CostModel())
         engine2.adopt_schema([("t", SMALL_CODEC)])
         mtr = engine2.mtr()
         assert engine2.tables["t"].get(mtr, 10)["k"] == 55

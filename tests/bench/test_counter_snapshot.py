@@ -14,13 +14,9 @@ pins — consciously, in the same commit.
 
 import pytest
 
-from repro.bench.harness import (
-    build_pooling_setup,
-    build_sharing_setup,
-    counter_snapshot,
-    reset_meters,
-)
+from repro.bench.harness import counter_snapshot
 from repro.obs import Tracer
+from repro.obs.world import build_pooling_setup, build_sharing_setup, reset_meters
 from repro.workloads.driver import PoolingDriver, SharingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 
@@ -55,6 +51,7 @@ def _sharing_snapshot() -> dict[str, float]:
             setup.hosts,
             workload.sharing_txn_fn("point_update"),
             shared_pct=50,
+            cost=setup.cost,
             workers_per_node=4,
             warmup_txns=1,
             measure_txns=3,

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bench.harness import build_pooling_setup, build_sharing_setup
 from repro.bench.microbench import (
     TABLE1_PAPER,
     TABLE2_PAPER,
@@ -10,6 +9,7 @@ from repro.bench.microbench import (
     measure_transfer_latency,
 )
 from repro.bench.report import banner, format_series, format_table, improvement_pct
+from repro.obs.world import build_pooling_setup, build_sharing_setup
 from repro.workloads.sysbench import SysbenchWorkload
 
 

@@ -17,14 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import (
-    build_pooling_setup,
-    build_sharing_setup,
-    counter_snapshot,
-    reset_meters,
-)
+from repro.bench.harness import counter_snapshot
 from repro.bench.report import dump_counters_json
 from repro.obs import Tracer
+from repro.obs.world import build_pooling_setup, build_sharing_setup, reset_meters
 from repro.workloads.driver import PoolingDriver, SharingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 
@@ -75,6 +71,7 @@ def _sharing_run(system: str) -> dict[str, float]:
             setup.hosts,
             workload.sharing_txn_fn("point_update"),
             shared_pct=SHARED_PCT,
+            cost=setup.cost,
             workers_per_node=8,
             warmup_txns=1,
             measure_txns=4,

@@ -15,8 +15,8 @@ double- (or under-) accounting:
   ``rpc``/``register`` span exists per ``dbp_rpcs`` meter count.
 """
 
-from repro.bench.harness import build_sharing_setup
 from repro.obs import SpanTracer, Tracer
+from repro.obs.world import build_sharing_setup
 from repro.workloads.driver import SharingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 
@@ -36,6 +36,7 @@ def _traced_run(system, **kwargs):
             setup.hosts,
             workload.sharing_txn_fn("point_update"),
             shared_pct=60,
+            cost=setup.cost,
             workers_per_node=4,
             warmup_txns=1,
             measure_txns=4,

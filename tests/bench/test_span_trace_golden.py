@@ -18,10 +18,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import build_sharing_setup
 from repro.db.txn import Transaction
 from repro.obs import SpanTracer
 from repro.obs.export import to_chrome_trace, write_chrome_trace
+from repro.obs.world import build_sharing_setup
 from repro.workloads.driver import SharingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 
@@ -52,6 +52,7 @@ def _golden_workload_trace() -> SpanTracer:
                 setup.hosts,
                 workload.sharing_txn_fn("point_update"),
                 shared_pct=50,
+                cost=setup.cost,
                 workers_per_node=2,
                 warmup_txns=1,
                 measure_txns=2,

@@ -13,7 +13,6 @@ from typing import Optional
 import pytest
 
 from repro.core.block import pool_bytes_needed
-from repro.core.cxl_bufferpool import CxlBufferPool
 from repro.core.memmgr import CxlMemoryManager
 from repro.db.bufferpool import LocalBufferPool
 from repro.db.constants import PAGE_SIZE
@@ -21,8 +20,10 @@ from repro.db.engine import Engine
 from repro.db.record import Field, RecordCodec
 from repro.hardware.cache import LineCacheModel
 from repro.hardware.host import Cluster, Host
-from repro.hardware.memory import AccessMeter, WindowedMemory
+from repro.hardware.memory import AccessMeter
+from repro.obs.world import build_cxl_engine
 from repro.sim.core import Simulator
+from repro.sim.latency import CostModel
 from repro.sim.rng import WorkloadRng
 from repro.storage.pagestore import PageStore
 from repro.storage.wal import RedoLog, _headers
@@ -95,7 +96,7 @@ def make_local_engine(
         host.map_dram(region, meter, line_cache), store, capacity_pages
     )
     engine = Engine(
-        name, pool, store, redo, meter, volatile_regions=[region]
+        name, pool, store, redo, meter, CostModel(), volatile_regions=[region]
     )
     if initialize:
         engine.initialize()
@@ -118,11 +119,10 @@ def make_cxl_engine(
     manager = CxlMemoryManager(
         cluster.fabric, pool_bytes_needed(n_blocks) + (4 << 21)
     )
-    extent = manager.allocate(name, pool_bytes_needed(n_blocks), meter)
-    mapped = host.map_cxl(manager.region, meter, line_cache)
-    mem = WindowedMemory(mapped, extent.offset, extent.size)
-    pool = CxlBufferPool(mem, store, n_blocks, lru_move_period=lru_move_period)
-    engine = Engine(name, pool, store, redo, meter)
+    engine, extent = build_cxl_engine(
+        name, host, manager, n_blocks, meter, store, redo, line_cache, CostModel(),
+        lru_move_period,
+    )
     engine.initialize()
     return EngineCtx(
         engine,
@@ -133,7 +133,7 @@ def make_cxl_engine(
         line_cache,
         manager=manager,
         extent=extent,
-        mem=mem,
+        mem=engine.buffer_pool.mem,
         n_blocks=n_blocks,
     )
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import build_sharing_setup
+from repro.obs.world import build_sharing_setup
 from repro.workloads.driver import SharingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 
@@ -52,6 +52,7 @@ class TestHwCoherent:
         driver = SharingDriver(
             s.sim, s.nodes, s.hosts,
             workload.sharing_txn_fn("point_update"), shared_pct=50,
+            cost=s.cost,
             workers_per_node=3, warmup_txns=1, measure_txns=2,
         )
         result = driver.run()
@@ -75,6 +76,7 @@ class TestHwCoherent:
             driver = SharingDriver(
                 s.sim, s.nodes, s.hosts,
                 workload.sharing_txn_fn("point_update"), shared_pct=60,
+                cost=s.cost,
                 workers_per_node=4, warmup_txns=1, measure_txns=3,
             )
             qps[system] = driver.run().qps

@@ -7,6 +7,7 @@ from repro.db.constants import PAGE_SIZE, PT_LEAF
 from repro.db.engine import Engine
 from repro.hardware.memory import AccessMeter, WindowedMemory
 from repro.hardware.cache import LineCacheModel
+from repro.sim.latency import CostModel
 from repro.storage.wal import RedoRecord
 
 from ..conftest import SMALL_CODEC, fill_table, make_cxl_engine, row_for
@@ -20,7 +21,7 @@ def recover(ctx):
     mapped = ctx.host.map_cxl(ctx.manager.region, meter, LineCacheModel())
     mem = WindowedMemory(mapped, ctx.extent.offset, ctx.extent.size)
     pool, stats = PolarRecv(mem, ctx.store, ctx.redo, ctx.n_blocks).recover()
-    engine = Engine(ctx.engine.name, pool, ctx.store, ctx.redo, meter)
+    engine = Engine(ctx.engine.name, pool, ctx.store, ctx.redo, meter, CostModel())
     engine.adopt_schema([("t", SMALL_CODEC)])
     return engine, pool, stats
 

@@ -10,13 +10,13 @@ and failover/retirement stay per-shard.
 
 import pytest
 
-from repro.bench.harness import build_sharing_setup
 from repro.core.directory import SharerDirectory
 from repro.core.fusion import BufferFusionServer
 from repro.core.shard_router import FusionShardRouter, shard_of_page
 from repro.db.constants import PAGE_SIZE, PT_LEAF
 from repro.db.page import format_empty_page
 from repro.hardware.memory import AccessMeter, MemoryRegion
+from repro.obs.world import build_sharing_setup
 from repro.storage.pagestore import PageStore
 from repro.workloads.sysbench import SysbenchWorkload
 

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.bench.harness import build_sharing_setup
 from repro.db.constants import PAGE_SIZE
 from repro.obs import Tracer
+from repro.obs.world import build_sharing_setup
 from repro.workloads.sysbench import SysbenchWorkload
 
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bench.harness import build_sharing_setup
 from repro.core.coherency import FlagSlab
 from repro.core.fusion import BufferFusionServer
 from repro.core.sharing import SharedCxlBufferPool
@@ -10,6 +9,7 @@ from repro.db.constants import PAGE_SIZE, PT_LEAF
 from repro.db.page import format_empty_page
 from repro.hardware.cache import CpuCache
 from repro.hardware.memory import AccessMeter, MemoryRegion
+from repro.obs.world import build_sharing_setup
 from repro.storage.pagestore import PageStore
 
 

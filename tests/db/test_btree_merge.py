@@ -10,6 +10,7 @@ from repro.db.constants import (
     PT_FREE,
 )
 from repro.db.record import Field, RecordCodec
+from repro.sim.latency import CostModel
 
 from ..conftest import make_local_engine
 
@@ -199,7 +200,7 @@ class TestMergeRecovery:
         mem = WindowedMemory(mapped, ctx.extent.offset, ctx.extent.size)
         pool, stats = PolarRecv(mem, ctx.store, ctx.redo, ctx.n_blocks).recover()
         assert stats.pages_rebuilt_locked >= 1
-        engine = Engine("mergecrash2", pool, ctx.store, ctx.redo, meter)
+        engine = Engine("mergecrash2", pool, ctx.store, ctx.redo, meter, CostModel())
         engine.adopt_schema([("t", WIDE)])
         table2 = engine.tables["t"]
         mtr = engine.mtr()

@@ -44,7 +44,7 @@ class TestLatchHelper:
 class TestDeterminism:
     def test_identical_seeds_identical_results(self):
         """Guard against accidental nondeterminism anywhere in the stack."""
-        from repro.bench.harness import build_pooling_setup
+        from repro.obs.world import build_pooling_setup
         from repro.workloads.driver import PoolingDriver
         from repro.workloads.sysbench import SysbenchWorkload
 

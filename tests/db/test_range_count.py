@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.bench.harness import build_pooling_setup
+from repro.obs.world import build_pooling_setup
 from repro.sim.latency import CostModel
 from repro.workloads.sysbench import SysbenchWorkload
 

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.db.record import Field, RecordCodec
+from repro.sim.latency import CostModel
 
 from ..conftest import make_local_engine
 
@@ -161,7 +162,7 @@ class TestIndexRecovery:
         mapped = host.map_cxl(ctx.manager.region, meter, LineCacheModel())
         mem = WindowedMemory(mapped, ctx.extent.offset, ctx.extent.size)
         pool, _ = PolarRecv(mem, ctx.store, ctx.redo, ctx.n_blocks).recover()
-        engine = Engine("idxrec2", pool, ctx.store, ctx.redo, meter)
+        engine = Engine("idxrec2", pool, ctx.store, ctx.redo, meter, CostModel())
         engine.adopt_schema([("t", CODEC, ("k",))])
         table2 = engine.tables["t"]
         mtr = engine.mtr()

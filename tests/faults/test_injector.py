@@ -296,12 +296,12 @@ class TestRedoLogAlignment:
 
 
 class TestRpcLossRetryBackoff:
-    def _setup(self, seed=3):
-        from repro.bench.harness import build_sharing_setup
+    def _setup(self):
+        from repro.obs.world import build_sharing_setup
         from repro.workloads.sysbench import SysbenchWorkload
 
         workload = SysbenchWorkload(rows=60, n_nodes=2)
-        return build_sharing_setup("cxl", 2, workload, seed=seed)
+        return build_sharing_setup("cxl", 2, workload)
 
     def test_node_retries_through_transient_fusion_loss(self):
         setup = self._setup()

@@ -10,9 +10,9 @@ from contextlib import contextmanager
 import pytest
 
 from repro.analysis.checked import CheckedRun
-from repro.bench.harness import add_sharing_node
 from repro.faults.injector import FaultInjector, InjectedCrash
 from repro.ha.scenarios import _Fleet
+from repro.obs.world import add_sharing_node
 
 
 @contextmanager

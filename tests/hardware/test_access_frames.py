@@ -35,11 +35,11 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.memsan import MemSan, _InternalScope
-from repro.bench.harness import build_pooling_setup, build_sharing_setup
 from repro.db.constants import OFF_NRECS, PAGE_SIZE
 from repro.faults.injector import FaultInjector
 from repro.obs import SpanTracer, Tracer
 from repro.obs.metrics import MetricsPipeline
+from repro.obs.world import build_pooling_setup, build_sharing_setup
 from repro.workloads.sysbench import SysbenchWorkload
 
 
@@ -146,7 +146,7 @@ def test_pooled_read_only_transaction_builds_no_row_in_its_range_selects():
 @pytest.fixture(scope="module")
 def sharing_node():
     workload = SysbenchWorkload(rows=100, n_nodes=2)
-    setup = build_sharing_setup("cxl", 2, workload, seed=7)
+    setup = build_sharing_setup("cxl", 2, workload)
     return setup.nodes[0]
 
 

@@ -152,6 +152,38 @@ def test_the_sweeps_and_the_analysis_tools_import_no_parallel_runner():
     assert not upward, "imports of repro.parallel:\n" + "\n".join(upward)
 
 
+def test_no_module_outside_bench_imports_the_bench_harness():
+    """Worlds and their setup types come from :mod:`repro.obs.world`, not
+    from the measurement package; ``TYPE_CHECKING`` imports count too.
+    (The HA fleet still takes its metric sources and its recovery
+    experiment from the ``repro.bench`` package.)"""
+    offenders = [
+        f"{path.relative_to(SRC)}: from {module} import {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.relative_to(SRC).parts[0] != "bench"
+        for module, name in _imports(path)
+        if module == "repro.bench.harness" or (module, name) == ("repro.bench", "harness")
+    ]
+    assert not offenders, "imports of repro.bench.harness:\n" + "\n".join(offenders)
+
+
+def test_the_world_builder_imports_nothing_above_it():
+    """``repro.obs.world`` wires the model. The tools that run, crash and
+    check worlds sit above it, never below, and of ``obs`` it takes only
+    the image cache and the probe slot, no instrument."""
+    allowed_obs = ("repro.obs.image", "repro.obs.probes")
+    upward = [
+        f"from {module} import {name}"
+        for module, name in _imports(SRC / "obs" / "world.py")
+        if module.startswith("repro.")
+        and (
+            module.split(".")[1] in (*ABOVE_THE_MODEL, "faults")
+            or (module.split(".")[1] == "obs" and module not in allowed_obs)
+        )
+    ]
+    assert not upward, "repro.obs.world imports upward:\n" + "\n".join(upward)
+
+
 def test_no_module_reads_an_environment_variable():
     """A run depends on its arguments alone. Copying the environment for
     a child process (``dict(os.environ)``) is allowed; reading a variable
@@ -212,8 +244,6 @@ NO_CALLER_ALLOWED = {
     "repro.hardware.cxl:CxlFabric.power_fail_pool":
         "kept for the memory-device failure item (ROADMAP item 3)",
     "repro.hardware.host:Cluster.add_fabric":
-        "kept for the memory-device failure item (ROADMAP item 3)",
-    "repro.core.memmgr:CxlMemoryManager.extents_of":
         "kept for the memory-device failure item (ROADMAP item 3)",
     "repro.core.memmgr:CxlMemoryManager.check_access":
         "kept for the memory-device failure item (ROADMAP item 3)",

@@ -3,6 +3,8 @@
 
 from repro.core.memmgr import CxlMemoryManager
 from repro.hardware.host import Cluster
+from repro.obs.world import build_cxl_engine
+from repro.sim.latency import CostModel
 
 from ..conftest import fill_table, make_cxl_engine
 
@@ -48,25 +50,20 @@ class TestMultiplePools:
         host_a = cluster.add_host("ha")
         host_b = cluster.add_host("hb", fabric=second)
         ctx_a = make_cxl_engine(cluster, host_a, n_blocks=48, name="pa")
-        # Build the second engine against the second fabric by hand.
+        # Build the second engine against the second fabric.
         from repro.core.block import pool_bytes_needed
-        from repro.core.cxl_bufferpool import CxlBufferPool
         from repro.db.constants import PAGE_SIZE
-        from repro.db.engine import Engine
         from repro.hardware.cache import LineCacheModel
-        from repro.hardware.memory import AccessMeter, WindowedMemory
+        from repro.hardware.memory import AccessMeter
         from repro.storage.pagestore import PageStore
         from repro.storage.wal import RedoLog
 
         meter = AccessMeter()
         manager_b = CxlMemoryManager(second, pool_bytes_needed(48) + (4 << 21))
-        extent = manager_b.allocate("pb", pool_bytes_needed(48), meter)
-        mapped = host_b.map_cxl(manager_b.region, meter, LineCacheModel())
-        mem = WindowedMemory(mapped, extent.offset, extent.size)
-        store = PageStore(PAGE_SIZE, meter)
-        redo = RedoLog(meter)
-        pool = CxlBufferPool(mem, store, 48)
-        engine_b = Engine("pb", pool, store, redo, meter)
+        engine_b, _ = build_cxl_engine(
+            "pb", host_b, manager_b, 48, meter, PageStore(PAGE_SIZE, meter),
+            RedoLog(meter), LineCacheModel(), CostModel(), lru_move_period=1,
+        )
         engine_b.initialize()
 
         table_a = fill_table(ctx_a, rows=40)

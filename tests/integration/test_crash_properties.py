@@ -17,6 +17,7 @@ from repro.hardware.cache import LineCacheModel
 from repro.hardware.host import Cluster
 from repro.hardware.memory import AccessMeter, WindowedMemory
 from repro.sim.core import Simulator
+from repro.sim.latency import CostModel
 
 from ..conftest import (
     SMALL_CODEC,
@@ -140,7 +141,7 @@ class TestCrashConsistency:
         mapped = host.map_cxl(ctx.manager.region, meter, LineCacheModel())
         mem = WindowedMemory(mapped, ctx.extent.offset, ctx.extent.size)
         pool, _ = PolarRecv(mem, ctx.store, ctx.redo, ctx.n_blocks).recover()
-        engine = Engine("prop2", pool, ctx.store, ctx.redo, meter)
+        engine = Engine("prop2", pool, ctx.store, ctx.redo, meter, CostModel())
         engine.adopt_schema([("t", SMALL_CODEC)])
         assert _contents(engine) == model
 
@@ -166,7 +167,7 @@ class TestCrashConsistency:
         pool, _ = PolarRecv(
             mem, cxl_ctx.store, cxl_ctx.redo, cxl_ctx.n_blocks
         ).recover()
-        engine_cxl = Engine("agree-cxl2", pool, cxl_ctx.store, cxl_ctx.redo, meter)
+        engine_cxl = Engine("agree-cxl2", pool, cxl_ctx.store, cxl_ctx.redo, meter, CostModel())
         engine_cxl.adopt_schema([("t", SMALL_CODEC)])
 
         # Vanilla replay over a DRAM engine with the same history.
@@ -231,7 +232,7 @@ class TestCrashDuringLruMutation:
         mem = WindowedMemory(mapped, ctx.extent.offset, ctx.extent.size)
         pool, stats = PolarRecv(mem, ctx.store, ctx.redo, ctx.n_blocks).recover()
         assert stats.lru_rebuilt
-        engine = Engine("lruboom2", pool, ctx.store, ctx.redo, meter)
+        engine = Engine("lruboom2", pool, ctx.store, ctx.redo, meter, CostModel())
         engine.adopt_schema([("t", SMALL_CODEC)])
         contents = _contents(engine)
         assert set(contents) == set(range(1, 301))

@@ -30,6 +30,7 @@ from repro.faults.sweep import (
 from repro.hardware.cache import LineCacheModel
 from repro.hardware.memory import AccessMeter, WindowedMemory
 from repro.obs import Tracer
+from repro.sim.latency import CostModel
 
 from ..conftest import SMALL_CODEC, fill_table, make_cxl_engine
 
@@ -199,7 +200,7 @@ def _recover_traced(ctx):
         pool, stats = PolarRecv(
             mem, ctx.store, ctx.redo, ctx.n_blocks
         ).recover()
-    engine = Engine(ctx.engine.name, pool, ctx.store, ctx.redo, meter)
+    engine = Engine(ctx.engine.name, pool, ctx.store, ctx.redo, meter, CostModel())
     engine.adopt_schema([("t", SMALL_CODEC)])
     return engine, stats, tracer.counters.snapshot()
 

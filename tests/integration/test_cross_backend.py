@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro.analysis.memsan import MemSan
-from repro.bench.harness import build_pooling_setup, build_sharing_setup, reset_meters
+from repro.obs.world import build_pooling_setup, build_sharing_setup, reset_meters
 from repro.workloads.driver import PoolingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 
@@ -48,7 +48,7 @@ def _pooled(system: str):
 def _shared(system: str):
     """One primary of a sharing cluster, driving its shared table."""
     workload = SysbenchWorkload(rows=ROWS, n_nodes=1)
-    setup = build_sharing_setup(system, 1, workload, seed=7)
+    setup = build_sharing_setup(system, 1, workload)
     engine = setup.nodes[0].engine
     return workload, engine, engine.tables["sbtest_shared"]
 

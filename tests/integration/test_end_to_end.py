@@ -3,12 +3,8 @@ at miniature scale."""
 
 import pytest
 
-from repro.bench.harness import (
-    build_pooling_setup,
-    build_sharing_setup,
-    reset_meters,
-)
 from repro.bench.recovery_exp import run_recovery_experiment
+from repro.obs.world import build_pooling_setup, build_sharing_setup, reset_meters
 from repro.workloads.driver import PoolingDriver, SharingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 from repro.workloads.tatp import TatpWorkload
@@ -110,6 +106,7 @@ class TestSharingEndToEnd:
             setup.hosts,
             workload.sharing_txn_fn("point_update"),
             shared_pct=50,
+            cost=setup.cost,
             workers_per_node=4,
             warmup_txns=1,
             measure_txns=3,
@@ -134,6 +131,7 @@ class TestSharingEndToEnd:
                 setup.hosts,
                 workload.sharing_txn_fn("point_update"),
                 shared_pct=pct,
+                cost=setup.cost,
                 workers_per_node=6,
                 warmup_txns=1,
                 measure_txns=3,
@@ -149,7 +147,7 @@ class TestSharingEndToEnd:
         setup = build_sharing_setup("cxl", 2, workload)
         driver = SharingDriver(
             setup.sim, setup.nodes, setup.hosts, workload.txn_ops,
-            shared_pct=0.0, workers_per_node=4, warmup_txns=1, measure_txns=3,
+            shared_pct=0.0, cost=setup.cost, workers_per_node=4, warmup_txns=1, measure_txns=3,
         )
         result = driver.run()
         assert result.txns == 2 * 4 * 3
@@ -160,7 +158,7 @@ class TestSharingEndToEnd:
         setup = build_sharing_setup("rdma", 2, workload)
         driver = SharingDriver(
             setup.sim, setup.nodes, setup.hosts, workload.txn_ops,
-            shared_pct=0.0, workers_per_node=4, warmup_txns=1, measure_txns=3,
+            shared_pct=0.0, cost=setup.cost, workers_per_node=4, warmup_txns=1, measure_txns=3,
         )
         result = driver.run()
         assert result.txns == 24

@@ -7,6 +7,7 @@ from repro.bench.recovery_exp import run_recovery_experiment
 from repro.faults.injector import FaultInjector, InjectedCrash
 from repro.hardware.cache import CpuCache, LineCacheModel
 from repro.hardware.memory import AccessMeter, WindowedMemory
+from repro.sim.latency import CostModel
 
 from ..conftest import SMALL_CODEC, fill_table, make_cxl_engine
 
@@ -81,7 +82,7 @@ class TestDoubleCrash:
         pool, stats = PolarRecv(mem, ctx.store, ctx.redo, ctx.n_blocks).recover()
         from repro.db.engine import Engine
 
-        engine = Engine("double2", pool, ctx.store, ctx.redo, meter)
+        engine = Engine("double2", pool, ctx.store, ctx.redo, meter, CostModel())
         engine.adopt_schema([("t", SMALL_CODEC)])
         mtr = engine.mtr()
         assert engine.tables["t"].get(mtr, 5)["k"] == 42
@@ -141,7 +142,7 @@ class TestDoubleCrash:
         mapped = host.map_cxl(ctx.manager.region, meter, LineCacheModel())
         mem = WindowedMemory(mapped, ctx.extent.offset, ctx.extent.size)
         pool, _stats = PolarRecv(mem, ctx.store, ctx.redo, ctx.n_blocks).recover()
-        engine = Engine("reentry2", pool, ctx.store, ctx.redo, meter)
+        engine = Engine("reentry2", pool, ctx.store, ctx.redo, meter, CostModel())
         engine.adopt_schema([("t", SMALL_CODEC)])
         mtr = engine.mtr()
         assert engine.tables["t"].get(mtr, 5)["k"] == 42
@@ -156,7 +157,7 @@ class TestSharingWithTinyCpuCache:
         """A 32-line CPU cache forces constant background write-backs of
         dirty lines mid-critical-section; the protocol must still never
         serve stale data (write-backs only ever *advance* the region)."""
-        from repro.bench.harness import build_sharing_setup
+        from repro.obs.world import build_sharing_setup
         from repro.workloads.sysbench import SysbenchWorkload
 
         workload = SysbenchWorkload(rows=400, n_nodes=2)
@@ -183,7 +184,7 @@ class TestMeterTransferAccounting:
     def test_pooling_counters_track_amplification(self):
         """The RDMA instance's rdma_bytes per query dwarf the touched
         bytes — the paper's amplification metric, measurable directly."""
-        from repro.bench.harness import build_pooling_setup
+        from repro.obs.world import build_pooling_setup
         from repro.workloads.driver import PoolingDriver
         from repro.workloads.sysbench import SysbenchWorkload
 

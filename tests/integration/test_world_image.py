@@ -25,11 +25,11 @@ import pytest
 
 from repro.analysis.checked import CheckedRun
 from repro.analysis.memsan import MemSan
-from repro.bench.harness import build_pooling_setup, build_sharing_setup
 from repro.obs.image import IMAGE_BOUND, IMAGES
 from repro.faults import sweep
 from repro.faults.injector import FaultInjector
 from repro.obs import Tracer
+from repro.obs.world import build_pooling_setup, build_sharing_setup
 from repro.parallel.__main__ import main as parallel_main
 from repro.parallel.stress import run_sharing_stress
 from repro.workloads.sysbench import SysbenchWorkload

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import build_pooling_setup, build_sharing_setup
+from repro.obs.world import build_pooling_setup, build_sharing_setup
 from repro.workloads.driver import PoolingDriver, SharingDriver
 from repro.workloads.sysbench import SysbenchWorkload
 
@@ -82,6 +82,7 @@ class TestSharingDriver:
         driver = SharingDriver(
             setup.sim, setup.nodes, setup.hosts,
             workload.sharing_txn_fn("point_update"), shared_pct=100,
+            cost=setup.cost,
             workers_per_node=3, warmup_txns=1, measure_txns=2,
         )
         result = driver.run()
@@ -99,6 +100,7 @@ class TestSharingDriver:
             setup.sim, setup.nodes, setup.hosts,
             lambda rng, node, pct: [Op("truncate", "sbtest_shared", 1)],
             shared_pct=0,
+            cost=setup.cost,
             workers_per_node=1, warmup_txns=0, measure_txns=1,
         )
         with pytest.raises(ValueError):

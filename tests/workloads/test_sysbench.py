@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.obs.world import build_pooling_setup
+from repro.sim.latency import CostModel
 from repro.sim.rng import WorkloadRng
 from repro.workloads.base import TxnStats
 from repro.workloads.sysbench import SYSBENCH_MIXES, SysbenchWorkload
@@ -89,7 +91,30 @@ class TestSingleNodeMixes:
         ctx, workload = loaded
         ctx.meter.reset()
         workload.txn_fn("point_select")(ctx.engine, WorkloadRng(5))
-        assert ctx.meter.ns >= workload.cost.query_fixed_ns
+        assert ctx.meter.ns >= ctx.engine.cost.query_fixed_ns
+
+    def test_statements_charge_the_world_cost_model(self, monkeypatch):
+        """The cost model handed to the builder is the one each statement
+        charges: the workload keeps none of its own."""
+        cost = CostModel(query_fixed_ns=55_555.0, range_row_ns=3_333.0)
+        workload = SysbenchWorkload(rows=500)
+        setup = build_pooling_setup("dram", 1, workload, cost=cost)
+        engine = setup.instances[0].engine
+        charged: list[float] = []
+        charge = engine.meter.charge_ns
+
+        def record(ns: float) -> None:
+            charged.append(ns)
+            charge(ns)
+
+        monkeypatch.setattr(engine.meter, "charge_ns", record)
+        rng = WorkloadRng(5)
+        workload.txn_fn("point_select")(engine, rng)
+        assert cost.query_fixed_ns in charged
+        charged.clear()
+        workload.txn_fn("range_select")(engine, rng)
+        assert cost.range_row_ns * workload.range_size in charged
+        assert cost.query_fixed_ns in charged
 
     def test_range_charges_client_bytes(self, loaded):
         ctx, workload = loaded
