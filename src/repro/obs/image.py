@@ -12,8 +12,12 @@ image or a sibling clone.
 :data:`IMAGES` is the one per-process cache of them, small and bounded.
 A build that runs while any instrument is installed
 (:data:`repro.obs.probes.PROBES`) neither reads nor fills it: a traced,
-sanitized or fault-injected build must emit exactly what a fresh one
-emits, and an image taken under an injector could hold a half-done one.
+span-traced, metered or fault-injected build must emit exactly what a
+fresh one emits, and an image taken under an injector could hold a
+half-done one. The dataset load is the one client that suspends an
+instrument around this call: MemSan watches no loader region, so it
+sees nothing of a load either way, and a MemSan-only build restores
+the dataset image (:func:`repro.obs.world._load_dataset`).
 """
 
 from __future__ import annotations

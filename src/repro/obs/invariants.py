@@ -1,8 +1,9 @@
 """Trace-driven coherency-protocol invariant checking.
 
-The checker replays a trace (any iterable of :class:`TraceEvent` in
-emission order) and asserts the safety properties the sharing protocol
-of §3.3 promises. It never looks at live objects — only at the event
+The checker replays a trace (a :class:`Tracer`, whose rings it walks
+column by column, or any iterable of :class:`TraceEvent` in emission
+order) and asserts the safety properties the sharing protocol of §3.3
+promises. It never looks at live objects — only at the event
 stream — so it works equally as a pytest fixture over a finished test,
 over a sweep-harness golden run, or over a benchmark trace.
 
@@ -51,10 +52,11 @@ event key                  fields used
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Union
 
 from .spans import STATUS_ABANDONED, STATUS_CLOSED, Span, SpanLog, SpanTracer
-from .trace import TraceEvent, Tracer
+from .trace import TraceEvent, Tracer, in_seq_order
 
 __all__ = [
     "Violation",
@@ -118,123 +120,183 @@ class TraceInvariantChecker:
         # log id -> last appended LSN
         self._last_lsn: dict[object, int] = {}
 
-    def check(self, events: Iterable[TraceEvent]) -> list[Violation]:
-        for event in events:
+    def check(self, source: Union[Tracer, Iterable[TraceEvent]]) -> list[Violation]:
+        """Replay ``source`` — a tracer's buffered events, or any
+        iterable of events in emission order — and return the violations."""
+        if isinstance(source, Tracer):
+            return self._check_columns(source)
+        for event in source:
             self.stats.events += 1
-            handler = _HANDLERS.get(event.key)
-            if handler is not None:
-                handler(self, event)
+            kind = _HANDLERS.get(event.key)
+            if kind is not None:
+                handler, wants = kind
+                fields = event.fields
+                handler(
+                    self,
+                    event.seq,
+                    *[fields[want] for want in wants if want in fields or want not in _OPTIONAL],
+                )
+        return self.stats.violations
+
+    def _check_columns(self, tracer: Tracer) -> list[Violation]:
+        """:meth:`check` over the tracer's rings: only the events a
+        handler reads are merged into emission order, and each hands its
+        handler the fields it takes straight from the packed values."""
+        parts = tracer.rows(tuple(tracer.subsystems()))
+        rings = [ring for _, ring, _, _ in parts]
+        # Per part, per name code: [handler, fields it takes, getter by shape].
+        kinds = [
+            [
+                None if kind is None else [*kind, {}]
+                for kind in (_HANDLERS.get(f"{subsystem}.{name}") for name in tracer.names)
+            ]
+            for subsystem, _, _, _ in parts
+        ]
+        self.stats.events += sum(end - first for _, _, first, end in parts)
+        for seq, index, row in in_seq_order(tracer.capacity_per_subsystem, parts, kinds):
+            ring = rings[index]
+            handler, wants, getters = kinds[index][ring.name[row]]
+            shape = ring.shape[row]
+            getter = getters.get(shape)
+            if getter is None:
+                getter = getters[shape] = _getter(tracer.shapes[shape], wants)
+            handler(self, seq, *getter(ring.values[row]))
         return self.stats.violations
 
     # -- handlers -------------------------------------------------------------------
 
-    def _violate(self, invariant: str, event: TraceEvent, detail: str) -> None:
-        self.stats.violations.append(Violation(invariant, event.seq, detail))
+    def _violate(self, invariant: str, seq: int, detail: str) -> None:
+        self.stats.violations.append(Violation(invariant, seq, detail))
 
-    def _on_invalidate_push(self, event: TraceEvent) -> None:
-        key = (event.fields["target"], event.fields["page"])
-        self._pending_invalid.setdefault(key, event.seq)
+    def _on_invalidate_push(self, seq: int, target: object, page: int) -> None:
+        self._pending_invalid.setdefault((target, page), seq)
         self.stats.invalidations_tracked += 1
 
-    def _on_page_access(self, event: TraceEvent) -> None:
-        fields = event.fields
-        key = (fields["node"], fields["page"])
+    def _on_page_access(
+        self, seq: int, node: object, page: int, saw_invalid: object = None
+    ) -> None:
+        key = (node, page)
         pushed_at = self._pending_invalid.pop(key, None)
         self.stats.accesses_checked += 1
-        if pushed_at is not None and not fields.get("saw_invalid"):
+        if pushed_at is not None and not saw_invalid:
             self._violate(
                 "no_stale_read",
-                event,
-                f"node {key[0]!r} accessed page {key[1]} without observing "
+                seq,
+                f"node {node!r} accessed page {page} without observing "
                 f"the invalid flag pushed at #{pushed_at} — stale CPU-cache "
                 "lines may have served the read",
             )
 
-    def _on_drop(self, event: TraceEvent) -> None:
-        key = (event.fields["node"], event.fields["page"])
+    def _on_drop(self, seq: int, node: object, page: int) -> None:
+        key = (node, page)
         self._pending_invalid.pop(key, None)
         self._open_write_locks.pop(key, None)
 
-    def _on_write_acquire(self, event: TraceEvent) -> None:
-        key = (event.fields["node"], event.fields["page"])
-        self._open_write_locks[key] = False
+    def _on_write_acquire(self, seq: int, node: object, page: int) -> None:
+        self._open_write_locks[(node, page)] = False
 
-    def _on_flush(self, event: TraceEvent) -> None:
-        fields = event.fields
-        key = (fields["node"], fields["page"])
+    def _on_flush(
+        self,
+        seq: int,
+        node: object,
+        page: int,
+        dirty_before: int,
+        lines_flushed: int,
+        dirty_after: int,
+    ) -> None:
+        key = (node, page)
         self.stats.flushes_checked += 1
         if key in self._open_write_locks:
             self._open_write_locks[key] = True
-        dirty_before = fields["dirty_before"]
-        lines_flushed = fields["lines_flushed"]
-        dirty_after = fields["dirty_after"]
         if lines_flushed != dirty_before:
             self._violate(
                 "flush_on_write_release",
-                event,
-                f"node {key[0]!r} page {key[1]}: flushed {lines_flushed} "
+                seq,
+                f"node {node!r} page {page}: flushed {lines_flushed} "
                 f"lines but {dirty_before} were dirty — the release must "
                 "write back exactly the modified 64 B lines",
             )
         if dirty_after != 0:
             self._violate(
                 "flush_on_write_release",
-                event,
-                f"node {key[0]!r} page {key[1]}: {dirty_after} dirty lines "
+                seq,
+                f"node {node!r} page {page}: {dirty_after} dirty lines "
                 "survived the release flush",
             )
 
-    def _on_rdma_flush(self, event: TraceEvent) -> None:
-        key = (event.fields["node"], event.fields["page"])
+    def _on_rdma_flush(self, seq: int, node: object, page: int) -> None:
+        key = (node, page)
         self.stats.flushes_checked += 1
         if key in self._open_write_locks:
             self._open_write_locks[key] = True
 
-    def _on_write_release(self, event: TraceEvent) -> None:
-        key = (event.fields["node"], event.fields["page"])
+    def _on_write_release(self, seq: int, node: object, page: int) -> None:
         self.stats.releases_checked += 1
-        flushed = self._open_write_locks.pop(key, None)
+        flushed = self._open_write_locks.pop((node, page), None)
         if flushed is None:
             self._violate(
                 "flush_on_write_release",
-                event,
-                f"node {key[0]!r} released a write lock on page {key[1]} "
+                seq,
+                f"node {node!r} released a write lock on page {page} "
                 "it never acquired in this trace",
             )
         elif not flushed:
             self._violate(
                 "flush_on_write_release",
-                event,
-                f"node {key[0]!r} released the write lock on page {key[1]} "
+                seq,
+                f"node {node!r} released the write lock on page {page} "
                 "without flushing its modifications",
             )
 
-    def _on_wal_append(self, event: TraceEvent) -> None:
-        fields = event.fields
-        log, lsn = fields["log"], fields["lsn"]
+    def _on_wal_append(self, seq: int, log: object, lsn: int, page: int) -> None:
         self.stats.appends_checked += 1
         last = self._last_lsn.get(log)
         if last is not None and lsn <= last:
             self._violate(
                 "lsn_monotone",
-                event,
-                f"log {log!r}: LSN {lsn} appended after {last} "
-                f"(page {fields['page']})",
+                seq,
+                f"log {log!r}: LSN {lsn} appended after {last} (page {page})",
             )
         if last is None or lsn > last:
             self._last_lsn[log] = lsn
 
 
+#: Event key -> (handler, the fields it takes, in parameter order). Every
+#: handler takes at least two fields that must be present; a field in
+#: ``_OPTIONAL`` may be absent, and the handler's default stands in.
 _HANDLERS = {
-    "fusion.invalidate_push": TraceInvariantChecker._on_invalidate_push,
-    "sharing.page_access": TraceInvariantChecker._on_page_access,
-    "sharing.drop": TraceInvariantChecker._on_drop,
-    "sharing.flush": TraceInvariantChecker._on_flush,
-    "rdma.flush_page": TraceInvariantChecker._on_rdma_flush,
-    "lock.write_acquire": TraceInvariantChecker._on_write_acquire,
-    "lock.write_release": TraceInvariantChecker._on_write_release,
-    "wal.append": TraceInvariantChecker._on_wal_append,
+    "fusion.invalidate_push": (TraceInvariantChecker._on_invalidate_push, ("target", "page")),
+    "sharing.page_access": (
+        TraceInvariantChecker._on_page_access,
+        ("node", "page", "saw_invalid"),
+    ),
+    "sharing.drop": (TraceInvariantChecker._on_drop, ("node", "page")),
+    "sharing.flush": (
+        TraceInvariantChecker._on_flush,
+        ("node", "page", "dirty_before", "lines_flushed", "dirty_after"),
+    ),
+    "rdma.flush_page": (TraceInvariantChecker._on_rdma_flush, ("node", "page")),
+    "lock.write_acquire": (TraceInvariantChecker._on_write_acquire, ("node", "page")),
+    "lock.write_release": (TraceInvariantChecker._on_write_release, ("node", "page")),
+    "wal.append": (TraceInvariantChecker._on_wal_append, ("log", "lsn", "page")),
 }
+_OPTIONAL = frozenset({"saw_invalid"})
+
+
+def _getter(keys: tuple[str, ...], wants: tuple[str, ...]) -> Callable[[object], tuple]:
+    """From the packed values of an event with fields ``keys`` to the
+    ``wants`` a handler takes (``KeyError`` if a required one is absent).
+
+    Two or more present fields, so the values are a tuple and so is what
+    the getter returns.
+    """
+    positions = []
+    for want in wants:
+        if want in keys:
+            positions.append(keys.index(want))
+        elif want not in _OPTIONAL:
+            raise KeyError(want)
+    return itemgetter(*positions)
 
 
 def assert_trace_invariants(
@@ -265,11 +327,10 @@ def assert_trace_invariants(
                     )
                 ]
             )
-        events = source.events()
     else:
-        events = list(source)
+        source = list(source)
     checker = TraceInvariantChecker()
-    violations = checker.check(events)
+    violations = checker.check(source)
     if violations:
         raise InvariantViolationError(violations)
     return checker.stats

@@ -87,7 +87,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 from .probes import PROBES
 
-__all__ = ["MECHANISM_KINDS", "Span", "SpanLog", "SpanTracer"]
+__all__ = ["MECHANISM_KINDS", "FieldShapes", "Span", "SpanLog", "SpanTracer"]
 
 #: The mechanism taxonomy (DESIGN.md §9). ``pipe_wait`` and
 #: ``dram_access`` are derived kinds produced by the attribution layer.
@@ -121,16 +121,52 @@ STATUS_NAMES = ("open", "closed", "abandoned")
 _METER, _C0, _C_IDX, _COSTS, _ATTACHED = range(5)
 
 
-class SpanLog:
+class FieldShapes:
+    """Field dicts stored as a shape code and one value slot.
+
+    A call site emits the same keys every time, so a log keeps each
+    distinct key tuple once, in ``shapes`` (code 0 is the empty one), and
+    a row holds only its shape code and its values: the bare value for a
+    one-key dict, a tuple of values for more, ``None`` for none. Both
+    logs of the package use it — span rows (:class:`SpanLog`) and trace
+    events (:class:`~repro.obs.trace.Tracer`).
+    """
+
+    __slots__ = ("shapes", "_shape_codes")
+
+    def __init__(self) -> None:
+        self.shapes: list[tuple[str, ...]] = [()]
+        self._shape_codes: dict[tuple[str, ...], int] = {(): 0}
+
+    def pack(self, fields: dict) -> tuple[int, object]:
+        """``fields`` as (shape code, value or tuple of values)."""
+        keys = tuple(fields)
+        code = self._shape_codes.get(keys)
+        if code is None:
+            code = self._shape_codes[keys] = len(self.shapes)
+            self.shapes.append(keys)
+        return code, fields[keys[0]] if len(keys) == 1 else tuple(fields.values())
+
+    def unpack(self, code: int, values: object) -> dict:
+        """The fields :meth:`pack` turned into ``(code, values)``, as a
+        fresh dict in insertion order."""
+        keys = self.shapes[code]
+        if not keys:
+            return {}
+        if len(keys) == 1:
+            return {keys[0]: values}
+        return dict(zip(keys, values))  # type: ignore[call-overload]
+
+
+class SpanLog(FieldShapes):
     """Recorded spans as rows of columns, in begin order.
 
     Row ``r`` holds span id ``base + r`` (a tracer numbers its spans
     consecutively). A log loaded from arbitrary :class:`Span` views
     (:meth:`load`) carries an explicit ``ids`` column instead. A parent
     id of 0 means no parent; kind and cost-kind codes index ``kinds``,
-    whose entry 0 stands for "none"; ``shape`` codes index ``shapes``,
-    the key tuple of each distinct field set, and ``values`` holds the
-    row's field value (one key) or tuple of values (several) or None.
+    whose entry 0 stands for "none"; a row's fields are its ``shape``
+    code and its ``values`` slot (:class:`FieldShapes`).
 
     The columns grow in zero-filled blocks, so a new row already reads
     "open, no parent, no fields, no costs, ``end_seq`` 0" and recording
@@ -161,11 +197,10 @@ class SpanLog:
         "open",
         "kinds",
         "kind_codes",
-        "shapes",
-        "_shape_codes",
     )
 
     def __init__(self, base: int = 1) -> None:
+        super().__init__()
         self.base = base
         self.ids: Optional[array] = None
         #: Rows in use.
@@ -191,8 +226,6 @@ class SpanLog:
         self.open: dict[int, list] = {}
         self.kinds: list[Optional[str]] = [None]
         self.kind_codes: dict[str, int] = {}
-        self.shapes: list[tuple[str, ...]] = [()]
-        self._shape_codes: dict[tuple[str, ...], int] = {(): 0}
 
     def __len__(self) -> int:
         return self.n
@@ -256,23 +289,9 @@ class SpanLog:
 
     # -- fields -------------------------------------------------------------------
 
-    def pack(self, fields: dict) -> tuple[int, object]:
-        """``fields`` as (shape code, value or tuple of values)."""
-        keys = tuple(fields)
-        code = self._shape_codes.get(keys)
-        if code is None:
-            code = self._shape_codes[keys] = len(self.shapes)
-            self.shapes.append(keys)
-        return code, fields[keys[0]] if len(keys) == 1 else tuple(fields.values())
-
     def fields_of(self, row: int) -> dict:
         """The row's fields as a fresh dict, in insertion order."""
-        keys = self.shapes[self.shape[row]]
-        if not keys:
-            return {}
-        if len(keys) == 1:
-            return {keys[0]: self.values[row]}
-        return dict(zip(keys, self.values[row]))
+        return self.unpack(self.shape[row], self.values[row])
 
     def merge_fields(self, row: int, fields: dict) -> None:
         """``fields_of(row).update(fields)``, stored back into the row."""

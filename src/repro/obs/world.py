@@ -95,14 +95,23 @@ def _load_dataset(
     included: two workloads differing only there each pay one load, but
     no attribute a ``load`` starts reading can ever serve a stale
     dataset. Either way the host allocates, maps and drops the loader
-    region, so its region naming and cache registry do not depend on
-    which happened.
+    region, so its region naming does not depend on which happened, and
+    nothing of the load outlives it: the region and its line cache are
+    unregistered from the host afterwards (the cache keeps its full
+    timing model while the load runs).
+
+    The load runs with MemSan suspended. MemSan watches no loader
+    region, so it sees nothing of a load either way, and a build under
+    MemSan alone restores the image; any other installed instrument
+    observes the load and so still gets a fresh one
+    (:func:`~repro.obs.image.materialize`).
     """
     meter = AccessMeter()
     store = PageStore(PAGE_SIZE, meter, config=config)
     redo = RedoLog(meter, config=config)
     region = host.alloc_dram(region_name, pool_pages * PAGE_SIZE)
-    mapped = host.map_dram(region, meter, LineCacheModel())
+    line_cache = LineCacheModel()
+    mapped = host.map_dram(region, meter, line_cache)
 
     def load() -> None:
         loader = Engine(
@@ -119,8 +128,10 @@ def _load_dataset(
         config,
         cost,
     )
-    materialize(key, {"meter": meter, "store": store, "redo": redo}, load)
+    with PROBES.suspended("memsan"):
+        materialize(key, {"meter": meter, "store": store, "redo": redo}, load)
     host.dram_regions.remove(region)
+    host.caches.remove(line_cache)
     return meter, store, redo
 
 

@@ -65,8 +65,8 @@ def _charge_state(setup, engine) -> tuple:
 
 @pytest.mark.parametrize("system", ["dram", "cxl", "rdma"])
 def test_range_count_is_the_scan_length_with_the_scan_charges(system):
-    # A fresh dataset load leaves lines in the loader's line cache and an
-    # image restore does not: fill the image cache so both worlds restore.
+    # Fill the image cache so both worlds restore the same dataset image
+    # (neither a fresh load nor a restore leaves a loader cache behind).
     _build(system)
     scan_setup, scan_engine, scan_tree, live = _sparse_world(system)
     count_setup, count_engine, count_tree, _ = _sparse_world(system)

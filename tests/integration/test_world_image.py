@@ -482,17 +482,10 @@ def test_instrumented_builds_bypass_the_cache_and_emit_what_a_fresh_load_emits(w
     with injector:
         _build_small_sharing()
     assert (len(injector.trace), _digest(list(injector.trace))) == (5225, "73368b8004febc6d")
-
-    with MemSan():
-        sanitized = _build_small_sharing()
     assert len(IMAGES) == cached  # none of them read or filled it
 
-    plain = _build_small_sharing()
-    assert sanitized.page_store._pages == plain.page_store._pages
-    assert sanitized.page_store.meter.ns.hex() == plain.page_store.meter.ns.hex()
 
-
-def test_pooling_build_loads_the_dataset_once(monkeypatch):
+def _count_loads(monkeypatch) -> list:
     import repro.workloads.sysbench as sysbench
 
     loads = []
@@ -500,6 +493,57 @@ def test_pooling_build_loads_the_dataset_once(monkeypatch):
     monkeypatch.setattr(
         sysbench, "load_tables", lambda *args, **kw: (loads.append(1), original(*args, **kw))
     )
+    return loads
+
+
+def _sanitized_reads(setup, memsan) -> tuple:
+    """Every node reads a few keys under ``memsan``; what it then holds."""
+    with memsan:
+        for node in setup.nodes:
+            for key in (1, 77, 200):
+                setup.sim.run_process(node.point_select("sbtest_shared", key))
+    return memsan.accesses_checked, memsan.tracked_lines(), memsan.reports
+
+
+def test_a_memsan_build_restores_the_dataset_image_and_checks_what_a_cold_one_checks(
+    monkeypatch,
+):
+    # MemSan watches no loader region, so the load runs with it suspended
+    # and a MemSan-only build is served from the dataset image.
+    cold_memsan = MemSan()
+    with cold_memsan:
+        cold = _build_small_sharing()
+    loads = _count_loads(monkeypatch)
+    warm_memsan = MemSan()
+    with warm_memsan:
+        warm = _build_small_sharing()
+    assert loads == []
+    assert (warm_memsan.accesses_checked, warm_memsan.tracked_lines(), warm_memsan.reports) == (
+        cold_memsan.accesses_checked,
+        cold_memsan.tracked_lines(),
+        cold_memsan.reports,
+    )
+    checked = _sanitized_reads(warm, warm_memsan)
+    assert checked == _sanitized_reads(cold, cold_memsan)
+    assert checked[0] > 0
+
+    plain = _build_small_sharing()
+    assert warm.page_store._pages == plain.page_store._pages
+    assert warm.page_store.meter.ns.hex() == plain.page_store.meter.ns.hex()
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_a_built_world_keeps_no_cache_of_its_dataset_load(warm):
+    if warm:
+        _build_small_sharing()
+        build_pooling_setup("cxl", 2, SysbenchWorkload(rows=300))
+    assert _build_small_sharing().cluster.hosts["loader"].caches == []
+    # The two instances' line caches; not the probe's or the loads'.
+    assert len(build_pooling_setup("cxl", 2, SysbenchWorkload(rows=300)).host.caches) == 2
+
+
+def test_pooling_build_loads_the_dataset_once(monkeypatch):
+    loads = _count_loads(monkeypatch)
     setup = build_pooling_setup("cxl", 4, SysbenchWorkload(rows=300))
     assert len(loads) == 1  # the four instances are clones of the probe's load
     assert len({len(ictx.engine.page_store) for ictx in setup.instances}) == 1

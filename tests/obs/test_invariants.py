@@ -15,16 +15,31 @@ from repro.obs import (
 )
 
 
-def _trace(*steps):
-    """Build a TraceEvent list from (subsystem, name, fields) tuples."""
+def _tracer(*steps):
+    """A tracer holding (subsystem, name, fields) events."""
     tracer = Tracer()
     for subsystem, name, fields in steps:
         tracer.emit(subsystem, name, **fields)
-    return tracer.events()
+    return tracer
+
+
+def _trace(*steps):
+    """Build a TraceEvent list from (subsystem, name, fields) tuples."""
+    return _tracer(*steps).events()
+
+
+def _checked_both_ways(tracer):
+    """The checker's verdict walking the tracer's columns, which must
+    equal its verdict and stats over the tracer's events as a list."""
+    by_columns, by_events = TraceInvariantChecker(), TraceInvariantChecker()
+    violations = by_columns.check(tracer)
+    assert violations == by_events.check(list(tracer.events()))
+    assert by_columns.stats == by_events.stats
+    return violations, by_columns.stats
 
 
 def _violations(*steps):
-    return TraceInvariantChecker().check(_trace(*steps))
+    return _checked_both_ways(_tracer(*steps))[0]
 
 
 GOOD_FLUSH = {"dirty_before": 3, "lines_flushed": 3, "dirty_after": 0}
@@ -160,11 +175,13 @@ class TestLsnMonotone:
 
 class TestAssertTraceInvariants:
     def test_raises_with_all_violations(self):
-        events = _trace(
+        tracer = _tracer(
             ("lock", "write_release", {"node": "n0", "page": 1}),
             ("wal", "append", {"log": 1, "page": 1, "lsn": 5}),
             ("wal", "append", {"log": 1, "page": 1, "lsn": 5}),
         )
+        assert len(_checked_both_ways(tracer)[0]) == 2
+        events = tracer.events()
         with pytest.raises(InvariantViolationError) as excinfo:
             assert_trace_invariants(events)
         assert len(excinfo.value.violations) == 2
@@ -202,3 +219,31 @@ class TestAssertTraceInvariants:
         for _ in range(5):
             tracer.emit("mem", "access")
         assert assert_trace_invariants(tracer).events == 2
+
+
+class TestColumnWalk:
+    def test_a_stress_schedule_checks_the_same_by_columns_and_by_events(self):
+        import random
+
+        from repro.obs.world import build_sharing_setup
+        from repro.parallel.stress import _NODES, _ROWS, _oracle_seed, _run_schedule
+        from repro.workloads.sysbench import SysbenchWorkload
+
+        keys = range(1, _ROWS + 1)
+        setup = build_sharing_setup("cxl", _NODES, SysbenchWorkload(rows=_ROWS, n_nodes=_NODES))
+        oracle = _oracle_seed(setup, keys)
+        with Tracer() as tracer:
+            _run_schedule(setup, random.Random(1000), oracle, keys)
+        violations, stats = _checked_both_ways(tracer)
+        assert violations == []
+        assert stats.accesses_checked > 0 and stats.releases_checked > 0
+        assert stats.appends_checked > 0 and stats.invalidations_tracked > 0
+
+    def test_wrapped_rings_check_the_same_by_columns_and_by_events(self):
+        tracer = Tracer(capacity_per_subsystem=3)
+        for lsn in (5, 4, 6, 7, 7, 8):
+            tracer.emit("mem", "access", line=lsn)
+            tracer.emit("wal", "append", log=1, page=2, lsn=lsn)
+        violations, stats = _checked_both_ways(tracer)
+        assert [v.seq for v in violations] == [10]
+        assert stats.events == 6
