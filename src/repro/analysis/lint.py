@@ -34,6 +34,12 @@ where a violation is intentional:
   parallel stress shards. Membership tests and ``.items()``/
   ``.values()`` aggregation are fine; only the *iteration order*
   hazard is flagged.
+* ``REPRO007`` — a subscript store into ``<expr>._data[...]`` (a
+  region's buffer) must sit in a function that also stores into
+  ``<expr>._written[...]``: a region snapshot reads only the extents
+  its written map marks, so an unmarked store can vanish from a world
+  image. An intentional exception carries an ``allow`` pragma and a
+  comment saying why.
 
 Suppressions::
 
@@ -54,7 +60,9 @@ from ..faults.points import REGISTERED_POINTS
 
 __all__ = ["Finding", "lint_paths", "lint_source", "main"]
 
-RULES = ("REPRO001", "REPRO002", "REPRO003", "REPRO004", "REPRO005", "REPRO006")
+RULES = (
+    "REPRO001", "REPRO002", "REPRO003", "REPRO004", "REPRO005", "REPRO006", "REPRO007"
+)
 
 _TIME_FORBIDDEN = frozenset(
     {
@@ -101,17 +109,32 @@ class Finding:
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
 
 
-def _is_generator(fn: _FuncNode) -> bool:
-    """True when the function's own frame contains a yield."""
+def _frame_nodes(fn: _FuncNode) -> Iterable[ast.AST]:
+    """Every node of the function's own frame: nested functions and
+    lambdas are frames of their own."""
     stack: list[ast.AST] = list(fn.body)
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue  # nested frame: its yields are not ours
+            continue
+        yield node
         stack.extend(ast.iter_child_nodes(node))
-    return False
+
+
+def _is_generator(fn: _FuncNode) -> bool:
+    """True when the function's own frame contains a yield."""
+    return any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in _frame_nodes(fn))
+
+
+def _unmarked_data_stores(fn: _FuncNode) -> list[ast.Subscript]:
+    """REPRO007: the ``<expr>._data[...] = ...`` stores of a frame that
+    stores into no ``<expr>._written[...]``."""
+    stores: dict[str, list[ast.Subscript]] = {"_data": [], "_written": []}
+    for node in _frame_nodes(fn):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            if isinstance(node.value, ast.Attribute) and node.value.attr in stores:
+                stores[node.value.attr].append(node)
+    return [] if stores["_written"] else stores["_data"]
 
 
 def _has_bare_raise(body: Iterable[ast.stmt]) -> bool:
@@ -266,6 +289,14 @@ class _Checker(ast.NodeVisitor):
         self._visit_fn(node)
 
     def _visit_fn(self, node: _FuncNode) -> None:
+        for store in _unmarked_data_stores(node):
+            self._flag(
+                store,
+                "REPRO007",
+                f"store into {ast.unparse(store.value)}[...] in a function that "
+                "marks no ._written extent: a region snapshot reads only marked "
+                "extents, so the store can vanish from a world image",
+            )
         self._fn_stack.append(node)
         self._gen_stack.append(_is_generator(node))
         self.generic_visit(node)

@@ -47,6 +47,7 @@ def set_remote_flag(
     if region._poisoned or not 0 <= addr < region.size:
         region._refuse(addr, 1)
     region._data[addr] = 1 if value else 0
+    region._written[addr >> 16] = 1  # the byte's 64 KB extent
     ms = PROBES.memsan
     if ms is not None:
         ms.flag_store(region.name, addr, value)

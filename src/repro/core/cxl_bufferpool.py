@@ -47,14 +47,15 @@ class CxlBufferPool(BufferPool):
         mem,
         page_store: PageStore,
         n_blocks: int,
-        format_pool: bool = True,
         lru_move_period: int = 1,
     ) -> None:
         """``mem`` is a (windowed) metered memory covering the extent.
 
-        ``format_pool=False`` attaches to an existing pool image — the
-        recovery path — leaving all volatile maps empty for
-        :class:`~repro.core.recovery.PolarRecv` to fill.
+        Construction touches no memory: :meth:`format` lays out a fresh
+        extent, :meth:`attach` checks an existing pool image — the
+        recovery path, which leaves all volatile maps empty for
+        :class:`~repro.core.recovery.PolarRecv` to fill — and a world
+        image restores both the extent and the maps.
         """
         if n_blocks <= 0:
             raise ValueError("pool needs at least one block")
@@ -80,18 +81,19 @@ class CxlBufferPool(BufferPool):
         self.evictions = 0
         # Test hook: called with a tag at crash-vulnerable points.
         self.crash_hook: Optional[Callable[[str], None]] = None
-        if format_pool:
-            self._format()
-        else:
-            if self.header.magic != POOL_MAGIC:
-                raise ValueError("attach to an unformatted pool")
-            if self.header.n_blocks != n_blocks:
-                raise ValueError(
-                    f"pool holds {self.header.n_blocks} blocks, caller "
-                    f"expected {n_blocks}"
-                )
 
-    def _format(self) -> None:
+    def attach(self) -> None:
+        """Check that the extent holds a pool of this many blocks."""
+        if self.header.magic != POOL_MAGIC:
+            raise ValueError("attach to an unformatted pool")
+        if self.header.n_blocks != self.n_blocks:
+            raise ValueError(
+                f"pool holds {self.header.n_blocks} blocks, caller "
+                f"expected {self.n_blocks}"
+            )
+
+    def format(self) -> None:
+        """Lay out a fresh extent: the header, and every block free."""
         self.header.set_magic(POOL_MAGIC)
         self.header.set_n_blocks(self.n_blocks)
         self.header.set_lru_head(BLOCK_NIL)

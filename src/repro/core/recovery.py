@@ -187,9 +187,8 @@ class PolarRecv:
         )
         self.redo_log.recover_lsn_counter()
         durable_max = self.redo_log.durable_max_lsn
-        pool = CxlBufferPool(
-            self.mem, self.page_store, self.n_blocks, format_pool=False
-        )
+        pool = CxlBufferPool(self.mem, self.page_store, self.n_blocks)
+        pool.attach()
 
         records_by_page: dict[int, list[RedoRecord]] | None = None
         in_use: list[int] = []  # block indexes that survive

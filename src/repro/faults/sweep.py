@@ -283,6 +283,9 @@ def _row(key: int) -> dict:
 
 
 def _build_scenario() -> _Scenario:
+    """Fresh components, wired and empty: nothing is formatted or
+    written. :func:`_setup_baseline` starts a world from here; every
+    other path restores one from an image."""
     sim = Simulator()
     cluster = Cluster(sim)
     host = cluster.add_host("h0")
@@ -298,7 +301,6 @@ def _build_scenario() -> _Scenario:
         "sweep", host, manager, _N_BLOCKS, meter, store, redo, line_cache, CostModel(),
         lru_move_period=1,
     )
-    engine.initialize()
     parts = {
         "sim": sim,
         "host": host,
@@ -316,11 +318,15 @@ def _build_scenario() -> _Scenario:
 
 
 def _setup_baseline(scenario: _Scenario) -> dict:
-    """Uninjected setup: table, baseline rows, durable checkpoint.
+    """Uninjected setup from an empty world: pool format, meta page,
+    table, baseline rows, durable checkpoint. The baseline image's
+    build, the one path that formats the pool.
 
     Runs *before* the injector is installed so crash-point hit counts
     start at the workload — (point, hit) coordinates stay stable whether
     or not setup internals change."""
+    scenario.engine.buffer_pool.format()
+    scenario.engine.initialize()
     table = scenario.engine.create_table("t", SWEEP_CODEC)
     model: dict[int, int] = {}
     for key in range(1, _BASE_ROWS + 1):

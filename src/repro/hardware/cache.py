@@ -482,6 +482,7 @@ def _write_back(region: MemoryRegion, line: int, data: bytes) -> None:
     if region._poisoned or at + CACHE_LINE > region.size:
         region._refuse(at, CACHE_LINE)
     region._data[at : at + CACHE_LINE] = data
+    region._written[at >> 16] = 1  # the line's 64 KB extent
 
 
 def _line_bounds(offset: int, nbytes: int) -> tuple[int, int]:

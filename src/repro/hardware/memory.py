@@ -5,7 +5,9 @@ a byte buffer with explicit volatility semantics. Host DRAM regions lose
 their contents on a crash (``power_fail`` poisons them); CXL-box regions
 survive, because the switch and memory devices have independent power
 supply units (paper §3.2). The buffer is an anonymous mapping, zero on
-demand: a region costs what it has been written, not what it could hold.
+demand, and every store into it marks its 64 KB extent in a one-byte-per-
+extent map: a region costs what it has been written, not what it could
+hold, and so does its snapshot.
 
 A :class:`MappedMemory` is a host's window onto a region through a
 particular interconnect. Every read/write is metered: latency is charged
@@ -53,8 +55,11 @@ class PoisonedMemoryError(RuntimeError):
     """Raised when reading a volatile region after a power failure."""
 
 
-# Granule of a region snapshot: an all-zero extent is not stored.
-_EXTENT = 1 << 16
+# Granule of a region snapshot and of its written-extent map: an all-zero
+# extent is not stored. The stores outside this module index the map
+# with the literal ``>> 16``.
+_EXTENT_SHIFT = 16
+_EXTENT = 1 << _EXTENT_SHIFT
 _ZERO_EXTENT = bytes(_EXTENT)
 
 
@@ -76,6 +81,13 @@ class MemoryRegion:
     operations they use (``unpack_from``, slice read, same-length slice
     assignment, byte index).
 
+    ``_written`` holds one byte per 64 KB extent, set by every store into
+    ``_data`` — this class's ``write``, the fused ``MappedMemory.write``,
+    a ``CpuCache`` write-back and a coherency-flag store, each one byte
+    store in its own frame (lint rule REPRO007 holds new ones to it). An
+    unmarked extent is all zero, so ``snapshot`` reads only the marked
+    ones.
+
     >>> region = MemoryRegion("demo", 1 << 20, volatile=False)
     >>> region.write(70_000, b"hello")
     >>> [(at, len(chunk)) for at, chunk in region.snapshot()[1]]
@@ -93,6 +105,7 @@ class MemoryRegion:
         self.size = size
         self.volatile = volatile
         self._data = _zero_pages(size)
+        self._written = bytearray((size + _EXTENT - 1) >> _EXTENT_SHIFT)
         self._poisoned = False
 
     def read(self, offset: int, nbytes: int) -> bytes:
@@ -111,6 +124,8 @@ class MemoryRegion:
         if ms is not None:
             ms.raw_store(self.name, offset, nbytes)
         self._data[offset : offset + nbytes] = data
+        first, last = offset >> _EXTENT_SHIFT, (offset + nbytes - 1) >> _EXTENT_SHIFT
+        self._written[first : last + 1] = b"\x01" * (last + 1 - first)
 
     def power_fail(self) -> None:
         """Simulate power loss. Volatile regions are poisoned until restored.
@@ -132,28 +147,39 @@ class MemoryRegion:
         if self._poisoned:
             self._data.close()
             self._data = _zero_pages(self.size)
+            self._written = bytearray(len(self._written))
             self._poisoned = False
 
     def snapshot(self) -> tuple:
         """``(poisoned, extents)``: the non-zero 64 KB extents as
-        ``(offset, bytes)`` — what a clone needs and nothing it does not."""
+        ``(offset, bytes)`` — what a clone needs and nothing it does not.
+        Only written extents are read."""
         data = self._data
         extents = []
-        for at in range(0, self.size, _EXTENT):
-            chunk = data[at : at + _EXTENT]
-            if chunk != _ZERO_EXTENT[: len(chunk)]:
-                extents.append((at, chunk))
+        for index, mark in enumerate(self._written):
+            if mark:
+                at = index << _EXTENT_SHIFT
+                chunk = data[at : at + _EXTENT]
+                if not _ZERO_EXTENT.startswith(chunk):  # not all zero
+                    extents.append((at, chunk))
         return self._poisoned, tuple(extents)
 
     def restore(self, state: tuple) -> None:
-        """Become the region ``state`` was taken from (same size): a
-        fresh mapping plus the stored extents, copied — the image and
-        its other clones share nothing with this region afterwards."""
+        """Become the region ``state`` was taken from (same size): the
+        stored extents copied into a zero mapping — this one if nothing
+        was ever written to it, else a fresh one — so the image and its
+        other clones share nothing with this region afterwards. Exactly
+        the restored extents are marked written."""
         self._poisoned, extents = state
-        self._data.close()
-        data = self._data = _zero_pages(self.size)
+        written = self._written
+        if 1 in written:
+            self._data.close()
+            self._data = _zero_pages(self.size)
+            written = self._written = bytearray(len(written))
+        data = self._data
         for at, chunk in extents:
             data[at : at + len(chunk)] = chunk
+            written[at >> _EXTENT_SHIFT] = 1
 
     @property
     def poisoned(self) -> bool:
@@ -441,6 +467,7 @@ class MappedMemory:
             if PROBES.memsan is not None:
                 return region.write(offset, data)  # the sanitized store
         region._data[offset : offset + nbytes] = data
+        region._written[offset >> 16] = 1  # a line lies in one extent
 
     def unpack(self, fmt: Struct, offset: int) -> tuple:
         """``fmt.unpack(self.read(offset, fmt.size))`` without the copy."""

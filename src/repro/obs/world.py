@@ -251,6 +251,7 @@ def _build_instance(
             name, host, setup.manager, pages_per_instance, meter, store, redo,
             line_cache, cost, lru_move_period,
         )
+        engine.buffer_pool.format()
     else:  # rdma
         remote_region = setup.cluster.alloc_remote_memory(
             f"{name}.remote", (n_pages + _POOL_SLACK_PAGES) * PAGE_SIZE
@@ -290,9 +291,10 @@ def build_cxl_engine(
     lru_move_period: int,
 ) -> tuple[Engine, CxlExtent]:
     """One PolarCXLMem instance: an ``n_blocks`` extent of ``manager``'s
-    pool named ``name``, mapped through ``host``'s CXL link, formatted as
-    a :class:`CxlBufferPool` and run by an engine over ``store`` and
-    ``redo``. The engine is neither initialized nor given a schema."""
+    pool named ``name``, mapped through ``host``'s CXL link, as a
+    :class:`CxlBufferPool` run by an engine over ``store`` and ``redo``.
+    Nothing is written: the pool is not formatted, the engine neither
+    initialized nor given a schema."""
     extent = manager.allocate(name, pool_bytes_needed(n_blocks), meter)
     mapped = host.map_cxl(manager.region, meter, line_cache)
     mem = WindowedMemory(mapped, extent.offset, extent.size)

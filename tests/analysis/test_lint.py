@@ -349,6 +349,63 @@ def test_repro006_respects_annotations():
     ) == ["REPRO006"]
 
 
+# -- REPRO007: region buffer stores mark their extent -----------------------
+
+
+def test_repro007_flags_a_store_into_a_region_buffer_that_marks_nothing():
+    findings = findings_of(
+        """
+        def write_back(region, at, data):
+            region._data[at : at + 64] = data
+
+        def mark_in_a_nested_frame(region, at):
+            region._data[at] = 1
+            def inner():
+                region._written[at >> 16] = 1
+            inner()
+        """
+    )
+    assert [(f.line, f.rule) for f in findings] == [(3, "REPRO007"), (6, "REPRO007")]
+    assert "region._data[...]" in findings[0].message
+
+
+def test_repro007_allows_marked_stores_reads_and_a_pragma():
+    assert rules_of(
+        """
+        def store(region, at, value):
+            region._data[at] = value
+            region._written[at >> 16] = 1
+
+        def load(region, at):
+            return region._data[at]
+
+        def rebuild(region, at, chunk):
+            # the caller marks every restored extent
+            region._data[at : at + 64] = chunk  # repro-lint: allow(REPRO007)
+        """
+    ) == []
+
+
+#: The four stores into a region buffer in ``src`` and the line each
+#: marks its extent with.
+_REAL_MARKS = (
+    ("hardware/memory.py", "self._written[first : last + 1] = "),  # MemoryRegion.write
+    ("hardware/memory.py", "region._written[offset >> 16] = 1"),  # fused MappedMemory.write
+    ("hardware/cache.py", "region._written[at >> 16] = 1"),  # CpuCache write-back
+    ("core/coherency.py", "region._written[addr >> 16] = 1"),  # flag store
+)
+
+
+@pytest.mark.parametrize("site, mark", _REAL_MARKS)
+def test_repro007_passes_each_real_store_and_flags_it_without_its_mark(site, mark):
+    path = Path(__file__).parents[2] / "src" / "repro" / site
+    source = path.read_text()
+    assert lint_source(source, str(path))[0] == []
+    (line,) = [line for line in source.splitlines(keepends=True) if mark in line]
+    unmarked, _ = lint_source(source.replace(line, ""), str(path))
+    assert [finding.rule for finding in unmarked] == ["REPRO007"]
+
+
 # -- pragmas ---------------------------------------------------------------
 
 

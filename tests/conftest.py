@@ -123,6 +123,7 @@ def make_cxl_engine(
         name, host, manager, n_blocks, meter, store, redo, line_cache, CostModel(),
         lru_move_period,
     )
+    engine.buffer_pool.format()
     engine.initialize()
     return EngineCtx(
         engine,

@@ -27,10 +27,10 @@ class TestFormatAndAttach:
     def test_attach_validates_magic(self, cluster, host):
         ctx = make_cxl_engine(cluster, host, n_blocks=8, name="fmt")
         # Attach works on a formatted pool...
-        CxlBufferPool(ctx.mem, ctx.store, 8, format_pool=False)
+        CxlBufferPool(ctx.mem, ctx.store, 8).attach()
         # ...but not with the wrong block count.
         with pytest.raises(ValueError):
-            CxlBufferPool(ctx.mem, ctx.store, 9, format_pool=False)
+            CxlBufferPool(ctx.mem, ctx.store, 9).attach()
 
     def test_attach_unformatted_rejected(self, cluster, host):
         from repro.core.block import pool_bytes_needed
@@ -46,7 +46,7 @@ class TestFormatAndAttach:
         mapped = host.map_cxl(manager.region, meter, LineCacheModel())
         mem = WindowedMemory(mapped, extent.offset, extent.size)
         with pytest.raises(ValueError):
-            CxlBufferPool(mem, PageStore(PAGE_SIZE, meter), 4, format_pool=False)
+            CxlBufferPool(mem, PageStore(PAGE_SIZE, meter), 4).attach()
 
     def test_undersized_extent_rejected(self, ctx):
         with pytest.raises(ValueError):

@@ -64,6 +64,7 @@ class TestMultiplePools:
             "pb", host_b, manager_b, 48, meter, PageStore(PAGE_SIZE, meter),
             RedoLog(meter), LineCacheModel(), CostModel(), lru_move_period=1,
         )
+        engine_b.buffer_pool.format()
         engine_b.initialize()
 
         table_a = fill_table(ctx_a, rows=40)

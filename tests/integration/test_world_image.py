@@ -39,8 +39,10 @@ from ..conftest import swap_durable_records
 SEED = 7
 
 #: (class name, attribute): lazily filled lookup tables whose contents
-#: are a function of their keys alone.
-_MEMOS = {("LatencyTable", "_cache")}
+#: are a function of their keys alone. A fresh pool's format fills its
+#: ``BlockMeta`` windows; a restored pool, never formatted, fills them
+#: as it reads.
+_MEMOS = {("LatencyTable", "_cache"), ("CxlBufferPool", "_meta_cache")}
 
 _ATOMS = (type(None), bool, int, str, bytes, type, types.FunctionType, types.BuiltinFunctionType)
 _MUTABLE = (dict, list, set, bytearray, mmap.mmap)
@@ -197,6 +199,39 @@ def test_a_crashed_clone_leaves_the_image_and_its_siblings_pristine():
     fresh, fresh_model = _pristine()
     assert sibling_model == fresh_model
     assert_same_world(fresh, sibling)
+
+
+def test_a_restored_world_is_never_formatted_and_a_cold_baseline_formats_once(monkeypatch):
+    """Every world the single-node sweeps restore — a coordinate's
+    baseline or boundary, a boundary roll-forward's start, the crashed
+    prefix — reaches the restore unformatted and unwritten: no pool
+    format, no metered memory access, no marked extent. The one format
+    is the cold baseline build's."""
+    from repro.core.cxl_bufferpool import CxlBufferPool
+
+    formats = []
+    format_pool = CxlBufferPool.format
+    monkeypatch.setattr(
+        CxlBufferPool, "format", lambda pool: (formats.append(pool), format_pool(pool))[1]
+    )
+    entered = []
+    materialize = sweep.materialize
+
+    def checking_materialize(key, parts, build):
+        if "manager" in parts:
+            meter = parts["store"].meter
+            entered.append(key[0])
+            # Wiring charged the extent's allocation RPC and nothing else.
+            assert (meter.counters, meter.transfers) == ({"cxl_alloc_rpcs": 1.0}, [])
+            assert not any(parts["manager"].region._written)
+        return materialize(key, parts, build)
+
+    monkeypatch.setattr(sweep, "materialize", checking_materialize)
+    sweep.sweep_workload_points(seed=SEED, limit=6).raise_for_failures()
+    sweep.sweep_recovery_points(seed=SEED, limit=2).raise_for_failures()
+    assert len(formats) == 1  # the golden run's baseline, built cold
+    assert {"sweep.baseline", "sweep.boundary", "sweep.crashed"} <= set(entered)
+    assert entered.count("sweep.baseline") > 1  # the rest restored it
 
 
 def test_dataset_clones_do_not_share_pages_with_each_other():
