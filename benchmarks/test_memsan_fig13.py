@@ -54,8 +54,9 @@ def _sweep() -> dict[str, dict]:
     Under ``repro.bench memsan`` one session-wide detector is installed
     (benchmarks/conftest.py) and both systems share it, so per-system
     numbers are the *difference* in accesses/reports/lines across each
-    system's run; standalone, a fresh detector is installed per system
-    and the deltas equal its totals.
+    system's run (lines from its world's build on: the detector starts
+    a new world's tables fresh); standalone, a fresh detector is
+    installed per system and the deltas equal its totals.
     """
     verdicts: dict[str, dict] = {}
     for label, system, kwargs in SYSTEMS:
@@ -63,13 +64,15 @@ def _sweep() -> dict[str, dict]:
             ms = PROBES.memsan or stack.enter_context(MemSan())
             accesses0 = ms.accesses_checked
             reports0 = len(ms.reports) + ms.reports_dropped
-            lines0 = ms.tracked_lines()
             workload = SysbenchWorkload(
                 rows=ROWS, n_nodes=NODES, key_dist="zipf", zipf_theta=0.9
             )
             # Built under the installed detector: the shared CXL region
-            # is watched automatically (page hooks for rdma).
+            # is watched automatically (page hooks for rdma). A world an
+            # earlier experiment left under the same names is forgotten
+            # here, so lines are counted from this world's build.
             setup = build_sharing_setup(system, NODES, workload, **kwargs)
+            lines0 = ms.tracked_lines()
             for pct in SHARE:
                 _run_one(setup, workload, pct)
         verdicts[label] = {

@@ -65,6 +65,7 @@ other four instruments: uninstalled cost is one slot load plus a
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from dataclasses import dataclass
 from typing import Any, NamedTuple, Optional
@@ -296,6 +297,8 @@ class MemSan:
         self.accesses_checked = 0
         # watched region -> its line table; the RDMA page space has its own.
         self._watched: dict[str, _LineTable] = {}
+        # table name -> the world object it tracks, held weakly (watch_setup).
+        self._worlds: dict[str, weakref.ref] = {}
         self._pages = _LineTable()
         # Actor, cache and node names behind the tables' name codes.
         self._names: list[Optional[str]] = [None]
@@ -326,10 +329,37 @@ class MemSan:
         models hardware coherency (no flags, no flushes — nothing for a
         software-protocol sanitizer to check) and the RDMA baseline is
         tracked page-granularly through its own hooks regardless.
+
+        Every sharing world names its region alike (``cxl0.pool``) and
+        numbers its pages alike, so one detector that sees several
+        worlds, as a session-wide one does, keeps a table only while it
+        is the same world's: watching a new world's region under a
+        watched name, or a new RDMA world, starts that table fresh.
+        Watching the same world again changes nothing.
         """
+        system = getattr(setup, "system", None)
         manager = getattr(setup, "manager", None)
-        if getattr(setup, "system", None) == "cxl" and manager is not None:
+        dbp_server = getattr(setup, "dbp_server", None)
+        if system == "cxl" and manager is not None:
+            self._enter_world(manager.region.name, manager.region)
             self.watch_region(manager.region.name)
+        elif system == "rdma" and dbp_server is not None:
+            self._enter_world(RDMA_PAGES, dbp_server)
+
+    def _enter_world(self, name: str, owner: Any) -> None:
+        """The table ``name`` tracks ``owner`` (a world's CXL region, or
+        its DBP server for the RDMA page space) from now on; if it
+        tracked another one, it and every cache's held lines of it go."""
+        world = self._worlds.get(name)
+        if world is not None and world() is not owner:
+            if name == RDMA_PAGES:
+                self._pages = _LineTable()
+            if name in self._watched:
+                self._watched[name] = self._pages if name == RDMA_PAGES else _LineTable()
+            for groups in self._held.values():
+                for key in [key for key in groups if key[0] == name]:
+                    del groups[key]
+        self._worlds[name] = weakref.ref(owner)
 
     def actor(self, name: str) -> _ActorScope:
         """Scope hook-visible work to the given actor (a node id)."""

@@ -43,7 +43,7 @@ from ..hardware.cache import CpuCache, LineCacheModel
 from ..hardware.host import Cluster, Host
 from ..hardware.memory import AccessMeter, WindowedMemory
 from ..sim.core import Simulator
-from ..sim.latency import CostModel, LatencyConfig
+from ..sim.latency import CACHE_LINE, CostModel, LatencyConfig
 from ..sim.rng import WorkloadRng
 from ..sim.settle import ChargeSettler
 from ..storage.pagestore import PageStore
@@ -97,8 +97,15 @@ def _load_dataset(
     dataset. Either way the host allocates, maps and drops the loader
     region, so its region naming does not depend on which happened, and
     nothing of the load outlives it: the region and its line cache are
-    unregistered from the host afterwards (the cache keeps its full
-    timing model while the load runs).
+    unregistered from the host afterwards.
+
+    What the load costs is written and never read: a pooling build
+    wipes the returned meter (:func:`reset_meters`), and a sharing build
+    keeps it only as the meter of its page store and loader log, which
+    nothing drains into simulated time. So the loader's line cache holds
+    one line, not a 32 MB LLC's worth of LRU entries a cold build would
+    allocate only to drop; only a traced build's ``mem.dram.line_*``
+    counters see the difference.
 
     The load runs with MemSan suspended. MemSan watches no loader
     region, so it sees nothing of a load either way, and a build under
@@ -110,7 +117,7 @@ def _load_dataset(
     store = PageStore(PAGE_SIZE, meter, config=config)
     redo = RedoLog(meter, config=config)
     region = host.alloc_dram(region_name, pool_pages * PAGE_SIZE)
-    line_cache = LineCacheModel()
+    line_cache = LineCacheModel(CACHE_LINE)
     mapped = host.map_dram(region, meter, line_cache)
 
     def load() -> None:

@@ -20,7 +20,7 @@ in ``tests/faults``.
 
 import pytest
 
-from repro.analysis.memsan import MemSan
+from repro.analysis.memsan import RDMA_PAGES, MemSan
 from repro.obs.world import build_sharing_setup
 from repro.workloads.sysbench import SysbenchWorkload
 
@@ -193,3 +193,50 @@ def test_clean_verdict_rdma_baseline():
         assert row["k"] == 1234
     assert ms.reports == []
     assert ms.accesses_checked > 0
+
+
+# -- one detector, many worlds ---------------------------------------------
+#
+# A session-wide MemSan (``python -m repro.bench fig11 memsan``) sees every
+# world the session builds, and every sharing world names its region
+# ``cxl0.pool``. The second world's lines are not the first's.
+
+
+def _interleave(setup, ms: MemSan) -> None:
+    writer, reader = setup.nodes[0], setup.nodes[1]
+    with ms:
+        setup.sim.run_process(reader.point_select(TABLE, KEY))
+        setup.sim.run_process(writer.point_update(TABLE, KEY, "k", 4242))
+        setup.sim.run_process(reader.point_select(TABLE, KEY))
+
+
+def _states(ms: MemSan, table: str, lines: int) -> list:
+    states = (ms.line_state(table, line) for line in range(lines))
+    return [(state.version, state.dirty, state.cached) for state in states]
+
+
+@pytest.mark.parametrize("system", ["cxl", "rdma"])
+def test_a_new_world_under_a_watched_name_starts_that_table_fresh(system):
+    workload = SysbenchWorkload(rows=ROWS, n_nodes=2)
+    ms = MemSan()
+    with ms:
+        first = build_sharing_setup(system, 2, workload)
+    table = first.manager.region.name if system == "cxl" else RDMA_PAGES
+    _interleave(first, ms)
+    grown = ms.tracked_lines()[table]
+    states = _states(ms, table, grown)
+    assert grown > 0 and any(version for version, _, _ in states)
+
+    ms.watch_setup(first)  # the same world again: nothing is forgotten
+    assert ms.tracked_lines()[table] == grown
+
+    with ms:
+        second = build_sharing_setup(system, 2, workload)
+    assert ms.tracked_lines()[table] == 0
+    assert not any(region == table for groups in ms._held.values() for region, _ in groups)
+    # The same traffic on the second world leaves what it left on the
+    # first, whose detector had seen no other world.
+    _interleave(second, ms)
+    assert ms.tracked_lines()[table] == grown
+    assert _states(ms, table, grown) == states
+    assert ms.reports == []
