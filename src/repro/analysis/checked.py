@@ -1,4 +1,5 @@
-"""One checked-run harness and one sharing-failover primitive.
+"""One checked-run harness, one committed-state oracle and one
+sharing-failover primitive.
 
 Every verification harness — crash-sweep golden runs and coordinates,
 stress seeds, scale points, fleet-HA scenarios, explored schedules —
@@ -6,7 +7,9 @@ runs its body under some subset of the four instruments (event
 :class:`~repro.obs.trace.Tracer`, :class:`~repro.obs.spans.SpanTracer`,
 :class:`~repro.obs.metrics.MetricsPipeline`, :class:`~.memsan.MemSan`)
 and then runs every invariant they support. :class:`CheckedRun` is that
-battery, once; :func:`fail_over` is the sharing tier's failover, once.
+battery, once; :class:`CommittedState` is what a reader of the shared
+table may see, once; :func:`fail_over` is the sharing tier's failover,
+once.
 
 A run stays installed for the **whole** coordinate / seed / scenario.
 The :class:`~repro.faults.injector.FaultInjector` is deliberately not
@@ -17,8 +20,9 @@ the failover phase (instruments span the run, the injector a phase).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from contextlib import ExitStack
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 from ..core.recovery import retire_log
 from ..core.shard_router import FusionShardRouter
@@ -39,7 +43,7 @@ if TYPE_CHECKING:
     from ..hardware.memory import AccessMeter
     from ..obs.world import SharingSetup
 
-__all__ = ["CheckedRun", "LogOrderError", "fail_over"]
+__all__ = ["CheckedRun", "CommittedState", "LogOrderError", "fail_over"]
 
 
 class LogOrderError(AssertionError):
@@ -154,6 +158,82 @@ class CheckedRun:
                     )
         if self.memsan is not None:
             self.memsan.check()
+
+
+class CommittedState:
+    """What a reader of the shared table's ``k`` column may see: the one
+    committed-state oracle of the explorer, stress, the HA fleet and the
+    sharing sweeps. ``history[key]`` is a key's committed values in lock
+    order, its loaded one (``loaded_row(key)["k"]``) first.
+
+    >>> state = CommittedState(lambda key: {"k": key % 4096})
+    >>> state.read("node0", 5, {"k": 5}), state.commit(5, 7)
+    ('', None)
+    >>> state.read("node1", 5, {"k": 5})
+    'node1 read key 5 = 5; it may see only [7]'
+    """
+
+    def __init__(self, loaded_row: Callable[[int], dict]) -> None:
+        self._loaded_row = loaded_row
+        self.history: dict[int, list[Any]] = {}  # keys the run read or committed
+        self._stamps: dict[int, list[int]] = {}  # the clock after each commit
+        self.clock = 0  # commits so far
+        self._in_flight: dict[tuple[int, Any], int] = {}  # -> durable LSN before
+        self.seen: dict[tuple[str, int], int] = {}  # (node, key) -> position read
+        self.checks = 0
+
+    def _history(self, key: int) -> list[Any]:
+        if key not in self.history:
+            self.history[key], self._stamps[key] = [self._loaded_row(key)["k"]], [0]
+        return self.history[key]
+
+    def start_write(self, key: int, value: Any, durable_lsn: int) -> None:
+        """``value`` may be read from now on (its writer's log is durable
+        up to ``durable_lsn``)."""
+        self._in_flight[key, value] = durable_lsn
+
+    def commit(self, key: int, value: Any) -> None:
+        self._in_flight.pop((key, value), None)
+        self._history(key).append(value)
+        self.clock += 1
+        self._stamps[key].append(self.clock)
+
+    def resolve(self, key: int, value: Any, durable_lsn: int) -> bool:
+        """A write whose writer crashed committed iff the writer's log
+        became durable past where it was when the write started."""
+        committed = durable_lsn > self._in_flight.pop((key, value))
+        if committed:
+            self.commit(key, value)
+        return committed
+
+    def read(self, node: str, key: int, row: Optional[dict], since: Optional[int] = None) -> str:
+        """What is wrong with ``node`` reading ``row`` (None: missing) for
+        ``key`` in a read that started at clock ``since`` (default: now).
+
+        It may see a value in flight, or a committed one no older than
+        the key's last commit before ``since`` nor this node's last read
+        of the key: read serially, exactly the last committed value.
+        """
+        self.checks += 1
+        value = None if row is None else row["k"]
+        history = self._history(key)
+        if (key, value) in self._in_flight:
+            return ""
+        start = self.clock if since is None else since
+        floor = max(bisect_right(self._stamps[key], start) - 1, self.seen.get((node, key), 0))
+        if value in history[floor:]:
+            self.seen[node, key] = history.index(value, floor)
+            return ""
+        allowed = history[floor:] + [v for k, v in self._in_flight if k == key]
+        return f"{node} read key {key} = {value!r}; it may see only {allowed!r}"
+
+    def read_back(self, node: str, read: Callable[[int], Optional[dict]]) -> str:
+        """Check ``read(key)``, the row ``node`` reads, for every key of
+        :attr:`history` in key order; the first problem."""
+        for key in sorted(self.history):
+            if problem := self.read(node, key, read(key)):
+                return problem
+        return ""
 
 
 def fail_over(

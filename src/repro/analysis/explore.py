@@ -56,6 +56,7 @@ from math import factorial
 from typing import Any, Callable, Generator, Optional
 
 from ..sim.core import Event, Process, SchedulerHook, Simulator
+from .checked import CommittedState
 from .memsan import MemSan, MemSanError, line_range
 
 __all__ = [
@@ -499,47 +500,11 @@ class ProtocolConfig:
 MUTATIONS = ("skip_flush", "skip_invalidate", "clear_before_invalidate")
 
 
-class _Oracle:
-    """Committed-state oracle over concurrent op streams.
-
-    ``history[key]`` is the committed-value sequence in lock order
-    (values are unique per config). Every read must return a committed
-    value — or one whose commit crashed mid-flight (``maybe``) — and a
-    node's reads of one key may never move backwards in history.
-    """
-
-    def __init__(self, history: dict[int, list[int]]) -> None:
-        self.history = history
-        self.maybe: set[int] = set()
-        self.seen: dict[tuple[str, int], int] = {}
-        self.violations: list[str] = []
-
-    def committed(self, key: int, value: int) -> None:
-        self.history[key].append(value)
-
-    def observe(self, node: str, key: int, value: Any) -> None:
-        hist = self.history.get(key, [])
-        if value in hist:
-            index = hist.index(value)
-            prev = self.seen.get((node, key), -1)
-            if index < prev:
-                self.violations.append(
-                    f"oracle: {node} read key {key} going backwards: saw "
-                    f"{value} (history index {index}) after index {prev}"
-                )
-            else:
-                self.seen[(node, key)] = index
-        elif value not in self.maybe:
-            self.violations.append(
-                f"oracle: {node} read key {key} = {value!r}, never committed "
-                f"(history {hist})"
-            )
-
-
 def _stream(
     node: Any,
     ops: tuple[tuple, ...],
-    oracle: _Oracle,
+    oracle: CommittedState,
+    violations: list[str],
     crashes: list,
 ) -> Generator[Event, Any, None]:
     from ..faults.injector import InjectedCrash
@@ -547,27 +512,30 @@ def _stream(
     try:
         for op in ops:
             kind = op[0]
+            since = oracle.clock
+            rows: list = []
             if kind == "select":
                 row = yield from node.point_select(TABLE, op[1])
-                oracle.observe(node.node_id, op[1], None if row is None else row["k"])
+                rows = [(op[1], row)]
             elif kind == "update":
                 key, value = op[1], op[2]
-                oracle.maybe.add(value)
+                oracle.start_write(key, value, node.engine.redo_log.durable_max_lsn)
                 committed = yield from node.point_update(TABLE, key, "k", value)
                 if committed:
-                    oracle.maybe.discard(value)
-                    oracle.committed(key, value)
+                    oracle.commit(key, value)
                 else:
-                    oracle.violations.append(
+                    violations.append(
                         f"oracle: update {key}={value} on {node.node_id} "
                         "did not commit"
                     )
             elif kind == "scan":
-                rows = yield from node.range_select(TABLE, op[1], op[2])
-                for row in rows:
-                    oracle.observe(node.node_id, row["id"], row["k"])
+                scanned = yield from node.range_select(TABLE, op[1], op[2])
+                rows = [(row["id"], row) for row in scanned]
             else:
                 raise ExploreError(f"unknown stream op {kind!r}")
+            for key, row in rows:
+                if problem := oracle.read(node.node_id, key, row, since):
+                    violations.append(f"oracle: {problem}")
     except InjectedCrash as crash:
         crashes.append((node, crash))
 
@@ -615,21 +583,21 @@ def _run_protocol(config: ProtocolConfig, strategy: ExplorerStrategy) -> list[st
     if config.mutation is not None:
         _apply_mutation(setup, config.mutation)
     keys = _config_keys(config)
-    # Seed the committed history with the loaded values (read through
-    # node 0 before the controllable scheduler is installed — part of
-    # the deterministic initial state every replay rebuilds).
-    history: dict[int, list[int]] = {}
+    oracle = CommittedState(SysbenchWorkload.loaded_row)
+    violations: list[str] = []
+    # Node 0 reads every key before the controllable scheduler is
+    # installed: part of the deterministic initial state every replay rebuilds.
+    reader = setup.nodes[0]
     for key in keys:
-        row = setup.sim.run_process(setup.nodes[0].point_select(TABLE, key))
-        history[key] = [row["k"]]
-    oracle = _Oracle(history)
+        row = setup.sim.run_process(reader.point_select(TABLE, key))
+        if problem := oracle.read(reader.node_id, key, row):
+            violations.append(f"oracle: {problem}")
     crashes: list = []
     injector = (
         FaultInjector().arm(config.crash_point, config.crash_hit)
         if config.crash_point is not None
         else None
     )
-    violations: list[str] = []
     ms = RecordingMemSan(strategy)
     with CheckedRun(trace=True, memsan=ms) as run:
         run.watch(setup)
@@ -638,7 +606,7 @@ def _run_protocol(config: ProtocolConfig, strategy: ExplorerStrategy) -> list[st
             node = setup.nodes[node_index]
             procs.append(
                 setup.sim.process(
-                    _stream(node, ops, oracle, crashes),
+                    _stream(node, ops, oracle, violations, crashes),
                     name=f"{node.node_id}/s{stream_index}",
                 )
             )
@@ -668,26 +636,20 @@ def _run_protocol(config: ProtocolConfig, strategy: ExplorerStrategy) -> list[st
         for proc, (_, ops) in zip(procs, config.streams):
             if not proc.triggered:
                 violations.append(f"stream {proc.name} never completed (deadlock)")
-        # Convergence: every surviving node reads the last committed
-        # value of every key (or a maybe-committed one after a crash).
+        # Convergence: every surviving node reads the last committed value
+        # of every key (or one in flight when its writer crashed), and they agree.
         survivors = [n for n in setup.nodes if n not in dead_nodes]
         for key in keys:
             values = []
             for node in survivors:
                 row = setup.sim.run_process(node.point_select(TABLE, key))
                 values.append(None if row is None else row["k"])
-            expected = oracle.history[key][-1]
-            for node, value in zip(survivors, values):
-                if value != expected and value not in oracle.maybe:
-                    violations.append(
-                        f"convergence: {node.node_id} key {key}: {value!r} != "
-                        f"committed {expected!r}"
-                    )
+                if problem := oracle.read(node.node_id, key, row):
+                    violations.append(f"convergence: {problem}")
             if len(set(values)) > 1:
                 violations.append(
                     f"convergence: nodes disagree on key {key}: {values!r}"
                 )
-        violations.extend(oracle.violations)
         for report in ms.reports:
             violations.append(f"memsan: {report}")
         try:

@@ -33,12 +33,13 @@ Three sweeps live here:
   failover again: the retry must converge on exactly the committed
   state (the fleet failover-storm guarantee of :mod:`repro.ha`).
 
-The oracle is a map ``durable_max_lsn -> {key: k}`` snapshotted after
-every transaction of the golden run. The canonical workloads use
-single-mtr transactions, so every durable log prefix is transaction
-atomic and the crash-time ``durable_max_lsn`` always equals one of the
-snapshot keys (mtr records enter the log buffer atomically at commit;
-flushes move the whole buffer).
+The single-node oracle is a map ``durable_max_lsn -> {key: k}``
+snapshotted after every transaction of the golden run. The canonical
+workloads use single-mtr transactions, so every durable log prefix is
+transaction atomic and the crash-time ``durable_max_lsn`` always equals
+one of the snapshot keys (mtr records enter the log buffer atomically at
+commit; flushes move the whole buffer). The sharing sweeps check their
+own runs with :class:`~repro.analysis.checked.CommittedState`.
 
 This module deliberately lives in ``src`` (not ``tests``) so the sweep
 is usable as a library — from pytest, from a REPL while debugging a
@@ -57,7 +58,7 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:
     from ..core.sharing import MultiPrimaryNode
 
-from ..analysis.checked import CheckedRun, fail_over
+from ..analysis.checked import CheckedRun, CommittedState, fail_over
 from ..analysis.memsan import MemSanError
 from ..core.block import pool_bytes_needed
 from ..core.memmgr import CxlMemoryManager
@@ -264,7 +265,7 @@ class _GoldenRun:
     model: dict
     # Index into ``trace`` where each workload transaction starts: the
     # hits of every point before a boundary are that prefix, counted.
-    starts: list[int] = field(default_factory=list)
+    starts: list[int]
 
 
 @dataclass
@@ -705,88 +706,76 @@ def _build_sharing(n_shards: int = 1) -> SharingSetup:
     return build_sharing_setup("cxl", 2, workload, n_shards=n_shards)
 
 
-def _sharing_prephase(setup: SharingSetup) -> dict:
+def _sharing_prephase(setup: SharingSetup) -> CommittedState:
     """Uninjected warm-up: the reader touches every sweep key (registers
-    the pages with the fusion server) and records the loaded values."""
+    the pages with the fusion server); the oracle checks the loaded
+    values it reads."""
     reader = setup.nodes[1]
-    model: dict[int, int] = {}
+    oracle = CommittedState(SysbenchWorkload.loaded_row)
     for key in _SHARED_KEYS:
         row = setup.sim.run_process(reader.point_select(_SHARED_TABLE, key))
-        if row is None:
-            raise CrashSweepError(f"shared key {key} missing after load")
-        model[key] = row["k"]
-    return model
+        if problem := oracle.read(reader.node_id, key, row):
+            raise CrashSweepError(problem)
+    return oracle
 
 
 def _run_sharing_ops(
-    setup: SharingSetup, ops: list[tuple], model: dict,
-    snapshots: dict[int, dict], executing: list,
+    setup: SharingSetup, ops: list[tuple], oracle: CommittedState, executing: list
 ) -> None:
+    """Run ``ops`` in order, ``executing[0]`` naming the one running."""
     writer_redo = setup.nodes[0].engine.redo_log
-    snapshots[writer_redo.durable_max_lsn] = dict(model)
     for op in ops:
-        executing[0] = op[1]
+        executing[0] = op
         node = setup.nodes[op[1]]
         if op[0] == "update":
             _, _, key, value = op
+            oracle.start_write(key, value, writer_redo.durable_max_lsn)
             setup.sim.run_process(node.point_update(_SHARED_TABLE, key, "k", value))
-            model[key] = value
-            snapshots[writer_redo.durable_max_lsn] = dict(model)
+            oracle.commit(key, value)
         else:
-            setup.sim.run_process(node.point_select(_SHARED_TABLE, op[2]))
+            row = setup.sim.run_process(node.point_select(_SHARED_TABLE, op[2]))
+            if problem := oracle.read(node.node_id, op[2], row):
+                raise CrashSweepError(problem)
 
 
-def _sharing_golden(seed: int) -> _GoldenRun:
-    """One per seed and process: the sharing and storm sweeps share it."""
-    return materialize(
-        ("sweep.sharing_golden", seed), {}, lambda: _enumerate_sharing(seed)
-    )
-
-
-def _enumerate_sharing(seed: int) -> _GoldenRun:
+def _enumerate_sharing(seed: int) -> list[tuple[str, int]]:
+    """The crash points the sharing ops reach, in a checked run."""
     setup = _build_sharing()
-    model = _sharing_prephase(setup)
-    snapshots: dict[int, dict] = {}
+    oracle = _sharing_prephase(setup)
     injector = FaultInjector(seed=seed)
     with CheckedRun(trace=True, spans=True, memsan=True) as run:
         run.watch(setup)
         with injector:
-            _run_sharing_ops(setup, _sharing_ops(), model, snapshots, [0])
-        if detail := _survivor_mismatch(setup, setup.nodes[1], snapshots):
+            _run_sharing_ops(setup, _sharing_ops(), oracle, [None])
+        if detail := _survivor_mismatch(setup, setup.nodes[1], oracle):
             raise CrashSweepError(f"sharing golden run inconsistent: {detail}")
     run.check()
-    return _GoldenRun(list(injector.trace), snapshots, model)
+    return list(injector.trace)
 
 
 def _survivor_mismatch(
-    setup: SharingSetup, survivor: MultiPrimaryNode, snapshots: dict[int, dict]
+    setup: SharingSetup, survivor: MultiPrimaryNode, oracle: CommittedState
 ) -> str:
-    """Empty if ``survivor`` reads exactly the committed state: whatever
-    the *writer's* durable log contains. The oracle only knows keys it
-    observed or wrote, so exactly those are verified."""
-    durable = setup.nodes[0].engine.redo_log.durable_max_lsn
-    expected = _expected_at(snapshots, durable)
-    for key in sorted(expected):
-        row = setup.sim.run_process(survivor.point_select(_SHARED_TABLE, key))
-        got = None if row is None else row["k"]
-        if got != expected[key]:
-            return f"survivor read key {key}: {got} != committed {expected[key]}"
-    return ""
+    """Empty if ``survivor`` reads exactly the committed state of every
+    key the run read or wrote."""
+    return oracle.read_back(
+        survivor.node_id,
+        lambda key: setup.sim.run_process(survivor.point_select(_SHARED_TABLE, key)),
+    )
 
 
-def _write_probe_lost(
-    setup: SharingSetup, survivor: MultiPrimaryNode, value: int
-) -> bool:
+def _write_probe(
+    setup: SharingSetup, survivor: MultiPrimaryNode, oracle: CommittedState, value: int
+) -> str:
     """Prove the survivor's write path still works: the dead node held
     the first leaf's lock at crash time, and if failover leaked it
     ``lock_write`` would never be granted (the simulator reports a
-    deadlock)."""
+    deadlock). Empty if the survivor then reads its write back."""
     probe_key = _SHARED_KEYS[0]
-    setup.sim.run_process(
-        survivor.point_update(_SHARED_TABLE, probe_key, "k", value)
-    )
+    setup.sim.run_process(survivor.point_update(_SHARED_TABLE, probe_key, "k", value))
+    oracle.commit(probe_key, value)
     row = setup.sim.run_process(survivor.point_select(_SHARED_TABLE, probe_key))
-    return row is None or row["k"] != value
+    return oracle.read(survivor.node_id, probe_key, row)
 
 
 def _failover_outcome(
@@ -804,35 +793,37 @@ def _failover_outcome(
 
 
 def _crash_sharing_node(
-    run: CheckedRun, setup: SharingSetup, model: dict, seed: int, point: str, hit: int
+    run: CheckedRun, setup: SharingSetup, oracle: CommittedState, seed: int, point: str, hit: int
 ) -> int | None:
     """Run the canonical ops armed at (point, hit); returns the index of
     the node that died there, or None if the point never fired. The dead
     node's host loses power: its CPU cache (with any dirty, never-flushed
-    lines) dies with it; its volatile log buffer is gone."""
-    executing = [0]
+    lines) dies with it; its volatile log buffer is gone. The oracle
+    resolves an update it died in."""
+    executing: list = [None]
     injector = FaultInjector(seed=seed).arm(point, hit)
     if not _crashes(
         run,
         injector,
         setup.sim,
-        lambda: _run_sharing_ops(setup, _sharing_ops(), model, {}, executing),
+        lambda: _run_sharing_ops(setup, _sharing_ops(), oracle, executing),
     ):
         return None
-    setup.nodes[executing[0]].engine.crash()
-    setup.hosts[executing[0]].crash()
-    return executing[0]
+    kind, dead, *write = executing[0]
+    setup.nodes[dead].engine.crash()
+    setup.hosts[dead].crash()
+    if kind == "update":
+        oracle.resolve(*write, setup.nodes[0].engine.redo_log.durable_max_lsn)
+    return dead
 
 
-def _sharing_crash_and_failover(
-    seed: int, point: str, hit: int, snapshots: dict[int, dict]
-) -> SweepOutcome:
+def _sharing_crash_and_failover(seed: int, point: str, hit: int) -> SweepOutcome:
     """One sharing-failover unit: crash a node, fail over, check survivor."""
     setup = _build_sharing()
-    model = _sharing_prephase(setup)
+    oracle = _sharing_prephase(setup)
     with CheckedRun(spans=True, memsan=True) as run:
         run.watch(setup)
-        dead_index = _crash_sharing_node(run, setup, model, seed, point, hit)
+        dead_index = _crash_sharing_node(run, setup, oracle, seed, point, hit)
         if dead_index is None:
             return SweepOutcome(point, hit, False, False, "armed point never fired")
         dead = setup.nodes[dead_index]
@@ -840,11 +831,10 @@ def _sharing_crash_and_failover(
         fail_over(
             setup, dead, AccessMeter(), actor="failover", inherits=dead.node_id
         )
-        detail = _survivor_mismatch(setup, survivor, snapshots)
+        detail = _survivor_mismatch(setup, survivor, oracle)
         # The writer survived a reader crash: its write path must still work.
         if not detail and survivor is setup.nodes[0]:
-            if _write_probe_lost(setup, survivor, 7777):
-                detail = "post-failover write not visible"
+            detail = _write_probe(setup, survivor, oracle, 7777)
     return _failover_outcome(run, point, hit, detail)
 
 
@@ -857,10 +847,12 @@ def sweep_sharing_points(
     """Crash either sharing node anywhere in the protocol; fusion
     failover must leave the survivor seeing exactly the committed state
     and the distributed locks serviceable."""
-    golden = _sharing_golden(seed)
+    trace = materialize(
+        ("sweep.sharing_golden", seed), {}, lambda: _enumerate_sharing(seed)
+    )
     return _sweep_coordinates(
         "sharing-failover", "sharing", _sharing_crash_and_failover, seed,
-        golden.trace, (golden.snapshots,), max_hits_per_point, limit, only,
+        trace, (), max_hits_per_point, limit, only,
     )
 
 
@@ -876,15 +868,15 @@ _STORM_CRASH = ("sharing.flush.lines", 5)
 
 
 def _storm_crash_and_refailover(
-    seed: int, point: str, hit: int, snapshots: dict[int, dict], n_shards: int
+    seed: int, point: str, hit: int, n_shards: int
 ) -> SweepOutcome:
     """One storm unit: crash failover itself at (point, hit), retry it."""
     setup = _build_sharing(n_shards=n_shards)
-    model = _sharing_prephase(setup)
+    oracle = _sharing_prephase(setup)
     dead, survivor = setup.nodes
     with CheckedRun(spans=True, memsan=True) as run:
         run.watch(setup)
-        if _crash_sharing_node(run, setup, model, seed, *_STORM_CRASH) is None:
+        if _crash_sharing_node(run, setup, oracle, seed, *_STORM_CRASH) is None:
             return SweepOutcome(point, hit, False, False, "writer crash never fired")
         # Attempt 1: armed at the storm coordinate — failover itself dies.
         storm_injector = FaultInjector(seed=seed).arm(point, hit)
@@ -919,9 +911,8 @@ def _storm_crash_and_refailover(
         fail_over(
             setup, dead, AccessMeter(), actor="failover2", inherits="failover1"
         )
-        detail = _survivor_mismatch(setup, survivor, snapshots)
-        if not detail and _write_probe_lost(setup, survivor, 8888):
-            detail = "post-storm write not visible"
+        detail = _survivor_mismatch(setup, survivor, oracle)
+        detail = detail or _write_probe(setup, survivor, oracle, 8888)
     return _failover_outcome(run, point, hit, detail)
 
 
@@ -945,14 +936,13 @@ def sweep_failover_storm_points(
     tier: the wedged attempt is confined to the owning shard, the other
     shard must serve a read mid-storm, and retirement runs shard by
     shard."""
-    golden = _sharing_golden(seed)
     probe_setup = _build_sharing(n_shards=n_shards)
-    probe_model = _sharing_prephase(probe_setup)
+    probe_oracle = _sharing_prephase(probe_setup)
     dead = probe_setup.nodes[0]
     failover_injector = FaultInjector(seed=seed)
     with CheckedRun(spans=True, memsan=True) as run:
         run.watch(probe_setup)
-        if _crash_sharing_node(run, probe_setup, probe_model, seed, *_STORM_CRASH) is None:
+        if _crash_sharing_node(run, probe_setup, probe_oracle, seed, *_STORM_CRASH) is None:
             raise CrashSweepError("storm sweep: the writer crash never fired")
         with failover_injector:
             fail_over(
@@ -964,7 +954,7 @@ def sweep_failover_storm_points(
         raise CrashSweepError("storm sweep enumerated no failover points")
     return _sweep_coordinates(
         "failover-storm", "storm", _storm_crash_and_refailover, seed, trace,
-        (golden.snapshots, n_shards), max_hits_per_point, limit, only,
+        (n_shards,), max_hits_per_point, limit, only,
     )
 
 

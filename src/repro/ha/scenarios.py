@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..analysis.checked import CheckedRun, fail_over
+from ..analysis.checked import CheckedRun, CommittedState, fail_over
 from ..bench import register_metric_sources
 from ..bench.recovery_exp import run_recovery_experiment
 from ..core.fusion import RpcExhaustedError
@@ -169,9 +169,7 @@ class _Fleet:
         self._gauge_live()
         register_metric_sources(self.setup)
         self.timeline = AvailabilityTimeline(scenario, seed, n_nodes)
-        # The oracle: key -> last committed "k" value, fleet-wide.
-        self.model: dict[int, int] = {}
-        self.oracle_checks = 0
+        self.oracle = CommittedState(SysbenchWorkload.loaded_row)
         self.failovers = 0
         self.last_failover: dict[str, Any] = {}
         self.next_value = 1000
@@ -317,25 +315,15 @@ class _Fleet:
         for kind, key, via, value in ops:
             _, result = self.run_op(kind, key, via, value)
             if kind == "update":
-                assert value is not None
-                self.model[key] = value
+                self.oracle.commit(key, value)
             else:
                 self.note_read(key, result)
             self.note("ok")
 
     def note_read(self, key: int, row: Any) -> None:
-        """Every read doubles as an oracle check once the key is known."""
-        got = None if row is None else row["k"]
-        known = self.model.get(key)
-        if known is not None:
-            if got != known:
-                raise FleetOracleError(
-                    f"{self.scenario}: key {key} read {got!r}, "
-                    f"committed value is {known!r}"
-                )
-            self.oracle_checks += 1
-        elif got is not None:
-            self.model[key] = got
+        """Every read doubles as an oracle check."""
+        if problem := self.oracle.read("fleet", key, row):
+            raise FleetOracleError(f"{self.scenario}: {problem}")
 
     # -- fault choreography ------------------------------------------------------
 
@@ -349,9 +337,8 @@ class _Fleet:
         """Kill ``victim`` inside one designated update, then fail over.
 
         The update is armed at the next hit of ``point``, so the node
-        dies at an exact protocol coordinate. Whether the value counts
-        as committed is decided the same way the crash sweep does: the
-        node's durable LSN advanced past its pre-op value.
+        dies at an exact protocol coordinate; the oracle resolves it by
+        the node's durable LSN.
         """
         node = self.setup.nodes[victim]
         if self.route(victim) != victim:
@@ -359,7 +346,7 @@ class _Fleet:
         key = self.write_keys[victim][0]
         self.next_value += 1
         value = self.next_value
-        pre_durable = node.engine.redo_log.durable_max_lsn
+        self.oracle.start_write(key, value, node.engine.redo_log.durable_max_lsn)
         self.injector.arm(point, self.injector.hits.get(point, 0) + 1)
         self.timeline.begin_phase(
             f"crash {node.node_id}", "down", self.sim.now,
@@ -382,9 +369,7 @@ class _Fleet:
         finally:
             self.injector.disarm()
         self.run.crashed(self.sim.now)
-        committed = node.engine.redo_log.durable_max_lsn > pre_durable
-        if committed:
-            self.model[key] = value
+        committed = self.oracle.resolve(key, value, node.engine.redo_log.durable_max_lsn)
         self.note("failed")
         self.timeline.event(
             "crash_injected", self.sim.now,
@@ -493,21 +478,16 @@ class _Fleet:
             raise FleetOracleError(
                 f"post-failover write probe on key {key} failed on node{target}"
             )
-        self.model[key] = self.next_value
+        self.oracle.commit(key, self.next_value)
         self.note("ok")
 
     def verify(self) -> None:
-        """Read back every key the oracle knows through a live node."""
+        """Read back every key the run read or wrote through a live node."""
         reader_index = self.route(0)
-        for key in sorted(self.model):
-            _, row = self.run_op("select", key, reader_index)
-            got = None if row is None else row["k"]
-            if got != self.model[key]:
-                raise FleetOracleError(
-                    f"{self.scenario}: oracle mismatch on key {key}: "
-                    f"read {got!r}, committed {self.model[key]!r}"
-                )
-            self.oracle_checks += 1
+        if problem := self.oracle.read_back(
+            "fleet", lambda key: self.run_op("select", key, reader_index)[1]
+        ):
+            raise FleetOracleError(f"{self.scenario}: {problem}")
 
     # -- degraded-mode ops -------------------------------------------------------
 
@@ -553,8 +533,7 @@ class _Fleet:
         _, found = self.run_op(kind, key, via, value)
         if not found:
             raise FleetOracleError("degraded update failed while breaker closed")
-        assert value is not None
-        self.model[key] = value
+        self.oracle.commit(key, value)
         breaker.on_success()
         self.note("ok")
         return True
@@ -627,7 +606,7 @@ def _run_scenario(
         scenario=name,
         seed=seed,
         timeline=fleet.timeline,
-        oracle_checks=fleet.oracle_checks,
+        oracle_checks=fleet.oracle.checks,
         failovers=fleet.failovers,
         memsan_reports=len(run.memsan.reports) if run.memsan is not None else 0,
         detail=detail,
@@ -892,8 +871,7 @@ def run_degraded_mode(seed: int = 19) -> FleetResult:
             _, found = fleet.run_op(kind, key, via, value)
             if not found:
                 raise FleetOracleError(f"backlog drain failed on key {key}")
-            assert value is not None
-            fleet.model[key] = value
+            fleet.oracle.commit(key, value)
             fleet.note("drained")
         tl.begin_phase("recovered", "up", sim.now, live=2)
         fleet.verify()

@@ -2,7 +2,8 @@
 
 The sharing stress drives randomized schedules of point reads/writes,
 range scans, DBP recycling and metadata evictions across the
-multi-primary nodes, against a dict oracle of the shared column —
+multi-primary nodes, against the committed-state oracle
+(:class:`~repro.analysis.checked.CommittedState`) of the shared column —
 checking coherency, MemSan cleanliness, and the trace/span protocol
 invariants after every schedule (see ``tests/core/test_sharing_stress``
 for the original serial form).
@@ -30,6 +31,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from .runner import WorkUnit, run_units
 
 if TYPE_CHECKING:
+    from ..analysis.checked import CommittedState
     from ..obs.world import SharingSetup
 
 __all__ = [
@@ -122,19 +124,10 @@ def stress_repro_cmd(
     )
 
 
-def _oracle_seed(setup: SharingSetup, keys: range) -> dict[int, int]:
-    """Read the current shared-column values once, through node 0."""
-    oracle: dict[int, int] = {}
-    for key in keys:
-        row = setup.sim.run_process(setup.nodes[0].point_select(TABLE, key))
-        oracle[key] = row["k"]
-    return oracle
-
-
 def _run_schedule(
     setup: SharingSetup,
     rng: random.Random,
-    oracle: dict[int, int],
+    oracle: CommittedState,
     keys: range,
 ) -> None:
     """One randomized schedule; raises StressCheckError on a stale read."""
@@ -146,11 +139,8 @@ def _run_schedule(
         key = rng.choice(list(keys))
         if op < 0.45:
             row = sim.run_process(node.point_select(TABLE, key))
-            if row["k"] != oracle[key]:
-                raise StressCheckError(
-                    f"{node.node_id} read stale k for key {key}: "
-                    f"{row['k']} != {oracle[key]}"
-                )
+            if problem := oracle.read(node.node_id, key, row):
+                raise StressCheckError(problem)
         elif op < 0.80:
             next_value += 1
             if not sim.run_process(
@@ -159,17 +149,14 @@ def _run_schedule(
                 raise StressCheckError(
                     f"{node.node_id} update of key {key} did not commit"
                 )
-            oracle[key] = next_value
+            oracle.commit(key, next_value)
         elif op < 0.92:
             start = rng.choice(list(keys))
             count = rng.randrange(1, 8)
             rows = sim.run_process(node.range_select(TABLE, start, count))
             for row in rows:
-                if row["k"] != oracle[row["id"]]:
-                    raise StressCheckError(
-                        f"{node.node_id} range scan saw stale k for key "
-                        f"{row['id']}: {row['k']} != {oracle[row['id']]}"
-                    )
+                if problem := oracle.read(node.node_id, row["id"], row):
+                    raise StressCheckError(problem)
         elif op < 0.97 and setup.fusion is not None:
             # Recycle the globally-coldest DBP pages: pushes removal
             # flags every node must observe before reusing the entry,
@@ -207,7 +194,7 @@ def _stress_shard(
     forced-failure path the differential suite uses to prove a red
     shard surfaces its exact seed and serial repro.
     """
-    from ..analysis.checked import CheckedRun
+    from ..analysis.checked import CheckedRun, CommittedState
     from ..analysis.memsan import MemSanError
     from ..obs import MetricsError
     from ..obs.world import build_sharing_setup
@@ -216,7 +203,11 @@ def _stress_shard(
     keys = range(1, _ROWS + 1)
     workload = SysbenchWorkload(rows=_ROWS, n_nodes=_NODES)
     setup = build_sharing_setup(system, _NODES, workload)
-    oracle = _oracle_seed(setup, keys)
+    oracle = CommittedState(SysbenchWorkload.loaded_row)
+    for key in keys:  # node 0 reads every key once before the first seed
+        row = setup.sim.run_process(setup.nodes[0].point_select(TABLE, key))
+        if problem := oracle.read(setup.nodes[0].node_id, key, row):
+            raise StressCheckError(problem)
     result = StressShardResult(
         system=system, seed_start=seed_start, n_seeds=n_seeds
     )
@@ -276,12 +267,9 @@ def _stress_shard(
     for node in setup.nodes:
         for key in sample:
             row = setup.sim.run_process(node.point_select(TABLE, key))
-            if row["k"] != oracle[key]:
+            if problem := oracle.read(node.node_id, key, row):
                 result.converged = False
-                result.failures.append(
-                    f"convergence: {node.node_id} key {key}: "
-                    f"{row['k']} != {oracle[key]} [repro: {repro}]"
-                )
+                result.failures.append(f"convergence: {problem} [repro: {repro}]")
     return result
 
 

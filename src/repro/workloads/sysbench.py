@@ -107,7 +107,7 @@ class SysbenchWorkload(Workload):
     def load(self, engine: Engine) -> None:
         def rows_for(_table: str):
             for key in range(1, self.rows + 1):
-                yield key, self._row(key)
+                yield key, self.loaded_row(key)
 
         index_fields = ("k",) if self.with_k_index else ()
         load_tables(
@@ -119,7 +119,7 @@ class SysbenchWorkload(Workload):
         )
 
     @staticmethod
-    def _row(key: int) -> dict:
+    def loaded_row(key: int) -> dict:
         return {
             "id": key,
             "k": key % 4096,
@@ -240,7 +240,7 @@ class SysbenchWorkload(Workload):
         self._charge_query(engine, 0)
         mtr = engine.mtr()
         if existed:
-            table.insert(mtr, key, self._row(key))
+            table.insert(mtr, key, self.loaded_row(key))
         mtr.commit()
         self._charge_query(engine, 0)
 

@@ -155,10 +155,10 @@ def test_check_raises_for_a_seeded_violation_of_each_instrument(seed, error):
 
 def test_check_raises_for_a_watched_node_whose_durable_log_is_out_of_order():
     setup = _build_sharing()
-    model = _sharing_prephase(setup)
+    oracle = _sharing_prephase(setup)
     with _all() as run:
         run.watch(setup)
-        _run_sharing_ops(setup, _sharing_ops(), model, {}, [0])
+        _run_sharing_ops(setup, _sharing_ops(), oracle, [None])
     run.check()
     writer = setup.nodes[0]
     swap_durable_records(writer.engine.redo_log, 3, 4)
@@ -171,11 +171,11 @@ def _storm_failover(n_shards):
     """Crash the sweep's canonical writer, fail it over once; returns the
     primitive's counts and every page the failover wrote to storage."""
     setup = _build_sharing(n_shards=n_shards)
-    model = _sharing_prephase(setup)
+    oracle = _sharing_prephase(setup)
     written = []
     with CheckedRun(memsan=True) as run:
         run.watch(setup)
-        assert _crash_sharing_node(run, setup, model, 7, *_STORM_CRASH) == 0
+        assert _crash_sharing_node(run, setup, oracle, 7, *_STORM_CRASH) == 0
         real_write = setup.page_store.write_page
         setup.page_store.write_page = lambda page_id, image: (
             written.append(page_id), real_write(page_id, image))

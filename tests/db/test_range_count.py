@@ -46,7 +46,7 @@ def _sparse_world(system: str):
         mtr.commit()
     for key in reinserted:
         mtr = engine.mtr()
-        table.insert(mtr, key, workload._row(key))
+        table.insert(mtr, key, workload.loaded_row(key))
         mtr.commit()
     live = sorted((set(range(1, ROWS + 1)) - deleted) | set(reinserted))
     return setup, engine, table.btree, live

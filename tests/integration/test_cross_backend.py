@@ -69,7 +69,7 @@ def _run_stream(workload, engine, table, grow: bool) -> tuple[list, list]:
         mtr = engine.mtr()
         if op == "insert":
             key = next_key if grow else deleted.pop(rng.randrange(len(deleted)))
-            table.insert(mtr, key, workload._row(key))
+            table.insert(mtr, key, workload.loaded_row(key))
             live.add(key)
             next_key += grow
         elif op == "update":

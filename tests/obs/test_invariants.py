@@ -225,13 +225,14 @@ class TestColumnWalk:
     def test_a_stress_schedule_checks_the_same_by_columns_and_by_events(self):
         import random
 
+        from repro.analysis.checked import CommittedState
         from repro.obs.world import build_sharing_setup
-        from repro.parallel.stress import _NODES, _ROWS, _oracle_seed, _run_schedule
+        from repro.parallel.stress import _NODES, _ROWS, _run_schedule
         from repro.workloads.sysbench import SysbenchWorkload
 
         keys = range(1, _ROWS + 1)
         setup = build_sharing_setup("cxl", _NODES, SysbenchWorkload(rows=_ROWS, n_nodes=_NODES))
-        oracle = _oracle_seed(setup, keys)
+        oracle = CommittedState(SysbenchWorkload.loaded_row)
         with Tracer() as tracer:
             _run_schedule(setup, random.Random(1000), oracle, keys)
         violations, stats = _checked_both_ways(tracer)
