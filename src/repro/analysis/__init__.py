@@ -9,9 +9,10 @@
 * :mod:`repro.analysis.lint` — the protocol-discipline AST lint
   (``python -m repro.analysis lint``), rules REPRO001–REPRO006.
 * :mod:`repro.analysis.checked` — ``CheckedRun``, the one instrument
-  battery every verification harness runs under, and ``fail_over``, the
-  one sharing-failover primitive (imported by path, not re-exported:
-  it pulls in ``core`` and ``obs``).
+  battery every verification harness runs under, ``CommittedState``,
+  the one oracle, and the sharing harnesses' one op path
+  (``run_op``), crash step (``crash``) and failover (``fail_over``)
+  (imported by path, not re-exported: it pulls in ``core`` and ``obs``).
 """
 
 from .memsan import MemSan, MemSanError, RaceReport, vc_join, vc_leq

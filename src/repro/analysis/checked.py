@@ -1,5 +1,5 @@
 """One checked-run harness, one committed-state oracle and one
-sharing-failover primitive.
+scenario core for the sharing harnesses.
 
 Every verification harness — crash-sweep golden runs and coordinates,
 stress seeds, scale points, fleet-HA scenarios, explored schedules —
@@ -8,8 +8,10 @@ runs its body under some subset of the four instruments (event
 :class:`~repro.obs.metrics.MetricsPipeline`, :class:`~.memsan.MemSan`)
 and then runs every invariant they support. :class:`CheckedRun` is that
 battery, once; :class:`CommittedState` is what a reader of the shared
-table may see, once; :func:`fail_over` is the sharing tier's failover,
-once.
+table may see, once. The sharing harnesses (explorer, stress, HA fleet,
+sharing and storm sweeps) only produce schedules of :data:`Op` tuples:
+:func:`run_op` runs and checks one, :func:`crash` is what a node dying
+in one ends with, and :func:`fail_over` is the sharing tier's failover.
 
 A run stays installed for the **whole** coordinate / seed / scenario.
 The :class:`~repro.faults.injector.FaultInjector` is deliberately not
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from contextlib import ExitStack
-from typing import TYPE_CHECKING, Any, Callable, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Union
 
 from ..core.recovery import retire_log
 from ..core.shard_router import FusionShardRouter
@@ -42,8 +44,18 @@ if TYPE_CHECKING:
     from ..core.sharing import MultiPrimaryNode
     from ..hardware.memory import AccessMeter
     from ..obs.world import SharingSetup
+    from ..sim.core import Event
 
-__all__ = ["CheckedRun", "CommittedState", "LogOrderError", "fail_over"]
+__all__ = ["CheckedRun", "CommittedState", "LogOrderError", "Op", "crash", "fail_over", "run_op"]
+
+TABLE = "sbtest_shared"
+
+#: One sharing op: ``(kind, key, via, value)``, ``kind`` one of
+#: ``"select"``, ``"update"`` and ``"range"``. ``via`` indexes the node
+#: in ``setup.nodes`` that runs it (the HA fleet routes its preferred
+#: node to a live one before the op runs); ``value`` is
+#: an update's new ``"k"``, a range's row count and None for a select.
+Op = tuple[str, int, int, Any]
 
 
 class LogOrderError(AssertionError):
@@ -227,13 +239,56 @@ class CommittedState:
         allowed = history[floor:] + [v for k, v in self._in_flight if k == key]
         return f"{node} read key {key} = {value!r}; it may see only {allowed!r}"
 
-    def read_back(self, node: str, read: Callable[[int], Optional[dict]]) -> str:
-        """Check ``read(key)``, the row ``node`` reads, for every key of
-        :attr:`history` in key order; the first problem."""
+    def read_back(self, check: Callable[[int], str]) -> str:
+        """The first problem ``check(key)`` reports over every key of
+        :attr:`history` (each key the run read or committed), in key
+        order."""
         for key in sorted(self.history):
-            if problem := self.read(node, key, read(key)):
+            if problem := check(key):
                 return problem
         return ""
+
+
+def run_op(
+    setup: "SharingSetup", op: Op, oracle: CommittedState
+) -> Generator["Event", Any, str]:
+    """Run ``op`` on the node it names and record or check it in
+    ``oracle``; the problem, empty when fine. An update may be read from
+    its start and commits only if its row was found; every row a select
+    or range reads is checked as read by that node since the op started.
+    Run it with ``sim.run_process`` or ``yield from``: it adds no
+    simulator event to the op."""
+    kind, key, via, value = op
+    node = setup.nodes[via]
+    since = oracle.clock
+    if kind == "update":
+        oracle.start_write(key, value, node.engine.redo_log.durable_max_lsn)
+        if not (yield from node.point_update(TABLE, key, "k", value)):
+            return f"update {key}={value} on {node.node_id} did not commit"
+        oracle.commit(key, value)
+        return ""
+    if kind == "select":
+        rows = [(key, (yield from node.point_select(TABLE, key)))]
+    elif kind == "range":
+        scanned = yield from node.range_select(TABLE, key, value)
+        rows = [(row["id"], row) for row in scanned]
+    else:
+        raise ValueError(f"unknown sharing op kind {kind!r}")
+    problems = [oracle.read(node.node_id, k, row, since) for k, row in rows]
+    return next(filter(None, problems), "")
+
+
+def crash(run: CheckedRun, setup: "SharingSetup", oracle: CommittedState, op: Op) -> bool:
+    """The node ``op`` names died inside it: crash semantics for the
+    instruments, power loss for its engine and host (log buffer and CPU
+    cache), and an update it died in resolved by its durable LSN, which
+    the crash leaves as it was. Whether that update committed."""
+    kind, key, via, value = op
+    engine = setup.nodes[via].engine
+    run.crashed(setup.sim.now)
+    engine.crash()
+    setup.hosts[via].crash()
+    return kind == "update" and oracle.resolve(key, value, engine.redo_log.durable_max_lsn)
 
 
 def fail_over(
@@ -255,6 +310,12 @@ def fail_over(
     Under MemSan the attempt runs as ``actor``, ordered after everything
     ``inherits`` did — the dead node, or the previous crashed attempt —
     because the durable redo supersedes whatever that actor lost.
+
+    An attempt that completes seals the failover (a crashed one raises
+    first, so its retry still sees the dead node's locks): the dead node
+    holds no locks, and the epoch bump puts every later LSN — joiners'
+    ``base_lsn``, each live node's log — after the dead log's, so
+    LSN-guarded redo never skips a post-takeover record.
     """
     fusion = setup.fusion
     assert fusion is not None
@@ -284,4 +345,11 @@ def fail_over(
             )
             for page_filter in filters
         )
+    dead.write_locks_held.clear()
+    dead.read_locks_held.clear()
+    dead_next = dead.engine.redo_log.next_lsn
+    setup.base_lsn = max(setup.base_lsn, dead_next)
+    for node in setup.nodes:
+        if not node.engine.crashed:
+            node.engine.redo_log.align_lsn(dead_next)
     return rebuilt, retired

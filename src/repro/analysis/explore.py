@@ -56,7 +56,7 @@ from math import factorial
 from typing import Any, Callable, Generator, Optional
 
 from ..sim.core import Event, Process, SchedulerHook, Simulator
-from .checked import CommittedState
+from .checked import CommittedState, Op, run_op
 from .memsan import MemSan, MemSanError, line_range
 
 __all__ = [
@@ -81,8 +81,6 @@ __all__ = [
     "toy_min_traces",
     "toy_naive_interleavings",
 ]
-
-TABLE = "sbtest_shared"
 
 Location = tuple  # ("cxl", region, line) | ("flag", region, addr) | ...
 
@@ -478,19 +476,18 @@ def _run_toy(config: ToyConfig, strategy: ExplorerStrategy) -> list[str]:
 class ProtocolConfig:
     """A small sharing-protocol world to explore exhaustively.
 
-    ``streams`` are ``(node_index, ops)`` pairs run as concurrent
-    simulator processes; ops are ``("select", key)``,
-    ``("update", key, value)`` and ``("scan", start, count)`` against
-    the shared table. ``mutation`` arms one of the PR 5 protocol
-    mutations; ``crash_point`` arms the fault injector at one named
-    crash point (the crashed node is failed over before the final
-    convergence check).
+    ``streams`` run as concurrent simulator processes, each a tuple of
+    ops (:data:`~.checked.Op`) against the shared table whose ``via``
+    all name the node the stream runs on. ``mutation`` arms one of the
+    protocol mutations (:data:`MUTATIONS`); ``crash_point`` arms the fault injector at
+    one named crash point (the crashed node is failed over before the
+    final convergence check).
     """
 
     name: str
     system: str
     n_nodes: int
-    streams: tuple[tuple[int, tuple[tuple, ...]], ...]
+    streams: tuple[tuple[Op, ...], ...]
     rows: int = 12
     mutation: Optional[str] = None
     crash_point: Optional[str] = None
@@ -501,53 +498,29 @@ MUTATIONS = ("skip_flush", "skip_invalidate", "clear_before_invalidate")
 
 
 def _stream(
-    node: Any,
-    ops: tuple[tuple, ...],
+    setup: Any,
+    ops: tuple[Op, ...],
     oracle: CommittedState,
     violations: list[str],
     crashes: list,
 ) -> Generator[Event, Any, None]:
     from ..faults.injector import InjectedCrash
 
-    try:
-        for op in ops:
-            kind = op[0]
-            since = oracle.clock
-            rows: list = []
-            if kind == "select":
-                row = yield from node.point_select(TABLE, op[1])
-                rows = [(op[1], row)]
-            elif kind == "update":
-                key, value = op[1], op[2]
-                oracle.start_write(key, value, node.engine.redo_log.durable_max_lsn)
-                committed = yield from node.point_update(TABLE, key, "k", value)
-                if committed:
-                    oracle.commit(key, value)
-                else:
-                    violations.append(
-                        f"oracle: update {key}={value} on {node.node_id} "
-                        "did not commit"
-                    )
-            elif kind == "scan":
-                scanned = yield from node.range_select(TABLE, op[1], op[2])
-                rows = [(row["id"], row) for row in scanned]
-            else:
-                raise ExploreError(f"unknown stream op {kind!r}")
-            for key, row in rows:
-                if problem := oracle.read(node.node_id, key, row, since):
-                    violations.append(f"oracle: {problem}")
-    except InjectedCrash as crash:
-        crashes.append((node, crash))
+    for op in ops:
+        try:
+            problem = yield from run_op(setup, op, oracle)
+        except InjectedCrash:
+            crashes.append(op)
+            return
+        if problem:
+            violations.append(f"oracle: {problem}")
 
 
 def _config_keys(config: ProtocolConfig) -> list[int]:
     keys: set[int] = set()
-    for _, ops in config.streams:
-        for op in ops:
-            if op[0] in ("select", "update"):
-                keys.add(op[1])
-            else:
-                keys.update(range(op[1], op[1] + op[2]))
+    for ops in config.streams:
+        for kind, key, _, value in ops:
+            keys.update(range(key, key + value) if kind == "range" else (key,))
     return sorted(keys)
 
 
@@ -576,7 +549,7 @@ def _run_protocol(config: ProtocolConfig, strategy: ExplorerStrategy) -> list[st
     from ..obs import InvariantViolationError
     from ..obs.world import build_sharing_setup
     from ..workloads.sysbench import SysbenchWorkload
-    from .checked import CheckedRun, fail_over
+    from .checked import CheckedRun, crash, fail_over
 
     workload = SysbenchWorkload(rows=config.rows, n_nodes=config.n_nodes)
     setup = build_sharing_setup(config.system, config.n_nodes, workload)
@@ -585,13 +558,15 @@ def _run_protocol(config: ProtocolConfig, strategy: ExplorerStrategy) -> list[st
     keys = _config_keys(config)
     oracle = CommittedState(SysbenchWorkload.loaded_row)
     violations: list[str] = []
+
+    def check_read(via: int, key: int, check: str) -> None:
+        if problem := setup.sim.run_process(run_op(setup, ("select", key, via, None), oracle)):
+            violations.append(f"{check}: {problem}")
+
     # Node 0 reads every key before the controllable scheduler is
     # installed: part of the deterministic initial state every replay rebuilds.
-    reader = setup.nodes[0]
     for key in keys:
-        row = setup.sim.run_process(reader.point_select(TABLE, key))
-        if problem := oracle.read(reader.node_id, key, row):
-            violations.append(f"oracle: {problem}")
+        check_read(0, key, "oracle")
     crashes: list = []
     injector = (
         FaultInjector().arm(config.crash_point, config.crash_hit)
@@ -602,11 +577,11 @@ def _run_protocol(config: ProtocolConfig, strategy: ExplorerStrategy) -> list[st
     with CheckedRun(trace=True, memsan=ms) as run:
         run.watch(setup)
         procs = []
-        for stream_index, (node_index, ops) in enumerate(config.streams):
-            node = setup.nodes[node_index]
+        for stream_index, ops in enumerate(config.streams):
+            node = setup.nodes[ops[0][2]]
             procs.append(
                 setup.sim.process(
-                    _stream(node, ops, oracle, violations, crashes),
+                    _stream(setup, ops, oracle, violations, crashes),
                     name=f"{node.node_id}/s{stream_index}",
                 )
             )
@@ -621,35 +596,25 @@ def _run_protocol(config: ProtocolConfig, strategy: ExplorerStrategy) -> list[st
             violations.append(
                 f"crash point {config.crash_point!r} never fired"
             )
-        dead_nodes = []
-        for node, _ in crashes:
-            dead_nodes.append(node)
-            node.engine.crash()
-            setup.hosts[setup.nodes.index(node)].crash()
+        for op in crashes:
+            crash(run, setup, oracle, op)
+            dead = setup.nodes[op[2]]
             fail_over(
-                setup, node, AccessMeter(), actor="failover", inherits=node.node_id
+                setup, dead, AccessMeter(), actor="failover", inherits=dead.node_id
             )
-        if dead_nodes:
+        if crashes:
             # Failover force-released the dead node's locks; let blocked
             # survivor streams drain (deterministic tail, default order).
             setup.sim.run()
-        for proc, (_, ops) in zip(procs, config.streams):
+        for proc in procs:
             if not proc.triggered:
                 violations.append(f"stream {proc.name} never completed (deadlock)")
         # Convergence: every surviving node reads the last committed value
-        # of every key (or one in flight when its writer crashed), and they agree.
-        survivors = [n for n in setup.nodes if n not in dead_nodes]
+        # of every key — so they agree (a crashed write is resolved by now).
+        survivors = [i for i, node in enumerate(setup.nodes) if not node.engine.crashed]
         for key in keys:
-            values = []
-            for node in survivors:
-                row = setup.sim.run_process(node.point_select(TABLE, key))
-                values.append(None if row is None else row["k"])
-                if problem := oracle.read(node.node_id, key, row):
-                    violations.append(f"convergence: {problem}")
-            if len(set(values)) > 1:
-                violations.append(
-                    f"convergence: nodes disagree on key {key}: {values!r}"
-                )
+            for via in survivors:
+                check_read(via, key, "convergence")
         for report in ms.reports:
             violations.append(f"memsan: {report}")
         try:
@@ -685,9 +650,9 @@ CONFIGS: dict[str, ProtocolConfig] = {
         system="cxl",
         n_nodes=2,
         streams=(
-            (0, (("update", 5, _W + 1), ("select", 5))),
-            (1, (("select", 5), ("select", 5))),
-            (1, (("update", 5, _W + 2),)),
+            (("update", 5, 0, _W + 1), ("select", 5, 0, None)),
+            (("select", 5, 1, None), ("select", 5, 1, None)),
+            (("update", 5, 1, _W + 2),),
         ),
     ),
     "rdma-2p1pg": ProtocolConfig(
@@ -695,21 +660,21 @@ CONFIGS: dict[str, ProtocolConfig] = {
         system="rdma",
         n_nodes=2,
         streams=(
-            (0, (("update", 5, _W + 1), ("select", 5))),
-            (1, (("select", 5), ("select", 5))),
-            (1, (("update", 5, _W + 2),)),
+            (("update", 5, 0, _W + 1), ("select", 5, 0, None)),
+            (("select", 5, 1, None), ("select", 5, 1, None)),
+            (("update", 5, 1, _W + 2),),
         ),
     ),
-    # 3 primaries, two hot keys, a scan crossing them, 4 streams.
+    # 3 primaries, two hot keys, a range crossing them, 4 streams.
     "cxl-3p2k": ProtocolConfig(
         name="cxl-3p2k",
         system="cxl",
         n_nodes=3,
         streams=(
-            (0, (("update", 3, _W + 1),)),
-            (1, (("select", 3), ("update", 7, _W + 2))),
-            (2, (("scan", 3, 5),)),
-            (2, (("select", 7),)),
+            (("update", 3, 0, _W + 1),),
+            (("select", 3, 1, None), ("update", 7, 1, _W + 2)),
+            (("range", 3, 2, 5),),
+            (("select", 7, 2, None),),
         ),
     ),
     # One armed crash point: the writer dies right after logging its
@@ -719,8 +684,8 @@ CONFIGS: dict[str, ProtocolConfig] = {
         system="cxl",
         n_nodes=2,
         streams=(
-            (0, (("update", 5, _W + 1),)),
-            (1, (("select", 5), ("select", 5))),
+            (("update", 5, 0, _W + 1),),
+            (("select", 5, 1, None), ("select", 5, 1, None)),
         ),
         crash_point="node.update.logged",
         crash_hit=1,

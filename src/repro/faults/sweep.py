@@ -11,7 +11,7 @@ committed state** — the state as of the largest durable LSN at crash
 time, nothing more, nothing less. Fixed seeds make every coordinate
 reproducible in isolation.
 
-Three sweeps live here:
+Four sweeps live here:
 
 * :func:`sweep_workload_points` — single-node PolarCXLMem engine. Crash
   anywhere in mtr commit, WAL append/flush, page flush, LRU relink,
@@ -39,7 +39,10 @@ workloads use single-mtr transactions, so every durable log prefix is
 transaction atomic and the crash-time ``durable_max_lsn`` always equals
 one of the snapshot keys (mtr records enter the log buffer atomically at
 commit; flushes move the whole buffer). The sharing sweeps check their
-own runs with :class:`~repro.analysis.checked.CommittedState`.
+own runs with :class:`~repro.analysis.checked.CommittedState`, and run,
+crash and fail over through the scenario core beside it
+(:func:`~repro.analysis.checked.run_op`, :func:`~repro.analysis.checked.crash`,
+:func:`~repro.analysis.checked.fail_over`).
 
 This module deliberately lives in ``src`` (not ``tests``) so the sweep
 is usable as a library — from pytest, from a REPL while debugging a
@@ -53,12 +56,9 @@ import random
 import traceback
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
-if TYPE_CHECKING:
-    from ..core.sharing import MultiPrimaryNode
-
-from ..analysis.checked import CheckedRun, CommittedState, fail_over
+from ..analysis.checked import CheckedRun, CommittedState, Op, crash, fail_over, run_op
 from ..analysis.memsan import MemSanError
 from ..core.block import pool_bytes_needed
 from ..core.memmgr import CxlMemoryManager
@@ -675,7 +675,6 @@ def sweep_recovery_points(
 # Multi-primary sharing failover
 # ---------------------------------------------------------------------------
 
-_SHARED_TABLE = "sbtest_shared"
 _SHARED_KEYS = (5, 17, 33, 49)  # all on the first leaf
 # A key on a leaf nobody touches during the warm-up, so its first-ever
 # DBP load (``fusion.request.loaded``) happens inside the injected phase.
@@ -684,20 +683,20 @@ _SHARED_ROWS = 200  # ~3 leaves of sysbench rows
 _SHARING_ROUNDS = 3
 
 
-def _sharing_ops() -> list[tuple]:
+def _sharing_ops() -> list[Op]:
     """Interleaved writer (node 0) updates and reader (node 1) selects on
     the shared table."""
-    ops: list[tuple] = []
+    ops: list[Op] = []
     value = 100
     for round_no in range(_SHARING_ROUNDS):
         for key in _SHARED_KEYS:
             value += 1
-            ops.append(("update", 0, key, value))
-            ops.append(("select", 1, key))
+            ops.append(("update", key, 0, value))
+            ops.append(("select", key, 1, None))
         if round_no == 0:
             value += 1
-            ops.append(("update", 0, _FRESH_KEY, value))
-            ops.append(("select", 1, _FRESH_KEY))
+            ops.append(("update", _FRESH_KEY, 0, value))
+            ops.append(("select", _FRESH_KEY, 1, None))
     return ops
 
 
@@ -710,32 +709,11 @@ def _sharing_prephase(setup: SharingSetup) -> CommittedState:
     """Uninjected warm-up: the reader touches every sweep key (registers
     the pages with the fusion server); the oracle checks the loaded
     values it reads."""
-    reader = setup.nodes[1]
     oracle = CommittedState(SysbenchWorkload.loaded_row)
     for key in _SHARED_KEYS:
-        row = setup.sim.run_process(reader.point_select(_SHARED_TABLE, key))
-        if problem := oracle.read(reader.node_id, key, row):
+        if problem := setup.sim.run_process(run_op(setup, ("select", key, 1, None), oracle)):
             raise CrashSweepError(problem)
     return oracle
-
-
-def _run_sharing_ops(
-    setup: SharingSetup, ops: list[tuple], oracle: CommittedState, executing: list
-) -> None:
-    """Run ``ops`` in order, ``executing[0]`` naming the one running."""
-    writer_redo = setup.nodes[0].engine.redo_log
-    for op in ops:
-        executing[0] = op
-        node = setup.nodes[op[1]]
-        if op[0] == "update":
-            _, _, key, value = op
-            oracle.start_write(key, value, writer_redo.durable_max_lsn)
-            setup.sim.run_process(node.point_update(_SHARED_TABLE, key, "k", value))
-            oracle.commit(key, value)
-        else:
-            row = setup.sim.run_process(node.point_select(_SHARED_TABLE, op[2]))
-            if problem := oracle.read(node.node_id, op[2], row):
-                raise CrashSweepError(problem)
 
 
 def _enumerate_sharing(seed: int) -> list[tuple[str, int]]:
@@ -746,36 +724,31 @@ def _enumerate_sharing(seed: int) -> list[tuple[str, int]]:
     with CheckedRun(trace=True, spans=True, memsan=True) as run:
         run.watch(setup)
         with injector:
-            _run_sharing_ops(setup, _sharing_ops(), oracle, [None])
-        if detail := _survivor_mismatch(setup, setup.nodes[1], oracle):
+            for op in _sharing_ops():
+                if problem := setup.sim.run_process(run_op(setup, op, oracle)):
+                    raise CrashSweepError(problem)
+        if detail := _survivor_mismatch(setup, 1, oracle):
             raise CrashSweepError(f"sharing golden run inconsistent: {detail}")
     run.check()
     return list(injector.trace)
 
 
-def _survivor_mismatch(
-    setup: SharingSetup, survivor: MultiPrimaryNode, oracle: CommittedState
-) -> str:
-    """Empty if ``survivor`` reads exactly the committed state of every
-    key the run read or wrote."""
+def _survivor_mismatch(setup: SharingSetup, via: int, oracle: CommittedState) -> str:
+    """Empty if the survivor ``setup.nodes[via]`` reads exactly the
+    committed state of every key the run read or wrote."""
     return oracle.read_back(
-        survivor.node_id,
-        lambda key: setup.sim.run_process(survivor.point_select(_SHARED_TABLE, key)),
+        lambda key: setup.sim.run_process(run_op(setup, ("select", key, via, None), oracle))
     )
 
 
-def _write_probe(
-    setup: SharingSetup, survivor: MultiPrimaryNode, oracle: CommittedState, value: int
-) -> str:
+def _write_probe(setup: SharingSetup, via: int, oracle: CommittedState, value: int) -> str:
     """Prove the survivor's write path still works: the dead node held
     the first leaf's lock at crash time, and if failover leaked it
     ``lock_write`` would never be granted (the simulator reports a
     deadlock). Empty if the survivor then reads its write back."""
-    probe_key = _SHARED_KEYS[0]
-    setup.sim.run_process(survivor.point_update(_SHARED_TABLE, probe_key, "k", value))
-    oracle.commit(probe_key, value)
-    row = setup.sim.run_process(survivor.point_select(_SHARED_TABLE, probe_key))
-    return oracle.read(survivor.node_id, probe_key, row)
+    return setup.sim.run_process(
+        run_op(setup, ("update", _SHARED_KEYS[0], via, value), oracle)
+    ) or setup.sim.run_process(run_op(setup, ("select", _SHARED_KEYS[0], via, None), oracle))
 
 
 def _failover_outcome(
@@ -796,25 +769,20 @@ def _crash_sharing_node(
     run: CheckedRun, setup: SharingSetup, oracle: CommittedState, seed: int, point: str, hit: int
 ) -> int | None:
     """Run the canonical ops armed at (point, hit); returns the index of
-    the node that died there, or None if the point never fired. The dead
-    node's host loses power: its CPU cache (with any dirty, never-flushed
-    lines) dies with it; its volatile log buffer is gone. The oracle
-    resolves an update it died in."""
-    executing: list = [None]
-    injector = FaultInjector(seed=seed).arm(point, hit)
-    if not _crashes(
-        run,
-        injector,
-        setup.sim,
-        lambda: _run_sharing_ops(setup, _sharing_ops(), oracle, executing),
-    ):
-        return None
-    kind, dead, *write = executing[0]
-    setup.nodes[dead].engine.crash()
-    setup.hosts[dead].crash()
-    if kind == "update":
-        oracle.resolve(*write, setup.nodes[0].engine.redo_log.durable_max_lsn)
-    return dead
+    the node that died there (through the crash step), or None if the
+    point never fired."""
+    with FaultInjector(seed=seed).arm(point, hit):
+        for op in _sharing_ops():
+            try:
+                problem = setup.sim.run_process(run_op(setup, op, oracle))
+            except InjectedCrash:
+                break
+            if problem:
+                raise CrashSweepError(problem)
+        else:
+            return None
+    crash(run, setup, oracle, op)
+    return op[2]
 
 
 def _sharing_crash_and_failover(seed: int, point: str, hit: int) -> SweepOutcome:
@@ -827,13 +795,13 @@ def _sharing_crash_and_failover(seed: int, point: str, hit: int) -> SweepOutcome
         if dead_index is None:
             return SweepOutcome(point, hit, False, False, "armed point never fired")
         dead = setup.nodes[dead_index]
-        survivor = setup.nodes[1 - dead_index]
+        survivor = 1 - dead_index
         fail_over(
             setup, dead, AccessMeter(), actor="failover", inherits=dead.node_id
         )
         detail = _survivor_mismatch(setup, survivor, oracle)
         # The writer survived a reader crash: its write path must still work.
-        if not detail and survivor is setup.nodes[0]:
+        if not detail and survivor == 0:
             detail = _write_probe(setup, survivor, oracle, 7777)
     return _failover_outcome(run, point, hit, detail)
 
@@ -873,7 +841,7 @@ def _storm_crash_and_refailover(
     """One storm unit: crash failover itself at (point, hit), retry it."""
     setup = _build_sharing(n_shards=n_shards)
     oracle = _sharing_prephase(setup)
-    dead, survivor = setup.nodes
+    dead = setup.nodes[0]
     with CheckedRun(spans=True, memsan=True) as run:
         run.watch(setup)
         if _crash_sharing_node(run, setup, oracle, seed, *_STORM_CRASH) is None:
@@ -897,13 +865,11 @@ def _storm_crash_and_refailover(
             # shared keys' leaves belong to a *different* shard, whose
             # metadata, directory, and locks are untouched by the wedged
             # recovery — it must keep serving reads right now.
-            row = setup.sim.run_process(
-                survivor.point_select(_SHARED_TABLE, _SHARED_KEYS[0])
-            )
-            if row is None:
+            mid_storm_read = ("select", _SHARED_KEYS[0], 1, None)
+            if problem := setup.sim.run_process(run_op(setup, mid_storm_read, oracle)):
                 return SweepOutcome(
                     point, hit, True, False,
-                    "healthy shard failed to serve mid-storm read",
+                    f"healthy shard failed to serve mid-storm read: {problem}",
                 )
         # Attempt 2: the half-done failover crashed; a clean re-run must
         # converge — force-apply rebuilds and idempotent retirement make
@@ -911,8 +877,8 @@ def _storm_crash_and_refailover(
         fail_over(
             setup, dead, AccessMeter(), actor="failover2", inherits="failover1"
         )
-        detail = _survivor_mismatch(setup, survivor, oracle)
-        detail = detail or _write_probe(setup, survivor, oracle, 8888)
+        detail = _survivor_mismatch(setup, 1, oracle)
+        detail = detail or _write_probe(setup, 1, oracle, 8888)
     return _failover_outcome(run, point, hit, detail)
 
 

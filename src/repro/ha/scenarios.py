@@ -1,6 +1,6 @@
 """Fleet HA scenarios: scripted failure choreography over the injector.
 
-Four scenarios exercise the sharing fleet's availability story end to
+Five scenarios exercise the sharing fleet's availability story end to
 end, each under the full monitoring stack (MemSan, trace invariants,
 span crash-abandon semantics) and an exact fleet-wide committed-state
 oracle:
@@ -20,10 +20,16 @@ oracle:
   breaker; writes are shed to a drainable backlog while warm reads keep
   being served (degraded read-only mode); after the outage the breaker
   half-opens, a probe closes it, and the backlog drains.
+* :func:`run_sharded_failover` — on a two-shard fusion tier the
+  failover coordinator dies inside the victim page's owning shard, and
+  the other shard's pages keep being served until the retry converges.
 
 The fleet routes each op to its preferred node, or past dead nodes to
 the ring successor, and runs it on that node directly; crashes are
-pinned to op positions in the scenario body. Each node writes only its
+pinned to op positions in the scenario body. Ops, crashes and
+failovers run through the scenario core of :mod:`repro.analysis.checked`
+(:func:`~repro.analysis.checked.run_op`, :func:`~repro.analysis.checked.crash`,
+:func:`~repro.analysis.checked.fail_over`). Each node writes only its
 own leaf-disjoint key partition — the single-writer-per-page
 ownership discipline that, combined with log retirement at every
 failover (:func:`~repro.core.recovery.retire_log`), makes the
@@ -34,9 +40,9 @@ owners.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
-from ..analysis.checked import CheckedRun, CommittedState, fail_over
+from ..analysis.checked import TABLE, CheckedRun, CommittedState, Op, crash, fail_over, run_op
 from ..bench import register_metric_sources
 from ..bench.recovery_exp import run_recovery_experiment
 from ..core.fusion import RpcExhaustedError
@@ -60,14 +66,6 @@ __all__ = [
     "run_sharded_failover",
     "SCENARIOS",
 ]
-
-_TABLE = "sbtest_shared"
-
-#: One client op: ``(kind, key, via, value)``. ``kind`` is ``"select"``
-#: or ``"update"``; ``via`` is the preferred node (the partition owner
-#: for updates), re-routed past dead nodes; ``value`` is the new ``"k"``
-#: of an update and ``None`` for a select.
-_ClientOp = tuple[str, int, int, Optional[int]]
 
 
 class FleetOracleError(AssertionError):
@@ -207,32 +205,29 @@ class _Fleet:
                 return candidate
         raise RuntimeError("fleet has no live nodes left to route to")
 
-    def run_op(
-        self, kind: str, key: int, via: int, value: Optional[int] = None
-    ) -> tuple[int, Any]:
-        """Route one op and run it to completion; ``(executor, result)``.
+    def run_op(self, op: Op) -> int:
+        """Route one op, run it to completion on the executor and return
+        the executor's index; a problem the op reports is a
+        :class:`FleetOracleError`.
 
-        The result is the row read or the update's found flag. An
-        :class:`InjectedCrash` is counted as ``status=crashed`` and
+        An :class:`InjectedCrash` is counted as ``status=crashed`` and
         re-raised; an :class:`RpcExhaustedError` propagates uncounted —
         degradation policy is the scenario's job.
         """
-        target = self.route(via)
-        node = self.setup.nodes[target]
+        kind, key, preferred, value = op
+        target = self.route(preferred)
         self.ops_run += 1
-        if kind == "select":
-            process = node.point_select(_TABLE, key)
-        elif kind == "update":
-            process = node.point_update(_TABLE, key, "k", value)
-        else:
-            raise ValueError(f"unknown fleet op kind {kind!r}")
         try:
-            result = self.sim.run_process(process)
+            problem = self.sim.run_process(
+                run_op(self.setup, (kind, key, target, value), self.oracle)
+            )
         except InjectedCrash:
             self._count_op(kind, "crashed")
             raise
         self._count_op(kind, "ok")
-        return target, result
+        if problem:
+            raise FleetOracleError(f"{self.scenario}: {problem}")
+        return target
 
     def _count_op(self, kind: str, status: str) -> None:
         mp = PROBES.metrics
@@ -258,7 +253,7 @@ class _Fleet:
         leaf_order: list[int] = []
         with PROBES.scoped_actor(node0.node_id):
             for key in range(1, self.rows + 1, 5):
-                leaf = node0._leaf_of(_TABLE, key)
+                leaf = node0._leaf_of(TABLE, key)
                 self.key_leaf[key] = leaf
                 if leaf not in by_leaf:
                     by_leaf[leaf] = []
@@ -281,7 +276,7 @@ class _Fleet:
             k for k in sorted(self.key_leaf) if self.key_leaf[k] not in used_leaves
         ]
 
-    def mixed_ops(self, rounds: int) -> list[_ClientOp]:
+    def mixed_ops(self, rounds: int) -> list[Op]:
         """Per round, each partition owner updates one of its keys and
         cross-reads its ring *predecessor*'s key — so every partition is
         continuously read by the node that would inherit it at failover.
@@ -289,7 +284,7 @@ class _Fleet:
         is what routes the failover rebuild's invalid-flag pushes to it
         (and doubles as coherency traffic plus a continuous oracle check
         on every read)."""
-        ops: list[_ClientOp] = []
+        ops: list[Op] = []
         owners = sorted(self.write_keys)
         for r in range(rounds):
             for pos, owner in enumerate(owners):
@@ -310,20 +305,11 @@ class _Fleet:
         if mp is not None:
             mp.count("fleet.ops", float(n), result=result)
 
-    def pump(self, ops: list[_ClientOp]) -> None:
+    def pump(self, ops: list[Op]) -> None:
         """Apply ops in order; a crash here is unplanned and propagates."""
-        for kind, key, via, value in ops:
-            _, result = self.run_op(kind, key, via, value)
-            if kind == "update":
-                self.oracle.commit(key, value)
-            else:
-                self.note_read(key, result)
+        for op in ops:
+            self.run_op(op)
             self.note("ok")
-
-    def note_read(self, key: int, row: Any) -> None:
-        """Every read doubles as an oracle check."""
-        if problem := self.oracle.read("fleet", key, row):
-            raise FleetOracleError(f"{self.scenario}: {problem}")
 
     # -- fault choreography ------------------------------------------------------
 
@@ -337,16 +323,14 @@ class _Fleet:
         """Kill ``victim`` inside one designated update, then fail over.
 
         The update is armed at the next hit of ``point``, so the node
-        dies at an exact protocol coordinate; the oracle resolves it by
-        the node's durable LSN.
+        dies at an exact protocol coordinate; the crash step resolves it
+        by the node's durable LSN.
         """
         node = self.setup.nodes[victim]
         if self.route(victim) != victim:
             raise FleetOracleError(f"crash target node{victim} is not live")
-        key = self.write_keys[victim][0]
         self.next_value += 1
-        value = self.next_value
-        self.oracle.start_write(key, value, node.engine.redo_log.durable_max_lsn)
+        op = ("update", self.write_keys[victim][0], victim, self.next_value)
         self.injector.arm(point, self.injector.hits.get(point, 0) + 1)
         self.timeline.begin_phase(
             f"crash {node.node_id}", "down", self.sim.now,
@@ -359,7 +343,7 @@ class _Fleet:
             # this gauge.
             mp.gauge("ha.failover_inflight", 1.0, node=node.node_id)
         try:
-            self.run_op("update", key, victim, value)
+            self.run_op(op)
         except InjectedCrash:
             pass
         else:
@@ -368,8 +352,7 @@ class _Fleet:
             )
         finally:
             self.injector.disarm()
-        self.run.crashed(self.sim.now)
-        committed = self.oracle.resolve(key, value, node.engine.redo_log.durable_max_lsn)
+        committed = crash(self.run, self.setup, self.oracle, op)
         self.note("failed")
         self.timeline.event(
             "crash_injected", self.sim.now,
@@ -388,21 +371,21 @@ class _Fleet:
     def fail_over(
         self,
         victim: int,
-        arm_points: tuple[str, ...] = (),
-        between_attempts=None,
+        arm_points: tuple[str, ...],
+        between_attempts,
     ) -> None:
-        """Fusion failover + log retirement + epoch alignment + handover.
+        """Fusion failover (log retirement and epoch seal included) +
+        handover of the crashed ``victim``.
 
         ``arm_points`` crash the failover itself, one attempt per point
         (a failover storm); each crashed attempt's MemSan actor is
         inherited by the next, and the final attempt must converge.
-        ``between_attempts(attempt)`` runs after each *crashed* attempt —
-        the sharded-failover scenario uses it to prove the rest of the
-        fleet keeps serving while one shard's recovery is wedged.
+        ``between_attempts(attempt)``, if given, runs after each
+        *crashed* attempt — the sharded-failover scenario uses it to
+        prove the rest of the fleet keeps serving while one shard's
+        recovery is wedged.
         """
         node = self.setup.nodes[victim]
-        node.engine.crash()
-        self.setup.hosts[victim].crash()
         self.mark_dead(victim)
         spans = PROBES.spans
         dead_actor = node.node_id
@@ -441,20 +424,11 @@ class _Fleet:
                 continue
             self.injector.disarm()
             break
-        node.write_locks_held.clear()
-        node.read_locks_held.clear()
         # The coordinator's metered work is the failover latency; elapse
         # it so the phase (and the span) has its true simulated width.
         self._advance_ns(meter.ns)
         if span is not None:
             spans.end(span, rebuilt=rebuilt, retired=retired)
-        # Epoch bump: every survivor's (and future joiner's) LSNs must
-        # sort after the dead node's entire log, or LSN-guarded redo
-        # could skip their post-takeover records on the inherited pages.
-        dead_next = node.engine.redo_log.next_lsn
-        self.setup.base_lsn = max(self.setup.base_lsn, dead_next)
-        for index in sorted(self.live):
-            self.setup.nodes[index].engine.redo_log.align_lsn(dead_next)
         self.failovers += 1
         self.last_failover = {
             "attempts": attempt,
@@ -471,35 +445,27 @@ class _Fleet:
         """The ring successor updates the dead node's in-flight key —
         proving the force-released lock really is acquirable (a leaked
         lock would deadlock right here)."""
-        key = self.write_keys[victim][0]
         self.next_value += 1
-        target, found = self.run_op("update", key, victim, self.next_value)
-        if not found:
-            raise FleetOracleError(
-                f"post-failover write probe on key {key} failed on node{target}"
-            )
-        self.oracle.commit(key, self.next_value)
+        self.run_op(("update", self.write_keys[victim][0], victim, self.next_value))
         self.note("ok")
 
     def verify(self) -> None:
         """Read back every key the run read or wrote through a live node."""
-        reader_index = self.route(0)
-        if problem := self.oracle.read_back(
-            "fleet", lambda key: self.run_op("select", key, reader_index)[1]
-        ):
-            raise FleetOracleError(f"{self.scenario}: {problem}")
+        reader = self.route(0)
+        for key in sorted(self.oracle.history):
+            self.run_op(("select", key, reader, None))
 
     # -- degraded-mode ops -------------------------------------------------------
 
     def degraded_select(
         self, key: int, executor: int, breaker: CircuitBreaker, probe: bool = False
-    ) -> Any:
+    ) -> None:
         """A read under outage policy. Warm reads need no fusion RPC and
         always go through; a fresh key forces ``fusion.request_page``
         and, during an outage, burns the whole retry budget before
         surfacing the typed :class:`RpcExhaustedError`."""
         try:
-            _, row = self.run_op("select", key, executor)
+            self.run_op(("select", key, executor, None))
         except RpcExhaustedError as exc:
             # An exhausted op unwinds like a crash: its spans never end.
             self.run.crashed(self.sim.now)
@@ -513,30 +479,23 @@ class _Fleet:
                 "rpc_exhausted", self.sim.now,
                 op=exc.op, key=key, attempts=exc.attempts,
             )
-            return None
+            return
         if probe:
             breaker.on_success()
-        self.note_read(key, row)
         self.note("ok")
-        return row
 
     def degraded_update(
-        self, op: _ClientOp, breaker: CircuitBreaker, backlog: list[_ClientOp]
-    ) -> bool:
+        self, op: Op, breaker: CircuitBreaker, backlog: list[Op]
+    ) -> None:
         """A write under outage policy: shed to the backlog while the
         breaker is open, applied normally otherwise."""
         if not breaker.allows(self.sim.now):
             backlog.append(op)
             self.note("shed")
-            return False
-        kind, key, via, value = op
-        _, found = self.run_op(kind, key, via, value)
-        if not found:
-            raise FleetOracleError("degraded update failed while breaker closed")
-        self.oracle.commit(key, value)
+            return
+        self.run_op(op)
         breaker.on_success()
         self.note("ok")
-        return True
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -698,10 +657,8 @@ def run_join_leave(seed: int = 13, with_baselines: bool = True) -> FleetResult:
             sim.run_process(joiner.settler.settle())
         warm_keys = sorted(k for keys in fleet.write_keys.values() for k in keys)
         for key in warm_keys:
-            target, row = fleet.run_op("select", key, joiner_index)
-            if target != joiner_index:
+            if fleet.run_op(("select", key, joiner_index, None)) != joiner_index:
                 raise FleetOracleError("joiner failed a warm read")
-            fleet.note_read(key, row)
             fleet.note("ok")
         attach_ns = sim.now - join_start
         if setup.fusion.pages_loaded != loaded_before:
@@ -840,7 +797,7 @@ def run_degraded_mode(seed: int = 19) -> FleetResult:
         tl.event("breaker_open", sim.now, failures=breaker.failure_threshold)
 
         tl.begin_phase("degraded read-only", "degraded", sim.now)
-        backlog: list[_ClientOp] = []
+        backlog: list[Op] = []
         owners = sorted(fleet.write_keys)
         for r in range(2):
             for owner in owners:
@@ -867,11 +824,8 @@ def run_degraded_mode(seed: int = 19) -> FleetResult:
                 f"probe should close the breaker, state={breaker.state}"
             )
         tl.event("breaker_closed", sim.now, probes=breaker.probes)
-        for kind, key, via, value in backlog:
-            _, found = fleet.run_op(kind, key, via, value)
-            if not found:
-                raise FleetOracleError(f"backlog drain failed on key {key}")
-            fleet.oracle.commit(key, value)
+        for op in backlog:
+            fleet.run_op(op)
             fleet.note("drained")
         tl.begin_phase("recovered", "up", sim.now, live=2)
         fleet.verify()
@@ -935,8 +889,7 @@ def run_sharded_failover(seed: int = 23) -> FleetResult:
                     leaf = fleet.key_leaf.get(key)
                     if leaf is None or setup.fusion.owner_index(leaf) == victim_shard:
                         continue
-                    _, row = fleet.run_op("select", key, owner)
-                    fleet.note_read(key, row)
+                    fleet.run_op(("select", key, owner, None))
                     fleet.note("ok")
                     served["mid_failover_reads"] += 1
 

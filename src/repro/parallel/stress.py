@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from .runner import WorkUnit, run_units
 
 if TYPE_CHECKING:
-    from ..analysis.checked import CommittedState
+    from ..analysis.checked import CommittedState, Op
     from ..obs.world import SharingSetup
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "stress_repro_cmd",
 ]
 
-TABLE = "sbtest_shared"
 # Every shard's cluster and schedule shape.
 _NODES = 3
 _ROWS = 240
@@ -130,34 +129,27 @@ def _run_schedule(
     oracle: CommittedState,
     keys: range,
 ) -> None:
-    """One randomized schedule; raises StressCheckError on a stale read."""
-    sim = setup.sim
+    """One randomized schedule; raises StressCheckError on the first
+    problem an op reports."""
+    from ..analysis.checked import run_op
+
     next_value = rng.randrange(1 << 20)
     for _ in range(_OPS_PER_SEED):
-        node = rng.choice(setup.nodes)
-        op = rng.random()
+        via = rng.randrange(len(setup.nodes))
+        node = setup.nodes[via]
+        draw = rng.random()
         key = rng.choice(list(keys))
-        if op < 0.45:
-            row = sim.run_process(node.point_select(TABLE, key))
-            if problem := oracle.read(node.node_id, key, row):
+        if draw < 0.92:
+            if draw < 0.45:
+                op: Op = ("select", key, via, None)
+            elif draw < 0.80:
+                next_value += 1
+                op = ("update", key, via, next_value)
+            else:
+                op = ("range", rng.choice(list(keys)), via, rng.randrange(1, 8))
+            if problem := setup.sim.run_process(run_op(setup, op, oracle)):
                 raise StressCheckError(problem)
-        elif op < 0.80:
-            next_value += 1
-            if not sim.run_process(
-                node.point_update(TABLE, key, "k", next_value)
-            ):
-                raise StressCheckError(
-                    f"{node.node_id} update of key {key} did not commit"
-                )
-            oracle.commit(key, next_value)
-        elif op < 0.92:
-            start = rng.choice(list(keys))
-            count = rng.randrange(1, 8)
-            rows = sim.run_process(node.range_select(TABLE, start, count))
-            for row in rows:
-                if problem := oracle.read(node.node_id, row["id"], row):
-                    raise StressCheckError(problem)
-        elif op < 0.97 and setup.fusion is not None:
+        elif draw < 0.97 and setup.fusion is not None:
             # Recycle the globally-coldest DBP pages: pushes removal
             # flags every node must observe before reusing the entry,
             # then run the nodes' background reclaim scans.
@@ -194,7 +186,7 @@ def _stress_shard(
     forced-failure path the differential suite uses to prove a red
     shard surfaces its exact seed and serial repro.
     """
-    from ..analysis.checked import CheckedRun, CommittedState
+    from ..analysis.checked import CheckedRun, CommittedState, run_op
     from ..analysis.memsan import MemSanError
     from ..obs import MetricsError
     from ..obs.world import build_sharing_setup
@@ -205,8 +197,9 @@ def _stress_shard(
     setup = build_sharing_setup(system, _NODES, workload)
     oracle = CommittedState(SysbenchWorkload.loaded_row)
     for key in keys:  # node 0 reads every key once before the first seed
-        row = setup.sim.run_process(setup.nodes[0].point_select(TABLE, key))
-        if problem := oracle.read(setup.nodes[0].node_id, key, row):
+        if problem := setup.sim.run_process(
+            run_op(setup, ("select", key, 0, None), oracle)
+        ):
             raise StressCheckError(problem)
     result = StressShardResult(
         system=system, seed_start=seed_start, n_seeds=n_seeds
@@ -264,10 +257,11 @@ def _stress_shard(
     sample = sorted(
         random.Random(seed_start).sample(list(keys), 40)
     )
-    for node in setup.nodes:
+    for via in range(len(setup.nodes)):
         for key in sample:
-            row = setup.sim.run_process(node.point_select(TABLE, key))
-            if problem := oracle.read(node.node_id, key, row):
+            if problem := setup.sim.run_process(
+                run_op(setup, ("select", key, via, None), oracle)
+            ):
                 result.converged = False
                 result.failures.append(f"convergence: {problem} [repro: {repro}]")
     return result

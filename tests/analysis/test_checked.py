@@ -1,10 +1,12 @@
-"""CheckedRun and the failover primitive: the one battery every harness uses.
+"""CheckedRun and the scenario core: the one battery and the one op,
+crash and failover path every harness uses.
 
 The harness clients (sweeps, stress, scale, HA, explore) are covered by
 their own suites; these tests pin the contract they all rely on —
 ownership, crash semantics, one seeded violation per instrument and one
-of a watched node's log order — plus
-the structural guard that no harness grows a private copy again.
+of a watched node's log order, an op's record in the oracle, the
+failover's seal — plus the structural guards that no harness grows a
+private copy of the battery or of the op path again.
 """
 
 import re
@@ -12,13 +14,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.checked import CheckedRun, LogOrderError, fail_over
+from repro.analysis.checked import (
+    CheckedRun,
+    CommittedState,
+    LogOrderError,
+    fail_over,
+    run_op,
+)
 from repro.analysis.memsan import MemSan, MemSanError
 from repro.faults.sweep import (
+    _SHARED_ROWS,
     _STORM_CRASH,
     _build_sharing,
     _crash_sharing_node,
-    _run_sharing_ops,
     _sharing_ops,
     _sharing_prephase,
 )
@@ -28,6 +36,7 @@ from repro.obs.metrics import MetricsError, MetricsPipeline
 from repro.obs.probes import PROBES
 from repro.obs.spans import SpanTracer
 from repro.obs.trace import Tracer
+from repro.workloads.sysbench import SysbenchWorkload
 
 from ..conftest import swap_durable_records
 
@@ -158,7 +167,8 @@ def test_check_raises_for_a_watched_node_whose_durable_log_is_out_of_order():
     oracle = _sharing_prephase(setup)
     with _all() as run:
         run.watch(setup)
-        _run_sharing_ops(setup, _sharing_ops(), oracle, [None])
+        for op in _sharing_ops():
+            assert setup.sim.run_process(run_op(setup, op, oracle)) == ""
     run.check()
     writer = setup.nodes[0]
     swap_durable_records(writer.engine.redo_log, 3, 4)
@@ -169,21 +179,29 @@ def test_check_raises_for_a_watched_node_whose_durable_log_is_out_of_order():
 
 def _storm_failover(n_shards):
     """Crash the sweep's canonical writer, fail it over once; returns the
-    primitive's counts and every page the failover wrote to storage."""
+    primitive's counts and every page the failover wrote to storage.
+    The failover is sealed: the dead node holds no locks, and the tier's
+    base LSN and the survivor's log now sort after the dead log."""
     setup = _build_sharing(n_shards=n_shards)
     oracle = _sharing_prephase(setup)
     written = []
+    dead, survivor = setup.nodes
     with CheckedRun(memsan=True) as run:
         run.watch(setup)
         assert _crash_sharing_node(run, setup, oracle, 7, *_STORM_CRASH) == 0
+        assert dead.write_locks_held  # it died holding the flushed page
         real_write = setup.page_store.write_page
         setup.page_store.write_page = lambda page_id, image: (
             written.append(page_id), real_write(page_id, image))
-        dead = setup.nodes[0]
+        base_lsn = setup.base_lsn
         counts = fail_over(
             setup, dead, AccessMeter(), actor="failover", inherits=dead.node_id
         )
     run.check()
+    dead_next = dead.engine.redo_log.next_lsn
+    assert survivor.engine.redo_log.next_lsn > dead_next
+    assert setup.base_lsn == dead_next > base_lsn
+    assert not dead.write_locks_held and not dead.read_locks_held
     return counts, written
 
 
@@ -196,6 +214,27 @@ def test_sharded_failover_retires_the_same_pages_as_unsharded():
     # another set (the filters partition the page ids).
     assert sorted(written_1) == sorted(written_2)
     assert len(written_1) == rebuilt_1 + retired_1
+
+
+def test_an_update_that_finds_no_row_is_a_problem_and_commits_nothing():
+    setup = _build_sharing()
+    oracle = CommittedState(SysbenchWorkload.loaded_row)
+    missing = _SHARED_ROWS + 1
+    problem = setup.sim.run_process(
+        run_op(setup, ("update", missing, 0, 4242), oracle)
+    )
+    assert problem == f"update {missing}=4242 on {setup.nodes[0].node_id} did not commit"
+    assert oracle.clock == 0 and missing not in oracle.history
+
+
+def test_a_range_checks_every_row_it_reads_and_reports_the_first_problem():
+    setup = _build_sharing()
+    oracle = CommittedState(SysbenchWorkload.loaded_row)
+    oracle.commit(6, 4242)  # never written to the table: key 6 reads stale
+    oracle.commit(8, 4343)
+    problem = setup.sim.run_process(run_op(setup, ("range", 5, 1, 4), oracle))
+    assert problem == f"{setup.nodes[1].node_id} read key 6 = 6; it may see only [4242]"
+    assert oracle.checks == 4
 
 
 _PRIVATE_BATTERY = re.compile(
@@ -214,3 +253,24 @@ def test_no_harness_keeps_a_private_copy_of_the_battery():
         if _PRIVATE_BATTERY.search(line)
     ]
     assert not offenders, f"use repro.analysis.checked.CheckedRun: {offenders}"
+
+
+_PRIVATE_OP_PATH = re.compile(
+    r"point_select\(|point_update\(|range_select\(|oracle\.start_write\("
+    r"|oracle\.resolve\(|oracle\.commit\(|redo_log\.align_lsn\("
+)
+
+
+def test_no_harness_runs_records_or_seals_a_sharing_op_itself():
+    harnesses = [SRC / "analysis" / "explore.py"]
+    for package in ("faults", "ha", "parallel"):
+        harnesses.extend(sorted((SRC / package).glob("*.py")))
+    offenders = [
+        f"{path.relative_to(SRC)}:{number}"
+        for path in harnesses
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if _PRIVATE_OP_PATH.search(line)
+    ]
+    assert not offenders, (
+        f"use repro.analysis.checked.run_op / crash / fail_over: {offenders}"
+    )

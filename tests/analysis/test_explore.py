@@ -106,6 +106,17 @@ def test_crash_config_explores_clean_through_failover():
     assert report.schedules >= 1
 
 
+def test_the_crash_step_resolves_the_write_the_writer_died_in():
+    # node0 dies right after logging its update of key 5: the crash step
+    # finds that log record durable, so every schedule commits the value.
+    histories = []
+    explore_config(
+        "cxl-2p-crash", on_schedule=lambda s: histories.append(dict(s.outcome[0]))
+    )
+    assert histories
+    assert all(explore._W + 1 in history[5] for history in histories)
+
+
 def test_pruned_and_naive_exploration_reach_identical_outcomes():
     # The soundness differential: sleep-set pruning may merge
     # equivalent schedules but must not lose any observable behavior.

@@ -52,19 +52,18 @@ def test_routing_with_no_live_nodes_is_an_error():
         with pytest.raises(RuntimeError, match="no live nodes"):
             fleet.route(0)
         with pytest.raises(RuntimeError, match="no live nodes"):
-            fleet.run_op("select", 1, 0)
+            fleet.run_op(("select", 1, 0, None))
 
 
 def test_a_crash_inside_an_op_is_counted_and_reraised():
     with _fleet(2) as fleet:
         windows = []
         fleet.run.metrics.add_listener(windows.append)
-        executor, row = fleet.run_op("select", 1, 1)
-        assert executor == 1 and row is not None
+        assert fleet.run_op(("select", 1, 1, None)) == 1
         point = "node.update.logged"
         fleet.injector.arm(point, fleet.injector.hits.get(point, 0) + 1)
         with pytest.raises(InjectedCrash):
-            fleet.run_op("update", 1, 0, 4242)
+            fleet.run_op(("update", 1, 0, 4242))
         fleet.injector.disarm()
         assert fleet.ops_run == 2
         fleet.run.flush(fleet.sim.now)

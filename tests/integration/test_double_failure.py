@@ -84,8 +84,7 @@ def sharded_double_failure_result():
                     leaf = fleet.key_leaf.get(key)
                     if leaf is None or setup.fusion.owner_index(leaf) == victim_shard:
                         continue
-                    _, row = fleet.run_op("select", key, owner)
-                    fleet.note_read(key, row)
+                    fleet.run_op(("select", key, owner, None))
                     tl.count("ok")
                     served[0] += 1
 
