@@ -694,7 +694,8 @@ CONFIGS: dict[str, ProtocolConfig] = {
 
 
 def resolve_config(name: str) -> tuple[str, Optional[str]]:
-    """Split ``name[+mutation]`` and validate both parts."""
+    """Split ``name[+mutation]`` and validate both parts. A mutation
+    needs a config whose world has the switches: a CXL one."""
     base, _, mutation = name.partition("+")
     if base not in CONFIGS and base not in TOYS:
         known = ", ".join(sorted(CONFIGS) + sorted(TOYS))
@@ -704,14 +705,18 @@ def resolve_config(name: str) -> tuple[str, Optional[str]]:
             f"unknown protocol mutation {mutation!r} "
             f"(known: {', '.join(MUTATIONS)})"
         )
+    if mutation and (base in TOYS or CONFIGS[base].system != "cxl"):
+        mutable = ", ".join(sorted(n for n, c in CONFIGS.items() if c.system == "cxl"))
+        raise ExploreError(
+            f"config {base!r} has no protocol mutation switches "
+            f"(mutations run on: {mutable})"
+        )
     return base, (mutation or None)
 
 
 def _runner(name: str) -> Callable[[ExplorerStrategy], list[str]]:
     base, mutation = resolve_config(name)
     if base in TOYS:
-        if mutation:
-            raise ExploreError("toy programs have no protocol mutations")
         toy = TOYS[base]
         return lambda strategy: _run_toy(toy, strategy)
     config = CONFIGS[base]

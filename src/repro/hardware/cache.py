@@ -411,7 +411,8 @@ class CacheWindow:
     (:data:`repro.obs.probes.PROBES`) itself; a miss adds
     :meth:`CpuCache._fill`. A field that straddles lines goes through
     :meth:`CpuCache.read`; the fused frame must leave the cache, the
-    meter, the transfer list and every instrument exactly as that would
+    meter, the transfer list and every instrument exactly as that would,
+    and both are checked against the executable spec ``SpecCpuCache``
     (``tests/hardware/reference_models.py``).
 
     >>> from struct import Struct

@@ -25,7 +25,8 @@ are installed (:data:`repro.obs.probes.PROBES`) what the frame already
 knows: hit or miss, the latency just added. Bursts and accesses that
 straddle lines take the general :meth:`MappedMemory._charge`; the fused
 frames must leave the meter, the line cache, the transfer list and every
-instrument exactly as it would (``tests/hardware/reference_models.py``).
+instrument exactly as it would, and the pair is checked against the
+executable spec ``SpecMappedMemory`` (``tests/hardware/reference_models.py``).
 """
 
 from __future__ import annotations

@@ -186,6 +186,12 @@ def test_mutation_escape_raises():
         explore_config("cxl-2p1pg+bogus")
 
 
+@pytest.mark.parametrize("mutation", ["skip_invalidate", "skip_flush"])
+def test_a_mutation_on_a_config_without_its_switch_is_refused(mutation):
+    with pytest.raises(ExploreError, match="mutations run on: cxl-2p-crash, cxl-2p1pg"):
+        explore_config(f"rdma-2p1pg+{mutation}")
+
+
 # -- CLI --------------------------------------------------------------------
 
 

@@ -447,12 +447,12 @@ def test_src_tree_is_clean_and_registry_has_no_dead_entries():
 
 
 def test_src_has_no_wall_clock_exemption_and_no_frozen_reference():
-    """Speed is judged by ``benchmarks/e2e`` and reference models live
-    beside the tests that compare against them
-    (``tests/hardware/reference_models.py``): neither a file-wide
-    REPRO001 exemption nor a ``_Ref*`` class may return to ``src/``."""
+    """Speed is judged by ``benchmarks/e2e``, and executable specs live
+    beside the tests that use them (``tests/hardware/reference_models.py``):
+    no file-wide REPRO001 exemption, ``_Ref*`` name or ``Spec*`` class may
+    come to ``src/`` (a docstring may name a spec)."""
     src = Path(__file__).parents[2] / "src" / "repro"
-    banned = re.compile(r"allow-file\(REPRO001\)|\b_Ref[A-Z]")
+    banned = re.compile(r"allow-file\(REPRO001\)|\b_Ref[A-Z]|\bclass Spec[A-Z]")
     offenders = [
         f"{path.relative_to(src)}:{number}"
         for path in sorted(src.rglob("*.py"))

@@ -1,31 +1,32 @@
-"""Frozen reference models of the two access paths, and their replay streams.
+"""Executable specs of the two access paths, and their replay streams.
 
-The oracles ``tests/hardware/test_access_equivalence.py`` and
-``test_cache_equivalence.py`` compare against. ``_RefMeter`` /
-``_RefLineCache`` / ``_RefMappedMemory`` are the pooled access path as
-it was before the fused frames: per-access latency arithmetic, one
-``touch`` per line, a counter key built per access. ``_RefCpuCache`` is
-the sharing path's cache before the resident-line index: every range
-operation probes every line of its range. The replay functions drive one
-access list through the model under test (typed primitives, behind
-windows) and through the reference (the plain ``read`` / ``write`` calls
-the primitives stand for) and compare everything either may change.
+``SpecMappedMemory`` (the pooled access path) and ``SpecCpuCache`` (the
+sharing path's functional cache) are the model written the plain way:
+one ``OrderedDict`` LRU, a per-line loop over every range, no index, no
+fused frame, no hoisted probe, and no model class or private helper of
+``repro.hardware`` named. Each bit-identity rule of PERFORMANCE.md
+"Equivalence guarantees" is a ``Rule:`` comment where it is enforced.
+The replay functions drive one access list through the model (typed
+primitives, behind windows) and through the spec (the plain ``read`` /
+``write`` calls they stand for) and compare everything either may change.
 
-Do not "improve" the reference classes: their value is that they do not
-change when the model does. The two equivalence modules pin the sha256
-of the reference side's final state on the built-in streams, so an edit
-here fails a test even when the model was edited to match.
+The spec is the contract; the pinned hashes guard it: the equivalence
+modules pin the sha256 of the spec side's state on the built-in streams,
+so an edit here fails a test even when the model was edited to match.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import Optional
+from collections import OrderedDict, namedtuple
+from contextlib import nullcontext
+from dataclasses import replace
 
 from repro.faults.injector import crash_point
+# The models under test (the cache classes, AccessMeter, MappedMemory,
+# WindowedMemory): only the differential's builders below the specs name them.
 from repro.hardware.cache import CacheWindow, CpuCache, LineCacheModel
+from repro.hardware.host import cxl_timing
 from repro.hardware.memory import (
     AccessMeter,
     MappedMemory,
@@ -38,393 +39,254 @@ from repro.sim.latency import CACHE_LINE, LatencyConfig
 
 PAGE = 16384
 
+# -- the pooled access path ------------------------------------------------------
 
-@dataclass(frozen=True)
-class _RefCharge:
-    pipe_key: str
-    nbytes: int
-    base_ns: float = 0.0
+Transfer = namedtuple("Transfer", "pipe_key nbytes base_ns")
 
 
-class _RefMeter:
+class SpecMeter:
+    """``ns``, the counters and the pending transfers; ``take`` drains two."""
+
     def __init__(self) -> None:
-        self.ns = 0.0
-        self.transfers = []
-        self.counters = {}
+        self.ns, self.counters, self.transfers = 0.0, {}, []
 
-    def charge_ns(self, ns):
-        self.ns += ns
-
-    def count(self, key, amount=1.0):
+    def count(self, key, amount):
         self.counters[key] = self.counters.get(key, 0.0) + amount
 
-    def charge_transfer(self, pipe_key, nbytes, base_ns=0.0):
-        self.transfers.append(_RefCharge(pipe_key, nbytes, base_ns))
+    def transfer(self, pipe_key, nbytes, base_ns=0.0):
+        # Rule: transfers stay in order, each counted under its pipe as it is made.
+        self.transfers.append(Transfer(pipe_key, nbytes, base_ns))
         self.count(pipe_key + "_bytes", nbytes)
         self.count(pipe_key + "_ops", 1)
 
     def take(self):
-        ns, self.ns = self.ns, 0.0
-        transfers, self.transfers = self.transfers, []
-        return ns, transfers
+        taken, self.ns, self.transfers = (self.ns, self.transfers), 0.0, []
+        return taken
 
 
-class _RefLineCache:
-    def __init__(self, capacity_bytes=32 << 20) -> None:
-        from collections import OrderedDict
+class SpecLineLru:
+    """The timing-only line cache: ``(region, line)`` keys, oldest first."""
 
-        self.capacity_lines = capacity_bytes // CACHE_LINE
-        self._lines = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+    def __init__(self, capacity_bytes) -> None:
+        self.capacity_lines, self.lines = capacity_bytes // CACHE_LINE, OrderedDict()
+        self.hits = self.misses = 0
 
-    def touch(self, region_name, line):
-        key = (region_name, line)
-        lines = self._lines
-        if key in lines:
-            lines.move_to_end(key)
+    def touch(self, name, line):
+        # Rule: one global per-line LRU, whatever the region.
+        if (name, line) in self.lines:
+            self.lines.move_to_end((name, line))
             self.hits += 1
             return True
         self.misses += 1
-        lines[key] = None
-        if len(lines) > self.capacity_lines:
-            lines.popitem(last=False)
+        self.lines[name, line] = None
+        if len(self.lines) > self.capacity_lines:
+            self.lines.popitem(last=False)
         return False
 
 
-class _RefMappedMemory:
-    """Pre-PR ``MappedMemory._charge``: per-access latency arithmetic,
-    per-line ``touch`` calls, per-access counter-key string building."""
+class SpecMappedMemory:
+    """A metered mapping: the region's own ``read`` / ``write`` (which
+    refuse a bad access before anything is charged), then one ``_charge``."""
 
-    def __init__(self, region, timing, meter, line_cache, counter_key) -> None:
-        self.region = region
-        self.timing = timing
-        self.meter = meter
-        self.line_cache = line_cache
-        self.counter_key = counter_key
+    def __init__(self, region, timing: MemoryTiming, meter, line_cache, counter_key) -> None:
+        self.region, self.timing, self.meter = region, timing, meter
+        self.line_cache, self.counter_key = line_cache, counter_key
 
     def read(self, offset, nbytes):
+        data = self.region.read(offset, nbytes)
         self._charge(offset, nbytes, write=False)
-        return self.region.read(offset, nbytes)
+        return data
 
     def write(self, offset, data):
-        self._charge(offset, len(data), write=True)
         self.region.write(offset, data)
+        self._charge(offset, len(data), write=True)
 
     def _charge(self, offset, nbytes, write):
-        timing = self.timing
-        meter = self.meter
-        if nbytes >= timing.burst_threshold:
+        timing, meter = self.timing, self.meter
+        if nbytes >= timing.burst_threshold:  # priced by its size, every byte streamed
             if write:
-                meter.charge_ns(
-                    timing.write_burst_base_ns + nbytes * timing.write_burst_ns_per_byte
-                )
+                meter.ns += timing.write_burst_base_ns + nbytes * timing.write_burst_ns_per_byte
             else:
-                meter.charge_ns(
-                    timing.read_burst_base_ns + nbytes * timing.read_burst_ns_per_byte
-                )
+                meter.ns += timing.read_burst_base_ns + nbytes * timing.read_burst_ns_per_byte
             device_bytes = nbytes
-        else:
-            first_line = offset // CACHE_LINE
-            last_line = (offset + max(nbytes, 1) - 1) // CACHE_LINE
-            hits = 0
-            misses = 0
-            for line in range(first_line, last_line + 1):
-                if self.line_cache.touch(self.region.name, line):
-                    hits += 1
-                else:
-                    misses += 1
-            meter.charge_ns(misses * timing.miss_ns + hits * timing.hit_ns)
-            device_bytes = misses * CACHE_LINE
+        else:  # line by line through the LRU (an empty access touches its line)
+            lines = range(offset // CACHE_LINE, (offset + max(nbytes, 1) - 1) // CACHE_LINE + 1)
+            hit = [self.line_cache.touch(self.region.name, line) for line in lines]
+            hits, misses = hit.count(True), hit.count(False)
+            # Rule: one addition into meter.ns per access, never one per line.
+            meter.ns += misses * timing.miss_ns + hits * timing.hit_ns
+            device_bytes = misses * CACHE_LINE  # only misses cross the link
         meter.count(self.counter_key + "_touched_bytes", nbytes)
         if timing.pipe_key is not None and device_bytes:
-            meter.charge_transfer(timing.pipe_key, device_bytes, timing.pipe_base_ns)
+            meter.transfer(timing.pipe_key, device_bytes, timing.pipe_base_ns)
 
 
-# The functional cache as it was before the resident-line index, the
-# bulk crash-point hits and the fused CacheWindow frame: every range
-# operation probes every line of the range, every access reads each
-# instrument's probe slot.
-class _RefCpuCache:
-    """Functional write-back line cache over shared memory regions.
+# -- the sharing path ------------------------------------------------------------
 
-    Reads pull whole lines from the backing region into the cache and are
-    served from cached copies thereafter — including *stale* copies if
-    another host changed the region. Writes dirty the cached lines and
-    are **not** visible in the backing region until the lines are flushed
-    (explicit ``clflush`` or capacity eviction).
 
-    Latency accounting (into ``meter``, when provided): line fills and
-    write-backs charge ``miss_ns`` per line; cached accesses charge
-    ``hit_ns``. Bytes written back are charged to ``pipe_key``.
+def _covering(offset, nbytes):
+    """``range(first, last + 1)``: the lines [offset, offset + nbytes) covers."""
+    first = offset // CACHE_LINE
+    return range(first, (offset + nbytes - 1) // CACHE_LINE + 1 if nbytes > 0 else first)
+
+
+def _own_traffic():
+    """The cache's own region traffic: MemSan hears the line event instead."""
+    ms = PROBES.memsan
+    return nullcontext() if ms is None else ms.internal()
+
+
+class SpecCpuCache:
+    """A sharing node's functional write-back cache, line by line.
+
+    Reads fill missed lines, then serve cached copies, stale or not. Writes
+    dirty cached lines; the region sees them at ``clflush`` or eviction, as
+    CXL 2.0 keeps no cache coherent across hosts (PAPER.md §3). Each line
+    event reaches the instruments read from ``PROBES`` there and then:
+    what they hear is part of the contract.
     """
 
     def __init__(
-        self,
-        name: str,
-        capacity_lines: int = 1 << 16,
-        meter: Optional[AccessMeter] = None,
-        miss_ns: float = 0.0,
-        hit_ns: float = 0.0,
-        pipe_key: Optional[str] = None,
+        self, name, capacity_lines=1 << 16, meter=None, miss_ns=0.0, hit_ns=0.0, pipe_key=None
     ) -> None:
-        self.name = name
-        self.capacity_lines = capacity_lines
-        self.meter = meter
-        self.miss_ns = miss_ns
-        self.hit_ns = hit_ns
-        self.pipe_key = pipe_key
-        # (region, line) -> [bytes, dirty]
-        self._lines: OrderedDict[tuple[str, int], list] = OrderedDict()
-        self._regions: dict[str, MemoryRegion] = {}
-        self.fills = 0
-        self.write_backs = 0
-        self.stale_serves = 0  # diagnostic: cached reads (may be stale)
+        self.name, self.capacity_lines, self.meter = name, capacity_lines, meter
+        self.miss_ns, self.hit_ns, self.pipe_key = miss_ns, hit_ns, pipe_key
+        # Rule: one global per-line LRU over every region; eviction takes the oldest.
+        self._lines: OrderedDict = OrderedDict()  # (region name, line) -> [bytes, dirty]
+        self._regions: dict = {}  # region name -> the region its evicted lines go to
+        self.fills = self.write_backs = self.stale_serves = 0
 
-    # -- data path --------------------------------------------------------------
+    def read(self, region: MemoryRegion, offset, nbytes):
+        out = b""
+        for line in _covering(offset, nbytes):
+            at = line * CACHE_LINE
+            out += self._access(region, line)[0][max(offset - at, 0) : offset + nbytes - at]
+        return out
 
-    def read(self, region: MemoryRegion, offset: int, nbytes: int) -> bytes:
-        """Read through the cache; cached lines win over backing memory."""
-        self._regions[region.name] = region
-        if nbytes <= 0:
-            return b""
-        line = offset // CACHE_LINE
-        if offset + nbytes <= (line + 1) * CACHE_LINE:
-            # Single-line access (flags, lock words, LRU links): skip the
-            # span generator and the bytearray assembly.
-            line_off = offset - line * CACHE_LINE
-            return self._load_entry(region, line)[0][line_off : line_off + nbytes]
-        out = bytearray()
-        for line, line_off, span in _ref_line_spans(offset, nbytes):
-            data = self._load_line(region, line)
-            out += data[line_off : line_off + span]
-        return bytes(out)
+    def write(self, region: MemoryRegion, offset, data):
+        for line in _covering(offset, len(data)):
+            at = line * CACHE_LINE
+            low, high = max(offset - at, 0), min(offset + len(data) - at, CACHE_LINE)
+            entry = self._access(region, line)
+            new = data[at + low - offset : at + high - offset]
+            entry[0], entry[1] = entry[0][:low] + new + entry[0][high:], True
+            self._tell("cache_store", region.name, line)
 
-    def write(self, region: MemoryRegion, offset: int, data: bytes) -> None:
-        """Write into the cache only; backing memory unchanged until flush."""
-        self._regions[region.name] = region
-        nbytes = len(data)
-        if nbytes <= 0:
-            return
-        line = offset // CACHE_LINE
-        if offset + nbytes <= (line + 1) * CACHE_LINE:
-            entry = self._load_entry(region, line)
-            line_off = offset - line * CACHE_LINE
-            buf = bytearray(entry[0])
-            buf[line_off : line_off + nbytes] = data
-            entry[0] = bytes(buf)
-            entry[1] = True
-            ms = PROBES.memsan
-            if ms is not None:
-                ms.cache_store(self.name, region.name, line)
-            return
-        pos = 0
-        ms = PROBES.memsan
-        for line, line_off, span in _ref_line_spans(offset, nbytes):
-            entry = self._load_entry(region, line)
-            buf = bytearray(entry[0])
-            buf[line_off : line_off + span] = data[pos : pos + span]
-            entry[0] = bytes(buf)
-            entry[1] = True
-            if ms is not None:
-                ms.cache_store(self.name, region.name, line)
-            pos += span
-
-    def clflush(self, region: MemoryRegion, offset: int, nbytes: int) -> int:
-        """Flush-and-invalidate the lines covering [offset, offset+nbytes).
-
-        Dirty lines are written to the backing region; all covered lines
-        are dropped from the cache (as x86 ``clflush`` does). Returns the
-        number of dirty lines written back.
-        """
+    def clflush(self, region: MemoryRegion, offset, nbytes):
+        """Write back the range's dirty lines, drop all; returns the write-backs."""
         written = 0
-        ms = PROBES.memsan
-        for line in _ref_line_range(offset, nbytes):
-            # Crash between line flushes: lines already flushed are in
-            # the backing region, the rest die dirty in this cache — a
-            # torn line-set flush, the hazard the per-line write-release
-            # protocol (§3.3) must tolerate.
+        for line in _covering(offset, nbytes):
+            # Rule: one crash-point hit per line of the range, cached or not; a
+            # crash between lines tears the flush, as write-release (§3.3) allows.
             crash_point("cache.clflush.line")
             entry = self._lines.pop((region.name, line), None)
             if entry is None:
                 continue
             if entry[1]:
-                if ms is None:
+                with _own_traffic():
                     region.write(line * CACHE_LINE, entry[0])
-                else:
-                    with ms.internal():
-                        region.write(line * CACHE_LINE, entry[0])
-                    ms.cache_flush_line(self.name, region.name, line, dirty=True)
                 written += 1
-            elif ms is not None:
-                ms.cache_flush_line(self.name, region.name, line, dirty=False)
+            self._tell("cache_flush_line", region.name, line, dirty=entry[1])
         self.write_backs += written
-        if self.meter is not None and written:
-            self._charge_writeback(written)
-        tracer = PROBES.tracer
-        if tracer is not None and written:
-            tracer.count("cache.lines_flushed", written)
-            tracer.count("cache.flush_bytes", written * CACHE_LINE)
+        if written:
+            # Rule: a flush's write-back is one ``lines * miss_ns`` charge per call.
+            self._charge(written * self.miss_ns, written * CACHE_LINE, span=False)
+            self._count("cache.lines_flushed", written)
+            self._count("cache.flush_bytes", written * CACHE_LINE)
         return written
 
-    def invalidate(self, region: MemoryRegion, offset: int, nbytes: int) -> int:
-        """Drop lines without write-back (only safe when they are clean).
-
-        Returns the number of lines dropped so callers can charge the
-        per-line invalidation cost.
-        """
+    def invalidate(self, region: MemoryRegion, offset, nbytes):
+        """Drop the range's lines unwritten; returns how many were cached."""
         dropped = 0
-        ms = PROBES.memsan
-        for line in _ref_line_range(offset, nbytes):
+        for line in _covering(offset, nbytes):
             if self._lines.pop((region.name, line), None) is not None:
                 dropped += 1
-                if ms is not None:
-                    ms.cache_invalidate_line(self.name, region.name, line)
-        tracer = PROBES.tracer
-        if tracer is not None and dropped:
-            tracer.count("cache.lines_invalidated", dropped)
+                self._tell("cache_invalidate_line", region.name, line)
+        self._count("cache.lines_invalidated", dropped)
         return dropped
 
-    def drop_all(self) -> None:
-        """Crash semantics: every cached line, dirty or not, is gone."""
+    def drop_all(self):
+        """A crash: every cached line, dirty or not, is gone."""
         self._lines.clear()
-        ms = PROBES.memsan
-        if ms is not None:
-            ms.cache_dropped(self.name)
+        self._tell("cache_dropped")
 
-    def dirty_lines(self, region: MemoryRegion, offset: int, nbytes: int) -> int:
-        """How many lines in the range are dirty (diagnostics/tests)."""
-        count = 0
-        for line in _ref_line_range(offset, nbytes):
-            entry = self._lines.get((region.name, line))
-            if entry is not None and entry[1]:
-                count += 1
-        return count
+    def dirty_lines(self, region: MemoryRegion, offset, nbytes):
+        entries = [self._lines.get((region.name, line)) for line in _covering(offset, nbytes)]
+        return sum(1 for entry in entries if entry is not None and entry[1])
 
-    # -- internals ---------------------------------------------------------------
-
-    def _load_entry(self, region: MemoryRegion, line: int) -> list:
-        key = (region.name, line)
-        entry = self._lines.get(key)
-        ms = PROBES.memsan
-        if entry is None:
-            if ms is None:
-                data = region.read(line * CACHE_LINE, CACHE_LINE)
-            else:
-                with ms.internal():
-                    data = region.read(line * CACHE_LINE, CACHE_LINE)
-                ms.cache_load(self.name, region.name, line, fetched=True)
-            entry = [data, False]
-            self._lines[key] = entry
-            self.fills += 1
-            tracer = PROBES.tracer
-            if tracer is not None:
-                tracer.count("cache.lines_filled")
-            if self.meter is not None:
-                self.meter.charge_ns(self.miss_ns)
-                if self.pipe_key is not None:
-                    self.meter.charge_transfer(self.pipe_key, CACHE_LINE)
-                spans = PROBES.spans
-                if spans is not None:
-                    spans.add_ns("cxl_access", self.miss_ns)
-            self._evict_if_needed()
-        else:
-            self._lines.move_to_end(key)
+    def _access(self, region, line):
+        """One line through the cache: a hit, or a fill that may evict."""
+        self._regions[region.name] = region
+        entry = self._lines.get((region.name, line))
+        if entry is not None:
+            self._lines.move_to_end((region.name, line))
             self.stale_serves += 1
-            if ms is not None:
-                ms.cache_load(self.name, region.name, line, fetched=False)
-            if self.meter is not None:
-                self.meter.charge_ns(self.hit_ns)
-                spans = PROBES.spans
-                if spans is not None:
-                    spans.add_ns("cxl_access", self.hit_ns)
+            self._tell("cache_load", region.name, line, fetched=False)
+            self._charge(self.hit_ns, 0)
+            return entry
+        with _own_traffic():
+            data = region.read(line * CACHE_LINE, CACHE_LINE)
+        entry = self._lines[region.name, line] = [data, False]
+        self._tell("cache_load", region.name, line, fetched=True)
+        self.fills += 1
+        self._count("cache.lines_filled", 1)
+        self._charge(self.miss_ns, CACHE_LINE)
+        while len(self._lines) > self.capacity_lines:
+            self._evict_oldest()
         return entry
 
-    def _load_line(self, region: MemoryRegion, line: int) -> bytes:
-        return self._load_entry(region, line)[0]
+    def _evict_oldest(self):
+        (name, line), (data, dirty) = self._lines.popitem(last=False)
+        if not dirty:
+            self._tell("cache_invalidate_line", name, line)
+            return
+        # A dirty line reaches the region in the background (the §3.3 hazard).
+        with _own_traffic():
+            self._regions[name].write(line * CACHE_LINE, data)
+        self._tell("cache_flush_line", name, line, dirty=True)
+        self.write_backs += 1
+        self._charge(self.miss_ns, CACHE_LINE, span=False)
+        self._count("cache.evict_writebacks", 1)
+        tracer = PROBES.tracer
+        if tracer is not None:
+            tracer.emit("cache", "evict_writeback", cache=self.name, region=name, line=line)
 
-    def _evict_if_needed(self) -> None:
-        while len(self._lines) > self.capacity_lines:
-            (region_name, line), entry = self._lines.popitem(last=False)
-            ms = PROBES.memsan
-            if entry[1]:
-                # Background write-back of a dirty line on capacity eviction
-                # — this is the "flushed to CXL memory in the background"
-                # hazard from §3.3.
-                region = self._regions[region_name]
-                if ms is None:
-                    region.write(line * CACHE_LINE, entry[0])
-                else:
-                    with ms.internal():
-                        region.write(line * CACHE_LINE, entry[0])
-                    ms.cache_flush_line(self.name, region_name, line, dirty=True)
-                self.write_backs += 1
-                if self.meter is not None:
-                    self._charge_writeback(1)
-                tracer = PROBES.tracer
-                if tracer is not None:
-                    tracer.count("cache.evict_writebacks")
-                    tracer.emit(
-                        "cache",
-                        "evict_writeback",
-                        cache=self.name,
-                        region=region_name,
-                        line=line,
-                    )
-            elif ms is not None:
-                ms.cache_invalidate_line(self.name, region_name, line)
+    def _charge(self, ns, nbytes, span=True):
+        meter = self.meter
+        if meter is None:
+            return
+        # Rule: one addition into meter.ns per line access, in access order.
+        meter.ns += ns
+        if nbytes and self.pipe_key is not None:
+            meter.transfer(self.pipe_key, nbytes)
+        spans = PROBES.spans
+        if span and spans is not None:
+            # Rule: span costs get the same additions as meter.ns, in the same order.
+            spans.add_ns("cxl_access", ns)
 
-    def _charge_writeback(self, lines: int) -> None:
-        assert self.meter is not None
-        self.meter.charge_ns(lines * self.miss_ns)
-        if self.pipe_key is not None:
-            self.meter.charge_transfer(self.pipe_key, lines * CACHE_LINE)
+    def _tell(self, hook, *line, **how):
+        # Rule: the MemSan call sequence is fixed: one hook per line event, as it happens.
+        ms = PROBES.memsan
+        if ms is not None:
+            getattr(ms, hook)(self.name, *line, **how)
 
-
-def _ref_line_range(offset: int, nbytes: int) -> range:
-    """Line indices covering [offset, offset+nbytes); empty when nbytes<=0."""
-    if nbytes <= 0:
-        return range(0)
-    return range(offset // CACHE_LINE, (offset + nbytes - 1) // CACHE_LINE + 1)
-
-
-def _ref_line_spans(offset: int, nbytes: int):
-    """Yield (line_index, offset_within_line, span) covering a range."""
-    if nbytes <= 0:
-        return
-    pos = offset
-    end = offset + nbytes
-    while pos < end:
-        line = pos // CACHE_LINE
-        line_off = pos - line * CACHE_LINE
-        span = min(CACHE_LINE - line_off, end - pos)
-        yield line, line_off, span
-        pos += span
-
-
-def _cxl_timing(config: LatencyConfig) -> MemoryTiming:
-    return MemoryTiming(
-        miss_ns=config.cxl_switch_local_ns,
-        hit_ns=18.0,
-        read_burst_base_ns=config.cxl_read_base_ns,
-        read_burst_ns_per_byte=config.cxl_read_ns_per_byte,
-        write_burst_base_ns=config.cxl_write_base_ns,
-        write_burst_ns_per_byte=config.cxl_write_ns_per_byte,
-        pipe_key="cxl",
-    )
+    def _count(self, key, amount):
+        tracer = PROBES.tracer
+        if tracer is not None and amount:
+            tracer.count(key, amount)
 
 
 def _build_mapped(
     optimized: bool, region_bytes: int, cache_bytes: int = 1 << 20, hit_ns: float = 18.0
 ):
     region = MemoryRegion("perf", region_bytes, volatile=False)
-    timing = replace(_cxl_timing(LatencyConfig()), hit_ns=hit_ns)
+    timing = replace(cxl_timing(LatencyConfig()), hit_ns=hit_ns)
     if optimized:
         meter = AccessMeter()
         mapped = MappedMemory(region, timing, meter, LineCacheModel(cache_bytes), "cxl")
     else:
-        meter = _RefMeter()
-        mapped = _RefMappedMemory(region, timing, meter, _RefLineCache(cache_bytes), "cxl")
+        meter = SpecMeter()
+        mapped = SpecMappedMemory(region, timing, meter, SpecLineLru(cache_bytes), "cxl")
     return mapped, meter
 
 
@@ -435,8 +297,8 @@ def replay_accesses(target, ops, typed: bool, base: int = 0) -> list:
     ``("unpack", fmt, offset)`` or ``("run", fmt, offset, stride, count)``.
     ``typed`` sends the last two through ``unpack`` / ``read_run``;
     otherwise they are spelled out as the per-field sequence of ``read``
-    calls they stand for — the reference every differential compares
-    against. ``base`` shifts every offset (a window's absolute base,
+    calls they stand for — what the spec side of every differential
+    replays. ``base`` shifts every offset (a window's absolute base,
     when ``target`` is the mapping underneath it).
     """
     out: list = []
@@ -456,12 +318,8 @@ def replay_accesses(target, ops, typed: bool, base: int = 0) -> list:
             if typed:
                 out.append(target.read_run(fmt, base + offset, stride, count))
             else:
-                out.append(
-                    [
-                        fmt.unpack(target.read(base + offset + i * stride, fmt.size))
-                        for i in range(count)
-                    ]
-                )
+                at = [base + offset + i * stride for i in range(count)]
+                out.append([fmt.unpack(target.read(field, fmt.size)) for field in at])
     return out
 
 
@@ -470,12 +328,11 @@ def metering_state(mapped) -> dict:
     ``meter.ns`` bit for bit, counters and transfers in order, and the
     line cache's LRU order and hit/miss counts."""
     meter, cache = mapped.meter, mapped.line_cache
-    lines = cache._lines if isinstance(cache, _RefLineCache) else cache.lines
     return {
         "ns": float(meter.ns).hex(),
         "counters": list(meter.counters.items()),
         "transfers": [(c.pipe_key, c.nbytes, c.base_ns) for c in meter.transfers],
-        "lru": list(lines),
+        "lru": list(cache.lines),
         "hits_misses": (cache.hits, cache.misses),
     }
 
@@ -522,11 +379,11 @@ def _equivalence_ops(n_accesses: int):
 def check_equivalence(
     n_accesses: int = 20_000, *, ops=None, cache_bytes: int = _EQ_CACHE_BYTES
 ) -> None:
-    """Assert the fused access frames charge what the frozen references do.
+    """Assert the fused access frames charge what the spec does.
 
     The same access list (``ops``, or the built-in mix) goes through the
     optimized memory — typed primitives, behind a window nested in a
-    window — and through the frozen per-access reference as the plain
+    window — and through :class:`SpecMappedMemory` as the plain
     ``read`` / ``write`` sequence it stands for. Everything read, and
     after every drain the whole metering state (``meter.ns`` bit for
     bit, counters, transfer list, line-cache LRU order, hits and
@@ -562,29 +419,33 @@ def _assert_same_state(opt_state: dict, ref_state: dict, where: str) -> None:
             )
 
 
-# -- the sharing path: CpuCache + CacheWindow against _RefCpuCache -----------
+# -- the sharing path's differential: CpuCache + CacheWindow against SpecCpuCache
 
 CACHE_EQ_REGION = 1 << 18  # bytes in each of the differential's two regions
 # Where each region's window starts: a page boundary, and an address that
 # is neither line- nor group-aligned (fields straddle, ranges clip groups).
 CACHE_EQ_BASES = (PAGE, 3 * PAGE + 1000)
 _CACHE_EQ_MISS_NS = 549.3  # non-dyadic, like _EQ_HIT_NS
+# Each region's initial bytes: a 251-byte pattern, so no two lines match.
+_CACHE_EQ_FILLS = [
+    bytes((j * 7 + i) & 0xFF for j in range(251)) * (CACHE_EQ_REGION // 251) for i in (0, 1)
+]
 
 
 def build_cache_world(optimized: bool, capacity_lines: int):
     """A metered cache over two patterned regions: ``(cache, regions)``."""
-    cls = CpuCache if optimized else _RefCpuCache
+    cls = CpuCache if optimized else SpecCpuCache
     cache = cls(
         "eq.cache",
         capacity_lines=capacity_lines,
-        meter=AccessMeter(),
+        meter=AccessMeter() if optimized else SpecMeter(),
         miss_ns=_CACHE_EQ_MISS_NS,
         hit_ns=_EQ_HIT_NS,
         pipe_key="cxl",
     )
     regions = [MemoryRegion(f"eq{i}", CACHE_EQ_REGION, volatile=False) for i in (0, 1)]
-    for i, region in enumerate(regions):
-        region.write(0, bytes((j * 7 + i) & 0xFF for j in range(251)) * (CACHE_EQ_REGION // 251))
+    for region, fill in zip(regions, _CACHE_EQ_FILLS):
+        region.write(0, fill)
     return cache, regions
 
 
@@ -602,49 +463,38 @@ def replay_cache_ops(cache, regions, ops, typed: bool) -> list:
     ``("remote", r, offset, data)`` is another host's store straight
     into the region.
     """
+    if typed:
+        windows = [CacheWindow(cache, region, base) for region, base in zip(regions, CACHE_EQ_BASES)]
     out: list = []
     for kind, *args in ops:
         if kind == "drop_all":
             cache.drop_all()
-            continue
-        if kind == "capacity":
+        elif kind == "capacity":
             cache.capacity_lines = args[0]
-            continue
-        region = regions[args[0]]
-        base = CACHE_EQ_BASES[args[0]]
-        window = CacheWindow(cache, region, base) if typed else None
-        if kind == "unpack":
-            fmt, offset = args[1:]
-            if typed:
-                out.append(window.unpack(fmt, offset))
-            else:
-                out.append(fmt.unpack(cache.read(region, base + offset, fmt.size)))
-        elif kind == "run":
-            fmt, offset, stride, count = args[1:]
-            if typed:
-                out.append(window.read_run(fmt, offset, stride, count))
-            else:
-                out.append(
-                    [
-                        fmt.unpack(cache.read(region, base + offset + i * stride, fmt.size))
-                        for i in range(count)
-                    ]
-                )
-        elif kind == "read":
-            if typed:
-                out.append(window.read(args[1], args[2]))
-            else:
-                out.append(cache.read(region, base + args[1], args[2]))
-        elif kind == "write":
-            if typed:
-                window.write(args[1], args[2])
-            else:
-                cache.write(region, base + args[1], args[2])
         elif kind == "remote":
-            region.write(args[1], args[2])
-        else:
+            regions[args[0]].write(args[1], args[2])
+        elif kind in ("clflush", "invalidate", "dirty"):
             range_op = cache.dirty_lines if kind == "dirty" else getattr(cache, kind)
-            out.append(range_op(region, args[1], args[2]))
+            out.append(range_op(regions[args[0]], args[1], args[2]))
+        elif typed:
+            window = windows[args[0]]
+            if kind == "write":
+                window.write(*args[1:])
+            else:
+                out.append(getattr(window, "read_run" if kind == "run" else kind)(*args[1:]))
+        else:
+            region, base = regions[args[0]], CACHE_EQ_BASES[args[0]]
+            if kind == "write":
+                cache.write(region, base + args[1], args[2])
+            elif kind == "read":
+                out.append(cache.read(region, base + args[1], args[2]))
+            elif kind == "unpack":
+                fmt, offset = args[1:]
+                out.append(fmt.unpack(cache.read(region, base + offset, fmt.size)))
+            else:
+                fmt, offset, stride, count = args[1:]
+                at = [base + offset + i * stride for i in range(count)]
+                out.append([fmt.unpack(cache.read(region, field, fmt.size)) for field in at])
     return out
 
 
@@ -719,11 +569,11 @@ def _lock_cycle_ops(n_cycles: int):
 def check_cache_equivalence(
     n_cycles: int = 1_500, *, ops=None, capacity_lines: int = 96
 ) -> None:
-    """Assert the sharing access path behaves as the frozen ``_RefCpuCache``.
+    """Assert the sharing access path behaves as :class:`SpecCpuCache`.
 
     The same lock-cycle op list (``ops``, or the built-in stream) goes
     through :class:`CpuCache` behind :class:`CacheWindow` and through the
-    frozen per-line reference as plain ``read`` / ``write`` calls; both
+    per-line spec as plain ``read`` / ``write`` calls; both
     run under whatever instruments and fault injector the caller has
     installed. Everything returned, and after every drain the whole
     :func:`cache_state`, must be equal.

@@ -5,8 +5,8 @@ for would — bare and with every instrument installed.
 host-side speed-ups only: for any access list, going through them must
 leave ``meter.ns`` (bit for bit), the counters, the transfer list and
 the line cache's LRU order exactly as the per-field sequence of
-``read`` / ``write`` calls does. Bare, the reference is the frozen
-pre-optimization ``_RefMappedMemory`` (``reference_models.check_equivalence``);
+``read`` / ``write`` calls does. Bare, the reference is the executable
+spec ``SpecMappedMemory`` (``reference_models.check_equivalence``);
 under ``Tracer`` / ``SpanTracer`` / ``MemSan`` it is the per-field
 sequence on a twin memory under a twin instrument, and what the
 instrument saw must be equal too — also inside an armed
@@ -25,11 +25,9 @@ from hypothesis import strategies as st
 
 from repro.analysis.memsan import MemSan
 from repro.faults.injector import FaultInjector
-from repro.hardware.cache import LineCacheModel
-from repro.hardware.host import cxl_timing
-from repro.hardware.memory import AccessMeter, MappedMemory, MemoryRegion, WindowedMemory
+from repro.hardware.memory import WindowedMemory
 from repro.obs import SpanTracer, Tracer
-from repro.sim.latency import CACHE_LINE, LatencyConfig
+from repro.sim.latency import CACHE_LINE
 
 from .reference_models import (
     _EQ_CACHE_BYTES,
@@ -75,31 +73,21 @@ op_lists = st.lists(st.one_of(reads, writes, unpacks, runs()), max_size=40)
 cache_lines = st.integers(2, 12)
 
 
-def _memory(lines: int) -> MappedMemory:
-    return MappedMemory(
-        MemoryRegion("eq", 1 << 16, volatile=False),
-        cxl_timing(LatencyConfig()),
-        AccessMeter(),
-        LineCacheModel(lines * CACHE_LINE),
-        "cxl",
-    )
-
-
 def _typed(ops, lines):
     """Through the primitives, behind a window nested in a window."""
-    mapped = _memory(lines)
+    mapped, _ = _build_mapped(True, 1 << 16, lines * CACHE_LINE)
     window = WindowedMemory(WindowedMemory(mapped, 4096, 1 << 15), 24, 1 << 14)
     return replay_accesses(window, ops, typed=True), metering_state(mapped)
 
 
 def _per_field(ops, lines):
-    mapped = _memory(lines)
+    mapped, _ = _build_mapped(True, 1 << 16, lines * CACHE_LINE)
     return replay_accesses(mapped, ops, typed=False, base=4096 + 24), metering_state(mapped)
 
 
 @settings(max_examples=60, deadline=None)
 @given(op_lists, cache_lines)
-def test_bare_equals_the_frozen_reference(ops, lines):
+def test_bare_equals_the_spec(ops, lines):
     assert EQUIVALENCE_SPAN > HOT + 2 * MARGIN
     check_equivalence(ops=ops, cache_bytes=lines * CACHE_LINE)
 
@@ -136,7 +124,7 @@ def test_equal_under_every_instrument(ops, lines):
     seen = []
     for replay, armed in runs:
         with MemSan() as memsan, injector(armed) as installed:
-            memsan.watch_region("eq")
+            memsan.watch_region("perf")  # the region _build_mapped names
             with memsan.actor("node0"):
                 assert replay(ops, lines) == bare
         seen.append((memsan.accesses_checked, memsan.reports))
@@ -152,10 +140,10 @@ def test_check_equivalence_passes():
 
 
 def test_the_reference_cannot_drift_with_the_model():
-    """The built-in 20,000-access mix through the frozen reference alone:
-    the sha256 over its ``metering_state`` at every drain is a literal,
-    so an edit to the reference fails here even when the model was
-    edited to match and the differential still passes."""
+    """The built-in 20,000-access mix through the spec alone: the sha256
+    over its ``metering_state`` at every drain is a literal, so an edit
+    to the spec fails here even when the model was edited to match and
+    the differential still passes."""
     ref, meter = _build_mapped(False, EQUIVALENCE_SPAN + 8192, _EQ_CACHE_BYTES, _EQ_HIT_NS)
     ops = list(_equivalence_ops(20_000))
     digest = hashlib.sha256()

@@ -1,9 +1,9 @@
-"""The sharing access path behaves exactly as the per-line cache it replaced.
+"""The sharing access path behaves exactly as its executable spec.
 
 ``CpuCache``'s resident-line index, the bulk crash-point hits of
 ``clflush`` and the fused ``CacheWindow.unpack`` frame are host-side
 speed-ups only. For any lock-cycle op list they must return what the
-frozen ``reference_models._RefCpuCache`` returns and leave the same LRU order,
+per-line ``reference_models.SpecCpuCache`` returns and leave the same LRU order,
 line bytes and dirty bits, fills / write-backs / stale serves,
 ``meter.ns`` (bit for bit), counters, transfer list and backing-region
 bytes — bare, under ``Tracer`` / ``SpanTracer`` / ``MemSan`` (which must
@@ -129,7 +129,7 @@ def _replay(optimized, ops, lines):
 
 @settings(max_examples=120, deadline=None)
 @given(op_lists(CACHE_EQ_REGION, min_size=10), capacities)
-def test_bare_equals_the_frozen_reference(ops, lines):
+def test_bare_equals_the_spec(ops, lines):
     check_cache_equivalence(ops=ops, capacity_lines=lines)
 
 
@@ -257,10 +257,10 @@ def test_builtin_lock_cycles_match_at_other_capacities(capacity):
 
 
 def test_the_reference_cannot_drift_with_the_model():
-    """The built-in 1,500 lock cycles through the frozen reference alone:
-    the sha256 over its ``cache_state`` at every drain is a literal, so
-    an edit to the reference fails here even when the model was edited
-    to match and the differential still passes."""
+    """The built-in 1,500 lock cycles through the spec alone: the sha256
+    over its ``cache_state`` at every drain is a literal, so an edit to
+    the spec fails here even when the model was edited to match and the
+    differential still passes."""
     cache, cache_regions = build_cache_world(False, 96)
     ops = list(_lock_cycle_ops(1_500))
     digest = hashlib.sha256()
