@@ -100,7 +100,7 @@ def extract_invocations(text: str) -> list[tuple[int, str]]:
 
 # -- validation against each CLI's own parser ----------------------------------------
 
-_CLIS = ("repro.analysis", "repro.bench", "repro.ha", "repro.obs", "repro.parallel")
+_CLIS = ("repro.analysis", "repro.bench", "repro.ha", "repro.parallel")
 
 
 def _placeholder_or(convert: Any, choices: Optional[Iterable[Any]]) -> Callable[[str], Any]:

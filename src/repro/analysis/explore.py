@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from math import factorial
 from typing import Any, Callable, Generator, Optional
@@ -705,13 +706,19 @@ def resolve_config(name: str) -> tuple[str, Optional[str]]:
             f"unknown protocol mutation {mutation!r} "
             f"(known: {', '.join(MUTATIONS)})"
         )
-    if mutation and (base in TOYS or CONFIGS[base].system != "cxl"):
+    if mutation:
+        _require_switches(base)
+    return base, (mutation or None)
+
+
+def _require_switches(name: str) -> None:
+    """Mutations run only on a plain CXL config: its world has the switches."""
+    if name not in CONFIGS or CONFIGS[name].system != "cxl":
         mutable = ", ".join(sorted(n for n, c in CONFIGS.items() if c.system == "cxl"))
         raise ExploreError(
-            f"config {base!r} has no protocol mutation switches "
+            f"config {name!r} has no protocol mutation switches "
             f"(mutations run on: {mutable})"
         )
-    return base, (mutation or None)
 
 
 def _runner(name: str) -> Callable[[ExplorerStrategy], list[str]]:
@@ -1099,6 +1106,15 @@ def run(args: argparse.Namespace) -> int:
         return 0 if verdict["verdict"] == "clean" else 1
 
     if args.mutations:
+        # --config alone parses (it may be 'all' or carry a mutation);
+        # only with --mutations is it a usage error, reported as one.
+        try:
+            _require_switches(config)
+        except ExploreError as exc:
+            parser = build_parser()
+            parser.print_usage(sys.stderr)
+            print(f"{parser.prog}: error: argument --config: {exc}", file=sys.stderr)
+            return 2
         mutation_budget = 60 if quick else 200
         tokens = explore_mutations(config, max_schedules=mutation_budget)
         for mutation, token in tokens.items():

@@ -15,15 +15,10 @@ __all__ = [
     "format_series",
     "format_counters",
     "format_span_breakdown",
-    "format_metrics_dashboard",
     "dump_counters_json",
     "improvement_pct",
     "banner",
 ]
-
-# Rows of a metrics dashboard; the rest are counted, not drawn.
-_DASHBOARD_SERIES = 40
-
 
 def banner(title: str) -> str:
     rule = "=" * max(64, len(title) + 4)
@@ -119,46 +114,6 @@ def format_span_breakdown(breakdown, title: str = "span latency breakdown") -> s
         f"coverage={100 * breakdown.coverage:.2f}%"
     )
     return banner(title) + "\n" + table + "\n" + footer
-
-
-def format_metrics_dashboard(pipeline, title: str = "metrics dashboard") -> str:
-    """Render a scraped :class:`~repro.obs.metrics.MetricsPipeline` as
-    per-series ASCII sparklines.
-
-    One row per series (sorted by id, capped at ``_DASHBOARD_SERIES``):
-    sparkline over the sampled window, last value, peak, and sample
-    count. The header states the scrape interval and totals, so a
-    dashboard is self-describing about its own resolution.
-    """
-    blocks = " ▁▂▃▄▅▆▇█"
-    all_series = pipeline.all_series()
-    lines = [
-        banner(title),
-        (
-            f"interval={pipeline.scrape_interval_ns / 1e3:.0f} us  "
-            f"scrapes={pipeline.scrapes}  "
-            f"samples={pipeline.samples_published}  "
-            f"series={len(all_series)}  "
-            f"dropped={pipeline.total_dropped}"
-        ),
-    ]
-    shown = all_series[:_DASHBOARD_SERIES]
-    width = max((len(series.id) for series in shown), default=0)
-    for series in shown:
-        values = series.values()
-        peak = max((abs(v) for v in values), default=0.0)
-        chars = "".join(
-            blocks[min(8, int(9 * abs(value) / peak))] if peak else " "
-            for value in values[-60:]
-        )
-        last = values[-1] if values else 0.0
-        lines.append(
-            f"{series.id.ljust(width)} [{chars}] "
-            f"last={_count_cell(last)} peak={_count_cell(peak)} n={len(values)}"
-        )
-    if len(all_series) > len(shown):
-        lines.append(f"... {len(all_series) - len(shown)} more series elided")
-    return "\n".join(lines)
 
 
 def _ns_cell(ns: float) -> str:

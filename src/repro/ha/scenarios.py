@@ -39,8 +39,9 @@ owners.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+import json
+from dataclasses import dataclass
+from typing import Any, Optional
 
 from ..analysis.checked import TABLE, CheckedRun, CommittedState, Op, crash, fail_over, run_op
 from ..bench import register_metric_sources
@@ -49,6 +50,7 @@ from ..core.fusion import RpcExhaustedError
 from ..core.sharing import MultiPrimaryNode
 from ..faults.injector import FaultInjector, InjectedCrash, crash_point
 from ..hardware.memory import AccessMeter
+from ..obs.metrics import MetricsPipeline
 from ..obs.probes import PROBES
 from ..obs.slo import HealthTimeline, SLOMonitor, check_alignment
 from ..obs.world import SharingSetup, add_sharing_node, build_sharing_setup
@@ -75,7 +77,13 @@ class FleetOracleError(AssertionError):
 
 @dataclass
 class FleetResult:
-    """Outcome of one fleet scenario run."""
+    """Outcome of one fleet scenario run.
+
+    ``slo`` is the run's burn-rate monitor. ``metrics`` and ``health``
+    are the run's own pipeline and the health timeline derived from it;
+    both are None under a caller's pipeline, whose series mix in stamps
+    from other runs.
+    """
 
     scenario: str
     seed: int
@@ -83,12 +91,10 @@ class FleetResult:
     oracle_checks: int
     failovers: int
     memsan_reports: int
-    detail: dict[str, Any] = field(default_factory=dict)
-    # Telemetry extras (additive, default-empty so older constructors
-    # and unpickled results stay valid).
-    alerts: list[dict[str, Any]] = field(default_factory=list)
-    slo: dict[str, Any] = field(default_factory=dict)
-    health: dict[str, Any] = field(default_factory=dict)
+    detail: dict[str, Any]
+    slo: SLOMonitor
+    metrics: Optional[MetricsPipeline]
+    health: Optional[HealthTimeline]
 
     def summary_lines(self) -> list[str]:
         lines = self.timeline.summary_lines()
@@ -97,37 +103,26 @@ class FleetResult:
             f"{self.failovers} failover(s), "
             f"{self.memsan_reports} memsan report(s)"
         )
-        if self.slo:
-            good = float(self.slo.get("good_total", 0.0))
-            bad = float(self.slo.get("bad_total", 0.0))
-            served = good + bad
-            ratio = (good / served * 100.0) if served else 100.0
-            lines.append(
-                f"  slo: {ratio:.3f}% good ({bad:.0f} bad / {served:.0f} served), "
-                f"{len(self.alerts)} alert(s)"
-            )
-            for alert in self.alerts:
-                cleared = alert.get("cleared_at_ns")
-                tail = (
-                    f"cleared {cleared / 1e6:.3f} ms"
-                    if cleared is not None
-                    else "STILL FIRING"
-                )
-                lines.append(
-                    f"    alert fired {alert['fired_at_ns'] / 1e6:.3f} ms "
-                    f"(fast x{alert['fast_burn']:.1f}, "
-                    f"slow x{alert['slow_burn']:.1f}), {tail}"
-                )
-        for entity, intervals in sorted(
-            (self.health.get("entities") or {}).items()
-        ):
-            arc = " -> ".join(
-                f"{iv['state']} @{iv['start_ns'] / 1e6:.3f}ms" for iv in intervals
-            )
-            lines.append(f"  health {entity}: {arc}")
+        lines.extend(self.slo.summary_lines())
+        if self.health is not None:
+            lines.extend(self.health.summary_lines())
         for key, value in sorted(self.detail.items()):
             lines.append(f"  {key}: {value}")
         return lines
+
+    def to_dict(self) -> dict[str, Any]:
+        """The run's canonical telemetry document: every scraped series,
+        the SLO state, the health arcs and the availability timeline."""
+        if self.metrics is None or self.health is None:
+            raise ValueError(f"{self.scenario}: ran under a caller's pipeline")
+        return {
+            "scenario": self.scenario,
+            "seed": self.seed,
+            "metrics": json.loads(self.metrics.to_json()),
+            "slo": self.slo.to_dict(),
+            "health": self.health.to_dict(),
+            "timeline": self.timeline.to_dict(),
+        }
 
 
 class _Fleet:
@@ -556,11 +551,6 @@ def _run_scenario(
         raise FleetOracleError(
             f"{name}: alert/timeline misalignment: " + "; ".join(problems)
         )
-    health: dict[str, Any] = {}
-    if run.metrics is not None:
-        # Only a pipeline this run owns end-to-end has single-scenario
-        # series (a shared one mixes stamps from earlier runs).
-        health = HealthTimeline.derive(run.metrics).to_dict()
     return FleetResult(
         scenario=name,
         seed=seed,
@@ -569,9 +559,11 @@ def _run_scenario(
         failovers=fleet.failovers,
         memsan_reports=len(run.memsan.reports) if run.memsan is not None else 0,
         detail=detail,
-        alerts=[alert.to_dict() for alert in monitor.alerts],
-        slo=monitor.to_dict(),
-        health=health,
+        slo=monitor,
+        metrics=run.metrics,
+        # Only a pipeline this run owns end-to-end has single-scenario
+        # series (a shared one mixes stamps from earlier runs).
+        health=HealthTimeline.derive(run.metrics) if run.metrics is not None else None,
     )
 
 

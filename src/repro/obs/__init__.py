@@ -29,10 +29,14 @@ to. This package makes both first-class:
   safety) or a span list (balance/nesting, crash abandonment).
 * :mod:`repro.obs.metrics` — a :class:`MetricsPipeline` of labeled
   live time series (windowed rates, window-exact percentiles, sampled
-  gauges) scraped on a sim-time interval.
+  gauges) scraped on a sim-time interval, and its sparkline dashboard.
 * :mod:`repro.obs.slo` — :class:`SLOMonitor` multi-window burn-rate
   alerting and per-entity :class:`HealthTimeline` derivation over the
-  scraped series.
+  scraped series; each renders its own summary lines.
+
+The package has no command line of its own: the fleet HA scenarios
+print their telemetry (summaries, dashboards, canonical documents)
+through ``python -m repro.ha``.
 """
 
 from .counters import CounterRegistry

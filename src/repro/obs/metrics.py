@@ -65,6 +65,7 @@ __all__ = [
     "ScrapeWindow",
     "Series",
     "SeriesKey",
+    "format_metrics_dashboard",
     "series_id",
 ]
 
@@ -450,3 +451,51 @@ class MetricsPipeline:
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         PROBES.uninstall("metrics", self)
+
+
+# Rows of a metrics dashboard; the rest are counted, not drawn.
+_DASHBOARD_SERIES = 40
+
+
+def format_metrics_dashboard(pipeline: MetricsPipeline, title: str) -> str:
+    """Render a scraped pipeline as per-series ASCII sparklines.
+
+    One row per series (sorted by id, capped at ``_DASHBOARD_SERIES``):
+    sparkline over the sampled window, last value, peak, and sample
+    count. The header states the scrape interval and totals, so a
+    dashboard is self-describing about its own resolution.
+    """
+
+    def cell(value: float) -> str:
+        return f"{int(value):,}" if float(value).is_integer() else f"{value:.3f}"
+
+    blocks = " ▁▂▃▄▅▆▇█"
+    all_series = pipeline.all_series()
+    rule = "=" * max(64, len(title) + 4)
+    lines = [
+        f"\n{rule}\n  {title}\n{rule}",
+        (
+            f"interval={pipeline.scrape_interval_ns / 1e3:.0f} us  "
+            f"scrapes={pipeline.scrapes}  "
+            f"samples={pipeline.samples_published}  "
+            f"series={len(all_series)}  "
+            f"dropped={pipeline.total_dropped}"
+        ),
+    ]
+    shown = all_series[:_DASHBOARD_SERIES]
+    width = max((len(series.id) for series in shown), default=0)
+    for series in shown:
+        values = series.values()
+        peak = max((abs(v) for v in values), default=0.0)
+        chars = "".join(
+            blocks[min(8, int(9 * abs(value) / peak))] if peak else " "
+            for value in values[-60:]
+        )
+        last = values[-1] if values else 0.0
+        lines.append(
+            f"{series.id.ljust(width)} [{chars}] "
+            f"last={cell(last)} peak={cell(peak)} n={len(values)}"
+        )
+    if len(all_series) > len(shown):
+        lines.append(f"... {len(all_series) - len(shown)} more series elided")
+    return "\n".join(lines)

@@ -27,7 +27,6 @@ layers:
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Protocol
@@ -213,10 +212,9 @@ class SLOMonitor:
 
     def summary_lines(self) -> list[str]:
         served = self.good_total + self.bad_total
-        ratio = self.good_total / served if served else 1.0
+        ratio = self.good_total / served * 100.0 if served else 100.0
         lines = [
-            f"slo {self.objective.name}: {ratio * 100:.3f}% good "
-            f"({self.good_total:.0f}/{served:.0f} ops over {self.ticks} windows), "
+            f"  slo: {ratio:.3f}% good ({self.bad_total:.0f} bad / {served:.0f} served), "
             f"{len(self.alerts)} alert(s)"
         ]
         for alert in self.alerts:
@@ -226,8 +224,8 @@ class SLOMonitor:
                 else "STILL FIRING"
             )
             lines.append(
-                f"  alert fired {alert.fired_at_ns / 1e6:.3f} ms "
-                f"(burn fast {alert.fast_burn:.1f}x / slow {alert.slow_burn:.1f}x), "
+                f"    alert fired {alert.fired_at_ns / 1e6:.3f} ms "
+                f"(fast x{alert.fast_burn:.1f}, slow x{alert.slow_burn:.1f}), "
                 f"{cleared}"
             )
         return lines
@@ -429,15 +427,12 @@ class HealthTimeline:
             }
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
     def summary_lines(self) -> list[str]:
-        lines: list[str] = []
-        for entity in self.entities():
-            spans = ", ".join(
-                f"{i.state} {i.start_ns / 1e6:.3f}-{i.end_ns / 1e6:.3f} ms"
-                for i in self.states(entity)
+        """One arc per entity, in entity order: each state and its start."""
+        return [
+            f"  health {entity}: "
+            + " -> ".join(
+                f"{i.state} @{i.start_ns / 1e6:.3f}ms" for i in self.states(entity)
             )
-            lines.append(f"  health {entity}: {spans}")
-        return lines
+            for entity in sorted(self.entities())
+        ]

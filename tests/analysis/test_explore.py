@@ -220,6 +220,17 @@ def test_cli_mutations_quick(capsys):
     assert "3/3 mutations detected" in out
 
 
+@pytest.mark.parametrize("config", ["rdma-2p1pg", "all"])
+def test_cli_mutations_on_a_config_without_switches_is_a_usage_error(config, capsys):
+    assert main(["--config", config, "--mutations", "--quick"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: python -m repro.analysis explore")
+    assert (
+        f"error: argument --config: config {config!r} has no protocol mutation "
+        "switches (mutations run on: cxl-2p-crash, cxl-2p1pg, cxl-3p2k)"
+    ) in err
+
+
 def test_cli_rejects_unknown_flag(capsys):
     assert main(["--frobnicate"]) == 2
     capsys.readouterr()

@@ -1,12 +1,14 @@
 """The scraped metrics timeline of a fixed HA scenario is byte-stable.
 
-The rolling-crash scenario runs under a fresh
+The rolling-crash scenario runs under its own
 :class:`~repro.obs.metrics.MetricsPipeline` at the default 100 us
 scrape interval, and the full telemetry document — every series'
-stamped samples plus the SLO monitor's fired-alert sequence — is
-serialized as canonical JSON and pinned under
+stamped samples plus the SLO monitor's fired-alert sequence, both read
+from the :class:`~repro.ha.scenarios.FleetResult` — is serialized as
+canonical JSON and pinned under
 ``benchmarks/results/metrics_timeline_golden.json``. Re-running must
-reproduce the pinned file **byte for byte**.
+reproduce the pinned file **byte for byte**, and the same run under a
+caller's pipeline must publish the same document.
 
 Where the availability-timeline golden locks *what the fleet did*,
 this one locks *what the telemetry said about it*: scrape grid
@@ -28,6 +30,7 @@ import pytest
 from repro.db.txn import Transaction
 from repro.ha.scenarios import run_rolling_crash
 from repro.obs.metrics import MetricsPipeline
+from repro.obs.slo import HealthTimeline
 
 PINNED = (
     Path(__file__).parent.parent.parent
@@ -37,23 +40,24 @@ PINNED = (
 )
 
 
-def _golden_metrics_json() -> str:
+def _fresh_ids(run):
     saved = Transaction._next_id
     Transaction._next_id = 1
     try:
-        pipeline = MetricsPipeline()
-        with pipeline:
-            result = run_rolling_crash()
-        pipeline.check_consistent()
+        return run()
     finally:
         Transaction._next_id = max(saved, Transaction._next_id)
-    payload = {
-        "scenario": "rolling-crash",
-        "seed": result.seed,
-        "alerts": result.alerts,
-        "metrics": json.loads(pipeline.to_json()),
-    }
+
+
+def _document(seed: int, alerts: list, metrics: dict) -> str:
+    payload = {"scenario": "rolling-crash", "seed": seed, "alerts": alerts, "metrics": metrics}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _golden_metrics_json() -> str:
+    """The document of the scenario's own pipeline, read off its result."""
+    doc = _fresh_ids(run_rolling_crash).to_dict()
+    return _document(doc["seed"], doc["slo"]["alerts"], doc["metrics"])
 
 
 def generate(path: Path = PINNED) -> Path:
@@ -65,6 +69,21 @@ def generate(path: Path = PINNED) -> Path:
 @pytest.mark.skipif(not PINNED.exists(), reason="pinned metrics timeline missing")
 def test_metrics_timeline_byte_identical_to_pinned():
     assert _golden_metrics_json().encode() == PINNED.read_bytes()
+
+
+def test_a_callers_pipeline_publishes_the_same_document():
+    """Under a caller's pipeline the run keeps no pipeline or health of
+    its own; the caller's pipeline publishes the series, the SLO state
+    and (derived from it) the health arcs the run's own pipeline does."""
+    own = _fresh_ids(run_rolling_crash)
+    pipeline = MetricsPipeline()
+    with pipeline:
+        result = _fresh_ids(run_rolling_crash)
+    pipeline.check_consistent()
+    assert result.metrics is None and result.health is None
+    assert json.loads(pipeline.to_json()) == own.to_dict()["metrics"]
+    assert result.slo.to_dict() == own.slo.to_dict()
+    assert HealthTimeline.derive(pipeline).to_dict() == own.health.to_dict()
 
 
 @pytest.mark.skipif(not PINNED.exists(), reason="pinned metrics timeline missing")

@@ -167,6 +167,20 @@ def test_no_module_outside_bench_imports_the_bench_harness():
     assert not offenders, "imports of repro.bench.harness:\n" + "\n".join(offenders)
 
 
+def test_no_obs_module_imports_the_bench_package():
+    """The observability layer sits below the harnesses that report on
+    it: whatever renders a pipeline lives in ``repro.obs`` beside it."""
+    upward = [
+        f"{path.relative_to(SRC)}: from {module} import {name}"
+        for path in sorted((SRC / "obs").rglob("*.py"))
+        for module, name in _imports(path)
+        if module == "repro.bench"
+        or module.startswith("repro.bench.")
+        or (module, name) == ("repro", "bench")
+    ]
+    assert not upward, "repro.obs imports repro.bench:\n" + "\n".join(upward)
+
+
 def test_the_world_builder_imports_nothing_above_it():
     """``repro.obs.world`` wires the model. The tools that run, crash and
     check worlds sit above it, never below, and of ``obs`` it takes only
