@@ -1,8 +1,8 @@
 """Fleet HA scenarios as a reportable experiment (``--ha``).
 
-Runs all four fleet scenarios — rolling crashes, graceful leave + warm
-join, fusion failover storm, degraded read-only mode — under the full
-monitoring stack and reports the availability timelines plus the
+Runs all five fleet scenarios — rolling crashes, graceful leave + warm
+join, fusion failover storm, degraded read-only mode, sharded fusion
+failover — under the full monitoring stack and reports the availability timelines plus the
 recovery-mechanism comparison the join/leave scenario produces: a fresh
 primary inheriting the warm CXL buffer pool versus full ARIES-style
 recovery over CXL (polarrecv), RDMA-assisted recovery, and the

@@ -175,10 +175,6 @@ class MiniTransaction:
         self._pins = []
         self._write_latched = []
 
-    @property
-    def committed(self) -> bool:
-        return self._committed
-
     # -- internals ------------------------------------------------------------------------
 
     def _write_latch(self, pool: BufferPool, page_id: int) -> None:

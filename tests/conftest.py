@@ -165,8 +165,11 @@ def row_for(key: int) -> dict:
 
 def swap_durable_records(redo: RedoLog, i: int, j: int) -> None:
     """Disorder ``redo``'s durable log: swap its ``i``-th and ``j``-th
-    (``i < j``) whole records in place, headers and after-images alike."""
-    log = redo._durable
+    (``i < j``) whole records in place, headers and after-images alike.
+    Only an unsealed log (all of it in the open tail) can be edited."""
+    if redo._sealed:
+        raise ValueError("the log has sealed segments; only its open tail is editable")
+    log = redo._tail
     headers = list(_headers(log))
     (a, *_, a_end), (b, *_, b_end) = headers[i], headers[j]
     log[a:b_end] = log[b:b_end] + log[a_end:b] + log[a:a_end]

@@ -17,6 +17,7 @@ so an edit here fails a test even when the model was edited to match.
 
 from __future__ import annotations
 
+import functools
 import struct
 from collections import OrderedDict, namedtuple
 from contextlib import nullcontext
@@ -426,10 +427,18 @@ CACHE_EQ_REGION = 1 << 18  # bytes in each of the differential's two regions
 # is neither line- nor group-aligned (fields straddle, ranges clip groups).
 CACHE_EQ_BASES = (PAGE, 3 * PAGE + 1000)
 _CACHE_EQ_MISS_NS = 549.3  # non-dyadic, like _EQ_HIT_NS
-# Each region's initial bytes: a 251-byte pattern, so no two lines match.
-_CACHE_EQ_FILLS = [
-    bytes((j * 7 + i) & 0xFF for j in range(251)) * (CACHE_EQ_REGION // 251) for i in (0, 1)
-]
+
+
+@functools.cache
+def _cache_eq_images() -> tuple:
+    """Each region's initial image, filled once per process: a 251-byte
+    pattern, so no two lines match."""
+    images = []
+    for i in (0, 1):
+        region = MemoryRegion(f"eq{i}", CACHE_EQ_REGION, volatile=False)
+        region.write(0, bytes((j * 7 + i) & 0xFF for j in range(251)) * (CACHE_EQ_REGION // 251))
+        images.append(region.snapshot())
+    return tuple(images)
 
 
 def build_cache_world(optimized: bool, capacity_lines: int):
@@ -444,8 +453,8 @@ def build_cache_world(optimized: bool, capacity_lines: int):
         pipe_key="cxl",
     )
     regions = [MemoryRegion(f"eq{i}", CACHE_EQ_REGION, volatile=False) for i in (0, 1)]
-    for region, fill in zip(regions, _CACHE_EQ_FILLS):
-        region.write(0, fill)
+    for region, image in zip(regions, _cache_eq_images()):
+        region.restore(image)
     return cache, regions
 
 

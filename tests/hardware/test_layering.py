@@ -248,6 +248,12 @@ NO_CALLER_ALLOWED = {
     "repro.core.sharing:SharedCxlBufferPool.metadata_entries_used":
         "test-inspection read",
     "repro.db.txn:Transaction.rolled_back": "test-inspection read",
+    "repro.db.txn:Transaction.committed": "test-inspection read",
+    "repro.faults.sweep:SweepReport.raise_for_failures":
+        "the sweep's assertion for tests and interactive runs: raises naming every red coordinate",
+    "repro.obs.slo:HealthTimeline.worst": "test-inspection read of one entity's arc",
+    "repro.obs.trace:TraceEvent.subsystem":
+        "one of the event's five read-only fields; the ring spec compares all five",
     "repro.hardware.memory:MemoryRegion.poisoned": "test-inspection read",
     "repro.hardware.cache:LineCacheModel.touch":
         "the one-line probe touch_range is specified against; tests compare them",
@@ -266,63 +272,89 @@ NO_CALLER_ALLOWED = {
 }
 
 
-def _references(tree: ast.AST) -> collections.Counter:
-    """How often ``tree`` mentions each name: bare names, attributes,
-    imported names and ``"module:function"`` task strings."""
+def _references(tree: ast.AST) -> tuple[collections.Counter, collections.Counter]:
+    """How often ``tree`` mentions each name, twice over: as anything that
+    can reach a function or class (bare names, attributes, imported names
+    and ``"module:function"`` task strings), and as what can reach a
+    method (attributes and task strings)."""
     found: collections.Counter = collections.Counter()
+    attributes: collections.Counter = collections.Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            found[node.attr] += 1
+            attributes[node.attr] += 1
         elif isinstance(node, ast.ImportFrom):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             match = _TASK_STRING.match(node.value)
             if match:
-                found[match.group(1)] += 1
-    return found
+                attributes[match.group(1)] += 1
+    return found + attributes, attributes
+
+
+def _class_aliases(cls: ast.ClassDef) -> set[str]:
+    """Names read by a class body outside its methods
+    (``visit_ListComp = _visit_comp``)."""
+    return {
+        node.id
+        for statement in cls.body
+        if not isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Name)
+    }
 
 
 def _definitions(tree: ast.Module):
-    """(qualname, name, node) of every top-level function and class and
-    every non-dunder method."""
+    """(qualname, name, node, class) of every top-level function and
+    class (class ``None``) and every non-dunder method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.name, node
+            yield node.name, node.name, node, None
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (
                     item.name.startswith("__") and item.name.endswith("__")
                 ):
-                    yield f"{node.name}.{item.name}", item.name, item
+                    yield f"{node.name}.{item.name}", item.name, item, node
 
 
 def uncalled(src: Path, benchmarks: Path) -> list[str]:
     """``module:Qualname`` of every definition under ``src`` that no code
     names: not another module of ``src``, not its own module outside its
     own body, not ``benchmarks``. A package ``__init__`` re-export is not
-    a caller. Names match by spelling only, so a method counts as called
-    when any attribute of that name is read."""
+    a caller. A function or class is named by any mention of its
+    spelling; a method only by an attribute read or a task string of its
+    name, or by an alias in its own class body, so a local variable or a
+    module function spelt like a method does not count as its caller."""
     trees = {path: ast.parse(path.read_text()) for path in sorted(src.rglob("*.py"))}
-    outside: collections.Counter = collections.Counter()
+    outside = [collections.Counter(), collections.Counter()]  # (any mention, attribute)
+
+    def count(references: tuple) -> None:
+        for total, found in zip(outside, references):
+            total.update(found.keys())
+
     for path in sorted(benchmarks.rglob("*.py")):
-        outside.update(_references(ast.parse(path.read_text())).keys())
+        count(_references(ast.parse(path.read_text())))
     per_module = {}
     for path, tree in trees.items():
         if path.name == "__init__.py":
             body = [n for n in tree.body if not isinstance(n, ast.ImportFrom)]
-            outside.update(_references(ast.Module(body=body, type_ignores=[])).keys())
+            count(_references(ast.Module(body=body, type_ignores=[])))
         else:
             per_module[path] = _references(tree)
-            outside.update(per_module[path].keys())
+            count(per_module[path])
+    empty = (collections.Counter(), collections.Counter())
     missing = []
     for path, tree in trees.items():
         module = ".".join(path.relative_to(src.parent).with_suffix("").parts)
-        mine = per_module.get(path, collections.Counter())
-        for qualname, name, node in _definitions(tree):
-            elsewhere = outside[name] - (1 if mine[name] else 0)
-            if elsewhere > 0 or mine[name] > _references(node)[name]:
+        for qualname, name, node, cls in _definitions(tree):
+            kind = 0 if cls is None else 1
+            mine = per_module.get(path, empty)[kind]
+            elsewhere = outside[kind][name] - (1 if mine[name] else 0)
+            if elsewhere > 0 or mine[name] > _references(node)[kind][name]:
+                continue
+            if cls is not None and name in _class_aliases(cls):
                 continue
             missing.append(f"{module}:{qualname}")
     return missing

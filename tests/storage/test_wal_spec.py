@@ -5,17 +5,24 @@ bytes: a volatile list and a durable list of records, filtered and
 summed in Python. Any sequence of appends, flushes, crashes, checkpoints,
 LSN alignments and snapshot/restore round trips must leave the real
 :class:`RedoLog` reading exactly what the model reads, and charging the
-same bytes. A second guard pins what a durable record costs in memory.
+same bytes. The same ops run again with segments of 1 and 64 bytes, so
+every flush (or every few) seals and the sealed path is read, pruned,
+re-cut and restored. A second guard pins what a durable record costs in
+memory.
 """
 
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware.memory import AccessMeter
+from repro.storage import wal
 from repro.storage.wal import RedoLog, RedoRecord
+
+from ..conftest import swap_durable_records
 
 
 class ListRedoLog:
@@ -102,14 +109,13 @@ def _read_same(real: RedoLog, model: ListRedoLog) -> int:
     assert real.buffered_records == len(model.buffer)
     assert (real.flushes, real.bytes_flushed) == (model.flushes, model.bytes_flushed)
     assert real.verify_ordered() == model.verify_ordered()
+    assert len(real._tail) < wal._SEGMENT_BYTES  # every flush that could seal did
     if model.checkpoint_lsn == 0:  # nothing pruned: the log is every byte flushed
-        assert len(real._durable) == real.bytes_flushed
+        assert sum(map(len, real._chunks(-1))) == real.bytes_flushed
     return charged
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(wal_ops, max_size=60))
-def test_byte_log_reads_what_the_list_log_reads(ops):
+def _run_both(ops) -> None:
     meter = AccessMeter()
     real, model, saved = RedoLog(meter), ListRedoLog(), []
     read_bytes = wal_bytes = 0
@@ -144,10 +150,25 @@ def test_byte_log_reads_what_the_list_log_reads(ops):
     assert meter.counters.get("wal_bytes", 0.0) == wal_bytes
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(wal_ops, max_size=60))
+def test_byte_log_reads_what_the_list_log_reads(ops):
+    _run_both(ops)
+
+
+@pytest.mark.parametrize("segment_bytes", [1, 64])
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(wal_ops, max_size=60))
+def test_sealed_segments_read_what_the_list_log_reads(segment_bytes, ops):
+    with mock.patch.object(wal, "_SEGMENT_BYTES", segment_bytes):
+        _run_both(ops)
+
+
 def test_a_durable_record_costs_its_bytes():
-    """No checkpoint: the durable log is exactly the bytes flushed, and a
-    record with an 8-byte after-image costs about its 32 charged bytes
-    (33 B traced; 187 B as a frozen dataclass record in a list)."""
+    """No checkpoint: the log reads back exactly the bytes flushed. Past
+    one segment (8,192 of these 32-byte records) the log is held
+    compressed, so 10,000 records cost about 10 B each traced (33 B as one
+    unsealed byte log; 187 B as frozen dataclass records in a list)."""
     log = RedoLog()
     tracemalloc.start()
     try:
@@ -159,5 +180,17 @@ def test_a_durable_record_costs_its_bytes():
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(log._durable) == log.bytes_flushed == 10_000 * 32
-    assert grown / 10_000 <= 48
+    assert sum(map(len, log._chunks(-1))) == log.bytes_flushed == 10_000 * 32
+    assert len(log._sealed) == 1
+    assert grown / 10_000 <= 16
+
+
+def test_swapping_records_refuses_a_sealed_log():
+    """The test helper that disorders a log edits the open tail only."""
+    log = RedoLog()
+    with mock.patch.object(wal, "_SEGMENT_BYTES", 1):
+        for page in range(2):
+            log.append(page, 0, b"x")
+        log.flush()
+    with pytest.raises(ValueError, match="sealed"):
+        swap_durable_records(log, 0, 1)
