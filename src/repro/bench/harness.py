@@ -27,7 +27,15 @@ _POOL_STAT_ATTRS = (
     "rpc_retries",
 )
 
+#: What a fusion server (or shard router) and an RDMA DBP server count.
+_FUSION_STATS = ("rpcs", "pages_loaded", "pages_recycled", "invalidations_pushed", "reshares")
+_DBP_STATS = ("rpcs", "invalidation_messages")
+
 _BYTES_MOVED_PIPES = ("cxl", "rdma", "storage", "wal")
+
+
+def _server_stats(server, names: tuple[str, ...]) -> dict[str, float]:
+    return {name: float(getattr(server, name)) for name in names}
 
 
 def _named_engines(setup) -> list:
@@ -70,17 +78,13 @@ def counter_snapshot(setup, tracer=None) -> dict[str, float]:
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 add(f"pool_stats.{attr}", value)
 
-    fusion = getattr(setup, "fusion", None)
-    if fusion is not None:
-        add("fusion_stats.rpcs", fusion.rpcs)
-        add("fusion_stats.pages_loaded", fusion.pages_loaded)
-        add("fusion_stats.pages_recycled", fusion.pages_recycled)
-        add("fusion_stats.invalidations_pushed", fusion.invalidations_pushed)
-        add("fusion_stats.reshares", getattr(fusion, "reshares", 0))
-    dbp_server = getattr(setup, "dbp_server", None)
-    if dbp_server is not None:
-        add("dbp_stats.rpcs", dbp_server.rpcs)
-        add("dbp_stats.invalidation_messages", dbp_server.invalidation_messages)
+    for prefix, server, names in (
+        ("fusion_stats.", getattr(setup, "fusion", None), _FUSION_STATS),
+        ("dbp_stats.", getattr(setup, "dbp_server", None), _DBP_STATS),
+    ):
+        if server is not None:
+            for key, value in _server_stats(server, names).items():
+                add(prefix + key, value)
 
     for pipe in _BYTES_MOVED_PIPES:
         moved = snap.get(f"meter.{pipe}_bytes")
@@ -123,13 +127,7 @@ def register_metric_sources(setup) -> int:
         for index, shard in enumerate(shards):
 
             def snap(s=shard) -> dict[str, float]:
-                stats = {
-                    "rpcs": float(s.rpcs),
-                    "pages_loaded": float(s.pages_loaded),
-                    "pages_recycled": float(s.pages_recycled),
-                    "invalidations_pushed": float(s.invalidations_pushed),
-                    "reshares": float(getattr(s, "reshares", 0)),
-                }
+                stats = _server_stats(s, _FUSION_STATS)
                 directory = getattr(s, "directory", None)
                 if directory is not None:
                     for key, value in directory.stats().items():
@@ -141,12 +139,6 @@ def register_metric_sources(setup) -> int:
 
     dbp_server = getattr(setup, "dbp_server", None)
     if dbp_server is not None:
-        pipeline.add_counter_source(
-            "dbp.",
-            lambda d=dbp_server: {
-                "rpcs": float(d.rpcs),
-                "invalidation_messages": float(d.invalidation_messages),
-            },
-        )
+        pipeline.add_counter_source("dbp.", lambda d=dbp_server: _server_stats(d, _DBP_STATS))
         registered += 1
     return registered

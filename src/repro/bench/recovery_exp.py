@@ -11,17 +11,9 @@ The per-bucket query-completion series is the figure's curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ..baselines.rdma_bufferpool import TieredRdmaBufferPool
-from ..baselines.rdma_recovery import rdma_assisted_recovery
-from ..baselines.vanilla_recovery import ReplayStats, replay_recovery
-from ..core.recovery import PolarRecv, RecoveryStats
-from ..db.bufferpool import LocalBufferPool
-from ..db.constants import PAGE_SIZE
-from ..db.engine import Engine
-from ..hardware.cache import LineCacheModel
-from ..hardware.memory import WindowedMemory
+
 from ..obs.probes import PROBES
-from ..obs.world import build_pooling_setup
+from ..obs.world import build_pooling_setup, recover_instance
 from ..sim.settle import ChargeSettler
 from ..sim.stats import TimeSeries
 from ..workloads.driver import InstanceCtx, PoolingDriver
@@ -112,55 +104,14 @@ def _run_recovery_experiment(
     crash_ns = sim.now
 
     # Act 2: crash + recovery.
-    engine = ictx.engine
-    n_blocks = getattr(engine.buffer_pool, "n_blocks", 0)
-    engine.crash()
-    meter = engine.meter
-    meter.reset()
-    store, redo = engine.page_store, engine.redo_log
-    host = setup.host
-    line_cache = LineCacheModel(
-        capacity_bytes=max(1 << 15, len(store) * PAGE_SIZE // 32)
-    )
-    detail: object
-
-    if scheme == "polarrecv":
-        assert setup.manager is not None
-        (extent,) = setup.manager.extents_of(engine.name)
-        mapped = host.map_cxl(setup.manager.region, meter, line_cache)
-        mem = WindowedMemory(mapped, extent.offset, extent.size)
-        pool, detail = PolarRecv(mem, store, redo, n_blocks).recover()
-    elif scheme == "rdma":
-        remote = setup.remotes[0]
-        lbp_pages = engine.buffer_pool.capacity_pages
-        region = host.alloc_dram("recovered.lbp", lbp_pages * PAGE_SIZE)
-        pool = TieredRdmaBufferPool(
-            host.map_dram(region, meter, line_cache),
-            remote,
-            store,
-            lbp_pages,
-            meter,
-        )
-        redo.attach_meter(meter)
-        detail = rdma_assisted_recovery(pool, store, redo, remote, meter)
-    else:  # vanilla
-        capacity = len(store) + 48
-        region = host.alloc_dram("recovered.bp", capacity * PAGE_SIZE)
-        pool = LocalBufferPool(
-            host.map_dram(region, meter, line_cache), store, capacity
-        )
-        redo.attach_meter(meter)
-        detail = replay_recovery(pool, store, redo)
-
+    ictx.engine.crash()
+    engine, detail = recover_instance(setup, 0)
     # The recovery work elapses as simulated downtime — serially, the
     # way a replay actually reads pages.
-    settler = ChargeSettler(sim, meter, host.pipes)
+    settler = ChargeSettler(sim, engine.meter, setup.host.pipes)
     sim.run_process(settler.settle_serial())
     recovery_seconds = (sim.now - crash_ns) / 1e9
-
-    engine2 = Engine(engine.name, pool, store, redo, meter, cost=engine.cost)
-    engine2.adopt_schema(workload.schema())
-    ictx2 = InstanceCtx(engine=engine2, host=host, rng=ictx.rng.fork(99))
+    ictx2 = InstanceCtx(engine=engine, host=setup.host, rng=ictx.rng.fork(99))
 
     # Act 3: back in business; warmth decides the ramp.
     driver2 = PoolingDriver(

@@ -20,7 +20,6 @@ from .memmgr import (
     CxlExtent,
     CxlMemoryManager,
     OutOfCxlMemoryError,
-    TenancyViolation,
 )
 from .recovery import PolarRecv, RecoveryStats, apply_redo_to_image
 from .sharing import MultiPrimaryNode, SharedCxlBufferPool
@@ -46,7 +45,6 @@ __all__ = [
     "CxlExtent",
     "CxlMemoryManager",
     "OutOfCxlMemoryError",
-    "TenancyViolation",
     "PolarRecv",
     "RecoveryStats",
     "apply_redo_to_image",

@@ -18,17 +18,13 @@ from ..hardware.cxl import CxlFabric
 from ..hardware.memory import AccessMeter, MemoryRegion
 from ..sim.latency import LatencyConfig
 
-__all__ = ["CxlMemoryManager", "CxlExtent", "OutOfCxlMemoryError", "TenancyViolation"]
+__all__ = ["CxlMemoryManager", "CxlExtent", "OutOfCxlMemoryError"]
 
 _ALIGNMENT = 1 << 21  # 2 MB, huge-page friendly
 
 
 class OutOfCxlMemoryError(RuntimeError):
     """The pool cannot satisfy an allocation."""
-
-
-class TenancyViolation(RuntimeError):
-    """A client touched an extent it does not own."""
 
 
 @dataclass(frozen=True)
@@ -86,15 +82,6 @@ class CxlMemoryManager:
         crash_point("memmgr.allocate")
         return extent
 
-    def release(self, client_id: str) -> int:
-        """Release every extent of a client; returns bytes released.
-
-        Freed space is not recycled (bump allocator) — the paper
-        allocates once per database lifetime, so compaction is moot.
-        """
-        extents = self._extents.pop(client_id, [])
-        return sum(extent.size for extent in extents)
-
     def snapshot(self) -> tuple:
         """The allocator's books and the pool region's contents."""
         return (
@@ -110,20 +97,3 @@ class CxlMemoryManager:
 
     def extents_of(self, client_id: str) -> list[CxlExtent]:
         return list(self._extents.get(client_id, []))
-
-    def owner_of(self, offset: int) -> Optional[str]:
-        for client_id, extents in self._extents.items():
-            for extent in extents:
-                if extent.offset <= offset < extent.end:
-                    return client_id
-        return None
-
-    def check_access(self, client_id: str, offset: int, nbytes: int) -> None:
-        """Assert the range lies inside one of the client's extents."""
-        for extent in self._extents.get(client_id, []):
-            if extent.offset <= offset and offset + nbytes <= extent.end:
-                return
-        raise TenancyViolation(
-            f"{client_id!r} accessed [{offset}, {offset + nbytes}) "
-            "outside its extents"
-        )

@@ -62,16 +62,15 @@ from ..analysis.checked import CheckedRun, CommittedState, Op, crash, fail_over,
 from ..analysis.memsan import MemSanError
 from ..core.block import pool_bytes_needed
 from ..core.memmgr import CxlMemoryManager
-from ..core.recovery import PolarRecv
 from ..db.btree import BTreeCorruptionError
 from ..db.constants import PAGE_SIZE
 from ..db.engine import Engine
 from ..db.record import Field, RecordCodec
 from ..hardware.cache import LineCacheModel
 from ..hardware.host import Cluster, Host
-from ..hardware.memory import AccessMeter, WindowedMemory
+from ..hardware.memory import AccessMeter
 from ..obs.image import IMAGES, materialize
-from ..obs.world import SharingSetup, build_cxl_engine, build_sharing_setup
+from ..obs.world import SharingSetup, build_cxl_engine, build_sharing_setup, recover_cxl_engine
 from ..sim.core import Simulator
 from ..sim.latency import CostModel
 from ..storage.pagestore import PageStore
@@ -444,20 +443,13 @@ def _read_contents(engine: Engine) -> dict:
 
 
 def _recover(scenario: _Scenario) -> Engine:
-    """The documented recovery path: fresh meter and line cache, remap
-    the surviving extent, PolarRecv, re-declare the schema."""
-    meter = AccessMeter()
-    scenario.store.attach_meter(meter)
-    scenario.redo.attach_meter(meter)
-    mapped = scenario.host.map_cxl(
-        scenario.manager.region, meter, LineCacheModel()
+    """The documented recovery path, :func:`recover_cxl_engine`, with a
+    fresh line cache."""
+    engine, _stats = recover_cxl_engine(
+        "recovered", scenario.host, scenario.manager, scenario.extent, _N_BLOCKS,
+        scenario.store, scenario.redo, LineCacheModel(), scenario.engine.cost,
+        [("t", SWEEP_CODEC)],
     )
-    mem = WindowedMemory(mapped, scenario.extent.offset, scenario.extent.size)
-    pool, _stats = PolarRecv(mem, scenario.store, scenario.redo, _N_BLOCKS).recover()
-    engine = Engine(
-        "recovered", pool, scenario.store, scenario.redo, meter, cost=scenario.engine.cost
-    )
-    engine.adopt_schema([("t", SWEEP_CODEC)])
     return engine
 
 

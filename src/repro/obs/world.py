@@ -9,8 +9,10 @@ three pooled system kinds:
 * ``rdma`` — tiered LBP + remote memory over RDMA.
 
 and for the multi-primary sharing systems (``cxl`` / ``rdma`` /
-``cxl3``). Setup costs (loading, pool formatting) are wiped from the
-meters so runs measure steady state only. A world has one
+``cxl3``). They also bring a crashed instance back: the one PolarRecv
+wiring is :func:`recover_cxl_engine`, the reverse of
+:func:`build_cxl_engine`. Setup costs (loading, pool formatting) are
+wiped from the meters so runs measure steady state only. A world has one
 :class:`CostModel`: ``setup.cost`` is the one every engine it builds
 charges.
 
@@ -27,13 +29,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..baselines.rdma_bufferpool import RemoteMemoryNode, TieredRdmaBufferPool
+from ..baselines.rdma_recovery import rdma_assisted_recovery
 from ..baselines.rdma_sharing import RdmaDbpServer, RdmaSharedBufferPool
+from ..baselines.vanilla_recovery import ReplayStats, replay_recovery
 from ..core.block import pool_bytes_needed
 from ..core.coherency import FLAG_BYTES_PER_ENTRY, FlagSlab
 from ..core.cxl_bufferpool import CxlBufferPool
 from ..core.fusion import BufferFusionServer, PageLockService
 from ..core.hw_coherent import HwCoherentSharedPool
 from ..core.memmgr import CxlExtent, CxlMemoryManager
+from ..core.recovery import PolarRecv, RecoveryStats
 from ..core.shard_router import FusionShardRouter
 from ..core.sharing import MultiPrimaryNode, SharedCxlBufferPool
 from ..db.bufferpool import FramePool, LocalBufferPool
@@ -41,7 +46,7 @@ from ..db.constants import PAGE_SIZE
 from ..db.engine import Engine
 from ..hardware.cache import CpuCache, LineCacheModel
 from ..hardware.host import Cluster, Host
-from ..hardware.memory import AccessMeter, WindowedMemory
+from ..hardware.memory import AccessMeter, MemoryRegion, WindowedMemory
 from ..sim.core import Simulator
 from ..sim.latency import CACHE_LINE, CostModel, LatencyConfig
 from ..sim.rng import WorkloadRng
@@ -60,6 +65,8 @@ __all__ = [
     "build_sharing_setup",
     "add_sharing_node",
     "build_cxl_engine",
+    "recover_cxl_engine",
+    "recover_instance",
     "reset_meters",
     "SYSTEMS",
 ]
@@ -235,54 +242,60 @@ def _build_instance(
         host, f"{name}.load", _POOLING_LOADER_PAGES, workload, config, cost
     )
     n_pages = len(store)
+    line_cache = _instance_line_cache(store)
 
-    # The instance's LLC share is small relative to any real working set
-    # (a 16 MB slice against hundreds of GB); scale the timing cache so
-    # hot B-tree internals stay resident but the leaf level does not.
-    line_cache = LineCacheModel(
-        capacity_bytes=max(1 << 15, n_pages * PAGE_SIZE // 32)
-    )
-
-    if setup.system == "dram":
-        capacity = n_pages + _POOL_SLACK_PAGES
-        region = host.alloc_dram(f"{name}.bp", capacity * PAGE_SIZE)
-        pool = LocalBufferPool(
-            host.map_dram(region, meter, line_cache), store, capacity
-        )
-        engine = Engine(
-            name, pool, store, redo, meter, cost=cost, volatile_regions=[region]
-        )
-    elif setup.system == "cxl":
+    if setup.system == "cxl":
         assert setup.manager is not None
         engine, _ = build_cxl_engine(
             name, host, setup.manager, pages_per_instance, meter, store, redo,
             line_cache, cost, lru_move_period,
         )
         engine.buffer_pool.format()
-    else:  # rdma
-        remote_region = setup.cluster.alloc_remote_memory(
-            f"{name}.remote", (n_pages + _POOL_SLACK_PAGES) * PAGE_SIZE
-        )
-        remote = RemoteMemoryNode(
-            remote_region, n_pages + _POOL_SLACK_PAGES, config=config
-        )
-        _preload_remote(remote, store)
-        setup.remotes.append(remote)
-        lbp_pages = max(_LBP_MIN_PAGES, int(n_pages * lbp_fraction))
-        region = host.alloc_dram(f"{name}.lbp", lbp_pages * PAGE_SIZE)
-        pool = TieredRdmaBufferPool(
-            host.map_dram(region, meter, line_cache),
-            remote,
-            store,
-            lbp_pages,
-            meter,
-        )
-        engine = Engine(
-            name, pool, store, redo, meter, cost=cost, volatile_regions=[region]
-        )
+    else:
+        if setup.system == "dram":
+            pool, region = _dram_pool(host, name, store, meter, line_cache)
+        else:  # rdma
+            remote_region = setup.cluster.alloc_remote_memory(
+                f"{name}.remote", (n_pages + _POOL_SLACK_PAGES) * PAGE_SIZE
+            )
+            remote = RemoteMemoryNode(remote_region, n_pages + _POOL_SLACK_PAGES, config=config)
+            _preload_remote(remote, store)
+            setup.remotes.append(remote)
+            lbp_pages = max(_LBP_MIN_PAGES, int(n_pages * lbp_fraction))
+            pool, region = _lbp_pool(host, name, lbp_pages, remote, store, meter, line_cache)
+        engine = Engine(name, pool, store, redo, meter, cost=cost, volatile_regions=[region])
     engine.adopt_schema(workload.schema())
     _prewarm(engine.buffer_pool, store)
     return InstanceCtx(engine=engine, host=host, rng=rng.fork(1))
+
+
+def _instance_line_cache(store: PageStore) -> LineCacheModel:
+    """An instance's LLC share. It is small relative to any real working
+    set (a 16 MB slice against hundreds of GB); the timing cache is
+    scaled to the dataset so hot B-tree internals stay resident but the
+    leaf level does not."""
+    return LineCacheModel(capacity_bytes=max(1 << 15, len(store) * PAGE_SIZE // 32))
+
+
+def _dram_pool(
+    host: Host, name: str, store: PageStore, meter: AccessMeter, line_cache: LineCacheModel
+) -> tuple[LocalBufferPool, MemoryRegion]:
+    """A local pool with room for all of ``store`` plus slack, in a fresh
+    DRAM region of ``host``."""
+    capacity = len(store) + _POOL_SLACK_PAGES
+    region = host.alloc_dram(f"{name}.bp", capacity * PAGE_SIZE)
+    return LocalBufferPool(host.map_dram(region, meter, line_cache), store, capacity), region
+
+
+def _lbp_pool(
+    host: Host, name: str, lbp_pages: int, remote: RemoteMemoryNode, store: PageStore,
+    meter: AccessMeter, line_cache: LineCacheModel,
+) -> tuple[TieredRdmaBufferPool, MemoryRegion]:
+    """An ``lbp_pages``-frame LBP in a fresh DRAM region of ``host``,
+    tiered over ``remote``."""
+    region = host.alloc_dram(f"{name}.lbp", lbp_pages * PAGE_SIZE)
+    mapped = host.map_dram(region, meter, line_cache)
+    return TieredRdmaBufferPool(mapped, remote, store, lbp_pages, meter), region
 
 
 def build_cxl_engine(
@@ -301,12 +314,81 @@ def build_cxl_engine(
     pool named ``name``, mapped through ``host``'s CXL link, as a
     :class:`CxlBufferPool` run by an engine over ``store`` and ``redo``.
     Nothing is written: the pool is not formatted, the engine neither
-    initialized nor given a schema."""
+    initialized nor given a schema. :func:`recover_cxl_engine` is the
+    way back after a crash."""
     extent = manager.allocate(name, pool_bytes_needed(n_blocks), meter)
     mapped = host.map_cxl(manager.region, meter, line_cache)
     mem = WindowedMemory(mapped, extent.offset, extent.size)
     pool = CxlBufferPool(mem, store, n_blocks, lru_move_period=lru_move_period)
     return Engine(name, pool, store, redo, meter, cost=cost), extent
+
+
+def recover_cxl_engine(
+    name: str,
+    host: Host,
+    manager: CxlMemoryManager,
+    extent: CxlExtent,
+    n_blocks: int,
+    store: PageStore,
+    redo: RedoLog,
+    line_cache: LineCacheModel,
+    cost: CostModel,
+    schema: list,
+) -> tuple[Engine, RecoveryStats]:
+    """The reverse of :func:`build_cxl_engine`, after a crash: the
+    ``n_blocks`` ``extent`` of ``manager``'s pool that survived, mapped
+    again through ``host``'s CXL link with ``line_cache``, rebuilt by
+    PolarRecv from ``store`` and ``redo``, and run by an engine named
+    ``name`` that re-declares ``schema``. Recovery charges a fresh meter,
+    which the surviving store and log are attached to and the engine
+    keeps."""
+    meter = AccessMeter()
+    store.attach_meter(meter)
+    redo.attach_meter(meter)
+    mapped = host.map_cxl(manager.region, meter, line_cache)
+    mem = WindowedMemory(mapped, extent.offset, extent.size)
+    pool, stats = PolarRecv(mem, store, redo, n_blocks).recover()
+    engine = Engine(name, pool, store, redo, meter, cost=cost)
+    engine.adopt_schema(schema)
+    return engine, stats
+
+
+def recover_instance(
+    setup: PoolingSetup, index: int
+) -> tuple[Engine, RecoveryStats | ReplayStats]:
+    """Bring back instance ``index``, whose engine crashed, the way its
+    system recovers (Fig. 10): ``cxl`` rebuilds the surviving extent
+    (:func:`recover_cxl_engine`), ``rdma`` replays the durable log into a
+    fresh LBP, taking page images from remote memory where it can, and
+    ``dram`` replays it (ARIES) into a fresh local pool. Each charges a
+    fresh meter, which the new engine keeps; nothing is settled."""
+    crashed = setup.instances[index].engine
+    host, store, redo = setup.host, crashed.page_store, crashed.redo_log
+    line_cache = _instance_line_cache(store)
+    schema = setup.workload.schema()
+    if setup.system == "cxl":
+        assert setup.manager is not None
+        (extent,) = setup.manager.extents_of(crashed.name)
+        return recover_cxl_engine(
+            crashed.name, host, setup.manager, extent, crashed.buffer_pool.n_blocks,
+            store, redo, line_cache, setup.cost, schema,
+        )
+    meter = AccessMeter()
+    store.attach_meter(meter)
+    redo.attach_meter(meter)
+    if setup.system == "rdma":
+        remote = setup.remotes[index]
+        lbp_pages = crashed.buffer_pool.capacity_pages
+        pool, region = _lbp_pool(host, "recovered", lbp_pages, remote, store, meter, line_cache)
+        stats = rdma_assisted_recovery(pool, store, redo, remote, meter)
+    else:  # dram
+        pool, region = _dram_pool(host, "recovered", store, meter, line_cache)
+        stats = replay_recovery(pool, store, redo)
+    engine = Engine(
+        crashed.name, pool, store, redo, meter, cost=setup.cost, volatile_regions=[region]
+    )
+    engine.adopt_schema(schema)
+    return engine, stats
 
 
 def _prewarm(pool, store: PageStore) -> None:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.block import pool_bytes_needed
 from repro.core.memmgr import CxlMemoryManager
+from repro.core.recovery import RecoveryStats
 from repro.db.bufferpool import LocalBufferPool
 from repro.db.constants import PAGE_SIZE
 from repro.db.engine import Engine
@@ -21,7 +22,7 @@ from repro.db.record import Field, RecordCodec
 from repro.hardware.cache import LineCacheModel
 from repro.hardware.host import Cluster, Host
 from repro.hardware.memory import AccessMeter
-from repro.obs.world import build_cxl_engine
+from repro.obs.world import build_cxl_engine, recover_cxl_engine
 from repro.sim.core import Simulator
 from repro.sim.latency import CostModel
 from repro.sim.rng import WorkloadRng
@@ -136,6 +137,16 @@ def make_cxl_engine(
         extent=extent,
         mem=engine.buffer_pool.mem,
         n_blocks=n_blocks,
+    )
+
+
+def recover_cxl_ctx(ctx: EngineCtx, schema: list) -> tuple[Engine, RecoveryStats]:
+    """``ctx``'s crashed engine brought back from its surviving extent
+    (:func:`~repro.obs.world.recover_cxl_engine`): same name, a fresh
+    meter and line cache, ``schema`` re-declared."""
+    return recover_cxl_engine(
+        ctx.engine.name, ctx.host, ctx.manager, ctx.extent, ctx.n_blocks, ctx.store,
+        ctx.redo, LineCacheModel(), CostModel(), schema,
     )
 
 

@@ -2,28 +2,13 @@
 
 import pytest
 
-from repro.core.recovery import PolarRecv, apply_redo_to_image
+from repro.core.recovery import apply_redo_to_image
 from repro.db.constants import PAGE_SIZE, PT_LEAF
-from repro.db.engine import Engine
-from repro.hardware.memory import AccessMeter, WindowedMemory
-from repro.hardware.cache import LineCacheModel
-from repro.sim.latency import CostModel
 from repro.storage.wal import RedoRecord
 
-from ..conftest import SMALL_CODEC, fill_table, make_cxl_engine, row_for
+from ..conftest import SMALL_CODEC, fill_table, make_cxl_engine, recover_cxl_ctx, row_for
 
-
-def recover(ctx):
-    """Crash-free plumbing: fresh meter + window over the same extent."""
-    meter = AccessMeter()
-    ctx.store.attach_meter(meter)
-    ctx.redo.attach_meter(meter)
-    mapped = ctx.host.map_cxl(ctx.manager.region, meter, LineCacheModel())
-    mem = WindowedMemory(mapped, ctx.extent.offset, ctx.extent.size)
-    pool, stats = PolarRecv(mem, ctx.store, ctx.redo, ctx.n_blocks).recover()
-    engine = Engine(ctx.engine.name, pool, ctx.store, ctx.redo, meter, CostModel())
-    engine.adopt_schema([("t", SMALL_CODEC)])
-    return engine, pool, stats
+SCHEMA = [("t", SMALL_CODEC)]
 
 
 @pytest.fixture
@@ -38,8 +23,8 @@ class TestCleanCrash:
     def test_pool_survives_warm(self, ctx):
         resident_before = set(ctx.pool.resident_page_ids())
         ctx.engine.crash()
-        engine, pool, stats = recover(ctx)
-        assert set(pool.resident_page_ids()) == resident_before
+        engine, stats = recover_cxl_ctx(ctx, SCHEMA)
+        assert set(engine.buffer_pool.resident_page_ids()) == resident_before
         assert stats.pages_rebuilt == 0
         assert stats.blocks_discarded == 0
         # No redo touched: the log was never even scanned.
@@ -47,7 +32,7 @@ class TestCleanCrash:
 
     def test_data_intact_after_recovery(self, ctx):
         ctx.engine.crash()
-        engine, pool, stats = recover(ctx)
+        engine, stats = recover_cxl_ctx(ctx, SCHEMA)
         table = engine.tables["t"]
         mtr = engine.mtr()
         for key in (1, 150, 300):
@@ -59,9 +44,9 @@ class TestCleanCrash:
     def test_lru_adopted_not_rebuilt(self, ctx):
         order_before = ctx.pool.lru_order()
         ctx.engine.crash()
-        _, pool, stats = recover(ctx)
+        engine, stats = recover_cxl_ctx(ctx, SCHEMA)
         assert not stats.lru_rebuilt
-        assert pool.lru_order() == order_before
+        assert engine.buffer_pool.lru_order() == order_before
 
 
 class TestCommittedSurvives:
@@ -73,7 +58,7 @@ class TestCommittedSurvives:
         mtr.commit()
         txn.commit()  # redo durable
         ctx.engine.crash()
-        engine, _, stats = recover(ctx)
+        engine, stats = recover_cxl_ctx(ctx, SCHEMA)
         mtr = engine.mtr()
         assert engine.tables["t"].get(mtr, 42)["k"] == 77
         mtr.commit()
@@ -88,7 +73,7 @@ class TestTooNewPages:
         table.update_field(mtr, 42, "k", 99)
         mtr.commit()  # staged to the log buffer, never flushed
         ctx.engine.crash()
-        engine, _, stats = recover(ctx)
+        engine, stats = recover_cxl_ctx(ctx, SCHEMA)
         mtr = engine.mtr()
         assert engine.tables["t"].get(mtr, 42)["k"] == row_for(42)["k"]
         mtr.commit()
@@ -106,7 +91,7 @@ class TestTooNewPages:
         table.update_field(mtr, 10, "k", 60)  # same page, lost
         mtr.commit()
         ctx.engine.crash()
-        engine, _, stats = recover(ctx)
+        engine, stats = recover_cxl_ctx(ctx, SCHEMA)
         mtr = engine.mtr()
         # Rebuilt to the durable version: 50, not 60, not the original.
         assert engine.tables["t"].get(mtr, 10)["k"] == 50
@@ -123,7 +108,7 @@ class TestLockedPages:
         # Crash mid-mtr: bytes half-written, latch bit still set in CXL.
         leaf.write(5000, b"\xAB" * 100)
         ctx.engine.crash()
-        engine, _, stats = recover(ctx)
+        engine, stats = recover_cxl_ctx(ctx, SCHEMA)
         assert stats.pages_rebuilt_locked == 1
         mtr = engine.mtr()
         vstats = engine.tables["t"].btree.verify(mtr)
@@ -154,7 +139,7 @@ class TestLockedPages:
         btree._split_leaf(mtr, path, leaf, key)
         ctx.engine.crash()
 
-        engine, _, stats = recover(ctx)
+        engine, stats = recover_cxl_ctx(ctx, SCHEMA)
         assert stats.pages_rebuilt_locked >= 1
         mtr = engine.mtr()
         vstats = engine.tables["t"].btree.verify(mtr)
@@ -167,7 +152,8 @@ class TestLruRecovery:
     def test_mutation_flag_forces_rebuild(self, ctx):
         ctx.pool.header.set_lru_mutation_flag(True)  # crash mid-move
         ctx.engine.crash()
-        _, pool, stats = recover(ctx)
+        engine, stats = recover_cxl_ctx(ctx, SCHEMA)
+        pool = engine.buffer_pool
         assert stats.lru_rebuilt
         order = pool.lru_order()
         assert len(order) == pool.resident_count
@@ -178,7 +164,8 @@ class TestLruRecovery:
         order = ctx.pool.lru_order()
         ctx.pool.meta(order[1]).set_prev(order[1])  # self-loop
         ctx.engine.crash()
-        _, pool, stats = recover(ctx)
+        engine, stats = recover_cxl_ctx(ctx, SCHEMA)
+        pool = engine.buffer_pool
         assert stats.lru_rebuilt
         assert len(pool.lru_order()) == pool.resident_count
 
@@ -194,7 +181,8 @@ class TestDiscardedBlocks:
         new_page_id = view.page_id
         # mtr never commits -> latch set, no durable trace of the page.
         ctx.engine.crash()
-        _, pool, stats = recover(ctx)
+        engine, stats = recover_cxl_ctx(ctx, SCHEMA)
+        pool = engine.buffer_pool
         assert stats.blocks_discarded == 1
         assert new_page_id not in pool.resident_page_ids()
 

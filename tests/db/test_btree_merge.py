@@ -10,7 +10,6 @@ from repro.db.constants import (
     PT_FREE,
 )
 from repro.db.record import Field, RecordCodec
-from repro.sim.latency import CostModel
 
 from ..conftest import make_local_engine
 
@@ -157,11 +156,7 @@ class TestMergeRecovery:
     def test_crash_mid_merge_polarrecv(self, cluster, host):
         """Die between the leaf rewrite and the parent fix-up: every
         touched page is latched, so PolarRecv rebuilds them all."""
-        from repro.core.recovery import PolarRecv
-        from repro.db.engine import Engine
-        from repro.hardware.cache import LineCacheModel
-        from repro.hardware.memory import AccessMeter, WindowedMemory
-        from ..conftest import make_cxl_engine
+        from ..conftest import make_cxl_engine, recover_cxl_ctx
 
         ctx = make_cxl_engine(cluster, host, n_blocks=128, name="mergecrash")
         table = ctx.engine.create_table("t", WIDE)
@@ -193,15 +188,8 @@ class TestMergeRecovery:
         # Crash with the mtr open: latches set, redo never published.
         ctx.engine.crash()
 
-        meter = AccessMeter()
-        ctx.store.attach_meter(meter)
-        ctx.redo.attach_meter(meter)
-        mapped = host.map_cxl(ctx.manager.region, meter, LineCacheModel())
-        mem = WindowedMemory(mapped, ctx.extent.offset, ctx.extent.size)
-        pool, stats = PolarRecv(mem, ctx.store, ctx.redo, ctx.n_blocks).recover()
+        engine, stats = recover_cxl_ctx(ctx, [("t", WIDE)])
         assert stats.pages_rebuilt_locked >= 1
-        engine = Engine("mergecrash2", pool, ctx.store, ctx.redo, meter, CostModel())
-        engine.adopt_schema([("t", WIDE)])
         table2 = engine.tables["t"]
         mtr = engine.mtr()
         vstats = table2.btree.verify(mtr)

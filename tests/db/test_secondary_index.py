@@ -5,7 +5,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.db.record import Field, RecordCodec
-from repro.sim.latency import CostModel
 
 from ..conftest import make_local_engine
 
@@ -131,11 +130,7 @@ class TestIndexMaintenance:
 
 class TestIndexRecovery:
     def test_index_survives_crash_via_polarrecv(self, cluster, host):
-        from repro.core.recovery import PolarRecv
-        from repro.db.engine import Engine
-        from repro.hardware.cache import LineCacheModel
-        from repro.hardware.memory import AccessMeter, WindowedMemory
-        from ..conftest import make_cxl_engine
+        from ..conftest import make_cxl_engine, recover_cxl_ctx
 
         ctx = make_cxl_engine(cluster, host, n_blocks=96, name="idxrec")
         table = ctx.engine.create_table("t", CODEC, index_fields=("k",))
@@ -156,14 +151,7 @@ class TestIndexRecovery:
         mtr.commit()
         ctx.engine.crash()
 
-        meter = AccessMeter()
-        ctx.store.attach_meter(meter)
-        ctx.redo.attach_meter(meter)
-        mapped = host.map_cxl(ctx.manager.region, meter, LineCacheModel())
-        mem = WindowedMemory(mapped, ctx.extent.offset, ctx.extent.size)
-        pool, _ = PolarRecv(mem, ctx.store, ctx.redo, ctx.n_blocks).recover()
-        engine = Engine("idxrec2", pool, ctx.store, ctx.redo, meter, CostModel())
-        engine.adopt_schema([("t", CODEC, ("k",))])
+        engine, _ = recover_cxl_ctx(ctx, [("t", CODEC, ("k",))])
         table2 = engine.tables["t"]
         mtr = engine.mtr()
         assert 5 in {r["id"] for r in table2.find_by(mtr, "k", 88)}

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import struct
+import weakref
 from collections import OrderedDict, namedtuple
 from contextlib import nullcontext
 from dataclasses import replace
@@ -430,15 +431,22 @@ _CACHE_EQ_MISS_NS = 549.3  # non-dyadic, like _EQ_HIT_NS
 
 
 @functools.cache
-def _cache_eq_images() -> tuple:
-    """Each region's initial image, filled once per process: a 251-byte
-    pattern, so no two lines match."""
-    images = []
-    for i in (0, 1):
-        region = MemoryRegion(f"eq{i}", CACHE_EQ_REGION, volatile=False)
-        region.write(0, bytes((j * 7 + i) & 0xFF for j in range(251)) * (CACHE_EQ_REGION // 251))
-        images.append(region.snapshot())
-    return tuple(images)
+def _cache_eq_images() -> tuple[bytes, ...]:
+    """Each region's whole initial contents, built once per process: a
+    251-byte pattern, so no two lines match, zero-padded to the end."""
+    return tuple(
+        (bytes((j * 7 + i) & 0xFF for j in range(251)) * (CACHE_EQ_REGION // 251)).ljust(
+            CACHE_EQ_REGION, b"\0"
+        )
+        for i in (0, 1)
+    )
+
+
+#: Per side (``optimized``): the regions its last world got, and that
+#: world's cache, weakly. A fresh anonymous map faults in every page it
+#: is written, so the regions are rewritten in place once their world is
+#: gone, and fresh ones are made only while it is alive.
+_KEPT_REGIONS: dict[bool, tuple[list, weakref.ref]] = {}
 
 
 def build_cache_world(optimized: bool, capacity_lines: int):
@@ -452,9 +460,15 @@ def build_cache_world(optimized: bool, capacity_lines: int):
         hit_ns=_EQ_HIT_NS,
         pipe_key="cxl",
     )
-    regions = [MemoryRegion(f"eq{i}", CACHE_EQ_REGION, volatile=False) for i in (0, 1)]
-    for region, image in zip(regions, _cache_eq_images()):
-        region.restore(image)
+    kept = _KEPT_REGIONS.get(optimized)
+    if kept is not None and kept[1]() is None:
+        regions = kept[0]
+    else:
+        regions = [MemoryRegion(f"eq{i}", CACHE_EQ_REGION, volatile=False) for i in (0, 1)]
+    with PROBES.suspended("memsan"):  # filling the regions is no node's store
+        for region, image in zip(regions, _cache_eq_images()):
+            region.write(0, image)
+    _KEPT_REGIONS[optimized] = (regions, weakref.ref(cache))
     return cache, regions
 
 

@@ -265,10 +265,6 @@ NO_CALLER_ALLOWED = {
         "kept for the memory-device failure item (ROADMAP item 3)",
     "repro.hardware.host:Cluster.add_fabric":
         "kept for the memory-device failure item (ROADMAP item 3)",
-    "repro.core.memmgr:CxlMemoryManager.check_access":
-        "kept for the memory-device failure item (ROADMAP item 3)",
-    "repro.core.memmgr:CxlMemoryManager.release":
-        "kept for the memory-device failure item (ROADMAP item 3)",
 }
 
 
@@ -375,3 +371,18 @@ def test_every_src_name_has_a_caller():
         key for key in NO_CALLER_ALLOWED if not any(fnmatch.fnmatchcase(n, key) for n in missing)
     ]
     assert stale == [], f"allowlist entries that now have a caller: {stale}"
+
+
+def test_recovery_is_wired_once():
+    """PolarRecv runs in one place, :func:`repro.obs.world.recover_cxl_engine`;
+    the sweeps, the figures and the benchmarks bring a crashed PolarCXLMem
+    engine back through it, so a change to what recovery does is made once."""
+    world = SRC / "obs" / "world.py"
+    offenders = [
+        f"{path.relative_to(SRC.parents[1])}:{node.lineno}"
+        for path in sorted([*SRC.rglob("*.py"), *BENCHMARKS.rglob("*.py")])
+        if path != world
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "PolarRecv"
+    ]
+    assert offenders == [], "PolarRecv wired outside the world builder:\n" + "\n".join(offenders)

@@ -11,18 +11,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.vanilla_recovery import replay_recovery
-from repro.core.recovery import PolarRecv
-from repro.db.engine import Engine
-from repro.hardware.cache import LineCacheModel
 from repro.hardware.host import Cluster
-from repro.hardware.memory import AccessMeter, WindowedMemory
 from repro.sim.core import Simulator
-from repro.sim.latency import CostModel
 
 from ..conftest import (
     SMALL_CODEC,
     make_cxl_engine,
     make_local_engine,
+    recover_cxl_ctx,
     row_for,
 )
 
@@ -134,15 +130,7 @@ class TestCrashConsistency:
         ctx = make_cxl_engine(cluster, host, n_blocks=96, name="prop")
         model = _run_history(ctx, committed, uncommitted)
         ctx.engine.crash()
-
-        meter = AccessMeter()
-        ctx.store.attach_meter(meter)
-        ctx.redo.attach_meter(meter)
-        mapped = host.map_cxl(ctx.manager.region, meter, LineCacheModel())
-        mem = WindowedMemory(mapped, ctx.extent.offset, ctx.extent.size)
-        pool, _ = PolarRecv(mem, ctx.store, ctx.redo, ctx.n_blocks).recover()
-        engine = Engine("prop2", pool, ctx.store, ctx.redo, meter, CostModel())
-        engine.adopt_schema([("t", SMALL_CODEC)])
+        engine, _ = recover_cxl_ctx(ctx, [("t", SMALL_CODEC)])
         assert _contents(engine) == model
 
     @given(histories())
@@ -159,16 +147,7 @@ class TestCrashConsistency:
         cxl_ctx = make_cxl_engine(cluster, host, n_blocks=96, name="agree-cxl")
         model_cxl = _run_history(cxl_ctx, committed, uncommitted)
         cxl_ctx.engine.crash()
-        meter = AccessMeter()
-        cxl_ctx.store.attach_meter(meter)
-        cxl_ctx.redo.attach_meter(meter)
-        mapped = host.map_cxl(cxl_ctx.manager.region, meter, LineCacheModel())
-        mem = WindowedMemory(mapped, cxl_ctx.extent.offset, cxl_ctx.extent.size)
-        pool, _ = PolarRecv(
-            mem, cxl_ctx.store, cxl_ctx.redo, cxl_ctx.n_blocks
-        ).recover()
-        engine_cxl = Engine("agree-cxl2", pool, cxl_ctx.store, cxl_ctx.redo, meter, CostModel())
-        engine_cxl.adopt_schema([("t", SMALL_CODEC)])
+        engine_cxl, _ = recover_cxl_ctx(cxl_ctx, [("t", SMALL_CODEC)])
 
         # Vanilla replay over a DRAM engine with the same history.
         local_ctx = make_local_engine(host, name="agree-dram")
@@ -224,15 +203,7 @@ class TestCrashDuringLruMutation:
         # The flag was left set mid-mutation.
         assert ctx.pool.header.lru_mutation_flag
         ctx.engine.crash()
-
-        meter = AccessMeter()
-        ctx.store.attach_meter(meter)
-        ctx.redo.attach_meter(meter)
-        mapped = host.map_cxl(ctx.manager.region, meter, LineCacheModel())
-        mem = WindowedMemory(mapped, ctx.extent.offset, ctx.extent.size)
-        pool, stats = PolarRecv(mem, ctx.store, ctx.redo, ctx.n_blocks).recover()
+        engine, stats = recover_cxl_ctx(ctx, [("t", SMALL_CODEC)])
         assert stats.lru_rebuilt
-        engine = Engine("lruboom2", pool, ctx.store, ctx.redo, meter, CostModel())
-        engine.adopt_schema([("t", SMALL_CODEC)])
         contents = _contents(engine)
         assert set(contents) == set(range(1, 301))

@@ -12,9 +12,7 @@ import json
 
 import pytest
 
-from repro.core.recovery import PolarRecv
 from repro.db.constants import OFF_NEXT_LEAF
-from repro.db.engine import Engine
 from repro.faults import sweep
 from repro.faults.sweep import (
     _build_scenario,
@@ -27,12 +25,9 @@ from repro.faults.sweep import (
     sweep_sharing_points,
     sweep_workload_points,
 )
-from repro.hardware.cache import LineCacheModel
-from repro.hardware.memory import AccessMeter, WindowedMemory
 from repro.obs import Tracer
-from repro.sim.latency import CostModel
 
-from ..conftest import SMALL_CODEC, fill_table, make_cxl_engine
+from ..conftest import SMALL_CODEC, fill_table, make_cxl_engine, recover_cxl_ctx
 
 SEED = 7
 
@@ -189,22 +184,6 @@ class TestFailoverStormSweep:
         assert "fusion.failover.rebuilt" in set(report.distinct_points)
 
 
-def _recover_traced(ctx):
-    """Crash-free recovery plumbing with the tracer counting its work."""
-    meter = AccessMeter()
-    ctx.store.attach_meter(meter)
-    ctx.redo.attach_meter(meter)
-    mapped = ctx.host.map_cxl(ctx.manager.region, meter, LineCacheModel())
-    mem = WindowedMemory(mapped, ctx.extent.offset, ctx.extent.size)
-    with Tracer() as tracer:
-        pool, stats = PolarRecv(
-            mem, ctx.store, ctx.redo, ctx.n_blocks
-        ).recover()
-    engine = Engine(ctx.engine.name, pool, ctx.store, ctx.redo, meter, CostModel())
-    engine.adopt_schema([("t", SMALL_CODEC)])
-    return engine, stats, tracer.counters.snapshot()
-
-
 class TestRecoveryMechanismCounters:
     """How recovery restored state, not just what it restored.
 
@@ -222,7 +201,9 @@ class TestRecoveryMechanismCounters:
         fill_table(ctx, rows=300)
         ctx.engine.checkpoint()
         ctx.engine.crash()
-        _, stats, counters = _recover_traced(ctx)
+        with Tracer() as tracer:
+            _, stats = recover_cxl_ctx(ctx, [("t", SMALL_CODEC)])
+        counters = tracer.counters.snapshot()
         assert counters["recv.recoveries"] == 1
         # The heart of the gap: a clean pool must be adopted, not
         # replayed — zero redo records applied, log never scanned.
@@ -249,7 +230,9 @@ class TestRecoveryMechanismCounters:
         table.update_field(mtr, 42, "k", 88)
         mtr.commit()
         ctx.engine.crash()
-        engine, _, counters = _recover_traced(ctx)
+        with Tracer() as tracer:
+            engine, _ = recover_cxl_ctx(ctx, [("t", SMALL_CODEC)])
+        counters = tracer.counters.snapshot()
         assert counters["recv.redo_records_applied"] > 0
         assert counters["recv.log_scans"] == 1
         assert counters["recv.pages_rebuilt"] >= 1

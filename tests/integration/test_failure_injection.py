@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.core.recovery import PolarRecv
 from repro.bench.recovery_exp import run_recovery_experiment
 from repro.faults.injector import FaultInjector, InjectedCrash
-from repro.hardware.cache import CpuCache, LineCacheModel
-from repro.hardware.memory import AccessMeter, WindowedMemory
-from repro.sim.latency import CostModel
 
-from ..conftest import SMALL_CODEC, fill_table, make_cxl_engine
+from ..conftest import SMALL_CODEC, fill_table, make_cxl_engine, recover_cxl_ctx
 
 
 class TestCxlBoxFailure:
@@ -20,11 +16,8 @@ class TestCxlBoxFailure:
         fill_table(ctx, rows=50)
         ctx.engine.crash()
         cluster.fabric.power_fail_pool()
-        meter = AccessMeter()
-        mapped = host.map_cxl(ctx.manager.region, meter, LineCacheModel())
-        mem = WindowedMemory(mapped, ctx.extent.offset, ctx.extent.size)
         with pytest.raises(ValueError, match="unformatted"):
-            PolarRecv(mem, ctx.store, ctx.redo, ctx.n_blocks).recover()
+            recover_cxl_ctx(ctx, [("t", SMALL_CODEC)])
 
     def test_storage_still_recovers_after_box_failure(self, cluster, host):
         """The durable tier is the last line of defense: a box failure
@@ -71,19 +64,10 @@ class TestDoubleCrash:
         # First recovery attempt runs... and the host dies again right
         # after (before the engine is rebuilt). State in CXL: whatever
         # the first pass wrote.
-        meter = AccessMeter()
-        ctx.store.attach_meter(meter)
-        ctx.redo.attach_meter(meter)
-        mapped = host.map_cxl(ctx.manager.region, meter, LineCacheModel())
-        mem = WindowedMemory(mapped, ctx.extent.offset, ctx.extent.size)
-        PolarRecv(mem, ctx.store, ctx.redo, ctx.n_blocks).recover()
+        recover_cxl_ctx(ctx, [("t", SMALL_CODEC)])
 
         # Second attempt.
-        pool, stats = PolarRecv(mem, ctx.store, ctx.redo, ctx.n_blocks).recover()
-        from repro.db.engine import Engine
-
-        engine = Engine("double2", pool, ctx.store, ctx.redo, meter, CostModel())
-        engine.adopt_schema([("t", SMALL_CODEC)])
+        engine, _ = recover_cxl_ctx(ctx, [("t", SMALL_CODEC)])
         mtr = engine.mtr()
         assert engine.tables["t"].get(mtr, 5)["k"] == 42
         assert engine.tables["t"].get(mtr, 6)["k"] == 6 % 97
@@ -107,8 +91,6 @@ class TestDoubleCrash:
         """PolarRecv is killed at each of its own crash points (including
         a torn rebuild write); a full power cycle plus a second recovery
         still converges to exactly the committed state."""
-        from repro.db.engine import Engine
-
         ctx = make_cxl_engine(cluster, host, n_blocks=64, name="reentry")
         table = fill_table(ctx, rows=100)
         ctx.engine.checkpoint()
@@ -124,26 +106,14 @@ class TestDoubleCrash:
         host.crash()
         host.restart()
 
-        meter = AccessMeter()
-        ctx.store.attach_meter(meter)
-        ctx.redo.attach_meter(meter)
-        mapped = host.map_cxl(ctx.manager.region, meter, LineCacheModel())
-        mem = WindowedMemory(mapped, ctx.extent.offset, ctx.extent.size)
         with pytest.raises(InjectedCrash):
             with FaultInjector().arm(point):
-                PolarRecv(mem, ctx.store, ctx.redo, ctx.n_blocks).recover()
+                recover_cxl_ctx(ctx, [("t", SMALL_CODEC)])
 
         # Recovery died; the host power-cycles again and retries.
         host.crash()
         host.restart()
-        meter = AccessMeter()
-        ctx.store.attach_meter(meter)
-        ctx.redo.attach_meter(meter)
-        mapped = host.map_cxl(ctx.manager.region, meter, LineCacheModel())
-        mem = WindowedMemory(mapped, ctx.extent.offset, ctx.extent.size)
-        pool, _stats = PolarRecv(mem, ctx.store, ctx.redo, ctx.n_blocks).recover()
-        engine = Engine("reentry2", pool, ctx.store, ctx.redo, meter, CostModel())
-        engine.adopt_schema([("t", SMALL_CODEC)])
+        engine, _ = recover_cxl_ctx(ctx, [("t", SMALL_CODEC)])
         mtr = engine.mtr()
         assert engine.tables["t"].get(mtr, 5)["k"] == 42
         assert engine.tables["t"].get(mtr, 6)["k"] == 6 % 97

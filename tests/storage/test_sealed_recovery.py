@@ -11,18 +11,15 @@ from unittest import mock
 import pytest
 
 from repro.baselines.vanilla_recovery import replay_recovery
-from repro.core.recovery import PolarRecv
 from repro.db.engine import Engine
-from repro.hardware.cache import LineCacheModel
 from repro.hardware.host import Cluster
-from repro.hardware.memory import AccessMeter, WindowedMemory
 from repro.sim.core import Simulator
-from repro.sim.latency import CostModel
 from repro.storage import wal
 
-from ..conftest import SMALL_CODEC, fill_table, make_cxl_engine, make_local_engine
+from ..conftest import SMALL_CODEC, fill_table, make_cxl_engine, make_local_engine, recover_cxl_ctx
 
 ROWS = 300
+SCHEMA = [("t", SMALL_CODEC)]
 SMALL_SEGMENT = 1024
 WHOLE_LOG = 1 << 30
 
@@ -46,46 +43,39 @@ def _crash_after_updates(ctx) -> None:
 
 
 def _rows(engine: Engine) -> list:
-    engine.adopt_schema([("t", SMALL_CODEC)])
     mtr = engine.mtr()
     rows = [engine.tables["t"].get(mtr, key) for key in range(1, ROWS + 1)]
     mtr.commit()
     return rows
 
 
-def _polarrecv(host, cluster) -> tuple:
-    ctx = make_cxl_engine(cluster, host, n_blocks=128)
-    _crash_after_updates(ctx)
-    meter = AccessMeter()
-    ctx.store.attach_meter(meter)
-    ctx.redo.attach_meter(meter)
-    mapped = host.map_cxl(ctx.manager.region, meter, LineCacheModel())
-    mem = WindowedMemory(mapped, ctx.extent.offset, ctx.extent.size)
-    pool, stats = PolarRecv(mem, ctx.store, ctx.redo, ctx.n_blocks).recover()
-    assert stats.log_scanned
-    engine = Engine("cxlnode", pool, ctx.store, ctx.redo, meter, CostModel())
-    return ctx.redo, meter, _rows(engine)
-
-
-def _vanilla(host, cluster) -> tuple:
-    ctx = make_local_engine(host, name="v")
-    _crash_after_updates(ctx)
-    fresh = make_local_engine(host, name="v2", store=ctx.store, redo=ctx.redo, initialize=False)
-    replay_recovery(fresh.pool, ctx.store, ctx.redo)
-    return ctx.redo, fresh.meter, _rows(fresh.engine)
-
-
-def _recovered(recover, segment_bytes: int) -> tuple:
+def _recovered(system: str, segment_bytes: int) -> tuple:
+    """The crashed world recovered by ``system`` with the log sealed
+    every ``segment_bytes``: (log, storage bytes charged, rows)."""
     cluster = Cluster(Simulator())
+    host = cluster.add_host("h0")
     with mock.patch.object(wal, "_SEGMENT_BYTES", segment_bytes):
-        redo, meter, rows = recover(cluster.add_host("h0"), cluster)
-    return redo, meter.counters["storage_bytes"], rows
+        if system == "polarrecv":
+            ctx = make_cxl_engine(cluster, host, n_blocks=128)
+            _crash_after_updates(ctx)
+            engine, stats = recover_cxl_ctx(ctx, SCHEMA)
+            assert stats.log_scanned
+        else:
+            ctx = make_local_engine(host, name="v")
+            _crash_after_updates(ctx)
+            engine = make_local_engine(
+                host, name="v2", store=ctx.store, redo=ctx.redo, initialize=False
+            ).engine
+            replay_recovery(engine.buffer_pool, ctx.store, ctx.redo)
+            engine.adopt_schema(SCHEMA)
+        rows = _rows(engine)
+    return ctx.redo, engine.meter.counters["storage_bytes"], rows
 
 
-@pytest.mark.parametrize("recover", [_polarrecv, _vanilla], ids=["polarrecv", "vanilla"])
-def test_recovery_over_sealed_segments_equals_recovery_over_one_tail(recover):
-    sealed_log, sealed_bytes, sealed_rows = _recovered(recover, SMALL_SEGMENT)
-    tail_log, tail_bytes, tail_rows = _recovered(recover, WHOLE_LOG)
+@pytest.mark.parametrize("system", ["polarrecv", "vanilla"])
+def test_recovery_over_sealed_segments_equals_recovery_over_one_tail(system):
+    sealed_log, sealed_bytes, sealed_rows = _recovered(system, SMALL_SEGMENT)
+    tail_log, tail_bytes, tail_rows = _recovered(system, WHOLE_LOG)
     assert not tail_log._sealed
     # Everything the checkpoint kept spans several sealed segments.
     checkpoint = sealed_log.checkpoint_lsn
