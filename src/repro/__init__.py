@@ -27,7 +27,6 @@ from .baselines import (
     RdmaSharedBufferPool,
     RemoteMemoryNode,
     TieredRdmaBufferPool,
-    rdma_assisted_recovery,
     replay_recovery,
 )
 from .bench import run_recovery_experiment
@@ -79,7 +78,6 @@ __all__ = [
     "RdmaSharedBufferPool",
     "RemoteMemoryNode",
     "TieredRdmaBufferPool",
-    "rdma_assisted_recovery",
     "replay_recovery",
     "build_pooling_setup",
     "build_sharing_setup",

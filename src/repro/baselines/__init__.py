@@ -2,14 +2,12 @@
 sharing, and vanilla / RDMA-assisted recovery."""
 
 from .rdma_bufferpool import RemoteMemoryNode, TieredRdmaBufferPool
-from .rdma_recovery import rdma_assisted_recovery
 from .rdma_sharing import RdmaDbpServer, RdmaSharedBufferPool
 from .vanilla_recovery import ReplayStats, replay_recovery
 
 __all__ = [
     "RemoteMemoryNode",
     "TieredRdmaBufferPool",
-    "rdma_assisted_recovery",
     "RdmaDbpServer",
     "RdmaSharedBufferPool",
     "ReplayStats",

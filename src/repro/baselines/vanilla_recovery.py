@@ -6,6 +6,13 @@ redo log from the last checkpoint, reads each referenced page from
 rebuilt pages in the (otherwise cold) buffer pool. The database then
 needs a long warm-up before it reaches pre-crash throughput — both
 effects visible in Figure 10.
+
+RDMA-assisted recovery (LegoBase / PolarDB-MP-era systems, §2.2 item 2)
+is the same replay with ``remote`` set: the remote memory tier survives
+the compute host crash, so page images come from disaggregated memory
+(a ~7 µs RDMA read) instead of storage (a ~150 µs cloud-storage read)
+whenever the page is resident there. The log is still scanned and
+applied in full, which is the gap PolarRecv closes.
 """
 
 from __future__ import annotations

@@ -124,45 +124,33 @@ class PageLockService:
         self._locks: dict[int, RWLock] = {}
         self.acquires = 0
 
-    def _lock(self, page_id: int) -> RWLock:
+    def _rwlock(self, page_id: int) -> RWLock:
         lock = self._locks.get(page_id)
         if lock is None:
             lock = RWLock(self.sim, name=f"page{page_id}")
             self._locks[page_id] = lock
         return lock
 
-    def lock_read(self, page_id: int) -> Generator:
-        """Process step: acquire the page's read lock (RPC + wait)."""
+    def lock(self, page_id: int, write: bool) -> Generator:
+        """Process step: acquire the page's write or read lock (RPC + wait)."""
         self.acquires += 1
         yield self.sim.timeout(int(self.config.lock_rpc_ns))
-        lock = self._lock(page_id)
-        blocked = lock.read_would_block()
+        lock = self._rwlock(page_id)
+        blocked = lock.write_would_block() if write else lock.read_would_block()
         ms = PROBES.memsan
         if ms is not None:
             ms.lock_requested(page_id)
-        yield lock.acquire_read()
+        yield lock.acquire_write() if write else lock.acquire_read()
         if blocked:
             # The thread slept; pay the reschedule/context-switch cost.
             yield self.sim.timeout(int(self.config.lock_wakeup_ns))
 
-    def unlock_read(self, page_id: int) -> None:
-        self._lock(page_id).release_read()
-
-    def lock_write(self, page_id: int) -> Generator:
-        """Process step: acquire the page's write lock (RPC + wait)."""
-        self.acquires += 1
-        yield self.sim.timeout(int(self.config.lock_rpc_ns))
-        lock = self._lock(page_id)
-        blocked = lock.write_would_block()
-        ms = PROBES.memsan
-        if ms is not None:
-            ms.lock_requested(page_id)
-        yield lock.acquire_write()
-        if blocked:
-            yield self.sim.timeout(int(self.config.lock_wakeup_ns))
-
-    def unlock_write(self, page_id: int) -> None:
-        self._lock(page_id).release_write()
+    def unlock(self, page_id: int, write: bool) -> None:
+        lock = self._rwlock(page_id)
+        if write:
+            lock.release_write()
+        else:
+            lock.release_read()
 
     def is_write_locked(self, page_id: int) -> bool:
         lock = self._locks.get(page_id)

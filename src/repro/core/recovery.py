@@ -101,8 +101,8 @@ def apply_redo_to_image(
 def retire_log(
     page_store: PageStore,
     redo_log: RedoLog,
-    meter: Optional[AccessMeter] = None,
-    config: Optional[LatencyConfig] = None,
+    meter: AccessMeter,
+    config: LatencyConfig,
     page_filter: Optional[Callable[[int], bool]] = None,
 ) -> int:
     """Harden a dead node's durable log into storage (log retirement).
@@ -130,7 +130,6 @@ def retire_log(
     confines the rerun to one shard's slice. The union over shards is
     exactly an unfiltered retirement (the filter partitions page ids).
     """
-    config = config or LatencyConfig()
     by_page: dict[int, list[RedoRecord]] = {}
     for record in redo_log.records_since(0):
         by_page.setdefault(record.page_id, []).append(record)
@@ -140,18 +139,16 @@ def retire_log(
             continue
         if page_store.exists(page_id):
             image = bytearray(page_store.read_page_unmetered(page_id))
-            if meter is not None:
-                meter.charge_transfer(
-                    "storage", PAGE_SIZE, base_ns=config.storage_read_base_ns
-                )
+            meter.charge_transfer(
+                "storage", PAGE_SIZE, base_ns=config.storage_read_base_ns
+            )
         else:
             image = bytearray(PAGE_SIZE)
         apply_redo_to_image(image, by_page[page_id], force=True)
         page_store.write_page(page_id, bytes(image))
-        if meter is not None:
-            meter.charge_transfer(
-                "storage", PAGE_SIZE, base_ns=config.storage_write_base_ns
-            )
+        meter.charge_transfer(
+            "storage", PAGE_SIZE, base_ns=config.storage_write_base_ns
+        )
         retired += 1
         crash_point("recovery.retire.page")
     tracer = PROBES.tracer

@@ -23,12 +23,19 @@ other active nodes with single CXL stores.
 :class:`MultiPrimaryNode` packages the distributed-lock + coherency
 choreography as simulation-process generators used by the workload
 driver — identical code drives the RDMA sharing baseline, which plugs in
-a different pool.
+a different pool. Every operation is one critical section, written once
+in ``MultiPrimaryNode._locked``: look the key's leaf up, take the leaf's
+distributed lock (``PageLockService.lock(page, write)``), run the
+operation's body, settle its charges, release
+(``PageLockService.unlock(page, write)``). ``point_select``,
+``range_select`` and ``point_update`` differ only in their bodies; a
+writer's body ends with the modified-line flush, so the flush happens
+under the lock.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from ..db.bufferpool import BufferPool
 from ..db.constants import PAGE_SIZE
@@ -435,13 +442,36 @@ class MultiPrimaryNode:
         mtr.commit()
         return leaf_id
 
-    def point_select(
-        self, table_name: str, key: int, span_parent=None
+    def _locked(
+        self,
+        name: str,
+        table_name: str,
+        key: int,
+        write: bool,
+        span_parent,
+        body: Callable[[int], Any],
     ) -> Generator:
-        """Read one row under a distributed read lock."""
+        """One critical section (§3.3): find ``key``'s leaf, take the
+        leaf's distributed write or read lock, run ``body(leaf_id)`` as
+        this node, settle its charges while still holding the lock, then
+        release. Returns what ``body`` returned.
+
+        A dead node keeps its lock: on ``InjectedCrash`` it cannot run
+        its unlock path, and the lock stays held until failover breaks
+        it. Nor can an abandoned process (its world was dropped
+        mid-operation; the collector closes the generator whenever it
+        likes): an unlock then would report into whatever is installed
+        *then*. A fusion server that stays unreachable through the
+        whole retry budget fences a writer, possibly *after* it flushed
+        modified lines to CXL with no invalidations pushed: the page is
+        suspect, so the write lock stays held for failover to rebuild
+        the page and break it, since unlocking would hand the next
+        locker stale or torn bytes. A reader changed nothing and
+        releases. Any other exception releases the lock.
+        """
         spans = PROBES.spans
         op = (
-            spans.begin("txn", "point_select", parent=span_parent, push=False)
+            spans.begin("txn", name, parent=span_parent, push=False)
             if spans is not None
             else None
         )
@@ -449,42 +479,69 @@ class MultiPrimaryNode:
             leaf_id = self._leaf_of(table_name, key)
         yield from self.settler.settle(span=op)
         t_lock = self.settler.sim.now
-        yield from self.lock_service.lock_read(leaf_id)
+        yield from self.lock_service.lock(leaf_id, write)
         ms = PROBES.memsan
         if ms is not None:
             ms.lock_acquired(self.node_id, leaf_id)
+        mode = "write" if write else "read"
         if op is not None:
             spans.record(
                 "lock_wait",
-                "read",
+                mode,
                 parent=op,
                 ns=self.settler.sim.now - t_lock,
                 page=leaf_id,
             )
-        self.read_locks_held.add(leaf_id)
+        held = self.write_locks_held if write else self.read_locks_held
+        held.add(leaf_id)
         tracer = PROBES.tracer
         if tracer is not None:
-            tracer.count("lock.read_acquires")
+            tracer.count("lock.write_acquires" if write else "lock.read_acquires")
+            if write:
+                tracer.emit("lock", "write_acquire", node=self.node_id, page=leaf_id)
+        keep = False
         try:
             with PROBES.attached(op), PROBES.scoped_actor(self.node_id):
-                mtr = self.engine.mtr()
-                row = self.engine.tables[table_name].get(mtr, key)
-                mtr.commit()
+                result = body(leaf_id)
             yield from self.settler.settle(span=op)
         except (InjectedCrash, GeneratorExit):
-            # The node just died: it cannot run its unlock path. The
-            # lock stays held until failover force-releases it. Nor can
-            # an abandoned process (its world was dropped mid-operation;
-            # the collector closes the generator whenever it likes): an
-            # unlock then would report into whatever is installed *then*.
+            keep = True
             raise
-        except BaseException:
-            self._unlock_read(leaf_id)
+        except FusionUnavailableError:
+            keep = write
+            if write and tracer is not None:
+                tracer.emit("lock", "write_fenced", node=self.node_id, page=leaf_id)
             raise
-        self._unlock_read(leaf_id)
+        else:
+            if write and tracer is not None:
+                tracer.emit("lock", "write_release", node=self.node_id, page=leaf_id)
+        finally:
+            if not keep:
+                ms = PROBES.memsan
+                if ms is not None:
+                    ms.lock_released(self.node_id, leaf_id)
+                self.lock_service.unlock(leaf_id, write)
+                held.discard(leaf_id)
         if op is not None:
             spans.end(op)
-        return row
+        return result
+
+    def point_select(
+        self, table_name: str, key: int, span_parent=None
+    ) -> Generator:
+        """Read one row under a distributed read lock."""
+
+        def read(leaf_id: int):
+            mtr = self.engine.mtr()
+            row = self.engine.tables[table_name].get(mtr, key)
+            mtr.commit()
+            return row
+
+        return (
+            yield from self._locked(
+                "point_select", table_name, key, False, span_parent, read
+            )
+        )
 
     def point_update(
         self, table_name: str, key: int, field: str, value, span_parent=None
@@ -495,134 +552,39 @@ class MultiPrimaryNode:
         flush) happens before the lock releases — the paper's
         lock-hold-time effect.
         """
-        spans = PROBES.spans
-        op = (
-            spans.begin("txn", "point_update", parent=span_parent, push=False)
-            if spans is not None
-            else None
-        )
-        with PROBES.attached(op), PROBES.scoped_actor(self.node_id):
-            leaf_id = self._leaf_of(table_name, key)
-        yield from self.settler.settle(span=op)
-        t_lock = self.settler.sim.now
-        yield from self.lock_service.lock_write(leaf_id)
-        ms = PROBES.memsan
-        if ms is not None:
-            ms.lock_acquired(self.node_id, leaf_id)
-        if op is not None:
-            spans.record(
-                "lock_wait",
-                "write",
-                parent=op,
-                ns=self.settler.sim.now - t_lock,
-                page=leaf_id,
+
+        def update(leaf_id: int) -> bool:
+            txn = self.engine.begin()
+            mtr = txn.mtr()
+            found = self.engine.tables[table_name].update_field(mtr, key, field, value)
+            mtr.commit()
+            txn.commit()
+            # Crash here: the update is durable in the node's redo log
+            # but sits dirty in its CPU cache — CXL still holds the old
+            # bytes. Failover rebuilds from storage + durable redo.
+            crash_point("node.update.logged")
+            self.engine.buffer_pool.flush_page_writes(leaf_id)
+            return found
+
+        return (
+            yield from self._locked(
+                "point_update", table_name, key, True, span_parent, update
             )
-        self.write_locks_held.add(leaf_id)
-        tracer = PROBES.tracer
-        if tracer is not None:
-            tracer.count("lock.write_acquires")
-            tracer.emit("lock", "write_acquire", node=self.node_id, page=leaf_id)
-        try:
-            with PROBES.attached(op), PROBES.scoped_actor(self.node_id):
-                txn = self.engine.begin()
-                mtr = txn.mtr()
-                found = self.engine.tables[table_name].update_field(
-                    mtr, key, field, value
-                )
-                mtr.commit()
-                txn.commit()
-                # Crash here: the update is durable in the node's redo
-                # log but sits dirty in its CPU cache — CXL still holds
-                # the old bytes. Failover rebuilds from storage + durable
-                # redo.
-                crash_point("node.update.logged")
-                self.engine.buffer_pool.flush_page_writes(leaf_id)
-            yield from self.settler.settle(span=op)
-        except (InjectedCrash, GeneratorExit):
-            # Dead node (or abandoned process, see point_select): the
-            # write lock stays held (protecting readers from the
-            # possibly-torn page) until failover rebuilds the page and
-            # force-releases it.
-            raise
-        except FusionUnavailableError:
-            # The fusion server stayed unreachable through the whole
-            # retry budget, possibly *after* this node flushed modified
-            # lines to CXL with no invalidations pushed: the page is
-            # suspect and this node is fenced for it. Keep the write
-            # lock held — failover rebuilds the page and force-releases
-            # it; unlocking here would hand the next locker stale or
-            # torn bytes.
-            if tracer is not None:
-                tracer.emit(
-                    "lock", "write_fenced", node=self.node_id, page=leaf_id
-                )
-            raise
-        except BaseException:
-            self._unlock_write(leaf_id)
-            raise
-        if tracer is not None:
-            tracer.emit("lock", "write_release", node=self.node_id, page=leaf_id)
-        self._unlock_write(leaf_id)
-        if op is not None:
-            spans.end(op)
-        return found
+        )
 
     def range_select(
         self, table_name: str, start_key: int, count: int, span_parent=None
     ) -> Generator:
         """Range scan; the entry leaf is read-locked (see DESIGN.md §6)."""
-        spans = PROBES.spans
-        op = (
-            spans.begin("txn", "range_select", parent=span_parent, push=False)
-            if spans is not None
-            else None
-        )
-        with PROBES.attached(op), PROBES.scoped_actor(self.node_id):
-            leaf_id = self._leaf_of(table_name, start_key)
-        yield from self.settler.settle(span=op)
-        t_lock = self.settler.sim.now
-        yield from self.lock_service.lock_read(leaf_id)
-        ms = PROBES.memsan
-        if ms is not None:
-            ms.lock_acquired(self.node_id, leaf_id)
-        if op is not None:
-            spans.record(
-                "lock_wait",
-                "read",
-                parent=op,
-                ns=self.settler.sim.now - t_lock,
-                page=leaf_id,
+
+        def scan(leaf_id: int) -> list:
+            mtr = self.engine.mtr()
+            rows = self.engine.tables[table_name].range(mtr, start_key, count)
+            mtr.commit()
+            return rows
+
+        return (
+            yield from self._locked(
+                "range_select", table_name, start_key, False, span_parent, scan
             )
-        self.read_locks_held.add(leaf_id)
-        tracer = PROBES.tracer
-        if tracer is not None:
-            tracer.count("lock.read_acquires")
-        try:
-            with PROBES.attached(op), PROBES.scoped_actor(self.node_id):
-                mtr = self.engine.mtr()
-                rows = self.engine.tables[table_name].range(mtr, start_key, count)
-                mtr.commit()
-            yield from self.settler.settle(span=op)
-        except (InjectedCrash, GeneratorExit):
-            raise
-        except BaseException:
-            self._unlock_read(leaf_id)
-            raise
-        self._unlock_read(leaf_id)
-        if op is not None:
-            spans.end(op)
-        return rows
-
-    def _unlock_read(self, leaf_id: int) -> None:
-        ms = PROBES.memsan
-        if ms is not None:
-            ms.lock_released(self.node_id, leaf_id)
-        self.lock_service.unlock_read(leaf_id)
-        self.read_locks_held.discard(leaf_id)
-
-    def _unlock_write(self, leaf_id: int) -> None:
-        ms = PROBES.memsan
-        if ms is not None:
-            ms.lock_released(self.node_id, leaf_id)
-        self.lock_service.unlock_write(leaf_id)
-        self.write_locks_held.discard(leaf_id)
+        )

@@ -8,8 +8,8 @@ Crash semantics: :meth:`crash` poisons the engine's volatile memory
 regions and drops the unflushed log buffer, after which the object is
 dead. Recovery constructs a *new* engine over the surviving state via
 one of the recovery managers (:mod:`repro.core.recovery` /
-:mod:`repro.baselines.vanilla_recovery` /
-:mod:`repro.baselines.rdma_recovery`), then :meth:`adopt_schema`
+:mod:`repro.baselines.vanilla_recovery`, vanilla or RDMA-assisted),
+then :meth:`adopt_schema`
 re-declares the tables (schema is code, as in any real deployment).
 """
 

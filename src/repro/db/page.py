@@ -89,9 +89,6 @@ class PageView:
     def read_u16(self, offset: int) -> int:
         return self.accessor.unpack(_U16, offset)[0]
 
-    def write_u16(self, offset: int, value: int) -> None:
-        self.accessor.write(offset, _U16.pack(value))
-
     def read_u8(self, offset: int) -> int:
         return self.accessor.unpack(_U8, offset)[0]
 

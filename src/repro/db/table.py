@@ -177,7 +177,3 @@ class Table:
             self.codec.decode(payload)
             for _, payload in self.btree.range_scan(mtr, start_key, count)
         ]
-
-    @property
-    def record_size(self) -> int:
-        return self.codec.record_size

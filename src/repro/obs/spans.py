@@ -727,10 +727,6 @@ class SpanTracer:
         """Context manager attaching ``span`` for a synchronous segment."""
         return _Attached(self, span)
 
-    def current(self) -> Optional[Span]:
-        """Top of the attach stack (parent for the next pushed span)."""
-        return self._stack[-1] if self._stack else None
-
     def attach_stack(self) -> tuple[Span, ...]:
         """The attach stack, bottom first."""
         return tuple(self._stack)

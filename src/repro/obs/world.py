@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..baselines.rdma_bufferpool import RemoteMemoryNode, TieredRdmaBufferPool
-from ..baselines.rdma_recovery import rdma_assisted_recovery
 from ..baselines.rdma_sharing import RdmaDbpServer, RdmaSharedBufferPool
 from ..baselines.vanilla_recovery import ReplayStats, replay_recovery
 from ..core.block import pool_bytes_needed
@@ -380,7 +379,7 @@ def recover_instance(
         remote = setup.remotes[index]
         lbp_pages = crashed.buffer_pool.capacity_pages
         pool, region = _lbp_pool(host, "recovered", lbp_pages, remote, store, meter, line_cache)
-        stats = rdma_assisted_recovery(pool, store, redo, remote, meter)
+        stats = replay_recovery(pool, store, redo, remote=remote, meter=meter)
     else:  # dram
         pool, region = _dram_pool(host, "recovered", store, meter, line_cache)
         stats = replay_recovery(pool, store, redo)

@@ -123,7 +123,11 @@ class PageStore:
         self.torn_writes += 1
 
     def read_page_unmetered(self, page_id: int) -> bytes:
-        """Functional read without charges (test/inspection helper)."""
+        """Functional read that charges nothing and reports to no
+        instrument. The fusion server, log retirement and the RDMA DBP
+        server read storage through it and charge their caller's meter
+        themselves; the remote-memory preload of a world build is no
+        simulated work and charges nothing."""
         return self._pages[page_id]
 
     def page_ids(self) -> Iterator[int]:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.baselines.rdma_bufferpool import RemoteMemoryNode, TieredRdmaBufferPool
-from repro.baselines.rdma_recovery import rdma_assisted_recovery
 from repro.baselines.vanilla_recovery import replay_recovery
 from repro.db.constants import PAGE_SIZE
 from repro.hardware.cache import LineCacheModel
@@ -131,7 +130,7 @@ class TestRdmaAssistedReplay:
             64,
             meter2,
         )
-        stats = rdma_assisted_recovery(pool2, store, redo, remote, meter2)
+        stats = replay_recovery(pool2, store, redo, remote=remote, meter=meter2)
         assert stats.pages_redone >= 1
         assert stats.pages_from_remote >= 1
         engine2 = Engine("r2", pool2, store, redo, meter2, CostModel())

@@ -107,9 +107,9 @@ class TestFusionServer:
         meter = AccessMeter()
         locks = PageLockService(sim)
         fusion.request_page(7, "n0", slab.invalid_addr(0), slab.removal_addr(0), meter)
-        sim.run_process(locks.lock_write(7))
+        sim.run_process(locks.lock(7, write=True))
         assert fusion.recycle(1, meter, lock_service=locks) == []
-        locks.unlock_write(7)
+        locks.unlock(7, write=True)
         assert fusion.recycle(1, meter, lock_service=locks) == [7]
 
     def test_slot_exhaustion_recycles(self, fusion, slab):
@@ -136,16 +136,16 @@ class TestPageLockService:
         log = []
 
         def holder():
-            yield from locks.lock_write(5)
+            yield from locks.lock(5, write=True)
             yield sim.timeout(100)
             log.append(("h", sim.now))
-            locks.unlock_write(5)
+            locks.unlock(5, write=True)
 
         def waiter():
             yield sim.timeout(1)
-            yield from locks.lock_write(5)
+            yield from locks.lock(5, write=True)
             log.append(("w", sim.now))
-            locks.unlock_write(5)
+            locks.unlock(5, write=True)
 
         sim.process(holder())
         sim.process(waiter())
@@ -158,8 +158,8 @@ class TestPageLockService:
         locks = PageLockService(sim)
 
         def proc():
-            yield from locks.lock_read(1)
-            locks.unlock_read(1)
+            yield from locks.lock(1, write=False)
+            locks.unlock(1, write=False)
             return sim.now
 
         elapsed = sim.run_process(proc())
@@ -170,16 +170,16 @@ class TestPageLockService:
         times = {}
 
         def holder():
-            yield from locks.lock_write(5)
+            yield from locks.lock(5, write=True)
             yield sim.timeout(1000)
-            locks.unlock_write(5)
+            locks.unlock(5, write=True)
 
         def waiter():
             yield sim.timeout(1)
             start = sim.now
-            yield from locks.lock_write(5)
+            yield from locks.lock(5, write=True)
             times["waited"] = sim.now - start
-            locks.unlock_write(5)
+            locks.unlock(5, write=True)
 
         sim.process(holder())
         sim.process(waiter())
@@ -191,14 +191,14 @@ class TestPageLockService:
         locks = PageLockService(sim)
 
         def holder():
-            yield from locks.lock_write(5)
+            yield from locks.lock(5, write=True)
             yield sim.timeout(10)
-            locks.unlock_write(5)
+            locks.unlock(5, write=True)
 
         def waiter():
             yield sim.timeout(1)
-            yield from locks.lock_read(5)
-            locks.unlock_read(5)
+            yield from locks.lock(5, write=False)
+            locks.unlock(5, write=False)
 
         sim.process(holder())
         sim.process(waiter())
@@ -209,7 +209,7 @@ class TestPageLockService:
     def test_is_write_locked(self, sim):
         locks = PageLockService(sim)
         assert not locks.is_write_locked(1)
-        sim.run_process(locks.lock_write(1))
+        sim.run_process(locks.lock(1, write=True))
         assert locks.is_write_locked(1)
-        locks.unlock_write(1)
+        locks.unlock(1, write=True)
         assert not locks.is_write_locked(1)

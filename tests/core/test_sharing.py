@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.fusion import FusionUnavailableError
 from repro.db.constants import PAGE_SIZE
+from repro.faults.injector import FaultInjector, InjectedCrash
 from repro.obs import Tracer
 from repro.obs.world import build_sharing_setup
 from repro.workloads.sysbench import SysbenchWorkload
@@ -174,3 +176,95 @@ def test_flush_event_dirty_after_equals_a_fresh_scan(skip_flush):
         assert dirty_after == fresh
         assert dirty_before > 0
         assert dirty_after == (dirty_before if skip_flush else 0)
+
+
+# -- what a node holds after a failed critical section ------------------------------
+
+_TABLE = "sbtest_shared"
+#: Each op on key 5; a 60-row range leaves the entry leaf for the next one.
+_OPS = {
+    "select": lambda node: node.point_select(_TABLE, 5),
+    "update": lambda node: node.point_update(_TABLE, 5, "k", 7),
+    "range": lambda node: node.range_select(_TABLE, 5, 60),
+}
+
+
+def _locked_pages(setup):
+    return sorted(page for page, lock in setup.lock_service._locks.items() if lock.held)
+
+
+@pytest.mark.parametrize("kind", sorted(_OPS))
+def test_a_crash_inside_the_critical_section_keeps_the_lock(kind):
+    """A dead node runs no unlock path: the lock waits for failover."""
+    setup = build_sharing_setup("cxl", 2, SysbenchWorkload(rows=600, n_nodes=2))
+    node = setup.nodes[0]
+    leaf = node._leaf_of(_TABLE, 5)
+    with FaultInjector() as injector:
+        # The leaf lookup commits the first mini-transaction, before the
+        # lock; the second commit is inside the critical section.
+        injector.arm("mtr.commit.begin", 2)
+        with pytest.raises(InjectedCrash):
+            setup.sim.run_process(_OPS[kind](node))
+    held = node.write_locks_held if kind == "update" else node.read_locks_held
+    assert held == {leaf}
+    assert _locked_pages(setup) == [leaf]
+
+
+def test_an_exhausted_write_release_fences_the_write_lock():
+    """The flushed lines reached CXL with no invalidation pushed: the page
+    is suspect, so the writer keeps its lock for failover to break."""
+    setup = build_sharing_setup("cxl", 2, SysbenchWorkload(rows=600, n_nodes=2))
+    node = setup.nodes[0]
+    leaf = node._leaf_of(_TABLE, 5)
+    retries = node.engine.buffer_pool.config.rpc_max_retries
+    with FaultInjector() as injector, Tracer() as tracer:
+        injector.fail_rpcs("fusion.on_write_release", retries + 1)
+        with pytest.raises(FusionUnavailableError):
+            setup.sim.run_process(_OPS["update"](node))
+    assert node.write_locks_held == {leaf} and not node.read_locks_held
+    assert _locked_pages(setup) == [leaf]
+    assert [(e.name, e.fields) for e in tracer.events("lock")] == [
+        ("write_acquire", {"node": node.node_id, "page": leaf}),
+        ("write_fenced", {"node": node.node_id, "page": leaf}),
+    ]
+
+
+def test_an_exhausted_rpc_inside_a_range_releases_the_read_lock():
+    """The range's second leaf is new to the node: its address request
+    runs inside the critical section and exhausts there."""
+    setup = build_sharing_setup("cxl", 2, SysbenchWorkload(rows=600, n_nodes=2))
+    node = setup.nodes[0]
+    setup.sim.run_process(_OPS["select"](node))  # the entry leaf is known
+    acquires = setup.lock_service.acquires
+    retries = node.engine.buffer_pool.config.rpc_max_retries
+    with FaultInjector() as injector:
+        injector.fail_rpcs("fusion.request_page", retries + 1)
+        with pytest.raises(FusionUnavailableError):
+            setup.sim.run_process(_OPS["range"](node))
+    assert setup.lock_service.acquires == acquires + 1
+    assert not node.read_locks_held and not node.write_locks_held
+    assert _locked_pages(setup) == []
+
+
+def test_an_exhausted_rpc_inside_a_select_releases_the_read_lock():
+    """A fresh key's leaf is registered by the lookup, before the lock, so
+    the select waits behind another node's update instead: the update's
+    release flags the page invalid, and the reader's rejoin of the page's
+    sharers runs inside its critical section and exhausts there."""
+    setup = build_sharing_setup("cxl", 2, SysbenchWorkload(rows=600, n_nodes=2))
+    writer, reader = setup.nodes
+    for node in (writer, reader):
+        setup.sim.run_process(_OPS["select"](node))
+    acquires = setup.lock_service.acquires
+    retries = reader.engine.buffer_pool.config.rpc_max_retries
+    with FaultInjector() as injector:
+        injector.fail_rpcs("fusion.reshare", retries + 1)
+        setup.sim.process(_OPS["update"](writer))
+        setup.sim.process(_OPS["select"](reader))
+        with pytest.raises(FusionUnavailableError):
+            setup.sim.run()
+    assert setup.lock_service.acquires == acquires + 2
+    assert reader.engine.buffer_pool.rpc_retries == retries + 1
+    for node in (writer, reader):
+        assert not node.read_locks_held and not node.write_locks_held
+    assert _locked_pages(setup) == []

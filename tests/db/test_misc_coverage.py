@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.db.constants import META_MAX_TREES
+from repro.db.constants import KEY_BYTES, META_MAX_TREES
 from repro.db.record import Field, RecordCodec
 
 from ..conftest import SMALL_CODEC, fill_table, make_local_engine
@@ -16,7 +16,7 @@ def ctx(host):
 class TestTablePayloadApis:
     def test_record_size_property(self, ctx):
         table = ctx.engine.create_table("t", SMALL_CODEC)
-        assert table.record_size == SMALL_CODEC.record_size
+        assert table.btree.record_size == KEY_BYTES + SMALL_CODEC.record_size
 
 
 class TestSchemaLimits:

@@ -56,7 +56,7 @@ class TestPageLayout:
         view = PageView(1, _BytesAccessor(format_empty_page(1, PT_LEAF)))
         view.write_u64(100, 0xDEADBEEF12345678)
         assert view.read_u64(100) == 0xDEADBEEF12345678
-        view.write_u16(200, 0xABCD)
+        view.accessor.write(200, (0xABCD).to_bytes(2, "little"))
         assert view.read_u16(200) == 0xABCD
         view.accessor.write(300, b"\x7f")
         assert view.read_u8(300) == 0x7F

@@ -234,6 +234,7 @@ NO_CALLER_ALLOWED = {
     "repro.parallel.probes:*":
         "spawn-safety probes, run by the tests as work units in spawned workers",
     "repro.db.btree:BTree.iter_all": "test-inspection read: every row in key order",
+    "repro.db.btree:BTree.verify": "the tree-structure oracle the B-tree tests run",
     "repro.core.cxl_bufferpool:CxlBufferPool.lru_order": "test-inspection read",
     "repro.db.table:Table.find_by": "test-inspection read: secondary-index lookup",
     "repro.db.page:PageView.stored_page_id": "test-inspection read of the page header",
@@ -245,6 +246,11 @@ NO_CALLER_ALLOWED = {
         "test-inspection read through setup.fusion, which may be a router",
     "repro.core.shard_router:FusionShardRouter.entry_of":
         "test-inspection read through setup.fusion, which may be a router",
+    **{
+        f"repro.core.shard_router:FusionShardRouter.{stat}":
+            "bench.harness reads it by name (_FUSION_STATS) when setup.fusion is a router"
+        for stat in ("rpcs", "pages_recycled", "invalidations_pushed", "reshares")
+    },
     "repro.core.sharing:SharedCxlBufferPool.metadata_entries_used":
         "test-inspection read",
     "repro.db.txn:Transaction.rolled_back": "test-inspection read",
@@ -268,25 +274,84 @@ NO_CALLER_ALLOWED = {
 }
 
 
-def _references(tree: ast.AST) -> tuple[collections.Counter, collections.Counter]:
-    """How often ``tree`` mentions each name, twice over: as anything that
-    can reach a function or class (bare names, attributes, imported names
-    and ``"module:function"`` task strings), and as what can reach a
-    method (attributes and task strings)."""
-    found: collections.Counter = collections.Counter()
-    attributes: collections.Counter = collections.Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            found[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            attributes[node.attr] += 1
-        elif isinstance(node, ast.ImportFrom):
-            found.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            match = _TASK_STRING.match(node.value)
-            if match:
-                attributes[match.group(1)] += 1
-    return found + attributes, attributes
+class _Mentions(ast.NodeVisitor):
+    """Every mention of a name in a module, as ``(line, name, attribute,
+    owner)``. ``attribute`` marks what can reach a method: an attribute
+    read or a ``"module:function"`` task string. ``owner`` is the class an
+    attribute read is known to go to: ``self.X`` in a method goes to the
+    method's class, ``p.X`` to the class ``p`` is annotated with; any
+    other read has no owner."""
+
+    def __init__(self, classes: set[str]) -> None:
+        self.classes = classes
+        self.found: list[tuple[int, str, bool, str | None]] = []
+        self._class: str | None = None  # whose body, outside any method
+        self._typed: dict[str, str] = {}  # parameter -> its class
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        outer, self._class = self._class, node.name
+        self.generic_visit(node)
+        self._class = outer
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        outer = self._class, self._typed
+        self._typed = dict(self._typed)
+        params = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+        for index, param in enumerate(params):
+            spelt = ast.unparse(param.annotation) if param.annotation else ""
+            annotated = spelt.strip("\"'").rsplit(".", 1)[-1]
+            if index == 0 and self._class is not None and param.arg == "self":
+                self._typed["self"] = self._class
+            elif annotated in self.classes:
+                self._typed[param.arg] = annotated
+            else:
+                self._typed.pop(param.arg, None)
+        self._class = None
+        self.generic_visit(node)
+        self._class, self._typed = outer
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self.found.append((node.lineno, node.id, False, None))
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        value = node.value
+        owner = self._typed.get(value.id) if isinstance(value, ast.Name) else None
+        self.found.append((node.lineno, node.attr, True, owner))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        self.found.extend((node.lineno, alias.name, False, None) for alias in node.names)
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        match = _TASK_STRING.match(node.value) if isinstance(node.value, str) else None
+        if match:
+            self.found.append((node.lineno, match.group(1), True, None))
+
+
+def _ancestors(trees) -> dict[str, set[str]]:
+    """Each class name -> the names of all its bases, transitively."""
+    bases: dict[str, set[str]] = collections.defaultdict(set)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name].update(
+                    # ``mod.Base`` -> ``Base``; ``Generic[T]`` -> ``Generic``
+                    ast.unparse(base.value if isinstance(base, ast.Subscript) else base)
+                    .rsplit(".", 1)[-1]
+                    for base in node.bases
+                )
+    closed: dict[str, set[str]] = {}
+
+    def close(name: str) -> set[str]:
+        if name not in closed:
+            closed[name] = set()
+            for base in bases.get(name, ()):
+                closed[name] |= {base} | close(base)
+        return closed[name]
+
+    for name in list(bases):
+        close(name)
+    return closed
 
 
 def _class_aliases(cls: ast.ClassDef) -> set[str]:
@@ -322,33 +387,39 @@ def uncalled(src: Path, benchmarks: Path) -> list[str]:
     a caller. A function or class is named by any mention of its
     spelling; a method only by an attribute read or a task string of its
     name, or by an alias in its own class body, so a local variable or a
-    module function spelt like a method does not count as its caller."""
+    module function spelt like a method does not count as its caller. An
+    attribute read with an owner (``self.X``, or ``p.X`` through an
+    annotated parameter) names only the methods of the owner's class, its
+    bases and its subclasses; one without names a method of any class."""
     trees = {path: ast.parse(path.read_text()) for path in sorted(src.rglob("*.py"))}
-    outside = [collections.Counter(), collections.Counter()]  # (any mention, attribute)
-
-    def count(references: tuple) -> None:
-        for total, found in zip(outside, references):
-            total.update(found.keys())
-
-    for path in sorted(benchmarks.rglob("*.py")):
-        count(_references(ast.parse(path.read_text())))
-    per_module = {}
+    trees.update((path, ast.parse(path.read_text())) for path in sorted(benchmarks.rglob("*.py")))
+    ancestors = _ancestors(trees.values())
+    by_name: dict[str, list] = collections.defaultdict(list)
     for path, tree in trees.items():
-        if path.name == "__init__.py":
-            body = [n for n in tree.body if not isinstance(n, ast.ImportFrom)]
-            count(_references(ast.Module(body=body, type_ignores=[])))
-        else:
-            per_module[path] = _references(tree)
-            count(per_module[path])
-    empty = (collections.Counter(), collections.Counter())
+        if path.name == "__init__.py" and path.is_relative_to(src):
+            tree = ast.Module(
+                body=[n for n in tree.body if not isinstance(n, ast.ImportFrom)], type_ignores=[]
+            )
+        mentions = _Mentions(set(ancestors))
+        mentions.visit(tree)
+        for line, name, attribute, owner in mentions.found:
+            by_name[name].append((path, line, attribute, owner))
+
+    def related(cls: str, owner: str) -> bool:
+        return cls == owner or cls in ancestors[owner] or owner in ancestors[cls]
+
     missing = []
     for path, tree in trees.items():
+        if not path.is_relative_to(src):
+            continue
         module = ".".join(path.relative_to(src.parent).with_suffix("").parts)
         for qualname, name, node, cls in _definitions(tree):
-            kind = 0 if cls is None else 1
-            mine = per_module.get(path, empty)[kind]
-            elsewhere = outside[kind][name] - (1 if mine[name] else 0)
-            if elsewhere > 0 or mine[name] > _references(node)[kind][name]:
+            own_body = range(node.lineno, node.end_lineno + 1)
+            if any(
+                where != path or line not in own_body
+                for where, line, attribute, owner in by_name[name]
+                if cls is None or (attribute and (owner is None or related(cls.name, owner)))
+            ):
                 continue
             if cls is not None and name in _class_aliases(cls):
                 continue
@@ -386,3 +457,73 @@ def test_recovery_is_wired_once():
         if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "PolarRecv"
     ]
     assert offenders == [], "PolarRecv wired outside the world builder:\n" + "\n".join(offenders)
+
+
+def test_sharing_locks_are_taken_once():
+    """A multi-primary critical section (acquire, access, flush, release)
+    is written once, in :meth:`MultiPrimaryNode._locked`: no other module
+    takes or drops a page lock, and no other function of the node takes
+    one, so the lock, span and MemSan steps cannot drift apart."""
+    from repro.core.fusion import PageLockService
+
+    verbs = {name for name in vars(PageLockService) if name.startswith(("lock", "unlock"))}
+    sharing = SRC / "core" / "sharing.py"
+
+    def calls(tree: ast.AST, names: set[str]) -> list[ast.Call]:
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names
+        ]
+
+    offenders = [
+        f"{path.relative_to(SRC.parents[1])}:{node.lineno}"
+        for path in sorted([*SRC.rglob("*.py"), *BENCHMARKS.rglob("*.py")])
+        if path != sharing
+        for node in calls(ast.parse(path.read_text()), verbs)
+    ]
+    assert offenders == [], "page locks taken outside core/sharing.py:\n" + "\n".join(offenders)
+    node_class = next(
+        node
+        for node in ast.parse(sharing.read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "MultiPrimaryNode"
+    )
+    acquirers = [
+        method.name
+        for method in node_class.body
+        if isinstance(method, ast.FunctionDef)
+        and calls(method, {verb for verb in verbs if verb.startswith("lock")})
+    ]
+    assert acquirers == ["_locked"], f"MultiPrimaryNode acquires page locks in {acquirers}"
+
+
+def test_a_read_through_self_or_a_typed_parameter_names_only_its_class(tmp_path):
+    """``self.X`` and ``p.X`` (``p: Cls``) reach the methods of one class
+    family; a read through anything else still reaches any class's ``X``."""
+    src, benchmarks = tmp_path / "repro", tmp_path / "benchmarks"
+    src.mkdir()
+    benchmarks.mkdir()
+    (src / "mod.py").write_text(
+        "class Base:\n"
+        "    def hook(self): self.step()\n"
+        "    def step(self): pass\n"
+        "class Child(Base):\n"
+        "    def step(self): pass\n"
+        "class Other:\n"
+        "    def step(self): pass\n"
+        "    def hook(self): pass\n"
+        "    def typed(self): pass\n"
+        "    def loose(self): pass\n"
+        "def drive(base: Base, thing):\n"
+        "    base.hook()\n"
+        "    thing.loose()\n"
+        "    return Child, Other\n"
+    )
+    assert uncalled(src, benchmarks) == [
+        "repro.mod:Other.step",
+        "repro.mod:Other.hook",
+        "repro.mod:Other.typed",
+        "repro.mod:drive",
+    ]

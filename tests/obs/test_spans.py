@@ -82,7 +82,7 @@ def test_end_pops_and_abandons_orphans_above():
     tracer.end(root)  # orphan was never ended
     assert orphan.status == "abandoned"
     assert root.status == "closed"
-    assert tracer.current() is None
+    assert tracer.attach_stack() == ()
 
 
 # -- record / add_ns --------------------------------------------------------------
@@ -127,12 +127,12 @@ def test_add_ns_dropped_when_stack_empty():
 def test_push_false_with_attached_segments():
     tracer = SpanTracer()
     op = tracer.begin("txn", "op", push=False)
-    assert tracer.current() is None  # not on the stack
+    assert tracer.attach_stack() == ()  # not on the stack
     with tracer.attached(op):
         inner = tracer.begin("mtr", "m")
         tracer.end(inner)
     assert inner.parent_id == op.span_id
-    assert tracer.current() is None
+    assert tracer.attach_stack() == ()
     tracer.end(op)
     assert op.status == "closed"
 
@@ -145,8 +145,8 @@ def test_attached_none_is_shared_null_context():
         assert PROBES.attached(None) is null  # no span to attach
         op = tracer.begin("txn", "op", push=False)
         with PROBES.attached(op):
-            assert tracer.current() is op
-        assert tracer.current() is None
+            assert tracer.attach_stack()[-1] is op
+        assert tracer.attach_stack() == ()
     assert PROBES.attached(op) is null  # tracing is off again
 
 
@@ -162,7 +162,7 @@ def test_abandon_open_marks_all_open_spans():
     assert tracer.abandon_open() == 2
     assert (root.status, child.status) == ("abandoned", "abandoned")
     assert done.status == "closed"
-    assert tracer.current() is None
+    assert tracer.attach_stack() == ()
     assert tracer.abandon_open() == 0  # idempotent: nothing is open any more
 
 
