@@ -152,7 +152,8 @@ class PageLockService:
         else:
             lock.release_read()
 
-    def is_write_locked(self, page_id: int) -> bool:
+    def is_held(self, page_id: int) -> bool:
+        """Whether anyone holds the page's lock, for read or write."""
         lock = self._locks.get(page_id)
         return lock is not None and lock.held
 
@@ -629,7 +630,7 @@ class BufferFusionServer:
             for page_id in list(self._entries):
                 if len(recycled) >= count:
                     break
-                if lock_service is not None and lock_service.is_write_locked(page_id):
+                if lock_service is not None and lock_service.is_held(page_id):
                     continue
                 entry = self._entries.pop(page_id)
                 if entry.dirty:

@@ -22,6 +22,14 @@ exactly those bytes back through one segment iterator
 compressed ones; LSNs, charges and the records read back do not depend
 on where a seal fell.
 
+Sealed segments live off the heap, as PolarDB's redo log lives on
+shared storage: in one append-only spill file per process
+(:class:`_Spill`, unlinked as the first seal opens it), whose bytes the
+host's page cache holds. A segment is ``(first LSN, last LSN, spill,
+offset, length)``. The file is never truncated or overwritten (a
+checkpoint's re-cut appends), so snapshots and world images share
+segments by reference; a spill refuses to be pickled.
+
 Recovery contracts used elsewhere:
 
 * the durable log is strictly LSN-ordered,
@@ -34,9 +42,11 @@ Recovery contracts used elsewhere:
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 import zlib
-from typing import Iterator, Optional, Union
+from typing import Iterator, NoReturn, Optional, Union
 
 from ..faults.injector import crash_point
 from ..hardware.memory import AccessMeter
@@ -117,6 +127,44 @@ def _prefix_through(log: Union[bytes, bytearray], lsn: int) -> int:
     return len(log)
 
 
+class _Spill:
+    """This process's append-only file of sealed segments. A forked child
+    (another pid) opens its own before it appends; what it inherited stays
+    readable, since ``pread`` does not move the file position."""
+
+    __slots__ = ("file", "fd", "pid", "end")
+
+    def __init__(self) -> None:
+        self.file = tempfile.TemporaryFile(buffering=0)
+        self.fd = self.file.fileno()
+        self.pid = os.getpid()
+        self.end = 0
+
+    def read(self, offset: int, length: int) -> bytes:
+        return zlib.decompress(os.pread(self.fd, length, offset))
+
+    def __del__(self) -> None:
+        self.file.close()
+
+    def __reduce__(self) -> NoReturn:
+        raise TypeError("a sealed redo log lives in its process's spill file and cannot be pickled")
+
+
+_SPILL: Optional[_Spill] = None
+
+
+def _write_segment(log: Union[bytes, bytearray]) -> tuple[_Spill, int, int]:
+    """Compress ``log`` onto this process's spill file: ``(spill, offset, length)``."""
+    global _SPILL
+    if _SPILL is None or _SPILL.pid != os.getpid():
+        _SPILL = _Spill()
+    spill, packed = _SPILL, zlib.compress(log, _ZLIB_LEVEL)
+    if os.pwrite(spill.fd, packed, spill.end) != len(packed):
+        raise OSError("short write to the redo log's spill file")
+    spill.end += len(packed)
+    return spill, spill.end - len(packed), len(packed)
+
+
 class RedoLog:
     """Volatile log buffer + durable log + checkpoint bookkeeping."""
 
@@ -131,9 +179,9 @@ class RedoLog:
         self._buffer = bytearray()
         self._buffered = 0  # records in the buffer
         self._buffer_max_lsn = 0  # LSN of the last buffered record
-        # The durable log: sealed ``(first LSN, last LSN, compressed
-        # bytes)`` segments, oldest first, then the open tail.
-        self._sealed: list[tuple[int, int, bytes]] = []
+        # The durable log: sealed ``(first LSN, last LSN, spill, offset,
+        # length)`` segments, oldest first, then the open tail.
+        self._sealed: list[tuple[int, int, _Spill, int, int]] = []
         self._tail = bytearray()
         self._durable_max_lsn = 0  # LSN of the last durable record
         self._checkpoint_lsn = 0
@@ -200,8 +248,7 @@ class RedoLog:
     def _seal(self) -> None:
         """Turn the whole tail into one compressed segment."""
         first = _HEADER.unpack_from(self._tail)[0]
-        packed = zlib.compress(self._tail, _ZLIB_LEVEL)
-        self._sealed.append((first, self._durable_max_lsn, packed))
+        self._sealed.append((first, self._durable_max_lsn, *_write_segment(self._tail)))
         self._tail = bytearray()
 
     def _chunks(self, after_lsn: int) -> Iterator[Union[bytes, bytearray]]:
@@ -212,9 +259,9 @@ class RedoLog:
         durable log being LSN-ordered (:meth:`verify_ordered` reads every
         record and checks exactly that).
         """
-        for _, last, packed in self._sealed:
+        for _, last, spill, offset, length in self._sealed:
             if last > after_lsn:
-                yield zlib.decompress(packed)
+                yield spill.read(offset, length)
         yield self._tail
 
     # -- durability state ------------------------------------------------------------
@@ -285,7 +332,7 @@ class RedoLog:
         """Advance the checkpoint; durable records at or below are pruned.
 
         Sealed segments wholly at or below ``lsn`` are dropped unread;
-        the one segment ``lsn`` falls inside is re-cut and re-sealed.
+        the one segment ``lsn`` falls inside is re-cut into a fresh one.
         """
         if lsn < self._checkpoint_lsn:
             raise ValueError("checkpoint LSN moved backwards")
@@ -298,11 +345,10 @@ class RedoLog:
         if not sealed:
             del self._tail[: _prefix_through(self._tail, lsn)]
         elif sealed[0][0] <= lsn:
-            _, last, packed = sealed[0]
-            log = zlib.decompress(packed)
+            _, last, spill, offset, length = sealed[0]
+            log = spill.read(offset, length)
             rest = log[_prefix_through(log, lsn) :]
-            first = _HEADER.unpack_from(rest)[0]
-            sealed[0] = (first, last, zlib.compress(rest, _ZLIB_LEVEL))
+            sealed[0] = (_HEADER.unpack_from(rest)[0], last, *_write_segment(rest))
 
     def snapshot(self) -> tuple:
         return (

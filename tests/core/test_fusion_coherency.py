@@ -104,13 +104,17 @@ class TestFusionServer:
         assert not fusion.has_page(7)
 
     def test_recycle_skips_locked_pages(self, sim, fusion, slab):
+        """A page held for read or for write stays; once free it goes."""
         meter = AccessMeter()
         locks = PageLockService(sim)
         fusion.request_page(7, "n0", slab.invalid_addr(0), slab.removal_addr(0), meter)
-        sim.run_process(locks.lock(7, write=True))
-        assert fusion.recycle(1, meter, lock_service=locks) == []
-        locks.unlock(7, write=True)
+        for write in (False, True):
+            sim.run_process(locks.lock(7, write=write))
+            assert fusion.recycle(1, meter, lock_service=locks) == []
+            assert fusion.has_page(7)
+            locks.unlock(7, write=write)
         assert fusion.recycle(1, meter, lock_service=locks) == [7]
+        assert not fusion.has_page(7)
 
     def test_slot_exhaustion_recycles(self, fusion, slab):
         meter = AccessMeter()
@@ -206,10 +210,11 @@ class TestPageLockService:
         assert locks.contended_acquires == 1
         assert locks.acquires == 2
 
-    def test_is_write_locked(self, sim):
+    def test_is_held(self, sim):
         locks = PageLockService(sim)
-        assert not locks.is_write_locked(1)
-        sim.run_process(locks.lock(1, write=True))
-        assert locks.is_write_locked(1)
-        locks.unlock(1, write=True)
-        assert not locks.is_write_locked(1)
+        assert not locks.is_held(1)
+        for write in (True, False):
+            sim.run_process(locks.lock(1, write=write))
+            assert locks.is_held(1)
+            locks.unlock(1, write=write)
+            assert not locks.is_held(1)

@@ -80,7 +80,7 @@ def test_recovery_over_sealed_segments_equals_recovery_over_one_tail(system):
     # Everything the checkpoint kept spans several sealed segments.
     checkpoint = sealed_log.checkpoint_lsn
     assert len(sealed_log._sealed) >= 3
-    assert all(first > checkpoint for first, _, _ in sealed_log._sealed)
+    assert all(segment[0] > checkpoint for segment in sealed_log._sealed)
     assert sealed_rows == tail_rows
     assert sealed_rows[9]["k"] == 39 * 1000 + 10  # the last committed update
     assert sealed_bytes == tail_bytes

@@ -8,9 +8,12 @@ LSN alignments and snapshot/restore round trips must leave the real
 same bytes. The same ops run again with segments of 1 and 64 bytes, so
 every flush (or every few) seals and the sealed path is read, pruned,
 re-cut and restored. A second guard pins what a durable record costs in
-memory.
+memory, and the last three pin the spill file the sealed segments live
+in: never overwritten, never pickled, never shared with another process.
 """
 
+import os
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -166,9 +169,11 @@ def test_sealed_segments_read_what_the_list_log_reads(segment_bytes, ops):
 
 def test_a_durable_record_costs_its_bytes():
     """No checkpoint: the log reads back exactly the bytes flushed. Past
-    one segment (8,192 of these 32-byte records) the log is held
-    compressed, so 10,000 records cost about 10 B each traced (33 B as one
-    unsealed byte log; 187 B as frozen dataclass records in a list)."""
+    one segment (8,192 of these 32-byte records) the log is sealed into
+    the spill file, off the heap, so 10,000 records cost about 6 B each
+    traced, nearly all of it the open tail's 1,800 records (10 B with the
+    compressed segment on the heap; 33 B as one unsealed byte log; 187 B
+    as frozen dataclass records in a list)."""
     log = RedoLog()
     tracemalloc.start()
     try:
@@ -182,7 +187,65 @@ def test_a_durable_record_costs_its_bytes():
         tracemalloc.stop()
     assert sum(map(len, log._chunks(-1))) == log.bytes_flushed == 10_000 * 32
     assert len(log._sealed) == 1
-    assert grown / 10_000 <= 16
+    assert grown / 10_000 <= 8
+
+
+def _flush_pages(log: RedoLog, pages) -> None:
+    """Two 32-byte records per page, one flush per page."""
+    for page in pages:
+        log.append(page, 0, bytes([page]) * 8)
+        log.append(page, 8, bytes([page + 1]) * 8)
+        log.flush()
+
+
+def test_a_snapshot_outlives_a_re_cut_and_later_seals():
+    """The spill file is append-only: a checkpoint's re-cut and later
+    seals write new segments, so a snapshot taken before them restores
+    into a fresh log that reads back exactly its own records."""
+    log = RedoLog()
+    with mock.patch.object(wal, "_SEGMENT_BYTES", 64):  # every flush seals
+        _flush_pages(log, range(4))
+        saved, records = log.snapshot(), log.records_since(0)
+        log.set_checkpoint(3)  # inside the second segment (LSNs 3 and 4)
+        assert log._sealed[0][0] == 4
+        _flush_pages(log, range(4, 6))
+    assert len(log._sealed) == 5
+    fresh = RedoLog()
+    fresh.restore(saved)
+    assert fresh.records_since(0) == records
+    assert [record.lsn for record in records] == list(range(1, 9))
+    assert fresh.verify_ordered()
+
+
+def test_a_sealed_snapshot_cannot_be_pickled():
+    """A sealed segment is an offset into this process's spill file, so a
+    snapshot holding one must not reach another process (a spawn
+    worker) as if it were the log; an unsealed snapshot still pickles."""
+    log = RedoLog()
+    _flush_pages(log, range(2))
+    assert pickle.loads(pickle.dumps(log.snapshot())) == log.snapshot()
+    with mock.patch.object(wal, "_SEGMENT_BYTES", 1):
+        _flush_pages(log, range(2, 3))
+    with pytest.raises(TypeError, match="sealed redo log"):
+        pickle.dumps(log.snapshot())
+
+
+def test_another_process_seals_into_its_own_spill_file(monkeypatch):
+    """A forked child never appends to the file it inherited: its next
+    seal opens a new one, and the segments sealed before still read."""
+    monkeypatch.setattr(wal, "_SPILL", wal._SPILL)  # restored after the test
+    log = RedoLog()
+    with mock.patch.object(wal, "_SEGMENT_BYTES", 1):
+        _flush_pages(log, range(2))
+        monkeypatch.setattr(os, "getpid", lambda pid=os.getpid(): pid + 1)
+        _flush_pages(log, range(2, 4))
+    spills = [spill for _, _, spill, _, _ in log._sealed]
+    assert spills[0] is spills[1] and spills[2] is spills[3]
+    assert spills[1] is not spills[2] and spills[1].fd != spills[2].fd
+    assert spills[2].pid == spills[1].pid + 1
+    assert [record.data[:1] for record in log.records_since(0)] == [
+        bytes([value]) for page in range(4) for value in (page, page + 1)
+    ]
 
 
 def test_swapping_records_refuses_a_sealed_log():
