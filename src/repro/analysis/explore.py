@@ -543,7 +543,7 @@ def _run_protocol(config: ProtocolConfig, strategy: ExplorerStrategy) -> list[st
     :class:`_SleepBlocked` out of the kernel when the schedule is
     redundant.
     """
-    from contextlib import nullcontext
+    from contextlib import closing, nullcontext
 
     from ..faults.injector import FaultInjector
     from ..hardware.memory import AccessMeter
@@ -554,84 +554,85 @@ def _run_protocol(config: ProtocolConfig, strategy: ExplorerStrategy) -> list[st
 
     workload = SysbenchWorkload(rows=config.rows, n_nodes=config.n_nodes)
     setup = build_sharing_setup(config.system, config.n_nodes, workload)
-    if config.mutation is not None:
-        _apply_mutation(setup, config.mutation)
-    keys = _config_keys(config)
-    oracle = CommittedState(SysbenchWorkload.loaded_row)
-    violations: list[str] = []
+    with closing(setup.cluster):
+        if config.mutation is not None:
+            _apply_mutation(setup, config.mutation)
+        keys = _config_keys(config)
+        oracle = CommittedState(SysbenchWorkload.loaded_row)
+        violations: list[str] = []
 
-    def check_read(via: int, key: int, check: str) -> None:
-        if problem := setup.sim.run_process(run_op(setup, ("select", key, via, None), oracle)):
-            violations.append(f"{check}: {problem}")
+        def check_read(via: int, key: int, check: str) -> None:
+            if problem := setup.sim.run_process(run_op(setup, ("select", key, via, None), oracle)):
+                violations.append(f"{check}: {problem}")
 
-    # Node 0 reads every key before the controllable scheduler is
-    # installed: part of the deterministic initial state every replay rebuilds.
-    for key in keys:
-        check_read(0, key, "oracle")
-    crashes: list = []
-    injector = (
-        FaultInjector().arm(config.crash_point, config.crash_hit)
-        if config.crash_point is not None
-        else None
-    )
-    ms = RecordingMemSan(strategy)
-    with CheckedRun(trace=True, memsan=ms) as run:
-        run.watch(setup)
-        procs = []
-        for stream_index, ops in enumerate(config.streams):
-            node = setup.nodes[ops[0][2]]
-            procs.append(
-                setup.sim.process(
-                    _stream(setup, ops, oracle, violations, crashes),
-                    name=f"{node.node_id}/s{stream_index}",
-                )
-            )
-        setup.sim.scheduler = strategy
-        try:
-            with injector or nullcontext():
-                setup.sim.run()
-        finally:
-            setup.sim.scheduler = None
-        strategy.finalize()
-        if config.crash_point is not None and not crashes:
-            violations.append(
-                f"crash point {config.crash_point!r} never fired"
-            )
-        for op in crashes:
-            crash(run, setup, oracle, op)
-            dead = setup.nodes[op[2]]
-            fail_over(
-                setup, dead, AccessMeter(), actor="failover", inherits=dead.node_id
-            )
-        if crashes:
-            # Failover force-released the dead node's locks; let blocked
-            # survivor streams drain (deterministic tail, default order).
-            setup.sim.run()
-        for proc in procs:
-            if not proc.triggered:
-                violations.append(f"stream {proc.name} never completed (deadlock)")
-        # Convergence: every surviving node reads the last committed value
-        # of every key — so they agree (a crashed write is resolved by now).
-        survivors = [i for i, node in enumerate(setup.nodes) if not node.engine.crashed]
+        # Node 0 reads every key before the controllable scheduler is
+        # installed: part of the deterministic initial state every replay rebuilds.
         for key in keys:
-            for via in survivors:
-                check_read(via, key, "convergence")
-        for report in ms.reports:
-            violations.append(f"memsan: {report}")
-        try:
-            run.check()
-        except InvariantViolationError as exc:
-            violations.append(f"invariant: {exc}")
-        except MemSanError:
-            pass  # every report is already listed above
-    # The schedule's observable outcome (committed history, what every
-    # node saw, the verdicts) — what trace-equivalent schedules share.
-    strategy.outcome = (
-        tuple(sorted((k, tuple(v)) for k, v in oracle.history.items())),
-        tuple(sorted(oracle.seen.items())),
-        tuple(violations),
-    )
-    return violations
+            check_read(0, key, "oracle")
+        crashes: list = []
+        injector = (
+            FaultInjector().arm(config.crash_point, config.crash_hit)
+            if config.crash_point is not None
+            else None
+        )
+        ms = RecordingMemSan(strategy)
+        with CheckedRun(trace=True, memsan=ms) as run:
+            run.watch(setup)
+            procs = []
+            for stream_index, ops in enumerate(config.streams):
+                node = setup.nodes[ops[0][2]]
+                procs.append(
+                    setup.sim.process(
+                        _stream(setup, ops, oracle, violations, crashes),
+                        name=f"{node.node_id}/s{stream_index}",
+                    )
+                )
+            setup.sim.scheduler = strategy
+            try:
+                with injector or nullcontext():
+                    setup.sim.run()
+            finally:
+                setup.sim.scheduler = None
+            strategy.finalize()
+            if config.crash_point is not None and not crashes:
+                violations.append(
+                    f"crash point {config.crash_point!r} never fired"
+                )
+            for op in crashes:
+                crash(run, setup, oracle, op)
+                dead = setup.nodes[op[2]]
+                fail_over(
+                    setup, dead, AccessMeter(), actor="failover", inherits=dead.node_id
+                )
+            if crashes:
+                # Failover force-released the dead node's locks; let blocked
+                # survivor streams drain (deterministic tail, default order).
+                setup.sim.run()
+            for proc in procs:
+                if not proc.triggered:
+                    violations.append(f"stream {proc.name} never completed (deadlock)")
+            # Convergence: every surviving node reads the last committed value
+            # of every key — so they agree (a crashed write is resolved by now).
+            survivors = [i for i, node in enumerate(setup.nodes) if not node.engine.crashed]
+            for key in keys:
+                for via in survivors:
+                    check_read(via, key, "convergence")
+            for report in ms.reports:
+                violations.append(f"memsan: {report}")
+            try:
+                run.check()
+            except InvariantViolationError as exc:
+                violations.append(f"invariant: {exc}")
+            except MemSanError:
+                pass  # every report is already listed above
+        # The schedule's observable outcome (committed history, what every
+        # node saw, the verdicts) — what trace-equivalent schedules share.
+        strategy.outcome = (
+            tuple(sorted((k, tuple(v)) for k, v in oracle.history.items())),
+            tuple(sorted(oracle.seen.items())),
+            tuple(violations),
+        )
+        return violations
 
 
 # -- the named configurations ------------------------------------------------

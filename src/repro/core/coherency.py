@@ -152,7 +152,7 @@ class FlagSlab:
         # The slab lies inside the region (checked at construction),
         # which leaves lost contents as the one thing to refuse.
         if region._poisoned:
-            region._refuse(addr, 1)  # raises PoisonedMemoryError
+            region._refuse(addr, 1)  # raises
         meter = self.meter
         meter.ns += self._flag_read_ns
         counters = meter.counters

@@ -55,6 +55,7 @@ import json
 import random
 import traceback
 from bisect import bisect_right
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -500,18 +501,19 @@ def _golden_run(seed: int) -> _GoldenRun:
 
 def _enumerate(seed: int) -> _GoldenRun:
     scenario = _build_scenario()
-    work = _roll_to(scenario, seed, 0)
-    snapshots = {scenario.redo.durable_max_lsn: dict(work.model)}
-    starts: list[int] = []
-    injector = FaultInjector(seed=seed)
-    with CheckedRun(trace=True, spans=True, metrics=True) as run, injector:
-        while work.txn < _WORKLOAD_TXNS:
-            starts.append(len(injector.trace))
-            _run_workload(scenario, work, work.txn + 1, snapshots)
-        run.flush(scenario.sim.now)
-    run.check()
-    if _read_contents(scenario.engine) != work.model:
-        raise CrashSweepError("golden run is internally inconsistent")
+    with closing(scenario.cluster):
+        work = _roll_to(scenario, seed, 0)
+        snapshots = {scenario.redo.durable_max_lsn: dict(work.model)}
+        starts: list[int] = []
+        injector = FaultInjector(seed=seed)
+        with CheckedRun(trace=True, spans=True, metrics=True) as run, injector:
+            while work.txn < _WORKLOAD_TXNS:
+                starts.append(len(injector.trace))
+                _run_workload(scenario, work, work.txn + 1, snapshots)
+            run.flush(scenario.sim.now)
+        run.check()
+        if _read_contents(scenario.engine) != work.model:
+            raise CrashSweepError("golden run is internally inconsistent")
     return _GoldenRun(list(injector.trace), snapshots, work.model, starts)
 
 
@@ -544,15 +546,16 @@ def _crash_and_recover(
     spans must nest, and the timeline scraped across the crash must
     hold only complete samples."""
     scenario = _build_scenario()
-    work, injector = _roll_before(scenario, seed, golden, point, hit)
-    with CheckedRun(spans=True, metrics=True) as run:
-        if not _crash_workload(run, scenario, work, injector):
-            return SweepOutcome(point, hit, False, False, "armed point never fired")
-        engine = _recover(scenario)
-        run.flush(scenario.sim.now)
-    run.check(allow_abandoned=True)
-    expected = _expected_at(golden.snapshots, scenario.redo.durable_max_lsn)
-    return _verdict(point, hit, engine, scenario.redo, expected)
+    with closing(scenario.cluster):
+        work, injector = _roll_before(scenario, seed, golden, point, hit)
+        with CheckedRun(spans=True, metrics=True) as run:
+            if not _crash_workload(run, scenario, work, injector):
+                return SweepOutcome(point, hit, False, False, "armed point never fired")
+            engine = _recover(scenario)
+            run.flush(scenario.sim.now)
+        run.check(allow_abandoned=True)
+        expected = _expected_at(golden.snapshots, scenario.redo.durable_max_lsn)
+        return _verdict(point, hit, engine, scenario.redo, expected)
 
 
 def sweep_workload_points(
@@ -588,18 +591,17 @@ _REENTRY_FIRST_POINT = "mtr.write.applied"
 _SURVIVORS = ("sim", "host", "manager", "store", "redo")
 
 
-def _crashed_scenario(seed: int, golden: _GoldenRun) -> _Scenario:
-    """A power-cycled scenario whose workload died at the last hit of
-    the first-crash point.
+def _crash_first(scenario: _Scenario, seed: int, golden: _GoldenRun) -> None:
+    """Bring the fresh ``scenario`` to a power cycle after its workload
+    died at the last hit of the first-crash point.
 
     The first call of a sweep runs that crash, checked, and keeps the
     image of what survived — taken with every instrument uninstalled
     and the host restarted: the half-done state *is* the subject. Later
-    calls restore it into a freshly wired, power-cycled scenario."""
+    calls restore it into the freshly wired scenario and power-cycle it."""
     first_hit = max(  # never reached: hit 1 never fires, and first_crash says so
         (h for name, h in golden.trace if name == _REENTRY_FIRST_POINT), default=1
     )
-    scenario = _build_scenario()
 
     def first_crash() -> None:
         work, injector = _roll_before(
@@ -615,24 +617,25 @@ def _crashed_scenario(seed: int, golden: _GoldenRun) -> _Scenario:
     survivors = {name: scenario.parts[name] for name in _SURVIVORS}
     materialize(("sweep.crashed", seed), survivors, first_crash)
     _power_cycle(scenario)  # idempotent: what a restore was wired with is dead too
-    return scenario
 
 
 def _recovery_unit(
     seed: int, point: str, hit: int, golden: _GoldenRun, expected: dict
 ) -> SweepOutcome:
     """One re-entrancy unit: crash recovery at (point, hit), recover again."""
-    scenario = _crashed_scenario(seed, golden)
-    injector = FaultInjector(seed=seed).arm(point, hit)
-    with CheckedRun(spans=True) as run:
-        if not _crashes(run, injector, scenario.sim, lambda: _recover(scenario)):
-            return SweepOutcome(point, hit, False, False, "armed point never fired")
-        # Recovery itself died: power-cycle again, recover from scratch.
-        scenario.host.crash()
-        scenario.host.restart()
-        engine = _recover(scenario)
-    run.check(allow_abandoned=True)
-    return _verdict(point, hit, engine, scenario.redo, expected)
+    scenario = _build_scenario()
+    with closing(scenario.cluster):
+        _crash_first(scenario, seed, golden)
+        injector = FaultInjector(seed=seed).arm(point, hit)
+        with CheckedRun(spans=True) as run:
+            if not _crashes(run, injector, scenario.sim, lambda: _recover(scenario)):
+                return SweepOutcome(point, hit, False, False, "armed point never fired")
+            # Recovery itself died: power-cycle again, recover from scratch.
+            scenario.host.crash()
+            scenario.host.restart()
+            engine = _recover(scenario)
+        run.check(allow_abandoned=True)
+        return _verdict(point, hit, engine, scenario.redo, expected)
 
 
 def sweep_recovery_points(
@@ -647,13 +650,15 @@ def sweep_recovery_points(
     try:
         # Golden recovery: enumerate recovery's own crash points and pin
         # the expected state down once.
-        scenario = _crashed_scenario(seed, golden)
-        recovery_injector = FaultInjector(seed=seed)
-        with recovery_injector:
-            engine = _recover(scenario)
-        expected = _expected_at(golden.snapshots, scenario.redo.durable_max_lsn)
-        if _read_contents(engine) != expected:
-            raise CrashSweepError("re-entrancy sweep: golden recovery inconsistent")
+        scenario = _build_scenario()
+        with closing(scenario.cluster):
+            _crash_first(scenario, seed, golden)
+            recovery_injector = FaultInjector(seed=seed)
+            with recovery_injector:
+                engine = _recover(scenario)
+            expected = _expected_at(golden.snapshots, scenario.redo.durable_max_lsn)
+            if _read_contents(engine) != expected:
+                raise CrashSweepError("re-entrancy sweep: golden recovery inconsistent")
         return _sweep_coordinates(
             "recovery-reentrancy", "recovery", _recovery_unit, seed,
             list(recovery_injector.trace), (golden, expected),
@@ -711,17 +716,18 @@ def _sharing_prephase(setup: SharingSetup) -> CommittedState:
 def _enumerate_sharing(seed: int) -> list[tuple[str, int]]:
     """The crash points the sharing ops reach, in a checked run."""
     setup = _build_sharing()
-    oracle = _sharing_prephase(setup)
-    injector = FaultInjector(seed=seed)
-    with CheckedRun(trace=True, spans=True, memsan=True) as run:
-        run.watch(setup)
-        with injector:
-            for op in _sharing_ops():
-                if problem := setup.sim.run_process(run_op(setup, op, oracle)):
-                    raise CrashSweepError(problem)
-        if detail := _survivor_mismatch(setup, 1, oracle):
-            raise CrashSweepError(f"sharing golden run inconsistent: {detail}")
-    run.check()
+    with closing(setup.cluster):
+        oracle = _sharing_prephase(setup)
+        injector = FaultInjector(seed=seed)
+        with CheckedRun(trace=True, spans=True, memsan=True) as run:
+            run.watch(setup)
+            with injector:
+                for op in _sharing_ops():
+                    if problem := setup.sim.run_process(run_op(setup, op, oracle)):
+                        raise CrashSweepError(problem)
+            if detail := _survivor_mismatch(setup, 1, oracle):
+                raise CrashSweepError(f"sharing golden run inconsistent: {detail}")
+        run.check()
     return list(injector.trace)
 
 
@@ -780,22 +786,23 @@ def _crash_sharing_node(
 def _sharing_crash_and_failover(seed: int, point: str, hit: int) -> SweepOutcome:
     """One sharing-failover unit: crash a node, fail over, check survivor."""
     setup = _build_sharing()
-    oracle = _sharing_prephase(setup)
-    with CheckedRun(spans=True, memsan=True) as run:
-        run.watch(setup)
-        dead_index = _crash_sharing_node(run, setup, oracle, seed, point, hit)
-        if dead_index is None:
-            return SweepOutcome(point, hit, False, False, "armed point never fired")
-        dead = setup.nodes[dead_index]
-        survivor = 1 - dead_index
-        fail_over(
-            setup, dead, AccessMeter(), actor="failover", inherits=dead.node_id
-        )
-        detail = _survivor_mismatch(setup, survivor, oracle)
-        # The writer survived a reader crash: its write path must still work.
-        if not detail and survivor == 0:
-            detail = _write_probe(setup, survivor, oracle, 7777)
-    return _failover_outcome(run, point, hit, detail)
+    with closing(setup.cluster):
+        oracle = _sharing_prephase(setup)
+        with CheckedRun(spans=True, memsan=True) as run:
+            run.watch(setup)
+            dead_index = _crash_sharing_node(run, setup, oracle, seed, point, hit)
+            if dead_index is None:
+                return SweepOutcome(point, hit, False, False, "armed point never fired")
+            dead = setup.nodes[dead_index]
+            survivor = 1 - dead_index
+            fail_over(
+                setup, dead, AccessMeter(), actor="failover", inherits=dead.node_id
+            )
+            detail = _survivor_mismatch(setup, survivor, oracle)
+            # The writer survived a reader crash: its write path must still work.
+            if not detail and survivor == 0:
+                detail = _write_probe(setup, survivor, oracle, 7777)
+        return _failover_outcome(run, point, hit, detail)
 
 
 def sweep_sharing_points(
@@ -832,46 +839,47 @@ def _storm_crash_and_refailover(
 ) -> SweepOutcome:
     """One storm unit: crash failover itself at (point, hit), retry it."""
     setup = _build_sharing(n_shards=n_shards)
-    oracle = _sharing_prephase(setup)
-    dead = setup.nodes[0]
-    with CheckedRun(spans=True, memsan=True) as run:
-        run.watch(setup)
-        if _crash_sharing_node(run, setup, oracle, seed, *_STORM_CRASH) is None:
-            return SweepOutcome(point, hit, False, False, "writer crash never fired")
-        # Attempt 1: armed at the storm coordinate — failover itself dies.
-        storm_injector = FaultInjector(seed=seed).arm(point, hit)
-        if not _crashes(
-            run,
-            storm_injector,
-            setup.sim,
-            lambda: fail_over(
-                setup, dead, AccessMeter(), actor="failover1", inherits=dead.node_id
-            ),
-        ):
-            return SweepOutcome(
-                point, hit, False, False, "storm point never fired during failover"
-            )
-        if n_shards > 1:
-            # Sharded coordinate: one shard's failover just died half-done
-            # (the dead writer's locked page is the fresh key's leaf). The
-            # shared keys' leaves belong to a *different* shard, whose
-            # metadata, directory, and locks are untouched by the wedged
-            # recovery — it must keep serving reads right now.
-            mid_storm_read = ("select", _SHARED_KEYS[0], 1, None)
-            if problem := setup.sim.run_process(run_op(setup, mid_storm_read, oracle)):
+    with closing(setup.cluster):
+        oracle = _sharing_prephase(setup)
+        dead = setup.nodes[0]
+        with CheckedRun(spans=True, memsan=True) as run:
+            run.watch(setup)
+            if _crash_sharing_node(run, setup, oracle, seed, *_STORM_CRASH) is None:
+                return SweepOutcome(point, hit, False, False, "writer crash never fired")
+            # Attempt 1: armed at the storm coordinate — failover itself dies.
+            storm_injector = FaultInjector(seed=seed).arm(point, hit)
+            if not _crashes(
+                run,
+                storm_injector,
+                setup.sim,
+                lambda: fail_over(
+                    setup, dead, AccessMeter(), actor="failover1", inherits=dead.node_id
+                ),
+            ):
                 return SweepOutcome(
-                    point, hit, True, False,
-                    f"healthy shard failed to serve mid-storm read: {problem}",
+                    point, hit, False, False, "storm point never fired during failover"
                 )
-        # Attempt 2: the half-done failover crashed; a clean re-run must
-        # converge — force-apply rebuilds and idempotent retirement make
-        # every coordinate (including torn hardening writes) retryable.
-        fail_over(
-            setup, dead, AccessMeter(), actor="failover2", inherits="failover1"
-        )
-        detail = _survivor_mismatch(setup, 1, oracle)
-        detail = detail or _write_probe(setup, 1, oracle, 8888)
-    return _failover_outcome(run, point, hit, detail)
+            if n_shards > 1:
+                # Sharded coordinate: one shard's failover just died half-done
+                # (the dead writer's locked page is the fresh key's leaf). The
+                # shared keys' leaves belong to a *different* shard, whose
+                # metadata, directory, and locks are untouched by the wedged
+                # recovery — it must keep serving reads right now.
+                mid_storm_read = ("select", _SHARED_KEYS[0], 1, None)
+                if problem := setup.sim.run_process(run_op(setup, mid_storm_read, oracle)):
+                    return SweepOutcome(
+                        point, hit, True, False,
+                        f"healthy shard failed to serve mid-storm read: {problem}",
+                    )
+            # Attempt 2: the half-done failover crashed; a clean re-run must
+            # converge — force-apply rebuilds and idempotent retirement make
+            # every coordinate (including torn hardening writes) retryable.
+            fail_over(
+                setup, dead, AccessMeter(), actor="failover2", inherits="failover1"
+            )
+            detail = _survivor_mismatch(setup, 1, oracle)
+            detail = detail or _write_probe(setup, 1, oracle, 8888)
+        return _failover_outcome(run, point, hit, detail)
 
 
 def sweep_failover_storm_points(
@@ -895,18 +903,19 @@ def sweep_failover_storm_points(
     shard must serve a read mid-storm, and retirement runs shard by
     shard."""
     probe_setup = _build_sharing(n_shards=n_shards)
-    probe_oracle = _sharing_prephase(probe_setup)
-    dead = probe_setup.nodes[0]
-    failover_injector = FaultInjector(seed=seed)
-    with CheckedRun(spans=True, memsan=True) as run:
-        run.watch(probe_setup)
-        if _crash_sharing_node(run, probe_setup, probe_oracle, seed, *_STORM_CRASH) is None:
-            raise CrashSweepError("storm sweep: the writer crash never fired")
-        with failover_injector:
-            fail_over(
-                probe_setup, dead, AccessMeter(), actor="failover", inherits=dead.node_id
-            )
-    run.check(allow_abandoned=True)
+    with closing(probe_setup.cluster):
+        probe_oracle = _sharing_prephase(probe_setup)
+        dead = probe_setup.nodes[0]
+        failover_injector = FaultInjector(seed=seed)
+        with CheckedRun(spans=True, memsan=True) as run:
+            run.watch(probe_setup)
+            if _crash_sharing_node(run, probe_setup, probe_oracle, seed, *_STORM_CRASH) is None:
+                raise CrashSweepError("storm sweep: the writer crash never fired")
+            with failover_injector:
+                fail_over(
+                    probe_setup, dead, AccessMeter(), actor="failover", inherits=dead.node_id
+                )
+        run.check(allow_abandoned=True)
     trace = list(failover_injector.trace)
     if not trace:
         raise CrashSweepError("storm sweep enumerated no failover points")

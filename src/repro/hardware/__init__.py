@@ -5,6 +5,7 @@ from .cxl import CxlFabric, CxlMemoryDevice, CxlSwitch
 from .host import Cluster, Host, cxl_timing, dram_timing
 from .memory import (
     AccessMeter,
+    ClosedRegionError,
     MappedMemory,
     MemoryRegion,
     MemoryTiming,
@@ -26,6 +27,7 @@ __all__ = [
     "cxl_timing",
     "dram_timing",
     "AccessMeter",
+    "ClosedRegionError",
     "MappedMemory",
     "MemoryRegion",
     "MemoryTiming",

@@ -269,3 +269,11 @@ class Cluster:
         region = MemoryRegion(f"memnode.{name}", size, volatile=False)
         self._remote_regions[name] = region
         return region
+
+    def close(self) -> None:
+        """Unmap every region the cluster owns: each host's DRAM, each
+        fabric's pool and the memory nodes'. Idempotent."""
+        drams = [region for host in self.hosts.values() for region in host.dram_regions]
+        pools = [fabric._region for fabric in self.fabrics if fabric._region is not None]
+        for region in [*drams, *pools, *self._remote_regions.values()]:
+            region.close()

@@ -50,10 +50,15 @@ __all__ = [
     "MappedMemory",
     "WindowedMemory",
     "PoisonedMemoryError",
+    "ClosedRegionError",
 ]
 
 class PoisonedMemoryError(RuntimeError):
     """Raised when reading a volatile region after a power failure."""
+
+
+class ClosedRegionError(RuntimeError):
+    """Raised on any use of a region after :meth:`MemoryRegion.close`."""
 
 
 # Granule of a region snapshot and of its written-extent map: an all-zero
@@ -146,15 +151,23 @@ class MemoryRegion:
         only a poisoned region is re-zeroed.
         """
         if self._poisoned:
+            self._refuse_closed()
             self._data.close()
             self._data = _zero_pages(self.size)
             self._written = bytearray(len(self._written))
             self._poisoned = False
 
+    def close(self) -> None:
+        """Unmap the buffer now, not when the collector reaches its world.
+        Idempotent; it stays poisoned, and no restore or power_restore revives it."""
+        self._poisoned = True
+        self._data.close()
+
     def snapshot(self) -> tuple:
         """``(poisoned, extents)``: the non-zero 64 KB extents as
         ``(offset, bytes)`` — what a clone needs and nothing it does not.
         Only written extents are read."""
+        self._refuse_closed()
         data = self._data
         extents = []
         for index, mark in enumerate(self._written):
@@ -171,6 +184,7 @@ class MemoryRegion:
         was ever written to it, else a fresh one — so the image and its
         other clones share nothing with this region afterwards. Exactly
         the restored extents are marked written."""
+        self._refuse_closed()
         self._poisoned, extents = state
         written = self._written
         if 1 in written:
@@ -186,8 +200,13 @@ class MemoryRegion:
     def poisoned(self) -> bool:
         return self._poisoned
 
+    def _refuse_closed(self) -> None:
+        if self._data.closed:
+            raise ClosedRegionError(f"region {self.name!r} was closed with its world")
+
     def _refuse(self, offset: int, nbytes: int) -> None:
-        """Raise for an access that is out of range or hits lost contents."""
+        """Raise for an access to a closed region, out of range or to lost contents."""
+        self._refuse_closed()
         if offset < 0 or nbytes < 0 or offset + nbytes > self.size:
             raise IndexError(
                 f"access [{offset}, {offset + nbytes}) outside region "

@@ -103,7 +103,7 @@ def _load_dataset(
     dataset. Either way the host allocates, maps and drops the loader
     region, so its region naming does not depend on which happened, and
     nothing of the load outlives it: the region and its line cache are
-    unregistered from the host afterwards.
+    unregistered from the host afterwards, and the region is closed.
 
     What the load costs is written and never read: a pooling build
     wipes the returned meter (:func:`reset_meters`), and a sharing build
@@ -145,6 +145,7 @@ def _load_dataset(
         materialize(key, {"meter": meter, "store": store, "redo": redo}, load)
     host.dram_regions.remove(region)
     host.caches.remove(line_cache)
+    region.close()
     return meter, store, redo
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -195,76 +196,77 @@ def _stress_shard(
     keys = range(1, _ROWS + 1)
     workload = SysbenchWorkload(rows=_ROWS, n_nodes=_NODES)
     setup = build_sharing_setup(system, _NODES, workload)
-    oracle = CommittedState(SysbenchWorkload.loaded_row)
-    for key in keys:  # node 0 reads every key once before the first seed
-        if problem := setup.sim.run_process(
-            run_op(setup, ("select", key, 0, None), oracle)
-        ):
-            raise StressCheckError(problem)
-    result = StressShardResult(
-        system=system, seed_start=seed_start, n_seeds=n_seeds
-    )
-    repro = stress_repro_cmd(system, seed_start, n_seeds)
-    accesses = releases = spans_checked = ms_accesses = 0
-    metrics_scrapes = metrics_samples = 0
-    for seed in range(seed_start, seed_start + n_seeds):
-        # Fresh instruments per schedule: a fresh MemSan also exercises
-        # its mid-run install (pre-existing cache copies are adopted,
-        # not reported), and a fresh pipeline's deterministic scrape and
-        # sample totals are part of the merged serial-vs-jobs
-        # byte-identity contract.
-        run = CheckedRun(trace=True, spans=True, metrics=True, memsan=True)
-        try:
-            if fail_seed == seed:
-                raise StressCheckError("forced failure (fail_seed)")
-            with run:
-                run.watch(setup)
-                _run_schedule(setup, random.Random(seed), oracle, keys)
-                run.flush(setup.sim.now)
-        except StressCheckError as exc:
-            result.failures.append(f"seed {seed}: {exc} [repro: {repro}]")
-            continue
-        ms, pipeline = run.memsan, run.metrics
-        assert ms is not None and pipeline is not None
-        ms_accesses += ms.accesses_checked
-        try:
-            run.check()
-        except MemSanError:
-            detail = "; ".join(map(str, ms.reports))
-            result.failures.append(
-                f"seed {seed}: memsan: {detail} [repro: {repro}]"
-            )
-        except (AssertionError, MetricsError) as exc:
-            result.failures.append(
-                f"seed {seed}: invariant: {exc} [repro: {repro}]"
-            )
-            continue
-        assert run.trace_stats is not None and run.span_stats is not None
-        accesses += run.trace_stats.accesses_checked
-        releases += run.trace_stats.releases_checked
-        spans_checked += run.span_stats.spans
-        metrics_scrapes += pipeline.scrapes
-        metrics_samples += pipeline.samples_published
-    result.counters = {
-        "accesses": accesses,
-        "releases": releases,
-        "spans": spans_checked,
-        "memsan_accesses": ms_accesses,
-        "metrics_scrapes": metrics_scrapes,
-        "metrics_samples": metrics_samples,
-    }
-    # Convergence: every node agrees with the oracle at the end.
-    sample = sorted(
-        random.Random(seed_start).sample(list(keys), 40)
-    )
-    for via in range(len(setup.nodes)):
-        for key in sample:
+    with closing(setup.cluster):
+        oracle = CommittedState(SysbenchWorkload.loaded_row)
+        for key in keys:  # node 0 reads every key once before the first seed
             if problem := setup.sim.run_process(
-                run_op(setup, ("select", key, via, None), oracle)
+                run_op(setup, ("select", key, 0, None), oracle)
             ):
-                result.converged = False
-                result.failures.append(f"convergence: {problem} [repro: {repro}]")
-    return result
+                raise StressCheckError(problem)
+        result = StressShardResult(
+            system=system, seed_start=seed_start, n_seeds=n_seeds
+        )
+        repro = stress_repro_cmd(system, seed_start, n_seeds)
+        accesses = releases = spans_checked = ms_accesses = 0
+        metrics_scrapes = metrics_samples = 0
+        for seed in range(seed_start, seed_start + n_seeds):
+            # Fresh instruments per schedule: a fresh MemSan also exercises
+            # its mid-run install (pre-existing cache copies are adopted,
+            # not reported), and a fresh pipeline's deterministic scrape and
+            # sample totals are part of the merged serial-vs-jobs
+            # byte-identity contract.
+            run = CheckedRun(trace=True, spans=True, metrics=True, memsan=True)
+            try:
+                if fail_seed == seed:
+                    raise StressCheckError("forced failure (fail_seed)")
+                with run:
+                    run.watch(setup)
+                    _run_schedule(setup, random.Random(seed), oracle, keys)
+                    run.flush(setup.sim.now)
+            except StressCheckError as exc:
+                result.failures.append(f"seed {seed}: {exc} [repro: {repro}]")
+                continue
+            ms, pipeline = run.memsan, run.metrics
+            assert ms is not None and pipeline is not None
+            ms_accesses += ms.accesses_checked
+            try:
+                run.check()
+            except MemSanError:
+                detail = "; ".join(map(str, ms.reports))
+                result.failures.append(
+                    f"seed {seed}: memsan: {detail} [repro: {repro}]"
+                )
+            except (AssertionError, MetricsError) as exc:
+                result.failures.append(
+                    f"seed {seed}: invariant: {exc} [repro: {repro}]"
+                )
+                continue
+            assert run.trace_stats is not None and run.span_stats is not None
+            accesses += run.trace_stats.accesses_checked
+            releases += run.trace_stats.releases_checked
+            spans_checked += run.span_stats.spans
+            metrics_scrapes += pipeline.scrapes
+            metrics_samples += pipeline.samples_published
+        result.counters = {
+            "accesses": accesses,
+            "releases": releases,
+            "spans": spans_checked,
+            "memsan_accesses": ms_accesses,
+            "metrics_scrapes": metrics_scrapes,
+            "metrics_samples": metrics_samples,
+        }
+        # Convergence: every node agrees with the oracle at the end.
+        sample = sorted(
+            random.Random(seed_start).sample(list(keys), 40)
+        )
+        for via in range(len(setup.nodes)):
+            for key in sample:
+                if problem := setup.sim.run_process(
+                    run_op(setup, ("select", key, via, None), oracle)
+                ):
+                    result.converged = False
+                    result.failures.append(f"convergence: {problem} [repro: {repro}]")
+        return result
 
 
 def run_sharing_stress(

@@ -23,12 +23,13 @@ compressed ones; LSNs, charges and the records read back do not depend
 on where a seal fell.
 
 Sealed segments live off the heap, as PolarDB's redo log lives on
-shared storage: in one append-only spill file per process
-(:class:`_Spill`, unlinked as the first seal opens it), whose bytes the
-host's page cache holds. A segment is ``(first LSN, last LSN, spill,
-offset, length)``. The file is never truncated or overwritten (a
-checkpoint's re-cut appends), so snapshots and world images share
-segments by reference; a spill refuses to be pickled.
+shared storage: in append-only, unlinked spill files (:class:`_Spill`)
+whose bytes the host's page cache holds. A segment is ``(first LSN,
+last LSN, spill, offset, length)``. A file is never truncated or
+overwritten (a checkpoint's re-cut appends), so snapshots and world
+images share segments by reference; a spill refuses to be pickled. At
+``_SPILL_BYTES`` the next seal opens a fresh file, and the full one
+closes when the last segment or snapshot naming it is dropped.
 
 Recovery contracts used elsewhere:
 
@@ -62,6 +63,8 @@ _RECORD_HEADER_BYTES = _HEADER.size
 # compress 2.83x; the smallest keeps the least uncompressed tail.
 _SEGMENT_BYTES = 1 << 18
 _ZLIB_LEVEL = 1  # the log is written once and read at most once: speed over ratio
+# A full spill takes no more segments: at this size tier-1 gives 6 of its 7.1 MB back.
+_SPILL_BYTES = 2 << 20
 
 
 class RedoRecord:
@@ -128,9 +131,9 @@ def _prefix_through(log: Union[bytes, bytearray], lsn: int) -> int:
 
 
 class _Spill:
-    """This process's append-only file of sealed segments. A forked child
-    (another pid) opens its own before it appends; what it inherited stays
-    readable, since ``pread`` does not move the file position."""
+    """An append-only file of sealed segments. A forked child (another pid)
+    opens its own before it appends; what it inherited stays readable,
+    since ``pread`` does not move the file position."""
 
     __slots__ = ("file", "fd", "pid", "end")
 
@@ -156,7 +159,7 @@ _SPILL: Optional[_Spill] = None
 def _write_segment(log: Union[bytes, bytearray]) -> tuple[_Spill, int, int]:
     """Compress ``log`` onto this process's spill file: ``(spill, offset, length)``."""
     global _SPILL
-    if _SPILL is None or _SPILL.pid != os.getpid():
+    if _SPILL is None or _SPILL.pid != os.getpid() or _SPILL.end >= _SPILL_BYTES:
         _SPILL = _Spill()
     spill, packed = _SPILL, zlib.compress(log, _ZLIB_LEVEL)
     if os.pwrite(spill.fd, packed, spill.end) != len(packed):

@@ -8,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.coherency import FlagSlab
-from repro.hardware.cache import LineCacheModel
+from repro.hardware.cache import CpuCache, LineCacheModel
 from repro.hardware.host import cxl_timing, dram_timing
 from repro.hardware.memory import (
     AccessMeter,
+    ClosedRegionError,
     MappedMemory,
     MemoryRegion,
     PoisonedMemoryError,
@@ -51,6 +52,37 @@ class TestMemoryRegion:
         region.write(0, b"data")
         region.power_fail()
         assert region.read(0, 4) == b"data"
+
+    def test_a_closed_region_refuses_every_use_and_a_second_close_is_a_no_op(self):
+        region = MemoryRegion("gone", 1 << 17, volatile=True)
+        region.write(70_000, b"data")
+        image = region.snapshot()
+        region.close()
+        region.close()
+        uses = {
+            "read": lambda: region.read(0, 4),
+            "write": lambda: region.write(0, b"x"),
+            "snapshot": region.snapshot,
+            "restore": lambda: region.restore(image),
+            "power_restore": region.power_restore,
+        }
+        for use in uses.values():
+            with pytest.raises(ClosedRegionError, match="'gone' was closed"):
+                use()
+        region.power_fail()  # a host crash after its world ended changes nothing
+        with pytest.raises(ClosedRegionError):
+            region.power_restore()
+        assert region.poisoned
+
+    def test_a_cpu_cache_neither_fills_from_nor_writes_back_to_a_closed_region(self):
+        region = MemoryRegion("gone", 4096, volatile=False)
+        cache = CpuCache("c0", capacity_lines=8)
+        cache.write(region, 0, b"dirty")
+        region.close()
+        with pytest.raises(ClosedRegionError):
+            cache.read(region, 128, 8)  # a miss: the fill
+        with pytest.raises(ClosedRegionError):
+            cache.clflush(region, 0, 64)  # the dirty line's write-back
 
     def test_power_restore_zeroes(self):
         region = MemoryRegion("r", 64, volatile=True)
@@ -305,6 +337,12 @@ def _poisoned_slab(kind: str, meter: AccessMeter, cache: LineCacheModel) -> Flag
     return slab
 
 
+def _closed_cxl(kind: str, meter: AccessMeter, cache: LineCacheModel) -> MappedMemory:
+    region = MemoryRegion("gone", 4096, volatile=False)
+    region.close()
+    return MappedMemory(region, cxl_timing(LatencyConfig()), meter, cache, "cxl")
+
+
 _U64 = struct.Struct("<Q")
 
 
@@ -350,6 +388,10 @@ REJECTED = {
     # flag_read_ns and counted a flag read before it looked at the region.
     "poisoned: flag read": (
         _poisoned_slab, lambda slab: slab.read_invalid(3), PoisonedMemoryError),
+    "closed: read": (_closed_cxl, lambda m: m.read(0, 8), ClosedRegionError),
+    "closed: write": (_closed_cxl, lambda m: m.write(0, b"x"), ClosedRegionError),
+    "closed: unpack": (_closed_cxl, lambda m: m.unpack(_U64, 0), ClosedRegionError),
+    "closed: run": (_closed_cxl, lambda m: m.read_run(_U64, 0, 8, 2), ClosedRegionError),
     "flag entry out of range": (
         _poisoned_slab, lambda slab: slab.read_removal(8), IndexError),
 }

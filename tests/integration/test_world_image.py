@@ -32,7 +32,7 @@ from repro.bench.harness import counter_snapshot
 from repro.obs.image import IMAGE_BOUND, IMAGES
 from repro.faults import sweep
 from repro.faults.injector import FaultInjector
-from repro.hardware.host import Host
+from repro.hardware.host import Cluster, Host
 from repro.hardware.memory import TransferCharge
 from repro.obs import Tracer
 from repro.obs.world import build_pooling_setup, build_sharing_setup
@@ -300,9 +300,15 @@ def test_every_coordinate_from_its_boundary_equals_the_whole_prefix_replayed(see
 @pytest.mark.parametrize("seed", _DIFFERENTIAL_SEEDS)
 def test_restored_crashed_prefix_equals_the_fresh_one_before_and_after_recovery(seed):
     golden = sweep._golden_run(seed)
-    fresh = sweep._crashed_scenario(seed, golden)  # runs the first crash, keeps the image
+
+    def crashed():
+        scenario = sweep._build_scenario()
+        sweep._crash_first(scenario, seed, golden)
+        return scenario
+
+    fresh = crashed()  # runs the first crash, keeps the image
     assert [key for key in IMAGES if key[0] == "sweep.crashed"] == [("sweep.crashed", seed)]
-    restored = sweep._crashed_scenario(seed, golden)
+    restored = crashed()
     assert restored.engine.crashed and fresh.engine.crashed
 
     def surviving(scenario):
@@ -314,7 +320,7 @@ def test_restored_crashed_prefix_equals_the_fresh_one_before_and_after_recovery(
     assert_same_world(surviving(fresh), surviving(restored))
     assert sweep._read_contents(engines[0]) == sweep._read_contents(engines[1])
     # A sibling sees the image, not what recovery did to the last clone.
-    sibling = sweep._crashed_scenario(seed, golden)
+    sibling = crashed()
     pristine_image = IMAGES[("sweep.crashed", seed)][0]
     assert_same_world(surviving(sibling), dict(pristine_image))
 
@@ -404,12 +410,69 @@ def test_a_sweep_that_dies_in_a_unit_leaves_no_live_image(monkeypatch, run):
     assert _live("sweep.boundary") == _live("sweep.crashed") == []
 
 
+# -- (b4) world lifetime: a sweep closes every world it builds, once -----------------
+
+#: sweep -> (a function its units call and its golden or probe world may
+#: call first, how many calls to let through before dying).
+_UNIT_CALLS = {
+    sweep.sweep_workload_points: ("_recover", 0),
+    sweep.sweep_recovery_points: ("_recover", 1),  # the golden recovery
+    sweep.sweep_sharing_points: ("fail_over", 0),
+    sweep.sweep_failover_storm_points: ("fail_over", 1),  # the probe's failover
+}
+
+
+@pytest.mark.parametrize("run", _UNIT_CALLS, ids=lambda run: run.__name__)
+def test_every_world_a_sweep_builds_is_closed_exactly_once(monkeypatch, run):
+    """Green, never-fired and raising units, and the golden or probe
+    world each sweep builds first: every cluster is closed once."""
+    built, closed = [], []
+    close = Cluster.close
+
+    def counting_close(cluster):
+        closed.append(cluster)
+        close(cluster)
+
+    def recording(build):
+        def wrapper(*args, **kwargs):
+            world = build(*args, **kwargs)
+            built.append(world.cluster)
+            return world
+        return wrapper
+
+    monkeypatch.setattr(Cluster, "close", counting_close)
+    for name in ("_build_scenario", "_build_sharing"):
+        monkeypatch.setattr(sweep, name, recording(getattr(sweep, name)))
+
+    def closed_once() -> bool:
+        return sorted(map(id, closed)) == sorted(map(id, built))
+
+    green = run(seed=SEED, limit=1)
+    assert green.outcomes[0].ok and len(built) >= 2 and closed_once()
+    (never,) = run(seed=SEED, only=(green.outcomes[0].point, 10**6)).outcomes
+    assert "never fired" in never.detail and closed_once()
+
+    name, spared = _UNIT_CALLS[run]
+    real, calls = getattr(sweep, name), []
+
+    def dying(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > spared:
+            raise RuntimeError("the unit dies")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, name, dying)
+    before = len(built)
+    (died,) = run(seed=SEED, limit=1).outcomes
+    assert "unit error RuntimeError: the unit dies" in died.detail
+    assert len(built) > before and closed_once()
+
+
 def test_forty_seeds_of_both_sweeps_stay_within_the_parents_memory():
     """``ru_maxrss`` growth over a fresh interpreter's import baseline,
-    after forty seeds of both single-node sweeps. At the parent commit
-    (eight per-seed baseline images, no live image) it read 24.0 MB on
-    the reference box; one shared baseline plus one live image reads
-    18.0 MB."""
+    after forty seeds of both single-node sweeps. With each sweep world
+    left for the cyclic collector to unmap it read 17.3 MB on a 2-core
+    box; with every world closed once its verdict is in, 6.9 MB."""
     script = (
         "import resource\n"
         "from repro.faults.sweep import sweep_recovery_points, sweep_workload_points\n"
@@ -425,7 +488,7 @@ def test_forty_seeds_of_both_sweeps_stay_within_the_parents_memory():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert float(done.stdout) <= 24.0 + 2.0
+    assert float(done.stdout) <= 10.0
 
 
 def test_a_disordered_durable_log_turns_the_coordinate_red_with_its_repro(monkeypatch, capsys):

@@ -8,8 +8,9 @@ LSN alignments and snapshot/restore round trips must leave the real
 same bytes. The same ops run again with segments of 1 and 64 bytes, so
 every flush (or every few) seals and the sealed path is read, pruned,
 re-cut and restored. A second guard pins what a durable record costs in
-memory, and the last three pin the spill file the sealed segments live
-in: never overwritten, never pickled, never shared with another process.
+memory, and the last four pin the spill files the sealed segments live
+in: never overwritten, never pickled, never shared with another process,
+closed once full and no longer named.
 """
 
 import os
@@ -246,6 +247,30 @@ def test_another_process_seals_into_its_own_spill_file(monkeypatch):
     assert [record.data[:1] for record in log.records_since(0)] == [
         bytes([value]) for page in range(4) for value in (page, page + 1)
     ]
+
+
+def test_a_full_spill_rotates_and_closes_once_nothing_names_it(monkeypatch):
+    """A spill at its size bound takes no more segments: the next seal
+    opens a fresh file. The full one stays open while a snapshot names
+    one of its segments, and closes once a checkpoint and the snapshot
+    have dropped them all."""
+    monkeypatch.setattr(wal, "_SPILL", None)  # restored after the test
+    log = RedoLog()
+    with mock.patch.object(wal, "_SEGMENT_BYTES", 64), mock.patch.object(wal, "_SPILL_BYTES", 1):
+        _flush_pages(log, range(4))  # every flush seals, every seal rotates
+    files = [spill.file for _, _, spill, _, _ in log._sealed]
+    assert len({id(file) for file in files}) == 4
+    saved, records = log.snapshot(), log.records_since(0)
+    log.set_checkpoint(4)  # drops the first two segments whole
+    assert [segment[0] for segment in log._sealed] == [5, 7]
+    assert not files[0].closed and not files[1].closed
+    fresh = RedoLog()
+    fresh.restore(saved)
+    assert fresh.records_since(0) == records
+    del saved, fresh
+    assert files[0].closed and files[1].closed
+    assert not files[2].closed and not files[3].closed
+    assert [record.lsn for record in log.records_since(0)] == [5, 6, 7, 8]
 
 
 def test_swapping_records_refuses_a_sealed_log():
