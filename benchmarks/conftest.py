@@ -5,22 +5,30 @@ prints it (visible with ``-s``), saves it under ``benchmarks/results/``
 and asserts the paper's qualitative shape. Absolute numbers belong to
 the authors' testbed; shapes are what the reproduction owes.
 
-``python -m repro.bench`` asks this process for instruments through
-the environment (``REPRO_BENCH_SPANS`` / ``REPRO_BENCH_MEMSAN`` when
-``spans`` / ``memsan`` is named, ``REPRO_BENCH_METRICS`` under
-``--metrics``); the autouse fixture below installs them session-wide
-through one :class:`~repro.analysis.checked.CheckedRun`, so every
-selected benchmark runs under them.
+``python -m repro.bench`` asks this process for instruments with the
+``--instruments`` option registered below (``spans`` / ``memsan`` when
+that experiment is named, ``metrics`` under ``--metrics``); the autouse
+fixture below installs them session-wide through one
+:class:`~repro.analysis.checked.CheckedRun`, so every selected benchmark
+runs under them.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+INSTRUMENTS = ("spans", "memsan", "metrics")
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--instruments",
+        default="",
+        help=f"comma-separated instruments for the whole session: {', '.join(INSTRUMENTS)}",
+    )
 
 
 def save_report(name: str, text: str) -> None:
@@ -35,7 +43,7 @@ def report():
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _bench_instruments():
+def _bench_instruments(request):
     """Install the requested instruments for the whole run.
 
     Drivers anchor a metrics pipeline to their simulator at every run
@@ -51,10 +59,11 @@ def _bench_instruments():
     """
     from repro.analysis.checked import CheckedRun
 
+    named = set(filter(None, request.config.getoption("instruments").split(",")))
+    if unknown := named.difference(INSTRUMENTS):
+        raise pytest.UsageError(f"unknown instruments {sorted(unknown)}")
     with CheckedRun(
-        spans=os.environ.get("REPRO_BENCH_SPANS") == "1",
-        metrics=os.environ.get("REPRO_BENCH_METRICS") == "1",
-        memsan=os.environ.get("REPRO_BENCH_MEMSAN") == "1",
+        spans="spans" in named, metrics="metrics" in named, memsan="memsan" in named
     ) as run:
         yield run
         pipeline = run.metrics

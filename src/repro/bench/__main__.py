@@ -86,10 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="experiment",
         help="experiment names, 'all', or 'list' (the default)",
     )
-    # --metrics sets REPRO_BENCH_METRICS, and benchmarks/conftest.py
-    # installs one session-wide MetricsPipeline. --jobs shards whole
-    # experiment files, which are self-contained, so every number is the
-    # same at any --jobs.
+    # --metrics adds "metrics" to pytest's --instruments, and
+    # benchmarks/conftest.py installs one session-wide MetricsPipeline.
+    # --jobs shards whole experiment files, which are self-contained, so
+    # every number is the same at any --jobs.
     parser.add_argument(
         "--metrics", action="store_true", help="sample every run's metrics"
     )
@@ -119,13 +119,9 @@ def main(argv: list[str]) -> int:
     # Naming spans / memsan installs that instrument for the whole
     # pytest session (benchmarks/conftest.py), so every experiment
     # selected with it also runs under it.
-    env = dict(os.environ)
-    if "spans" in names:
-        env["REPRO_BENCH_SPANS"] = "1"
-    if "memsan" in names:
-        env["REPRO_BENCH_MEMSAN"] = "1"
+    instruments = [name for name in ("spans", "memsan") if name in names]
     if args.metrics:
-        env["REPRO_BENCH_METRICS"] = "1"
+        instruments.append("metrics")
 
     def pytest_command(selected: list[str]) -> list[str]:
         return [
@@ -136,6 +132,7 @@ def main(argv: list[str]) -> int:
             "--benchmark-only",
             "-q",
             "-s",
+            f"--instruments={','.join(instruments)}",
         ]
 
     if jobs > 1 and len(files) > 1:
@@ -149,7 +146,6 @@ def main(argv: list[str]) -> int:
                 (
                     subprocess.Popen(
                         pytest_command(shard),
-                        env=env,
                         stdout=handle,
                         stderr=subprocess.STDOUT,
                     ),
@@ -163,7 +159,7 @@ def main(argv: list[str]) -> int:
             sys.stdout.write(handle.read())
             handle.close()
         return code
-    return subprocess.call(pytest_command(files), env=env)
+    return subprocess.call(pytest_command(files))
 
 
 if __name__ == "__main__":

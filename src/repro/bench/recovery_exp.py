@@ -10,6 +10,7 @@ The per-bucket query-completion series is the figure's curve.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 
 from ..obs.probes import PROBES
@@ -85,45 +86,46 @@ def _run_recovery_experiment(
     system = RECOVERY_SCHEMES[scheme]
     workload = SysbenchWorkload(rows=rows)
     setup = build_pooling_setup(system, 1, workload, seed=seed)
-    sim = setup.sim
-    ictx = setup.instances[0]
-    timeline = TimeSeries(_BUCKET_NS)
+    with closing(setup.cluster):
+        sim = setup.sim
+        ictx = setup.instances[0]
+        timeline = TimeSeries(_BUCKET_NS)
 
-    # Act 1: steady state.
-    driver1 = PoolingDriver(
-        sim,
-        [ictx],
-        workload.txn_fn(mix),
-        workers_per_instance=workers,
-        warmup_txns=1,
-        measure_txns=phase1_txns,
-        timeline=timeline,
-    )
-    res1 = driver1.run()
-    pre_crash_qps = res1.qps
-    crash_ns = sim.now
+        # Act 1: steady state.
+        driver1 = PoolingDriver(
+            sim,
+            [ictx],
+            workload.txn_fn(mix),
+            workers_per_instance=workers,
+            warmup_txns=1,
+            measure_txns=phase1_txns,
+            timeline=timeline,
+        )
+        res1 = driver1.run()
+        pre_crash_qps = res1.qps
+        crash_ns = sim.now
 
-    # Act 2: crash + recovery.
-    ictx.engine.crash()
-    engine, detail = recover_instance(setup, 0)
-    # The recovery work elapses as simulated downtime — serially, the
-    # way a replay actually reads pages.
-    settler = ChargeSettler(sim, engine.meter, setup.host.pipes)
-    sim.run_process(settler.settle_serial())
-    recovery_seconds = (sim.now - crash_ns) / 1e9
-    ictx2 = InstanceCtx(engine=engine, host=setup.host, rng=ictx.rng.fork(99))
+        # Act 2: crash + recovery.
+        ictx.engine.crash()
+        engine, detail = recover_instance(setup, 0)
+        # The recovery work elapses as simulated downtime — serially, the
+        # way a replay actually reads pages.
+        settler = ChargeSettler(sim, engine.meter, setup.host.pipes)
+        sim.run_process(settler.settle_serial())
+        recovery_seconds = (sim.now - crash_ns) / 1e9
+        ictx2 = InstanceCtx(engine=engine, host=setup.host, rng=ictx.rng.fork(99))
 
-    # Act 3: back in business; warmth decides the ramp.
-    driver2 = PoolingDriver(
-        sim,
-        [ictx2],
-        workload.txn_fn(mix),
-        workers_per_instance=workers,
-        warmup_txns=0,
-        measure_txns=phase2_txns,
-        timeline=timeline,
-    )
-    driver2.run()
+        # Act 3: back in business; warmth decides the ramp.
+        driver2 = PoolingDriver(
+            sim,
+            [ictx2],
+            workload.txn_fn(mix),
+            workers_per_instance=workers,
+            warmup_txns=0,
+            measure_txns=phase2_txns,
+            timeline=timeline,
+        )
+        driver2.run()
 
     series = timeline.series(until_ns=sim.now)
     warmup_seconds = _warmup_time(

@@ -33,6 +33,8 @@ processes; ``benchmarks/test_fig_scale.py`` runs it one worker per core.
 
 from __future__ import annotations
 
+from contextlib import closing
+
 from ..analysis.checked import CheckedRun
 from ..obs.world import build_sharing_setup
 from ..parallel.runner import WorkUnit, raise_for_failures, run_units
@@ -155,23 +157,24 @@ def run_scale_point(system: str, n_nodes: int, seed: int = 7) -> dict:
     with CheckedRun(trace=True, spans=True, metrics=True, memsan=True) as run:
         workload = SysbenchWorkload(rows=_ROWS, n_nodes=n_nodes)
         setup = build_sharing_setup(system, n_nodes, workload, n_shards=n_shards)
-        run.watch(setup)
-        register_metric_sources(setup)
-        driver = SharingDriver(
-            setup.sim,
-            setup.nodes,
-            setup.hosts,
-            make_scale_txn_fn(n_nodes),
-            shared_pct=100.0,
-            cost=setup.cost,
-            rng=WorkloadRng(seed=seed),
-            workers_per_node=2,
-            warmup_txns=1,
-            measure_txns=2,
-        )
-        result = driver.run()
-        counters = counter_snapshot(setup)
-        run.flush(setup.sim.now)
+        with closing(setup.cluster):
+            run.watch(setup)
+            register_metric_sources(setup)
+            driver = SharingDriver(
+                setup.sim,
+                setup.nodes,
+                setup.hosts,
+                make_scale_txn_fn(n_nodes),
+                shared_pct=100.0,
+                cost=setup.cost,
+                rng=WorkloadRng(seed=seed),
+                workers_per_node=2,
+                warmup_txns=1,
+                measure_txns=2,
+            )
+            result = driver.run()
+            counters = counter_snapshot(setup)
+            run.flush(setup.sim.now)
     run.check()
     ms = run.memsan
     writes = max(1.0, counters.get("lock.write_acquires", 0.0))

@@ -25,7 +25,7 @@ allocations.
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
 from .constants import (
     INTERNAL_ENTRY_BYTES,
@@ -49,11 +49,13 @@ from .page import PageView
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import Engine
 
-__all__ = ["BTree", "DuplicateKeyError", "BTreeCorruptionError"]
+__all__ = ["BTree", "TreeScan", "DuplicateKeyError", "BTreeCorruptionError"]
 
 _U16 = struct.Struct("<H")
 _U64 = struct.Struct("<Q")
 _ENTRY = struct.Struct("<QQ")
+#: A leaf's header from OFF_NRECS on: nrecs, next_leaf, heap_count, first_free.
+_LEAF_HEADER = struct.Struct("<HQHH")
 
 
 class DuplicateKeyError(KeyError):
@@ -62,6 +64,17 @@ class DuplicateKeyError(KeyError):
 
 class BTreeCorruptionError(RuntimeError):
     """An invariant check failed."""
+
+
+class TreeScan(NamedTuple):
+    """What :meth:`BTree.checked_scan` read: every record in key order, and
+    the tree's shape (``depth`` counts the levels below the root, 0 for a
+    root leaf)."""
+
+    records: list[tuple[int, bytes]]
+    leaves: int
+    internals: int
+    depth: int
 
 
 class BTree:
@@ -237,49 +250,45 @@ class BTree:
         """
         return self._descend_to_leaf(mtr, key).page_id
 
-    def iter_all(self, mtr: MiniTransaction) -> Iterator[tuple[int, bytes]]:
-        """Iterate every record in key order (tests/verification)."""
-        leaf = self._descend_to_leaf(mtr, 0)
-        while True:
-            yield from self._leaf_records(leaf)
-            next_leaf = leaf.next_leaf
-            if next_leaf == 0:
-                return
-            leaf = mtr.get_page(next_leaf)
+    def checked_scan(self, begin: Callable[[], MiniTransaction]) -> TreeScan:
+        """Every record in key order and the shape of the tree, fixing each
+        page of the tree exactly once, each in its own mini-transaction
+        from ``begin``: one pin at a time, so the walk fits any pool. It is
+        the tree's one checked whole-tree read, the crash sweep's oracle
+        and the B-tree tests' alike.
 
-    def checked_scan(
-        self, begin: Callable[[], MiniTransaction]
-    ) -> list[tuple[int, bytes]]:
-        """Every record in key order, fixing each page of the tree exactly
-        once, each in its own mini-transaction from ``begin``: one pin at a
-        time, so the walk fits any pool.
-
-        On the way it checks the order :meth:`verify` checks: separators
-        and leaf keys strictly ascending and inside their parent's
-        separator bounds, and each leaf's ``next_leaf`` naming the next
-        leaf in key order (the last one naming none). A violation, a page
+        On the way it checks separators and leaf keys strictly ascending
+        and inside their parent's separator bounds; each leaf's
+        ``next_leaf`` naming the next leaf in key order (the last one
+        naming none); each leaf's heap within capacity, its directory
+        inside the heap, and its free list ending inside the heap and
+        accounting, with the records, for every heap slot; and a root
+        internal node with at least two children. A violation, a page
         reached twice, or a page that is neither leaf nor internal raises
         :class:`BTreeCorruptionError`.
         """
         records: list[tuple[int, bytes]] = []
         chain: list[tuple[int, int]] = []  # (leaf, the next_leaf it names)
         seen: set[int] = set()
-        stack = [(self.root_page_id, 0, 2**64)]  # (page, low, high), DFS
+        depth = 0
+        stack = [(self.root_page_id, 0, 2**64, 0)]  # (page, low, high, depth), DFS
         while stack:
-            page_id, low, high = stack.pop()
+            page_id, low, high, level = stack.pop()
             if page_id in seen:
                 raise BTreeCorruptionError(f"page {page_id} reached twice")
             seen.add(page_id)
+            depth = max(depth, level)
             mtr = begin()
             try:
                 view = mtr.get_page(page_id)
                 page_type = view.page_type
                 if page_type == PT_LEAF:
-                    leaf = self._leaf_records(view)
-                    chain.append((page_id, view.next_leaf))
+                    leaf, next_leaf = self._leaf_records(view)
+                    chain.append((page_id, next_leaf))
                 elif page_type == PT_INTERNAL:
                     nrecs = view.nrecs
-                    if not 1 <= nrecs <= INTERNAL_FANOUT:
+                    # A one-child root should have collapsed into its child.
+                    if not (1 if level else 2) <= nrecs <= INTERNAL_FANOUT:
                         raise BTreeCorruptionError(
                             f"internal {page_id}: {nrecs} entries"
                         )
@@ -317,14 +326,16 @@ class BTree:
                     f"ascending inside [{low}, {high})"
                 )
             for index in range(nrecs - 1, -1, -1):
-                stack.append((entries[index][1], bounds[index], bounds[index + 1]))
+                stack.append(
+                    (entries[index][1], bounds[index], bounds[index + 1], level + 1)
+                )
         successors = [leaf_id for leaf_id, _ in chain[1:]] + [0]
         for (leaf_id, named), successor in zip(chain, successors):
             if named != successor:
                 raise BTreeCorruptionError(
                     f"leaf {leaf_id} names next leaf {named}, not {successor}"
                 )
-        return records
+        return TreeScan(records, len(chain), len(seen) - len(chain), depth)
 
     # -- descent ------------------------------------------------------------------------
 
@@ -364,10 +375,6 @@ class BTree:
         """Heap slots of ``count`` consecutive ranks: the directory grows
         down, so one run of u16 reads with a negative stride."""
         return leaf.accessor.read_run(_U16, self._dir_offset(rank), -SLOT_BYTES, count)
-
-    def _leaf_key_at_rank(self, leaf: PageView, rank: int) -> int:
-        slot = self._dir_slot(leaf, rank)
-        return leaf.read_u64(self._heap_offset(slot))
 
     def _leaf_search(self, leaf: PageView, key: int) -> tuple[int, bool]:
         """Binary search the directory: (rank, exact-match?).
@@ -437,20 +444,34 @@ class BTree:
         mtr.write_u16(leaf, self._heap_offset(slot), leaf.first_free)
         mtr.write_u16(leaf, OFF_FIRST_FREE, slot)
 
-    def _leaf_records(self, leaf: PageView) -> list[tuple[int, bytes]]:
-        """One leaf's (key, payload) pairs in key order: the heap as one
-        burst, then the whole directory as one run."""
+    def _leaf_records(self, leaf: PageView) -> tuple[list[tuple[int, bytes]], int]:
+        """One leaf's (key, payload) pairs in key order and the next leaf it
+        names: the header as one read, the heap as one burst, then the
+        whole directory as one run. The free list is followed through the
+        burst, so checking it reads nothing more."""
         record_size = self.record_size
-        heap_count = leaf.heap_count
+        nrecs, next_leaf, heap_count, free = leaf.accessor.unpack(_LEAF_HEADER, OFF_NRECS)
         if heap_count > self.capacity:
             raise BTreeCorruptionError(f"leaf {leaf.page_id}: heap overflow")
         heap = (
             leaf.read(PAGE_HEADER_SIZE, heap_count * record_size) if heap_count else b""
         )
-        nrecs = leaf.nrecs
-        if nrecs > heap_count:
+        free_slots = set()
+        while free != NO_FREE_SLOT:
+            if free >= heap_count:
+                raise BTreeCorruptionError(
+                    f"leaf {leaf.page_id}: free slot {free} past the heap"
+                )
+            if free in free_slots:
+                raise BTreeCorruptionError(
+                    f"leaf {leaf.page_id}: free list cycles at slot {free}"
+                )
+            free_slots.add(free)
+            free = _U16.unpack_from(heap, free * record_size)[0]
+        if nrecs + len(free_slots) != heap_count:
             raise BTreeCorruptionError(
-                f"leaf {leaf.page_id}: {nrecs} records in a heap of {heap_count}"
+                f"leaf {leaf.page_id}: {nrecs} records + {len(free_slots)} "
+                f"free slots in a heap of {heap_count}"
             )
         out = []
         for (slot,) in self._dir_slots(leaf, 0, nrecs):
@@ -461,7 +482,7 @@ class BTree:
             at = slot * record_size
             payload = heap[at + KEY_BYTES : at + record_size]
             out.append((_U64.unpack_from(heap, at)[0], payload))
-        return out
+        return out, next_leaf
 
     def _read_leaf_records(self, leaf: PageView, ranks: range) -> list[bytes]:
         return [
@@ -489,9 +510,6 @@ class BTree:
     @staticmethod
     def _entry_offset(index: int) -> int:
         return PAGE_HEADER_SIZE + index * INTERNAL_ENTRY_BYTES
-
-    def _internal_entry(self, node: PageView, index: int) -> tuple[int, int]:
-        return node.accessor.unpack(_ENTRY, self._entry_offset(index))
 
     def _internal_key(self, node: PageView, index: int) -> int:
         return node.read_u64(self._entry_offset(index))
@@ -734,100 +752,3 @@ class BTree:
         self.engine.set_tree_root(mtr, self.tree_slot, new_root.page_id)
         self._root_page_id = new_root.page_id
         self.engine.meter.count("root_splits")
-
-    # -- verification -------------------------------------------------------------------------
-
-    def verify(self, mtr: MiniTransaction) -> dict[str, int]:
-        """Walk the whole tree checking invariants; returns statistics.
-
-        Checks: directory keys strictly ascending per leaf; separator
-        keys ascending per internal node; every child's keys within its
-        separator bounds; leaf chain visits exactly the leaves reachable
-        from the root, in ascending key order; heap/free-list accounting
-        consistent.
-        """
-        stats = {"leaves": 0, "internals": 0, "records": 0, "depth": 0}
-        reachable_leaves: list[int] = []
-        self._verify_node(
-            mtr, self.root_page_id, 0, 2**64, stats, reachable_leaves, depth=0
-        )
-        # Leaf chain must match in-order reachability.
-        chain: list[int] = []
-        leaf = self._descend_to_leaf(mtr, 0)
-        chain.append(leaf.page_id)
-        while leaf.next_leaf != 0:
-            leaf = mtr.get_page(leaf.next_leaf)
-            chain.append(leaf.page_id)
-        if chain != reachable_leaves:
-            raise BTreeCorruptionError(
-                f"leaf chain {chain} != reachable leaves {reachable_leaves}"
-            )
-        return stats
-
-    def _verify_node(
-        self,
-        mtr: MiniTransaction,
-        page_id: int,
-        low: int,
-        high: int,
-        stats: dict[str, int],
-        leaves: list[int],
-        depth: int,
-    ) -> None:
-        view = mtr.get_page(page_id)
-        stats["depth"] = max(stats["depth"], depth)
-        if view.page_type == PT_LEAF:
-            stats["leaves"] += 1
-            nrecs = view.nrecs
-            stats["records"] += nrecs
-            previous = None
-            for rank in range(nrecs):
-                key = self._leaf_key_at_rank(view, rank)
-                if previous is not None and key <= previous:
-                    raise BTreeCorruptionError(
-                        f"leaf {page_id}: keys not ascending at rank {rank}"
-                    )
-                if not (low <= key < high):
-                    raise BTreeCorruptionError(
-                        f"leaf {page_id}: key {key} outside [{low}, {high})"
-                    )
-                previous = key
-            if view.heap_count > self.capacity:
-                raise BTreeCorruptionError(f"leaf {page_id}: heap overflow")
-            free = view.first_free
-            free_count = 0
-            seen = set()
-            while free != NO_FREE_SLOT:
-                if free in seen or free >= view.heap_count:
-                    raise BTreeCorruptionError(f"leaf {page_id}: bad free list")
-                seen.add(free)
-                free_count += 1
-                free = view.read_u16(self._heap_offset(free))
-            if nrecs + free_count != view.heap_count:
-                raise BTreeCorruptionError(
-                    f"leaf {page_id}: nrecs {nrecs} + free {free_count} "
-                    f"!= heap {view.heap_count}"
-                )
-            leaves.append(page_id)
-            return
-        if view.page_type != PT_INTERNAL:
-            raise BTreeCorruptionError(f"page {page_id}: unexpected type")
-        stats["internals"] += 1
-        nrecs = view.nrecs
-        if nrecs < 2 and depth == 0:
-            raise BTreeCorruptionError("root internal with fewer than 2 children")
-        previous_key = None
-        for index in range(nrecs):
-            key, child = self._internal_entry(view, index)
-            if previous_key is not None and key <= previous_key:
-                raise BTreeCorruptionError(
-                    f"internal {page_id}: separators not ascending"
-                )
-            child_low = low if index == 0 else key
-            child_high = (
-                high if index == nrecs - 1 else self._internal_key(view, index + 1)
-            )
-            self._verify_node(
-                mtr, child, child_low, child_high, stats, leaves, depth + 1
-            )
-            previous_key = key

@@ -437,7 +437,7 @@ def _read_contents(engine: Engine) -> dict:
     table = engine.tables["t"]
     decode = table.codec.decode
     contents: dict[int, int] = {}
-    for _, payload in table.btree.checked_scan(engine.mtr):
+    for _, payload in table.btree.checked_scan(engine.mtr).records:
         row = decode(payload)
         contents[row["id"]] = row["k"]
     return contents

@@ -40,6 +40,7 @@ owners.
 from __future__ import annotations
 
 import json
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -521,7 +522,8 @@ def _run_scenario(
     clean, crash-abandoned spans allowed — and the SLO monitor's fired
     alerts must align with the availability timeline (alerts during
     injected degradation, silence in steady state, everything cleared
-    by the end).
+    by the end). The fleet's world is closed once the body is done, or
+    has raised.
     """
     injector = FaultInjector(seed=seed)
     with CheckedRun(trace=True, spans=True, metrics=True, memsan=True) as run, injector:
@@ -533,10 +535,11 @@ def _run_scenario(
             fleet = _Fleet(
                 name, n_nodes, rows, seed, injector, run, n_shards=n_shards
             )
-            run.watch(fleet.setup)
-            detail = body(fleet) or {}
-            fleet.timeline.end(fleet.sim.now)
-            run.flush(fleet.sim.now)
+            with closing(fleet.setup.cluster):
+                run.watch(fleet.setup)
+                detail = body(fleet) or {}
+                fleet.timeline.end(fleet.sim.now)
+                run.flush(fleet.sim.now)
         finally:
             # A shared outer pipeline outlives this scenario;
             # never leave a stale monitor listening on it.

@@ -45,9 +45,8 @@ class TestVanillaReplay:
         assert table.get(mtr, 10)["k"] == 55
         assert table.get(mtr, 490)["k"] == 66
         assert table.get(mtr, 20)["k"] == row_for(20)["k"]  # rolled back
-        vstats = table.btree.verify(mtr)
         mtr.commit()
-        assert vstats["records"] == 500
+        assert len(table.btree.checked_scan(fresh.engine.mtr).records) == 500
         assert stats.pages_redone >= 2
         assert stats.pages_from_storage == stats.pages_redone
         assert stats.pages_from_remote == 0

@@ -214,9 +214,7 @@ class TestFunctionalParity:
             table.update_field(mtr, 77, "k", 5)
             table.delete(mtr, 80)
             mtr.commit()
-        mtr_c, mtr_l = cxl.engine.mtr(), local.engine.mtr()
-        assert list(table_c.btree.iter_all(mtr_c)) == list(
-            table_l.btree.iter_all(mtr_l)
+        assert (
+            table_c.btree.checked_scan(cxl.engine.mtr).records
+            == table_l.btree.checked_scan(local.engine.mtr).records
         )
-        mtr_c.commit()
-        mtr_l.commit()

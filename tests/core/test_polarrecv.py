@@ -37,9 +37,8 @@ class TestCleanCrash:
         mtr = engine.mtr()
         for key in (1, 150, 300):
             assert table.get(mtr, key)["id"] == key
-        vstats = table.btree.verify(mtr)
         mtr.commit()
-        assert vstats["records"] == 300
+        assert len(table.btree.checked_scan(engine.mtr).records) == 300
 
     def test_lru_adopted_not_rebuilt(self, ctx):
         order_before = ctx.pool.lru_order()
@@ -110,11 +109,11 @@ class TestLockedPages:
         ctx.engine.crash()
         engine, stats = recover_cxl_ctx(ctx, SCHEMA)
         assert stats.pages_rebuilt_locked == 1
+        scan = engine.tables["t"].btree.checked_scan(engine.mtr)
         mtr = engine.mtr()
-        vstats = engine.tables["t"].btree.verify(mtr)
         assert engine.tables["t"].get(mtr, 42)["id"] == 42
         mtr.commit()
-        assert vstats["records"] == 300
+        assert len(scan.records) == 300
 
     def test_smo_mid_flight_rebuilt_consistently(self, cluster, host):
         """Crash in the middle of a leaf split (several latched pages)."""
@@ -141,11 +140,9 @@ class TestLockedPages:
 
         engine, stats = recover_cxl_ctx(ctx, SCHEMA)
         assert stats.pages_rebuilt_locked >= 1
-        mtr = engine.mtr()
-        vstats = engine.tables["t"].btree.verify(mtr)
-        mtr.commit()
+        scan = engine.tables["t"].btree.checked_scan(engine.mtr)
         # Everything durably committed is present; the torn SMO is gone.
-        assert vstats["records"] == 300
+        assert len(scan.records) == 300
 
 
 class TestLruRecovery:

@@ -10,7 +10,11 @@ from repro.db.btree import BTreeCorruptionError, DuplicateKeyError
 from repro.db.constants import (
     INTERNAL_ENTRY_BYTES,
     KEY_BYTES,
+    NO_FREE_SLOT,
+    OFF_FIRST_FREE,
+    OFF_HEAP_COUNT,
     OFF_NEXT_LEAF,
+    OFF_NRECS,
     PAGE_HEADER_SIZE,
     PAGE_SIZE,
 )
@@ -18,7 +22,9 @@ from repro.db.record import Field, RecordCodec
 
 from ..conftest import SMALL_CODEC, fill_table, make_local_engine, row_for
 
+_U16 = struct.Struct("<H")
 _U64 = struct.Struct("<Q")
+_ENTRY = struct.Struct("<QQ")  # (separator key, child page id)
 
 
 @pytest.fixture
@@ -31,11 +37,8 @@ def table(ctx):
     return fill_table(ctx, rows=400)
 
 
-def _verify(ctx, table):
-    mtr = ctx.engine.mtr()
-    stats = table.btree.verify(mtr)
-    mtr.commit()
-    return stats
+def _scan(ctx, table):
+    return table.btree.checked_scan(ctx.engine.mtr)
 
 
 class TestLookup:
@@ -53,9 +56,9 @@ class TestLookup:
         mtr.commit()
 
     def test_tree_split_happened(self, ctx, table):
-        stats = _verify(ctx, table)
-        assert stats["leaves"] > 1
-        assert stats["records"] == 400
+        scan = _scan(ctx, table)
+        assert scan.leaves > 1
+        assert len(scan.records) == 400
 
 
 class TestInsert:
@@ -69,11 +72,8 @@ class TestInsert:
         ctx_b = make_local_engine(host, name="shuf")
         table_a = fill_table(ctx_a, rows=300, shuffle_seed=None)
         table_b = fill_table(ctx_b, rows=300, shuffle_seed=42)
-        mtr_a, mtr_b = ctx_a.engine.mtr(), ctx_b.engine.mtr()
-        rows_a = list(table_a.btree.iter_all(mtr_a))
-        rows_b = list(table_b.btree.iter_all(mtr_b))
-        mtr_a.commit()
-        mtr_b.commit()
+        rows_a = _scan(ctx_a, table_a).records
+        rows_b = _scan(ctx_b, table_b).records
         assert rows_a == rows_b
 
     def test_wrong_payload_size_rejected(self, ctx, table):
@@ -88,8 +88,7 @@ class TestInsert:
             mtr = ctx.engine.mtr()
             table.insert(mtr, key, row_for(key))
             mtr.commit()
-        stats = _verify(ctx, table)
-        assert stats["records"] == 500
+        assert len(_scan(ctx, table).records) == 500
 
 
 class TestUpdate:
@@ -131,7 +130,7 @@ class TestDelete:
         mtr = ctx.engine.mtr()
         assert table.get(mtr, 57) is None
         mtr.commit()
-        assert _verify(ctx, table)["records"] == 399
+        assert len(_scan(ctx, table).records) == 399
 
     def test_delete_missing_false(self, ctx, table):
         mtr = ctx.engine.mtr()
@@ -143,7 +142,7 @@ class TestDelete:
         table.delete(mtr, 57)
         table.insert(mtr, 57, row_for(57))
         mtr.commit()
-        assert _verify(ctx, table)["records"] == 400
+        assert len(_scan(ctx, table).records) == 400
 
     def test_delete_everything(self, host):
         ctx = make_local_engine(host, name="wipe")
@@ -152,12 +151,12 @@ class TestDelete:
             mtr = ctx.engine.mtr()
             assert table.delete(mtr, key)
             mtr.commit()
-        assert _verify(ctx, table)["records"] == 0
+        assert _scan(ctx, table).records == []
         # Reinsert into tombstone leaves works.
         mtr = ctx.engine.mtr()
         table.insert(mtr, 75, row_for(75))
         mtr.commit()
-        assert _verify(ctx, table)["records"] == 1
+        assert len(_scan(ctx, table).records) == 1
 
 
 class TestRangeScan:
@@ -217,10 +216,10 @@ class TestMultiLevel:
             mtr = ctx.engine.mtr()
             table.insert(mtr, key, {"id": key, "pad": b"p" * 3000})
             mtr.commit()
+        scan = _scan(ctx, table)
+        assert len(scan.records) == rows
+        assert scan.leaves >= rows // 5
         mtr = ctx.engine.mtr()
-        stats = table.btree.verify(mtr)
-        assert stats["records"] == rows
-        assert stats["leaves"] >= rows // 5
         row = table.get(mtr, 599)
         assert row["id"] == 599
         mtr.commit()
@@ -236,20 +235,45 @@ def _poke(ctx, page_id, offset, data):
 def _root_entries(ctx, table):
     mtr = ctx.engine.mtr()
     root = mtr.get_page(table.btree.root_page_id)
-    entries = [table.btree._internal_entry(root, i) for i in range(root.nrecs)]
+    entries = list(
+        _ENTRY.iter_unpack(root.read(PAGE_HEADER_SIZE, root.nrecs * INTERNAL_ENTRY_BYTES))
+    )
     mtr.commit()
     return entries
 
 
+def _leaf_with_two_free_slots(ctx, table):
+    """Delete keys 2 and 3 from the first leaf: its free list is then the
+    slot of key 3, then the slot of key 2. Returns (leaf, free slots)."""
+    mtr = ctx.engine.mtr()
+    leaf = mtr.get_page(table.btree.leaf_page_id_for(mtr, 2))
+    slots = [table.btree._dir_slot(leaf, rank) for rank in (1, 2)]  # keys 2, 3
+    mtr.commit()
+    for key in (2, 3):
+        mtr = ctx.engine.mtr()
+        assert table.delete(mtr, key)
+        mtr.commit()
+    mtr = ctx.engine.mtr()
+    assert mtr.get_page(leaf.page_id).first_free == slots[1]
+    mtr.commit()
+    return leaf.page_id, slots
+
+
+def _slot_offset(table, slot):
+    return PAGE_HEADER_SIZE + slot * table.btree.record_size
+
+
 class TestCheckedScan:
     def test_reads_every_record_fixing_each_page_once(self, ctx, table):
-        stats = _verify(ctx, table)
+        """One fix per page it counts, and the rows the leaf-chain scan
+        production uses reads."""
         pool = ctx.engine.buffer_pool
         fixes = pool.hits + pool.misses
-        records = table.btree.checked_scan(ctx.engine.mtr)
-        assert pool.hits + pool.misses - fixes == stats["leaves"] + stats["internals"]
+        scan = _scan(ctx, table)
+        assert pool.hits + pool.misses - fixes == scan.leaves + scan.internals
+        assert (scan.internals, scan.depth) == (1, 1) and scan.leaves > 1
         mtr = ctx.engine.mtr()
-        assert records == list(table.btree.iter_all(mtr))
+        assert scan.records == table.btree.range_scan(mtr, 0, 10**6)
         mtr.commit()
 
     def test_a_cut_leaf_chain_is_corruption(self, ctx, table):
@@ -282,6 +306,47 @@ class TestCheckedScan:
         _poke(ctx, table.btree.root_page_id, child_of_entry_1, _U64.pack(first_leaf))
         message = f"page {first_leaf} reached twice"
         with pytest.raises(BTreeCorruptionError, match=message):
+            table.btree.checked_scan(ctx.engine.mtr)
+
+    def test_a_free_list_cycle_is_corruption(self, ctx, table):
+        leaf, (older, newer) = _leaf_with_two_free_slots(ctx, table)
+        _poke(ctx, leaf, _slot_offset(table, older), _U16.pack(newer))
+        with pytest.raises(BTreeCorruptionError, match=f"free list cycles at slot {newer}"):
+            table.btree.checked_scan(ctx.engine.mtr)
+
+    def test_a_free_slot_past_the_heap_is_corruption(self, ctx, table):
+        leaf, (older, _) = _leaf_with_two_free_slots(ctx, table)
+        mtr = ctx.engine.mtr()
+        heap_count = mtr.get_page(leaf).heap_count
+        mtr.commit()
+        _poke(ctx, leaf, _slot_offset(table, older), _U16.pack(heap_count))
+        message = f"leaf {leaf}: free slot {heap_count} past the heap"
+        with pytest.raises(BTreeCorruptionError, match=message):
+            table.btree.checked_scan(ctx.engine.mtr)
+
+    def test_free_slots_that_do_not_account_for_the_heap_are_corruption(
+        self, ctx, table
+    ):
+        leaf, _ = _leaf_with_two_free_slots(ctx, table)
+        _poke(ctx, leaf, OFF_FIRST_FREE, _U16.pack(NO_FREE_SLOT))  # leak both
+        message = f"leaf {leaf}: .* records \\+ 0 free slots in a heap of"
+        with pytest.raises(BTreeCorruptionError, match=message):
+            table.btree.checked_scan(ctx.engine.mtr)
+
+    def test_a_heap_past_the_leaf_capacity_is_corruption(self, ctx, table):
+        first_leaf = _root_entries(ctx, table)[0][1]
+        _poke(ctx, first_leaf, OFF_HEAP_COUNT, _U16.pack(table.btree.capacity + 1))
+        with pytest.raises(BTreeCorruptionError, match=f"leaf {first_leaf}: heap overflow"):
+            table.btree.checked_scan(ctx.engine.mtr)
+
+    def test_a_root_with_one_child_is_corruption(self, ctx, table):
+        """The root keeps only its first child, whose leaf now ends the
+        chain: every other check passes on the one leaf left."""
+        first_leaf = _root_entries(ctx, table)[0][1]
+        _poke(ctx, first_leaf, OFF_NEXT_LEAF, _U64.pack(0))
+        root = table.btree.root_page_id
+        _poke(ctx, root, OFF_NRECS, _U16.pack(1))
+        with pytest.raises(BTreeCorruptionError, match=f"internal {root}: 1 entries"):
             table.btree.checked_scan(ctx.engine.mtr)
 
 
@@ -341,12 +406,9 @@ class TestModelBased:
                     assert row is None
             mtr.commit()
         # Full contents match the model, in order.
-        mtr = ctx.engine.mtr()
+        scan = _scan(ctx, table)
         contents = {
-            key: SMALL_CODEC.decode(payload)["k"]
-            for key, payload in table.btree.iter_all(mtr)
+            key: SMALL_CODEC.decode(payload)["k"] for key, payload in scan.records
         }
-        stats = table.btree.verify(mtr)
-        mtr.commit()
         assert contents == model
-        assert stats["records"] == len(model)
+        assert len(scan.records) == len(model)

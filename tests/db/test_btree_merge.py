@@ -32,25 +32,22 @@ def build_wide(host, rows, name="merge"):
     return ctx, table
 
 
-def verify(ctx, table):
-    mtr = ctx.engine.mtr()
-    stats = table.btree.verify(mtr)
-    mtr.commit()
-    return stats
+def scan(ctx, table):
+    return table.btree.checked_scan(ctx.engine.mtr)
 
 
 class TestLeafMerge:
     def test_deleting_shrinks_leaf_count(self, host):
         ctx, table = build_wide(host, rows=60)
-        before = verify(ctx, table)
-        assert before["leaves"] > 4
+        before = scan(ctx, table)
+        assert before.leaves > 4
         for key in range(1, 51):
             mtr = ctx.engine.mtr()
             assert table.delete(mtr, key)
             mtr.commit()
-        after = verify(ctx, table)
-        assert after["records"] == 10
-        assert after["leaves"] < before["leaves"]
+        after = scan(ctx, table)
+        assert len(after.records) == 10
+        assert after.leaves < before.leaves
         assert ctx.meter.counters.get("leaf_merges", 0) >= 1
 
     def test_contents_survive_merges(self, host):
@@ -61,9 +58,7 @@ class TestLeafMerge:
             if table.delete(mtr, key):
                 surviving.discard(key)
             mtr.commit()
-        mtr = ctx.engine.mtr()
-        remaining = {key for key, _ in table.btree.iter_all(mtr)}
-        mtr.commit()
+        remaining = {key for key, _ in scan(ctx, table).records}
         assert remaining == surviving
         for key in sorted(surviving):
             mtr = ctx.engine.mtr()
@@ -77,21 +72,21 @@ class TestLeafMerge:
             mtr = ctx.engine.mtr()
             table.delete(mtr, key)
             mtr.commit()
-        stats = verify(ctx, table)  # verify checks the chain exactly
-        assert stats["records"] == 20
+        stats = scan(ctx, table)  # the scan checks the chain exactly
+        assert len(stats.records) == 20
 
 
 class TestRootCollapse:
     def test_tree_height_shrinks_to_single_leaf(self, host):
         ctx, table = build_wide(host, rows=60)
-        assert verify(ctx, table)["depth"] >= 1
+        assert scan(ctx, table).depth >= 1
         for key in range(1, 58):
             mtr = ctx.engine.mtr()
             table.delete(mtr, key)
             mtr.commit()
-        stats = verify(ctx, table)
-        assert stats["records"] == 3
-        assert stats["depth"] == 0  # back to a root leaf
+        stats = scan(ctx, table)
+        assert len(stats.records) == 3
+        assert stats.depth == 0  # back to a root leaf
         assert ctx.meter.counters.get("root_collapses", 0) >= 1
 
     def test_tree_remains_usable_after_collapse(self, host):
@@ -105,9 +100,9 @@ class TestRootCollapse:
             mtr = ctx.engine.mtr()
             table.insert(mtr, key, wide_row(key))
             mtr.commit()
-        stats = verify(ctx, table)
-        assert stats["records"] == 63
-        assert stats["depth"] >= 1
+        stats = scan(ctx, table)
+        assert len(stats.records) == 63
+        assert stats.depth >= 1
 
 
 class TestFreedPageReuse:
@@ -133,9 +128,9 @@ class TestFreedPageReuse:
         next_id_after = meta.read_u64(32)
         mtr.commit()
         grown = next_id_after - next_id_before
-        stats = verify(ctx, table)
-        assert stats["records"] == 63
-        assert grown < stats["leaves"], "splits should have reused freed pages"
+        stats = scan(ctx, table)
+        assert len(stats.records) == 63
+        assert grown < stats.leaves, "splits should have reused freed pages"
 
     def test_freed_pages_marked_free(self, host):
         ctx, table = build_wide(host, rows=40)
@@ -191,13 +186,10 @@ class TestMergeRecovery:
         engine, stats = recover_cxl_ctx(ctx, [("t", WIDE)])
         assert stats.pages_rebuilt_locked >= 1
         table2 = engine.tables["t"]
-        mtr = engine.mtr()
-        vstats = table2.btree.verify(mtr)
-        remaining = {key for key, _ in table2.btree.iter_all(mtr)}
-        mtr.commit()
+        records = table2.btree.checked_scan(engine.mtr).records
         # The torn delete+merge rolled back; the committed deletes hold.
-        assert remaining == set(range(7, 41))
-        assert vstats["records"] == 34
+        assert {key for key, _ in records} == set(range(7, 41))
+        assert len(records) == 34
 
 
 @st.composite
@@ -227,11 +219,7 @@ class TestMergeProperties:
             mtr.commit()
             alive.discard(key)
             if i % 13 == 0:
-                mtr = ctx.engine.mtr()
-                stats = table.btree.verify(mtr)
-                remaining = {k for k, _ in table.btree.iter_all(mtr)}
-                mtr.commit()
-                assert remaining == alive
-                assert stats["records"] == len(alive)
-        stats = verify(ctx, table)
-        assert stats["records"] == 0
+                records = scan(ctx, table).records
+                assert {k for k, _ in records} == alive
+                assert len(records) == len(alive)
+        assert scan(ctx, table).records == []

@@ -26,18 +26,8 @@ def _fresh_table(host, name="prop"):
     return ctx, ctx.engine.create_table(name, SMALL_CODEC)
 
 
-def _tree_contents(ctx, table) -> dict[int, bytes]:
-    mtr = ctx.engine.mtr()
-    contents = dict(table.btree.iter_all(mtr))
-    mtr.commit()
-    return contents
-
-
-def _verify(ctx, table) -> dict[str, int]:
-    mtr = ctx.engine.mtr()
-    stats = table.btree.verify(mtr)
-    mtr.commit()
-    return stats
+def _scan(ctx, table):
+    return table.btree.checked_scan(ctx.engine.mtr)
 
 
 class TestSeededOpStreams:
@@ -74,9 +64,8 @@ class TestSeededOpStreams:
                 expected = sorted(k for k in oracle if k >= start)[:count]
                 assert got == expected
             mtr.commit()
-        stats = _verify(ctx, table)
-        assert stats["records"] == len(oracle)
-        contents = _tree_contents(ctx, table)
+        contents = dict(_scan(ctx, table).records)
+        assert len(contents) == len(oracle)
         assert sorted(contents) == sorted(oracle)
 
     def test_full_scan_equals_oracle_order(self, host):
@@ -108,10 +97,10 @@ class TestSplitMergeBoundaries:
             mtr = ctx.engine.mtr()
             table.insert(mtr, key, row_for(key))
             mtr.commit()
-        stats = _verify(ctx, table)
-        assert stats["records"] == n
+        scan = _scan(ctx, table)
+        assert len(scan.records) == n
         # The first split happens on the insert *past* capacity.
-        assert stats["leaves"] == (1 if n <= cap else 2)
+        assert scan.leaves == (1 if n <= cap else 2)
 
     @pytest.mark.parametrize("order", ["asc", "desc", "shuffled"])
     def test_boundary_sizes_in_every_insert_order(self, host, order):
@@ -127,10 +116,9 @@ class TestSplitMergeBoundaries:
             mtr = ctx.engine.mtr()
             table.insert(mtr, key, row_for(key))
             mtr.commit()
-        stats = _verify(ctx, table)
-        assert stats["records"] == n
-        assert stats["leaves"] >= 3
-        assert sorted(_tree_contents(ctx, table)) == list(range(1, n + 1))
+        scan = _scan(ctx, table)
+        assert scan.leaves >= 3
+        assert [key for key, _ in scan.records] == list(range(1, n + 1))
 
     def test_delete_to_merge_threshold(self, host):
         """Deleting below a quarter-full must merge, never corrupt."""
@@ -141,7 +129,7 @@ class TestSplitMergeBoundaries:
             mtr = ctx.engine.mtr()
             table.insert(mtr, key, row_for(key))
             mtr.commit()
-        assert _verify(ctx, table)["leaves"] >= 2
+        assert _scan(ctx, table).leaves >= 2
         # Empty the right end one key at a time, crossing the cap//4
         # merge threshold; verify the tree after every single delete.
         remaining = n
@@ -150,10 +138,9 @@ class TestSplitMergeBoundaries:
             assert table.delete(mtr, key)
             mtr.commit()
             remaining -= 1
-            stats = _verify(ctx, table)
-            assert stats["records"] == remaining
+            assert len(_scan(ctx, table).records) == remaining
         assert ctx.engine.meter.counters.get("leaf_merges", 0) >= 1
-        assert _verify(ctx, table)["leaves"] == 1
+        assert _scan(ctx, table).leaves == 1
 
     def test_merge_then_regrow(self, host):
         ctx, table = _fresh_table(host, name="regrow")
@@ -171,8 +158,7 @@ class TestSplitMergeBoundaries:
             mtr = ctx.engine.mtr()
             table.insert(mtr, key, row_for(key))
             mtr.commit()
-        stats = _verify(ctx, table)
-        assert stats["records"] == (cap // 2 - 1) + 2 * cap
+        assert len(_scan(ctx, table).records) == (cap // 2 - 1) + 2 * cap
 
 
 @st.composite

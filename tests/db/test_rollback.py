@@ -18,10 +18,7 @@ def table(ctx):
 
 
 def snapshot(ctx, table):
-    mtr = ctx.engine.mtr()
-    contents = dict(table.btree.iter_all(mtr))
-    mtr.commit()
-    return contents
+    return dict(table.btree.checked_scan(ctx.engine.mtr).records)
 
 
 class TestRollback:
@@ -45,8 +42,8 @@ class TestRollback:
         assert snapshot(ctx, table) == before
         mtr = ctx.engine.mtr()
         assert table.get(mtr, 1000) is None
-        table.btree.verify(mtr)
         mtr.commit()
+        table.btree.checked_scan(ctx.engine.mtr)
 
     def test_delete_rolled_back(self, ctx, table):
         before = snapshot(ctx, table)
@@ -94,10 +91,7 @@ class TestRollback:
         mtr.commit()
         txn.rollback()
         assert snapshot(ctx, table) == before
-        mtr = ctx.engine.mtr()
-        stats = table.btree.verify(mtr)
-        mtr.commit()
-        assert stats["records"] == 19
+        assert len(before) == 19
 
     def test_rollback_is_durable(self, ctx, table):
         """An aborted transaction stays aborted across a crash: the
@@ -128,11 +122,9 @@ class TestRollback:
         replay_recovery(fresh.pool, ctx.store, ctx.redo)
         fresh.engine.adopt_schema([("t", SMALL_CODEC)])
         table2 = fresh.engine.tables["t"]
-        mtr = fresh.engine.mtr()
-        recovered = dict(table2.btree.iter_all(mtr))
+        recovered = dict(table2.btree.checked_scan(fresh.engine.mtr).records)
         assert SMALL_CODEC.decode(recovered[42])["k"] == row_for(42)["k"]
         assert SMALL_CODEC.decode(recovered[50])["k"] == 9
-        mtr.commit()
         assert recovered == expected
 
     def test_context_manager_rolls_back_on_exception(self, ctx, table):
@@ -177,8 +169,8 @@ class TestRollback:
         assert 7 in set(table.indexes["k"].lookup_pks(mtr, 7 % 5, limit=100))
         assert 7 not in set(table.indexes["k"].lookup_pks(mtr, 4, limit=100))
         assert 8 in set(table.indexes["k"].lookup_pks(mtr, 8 % 5, limit=100))
-        table.indexes["k"].btree.verify(mtr)
         mtr.commit()
+        table.indexes["k"].btree.checked_scan(ctx.engine.mtr)
 
 
 @st.composite
@@ -226,6 +218,3 @@ class TestRollbackProperty:
         mtr.commit()
         txn.rollback()
         assert snapshot(ctx, table) == before
-        mtr = ctx.engine.mtr()
-        table.btree.verify(mtr)
-        mtr.commit()

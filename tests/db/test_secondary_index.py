@@ -113,19 +113,17 @@ class TestIndexMaintenance:
             elif key % 3 == 1:
                 table.update_field(mtr, key, "k", (key * 7) % 50)
         mtr.commit()
-        mtr = ctx.engine.mtr()
         expected: dict[int, set] = {}
-        for key, payload in table.btree.iter_all(mtr):
+        for key, payload in table.btree.checked_scan(ctx.engine.mtr).records:
             k = CODEC.decode(payload)["k"]
             expected.setdefault(k, set()).add(key)
+        mtr = ctx.engine.mtr()
         for k, pks in expected.items():
             assert set(table.indexes["k"].lookup_pks(mtr, k, limit=500)) == pks
-        # And the index holds nothing extra.
-        total_index_entries = sum(
-            1 for _ in table.indexes["k"].btree.iter_all(mtr)
-        )
         mtr.commit()
-        assert total_index_entries == sum(len(v) for v in expected.values())
+        # And the index holds nothing extra.
+        index_entries = table.indexes["k"].btree.checked_scan(ctx.engine.mtr).records
+        assert len(index_entries) == sum(len(v) for v in expected.values())
 
 
 class TestIndexRecovery:
@@ -157,9 +155,9 @@ class TestIndexRecovery:
         assert 5 in {r["id"] for r in table2.find_by(mtr, "k", 88)}
         assert table2.find_by(mtr, "k", 99) == []
         assert 6 in {r["id"] for r in table2.find_by(mtr, "k", 6 % 10)}
-        table2.btree.verify(mtr)
-        table2.indexes["k"].btree.verify(mtr)
         mtr.commit()
+        table2.btree.checked_scan(engine.mtr)
+        table2.indexes["k"].btree.checked_scan(engine.mtr)
 
 
 class TestValidation:

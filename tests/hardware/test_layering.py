@@ -233,8 +233,6 @@ NO_CALLER_ALLOWED = {
         "ast.NodeVisitor dispatches visit_<node type> by name",
     "repro.parallel.probes:*":
         "spawn-safety probes, run by the tests as work units in spawned workers",
-    "repro.db.btree:BTree.iter_all": "test-inspection read: every row in key order",
-    "repro.db.btree:BTree.verify": "the tree-structure oracle the B-tree tests run",
     "repro.core.cxl_bufferpool:CxlBufferPool.lru_order": "test-inspection read",
     "repro.db.table:Table.find_by": "test-inspection read: secondary-index lookup",
     "repro.db.page:PageView.stored_page_id": "test-inspection read of the page header",

@@ -74,15 +74,10 @@ def _apply(table, engine, model, ops, value_salt):
 
 
 def _contents(engine):
-    table = engine.tables["t"]
-    mtr = engine.mtr()
-    contents = {
+    return {
         key: SMALL_CODEC.decode(payload)["k"]
-        for key, payload in table.btree.iter_all(mtr)
+        for key, payload in engine.tables["t"].btree.checked_scan(engine.mtr).records
     }
-    table.btree.verify(mtr)
-    mtr.commit()
-    return contents
 
 
 def _run_history(ctx, committed, uncommitted):

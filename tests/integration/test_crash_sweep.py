@@ -9,10 +9,11 @@ exactly, deterministically under a fixed seed.
 """
 
 import json
+from contextlib import closing
 
 import pytest
 
-from repro.db.constants import OFF_NEXT_LEAF
+from repro.db.constants import OFF_FIRST_FREE, OFF_NEXT_LEAF
 from repro.faults import sweep
 from repro.faults.sweep import (
     _build_scenario,
@@ -52,6 +53,18 @@ def storm_report():
     return sweep_failover_storm_points(seed=SEED)
 
 
+def _cut_the_leaf_chain(leaf):
+    """Corrupt the first leaf behind the tree's back; return the detail."""
+    leaf.write_u64(OFF_NEXT_LEAF, 0)
+    return f"leaf {leaf.page_id} names next leaf 0"
+
+
+def _free_list_past_the_heap(leaf):
+    heap_count = leaf.heap_count
+    leaf.write(OFF_FIRST_FREE, heap_count.to_bytes(2, "little"))
+    return f"leaf {leaf.page_id}: free slot {heap_count} past the heap"
+
+
 class TestSingleNodeSweep:
     def test_every_coordinate_recovers_exact_committed_state(
         self, workload_report
@@ -74,22 +87,25 @@ class TestSingleNodeSweep:
             "pool.new.formatted",
         } <= points
 
-    def test_a_tree_out_of_order_is_the_coordinate_detail(self):
-        """The oracle read checks key order and the leaf chain on its one
-        walk; a violation fails the coordinate, it does not raise."""
+    @pytest.mark.parametrize(
+        "corrupt", [_cut_the_leaf_chain, _free_list_past_the_heap], ids=lambda f: f.__name__
+    )
+    def test_a_tree_out_of_order_is_the_coordinate_detail(self, corrupt):
+        """The oracle read checks key order, the leaf chain and each leaf's
+        free list on its one walk; a violation fails the coordinate, it
+        does not raise."""
         scenario = _build_scenario()
-        work = _roll_to(scenario, SEED, 0)
-        engine = scenario.engine
-        assert _verdict("p", 1, engine, scenario.redo, work.model).ok
-        mtr = engine.mtr()
-        first = mtr.get_page(engine.tables["t"].btree.leaf_page_id_for(mtr, 0))
-        first.write_u64(OFF_NEXT_LEAF, 0)  # cut the chain after the first leaf
-        mtr.commit()
-        outcome = _verdict("p", 1, engine, scenario.redo, work.model)
+        with closing(scenario.cluster):
+            work = _roll_to(scenario, SEED, 0)
+            engine = scenario.engine
+            assert _verdict("p", 1, engine, scenario.redo, work.model).ok
+            mtr = engine.mtr()
+            first = mtr.get_page(engine.tables["t"].btree.leaf_page_id_for(mtr, 0))
+            detail = corrupt(first)
+            mtr.commit()
+            outcome = _verdict("p", 1, engine, scenario.redo, work.model)
         assert not outcome.ok
-        assert outcome.detail.startswith(
-            f"recovered tree is corrupt: leaf {first.page_id} names next leaf 0"
-        )
+        assert outcome.detail.startswith(f"recovered tree is corrupt: {detail}")
 
     def test_a_raising_unit_is_a_red_coordinate_with_its_repro(
         self, workload_report, monkeypatch

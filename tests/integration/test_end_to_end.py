@@ -73,10 +73,7 @@ class TestPoolingEndToEnd:
             driver.run()
             engine = setup.instances[0].engine
             table = engine.tables["sbtest1"]
-            mtr = engine.mtr()
-            contents[system] = list(table.btree.iter_all(mtr))
-            table.btree.verify(mtr)
-            mtr.commit()
+            contents[system] = table.btree.checked_scan(engine.mtr).records
         assert contents["dram"] == contents["cxl"] == contents["rdma"]
 
     def test_reuse_setup_across_runs(self):

@@ -28,10 +28,15 @@ import pytest
 
 from repro.analysis.checked import CheckedRun
 from repro.analysis.memsan import MemSan
+from repro.bench import recovery_exp, scale
 from repro.bench.harness import counter_snapshot
+from repro.bench.recovery_exp import run_recovery_experiment
+from repro.bench.scale import run_scale_point
 from repro.obs.image import IMAGE_BOUND, IMAGES
 from repro.faults import sweep
 from repro.faults.injector import FaultInjector
+from repro.ha import scenarios as ha_scenarios
+from repro.ha.scenarios import run_join_leave
 from repro.hardware.host import Cluster, Host
 from repro.hardware.memory import TransferCharge
 from repro.obs import Tracer
@@ -410,7 +415,7 @@ def test_a_sweep_that_dies_in_a_unit_leaves_no_live_image(monkeypatch, run):
     assert _live("sweep.boundary") == _live("sweep.crashed") == []
 
 
-# -- (b4) world lifetime: a sweep closes every world it builds, once -----------------
+# -- (b4) world lifetime: a harness closes every world it builds, once ---------------
 
 #: sweep -> (a function its units call and its golden or probe world may
 #: call first, how many calls to let through before dying).
@@ -422,10 +427,10 @@ _UNIT_CALLS = {
 }
 
 
-@pytest.mark.parametrize("run", _UNIT_CALLS, ids=lambda run: run.__name__)
-def test_every_world_a_sweep_builds_is_closed_exactly_once(monkeypatch, run):
-    """Green, never-fired and raising units, and the golden or probe
-    world each sweep builds first: every cluster is closed once."""
+def _count_closes(monkeypatch, module, builders):
+    """Record the cluster of every world ``module``'s ``builders`` return,
+    and every ``Cluster.close``. Returns the built list and a predicate:
+    every built cluster, and nothing else, closed exactly once."""
     built, closed = [], []
     close = Cluster.close
 
@@ -441,19 +446,14 @@ def test_every_world_a_sweep_builds_is_closed_exactly_once(monkeypatch, run):
         return wrapper
 
     monkeypatch.setattr(Cluster, "close", counting_close)
-    for name in ("_build_scenario", "_build_sharing"):
-        monkeypatch.setattr(sweep, name, recording(getattr(sweep, name)))
+    for name in builders:
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    return built, lambda: sorted(map(id, closed)) == sorted(map(id, built))
 
-    def closed_once() -> bool:
-        return sorted(map(id, closed)) == sorted(map(id, built))
 
-    green = run(seed=SEED, limit=1)
-    assert green.outcomes[0].ok and len(built) >= 2 and closed_once()
-    (never,) = run(seed=SEED, only=(green.outcomes[0].point, 10**6)).outcomes
-    assert "never fired" in never.detail and closed_once()
-
-    name, spared = _UNIT_CALLS[run]
-    real, calls = getattr(sweep, name), []
+def _dying_after(monkeypatch, module, name, spared):
+    """``module.name`` raises from its ``spared + 1``-th call on."""
+    real, calls = getattr(module, name), []
 
     def dying(*args, **kwargs):
         calls.append(1)
@@ -461,11 +461,60 @@ def test_every_world_a_sweep_builds_is_closed_exactly_once(monkeypatch, run):
             raise RuntimeError("the unit dies")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sweep, name, dying)
+    monkeypatch.setattr(module, name, dying)
+
+
+@pytest.mark.parametrize("run", _UNIT_CALLS, ids=lambda run: run.__name__)
+def test_every_world_a_sweep_builds_is_closed_exactly_once(monkeypatch, run):
+    """Green, never-fired and raising units, and the golden or probe
+    world each sweep builds first: every cluster is closed once."""
+    built, closed_once = _count_closes(
+        monkeypatch, sweep, ("_build_scenario", "_build_sharing")
+    )
+    green = run(seed=SEED, limit=1)
+    assert green.outcomes[0].ok and len(built) >= 2 and closed_once()
+    (never,) = run(seed=SEED, only=(green.outcomes[0].point, 10**6)).outcomes
+    assert "never fired" in never.detail and closed_once()
+
+    _dying_after(monkeypatch, sweep, *_UNIT_CALLS[run])
     before = len(built)
     (died,) = run(seed=SEED, limit=1).outcomes
     assert "unit error RuntimeError: the unit dies" in died.detail
     assert len(built) > before and closed_once()
+
+
+#: harness -> (one cheap run of it, the module that builds its world, that
+#: module's world builder, a function the run calls with the world built).
+_HARNESS_WORLDS = {
+    "ha-join-leave": (
+        lambda: run_join_leave(with_baselines=False),
+        ha_scenarios, "build_sharing_setup", "add_sharing_node",
+    ),
+    "fig10-recovery": (
+        lambda: run_recovery_experiment(
+            "polarrecv", rows=2000, workers=4, phase1_txns=2, phase2_txns=4
+        ),
+        recovery_exp, "build_pooling_setup", "recover_instance",
+    ),
+    "fig-scale-point": (
+        lambda: run_scale_point("cxl", 2),
+        scale, "build_sharing_setup", "counter_snapshot",
+    ),
+}
+
+
+@pytest.mark.parametrize("harness", _HARNESS_WORLDS)
+def test_every_world_a_harness_builds_is_closed_exactly_once(monkeypatch, harness):
+    """An HA scenario, a Fig. 10 recovery run and a fig_scale point close
+    the world they build, once, whether they finish or raise."""
+    run, module, builder, called_later = _HARNESS_WORLDS[harness]
+    built, closed_once = _count_closes(monkeypatch, module, (builder,))
+    run()
+    assert len(built) == 1 and closed_once()
+    _dying_after(monkeypatch, module, called_later, 0)
+    with pytest.raises(RuntimeError, match="the unit dies"):
+        run()
+    assert len(built) == 2 and closed_once()
 
 
 def test_forty_seeds_of_both_sweeps_stay_within_the_parents_memory():

@@ -27,9 +27,8 @@ class TestLoading:
         assert table.get(mtr, 1)["id"] == 1
         assert table.get(mtr, 500)["id"] == 500
         assert table.get(mtr, 501) is None
-        stats = table.btree.verify(mtr)
         mtr.commit()
-        assert stats["records"] == 500
+        assert len(table.btree.checked_scan(ctx.engine.mtr).records) == 500
         # load_tables checkpoints: storage holds everything.
         assert len(ctx.store) > 1
 
@@ -81,11 +80,8 @@ class TestSingleNodeMixes:
         for _ in range(30):
             txn_fn(ctx.engine, rng)
         table = ctx.engine.tables["sbtest1"]
-        mtr = ctx.engine.mtr()
-        stats = table.btree.verify(mtr)
-        mtr.commit()
         # delete+insert pairs keep the population constant.
-        assert stats["records"] == 500
+        assert len(table.btree.checked_scan(ctx.engine.mtr).records) == 500
 
     def test_queries_charge_fixed_cost(self, loaded):
         ctx, workload = loaded
@@ -199,12 +195,9 @@ class TestKIndex:
         rng = WorkloadRng(5)
         for _ in range(20):
             workload.txn_fn("write_only")(ctx.engine, rng)
-        mtr = ctx.engine.mtr()
-        table.indexes["k"].btree.verify(mtr)
-        entries = sum(1 for _ in table.indexes["k"].btree.iter_all(mtr))
-        records = table.btree.verify(mtr)["records"]
-        mtr.commit()
-        assert entries == records
+        entries = table.indexes["k"].btree.checked_scan(ctx.engine.mtr).records
+        records = table.btree.checked_scan(ctx.engine.mtr).records
+        assert len(entries) == len(records)
 
     def test_schema_includes_index_fields(self):
         workload = SysbenchWorkload(rows=100, with_k_index=True)
